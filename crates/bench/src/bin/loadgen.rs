@@ -25,7 +25,7 @@
 //! capped at 8).
 
 use dq_query::{run, NoDefaults, PlanCache, QueryCatalog};
-use dq_server::{render_result, start, Client, ServerConfig, WriteMode};
+use dq_server::{render_result, start, Client, ServerConfig};
 use relstore::{DataType, Schema};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -109,7 +109,6 @@ fn main() {
             addr: "127.0.0.1:0".into(),
             workers,
             stmt_cache_capacity: 256,
-            write_mode: WriteMode::default(),
         },
         catalog.clone(),
     )

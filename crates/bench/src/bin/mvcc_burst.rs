@@ -2,19 +2,15 @@
 //!
 //! One writer loops full-table `TAG` statements (the heaviest write
 //! the engine has: every row's tag column copies on write) while N
-//! readers hammer quality-filtered point queries. Run twice per
+//! readers hammer quality-filtered point queries. One series per
 //! reader tier:
 //!
-//! * `B12/reader_qps/mutex/readersN` — `WriteMode::SerializedMaster`,
-//!   the legacy path: the whole TAG (parse, mask, per-cell tagging)
-//!   runs under the master mutex, and every reader re-snapshot waits
-//!   behind it.
-//! * `B12/reader_qps/mvcc/readersN` — `WriteMode::Mvcc`: the writer
-//!   prepares against its pinned snapshot outside any lock and
-//!   serializes only apply+publish; readers pin epochs lock-free.
-//! * `B12/reader_speedup/readersN` — the ratio. The acceptance bar is
-//!   ≥ 2× on a multi-core box; on a single core the writer and the
-//!   readers timeshare one CPU, so the tool warns instead of failing.
+//! * `B12/reader_qps/mvcc/readersN` — the writer prepares against its
+//!   pinned snapshot outside any lock and serializes only
+//!   apply+publish; readers pin epochs lock-free.
+//!
+//! Compare a run against the previous run of this harness
+//! (EXPERIMENTS.md B12).
 //!
 //! Correctness gates (both fatal): a pre-timing parity check of every
 //! reader query against the embedded serial rendering, and a
@@ -28,7 +24,7 @@
 //! 256), `DQ_MVCC_READERS` (default `4,16`).
 
 use dq_query::{run, run_mut, QueryCatalog};
-use dq_server::{render_result, start, Client, ServerConfig, WriteMode};
+use dq_server::{render_result, start, Client, ServerConfig};
 use relstore::{DataType, Schema};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,11 +102,6 @@ fn probes(last: u64) -> Vec<String> {
     ]
 }
 
-struct Series {
-    id: String,
-    fields: Vec<(String, f64)>,
-}
-
 struct TierResult {
     qps: f64,
     reads: u64,
@@ -118,15 +109,14 @@ struct TierResult {
     writer_wait_us_mean: f64,
 }
 
-/// One (mode, readers) tier: fresh server, 1 writer looping TAG, N
-/// readers looping point queries, then the quiesced state check.
-fn run_tier(mode: WriteMode, readers: usize, rows: usize, workers: usize, window: Duration) -> TierResult {
+/// One reader tier: fresh server, 1 writer looping TAG, N readers
+/// looping point queries, then the quiesced state check.
+fn run_tier(readers: usize, rows: usize, workers: usize, window: Duration) -> TierResult {
     let server = start(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers,
             stmt_cache_capacity: 64,
-            write_mode: mode,
         },
         catalog(rows),
     )
@@ -192,7 +182,7 @@ fn run_tier(mode: WriteMode, readers: usize, rows: usize, workers: usize, window
         assert_eq!(
             got, want,
             "quiesced server diverged from embedded replay on `{q}` \
-             (mode={mode:?}, readers={readers})"
+             (readers={readers})"
         );
     }
     server.shutdown();
@@ -227,7 +217,6 @@ fn main() {
             addr: "127.0.0.1:0".into(),
             workers,
             stmt_cache_capacity: 64,
-            write_mode: WriteMode::Mvcc,
         },
         cat,
     )
@@ -246,77 +235,21 @@ fn main() {
         window.as_millis()
     );
 
-    let mut series: Vec<Series> = Vec::new();
-    let mut gate_failed = false;
-
-    for &readers in &reader_tiers {
-        let mutex = run_tier(WriteMode::SerializedMaster, readers, rows, workers, window);
-        let mvcc = run_tier(WriteMode::Mvcc, readers, rows, workers, window);
-        let speedup = if mutex.qps > 0.0 { mvcc.qps / mutex.qps } else { f64::INFINITY };
-        println!(
-            "mvcc_burst: readers={readers:<3} mutex={:>9.0} qps  mvcc={:>9.0} qps  \
-             speedup={speedup:.2}x  (writes: mutex={} mvcc={}, writer_wait mean: \
-             mutex={:.0}us mvcc={:.0}us)",
-            mutex.qps,
-            mvcc.qps,
-            mutex.writes,
-            mvcc.writes,
-            mutex.writer_wait_us_mean,
-            mvcc.writer_wait_us_mean,
-        );
-        for (mode, r) in [("mutex", &mutex), ("mvcc", &mvcc)] {
-            series.push(Series {
-                id: format!("B12/reader_qps/{mode}/readers{readers}"),
-                fields: vec![
-                    ("qps".into(), r.qps),
-                    ("reads".into(), r.reads as f64),
-                    ("writes".into(), r.writes as f64),
-                    ("writer_wait_us_mean".into(), r.writer_wait_us_mean),
-                    ("workers".into(), workers as f64),
-                    ("rows".into(), rows as f64),
-                ],
-            });
-        }
-        series.push(Series {
-            id: format!("B12/reader_speedup/readers{readers}"),
-            fields: vec![("ratio".into(), speedup)],
-        });
-        if speedup < 2.0 {
-            if cores < 2 {
-                println!(
-                    "mvcc_burst: WARNING: speedup {speedup:.2}x below the 2x bar, but only \
-                     {cores} CPU is visible — writer, readers, and server timeshare one core, \
-                     so the serialized baseline is not actually blocking anyone; multi-core \
-                     required for the bar to be meaningful"
-                );
-            } else {
-                eprintln!(
-                    "mvcc_burst: FAIL: readers={readers} speedup {speedup:.2}x is below the \
-                     2x acceptance bar on a {cores}-core box"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-
-    // ---- write JSON lines -------------------------------------------
+    // one JSON line per reader tier
     let mut file = std::fs::File::create(&out_path).expect("open output");
-    for s in &series {
-        let mut line = format!("{{\"id\":\"{}\"", s.id);
-        for (k, v) in &s.fields {
-            if v.fract() == 0.0 && v.abs() < 9e15 {
-                line.push_str(&format!(",\"{k}\":{}", *v as i64));
-            } else if v.abs() < 10.0 {
-                line.push_str(&format!(",\"{k}\":{v:.4}"));
-            } else {
-                line.push_str(&format!(",\"{k}\":{v:.2}"));
-            }
-        }
-        line.push('}');
-        writeln!(file, "{line}").expect("write");
+    for &readers in &reader_tiers {
+        let r = run_tier(readers, rows, workers, window);
+        println!(
+            "mvcc_burst: readers={readers:<3} {:>9.0} qps  (writes={}, writer_wait mean={:.0}us)",
+            r.qps, r.writes, r.writer_wait_us_mean,
+        );
+        writeln!(
+            file,
+            "{{\"id\":\"B12/reader_qps/mvcc/readers{readers}\",\"qps\":{:.2},\"reads\":{},\
+             \"writes\":{},\"writer_wait_us_mean\":{:.4},\"workers\":{workers},\"rows\":{rows}}}",
+            r.qps, r.reads, r.writes, r.writer_wait_us_mean,
+        )
+        .expect("write");
     }
-    println!("mvcc_burst: wrote {} records to {out_path}", series.len());
-    if gate_failed {
-        std::process::exit(1);
-    }
+    println!("mvcc_burst: wrote {} records to {out_path}", reader_tiers.len());
 }

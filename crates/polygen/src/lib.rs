@@ -64,19 +64,6 @@ mod proptests {
             }
         }
 
-        /// Batched σ is indistinguishable from row-at-a-time σ —
-        /// provenance (originating and intermediate source sets)
-        /// included — at every batch width.
-        #[test]
-        fn restrict_vectorized_equals_restrict(rel in arb_poly("A"), c in 0i64..15) {
-            let p = Expr::col("v").lt(Expr::lit(c));
-            let row_wise = rel.restrict(&p).unwrap();
-            for bs in [1usize, 7, 1024] {
-                let batched = rel.restrict_vectorized(&p, bs).unwrap();
-                prop_assert_eq!(&row_wise, &batched);
-            }
-        }
-
         /// strip ∘ restrict = select ∘ strip.
         #[test]
         fn strip_commutes_with_restrict(rel in arb_poly("A"), c in 0i64..15) {

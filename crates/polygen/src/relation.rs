@@ -159,102 +159,6 @@ impl PolyRelation {
         Ok(PolyRelation::from_parts(self.schema.clone(), rows))
     }
 
-    /// σ — batched restrict. Propagation semantics are identical to
-    /// [`PolyRelation::restrict`]; the predicate is compiled once and
-    /// evaluated straight over the polygen cells (no per-row `Row`
-    /// materialization), processing `batch_size`-row windows at a time.
-    /// Survivors are tracked in a [`tagstore::Bitset`] selection vector
-    /// (one word per 64 rows, dead words skipped wholesale) and gathered
-    /// run-at-a-time. Consecutive retained tuples whose examined cells
-    /// carry the same originating sources share one consulted-set
-    /// allocation. Reports under the `vector.poly.*` metrics.
-    pub fn restrict_vectorized(
-        &self,
-        predicate: &Expr,
-        batch_size: usize,
-    ) -> DbResult<PolyRelation> {
-        use relstore::expr::ValueSource;
-        /// Positional predicate access over polygen cells.
-        struct CellRow<'a>(&'a [PolyCell]);
-        impl ValueSource for CellRow<'_> {
-            fn value_at(&self, idx: usize) -> &Value {
-                &self.0[idx].value
-            }
-        }
-        let examined: Vec<usize> = predicate
-            .referenced_columns()
-            .iter()
-            .map(|c| self.schema.resolve(c))
-            .collect::<DbResult<_>>()?;
-        let compiled = predicate.compile(&self.schema)?;
-        let batch_size = batch_size.max(1);
-        let mut out_rows: Vec<PolyRow> = Vec::new();
-        let mut batches = 0usize;
-        let mut rows_in = 0usize;
-        let mut cached: Option<std::sync::Arc<SourceSet>> = None;
-        for window in self.rows.chunks(batch_size) {
-            batches += 1;
-            rows_in += window.len();
-            // Selection vector: one bit per window row, filtered with
-            // word-granular loops so fully-dead words cost one compare.
-            let mut sel = tagstore::Bitset::full(window.len());
-            for (wi, word) in sel.words_mut().iter_mut().enumerate() {
-                let mut bits = *word;
-                let mut keep = bits;
-                while bits != 0 {
-                    let tz = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let i = wi * 64 + tz as usize;
-                    if !compiled.eval_predicate(&CellRow(&window[i]))? {
-                        keep &= !(1u64 << tz);
-                    }
-                }
-                *word = keep;
-            }
-            // Run-at-a-time gather over maximal survivor runs.
-            let mut run: Option<(usize, usize)> = None;
-            let flush = |run: (usize, usize),
-                         out_rows: &mut Vec<PolyRow>,
-                         cached: &mut Option<std::sync::Arc<SourceSet>>| {
-                for row in &window[run.0..run.1] {
-                    let mut consulted = SourceSet::new();
-                    for &c in &examined {
-                        consulted.extend(row[c].originating().iter().cloned());
-                    }
-                    let shared = if cached.as_ref().is_some_and(|a| **a == consulted) {
-                        std::sync::Arc::clone(cached.as_ref().expect("just checked"))
-                    } else {
-                        let a = std::sync::Arc::new(consulted);
-                        *cached = Some(std::sync::Arc::clone(&a));
-                        a
-                    };
-                    let mut out = row.clone();
-                    for cell in &mut out {
-                        cell.consult_shared(&shared);
-                    }
-                    out_rows.push(out);
-                }
-            };
-            for i in sel.iter_ones() {
-                match run {
-                    Some((s, e)) if e == i => run = Some((s, i + 1)),
-                    Some(done) => {
-                        flush(done, &mut out_rows, &mut cached);
-                        run = Some((i, i + 1));
-                    }
-                    None => run = Some((i, i + 1)),
-                }
-            }
-            if let Some(done) = run {
-                flush(done, &mut out_rows, &mut cached);
-            }
-        }
-        dq_obs::counter!("vector.poly.batches").add(batches as u64);
-        dq_obs::counter!("vector.poly.rows_in").add(rows_in as u64);
-        dq_obs::counter!("vector.poly.rows_out").add(out_rows.len() as u64);
-        Ok(PolyRelation::from_parts(self.schema.clone(), out_rows))
-    }
-
     /// π — project.
     pub fn project(&self, columns: &[&str]) -> DbResult<PolyRelation> {
         let indices: Vec<usize> = columns
@@ -485,27 +389,6 @@ mod tests {
         for cell in &r.rows()[0] {
             assert!(cell.intermediate().contains(&src("NYSE")));
         }
-    }
-
-    #[test]
-    fn restrict_vectorized_matches_restrict() {
-        let s = stocks();
-        let p = Expr::col("price").gt(Expr::lit(15.0));
-        let row_wise = s.restrict(&p).unwrap();
-        for bs in [1, 2, 7, 1024] {
-            assert_eq!(row_wise, s.restrict_vectorized(&p, bs).unwrap(), "batch={bs}");
-        }
-        // mixed multi-source provenance (post-join) propagates identically
-        let j = stocks().join(&reports(), "ticker", "ticker").unwrap();
-        let p = Expr::col("rating").eq(Expr::lit(Value::text("buy")));
-        assert_eq!(j.restrict(&p).unwrap(), j.restrict_vectorized(&p, 1).unwrap());
-        // errors surface on both paths
-        let bad = Expr::col("ticker").gt(Expr::lit(1.0));
-        assert!(s.restrict(&bad).is_err());
-        assert!(s.restrict_vectorized(&bad, 8).is_err());
-        let ghost = Expr::col("ghost").gt(Expr::lit(1.0));
-        assert!(s.restrict(&ghost).is_err());
-        assert!(s.restrict_vectorized(&ghost, 8).is_err());
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Prepared-statement / plan cache: parse + plan once, re-execute many.
 //!
+//! This module is also *the* statement pipeline: every entry point —
+//! a cache miss here, [`crate::run_with`], [`crate::explain`] — prepares
+//! through `PreparedStatement::prepare` and runs through
+//! [`PreparedStatement::execute`].
+//!
 //! The concurrent quality-query server receives the same small set of
 //! query shapes from thousands of sessions; parsing and planning each
 //! arrival from scratch wastes most of the per-request budget on point
@@ -123,6 +128,42 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
+    /// The one statement pipeline: defaults injection → plan → optimize
+    /// → shape. A statement-cache miss runs it with the default planner
+    /// and the session's defaults; [`crate::run_with`], [`crate::explain`]
+    /// and [`crate::explain_analyze`] run it with the caller's planner
+    /// and [`NoDefaults`]. `TAG` statements are refused — they mutate
+    /// the catalog and go through [`crate::run_mut`] or
+    /// [`crate::prepare_write`].
+    pub(crate) fn prepare(
+        catalog: &QueryCatalog,
+        mut stmt: Statement,
+        defaults: &dyn QualityDefaultsProvider,
+        planner: &Planner,
+    ) -> DbResult<PreparedStatement> {
+        inject_defaults(&mut stmt, catalog, defaults);
+        let optimized = || -> DbResult<Plan> {
+            Ok(planner.optimize(planner.plan(&stmt, catalog)?, catalog))
+        };
+        let shape = match &stmt {
+            Statement::Select(_) => PreparedShape::Select(optimized()?),
+            Statement::Inspect { .. } => PreparedShape::Inspect(optimized()?),
+            Statement::Explain { analyze: true, .. } => PreparedShape::ExplainAnalyze(optimized()?),
+            Statement::Explain { analyze: false, .. } => {
+                PreparedShape::ExplainPlan(optimized()?.explain())
+            }
+            Statement::Tag { .. } => {
+                return Err(DbError::InvalidExpression(
+                    "TAG mutates the catalog; use run_mut on the master copy".into(),
+                ))
+            }
+        };
+        Ok(PreparedStatement {
+            shape,
+            generation: catalog.generation(),
+        })
+    }
+
     /// Executes against `catalog` (normally the same snapshot family the
     /// statement was prepared on; the generation guard in
     /// [`PlanCache::prepare`] enforces that for cached entries).
@@ -285,7 +326,9 @@ impl PlanCache {
             self.remove(&key);
         }
         dq_obs::counter!("server.stmt_cache.misses").incr();
-        let prepared = Arc::new(Self::plan_statement(catalog, sql, defaults)?);
+        let stmt = crate::parser::parse(sql)?;
+        let planner = Planner::default();
+        let prepared = Arc::new(PreparedStatement::prepare(catalog, stmt, defaults, &planner)?);
         if self.entries.len() >= self.capacity {
             if let Some(oldest) = self.order.pop_front() {
                 self.entries.remove(&oldest);
@@ -314,42 +357,6 @@ impl PlanCache {
     fn remove(&mut self, key: &(String, String)) {
         self.entries.remove(key);
         self.order.retain(|k| k != key);
-    }
-
-    /// The cold path: full parse → defaults injection → plan → optimize.
-    fn plan_statement(
-        catalog: &QueryCatalog,
-        sql: &str,
-        defaults: &dyn QualityDefaultsProvider,
-    ) -> DbResult<PreparedStatement> {
-        let planner = Planner::default();
-        let mut stmt = crate::parser::parse(sql)?;
-        inject_defaults(&mut stmt, catalog, defaults);
-        let generation = catalog.generation();
-        let shape = match stmt {
-            Statement::Tag { .. } => {
-                return Err(DbError::InvalidExpression(
-                    "TAG mutates the catalog; use run_mut on the master copy".into(),
-                ))
-            }
-            Statement::Explain { analyze, inner } => {
-                let plan = planner.optimize(planner.plan(&inner, catalog)?, catalog);
-                if analyze {
-                    PreparedShape::ExplainAnalyze(plan)
-                } else {
-                    PreparedShape::ExplainPlan(plan.explain())
-                }
-            }
-            Statement::Inspect { .. } => {
-                let plan = planner.optimize(planner.plan(&stmt, catalog)?, catalog);
-                PreparedShape::Inspect(plan)
-            }
-            Statement::Select(_) => {
-                let plan = planner.optimize(planner.plan(&stmt, catalog)?, catalog);
-                PreparedShape::Select(plan)
-            }
-        };
-        Ok(PreparedStatement { shape, generation })
     }
 }
 
@@ -412,6 +419,14 @@ mod tests {
         c
     }
 
+    /// The `server.stmt_cache.*` counters are process-wide and several
+    /// tests assert exact deltas, so every test that drives a
+    /// [`PlanCache`] holds this for its duration.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn hits() -> u64 {
         dq_obs::counter!("server.stmt_cache.hits").get()
     }
@@ -436,6 +451,7 @@ mod tests {
 
     #[test]
     fn repeat_query_hits_cache_and_matches_uncached() {
+        let _serial = serial();
         let c = catalog();
         let mut cache = PlanCache::new(8);
         let sql = "SELECT * FROM t WHERE k >= 5";
@@ -453,6 +469,7 @@ mod tests {
 
     #[test]
     fn registration_invalidates_cached_plans() {
+        let _serial = serial();
         let mut c = catalog();
         let mut cache = PlanCache::new(8);
         let sql = "SELECT * FROM t";
@@ -476,6 +493,7 @@ mod tests {
 
     #[test]
     fn defaults_injected_only_without_explicit_quality() {
+        let _serial = serial();
         let c = catalog();
         let mut cache = PlanCache::new(8);
         let strict =
@@ -501,6 +519,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_fifo() {
+        let _serial = serial();
         let c = catalog();
         let mut cache = PlanCache::new(2);
         cache.execute(&c, "SELECT * FROM t WHERE k = 1", &NoDefaults).unwrap();
@@ -517,6 +536,7 @@ mod tests {
 
     #[test]
     fn bound_statement_survives_republish_between_prepare_and_execute() {
+        let _serial = serial();
         // the stmt-cache TOCTOU: validate on generation N, publish N+1,
         // then execute. The bound snapshot must pin generation N.
         let mut c = catalog();
@@ -542,6 +562,7 @@ mod tests {
 
     #[test]
     fn tag_statements_are_refused() {
+        let _serial = serial();
         let c = catalog();
         let mut cache = PlanCache::new(8);
         assert!(cache
@@ -551,6 +572,7 @@ mod tests {
 
     #[test]
     fn explain_and_inspect_shapes_cache() {
+        let _serial = serial();
         let c = catalog();
         let mut cache = PlanCache::new(8);
         let plain = cache

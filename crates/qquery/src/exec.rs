@@ -1,6 +1,7 @@
 //! Plan execution over a catalog of tagged relations.
 
 use crate::ast::Statement;
+use crate::cache::{NoDefaults, PreparedStatement};
 use crate::plan::{AccessPathStats, Plan, Planner, SchemaProvider};
 use relstore::index::HashIndex;
 use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema};
@@ -11,7 +12,8 @@ use tagstore::bitmap::{extract_atoms, QualityIndex};
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
     hash_join_probe_columnar, hash_join_probe_vectorized, select_columnar,
-    select_indexed_columnar, select_vectorized, QualityCell, TaggedRelation,
+    select_indexed_columnar, select_vectorized, BatchStats, QualityCell, TaggedRelation,
+    DEFAULT_BATCH_SIZE,
 };
 
 /// Page-level I/O counters a [`PagedProvider`] reports for one indexed
@@ -256,28 +258,14 @@ impl QueryCatalog {
         v
     }
 
+    /// The resident table's entry: its relation plus the lazily built
+    /// access paths (columnar layout, bitmap index, key hash indexes).
     fn entry(&self, table: &str) -> DbResult<&Arc<TableEntry>> {
         self.tables
             .get(table)
             .ok_or_else(|| DbError::UnknownTable(table.to_owned()))
     }
 
-    /// Cached quality bitmap index over `table` (built on first use).
-    fn quality_index(&self, table: &str) -> Option<Arc<QualityIndex>> {
-        self.tables.get(table).map(|e| e.quality_index())
-    }
-
-    /// Cached columnar layout of `table` (converted on first use).
-    /// Base-table σ and ⋈ probes run over this instead of the row
-    /// layout.
-    fn columnar(&self, table: &str) -> DbResult<Arc<ColumnarRelation>> {
-        Ok(self.entry(table)?.columnar())
-    }
-
-    /// Cached hash index over `table.key` application values.
-    fn key_index(&self, table: &str, key: &str) -> DbResult<Arc<HashIndex>> {
-        self.entry(table)?.key_index(key)
-    }
 }
 
 impl SchemaProvider for QueryCatalog {
@@ -360,24 +348,9 @@ impl QueryResult {
     }
 }
 
-/// Row batch width used by the vectorized operators ([`select_vectorized`]
-/// and friends). Defaults to [`tagstore::DEFAULT_BATCH_SIZE`]; override
-/// with the `DQ_BATCH_SIZE` environment variable (read once per process,
-/// clamped to at least 1).
-pub fn exec_batch_size() -> usize {
-    static SIZE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SIZE.get_or_init(|| {
-        std::env::var("DQ_BATCH_SIZE")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(tagstore::DEFAULT_BATCH_SIZE)
-            .max(1)
-    })
-}
-
 /// Per-operator execution trace produced by `EXPLAIN ANALYZE` (and by
 /// [`execute_traced`] directly).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpTrace {
     /// The operator's EXPLAIN line — identical text to [`Plan::explain`],
     /// so the analyzed tree reads like the plain plan plus annotations.
@@ -410,6 +383,10 @@ pub struct OpTrace {
     pub pages_read: Option<u64>,
     /// Of `pages_read`, pages served without I/O (paged operators only).
     pub pool_hits: Option<u64>,
+    /// The key column whose hash index answered this σ as a point
+    /// lookup (`col = literal`) instead of a scan; `batches`/`layout`
+    /// are `None` then — no batch ran and no columnar layout was read.
+    pub point_lookup: Option<String>,
     /// Child traces in plan order.
     pub children: Vec<OpTrace>,
 }
@@ -460,6 +437,9 @@ impl OpTrace {
         if let Some(hits) = self.pool_hits {
             let _ = write!(out, " pool_hits={hits}");
         }
+        if let Some(key) = &self.point_lookup {
+            let _ = write!(out, " point_lookup={key}");
+        }
         out.push('\n');
         for child in &self.children {
             child.render_into(out, depth + 1);
@@ -483,41 +463,44 @@ pub fn run(catalog: &QueryCatalog, sql: &str) -> DbResult<QueryResult> {
     run_with(catalog, sql, &Planner::default())
 }
 
-/// Like [`run`], with an explicit planner configuration.
+/// Like [`run`], with an explicit planner configuration: the statement
+/// goes through the one pipeline (`PreparedStatement::prepare`, the
+/// same code a statement-cache miss runs) with no ambient defaults.
 pub fn run_with(catalog: &QueryCatalog, sql: &str, planner: &Planner) -> DbResult<QueryResult> {
-    let stmt = crate::parser::parse(sql)?;
-    if let Statement::Explain { analyze, inner } = stmt {
-        let plan = planner.plan(&inner, catalog)?;
-        let plan = planner.optimize(plan, catalog);
-        return Ok(if analyze {
-            let (rel, trace) = execute_traced(catalog, &plan)?;
-            QueryResult::Explain {
-                report: trace.render(),
-                rows: Some(rel),
-            }
-        } else {
-            QueryResult::Explain {
-                report: plan.explain(),
-                rows: None,
-            }
-        });
-    }
-    if matches!(stmt, Statement::Tag { .. }) {
-        return Err(DbError::InvalidExpression(
-            "TAG mutates the catalog; use run_mut".into(),
-        ));
-    }
-    let plan = planner.plan(&stmt, catalog)?;
-    let plan = planner.optimize(plan, catalog);
-    let rel = execute(catalog, &plan)?;
-    match stmt {
-        Statement::Inspect { .. } => Ok(QueryResult::Inspection {
-            report: rel.to_paper_table(),
-            rows: rel,
-        }),
-        Statement::Select(_) => Ok(QueryResult::Table(rel)),
-        Statement::Explain { .. } | Statement::Tag { .. } => unreachable!("handled above"),
-    }
+    PreparedStatement::prepare(catalog, crate::parser::parse(sql)?, &NoDefaults, planner)?
+        .execute(catalog)
+}
+
+/// Renders the optimized physical plan of one statement EXPLAIN-style,
+/// one line per operator with access paths and estimated selectivities.
+pub fn explain(catalog: &QueryCatalog, sql: &str, planner: &Planner) -> DbResult<String> {
+    explain_report(catalog, sql, planner, false)
+}
+
+/// Plans, *executes*, and renders one statement `EXPLAIN ANALYZE`-style:
+/// the optimized operator tree annotated with actual row counts,
+/// per-operator timings, and estimated-vs-actual selectivity.
+pub fn explain_analyze(catalog: &QueryCatalog, sql: &str, planner: &Planner) -> DbResult<String> {
+    explain_report(catalog, sql, planner, true)
+}
+
+/// Runs `sql` as an `EXPLAIN [ANALYZE]` statement — the statement may,
+/// but need not, carry an `EXPLAIN` prefix of its own — and returns the
+/// report.
+fn explain_report(
+    catalog: &QueryCatalog,
+    sql: &str,
+    planner: &Planner,
+    analyze: bool,
+) -> DbResult<String> {
+    let inner = match crate::parser::parse(sql)? {
+        Statement::Explain { inner, .. } => inner,
+        other => Box::new(other),
+    };
+    let stmt = Statement::Explain { analyze, inner };
+    let result =
+        PreparedStatement::prepare(catalog, stmt, &NoDefaults, planner)?.execute(catalog)?;
+    Ok(result.report().unwrap_or_default().to_owned())
 }
 
 /// Executes a statement that may mutate the catalog. `TAG <table> SET
@@ -662,130 +645,288 @@ fn prepare_tag(catalog: &QueryCatalog, stmt: Statement) -> DbResult<TagWrite> {
     })
 }
 
-/// Executes a logical plan — the lean path.
-///
-/// Runs the same operator kernels as [`execute_traced`] (results are
-/// identical, operator for operator) but builds no [`OpTrace`]: no
-/// per-operator wall clocks, no rendered operator labels, no trace
-/// allocations. This is the server's execute-from-cached-plan hot path,
-/// where a point query's real work is a few microseconds and the
-/// tracing scaffolding would cost more than the query. Per-operator
-/// `query.ops` / `query.rows_out` counters still tick (atomic adds);
-/// the `query.op_us` histogram only gets samples from traced runs.
+/// Executes a logical plan — the lean path, and the server's
+/// execute-from-cached-plan hot path. Same walker as [`execute_traced`]
+/// with the no-op tracer: no per-operator wall clocks, no rendered
+/// operator labels, no trace allocations — a point query's real work is
+/// a few microseconds and the scaffolding would cost more than the
+/// query. `query.ops` / `query.rows_out` still tick per operator; the
+/// `query.op_us` histogram only gets samples from traced runs.
 pub fn execute(catalog: &QueryCatalog, plan: &Plan) -> DbResult<TaggedRelation> {
-    let rel = match plan {
-        Plan::Scan(name) => {
-            if let Some(p) = catalog.paged.get(name) {
-                p.scan()?
-            } else {
-                catalog.get(name)?.clone()
-            }
+    Ok(walk::<NoTrace>(catalog, plan)?.0)
+}
+
+/// Executes a logical plan through the same walker as [`execute`],
+/// returning the result alongside the per-operator [`OpTrace`] that
+/// `EXPLAIN ANALYZE` renders.
+pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelation, OpTrace)> {
+    walk::<TraceTree>(catalog, plan)
+}
+
+/// What one operator run reports besides its output — values the
+/// kernels hand back anyway. [`NoTrace`] drops it unread; [`TraceTree`]
+/// copies it into an [`OpTrace`], whose fields these mirror.
+#[derive(Default)]
+struct NodeStats<'p> {
+    rows_in: usize,
+    est_selectivity: Option<f64>,
+    /// Whether `rows_out / rows_in` is a meaningful selectivity (σ, ⋈).
+    selective: bool,
+    batch: Option<BatchStats>,
+    layout: Option<&'static str>,
+    io: Option<PagedScanStats>,
+    point_lookup: Option<&'p str>,
+    /// A base-table scan input this operator absorbed — it read the
+    /// catalog's columnar layout, key index, or paged heap directly, so
+    /// the scan never ran as an operator — and that table's row count.
+    absorbed: Option<(&'p Plan, usize)>,
+}
+
+impl NodeStats<'_> {
+    fn of(rows_in: usize) -> Self {
+        NodeStats {
+            rows_in,
+            ..NodeStats::default()
         }
-        // σ over a base table: columnar kernels against the catalog's
-        // cached layout, rows materialize only at the operator boundary.
-        // Paged tables stream through their provider instead.
-        Plan::Filter { input, predicate } if matches!(&**input, Plan::Scan(_)) => {
-            let Plan::Scan(name) = &**input else {
-                unreachable!()
-            };
-            if let Some(p) = catalog.paged.get(name) {
-                p.select(predicate)?
-            } else {
-                match try_point_lookup(catalog, name, predicate)? {
-                    Some(out) => out,
-                    None => {
-                        let crel = catalog.columnar(name)?;
-                        let (out, _stats) = select_columnar(&crel, predicate, exec_batch_size())?;
-                        out.to_tagged()
+    }
+
+    /// Stats of a filtering or joining operator.
+    fn selective(rows_in: usize) -> Self {
+        NodeStats {
+            rows_in,
+            selective: true,
+            ..NodeStats::default()
+        }
+    }
+}
+
+/// What [`walk`] is generic over: how an operator's run is recorded.
+trait Tracer {
+    /// Per-operator record handed to the parent.
+    type Node;
+    type Clock;
+    /// Whether stats that cost something to obtain (a paged table's row
+    /// count takes the database lock) are worth computing.
+    const TRACING: bool;
+    fn now() -> Self::Clock;
+    fn node(
+        plan: &Plan,
+        since: Self::Clock,
+        rows_out: usize,
+        stats: NodeStats,
+        children: Vec<Self::Node>,
+    ) -> Self::Node;
+}
+
+/// Records nothing: `walk::<NoTrace>` monomorphizes to the bare kernels.
+struct NoTrace;
+
+impl Tracer for NoTrace {
+    type Node = ();
+    type Clock = ();
+    const TRACING: bool = false;
+    fn now() {}
+    fn node(_: &Plan, _: (), _: usize, _: NodeStats, _: Vec<()>) {}
+}
+
+/// Builds the [`OpTrace`] tree: adds the clock, the label and the child
+/// list to what the walker computes anyway.
+struct TraceTree;
+
+impl Tracer for TraceTree {
+    type Node = OpTrace;
+    type Clock = std::time::Instant;
+    const TRACING: bool = true;
+
+    fn now() -> Self::Clock {
+        std::time::Instant::now()
+    }
+
+    fn node(
+        plan: &Plan,
+        since: Self::Clock,
+        rows_out: usize,
+        stats: NodeStats,
+        mut children: Vec<OpTrace>,
+    ) -> OpTrace {
+        let elapsed = since.elapsed();
+        dq_obs::histogram!("query.op_us").record_us(elapsed.as_micros() as u64);
+        if let Some((scan, rows)) = stats.absorbed {
+            // zero local time, under the absorbing operator's layout
+            children.push(OpTrace {
+                label: scan.node_line(),
+                rows_out: rows,
+                rows_in: rows,
+                layout: stats.layout,
+                ..OpTrace::default()
+            });
+        }
+        // a zero-row input is defined as selectivity 0.0, not NaN
+        let actual = match stats.rows_in {
+            0 => 0.0,
+            n => rows_out as f64 / n as f64,
+        };
+        OpTrace {
+            label: plan.node_line(),
+            rows_out,
+            rows_in: stats.rows_in,
+            elapsed,
+            est_selectivity: stats.est_selectivity,
+            actual_selectivity: stats.selective.then_some(actual),
+            batches: stats.batch.map(|b| b.batches),
+            batch_size: stats.batch.map(|b| b.batch_size),
+            layout: stats.layout,
+            pages_read: stats.io.map(|io| io.pages_read),
+            pool_hits: stats.io.map(|io| io.pool_hits),
+            point_lookup: stats.point_lookup.map(str::to_owned),
+            children,
+        }
+    }
+}
+
+/// The plan walker: the only place operators meet kernels. Each arm
+/// runs its inputs, then its kernel, and reports what the kernel told
+/// it; the tracer decides whether anyone listens.
+fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelation, T::Node)> {
+    let mut since = T::now();
+    let mut children = Vec::new();
+    // Runs an input subtree and files its record under this operator;
+    // the operator's own clock restarts when its last input returns.
+    let mut run_input = |p: &Plan| -> DbResult<TaggedRelation> {
+        let (rel, node) = walk::<T>(catalog, p)?;
+        children.push(node);
+        since = T::now();
+        Ok(rel)
+    };
+    // A paged table's cardinality, for `rows_in`.
+    let paged_rows = |p: &Arc<dyn PagedProvider>| -> DbResult<usize> {
+        if T::TRACING {
+            Ok(p.row_count()? as usize)
+        } else {
+            Ok(0)
+        }
+    };
+    let (rel, stats) = match plan {
+        Plan::Scan(name) => match catalog.paged.get(name) {
+            Some(p) => {
+                let rel = p.scan()?;
+                let stats = NodeStats {
+                    layout: Some("paged"),
+                    ..NodeStats::of(rel.len())
+                };
+                (rel, stats)
+            }
+            None => {
+                let rel = catalog.get(name)?.clone();
+                let stats = NodeStats::of(rel.len());
+                (rel, stats)
+            }
+        },
+        Plan::Filter { input, predicate } => match &**input {
+            // σ over a base table absorbs the scan: paged tables stream
+            // through their provider (pages never materialize as a
+            // relation), resident ones take the base-table σ sequence.
+            Plan::Scan(name) => {
+                let (rel, stats) = match catalog.paged.get(name) {
+                    Some(p) => {
+                        let n = paged_rows(p)?;
+                        let stats = NodeStats {
+                            layout: Some("paged"),
+                            ..NodeStats::selective(n)
+                        };
+                        (p.select(predicate)?, stats)
                     }
-                }
+                    None => select_base(catalog, name, predicate, false)?,
+                };
+                let stats = NodeStats {
+                    absorbed: Some((&**input, stats.rows_in)),
+                    ..stats
+                };
+                (rel, stats)
             }
-        }
-        Plan::Filter { input, predicate } => {
-            let input_rel = execute(catalog, input)?;
-            let (rel, _stats) = select_vectorized(&input_rel, predicate, exec_batch_size())?;
-            rel
-        }
+            _ => {
+                let input_rel = run_input(input)?;
+                let (rel, batch) = select_vectorized(&input_rel, predicate, DEFAULT_BATCH_SIZE)?;
+                let stats = NodeStats {
+                    batch: Some(batch),
+                    ..NodeStats::selective(input_rel.len())
+                };
+                (rel, stats)
+            }
+        },
         Plan::Join {
             left,
             right,
             left_key,
             right_key,
         } => {
-            let l = execute(catalog, left)?;
-            let r = execute(catalog, right)?;
-            algebra::hash_join(&l, &r, left_key, right_key)?
+            let (l, r) = (run_input(left)?, run_input(right)?);
+            let rel = algebra::hash_join(&l, &r, left_key, right_key)?;
+            (rel, NodeStats::selective(l.len() + r.len()))
         }
         Plan::Project { input, columns } => {
-            let input_rel = execute(catalog, input)?;
-            project_mixed(&input_rel, columns)?
+            let input_rel = run_input(input)?;
+            let rel = project_mixed(&input_rel, columns)?;
+            (rel, NodeStats::of(input_rel.len()))
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let input_rel = execute(catalog, input)?;
+            let input_rel = run_input(input)?;
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            algebra::aggregate(&input_rel, &gb, aggs, &default_agg_policies())?
+            let rel = algebra::aggregate(&input_rel, &gb, aggs, &default_agg_policies())?;
+            (rel, NodeStats::of(input_rel.len()))
         }
         Plan::Distinct { input } => {
-            let input_rel = execute(catalog, input)?;
-            algebra::distinct_merging(&input_rel)
+            let input_rel = run_input(input)?;
+            let rel = algebra::distinct_merging(&input_rel);
+            (rel, NodeStats::of(input_rel.len()))
         }
         Plan::Sort { input, keys } => {
-            let input_rel = execute(catalog, input)?;
-            sort_multi(&input_rel, keys)?
+            let input_rel = run_input(input)?;
+            let rel = sort_multi(&input_rel, keys)?;
+            (rel, NodeStats::of(input_rel.len()))
         }
         Plan::Limit { input, n } => {
-            let input_rel = execute(catalog, input)?;
-            TaggedRelation::new(
+            let input_rel = run_input(input)?;
+            let rel = TaggedRelation::new(
                 input_rel.schema().clone(),
                 input_rel.dictionary().clone(),
                 input_rel.rows().iter().take(*n).cloned().collect(),
-            )?
+            )?;
+            (rel, NodeStats::of(input_rel.len()))
         }
         Plan::IndexScan {
-            table, predicate, ..
+            table,
+            predicate,
+            est_selectivity,
+            ..
         } => {
-            if let Some(out) = try_point_lookup(catalog, table, predicate)? {
-                out
-            } else {
-                let crel = catalog.columnar(table)?;
-                match catalog.quality_index(table) {
-                    Some(idx) => {
-                        let (o, _path, _stats) =
-                            select_indexed_columnar(&crel, &idx, predicate, exec_batch_size())?;
-                        o.to_tagged()
-                    }
-                    None => {
-                        let (o, _stats) = select_columnar(&crel, predicate, exec_batch_size())?;
-                        o.to_tagged()
-                    }
-                }
-            }
+            let (rel, stats) = select_base(catalog, table, predicate, true)?;
+            let stats = NodeStats {
+                est_selectivity: Some(*est_selectivity),
+                ..stats
+            };
+            (rel, stats)
         }
         Plan::PagedIndexScan {
-            table, predicate, ..
+            table,
+            predicate,
+            est_selectivity,
+            ..
         } => {
-            let (out, _stats) = catalog.paged_provider(table)?.select_indexed(predicate)?;
-            out
-        }
-        Plan::IndexJoin {
-            left,
-            right_table,
-            left_key,
-            right_key,
-        } if matches!(&**left, Plan::Scan(n) if !catalog.is_paged_table(n)) => {
-            let Plan::Scan(lname) = &**left else {
-                unreachable!()
+            let p = catalog.paged_provider(table)?;
+            let n = paged_rows(p)?;
+            let (rel, io) = p.select_indexed(predicate)?;
+            let stats = NodeStats {
+                est_selectivity: Some(*est_selectivity),
+                layout: Some("paged"),
+                io: Some(io),
+                ..NodeStats::selective(n)
             };
-            let cl = catalog.columnar(lname)?;
-            let cr = catalog.columnar(right_table)?;
-            let idx = catalog.key_index(right_table, right_key)?;
-            let (out, _stats) =
-                hash_join_probe_columnar(&cl, &cr, left_key, right_key, &idx, exec_batch_size())?;
-            out.to_tagged()
+            (rel, stats)
         }
         Plan::IndexJoin {
             left,
@@ -793,46 +934,104 @@ pub fn execute(catalog: &QueryCatalog, plan: &Plan) -> DbResult<TaggedRelation> 
             left_key,
             right_key,
         } => {
-            let l = execute(catalog, left)?;
-            let r = catalog.get(right_table)?;
-            let idx = catalog.key_index(right_table, right_key)?;
-            let (out, _stats) =
-                hash_join_probe_vectorized(&l, r, left_key, right_key, &idx, exec_batch_size())?;
-            out
+            // The planner takes IndexJoin unconditionally (probing a
+            // prebuilt index never loses), so its implied estimate is
+            // the uniform-key assumption: 1 / distinct probe keys.
+            let uniform = |idx: &HashIndex| match idx.distinct_keys() {
+                0 => Some(0.0),
+                keys => Some(1.0 / keys as f64),
+            };
+            let (lk, rk) = (left_key, right_key);
+            let right = catalog.entry(right_table)?;
+            match &**left {
+                // ⋈ probing straight out of a resident base-table scan
+                // absorbs it: the columnar probe reads only the key
+                // column of the cached layout and gathers output columns
+                // run by run instead of cloning rows.
+                Plan::Scan(lname) if !catalog.is_paged_table(lname) => {
+                    let (cl, cr) = (catalog.entry(lname)?.columnar(), right.columnar());
+                    let idx = right.key_index(rk)?;
+                    let (out, batch) =
+                        hash_join_probe_columnar(&cl, &cr, lk, rk, &idx, DEFAULT_BATCH_SIZE)?;
+                    let stats = NodeStats {
+                        est_selectivity: uniform(&idx),
+                        batch: Some(batch),
+                        layout: Some("columnar"),
+                        absorbed: Some((&**left, cl.len())),
+                        ..NodeStats::selective(cl.len() + cr.len())
+                    };
+                    (out.to_tagged(), stats)
+                }
+                _ => {
+                    let l = run_input(left)?;
+                    let (r, idx) = (&right.rel, right.key_index(rk)?);
+                    let (rel, batch) =
+                        hash_join_probe_vectorized(&l, r, lk, rk, &idx, DEFAULT_BATCH_SIZE)?;
+                    let stats = NodeStats {
+                        est_selectivity: uniform(&idx),
+                        batch: Some(batch),
+                        ..NodeStats::selective(l.len() + r.len())
+                    };
+                    (rel, stats)
+                }
+            }
         }
     };
     dq_obs::counter!("query.ops").incr();
     dq_obs::counter!("query.rows_out").add(rel.len() as u64);
-    Ok(rel)
+    let node = T::node(plan, since, rel.len(), stats, children);
+    Ok((rel, node))
 }
 
-/// Point-lookup access path for the lean executor: when a σ over a base
-/// table contains a `col = literal` conjunct on a base (non-tag) column,
-/// probe the table's per-key hash index for the candidate positions and
-/// evaluate the **full** predicate only on those rows. A served point
-/// query touches a handful of rows instead of the whole table, which is
-/// what lets the prepared-statement cache's saving (parse + plan) show
-/// up at all — under a full scan the scan dominates both paths.
+/// σ over a resident base table — the one access sequence behind both
+/// `Filter(Scan)` and `IndexScan`, lean or traced.
 ///
-/// Returns `Ok(None)` when no usable equality conjunct exists (caller
-/// falls back to the columnar scan kernels). Candidates are visited in
-/// ascending row order, and the unmodified predicate re-runs over them,
-/// so the kept rows — and their order — match the scan path exactly.
-fn try_point_lookup(
+/// When the predicate contains a `col = literal` conjunct on a base
+/// (non-tag) column, probe the table's per-key hash index for the
+/// candidate positions and evaluate the **full** predicate only on
+/// those rows: a served point query touches a handful of rows instead
+/// of the whole table, which is what lets the prepared-statement
+/// cache's saving (parse + plan) show up at all. Candidates are visited
+/// in ascending row order and the unmodified predicate re-runs over
+/// them, so the kept rows — and their order — match the scan exactly.
+///
+/// Otherwise run the columnar kernels against the catalog's cached
+/// layout — through the quality bitmap index when `use_index` — and
+/// materialize rows only at the operator boundary.
+fn select_base<'p>(
     catalog: &QueryCatalog,
     table: &str,
-    predicate: &Expr,
-) -> DbResult<Option<TaggedRelation>> {
-    let rel = catalog.get(table)?;
-    let Some((col, key)) = equality_conjunct(predicate, rel.schema()) else {
-        return Ok(None);
+    predicate: &'p Expr,
+    use_index: bool,
+) -> DbResult<(TaggedRelation, NodeStats<'p>)> {
+    let entry = catalog.entry(table)?;
+    let stats = NodeStats::selective(entry.rel.len());
+    if let Some((col, key)) = equality_conjunct(predicate, entry.rel.schema()) {
+        let mut positions: Vec<usize> = entry.key_index(col)?.get(&vec![key.clone()]).to_vec();
+        positions.sort_unstable();
+        let out = algebra::select_at(&entry.rel, &positions, Some(predicate))?;
+        dq_obs::counter!("query.point_lookups").incr();
+        let stats = NodeStats {
+            point_lookup: Some(col),
+            ..stats
+        };
+        return Ok((out, stats));
+    }
+    let crel = entry.columnar();
+    let (out, batch) = if use_index {
+        let idx = entry.quality_index();
+        let (out, _path, batch) =
+            select_indexed_columnar(&crel, &idx, predicate, DEFAULT_BATCH_SIZE)?;
+        (out, batch)
+    } else {
+        select_columnar(&crel, predicate, DEFAULT_BATCH_SIZE)?
     };
-    let idx = catalog.key_index(table, col)?;
-    let mut positions: Vec<usize> = idx.get(&vec![key.clone()]).to_vec();
-    positions.sort_unstable();
-    let out = algebra::select_at(rel, &positions, Some(predicate))?;
-    dq_obs::counter!("query.point_lookups").incr();
-    Ok(Some(out))
+    let stats = NodeStats {
+        batch: Some(batch),
+        layout: Some("columnar"),
+        ..stats
+    };
+    Ok((out.to_tagged(), stats))
 }
 
 /// Finds a `col = literal` (or `literal = col`) conjunct reachable
@@ -858,353 +1057,6 @@ fn equality_conjunct<'a>(
         },
         _ => None,
     }
-}
-
-/// Observed matching fraction; a zero-row input is defined as 0.0 (no
-/// rows could match) rather than NaN.
-fn frac(rows_out: usize, rows_in: usize) -> f64 {
-    if rows_in == 0 {
-        0.0
-    } else {
-        rows_out as f64 / rows_in as f64
-    }
-}
-
-/// Executes a logical plan, returning the result alongside a per-operator
-/// [`OpTrace`] with actual row counts, per-operator wall-clock time
-/// (children excluded), estimated-vs-actual selectivity for index access
-/// paths, and batch counts for the vectorized operators (σ and index
-/// probes run batch-at-a-time over [`exec_batch_size`]-row windows).
-/// Every operator also feeds the global metrics registry (`query.ops`,
-/// `query.rows_out`, `query.op_us`, plus `vector.*` from the batch
-/// pipeline itself).
-pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelation, OpTrace)> {
-    use std::time::Instant;
-    // Per arm: result, rows-in, planner estimate, whether an observed
-    // selectivity is meaningful, (batches, batch width) for vectorized
-    // operators, child traces, local elapsed time, physical layout.
-    // Paged operators additionally record their page I/O in `io`
-    // (pages fetched, pool hits).
-    let mut io: Option<(u64, u64)> = None;
-    let (rel, rows_in, est_selectivity, selective, batch, children, elapsed, layout) = match plan
-    {
-        Plan::Scan(name) => {
-            let t0 = Instant::now();
-            if let Some(p) = catalog.paged.get(name) {
-                let rel = p.scan()?;
-                let n = rel.len();
-                (
-                    rel,
-                    n,
-                    None,
-                    false,
-                    None,
-                    Vec::new(),
-                    t0.elapsed(),
-                    Some("paged"),
-                )
-            } else {
-                let rel = catalog.get(name)?.clone();
-                let n = rel.len();
-                (rel, n, None, false, None, Vec::new(), t0.elapsed(), None)
-            }
-        }
-        // σ directly over a base table runs the columnar kernels against
-        // the catalog's cached columnar layout — no row clone of the
-        // scanned table, rows materialize only at the operator boundary
-        // (proportional to the *result* size).
-        Plan::Filter { input, predicate } if matches!(&**input, Plan::Scan(_)) => {
-            let Plan::Scan(name) = &**input else {
-                unreachable!()
-            };
-            let t0 = Instant::now();
-            if let Some(p) = catalog.paged.get(name) {
-                // streaming σ through the paged provider: the scan is
-                // absorbed (pages never materialize as a relation)
-                let rel = p.select(predicate)?;
-                let n = p.row_count()? as usize;
-                let child = synth_scan_trace(input, n, Some("paged"));
-                (
-                    rel,
-                    n,
-                    None,
-                    true,
-                    None,
-                    vec![child],
-                    t0.elapsed(),
-                    Some("paged"),
-                )
-            } else {
-                let crel = catalog.columnar(name)?;
-                let (out, stats) = select_columnar(&crel, predicate, exec_batch_size())?;
-                let rel = out.to_tagged();
-                let n = crel.len();
-                let child = synth_scan_trace(input, n, Some("columnar"));
-                let batch = Some((stats.batches, stats.batch_size));
-                (
-                    rel,
-                    n,
-                    None,
-                    true,
-                    batch,
-                    vec![child],
-                    t0.elapsed(),
-                    Some("columnar"),
-                )
-            }
-        }
-        Plan::Filter { input, predicate } => {
-            let (input_rel, child) = execute_traced(catalog, input)?;
-            let t0 = Instant::now();
-            let (rel, stats) = select_vectorized(&input_rel, predicate, exec_batch_size())?;
-            let n = input_rel.len();
-            let batch = Some((stats.batches, stats.batch_size));
-            (rel, n, None, true, batch, vec![child], t0.elapsed(), None)
-        }
-        Plan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            let (l, lt) = execute_traced(catalog, left)?;
-            let (r, rt) = execute_traced(catalog, right)?;
-            let t0 = Instant::now();
-            let rel = algebra::hash_join(&l, &r, left_key, right_key)?;
-            let n = l.len() + r.len();
-            (rel, n, None, true, None, vec![lt, rt], t0.elapsed(), None)
-        }
-        Plan::Project { input, columns } => {
-            let (input_rel, child) = execute_traced(catalog, input)?;
-            let t0 = Instant::now();
-            let rel = project_mixed(&input_rel, columns)?;
-            let n = input_rel.len();
-            (rel, n, None, false, None, vec![child], t0.elapsed(), None)
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let (input_rel, child) = execute_traced(catalog, input)?;
-            let t0 = Instant::now();
-            let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            let rel = algebra::aggregate(&input_rel, &gb, aggs, &default_agg_policies())?;
-            let n = input_rel.len();
-            (rel, n, None, false, None, vec![child], t0.elapsed(), None)
-        }
-        Plan::Distinct { input } => {
-            let (input_rel, child) = execute_traced(catalog, input)?;
-            let t0 = Instant::now();
-            let rel = algebra::distinct_merging(&input_rel);
-            let n = input_rel.len();
-            (rel, n, None, false, None, vec![child], t0.elapsed(), None)
-        }
-        Plan::Sort { input, keys } => {
-            let (input_rel, child) = execute_traced(catalog, input)?;
-            let t0 = Instant::now();
-            let rel = sort_multi(&input_rel, keys)?;
-            let n = input_rel.len();
-            (rel, n, None, false, None, vec![child], t0.elapsed(), None)
-        }
-        Plan::Limit { input, n } => {
-            let (input_rel, child) = execute_traced(catalog, input)?;
-            let t0 = Instant::now();
-            let rel = TaggedRelation::new(
-                input_rel.schema().clone(),
-                input_rel.dictionary().clone(),
-                input_rel.rows().iter().take(*n).cloned().collect(),
-            )?;
-            let rows_in = input_rel.len();
-            (rel, rows_in, None, false, None, vec![child], t0.elapsed(), None)
-        }
-        Plan::IndexScan {
-            table,
-            predicate,
-            est_selectivity,
-            ..
-        } => {
-            let t0 = Instant::now();
-            let crel = catalog.columnar(table)?;
-            let n = crel.len();
-            let (out, batch) = match catalog.quality_index(table) {
-                Some(idx) => {
-                    let (o, _path, stats) =
-                        select_indexed_columnar(&crel, &idx, predicate, exec_batch_size())?;
-                    (o.to_tagged(), Some((stats.batches, stats.batch_size)))
-                }
-                // unreachable through the optimizer (the table existed at
-                // plan time), but hand-built plans stay correct
-                None => {
-                    let (o, stats) = select_columnar(&crel, predicate, exec_batch_size())?;
-                    (o.to_tagged(), Some((stats.batches, stats.batch_size)))
-                }
-            };
-            let est = Some(*est_selectivity);
-            (
-                out,
-                n,
-                est,
-                true,
-                batch,
-                Vec::new(),
-                t0.elapsed(),
-                Some("columnar"),
-            )
-        }
-        Plan::PagedIndexScan {
-            table,
-            predicate,
-            est_selectivity,
-            ..
-        } => {
-            let t0 = Instant::now();
-            let p = catalog.paged_provider(table)?;
-            let n = p.row_count()? as usize;
-            let (out, stats) = p.select_indexed(predicate)?;
-            io = Some((stats.pages_read, stats.pool_hits));
-            (
-                out,
-                n,
-                Some(*est_selectivity),
-                true,
-                None,
-                Vec::new(),
-                t0.elapsed(),
-                Some("paged"),
-            )
-        }
-        // ⋈ probing straight out of a base-table scan runs the columnar
-        // probe over both cached columnar relations: key reads touch only
-        // the key column, and the gather assembles output columns run by
-        // run instead of cloning rows.
-        Plan::IndexJoin {
-            left,
-            right_table,
-            left_key,
-            right_key,
-        } if matches!(&**left, Plan::Scan(n) if !catalog.is_paged_table(n)) => {
-            let Plan::Scan(lname) = &**left else {
-                unreachable!()
-            };
-            let t0 = Instant::now();
-            let cl = catalog.columnar(lname)?;
-            let cr = catalog.columnar(right_table)?;
-            let idx = catalog.key_index(right_table, right_key)?;
-            let est = if idx.distinct_keys() == 0 {
-                0.0
-            } else {
-                1.0 / idx.distinct_keys() as f64
-            };
-            let n = cl.len() + cr.len();
-            let (out, stats) =
-                hash_join_probe_columnar(&cl, &cr, left_key, right_key, &idx, exec_batch_size())?;
-            let lt = synth_scan_trace(left, cl.len(), Some("columnar"));
-            let batch = Some((stats.batches, stats.batch_size));
-            (
-                out.to_tagged(),
-                n,
-                Some(est),
-                true,
-                batch,
-                vec![lt],
-                t0.elapsed(),
-                Some("columnar"),
-            )
-        }
-        Plan::IndexJoin {
-            left,
-            right_table,
-            left_key,
-            right_key,
-        } => {
-            let (l, lt) = execute_traced(catalog, left)?;
-            let t0 = Instant::now();
-            let r = catalog.get(right_table)?;
-            let idx = catalog.key_index(right_table, right_key)?;
-            // The planner takes IndexJoin unconditionally (probing a
-            // prebuilt index never loses), so its implied estimate is the
-            // uniform-key assumption: 1 / distinct probe keys.
-            let est = if idx.distinct_keys() == 0 {
-                0.0
-            } else {
-                1.0 / idx.distinct_keys() as f64
-            };
-            let n = l.len() + r.len();
-            let (out, stats) =
-                hash_join_probe_vectorized(&l, r, left_key, right_key, &idx, exec_batch_size())?;
-            let batch = Some((stats.batches, stats.batch_size));
-            (out, n, Some(est), true, batch, vec![lt], t0.elapsed(), None)
-        }
-    };
-    let rows_out = rel.len();
-    dq_obs::counter!("query.ops").incr();
-    dq_obs::counter!("query.rows_out").add(rows_out as u64);
-    dq_obs::histogram!("query.op_us").record_us(elapsed.as_micros() as u64);
-    let trace = OpTrace {
-        label: plan.node_line(),
-        rows_out,
-        rows_in,
-        elapsed,
-        est_selectivity,
-        actual_selectivity: selective.then(|| frac(rows_out, rows_in)),
-        batches: batch.map(|(b, _)| b),
-        batch_size: batch.map(|(_, s)| s),
-        layout,
-        pages_read: io.map(|(p, _)| p),
-        pool_hits: io.map(|(_, h)| h),
-        children,
-    };
-    Ok((rel, trace))
-}
-
-/// Trace line for a base-table scan a parent operator absorbed: the
-/// scan never materialized rows (the parent read the catalog's cached
-/// columnar layout, or streamed the paged heap, directly), so it
-/// reports the table's row count and zero local time under the parent's
-/// physical layout.
-fn synth_scan_trace(scan: &Plan, rows: usize, layout: Option<&'static str>) -> OpTrace {
-    OpTrace {
-        label: scan.node_line(),
-        rows_out: rows,
-        rows_in: rows,
-        elapsed: std::time::Duration::ZERO,
-        est_selectivity: None,
-        actual_selectivity: None,
-        batches: None,
-        batch_size: None,
-        layout,
-        pages_read: None,
-        pool_hits: None,
-        children: Vec::new(),
-    }
-}
-
-/// Parses and plans one statement (with the planner's optimizations
-/// applied) and renders the physical plan EXPLAIN-style, one line per
-/// operator with access paths and estimated selectivities.
-pub fn explain(catalog: &QueryCatalog, sql: &str, planner: &Planner) -> DbResult<String> {
-    let stmt = crate::parser::parse(sql)?;
-    let plan = planner.plan(&stmt, catalog)?;
-    let plan = planner.optimize(plan, catalog);
-    Ok(plan.explain())
-}
-
-/// Parses, plans, *executes*, and renders one statement `EXPLAIN
-/// ANALYZE`-style: the optimized operator tree annotated with actual row
-/// counts, per-operator timings, and estimated-vs-actual selectivity.
-/// The statement may — but need not — carry an `EXPLAIN [ANALYZE]`
-/// prefix of its own.
-pub fn explain_analyze(catalog: &QueryCatalog, sql: &str, planner: &Planner) -> DbResult<String> {
-    let stmt = crate::parser::parse(sql)?;
-    let inner = match stmt {
-        Statement::Explain { inner, .. } => *inner,
-        other => other,
-    };
-    let plan = planner.plan(&inner, catalog)?;
-    let plan = planner.optimize(plan, catalog);
-    let (_rel, trace) = execute_traced(catalog, &plan)?;
-    Ok(trace.render())
 }
 
 /// Projection supporting both plain columns (cells travel with tags) and
@@ -1651,7 +1503,7 @@ mod tests {
             .unwrap_or_else(|| panic!("no Filter line in:\n{report}"));
         assert!(line.contains("batches=1"), "{report}");
         assert!(
-            line.contains(&format!("batch_size={}", exec_batch_size())),
+            line.contains(&format!("batch_size={DEFAULT_BATCH_SIZE}")),
             "{report}"
         );
         assert!(line.contains("layout=columnar"), "{report}");

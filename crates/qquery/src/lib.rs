@@ -42,9 +42,9 @@ pub use cache::{
     QualityDefaultsProvider, TableDefaults,
 };
 pub use exec::{
-    default_agg_policies, exec_batch_size, execute, execute_traced, explain, explain_analyze,
-    prepare_write, run, run_mut, run_with, OpTrace, PagedProvider, PagedScanStats, QueryCatalog,
-    QueryResult, TagWrite,
+    default_agg_policies, execute, execute_traced, explain, explain_analyze, prepare_write, run,
+    run_mut, run_with, OpTrace, PagedProvider, PagedScanStats, QueryCatalog, QueryResult,
+    TagWrite,
 };
 pub use parser::parse;
 pub use plan::{AccessPathStats, Plan, Planner, SchemaProvider};

@@ -132,21 +132,6 @@ impl Plan {
         }
     }
 
-    /// True when [`crate::exec::execute_traced`] runs this operator over
-    /// the columnar layout (contiguous typed column arrays + tag runs)
-    /// instead of materialized rows: index scans over a base table,
-    /// filters directly over a base-table scan, and index joins probing
-    /// from a base-table scan. `EXPLAIN ANALYZE` annotates these
-    /// operators with `layout=columnar`.
-    pub fn columnar_eligible(&self) -> bool {
-        match self {
-            Plan::IndexScan { .. } => true,
-            Plan::Filter { input, .. } => matches!(&**input, Plan::Scan(_)),
-            Plan::IndexJoin { left, .. } => matches!(&**left, Plan::Scan(_)),
-            _ => false,
-        }
-    }
-
     /// True if a `Filter` (or an `IndexScan`, which is a fused
     /// filter+scan) appears beneath a `Join`/`IndexJoin` (evidence of
     /// pushdown).
@@ -816,38 +801,6 @@ mod tests {
             Plan::Filter { input, .. } => assert_eq!(*input, Plan::Scan("stocks".into())),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn columnar_eligibility_follows_plan_shape() {
-        // σ directly over a base scan → columnar
-        let p = plan_q("SELECT * FROM stocks WHERE price > 1", true);
-        assert!(p.columnar_eligible());
-        // index scans are always columnar
-        let ixs = Plan::IndexScan {
-            table: "stocks".into(),
-            predicate: Expr::col("price").gt(Expr::lit(1i64)),
-            atoms: vec![],
-            est_selectivity: 0.1,
-        };
-        assert!(ixs.columnar_eligible());
-        // index join probing from a base scan → columnar; from a
-        // filtered input → row layout
-        let ixj = |left: Plan| Plan::IndexJoin {
-            left: Box::new(left),
-            right_table: "trades".into(),
-            left_key: "ticker".into(),
-            right_key: "tkr".into(),
-        };
-        assert!(ixj(Plan::Scan("stocks".into())).columnar_eligible());
-        assert!(!ixj(plan_q("SELECT * FROM stocks WHERE price > 1", true)).columnar_eligible());
-        // σ over a non-scan input stays on the row layout
-        let p = plan_q(
-            "SELECT * FROM stocks JOIN trades ON ticker = tkr WHERE price > qty",
-            true,
-        );
-        assert!(!p.columnar_eligible());
-        assert!(!Plan::Scan("stocks".into()).columnar_eligible());
     }
 
     #[test]

@@ -80,9 +80,23 @@ impl fmt::Display for Token {
 
 /// Tokenizes QQL text.
 pub fn lex(input: &str) -> DbResult<Vec<Token>> {
+    lex_at_most(input, usize::MAX)
+}
+
+/// The statement's leading token — what decides its kind (`SELECT`,
+/// `TAG`, …) — without lexing the rest. `None` for empty, comment-only,
+/// or unlexable input.
+pub fn first_token(input: &str) -> Option<Token> {
+    lex_at_most(input, 1).ok()?.pop()
+}
+
+fn lex_at_most(input: &str, limit: usize) -> DbResult<Vec<Token>> {
     let mut out = Vec::new();
     let mut chars = input.chars().peekable();
     while let Some(&c) = chars.peek() {
+        if out.len() >= limit {
+            break;
+        }
         match c {
             c if c.is_whitespace() => {
                 chars.next();
@@ -251,6 +265,16 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_token_skips_whitespace_and_comments_only() {
+        let ident = |s: &str| Some(Token::Ident(s.to_owned()));
+        assert_eq!(first_token("TAG\tt SET a@b = 1"), ident("TAG"));
+        assert_eq!(first_token("-- note\n  tag\nt SET a@b = 1"), ident("tag"));
+        assert_eq!(first_token("SELECT 'unterminated"), ident("SELECT"));
+        assert_eq!(first_token("  -- nothing"), None);
+        assert_eq!(first_token("|"), None);
+    }
 
     #[test]
     fn lexes_quality_query() {

@@ -44,5 +44,5 @@ mod session;
 
 pub use client::{Client, ClientError};
 pub use protocol::{Request, Response};
-pub use server::{start, start_durable, ServerConfig, ServerHandle, SharedCatalog, WriteMode};
+pub use server::{start, start_durable, ServerConfig, ServerHandle, SharedCatalog};
 pub use session::{is_write_statement, render_result};

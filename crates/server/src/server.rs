@@ -35,18 +35,6 @@ use tagstore::{EpochCell, Stamped};
 /// How long an idle worker / accept thread sleeps before re-polling.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// How `TAG` statements reach the master catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriteMode {
-    /// Prepare the write against the session's pinned snapshot outside
-    /// any lock, then serialize only apply+publish (the default).
-    #[default]
-    Mvcc,
-    /// Run the whole statement under the master mutex — the legacy
-    /// path, kept as the B12 bench baseline.
-    SerializedMaster,
-}
-
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -56,8 +44,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-session prepared-statement cache capacity.
     pub stmt_cache_capacity: usize,
-    /// How writers reach the master catalog.
-    pub write_mode: WriteMode,
 }
 
 impl Default for ServerConfig {
@@ -69,7 +55,6 @@ impl Default for ServerConfig {
                 .unwrap_or(1)
                 .min(8),
             stmt_cache_capacity: 256,
-            write_mode: WriteMode::default(),
         }
     }
 }
@@ -230,20 +215,10 @@ impl SharedCatalog {
         self.pin().value().snapshot()
     }
 
-    /// The legacy re-snapshot path, kept for
-    /// [`WriteMode::SerializedMaster`]: acquiring the master mutex
-    /// first means a reader arriving mid-`TAG` waits out the whole
-    /// statement — exactly the stall MVCC pinning removes, preserved
-    /// here so the B12 baseline measures what PR-era readers paid.
-    pub fn pin_behind_master(&self) -> Arc<Stamped<QueryCatalog>> {
-        let _master = self.master.lock().unwrap();
-        self.published.pin()
-    }
-
     /// Runs a mutation against the master copy and publishes a new
     /// epoch. This is the out-of-band registration door (`publish(|c|
-    /// c.register(..))`) and the `SerializedMaster` write path; `TAG`
-    /// statements in MVCC mode go through [`commit_write`] instead.
+    /// c.register(..))`); `TAG` statements go through [`commit_write`]
+    /// instead.
     ///
     /// Mutations here reach only the in-memory catalog, not the WAL.
     ///
@@ -388,11 +363,10 @@ fn start_shared(config: ServerConfig, shared: Arc<SharedCatalog>) -> std::io::Re
         let shared = Arc::clone(&shared);
         let shutdown = Arc::clone(&shutdown);
         let capacity = config.stmt_cache_capacity;
-        let write_mode = config.write_mode;
         threads.push(
             std::thread::Builder::new()
                 .name(format!("dq-server-worker-{i}"))
-                .spawn(move || worker_loop(rx, shared, shutdown, capacity, write_mode))?,
+                .spawn(move || worker_loop(rx, shared, shutdown, capacity))?,
         );
     }
 
@@ -437,12 +411,11 @@ fn worker_loop(
     shared: Arc<SharedCatalog>,
     shutdown: Arc<AtomicBool>,
     stmt_cache_capacity: usize,
-    write_mode: WriteMode,
 ) {
     let mut sessions: Vec<Session> = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
         while let Ok(stream) = incoming.try_recv() {
-            match Session::new(stream, &shared, stmt_cache_capacity, write_mode) {
+            match Session::new(stream, &shared, stmt_cache_capacity) {
                 Ok(s) => sessions.push(s),
                 Err(_) => dq_obs::counter!("server.accept_errors").incr(),
             }

@@ -12,7 +12,7 @@
 //! behind they were as `mvcc.snapshot_lag`.
 
 use crate::protocol::{self, Request, Response};
-use crate::server::{SharedCatalog, WriteMode};
+use crate::server::SharedCatalog;
 use dq_core::profiles::UserProfile;
 use dq_query::{PlanCache, QualityDefaultsProvider, QueryCatalog, QueryResult, SchemaProvider};
 use relstore::Expr;
@@ -38,13 +38,15 @@ pub fn render_result(result: &QueryResult) -> String {
 }
 
 /// True when the statement must run on the master catalog copy (it
-/// mutates): currently only `TAG`.
+/// mutates): currently only `TAG`. Decided by the lexer's first token,
+/// the same thing the parser dispatches on, so any spelling `run_mut`
+/// accepts as a `TAG` (`"tag\n…"`, `"TAG\t…"`, a leading comment) is
+/// routed as one.
 pub fn is_write_statement(sql: &str) -> bool {
-    sql.trim_start()
-        .get(..4)
-        .map(|p| p.eq_ignore_ascii_case("TAG "))
-        .unwrap_or(false)
-        || sql.trim().eq_ignore_ascii_case("TAG")
+    matches!(
+        dq_query::token::first_token(sql),
+        Some(dq_query::token::Token::Ident(kw)) if kw.eq_ignore_ascii_case("TAG")
+    )
 }
 
 /// The session's [`QualityDefaultsProvider`]: resolves the bound
@@ -78,7 +80,6 @@ pub(crate) struct Session {
     pin: Arc<Stamped<QueryCatalog>>,
     cache: PlanCache,
     defaults: SessionDefaults,
-    write_mode: WriteMode,
     /// Set on EOF or protocol error; the worker drops the session.
     pub(crate) closed: bool,
 }
@@ -88,7 +89,6 @@ impl Session {
         stream: TcpStream,
         shared: &SharedCatalog,
         stmt_cache_capacity: usize,
-        write_mode: WriteMode,
     ) -> std::io::Result<Session> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
@@ -101,7 +101,6 @@ impl Session {
             pin: shared.pin(),
             cache: PlanCache::new(stmt_cache_capacity),
             defaults: SessionDefaults::default(),
-            write_mode,
             closed: false,
         })
     }
@@ -112,12 +111,7 @@ impl Session {
     fn refresh_pin(&mut self, shared: &SharedCatalog) {
         let published = shared.published_epoch();
         if self.pin.epoch() != published {
-            let fresh = match self.write_mode {
-                WriteMode::Mvcc => shared.pin(),
-                // the legacy path re-snapshots behind the master
-                // mutex, waiting out any in-flight TAG statement
-                WriteMode::SerializedMaster => shared.pin_behind_master(),
-            };
+            let fresh = shared.pin();
             dq_obs::histogram!("mvcc.snapshot_lag")
                 .record_us(fresh.epoch().saturating_sub(self.pin.epoch()));
             self.pin = fresh;
@@ -206,37 +200,23 @@ impl Session {
     }
 
     fn run_query(&mut self, sql: &str, shared: &SharedCatalog) -> Response {
-        if is_write_statement(sql) {
-            let result = match self.write_mode {
-                WriteMode::Mvcc => {
-                    // Prepare (parse, mask evaluation, copy-on-write
-                    // tag columns) against this session's pin outside
-                    // any lock; only apply+WAL+publish serialize.
-                    self.refresh_pin(shared);
-                    dq_query::prepare_write(self.pin.value(), sql)
-                        .and_then(|w| shared.commit_write(w))
-                }
-                WriteMode::SerializedMaster => {
-                    // Legacy baseline: the whole statement runs under
-                    // the master mutex.
-                    shared.publish(|catalog| dq_query::run_mut(catalog, sql))
-                }
-            };
+        // One atomic load; re-pin only when a writer moved the epoch
+        // since this session last looked.
+        self.refresh_pin(shared);
+        let result = if is_write_statement(sql) {
+            // Prepare (parse, mask evaluation, copy-on-write tag
+            // columns) against this session's pin outside any lock;
+            // only apply+WAL+publish serialize.
+            let written = dq_query::prepare_write(self.pin.value(), sql)
+                .and_then(|w| shared.commit_write(w));
             // Read-your-writes: pick up the epoch just published.
             self.refresh_pin(shared);
-            return match result {
-                Ok(res) => Response::Ok {
-                    body: render_result(&res),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            };
-        }
-        // Zero-lock hot path: one atomic load; re-pin only when a
-        // writer moved the epoch since this session last looked.
-        self.refresh_pin(shared);
-        match self.cache.execute(self.pin.value(), sql, &self.defaults) {
+            written
+        } else {
+            // Zero-lock hot path: cached plan, pinned snapshot.
+            self.cache.execute(self.pin.value(), sql, &self.defaults)
+        };
+        match result {
             Ok(res) => Response::Ok {
                 body: render_result(&res),
             },

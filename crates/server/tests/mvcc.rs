@@ -8,9 +8,7 @@
 //! monotonically forward through those prefixes.
 
 use dq_query::{run, run_mut, QueryCatalog};
-use dq_server::{
-    render_result, start, start_durable, Client, ServerConfig, ServerHandle, WriteMode,
-};
+use dq_server::{render_result, start, start_durable, Client, ServerConfig, ServerHandle};
 use dq_storage::{DurableDb, DurableOptions, MemFs};
 use proptest::prelude::*;
 use relstore::{DataType, Date, Schema, Value};
@@ -138,12 +136,11 @@ fn assert_live_prefix(server: &ServerHandle, ops: &[String], readers: usize) {
     });
 }
 
-fn config(workers: usize, write_mode: WriteMode) -> ServerConfig {
+fn config(workers: usize) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers,
         stmt_cache_capacity: 32,
-        write_mode,
     }
 }
 
@@ -160,33 +157,18 @@ proptest! {
             .map(|&(t, g)| tag_sql(TICKERS[t], GRADES[g]))
             .collect();
         for workers in [1usize, 2, 8] {
-            let server = start(config(workers, WriteMode::Mvcc), catalog()).unwrap();
+            let server = start(config(workers), catalog()).unwrap();
             assert_live_prefix(&server, &ops, 2);
             server.shutdown();
         }
     }
 }
 
-/// The same live-prefix property holds on the legacy serialized-master
-/// path (it publishes whole epochs too, just under a wider lock).
-#[test]
-fn serialized_master_also_publishes_whole_epochs() {
-    let ops: Vec<String> = vec![
-        tag_sql("FRT", "A"),
-        tag_sql("NUT", "B"),
-        tag_sql("BLT", "C"),
-        tag_sql("FRT", "D"),
-    ];
-    let server = start(config(2, WriteMode::SerializedMaster), catalog()).unwrap();
-    assert_live_prefix(&server, &ops, 2);
-    server.shutdown();
-}
-
 /// A long-lived pin really is a snapshot: a catalog pinned before a
 /// write keeps rendering the old state after the write publishes.
 #[test]
 fn pinned_snapshot_is_immutable_across_publishes() {
-    let server = start(config(1, WriteMode::Mvcc), catalog()).unwrap();
+    let server = start(config(1), catalog()).unwrap();
     let before = server.catalog().pin();
     let before_render = render_result(&run(before.value(), PROBE).unwrap());
 
@@ -233,7 +215,7 @@ fn durable_server_restart_preserves_tags_and_epoch() {
     let tagged_render;
     {
         let (db, _) = DurableDb::open(fs.clone(), serving.clone()).unwrap();
-        let server = start_durable(config(2, WriteMode::Mvcc), db).unwrap();
+        let server = start_durable(config(2), db).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
         client.query(&tag_sql("NUT", "A")).unwrap();
         tagged_render = client.query(PROBE).unwrap();
@@ -251,7 +233,7 @@ fn durable_server_restart_preserves_tags_and_epoch() {
         report.epoch,
         epoch_after_write
     );
-    let server = start_durable(config(2, WriteMode::Mvcc), db).unwrap();
+    let server = start_durable(config(2), db).unwrap();
     assert!(server.catalog().published_epoch() >= epoch_after_write);
     let mut client = Client::connect(server.addr()).unwrap();
     assert_eq!(client.query(PROBE).unwrap(), tagged_render);

@@ -5,7 +5,7 @@
 //! multiplexing pump; more workers than cores exercises timesharing).
 
 use dq_query::{run, QueryCatalog};
-use dq_server::{render_result, start, Client, ServerConfig, WriteMode};
+use dq_server::{render_result, start, Client, ServerConfig};
 use proptest::prelude::*;
 use relstore::{DataType, Schema};
 use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
@@ -58,7 +58,6 @@ fn assert_parity(rel: &TaggedRelation, a: i64, b: i64, workers: usize, clients: 
             addr: "127.0.0.1:0".into(),
             workers,
             stmt_cache_capacity: 32,
-            write_mode: WriteMode::default(),
         },
         catalog,
     )

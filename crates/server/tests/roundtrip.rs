@@ -1,8 +1,8 @@
 //! End-to-end client/server round-trips over a real socket.
 
 use dq_core::profiles::{QualityStandard, StandardOp, UserProfile};
-use dq_query::{run, QueryCatalog};
-use dq_server::{render_result, start, start_durable, Client, ClientError, ServerConfig, WriteMode};
+use dq_query::{run, run_mut, QueryCatalog};
+use dq_server::{render_result, start, start_durable, Client, ClientError, ServerConfig};
 use dq_storage::{DurableDb, DurableOptions, MemFs};
 use relstore::{DataType, Date, Schema, Value};
 use std::sync::Arc;
@@ -43,7 +43,6 @@ fn test_config() -> ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         stmt_cache_capacity: 64,
-        write_mode: WriteMode::default(),
     }
 }
 
@@ -98,6 +97,33 @@ fn tag_write_is_visible_to_other_sessions() {
     // and its cached plan is invalidated, so the tag is visible
     let after = reader.query(sql).unwrap();
     assert!(after.contains("FRT"), "got: {after}");
+}
+
+/// Whatever `run_mut` parses as a `TAG` is routed as one over the wire:
+/// the reply is byte-equal to the embedded rendering, however the
+/// keyword is spelled or separated from the table name.
+#[test]
+fn tag_is_classified_by_its_first_token() {
+    let server = start(test_config(), catalog()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut embedded = catalog();
+    for sql in [
+        "TAG\tstocks SET share_price@inspection = 'A' WHERE ticker = 'FRT'",
+        "tag\nstocks SET share_price@inspection = 'B' WHERE ticker = 'NUT'",
+        "  Tag stocks\n\tSET share_price@inspection = 'C'",
+        "-- administrator's note\nTAG stocks SET share_price@inspection = 'D' WHERE ticker = 'BLT'",
+    ] {
+        let expect = render_result(&run_mut(&mut embedded, sql).unwrap());
+        assert_eq!(client.query(sql).unwrap(), expect, "{sql:?}");
+    }
+    // and the writes landed: both sides render the same table
+    let probe = "INSPECT FROM stocks";
+    assert_eq!(
+        client.query(probe).unwrap(),
+        render_result(&run(&embedded, probe).unwrap())
+    );
+    // a table that merely starts with the letters is still a read error
+    assert!(client.query("TAGS stocks").is_err());
 }
 
 #[test]

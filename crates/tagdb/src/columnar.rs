@@ -988,7 +988,7 @@ pub fn select_columnar(
 }
 
 /// Columnar index-assisted σ — identical rows, tags, and access-path
-/// reporting to [`crate::select_indexed_vectorized`], with candidate
+/// reporting to [`crate::algebra::select_indexed`], with candidate
 /// bitset words flowing straight into per-batch selection vectors and
 /// only surviving runs gathered into output columns.
 pub fn select_indexed_columnar(
@@ -1149,9 +1149,7 @@ pub fn hash_join_probe_columnar(
 mod tests {
     use super::*;
     use crate::algebra;
-    use crate::vector::{
-        hash_join_probe_vectorized, select_indexed_vectorized, select_vectorized,
-    };
+    use crate::vector::{hash_join_probe_vectorized, select_vectorized};
     use relstore::{DataType, Schema};
 
     /// Mixed fixture: bulk-tagged column (shared Arcs → long runs),
@@ -1303,10 +1301,10 @@ mod tests {
         let crel = ColumnarRelation::from_tagged(&rel);
         let idx = QualityIndex::build(&rel);
         for p in predicates() {
-            let expect = select_indexed_vectorized(&rel, &idx, &p, 64);
+            let expect = algebra::select_indexed(&rel, &idx, &p);
             let got = select_indexed_columnar(&crel, &idx, &p, 64);
             match (expect, got) {
-                (Ok((er, epath, _)), Ok((gr, gpath, _))) => {
+                (Ok((er, epath)), Ok((gr, gpath, _))) => {
                     assert_eq!(gr.to_tagged(), er, "p={p:?}");
                     assert_eq!(gpath, epath, "p={p:?}");
                 }

@@ -8,9 +8,10 @@
 //! input relation (`start .. start + len`) plus a [`Bitset`] selection
 //! vector over `0..len`: bit `i` set means row `start + i` is still
 //! live. The selection vector reuses the bitmap index's `u64` words
-//! directly, so an IndexScan's candidate bitset flows into per-batch
-//! selection vectors via [`Bitset::extract_range`] — word-at-a-time,
-//! with no intermediate `Vec<usize>` of row ids.
+//! directly; the columnar kernels (`crate::columnar`, which import this
+//! module's kernel compiler) seed it from an IndexScan's candidate
+//! bitset via [`Bitset::extract_range`] — word-at-a-time, with no
+//! intermediate `Vec<usize>` of row ids.
 //!
 //! ## Selection-vector invariants
 //!
@@ -39,8 +40,8 @@
 //! which the property tests pin at batch sizes 1/7/1024 and 1/2/8
 //! threads.
 
-use crate::algebra::{CompiledTagExpr, TagAccessPath};
-use crate::bitmap::{extract_atoms, Bitset, QualityIndex};
+use crate::algebra::CompiledTagExpr;
+use crate::bitmap::Bitset;
 use crate::cell::QualityCell;
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
@@ -336,13 +337,12 @@ fn gather(rows: &[TaggedRow], start: usize, sel: &Bitset, out: &mut Vec<TaggedRo
     n
 }
 
-/// The shared σ pipeline: windows of `batch_size` rows, selection seeded
-/// from `candidates` (or full), refined by `kernels`, gathered once.
-/// Batches run in parallel ranges per [`par::plan`]'s cost model, merged
-/// in batch order — byte-identical to the serial pass.
+/// The σ pipeline: windows of `batch_size` rows, a full selection
+/// refined by `kernels`, gathered once. Batches run in parallel ranges
+/// per [`par::plan`]'s cost model, merged in batch order —
+/// byte-identical to the serial pass.
 fn run_pipeline(
     rel: &TaggedRelation,
-    candidates: Option<&Bitset>,
     kernels: &[Kernel],
     compiled: &CompiledTagExpr,
     batch_size: usize,
@@ -357,17 +357,10 @@ fn run_pipeline(
         for b in brange {
             let start = b * batch_size;
             let len = batch_size.min(rows.len() - start);
-            let mut sel = match candidates {
-                Some(bs) => bs.extract_range(start, len),
-                None => Bitset::full(len),
-            };
-            let picked = sel.count();
-            if picked == 0 {
-                continue; // whole window dead — skip, don't count
-            }
+            let mut sel = Bitset::full(len);
             let _t = dq_obs::histogram!("vector.batch_us").start();
             stats.batches += 1;
-            stats.rows_in += picked;
+            stats.rows_in += len;
             filter_batch(rows, start, &mut sel, kernels, compiled, &mut scratch)?;
             stats.rows_out += gather(rows, start, &sel, &mut out);
         }
@@ -401,121 +394,9 @@ pub fn select_vectorized(
 ) -> DbResult<(TaggedRelation, BatchStats)> {
     let compiled = CompiledTagExpr::compile(rel, predicate)?;
     let kernels = compile_kernels(&compiled);
-    let (rows, stats) = run_pipeline(rel, None, &kernels, &compiled, batch_size)?;
+    let (rows, stats) = run_pipeline(rel, &kernels, &compiled, batch_size)?;
     Ok((
         TaggedRelation::from_parts_unchecked(rel.schema().clone(), rel.dictionary().clone(), rows),
-        stats,
-    ))
-}
-
-/// Vectorized index-assisted σ — identical rows, tags, and access-path
-/// reporting to [`algebra::select_indexed`], but the candidate bitset
-/// flows word-at-a-time into per-batch selection vectors (no
-/// `Vec<usize>` row-id round-trip) and the residual re-check runs as
-/// batch kernels over the surviving bits only.
-pub fn select_indexed_vectorized(
-    rel: &TaggedRelation,
-    index: &QualityIndex,
-    predicate: &relstore::Expr,
-    batch_size: usize,
-) -> DbResult<(TaggedRelation, TagAccessPath, BatchStats)> {
-    let compiled = CompiledTagExpr::compile(rel, predicate)?;
-    let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
-    let scan = |compiled: &CompiledTagExpr| -> DbResult<(TaggedRelation, TagAccessPath, BatchStats)> {
-        dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
-        let kernels = compile_kernels(compiled);
-        let (rows, stats) = run_pipeline(rel, None, &kernels, compiled, batch_size)?;
-        Ok((
-            TaggedRelation::from_parts_unchecked(
-                rel.schema().clone(),
-                rel.dictionary().clone(),
-                rows,
-            ),
-            TagAccessPath::Scan,
-            stats,
-        ))
-    };
-    if index.rows() != rel.len() {
-        return scan(&compiled); // stale index — never trust it
-    }
-    let (atoms, residual) = extract_atoms(rel, predicate);
-    if atoms.is_empty() {
-        return scan(&compiled);
-    }
-    let Some(bs) = index.candidates(&atoms) else {
-        return scan(&compiled);
-    };
-    dq_obs::counter!("tagstore.bitmap.intersections").add(atoms.len() as u64);
-    // Re-check the *full* predicate when any residual conjunct exists:
-    // correct regardless of how residuals interleave with atoms, and
-    // atom re-checks compile to cheap Cmp kernels anyway.
-    let kernels = if residual.is_empty() {
-        Vec::new()
-    } else {
-        compile_kernels(&compiled)
-    };
-    let (rows, stats) = run_pipeline(rel, Some(&bs), &kernels, &compiled, batch_size)?;
-    dq_obs::counter!("tagstore.bitmap.candidate_rows").add(stats.rows_in as u64);
-    dq_obs::counter!("tagstore.bitmap.gathered_rows").add(stats.rows_out as u64);
-    let path = TagAccessPath::Bitmap {
-        atoms: atoms.iter().map(|a| a.to_string()).collect(),
-        candidates: stats.rows_in,
-        residual: !residual.is_empty(),
-    };
-    Ok((
-        TaggedRelation::from_parts_unchecked(rel.schema().clone(), rel.dictionary().clone(), rows),
-        path,
-        stats,
-    ))
-}
-
-/// Vectorized π — identical to [`algebra::project`], built batch by
-/// batch (tags travel as shared `Arc` bumps, never deep copies).
-pub fn project_vectorized(
-    rel: &TaggedRelation,
-    columns: &[&str],
-    batch_size: usize,
-) -> DbResult<(TaggedRelation, BatchStats)> {
-    let indices: Vec<usize> = columns
-        .iter()
-        .map(|c| rel.schema().resolve(c))
-        .collect::<DbResult<_>>()?;
-    let schema = rel.schema().project(&indices)?;
-    let rows = rel.rows();
-    let batch_size = batch_size.max(1);
-    let nbatches = rows.len().div_ceil(batch_size);
-    let run_range = |brange: std::ops::Range<usize>| -> (Vec<TaggedRow>, BatchStats) {
-        let mut out = Vec::new();
-        let mut stats = BatchStats::new(batch_size);
-        for b in brange {
-            let start = b * batch_size;
-            let len = batch_size.min(rows.len() - start);
-            let _t = dq_obs::histogram!("vector.batch_us").start();
-            stats.batches += 1;
-            stats.rows_in += len;
-            for row in &rows[start..start + len] {
-                out.push(indices.iter().map(|&i| row[i].clone()).collect());
-            }
-            stats.rows_out += len;
-        }
-        (out, stats)
-    };
-    let (out, stats) = match par::plan(rows.len()) {
-        Some(threads) if nbatches > 1 => {
-            let parts = par::run_ranges(nbatches, threads.min(nbatches), |_, r| run_range(r));
-            let mut out = Vec::new();
-            let mut stats = BatchStats::new(batch_size);
-            for (mut rows_p, s) in parts {
-                out.append(&mut rows_p);
-                stats.absorb(s);
-            }
-            (out, stats)
-        }
-        _ => run_range(0..nbatches),
-    };
-    stats.publish();
-    Ok((
-        TaggedRelation::from_parts_unchecked(schema, rel.dictionary().clone(), out),
         stats,
     ))
 }
@@ -604,34 +485,7 @@ mod tests {
     use super::*;
     use crate::algebra;
     use crate::indicator::{IndicatorDictionary, IndicatorValue};
-    use relstore::{DataType, Date, Expr, Schema};
-
-    fn d(s: &str) -> Value {
-        Value::Date(Date::parse(s).unwrap())
-    }
-
-    fn prices() -> TaggedRelation {
-        let schema = Schema::of(&[("ticker", DataType::Text), ("price", DataType::Float)]);
-        let dict = IndicatorDictionary::with_paper_defaults();
-        let mk = |t: &str, p: f64, ct: &str, src: &str| {
-            vec![
-                QualityCell::bare(t),
-                QualityCell::bare(p)
-                    .with_tag(IndicatorValue::new("creation_time", d(ct)))
-                    .with_tag(IndicatorValue::new("source", src)),
-            ]
-        };
-        TaggedRelation::new(
-            schema,
-            dict,
-            vec![
-                mk("FRT", 10.0, "10-1-91", "NYSE feed"),
-                mk("NUT", 20.0, "10-20-91", "NYSE feed"),
-                mk("BLT", 30.0, "9-1-91", "manual entry"),
-            ],
-        )
-        .unwrap()
-    }
+    use relstore::{DataType, Expr, Schema};
 
     /// A larger mixed fixture: some rows untagged, several sources/ages.
     fn mixed(n: i64) -> TaggedRelation {
@@ -709,59 +563,6 @@ mod tests {
                 assert_eq!(got, expect, "threads={threads} p={p:?}");
             }
         }
-    }
-
-    #[test]
-    fn select_indexed_vectorized_matches_and_reports_path() {
-        let rel = prices();
-        let idx = QualityIndex::build(&rel);
-        // pure atom → bitmap, no residual, no kernels
-        let p = Expr::col("price@source").eq(Expr::lit("NYSE feed"));
-        let (r, path, stats) = select_indexed_vectorized(&rel, &idx, &p, 2).unwrap();
-        let (expect, expect_path) = algebra::select_indexed(&rel, &idx, &p).unwrap();
-        assert_eq!(r, expect);
-        assert_eq!(path, expect_path);
-        assert_eq!(stats.rows_in, 2);
-        assert_eq!(stats.rows_out, 2);
-        // mixed atom + residual → bitmap with residual kernels
-        let p = Expr::col("price@source")
-            .ne(Expr::lit("manual entry"))
-            .and(Expr::col("price").gt(Expr::lit(15.0)));
-        let (r, path, _) = select_indexed_vectorized(&rel, &idx, &p, 1024).unwrap();
-        let (expect, expect_path) = algebra::select_indexed(&rel, &idx, &p).unwrap();
-        assert_eq!(r, expect);
-        assert_eq!(path, expect_path);
-        // value-only predicate → scan fallback
-        let p = Expr::col("price").gt(Expr::lit(15.0));
-        let (r, path, _) = select_indexed_vectorized(&rel, &idx, &p, 1024).unwrap();
-        assert_eq!(r, algebra::select(&rel, &p).unwrap());
-        assert_eq!(path, TagAccessPath::Scan);
-        // stale index → scan, still correct
-        let mut grown = rel.clone();
-        grown
-            .push(vec![QualityCell::bare("ZZZ"), QualityCell::bare(5.0)])
-            .unwrap();
-        let p = Expr::col("price@source").eq(Expr::lit("NYSE feed"));
-        let (r, path, _) = select_indexed_vectorized(&grown, &idx, &p, 1024).unwrap();
-        assert_eq!(r, algebra::select(&grown, &p).unwrap());
-        assert_eq!(path, TagAccessPath::Scan);
-        // malformed predicate errors exactly like the scan
-        let bad = Expr::col("ghost@source").eq(Expr::lit("x"));
-        assert!(select_indexed_vectorized(&rel, &idx, &bad, 1024).is_err());
-    }
-
-    #[test]
-    fn project_vectorized_matches() {
-        for n in [0i64, 1, 150] {
-            let rel = mixed(n);
-            let expect = algebra::project(&rel, &["v"]).unwrap();
-            for batch_size in [1usize, 7, 1024] {
-                let (got, stats) = project_vectorized(&rel, &["v"], batch_size).unwrap();
-                assert_eq!(got, expect, "n={n} batch={batch_size}");
-                assert_eq!(stats.rows_out, rel.len());
-            }
-        }
-        assert!(project_vectorized(&mixed(3), &["ghost"], 8).is_err());
     }
 
     #[test]

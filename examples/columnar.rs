@@ -20,7 +20,7 @@
 //!   value, or the invariant `batches × batch_size ≥ rows_out` fails.
 
 use dq_bench::{tagged_customers, tagged_join_partner, today};
-use dq_query::{exec_batch_size, explain_analyze, Planner, QueryCatalog};
+use dq_query::{explain_analyze, Planner, QueryCatalog};
 use relstore::index::HashIndex;
 use relstore::{par, Expr};
 use tagstore::algebra as ta;
@@ -181,7 +181,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // σ batches are capped at the batch width; join fan-out reports
     // separately under columnar.join.* and is exempt
-    let width = exec_batch_size().max(DEFAULT_BATCH_SIZE) as u64;
+    let width = DEFAULT_BATCH_SIZE as u64;
     if batches * width < rows_out {
         fail(&format!(
             "σ invariant violated: {batches} batches × {width} < {rows_out} rows out"

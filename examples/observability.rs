@@ -51,6 +51,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-- {join}");
     print!("{}", explain_analyze(&catalog, join, &planner)?);
 
+    // The served point query (the shape `dq-e2e`'s point workloads
+    // send): `col = literal` is answered from the key-hash index, and
+    // EXPLAIN ANALYZE — same walker as the server's lean path — says so.
+    let ticker = &catalog.get("company_stock")?.cell(0, "ticker_symbol")?.value;
+    let point = format!(
+        "SELECT * FROM company_stock WHERE ticker_symbol = '{ticker}' \
+         WITH QUALITY (share_price@source <> 'manual entry')"
+    );
+    println!("\n== trading workload: quality-filtered point query ==");
+    println!("-- {point}");
+    print!("{}", explain_analyze(&catalog, &point, &planner)?);
+
     // Dump and validate the registry: every counter and histogram the
     // sweep touched must be finite, non-negative, and self-consistent.
     let snap = dq_obs::registry().snapshot();

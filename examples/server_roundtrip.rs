@@ -19,7 +19,7 @@
 //!   (NaN, negative, or inconsistent values).
 
 use dq_query::{run, QueryCatalog};
-use dq_server::{render_result, start, Client, ServerConfig, WriteMode};
+use dq_server::{render_result, start, Client, ServerConfig};
 use relstore::{DataType, Schema};
 use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
 
@@ -70,7 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             stmt_cache_capacity: 64,
-            write_mode: WriteMode::default(),
         },
         catalog,
     )?;

@@ -9,20 +9,18 @@
 //! `scripts/ci.sh` runs this as a gate. The process exits nonzero if
 //!
 //! * any vectorized operator disagrees with its row-at-a-time twin
-//!   (rows *and* cell-level tags / polygen provenance), or
+//!   (rows *and* cell-level tags), or
 //! * the metrics snapshot contains a NaN, negative, or inconsistent
 //!   value, or
 //! * the σ-pipeline invariant `batches × batch_size ≥ rows_out` fails.
 
 use dq_bench::{tagged_customers, tagged_join_partner, today};
-use dq_query::{exec_batch_size, explain_analyze, Planner, QueryCatalog};
+use dq_query::{explain_analyze, Planner, QueryCatalog};
 use relstore::index::HashIndex;
 use relstore::{par, Expr};
 use tagstore::algebra as ta;
 use tagstore::bitmap::QualityIndex;
-use tagstore::{
-    hash_join_probe_vectorized, select_indexed_vectorized, select_vectorized, DEFAULT_BATCH_SIZE,
-};
+use tagstore::{hash_join_probe_vectorized, select_vectorized, DEFAULT_BATCH_SIZE};
 
 fn fail(msg: &str) -> ! {
     eprintln!("vectorized smoke FAILED: {msg}");
@@ -57,17 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("OK: {} of {rows} rows at 1/2/8 threads × batch 1/7/1024", reference.len());
 
-    // σ: indexed path — candidate words feed the pipeline directly
-    println!("== indexed σ parity: select_indexed vs vectorized ==");
-    let index = QualityIndex::build(&rel);
-    let (via_rows, _) = ta::select_indexed(&rel, &index, &pred)?;
-    let (via_batches, path, _) =
-        select_indexed_vectorized(&rel, &index, &pred, DEFAULT_BATCH_SIZE)?;
-    if via_rows != via_batches {
-        fail("indexed σ mismatch");
-    }
-    println!("OK: {} rows via {path}", via_batches.len());
-
     // ⋈: prebuilt-index probe
     println!("== join-probe parity ==");
     let right = tagged_join_partner(2_000);
@@ -86,21 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fail("join probe mismatch");
     }
     println!("OK: {} joined rows", probe_batched.len());
-
-    // polygen σ: provenance-propagating restrict
-    println!("== polygen restrict parity ==");
-    let poly = polygen::PolyRelation::retrieve(
-        &dq_bench::plain_customers(5_000),
-        polygen::SourceId::new("NYSE feed"),
-    );
-    let poly_pred = Expr::col("employees").gt(Expr::lit(500i64));
-    let row_wise = poly.restrict(&poly_pred)?;
-    for batch in [1usize, 7, DEFAULT_BATCH_SIZE] {
-        if poly.restrict_vectorized(&poly_pred, batch)? != row_wise {
-            fail(&format!("polygen restrict mismatch at batch={batch}"));
-        }
-    }
-    println!("OK: {} of 5000 rows, provenance identical", row_wise.len());
 
     // parallel index build: bit-for-bit merge protocol
     println!("== parallel index-build parity ==");
@@ -151,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // σ/π batches are capped at the batch width; join fan-out reports
     // separately under vector.join.* and is exempt
-    let width = exec_batch_size().max(DEFAULT_BATCH_SIZE) as u64;
+    let width = DEFAULT_BATCH_SIZE as u64;
     if batches * width < rows_out {
         fail(&format!(
             "σ invariant violated: {batches} batches × {width} < {rows_out} rows out"

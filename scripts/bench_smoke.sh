@@ -7,8 +7,8 @@
 # vectorized-execution series into BENCH_vector.json, and the B10
 # columnar-vs-row series into BENCH_columnar.json, the B11 server
 # loadgen (qps vs clients + stmt-cache cold/hit split) into
-# BENCH_server.json, and the B12 MVCC reader-throughput burst
-# (serialized-master vs epoch-snapshot writers) into BENCH_mvcc.json.
+# BENCH_server.json, and the B12 MVCC reader-throughput burst into
+# BENCH_mvcc.json.
 # Finishes with the parallel index-build regression gate over the fresh
 # B9 numbers.
 #
@@ -93,12 +93,10 @@ DQ_BENCH_SERVER_JSON="$DQ_BENCH_SERVER_JSON" DQ_LOADGEN_MS="${DQ_LOADGEN_MS:-$DQ
 echo "wrote $(wc -l < "$DQ_BENCH_SERVER_JSON") records to $DQ_BENCH_SERVER_JSON"
 
 # B12: MVCC reader throughput under a sustained TAG-write burst — 1
-# writer + 4/16 readers, serialized-master baseline vs epoch-snapshot
-# MVCC. The bench itself is the parity gate: reader queries are checked
-# against embedded serial rendering before timing, and the quiesced
-# post-burst state must be byte-identical to an embedded replay (both
-# fatal). The ≥2x reader-qps bar fails the run on multi-core and warns
-# on a single CPU, like B10/B11.
+# writer + 4/16 readers. The bench itself is the parity gate: reader
+# queries are checked against embedded serial rendering before timing,
+# and the quiesced post-burst state must be byte-identical to an
+# embedded replay (both fatal). Compare against the previous run.
 DQ_BENCH_MVCC_JSON="${DQ_BENCH_MVCC_JSON:-$PWD/BENCH_mvcc.json}"
 DQ_BENCH_MVCC_JSON="$DQ_BENCH_MVCC_JSON" DQ_MVCC_MS="${DQ_MVCC_MS:-$DQ_BENCH_MS}" \
     cargo run -q --offline --release -p dq-bench --bin mvcc_burst

@@ -12,10 +12,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 PROPTEST_CASES=128 cargo test -q --offline -p tagstore bitmap_
 PROPTEST_CASES=128 cargo test -q --offline -p dq-query index_planner
 
-# Vectorized-execution parity: batched σ/π/⋈ and the parallel index
+# Vectorized-execution parity: batched σ/⋈ and the parallel index
 # build against their row-at-a-time twins, at a higher case count.
 PROPTEST_CASES=128 cargo test -q --offline -p tagstore vector
-PROPTEST_CASES=128 cargo test -q --offline -p polygen restrict_vectorized
 
 # Columnar-layout parity: row↔columnar round-trip (values, nulls,
 # per-cell tags), columnar σ/π/⋈ vs row-at-a-time, and the columnar
@@ -46,9 +45,9 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_columnar.json \
     cargo bench --offline -p dq-bench --bench columnar >/dev/null
 
-# Vectorized-execution gate: row-at-a-time vs batched parity (tagged and
-# polygen), EXPLAIN ANALYZE batch annotations, and the vector.* metrics
-# invariants (finite, non-negative, batches × batch_size ≥ rows_out).
+# Vectorized-execution gate: row-at-a-time vs batched parity, EXPLAIN
+# ANALYZE batch annotations, and the vector.* metrics invariants
+# (finite, non-negative, batches × batch_size ≥ rows_out).
 cargo run -q --offline --release --example vectorized >/dev/null
 
 # Columnar-layout gate: lossless row↔columnar round-trip, columnar
@@ -80,8 +79,7 @@ PROPTEST_CASES=128 cargo test -q --offline -p dq-server readers_observe
 # B12 parity + quiesce gate at a tiny window: the bench asserts reader
 # queries match the embedded serial rendering before timing and that
 # the quiesced post-burst state is byte-identical to an embedded replay
-# (both fatal). The 2x speedup bar is multi-core-only; on one CPU the
-# bench warns instead.
+# (both fatal).
 DQ_MVCC_MS=100 DQ_MVCC_ROWS=64 DQ_MVCC_READERS=4 \
     DQ_BENCH_MVCC_JSON=/tmp/ci_bench_mvcc.json \
     cargo run -q --offline --release -p dq-bench --bin mvcc_burst >/dev/null
@@ -115,4 +113,9 @@ PROPTEST_CASES=128 cargo test -q --offline -p dq-storage proptests
 # a pending group commit, recover, and check lineage + metrics survive.
 cargo run -q --offline --release --example crash_recovery >/dev/null
 
-echo "ci: build + test + clippy + index parity + vector parity + columnar parity + observability + mvcc + recovery all green"
+# The benchmark package is a workspace of its own, so nothing above
+# compiles it: build it and run its unit tests and 1-second smoke of
+# every workload against the crates as they are now.
+cargo test -q --offline --manifest-path e2e/Cargo.toml
+
+echo "ci: build + test + clippy + index parity + vector parity + columnar parity + observability + mvcc + recovery + e2e all green"
