@@ -271,6 +271,25 @@ impl HistogramSnapshot {
             self.sum_us as f64 / self.count as f64
         }
     }
+
+    /// The `q`-quantile (`q` in `0.0..=1.0`) to bucket resolution: the
+    /// upper bound in microseconds of the bucket holding the `q`-th
+    /// sample. 0 when empty; `u64::MAX` when that sample sits in the
+    /// overflow bucket, which has no upper bound.
+    pub fn quantile_us(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (i, n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return BUCKET_BOUNDS_US.get(i).copied().unwrap_or(u64::MAX);
+            }
+        }
+        u64::MAX
+    }
 }
 
 /// A point-in-time copy of the registry, render- and validate-able.
@@ -294,13 +313,20 @@ impl Snapshot {
         for (name, v) in &self.counters {
             let _ = writeln!(out, "{name} {v}");
         }
+        // quantiles are bucket upper bounds, hence `<=`
+        let bound = |us: u64| match us {
+            u64::MAX => "inf".to_owned(),
+            us => us.to_string(),
+        };
         for (name, h) in &self.histograms {
             let _ = writeln!(
                 out,
-                "{name} count={} sum_us={} mean_us={:.1}",
+                "{name} count={} sum_us={} mean_us={:.1} p50_us<={} p99_us<={}",
                 h.count,
                 h.sum_us,
-                h.mean_us()
+                h.mean_us(),
+                bound(h.quantile_us(0.5)),
+                bound(h.quantile_us(0.99))
             );
         }
         out
@@ -396,6 +422,30 @@ mod tests {
         assert_eq!(hs.count, 1);
         assert_eq!(hs.buckets.iter().sum::<u64>(), 1);
         assert!((hs.mean_us() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantiles_are_bucket_upper_bounds() {
+        let r = MetricsRegistry::new();
+        let h = r.histogram("q.us");
+        assert_eq!(r.snapshot().histograms["q.us"].quantile_us(0.5), 0);
+        for _ in 0..98 {
+            h.record_us(7); // bucket <= 10
+        }
+        h.record_us(300); // bucket <= 500
+        h.record_us(2_000_000); // overflow
+        let snap = r.snapshot();
+        let hs = &snap.histograms["q.us"];
+        assert_eq!(hs.quantile_us(0.0), 10);
+        assert_eq!(hs.quantile_us(0.5), 10);
+        assert_eq!(hs.quantile_us(0.98), 10);
+        assert_eq!(hs.quantile_us(0.99), 500);
+        assert_eq!(hs.quantile_us(1.0), u64::MAX);
+        let text = snap.render_text();
+        assert!(text.contains("p50_us<=10 p99_us<=500"), "{text}");
+        h.record_us(2_000_000);
+        h.record_us(2_000_000);
+        assert!(r.snapshot().render_text().contains("p99_us<=inf"));
     }
 
     #[test]

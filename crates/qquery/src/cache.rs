@@ -12,8 +12,9 @@
 //! `(profile, normalized query text)` and stamped with the catalog
 //! [`QueryCatalog::generation`] it was planned against. A hit skips the
 //! lexer, parser, planner, and optimizer entirely; a registration
-//! (including `TAG`, which re-registers the mutated table) advances the
-//! generation and lazily invalidates every cached plan.
+//! (and a `TAG`, which publishes a successor entry for the table it
+//! wrote) advances the generation and lazily invalidates every cached
+//! plan.
 //!
 //! Per-session `WITH QUALITY` defaults (from the session's `dq-core`
 //! user profile) are injected **at prepare time** through a

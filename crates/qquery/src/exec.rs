@@ -65,13 +65,17 @@ pub trait PagedProvider: Send + Sync + std::fmt::Debug {
 /// [`QueryCatalog::register`] replaces the whole entry in one `Arc`
 /// swap — there is no window where a new relation pairs with a cached
 /// index over the old one (or vice versa), which is the invariant the
-/// concurrent-session snapshots rely on.
+/// concurrent-session snapshots rely on. A `TAG` replaces it with its
+/// [`TableEntry::successor`], whose access paths are this entry's with
+/// the write's delta applied.
 #[derive(Debug)]
 struct TableEntry {
     rel: TaggedRelation,
     columnar: OnceLock<Arc<ColumnarRelation>>,
     quality_index: OnceLock<Arc<QualityIndex>>,
-    key_indexes: RwLock<HashMap<String, Arc<HashIndex>>>,
+    /// Shared along a lineage of tag-only successors: a key index maps
+    /// application values to row positions, and a `TAG` changes neither.
+    key_indexes: Arc<RwLock<HashMap<String, Arc<HashIndex>>>>,
 }
 
 impl TableEntry {
@@ -80,8 +84,41 @@ impl TableEntry {
             rel,
             columnar: OnceLock::new(),
             quality_index: OnceLock::new(),
-            key_indexes: RwLock::new(HashMap::new()),
+            key_indexes: Arc::default(),
         }
+    }
+
+    /// The entry a tag-only write publishes in this one's place: `rel`
+    /// is this entry's relation with `tags` applied — same application
+    /// values, same row positions. The key hash indexes are shared as
+    /// they are. The bitmap index, when this entry has built one, is
+    /// carried as a shallow clone with each triple retagged (the old
+    /// value read from this entry's relation); copy-on-write postings
+    /// leave this entry's own index, and every reader pinned on it,
+    /// untouched. The columnar layout stays lazy.
+    fn successor(
+        &self,
+        rel: TaggedRelation,
+        tags: &[(usize, String, tagstore::IndicatorValue)],
+    ) -> DbResult<TableEntry> {
+        let quality_index = match self.quality_index.get() {
+            Some(built) => {
+                let mut idx = QualityIndex::clone(built);
+                for (row, column, tag) in tags {
+                    let ci = self.rel.schema().resolve(column)?;
+                    let old = self.rel.cell(*row, column)?.tag_sym(&tag.indicator);
+                    idx.retag(*row, ci, old.map(|t| &t.value), &tag.indicator, &tag.value);
+                }
+                OnceLock::from(Arc::new(idx))
+            }
+            None => OnceLock::new(),
+        };
+        Ok(TableEntry {
+            rel,
+            columnar: OnceLock::new(),
+            quality_index,
+            key_indexes: Arc::clone(&self.key_indexes),
+        })
     }
 
     /// Columnar layout, converted on first use and shared by every
@@ -134,7 +171,9 @@ impl TableEntry {
 /// built lazily on first use. Each table lives in one [`TableEntry`]
 /// holding the relation *and* its caches, so
 /// [`QueryCatalog::register`] invalidates all of them atomically — the
-/// entry is replaced in a single `Arc` swap.
+/// entry is replaced in a single `Arc` swap. A `TAG`
+/// ([`TagWrite::apply`]) swaps in a successor entry that inherits them
+/// with its delta applied instead.
 ///
 /// ## Snapshots (clone-on-publish)
 ///
@@ -175,8 +214,14 @@ impl QueryCatalog {
             paged.remove(&name);
             self.paged = Arc::new(paged);
         }
+        self.install(name, TableEntry::new(rel));
+    }
+
+    /// Swaps `entry` in under `name` (copy-on-write of the name map) and
+    /// advances the generation.
+    fn install(&mut self, name: String, entry: TableEntry) {
         let mut tables: HashMap<String, Arc<TableEntry>> = (*self.tables).clone();
-        tables.insert(name, Arc::new(TableEntry::new(rel)));
+        tables.insert(name, Arc::new(entry));
         self.tables = Arc::new(tables);
         self.generation += 1;
     }
@@ -226,7 +271,8 @@ impl QueryCatalog {
 
     /// True iff `table` resolves to the *same* entry (`Arc` identity,
     /// not value equality) in both catalogs — i.e. neither side has
-    /// re-registered the table since the snapshots diverged. This is
+    /// replaced it (a registration, or a `TAG`'s successor entry) since
+    /// the snapshots diverged. This is
     /// the conflict check MVCC writers use: a [`TagWrite`] prepared
     /// against `other` can be installed into `self` verbatim when the
     /// entries are identical, and must be re-applied otherwise.
@@ -555,32 +601,31 @@ impl TagWrite {
 
     /// Installs the write into `master`, returning the statement's
     /// `cells_tagged` result relation. Fast path (no intervening
-    /// publish): one `register` of the prebuilt relation. Conflict path:
-    /// re-applies the recorded tags onto `master`'s current relation
-    /// (building a fresh copy first, so an error leaves `master`
-    /// untouched).
-    pub fn apply(self, master: &mut QueryCatalog) -> DbResult<QueryResult> {
-        let (updated, count) = if master.same_entry(&self.base, &self.table) {
-            (self.updated, self.tags.len())
-        } else {
+    /// publish): the prebuilt relation is the one to publish. Conflict
+    /// path: the recorded tags are re-applied onto a copy of `master`'s
+    /// current relation (so an error leaves `master` untouched). Either
+    /// way `master`'s current entry is replaced by its
+    /// [`TableEntry::successor`] — the write costs the access paths only
+    /// the cells it tagged.
+    pub fn apply(mut self, master: &mut QueryCatalog) -> DbResult<QueryResult> {
+        let current = Arc::clone(master.entry(&self.table)?);
+        if !master.same_entry(&self.base, &self.table) {
             dq_obs::counter!("mvcc.write_conflicts").incr();
-            let mut rel = master.get(&self.table)?.clone();
-            let mut applied = 0usize;
+            let mut rel = current.rel.clone();
+            self.tags.retain(|(row, ..)| *row < rel.len());
             for (row, column, tag) in &self.tags {
-                if *row < rel.len() {
-                    rel.tag_cell(*row, column, tag.clone())?;
-                    applied += 1;
-                }
+                rel.tag_cell(*row, column, tag.clone())?;
             }
-            (rel, applied)
-        };
+            self.updated = rel;
+        }
         let schema = relstore::Schema::of(&[("cells_tagged", DataType::Int)]);
         let result = TaggedRelation::new(
             schema,
-            updated.dictionary().clone(),
-            vec![vec![QualityCell::bare(count as i64)]],
+            self.updated.dictionary().clone(),
+            vec![vec![QualityCell::bare(self.tags.len() as i64)]],
         )?;
-        master.register(self.table, updated);
+        let next = current.successor(self.updated, &self.tags)?;
+        master.install(self.table, next);
         Ok(QueryResult::Table(result))
     }
 }
@@ -622,16 +667,23 @@ fn prepare_tag(catalog: &QueryCatalog, stmt: Statement) -> DbResult<TagWrite> {
              durable writer (paged_tag_cell), not the query layer"
         )));
     }
-    let rel = catalog.get(&table)?.clone();
-    let mask = match &filter {
-        Some(f) => algebra::evaluate_mask(&rel, f)?,
-        None => vec![true; rel.len()],
+    let entry = catalog.entry(&table)?;
+    let rows = match &filter {
+        Some(f) => match keyed_rows(entry, f)? {
+            Some((_, rows)) => rows,
+            None => {
+                let mask = algebra::evaluate_mask(&entry.rel, f)?;
+                (0..mask.len()).filter(|&row| mask[row]).collect()
+            }
+        },
+        None => (0..entry.rel.len()).collect(),
     };
-    let values = algebra::evaluate(&rel, &value)?;
-    let mut updated = rel;
+    // SET is evaluated on the rows WHERE keeps and on no other.
+    let values = algebra::evaluate_at(&entry.rel, &rows, &value)?;
+    let mut updated = entry.rel.clone();
     let mut tags = Vec::new();
-    for (row, (keep, v)) in mask.into_iter().zip(values).enumerate() {
-        if keep && !v.is_null() {
+    for (row, v) in rows.into_iter().zip(values) {
+        if !v.is_null() {
             let tag = tagstore::IndicatorValue::new(indicator, v);
             updated.tag_cell(row, column, tag.clone())?;
             tags.push((row, column.to_owned(), tag));
@@ -986,14 +1038,11 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
 /// σ over a resident base table — the one access sequence behind both
 /// `Filter(Scan)` and `IndexScan`, lean or traced.
 ///
-/// When the predicate contains a `col = literal` conjunct on a base
-/// (non-tag) column, probe the table's per-key hash index for the
-/// candidate positions and evaluate the **full** predicate only on
-/// those rows: a served point query touches a handful of rows instead
-/// of the whole table, which is what lets the prepared-statement
-/// cache's saving (parse + plan) show up at all. Candidates are visited
-/// in ascending row order and the unmodified predicate re-runs over
-/// them, so the kept rows — and their order — match the scan exactly.
+/// When the predicate is keyed ([`keyed_rows`]), gather exactly the
+/// rows the key index and the re-check keep: a served point query
+/// touches a handful of rows instead of the whole table, which is what
+/// lets the prepared-statement cache's saving (parse + plan) show up at
+/// all.
 ///
 /// Otherwise run the columnar kernels against the catalog's cached
 /// layout — through the quality bitmap index when `use_index` — and
@@ -1006,10 +1055,8 @@ fn select_base<'p>(
 ) -> DbResult<(TaggedRelation, NodeStats<'p>)> {
     let entry = catalog.entry(table)?;
     let stats = NodeStats::selective(entry.rel.len());
-    if let Some((col, key)) = equality_conjunct(predicate, entry.rel.schema()) {
-        let mut positions: Vec<usize> = entry.key_index(col)?.get(&vec![key.clone()]).to_vec();
-        positions.sort_unstable();
-        let out = algebra::select_at(&entry.rel, &positions, Some(predicate))?;
+    if let Some((col, rows)) = keyed_rows(entry, predicate)? {
+        let out = algebra::select_at(&entry.rel, &rows, None)?;
         dq_obs::counter!("query.point_lookups").incr();
         let stats = NodeStats {
             point_lookup: Some(col),
@@ -1032,6 +1079,33 @@ fn select_base<'p>(
         ..stats
     };
     Ok((out.to_tagged(), stats))
+}
+
+/// The rows of `entry` a keyed predicate keeps, in ascending order, and
+/// the key column — `None` when the predicate has no `col = literal`
+/// conjunct on a base (non-tag) column ([`equality_conjunct`]; the
+/// property is read off the statement). The table's per-key hash index
+/// gives the candidate positions and the **unmodified** predicate
+/// re-runs over them in ascending row order, so the kept rows — and
+/// their order — match a scan exactly. `SELECT` gathers these rows,
+/// `TAG` tags them.
+fn keyed_rows<'p>(
+    entry: &TableEntry,
+    predicate: &'p Expr,
+) -> DbResult<Option<(&'p str, Vec<usize>)>> {
+    let Some((col, key)) = equality_conjunct(predicate, entry.rel.schema()) else {
+        return Ok(None);
+    };
+    let mut rows: Vec<usize> = entry.key_index(col)?.get(&vec![key.clone()]).to_vec();
+    rows.sort_unstable();
+    let compiled = algebra::CompiledTagExpr::compile(&entry.rel, predicate)?;
+    let mut kept = Vec::with_capacity(rows.len());
+    for row in rows {
+        if compiled.matches(&entry.rel.rows()[row])? {
+            kept.push(row);
+        }
+    }
+    Ok(Some((col, kept)))
 }
 
 /// Finds a `col = literal` (or `literal = col`) conjunct reachable
@@ -1580,8 +1654,8 @@ mod tests {
         );
     }
 
-    /// A prepared TAG write installs on the fast path (same entry, one
-    /// register) and matches `run_mut` exactly.
+    /// A prepared TAG write installs on the fast path (same entry, the
+    /// prebuilt relation published as is) and matches `run_mut` exactly.
     #[test]
     fn prepared_write_fast_path_matches_run_mut() {
         let sql = "TAG stocks SET price@inspection = 'A' WHERE ticker = 'FRT'";
@@ -1628,6 +1702,42 @@ mod tests {
             rel.cell(1, "price").unwrap().tag_value("inspection"),
             relstore::Value::text("B")
         );
+    }
+
+    /// A `TAG` publishes a successor entry: the key hash indexes are the
+    /// predecessor's own, a built bitmap index arrives already built with
+    /// the delta applied, and the predecessor — still pinned by a reader —
+    /// keeps answering for the old tags.
+    #[test]
+    fn tag_successor_inherits_access_paths() {
+        let mut master = catalog();
+        let by_key = "SELECT * FROM stocks WHERE ticker = 'BLT' WITH QUALITY (price@source = 'audited')";
+        let by_tag = "SELECT ticker FROM stocks WITH QUALITY (price@source = 'audited')";
+        // nothing built yet: a TAG has nothing to carry
+        run_mut(&mut master, "TAG stocks SET price@inspection = 'A' WHERE ticker = 'FRT'").unwrap();
+        assert!(master.entry("stocks").unwrap().quality_index.get().is_none());
+        // warm both paths, pin a reader, write
+        assert_eq!(run(&master, by_key).unwrap().relation().len(), 0);
+        let pinned = master.snapshot();
+        let before = Arc::clone(pinned.entry("stocks").unwrap());
+        run_mut(&mut master, "TAG stocks SET price@source = 'audited' WHERE ticker = 'BLT'").unwrap();
+        let after = master.entry("stocks").unwrap();
+        assert!(!Arc::ptr_eq(&before, after));
+        assert!(Arc::ptr_eq(&before.key_indexes, &after.key_indexes));
+        let carried = after.quality_index.get().expect("inherited, not rebuilt");
+        assert!(!Arc::ptr_eq(carried, before.quality_index.get().unwrap()));
+        assert!(after.columnar.get().is_none());
+        // a first tag under a value no row carried, and the value it replaced
+        let source = tagstore::Symbol::intern("source");
+        let (old, new) = (
+            before.quality_index().posting(1, &source).unwrap().distinct_values(),
+            carried.posting(1, &source).unwrap().distinct_values(),
+        );
+        assert_eq!((old, new), (2, 2)); // 'manual entry' left with BLT, 'audited' came
+        for sql in [by_key, by_tag] {
+            assert_eq!(run(&master, sql).unwrap().relation().len(), 1, "{sql}");
+            assert_eq!(run(&pinned, sql).unwrap().relation().len(), 0, "{sql}");
+        }
     }
 
     #[test]
@@ -1803,6 +1913,39 @@ mod mutation_tests {
             fresh.relation().cell(0, "name").unwrap().value,
             Value::text("Nut Co")
         );
+    }
+
+    /// `SET` runs on the rows `WHERE` keeps and on no other: Bolt Co's
+    /// `employees - 12` is zero, and only a statement that tags Bolt Co
+    /// divides by it.
+    #[test]
+    fn tag_evaluates_set_only_on_kept_rows() {
+        let set = "TAG customer SET employees@age = 1000 / (employees - 12)";
+        for (filter, tagged) in [
+            (" WHERE employees > 12", 2),                     // unkeyed: mask over the relation
+            (" WHERE name = 'Nut Co'", 1),                    // keyed: hash lookup
+            (" WHERE name = 'Nut Co' AND employees > 12", 1), // keyed, with a residual
+            (" WHERE name = 'Bolt Co' AND employees > 12", 0), // keyed, re-check drops the row
+        ] {
+            let mut c = catalog();
+            let r = run_mut(&mut c, &format!("{set}{filter}")).unwrap();
+            let cells = r.relation().cell(0, "cells_tagged").unwrap().value.clone();
+            assert_eq!(cells, Value::Int(tagged), "{filter}");
+            let rel = c.get("customer").unwrap();
+            assert_eq!(rel.cell(1, "employees").unwrap().tag_value("age").is_null(), tagged == 0);
+            assert!(rel.cell(2, "employees").unwrap().tag_value("age").is_null());
+        }
+        // no WHERE, or one that keeps Bolt Co: the error is the statement's
+        for filter in ["", " WHERE name = 'Bolt Co'", " WHERE employees >= 12"] {
+            let mut c = catalog();
+            let before = c.get("customer").unwrap().clone();
+            let e = run_mut(&mut c, &format!("{set}{filter}")).unwrap_err();
+            assert!(e.to_string().contains("division by zero"), "{filter}: {e}");
+            assert_eq!(c.get("customer").unwrap(), &before);
+        }
+        // an unknown column in SET is an error even when WHERE keeps nothing
+        let mut c = catalog();
+        assert!(run_mut(&mut c, "TAG customer SET employees@age = ghost WHERE name = 'x'").is_err());
     }
 
     #[test]

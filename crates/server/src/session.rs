@@ -207,9 +207,18 @@ impl Session {
             // Prepare (parse, mask evaluation, copy-on-write tag
             // columns) against this session's pin outside any lock;
             // only apply+WAL+publish serialize.
-            let written = dq_query::prepare_write(self.pin.value(), sql)
-                .and_then(|w| shared.commit_write(w));
-            // Read-your-writes: pick up the epoch just published.
+            let prepared = {
+                let _t = dq_obs::histogram!("server.write.prepare_us").start();
+                dq_query::prepare_write(self.pin.value(), sql)
+            };
+            let written = prepared.and_then(|w| {
+                let _t = dq_obs::histogram!("server.write.commit_us").start();
+                shared.commit_write(w)
+            });
+            // Read-your-writes: pick up the epoch just published. This
+            // releases the superseded pin, and the last session to let
+            // go of a snapshot pays for dropping its relation.
+            let _t = dq_obs::histogram!("server.write.repin_us").start();
             self.refresh_pin(shared);
             written
         } else {

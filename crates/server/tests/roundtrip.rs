@@ -126,6 +126,33 @@ fn tag_is_classified_by_its_first_token() {
     assert!(client.query("TAGS stocks").is_err());
 }
 
+/// `SET` is evaluated on the rows `WHERE` keeps and on no other, over
+/// the wire as embedded: FRT's divisor is zero, and only a statement
+/// that tags FRT fails for it — leaving the table as it was.
+#[test]
+fn tag_set_runs_only_on_rows_where_keeps() {
+    let server = start(test_config(), catalog()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut embedded = catalog();
+    let set = "TAG stocks SET share_price@age = \
+               1000 / (DATE '1991-10-20' - share_price@creation_time)";
+    for filter in [" WHERE ticker = 'NUT'", " WHERE share_price > 15"] {
+        let sql = format!("{set}{filter}");
+        let expect = render_result(&run_mut(&mut embedded, &sql).unwrap());
+        assert_eq!(client.query(&sql).unwrap(), expect, "{sql}");
+    }
+    let err = run_mut(&mut embedded, set).unwrap_err().to_string();
+    assert!(err.contains("division by zero"), "{err}");
+    match client.query(set) {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, err),
+        other => panic!("expected the division error, got {other:?}"),
+    }
+    let probe = "INSPECT FROM stocks";
+    let table = client.query(probe).unwrap();
+    assert_eq!(table, render_result(&run(&embedded, probe).unwrap()));
+    assert!(table.contains("20 (52, 1991-10-01, NYSE feed)"), "{table}");
+}
+
 #[test]
 fn profile_supplies_quality_defaults() {
     let server = start(test_config(), catalog()).unwrap();

@@ -151,25 +151,33 @@ impl CompiledTagExpr {
 }
 
 /// Evaluates an expression (which may reference `col@indicator` and
-/// nested `col@ind@meta` pseudo-columns) once per row, returning the
-/// results in row order. This is the building block for quality
-/// selection, retro-tagging (`TAG ... SET`), and derived indicators.
-/// Compiled once, evaluated in parallel chunks on large inputs.
-pub fn evaluate(rel: &TaggedRelation, expr: &Expr) -> DbResult<Vec<Value>> {
+/// nested `col@ind@meta` pseudo-columns) on the rows at `ids`, returning
+/// the results in `ids` order. This is the building block for
+/// retro-tagging (`TAG ... SET`) and derived indicators: rows outside
+/// `ids` are never looked at, so an expression that fails on a row the
+/// statement's `WHERE` rejects does not fail the statement. Compiled
+/// once (an unknown column errors even for empty `ids`), evaluated in
+/// parallel chunks of the id list on large inputs.
+pub fn evaluate_at(rel: &TaggedRelation, ids: &[usize], expr: &Expr) -> DbResult<Vec<Value>> {
     let compiled = CompiledTagExpr::compile(rel, expr)?;
-    let eval_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<Value>> {
-        chunk.iter().map(|row| compiled.eval(row)).collect()
+    let eval_chunk = |chunk: &[usize]| -> DbResult<Vec<Value>> {
+        chunk.iter().map(|&id| compiled.eval(row_at(rel, id)?)).collect()
     };
-    match par::plan(rel.len()) {
-        Some(threads) => {
-            par::merge_results(par::run_chunked(rel.rows(), threads, |_, c| eval_chunk(c)))
-        }
-        None => eval_chunk(rel.rows()),
+    match par::plan(ids.len()) {
+        Some(threads) => par::merge_results(par::run_chunked(ids, threads, |_, c| eval_chunk(c))),
+        None => eval_chunk(ids),
     }
 }
 
-/// Like [`evaluate`] but as a boolean mask (NULL counts as `false`,
-/// matching predicate semantics).
+/// The row at `id`, as an error when a caller's id list is out of range.
+fn row_at(rel: &TaggedRelation, id: usize) -> DbResult<&TaggedRow> {
+    rel.rows()
+        .get(id)
+        .ok_or_else(|| DbError::InvalidExpression(format!("row index {id} out of range")))
+}
+
+/// Evaluates `predicate` once per row as a boolean mask in row order
+/// (NULL counts as `false`, matching predicate semantics).
 pub fn evaluate_mask(rel: &TaggedRelation, predicate: &Expr) -> DbResult<Vec<bool>> {
     let compiled = CompiledTagExpr::compile(rel, predicate)?;
     let mask_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<bool>> {
@@ -233,10 +241,7 @@ pub fn select_at(
     let gather_chunk = |chunk: &[usize]| -> DbResult<Vec<TaggedRow>> {
         let mut out = Vec::with_capacity(chunk.len());
         for &id in chunk {
-            let row = rel
-                .rows()
-                .get(id)
-                .ok_or_else(|| DbError::InvalidExpression(format!("row index {id} out of range")))?;
+            let row = row_at(rel, id)?;
             match &compiled {
                 Some(c) => {
                     if c.matches(row)? {

@@ -43,6 +43,7 @@ use relstore::{Expr, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A dense bitset over row ids, stored as `u64` words.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -121,6 +122,11 @@ impl Bitset {
     /// Number of set bits (popcount).
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True iff no bit is set (stops at the first non-zero word).
+    pub fn none(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// `self &= other`. Missing words in `other` count as zero.
@@ -513,10 +519,16 @@ fn flip(op: BinOp) -> BinOp {
 /// [`QualityIndex::retag`] (tag mutation); [`QualityIndex::build`] is the
 /// rebuild-on-bulk-load path. Meta tags (Premise 1.4) are not indexed —
 /// atoms over meta paths are residual by construction.
+///
+/// Postings are copy-on-write: `clone()` costs one refcount per
+/// (column, indicator) and shares every bitset with the original, and a
+/// mutator un-shares only the posting it writes. That is what lets a
+/// `TAG` hand its successor table entry the predecessor's index with the
+/// delta applied while readers pinned on the predecessor keep theirs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QualityIndex {
     rows: usize,
-    postings: HashMap<(usize, Symbol), Posting>,
+    postings: HashMap<(usize, Symbol), Arc<Posting>>,
 }
 
 impl QualityIndex {
@@ -587,7 +599,9 @@ impl QualityIndex {
                 continue;
             }
             for (key, p) in partial.postings {
-                let posting = idx.postings.entry(key).or_default();
+                // a worker's partial is never shared: this unwraps, no copy
+                let p = Arc::unwrap_or_clone(p);
+                let posting = idx.posting_mut(key);
                 posting.tagged.or_words_at(word_offset, &p.tagged);
                 posting.classes |= p.classes;
                 for (v, bs) in p.values {
@@ -610,7 +624,14 @@ impl QualityIndex {
 
     /// The posting for `(column, indicator)`, if any row is tagged there.
     pub fn posting(&self, col: usize, indicator: &Symbol) -> Option<&Posting> {
-        self.postings.get(&(col, indicator.clone()))
+        self.postings.get(&(col, indicator.clone())).map(Arc::as_ref)
+    }
+
+    /// The posting under `key` for writing, created empty when absent —
+    /// the one door every mutator takes, so a posting shared with a
+    /// clone of this index is copied before its first write.
+    fn posting_mut(&mut self, key: (usize, Symbol)) -> &mut Posting {
+        Arc::make_mut(self.postings.entry(key).or_default())
     }
 
     /// Indexes the tags of one appended row. Must be called in row order.
@@ -627,10 +648,7 @@ impl QualityIndex {
                 if tag.value.is_null() {
                     continue; // NULL-valued tags never satisfy predicates
                 }
-                let posting = self
-                    .postings
-                    .entry((ci, tag.indicator.clone()))
-                    .or_default();
+                let posting = self.posting_mut((ci, tag.indicator.clone()));
                 posting.tagged.set(id);
                 posting.classes |= class_of(&tag.value);
                 posting.values.entry(tag.value.clone()).or_default().set(id);
@@ -650,10 +668,7 @@ impl QualityIndex {
             if tag.value.is_null() {
                 continue; // NULL-valued tags never satisfy predicates
             }
-            let posting = self
-                .postings
-                .entry((col, tag.indicator.clone()))
-                .or_default();
+            let posting = self.posting_mut((col, tag.indicator.clone()));
             posting.tagged.set_range(start, len);
             posting.classes |= class_of(&tag.value);
             posting
@@ -672,16 +687,15 @@ impl QualityIndex {
 
     /// Updates the index after `set_tag` replaced (or added) one tag on
     /// `row`/`col`: `old` is the previous value for the same indicator
-    /// (`None` when the cell was untagged there).
+    /// (`None` when the cell was untagged there). A value no row carries
+    /// any more loses its entry, as in [`QualityIndex::delete_row`].
     pub fn retag(&mut self, row: usize, col: usize, old: Option<&Value>, indicator: &Symbol, new: &Value) {
-        let posting = self
-            .postings
-            .entry((col, indicator.clone()))
-            .or_default();
+        let posting = self.posting_mut((col, indicator.clone()));
         if let Some(old_v) = old {
-            if !old_v.is_null() {
-                if let Some(bs) = posting.values.get_mut(old_v) {
-                    bs.clear(row);
+            if let Some(bs) = posting.values.get_mut(old_v) {
+                bs.clear(row);
+                if bs.none() {
+                    posting.values.remove(old_v);
                 }
             }
         }
@@ -707,7 +721,8 @@ impl QualityIndex {
         assert!(row < self.rows, "delete_row: row {row} >= {}", self.rows);
         dq_obs::counter!("tagstore.index.deletes").incr();
         let last = self.rows - 1;
-        self.postings.retain(|_, p| p.remove_row(row, last));
+        self.postings
+            .retain(|_, p| Arc::make_mut(p).remove_row(row, last));
         self.rows = last;
     }
 
@@ -1203,6 +1218,37 @@ mod tests {
             ir.index().lookup(&c).unwrap().iter_ones().collect::<Vec<_>>(),
             vec![0, 4]
         );
+    }
+
+    #[test]
+    fn retag_drops_values_no_row_carries() {
+        let mut ir = IndexedTaggedRelation::from_relation(rel());
+        let age = Symbol::intern("age");
+        // rows 0, 2, 3 carry ages 5, 20, 10; cycle row 0 through 50 more
+        for a in 100..150i64 {
+            ir.tag_cell(0, "v", IndicatorValue::new("age", a)).unwrap();
+            assert_eq!(ir.index().posting(1, &age).unwrap().distinct_values(), 3);
+        }
+        // a NULL retag untags the cell and drops its value too
+        ir.tag_cell(0, "v", IndicatorValue::new("age", Value::Null)).unwrap();
+        let posting = ir.index().posting(1, &age).unwrap();
+        assert_eq!((posting.distinct_values(), posting.tagged_rows()), (2, 2));
+    }
+
+    #[test]
+    fn clone_shares_postings_until_written() {
+        let original = QualityIndex::build(&rel());
+        let (age, source) = (Symbol::intern("age"), Symbol::intern("source"));
+        let mut copy = original.clone();
+        let shared = |a: &QualityIndex, b: &QualityIndex, ind: &Symbol| {
+            std::ptr::eq(a.posting(1, ind).unwrap(), b.posting(1, ind).unwrap())
+        };
+        assert!(shared(&original, &copy, &age) && shared(&original, &copy, &source));
+        copy.retag(4, 1, None, &age, &Value::Int(7));
+        // only the written posting was copied, and only in the clone
+        assert!(!shared(&original, &copy, &age) && shared(&original, &copy, &source));
+        assert_eq!(original, QualityIndex::build(&rel()));
+        assert_eq!(copy.posting(1, &age).unwrap().tagged_rows(), 4);
     }
 
     #[test]

@@ -8,7 +8,8 @@ cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Access-path parity: the bitmap-index property tests at a higher case
-# count than the default test run.
+# count than the default test run (clone-then-retag copy-on-write
+# parity among them).
 PROPTEST_CASES=128 cargo test -q --offline -p tagstore bitmap_
 PROPTEST_CASES=128 cargo test -q --offline -p dq-query index_planner
 
@@ -75,6 +76,12 @@ PROPTEST_CASES=128 cargo test -q --offline -p dq-server concurrent_sessions
 # random TAG burst renders some committed epoch prefix (no torn tags),
 # and each reader only moves forward, at 1/2/8 worker threads.
 PROPTEST_CASES=128 cargo test -q --offline -p dq-server readers_observe
+
+# O(delta) TAG, by the counters, in a process of its own (the registry
+# is process-wide): 50 durable TAG/SELECT/SELECT rounds over the wire
+# rebuild no bitmap index, every SELECT is a point lookup, no write
+# conflicts, and a restart from the directory finds every last tag.
+cargo test -q --offline -p dq-server --test write_path
 
 # B12 parity + quiesce gate at a tiny window: the bench asserts reader
 # queries match the embedded serial rendering before timing and that
