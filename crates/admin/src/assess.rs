@@ -36,39 +36,6 @@ pub fn completeness(rel: &Relation, column: &str) -> DbResult<DimensionScore> {
     })
 }
 
-/// Closed-world completeness: fraction of reference keys present.
-/// The reference relation enumerates the real-world population.
-pub fn coverage_vs_reference(
-    rel: &Relation,
-    key: &str,
-    reference: &Relation,
-    ref_key: &str,
-) -> DbResult<DimensionScore> {
-    let i = rel.schema().resolve(key)?;
-    let j = reference.schema().resolve(ref_key)?;
-    let have: std::collections::HashSet<&Value> = rel
-        .iter()
-        .map(|r| &r[i])
-        .filter(|v| !v.is_null())
-        .collect();
-    let expected: std::collections::HashSet<&Value> = reference
-        .iter()
-        .map(|r| &r[j])
-        .filter(|v| !v.is_null())
-        .collect();
-    let hit = expected.iter().filter(|k| have.contains(*k)).count();
-    Ok(DimensionScore {
-        dimension: "coverage".into(),
-        column: key.into(),
-        score: if expected.is_empty() {
-            1.0
-        } else {
-            hit as f64 / expected.len() as f64
-        },
-        support: expected.len(),
-    })
-}
-
 /// Mean Ballou–Pazer timeliness over a tagged column:
 /// `mean(max(0, 1 − age/volatility)^sensitivity)`. Cells without a
 /// `creation_time` (or `age`) tag score 0 — unknown manufacture date is
@@ -197,14 +164,6 @@ impl AssessmentReport {
             .iter()
             .min_by(|a, b| a.score.total_cmp(&b.score))
     }
-
-    /// Mean score.
-    pub fn overall(&self) -> f64 {
-        if self.scores.is_empty() {
-            return 1.0;
-        }
-        self.scores.iter().map(|s| s.score).sum::<f64>() / self.scores.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -232,20 +191,6 @@ mod tests {
         let e = Relation::empty(schema);
         assert_eq!(completeness(&e, "x").unwrap().score, 1.0);
         assert!(completeness(&r, "ghost").is_err());
-    }
-
-    #[test]
-    fn coverage_against_reference() {
-        let schema = Schema::of(&[("k", DataType::Int)]);
-        let have = Relation::new(schema.clone(), vec![vec![Value::Int(1)], vec![Value::Int(2)]])
-            .unwrap();
-        let want = Relation::new(
-            schema,
-            vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Int(3)], vec![Value::Int(4)]],
-        )
-        .unwrap();
-        let s = coverage_vs_reference(&have, "k", &want, "k").unwrap();
-        assert!((s.score - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -351,7 +296,5 @@ mod tests {
             ],
         };
         assert_eq!(report.weakest().unwrap().dimension, "timeliness");
-        assert!((report.overall() - 0.6).abs() < 1e-9);
-        assert_eq!(AssessmentReport::default().overall(), 1.0);
     }
 }

@@ -141,19 +141,6 @@ impl AuditTrail {
             .collect()
     }
 
-    /// Events by an actor.
-    pub fn by_actor(&self, actor: &str) -> Vec<&AuditEvent> {
-        self.events.iter().filter(|e| e.actor == actor).collect()
-    }
-
-    /// Events within a date window (inclusive).
-    pub fn between(&self, from: Date, to: Date) -> Vec<&AuditEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.date >= from && e.date <= to)
-            .collect()
-    }
-
     /// Renders a row's trail as text (the administrator's report).
     pub fn render_lineage(&self, table: &str, row_key: &[Value]) -> String {
         let mut out = String::new();
@@ -256,14 +243,6 @@ mod tests {
         assert_eq!(l.len(), 2); // create + inspect on address; update was employees
         let l = t.cell_lineage("customer", &[Value::text("Fruit Co")], "address");
         assert_eq!(l.len(), 1); // row-level create applies to every cell
-    }
-
-    #[test]
-    fn actor_and_window_queries() {
-        let t = sample();
-        assert_eq!(t.by_actor("sales").len(), 2);
-        assert_eq!(t.between(d("10-25-91"), d("10-26-91")).len(), 3);
-        assert!(t.between(d("1-1-92"), d("2-1-92")).is_empty());
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub enum CertState {
         /// Approval date.
         on: Date,
     },
-    /// Withdrawn after approval.
-    Revoked {
-        /// Why.
-        reason: String,
-    },
 }
 
 /// A certification case for one `(table, column)`.
@@ -135,30 +130,6 @@ impl Certification {
             )),
         }
     }
-
-    /// Revokes a certification, recording the reason.
-    pub fn revoke(&mut self, trail: &mut AuditTrail, on: Date, reason: &str) -> DbResult<()> {
-        match &self.state {
-            CertState::Certified { .. } => {
-                trail.record(
-                    on,
-                    "quality_admin",
-                    AuditAction::Update,
-                    self.table.clone(),
-                    Vec::new(),
-                    Some(&self.column),
-                    format!("certification revoked: {reason}"),
-                );
-                self.state = CertState::Revoked {
-                    reason: reason.to_owned(),
-                };
-                Ok(())
-            }
-            _ => Err(DbError::TransactionError(
-                "only a certified column can be revoked".into(),
-            )),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,8 +216,6 @@ mod tests {
         assert!(cert
             .approve(&mut rel, &mut trail, d("10-25-91"), "admin")
             .is_err());
-        // cannot revoke from Draft
-        assert!(cert.revoke(&mut trail, d("10-25-91"), "because").is_err());
         cert.inspect(&inspector(), &rel, &mut trail, d("10-24-91"), "admin")
             .unwrap();
         // cannot inspect twice
@@ -255,13 +224,5 @@ mod tests {
             .is_err());
         cert.approve(&mut rel, &mut trail, d("10-25-91"), "admin")
             .unwrap();
-        cert.revoke(&mut trail, d("11-1-91"), "upstream feed recalled")
-            .unwrap();
-        assert!(matches!(cert.state, CertState::Revoked { .. }));
-        // revocation recorded
-        assert!(trail
-            .events()
-            .iter()
-            .any(|e| e.detail.contains("revoked")));
     }
 }

@@ -37,12 +37,6 @@ impl ImpactModel {
         self
     }
 
-    /// Sets the fallback rate (builder style).
-    pub fn with_default_rate(mut self, rate: f64) -> Self {
-        self.default_rate = rate.max(0.0);
-        self
-    }
-
     fn rate_of(&self, dimension: &str) -> f64 {
         self.rates.get(dimension).copied().unwrap_or(self.default_rate)
     }
@@ -154,7 +148,10 @@ mod tests {
 
     #[test]
     fn default_rate_applies_to_unknown_dimensions() {
-        let model = ImpactModel::new().with_default_rate(1.0);
+        let model = ImpactModel {
+            default_rate: 1.0,
+            ..ImpactModel::new()
+        };
         let items = analyze_impact(&report(), &model);
         let c = items.iter().find(|i| i.dimension == "completeness").unwrap();
         assert!((c.cost - 200.0).abs() < 1e-9); // 0.2 × 1000 × 1.0

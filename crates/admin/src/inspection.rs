@@ -142,11 +142,6 @@ impl Inspector {
         self
     }
 
-    /// The rules in force.
-    pub fn rules(&self) -> &[InspectionRule] {
-        &self.rules
-    }
-
     /// Runs every rule over the relation.
     pub fn inspect(&self, rel: &TaggedRelation) -> DbResult<InspectionReport> {
         let mut report = InspectionReport {

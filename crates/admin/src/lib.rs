@@ -10,10 +10,9 @@
 //!   parameter (required tags, freshness, tag domains, front-end rules,
 //!   double entry);
 //! * [`spc`] — statistical process control over data-manufacturing error
-//!   rates (Shewhart individuals + Western Electric rules, x̄/R, p-chart,
-//!   EWMA);
-//! * [`assess`] — estimators for completeness, coverage, timeliness,
-//!   accuracy, and interpretability;
+//!   rates (Shewhart individuals + Western Electric rules, p-chart);
+//! * [`assess`] — estimators for completeness, timeliness, accuracy, and
+//!   interpretability;
 //! * [`certify`] — the certification workflow, stamping `inspection` tags
 //!   and recording every transition on the audit trail;
 //! * [`mod@allocate`] — Ballou–Tayi resource allocation for data quality
@@ -39,8 +38,8 @@ pub mod spc;
 
 pub use allocate::{allocate, allocate_greedy, Allocation, Project};
 pub use assess::{
-    accuracy_vs_reference, completeness, coverage_vs_reference, interpretability, timeliness,
-    AssessmentReport, DimensionScore,
+    accuracy_vs_reference, completeness, interpretability, timeliness, AssessmentReport,
+    DimensionScore,
 };
 pub use audit::{AuditAction, AuditEvent, AuditTrail};
 pub use certify::{CertState, Certification};
@@ -52,4 +51,4 @@ pub use linkage::{
 pub use monitor::{
     InspectionPrompt, InspectionSchedule, PeculiarDataDetector, PeculiarRow, QualityMonitor,
 };
-pub use spc::{record_signals, Ewma, IndividualsChart, PChart, Signal, XBarRChart};
+pub use spc::{IndividualsChart, PChart, Signal};

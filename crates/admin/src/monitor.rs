@@ -51,23 +51,6 @@ impl InspectionSchedule {
     pub fn mark_run(&mut self, today: Date) {
         self.last_run = Some(today);
     }
-
-    /// Days until the next inspection is due (0 when overdue, and 0 for
-    /// a future-dated `last_run` — see [`InspectionSchedule::due`]; the
-    /// value is always in `0..=every_days`).
-    pub fn days_until_due(&self, today: Date) -> i64 {
-        match self.last_run {
-            None => 0,
-            Some(last) => {
-                let elapsed = today.days_between(&last);
-                if elapsed < 0 {
-                    0
-                } else {
-                    (self.every_days - elapsed).max(0)
-                }
-            }
-        }
-    }
 }
 
 /// A row flagged as peculiar.
@@ -199,54 +182,6 @@ impl QualityMonitor {
         dq_obs::counter!("admin.monitor.prompts").add(prompts.len() as u64);
         Ok(prompts)
     }
-
-    /// Like [`QualityMonitor::check`], additionally recording each prompt
-    /// on `trail` as an [`crate::audit::AuditAction::Inspect`] event, so
-    /// inspection triggers become part of the data's recorded
-    /// manufacturing history.
-    pub fn check_with_trail(
-        &mut self,
-        rel: &TaggedRelation,
-        today: Date,
-        trail: &mut crate::audit::AuditTrail,
-        actor: &str,
-        table: &str,
-    ) -> DbResult<Vec<InspectionPrompt>> {
-        use crate::audit::AuditAction;
-        let prompts = self.check(rel, today)?;
-        for prompt in &prompts {
-            match prompt {
-                InspectionPrompt::Periodic => {
-                    trail.record(
-                        today,
-                        actor,
-                        AuditAction::Inspect,
-                        table,
-                        Vec::new(),
-                        Some(&self.column),
-                        format!(
-                            "periodic inspection due (every {} days)",
-                            self.schedule.every_days
-                        ),
-                    );
-                }
-                InspectionPrompt::PeculiarData { rows } => {
-                    for r in rows {
-                        trail.record(
-                            today,
-                            actor,
-                            AuditAction::Inspect,
-                            table,
-                            vec![r.value.clone()],
-                            Some(&self.column),
-                            format!("peculiar value {} (z={:.2}) at row {}", r.value, r.z, r.row),
-                        );
-                    }
-                }
-            }
-        }
-        Ok(prompts)
-    }
 }
 
 #[cfg(test)]
@@ -273,10 +208,8 @@ mod tests {
     fn schedule_periodicity() {
         let mut s = InspectionSchedule::every(7);
         assert!(s.due(d("10-1-91"))); // never ran
-        assert_eq!(s.days_until_due(d("10-1-91")), 0);
         s.mark_run(d("10-1-91"));
         assert!(!s.due(d("10-5-91")));
-        assert_eq!(s.days_until_due(d("10-5-91")), 3);
         assert!(s.due(d("10-8-91")));
         assert!(s.due(d("11-1-91")));
     }
@@ -290,51 +223,16 @@ mod tests {
     /// Regression: a `last_run` in the future of `today` (clock skew, a
     /// corrected system date) used to make `due` never fire — the
     /// negative elapsed count stayed below `every_days` until the wall
-    /// clock caught up — and `days_until_due` to report more days than
-    /// the period itself. Both now clamp: skewed schedules are due now.
+    /// clock caught up. It now clamps: skewed schedules are due now.
     #[test]
     fn schedule_survives_future_dated_last_run() {
         let mut s = InspectionSchedule::every(7);
         s.mark_run(d("11-15-91"));
         let today = d("10-1-91"); // 45 days before last_run
         assert!(s.due(today));
-        assert_eq!(s.days_until_due(today), 0);
         // re-running today repairs the schedule
         s.mark_run(today);
         assert!(!s.due(d("10-2-91")));
-        assert_eq!(s.days_until_due(d("10-2-91")), 6);
-        // days_until_due never exceeds the period
-        let mut s = InspectionSchedule::every(7);
-        s.mark_run(d("10-2-91"));
-        for day in 1..=28 {
-            let today = d("10-1-91").plus_days(day);
-            let left = s.days_until_due(today);
-            assert!((0..=s.every_days).contains(&left), "day {day}: {left}");
-        }
-    }
-
-    #[test]
-    fn check_with_trail_records_inspect_events() {
-        use crate::audit::{AuditAction, AuditTrail};
-        let baseline: Vec<f64> = (0..50).map(|i| 700.0 + (i % 5) as f64).collect();
-        let mut mon = QualityMonitor {
-            schedule: InspectionSchedule::every(30),
-            detector: PeculiarDataDetector::fit(&baseline, 3.5).unwrap(),
-            column: "v".into(),
-        };
-        let mut trail = AuditTrail::new();
-        let prompts = mon
-            .check_with_trail(&rel(&[701, 9999]), d("10-1-91"), &mut trail, "monitor", "t")
-            .unwrap();
-        assert_eq!(prompts.len(), 2); // peculiar + periodic (never ran)
-        // one event per peculiar row, one for the periodic prompt
-        assert_eq!(trail.len(), 2);
-        assert!(trail
-            .events()
-            .iter()
-            .all(|e| e.action == AuditAction::Inspect && e.column.as_deref() == Some("v")));
-        assert!(trail.events()[0].detail.contains("peculiar value 9999"));
-        assert!(trail.events()[1].detail.contains("periodic"));
     }
 
     #[test]

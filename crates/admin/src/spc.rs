@@ -6,11 +6,8 @@
 //!
 //! * [`IndividualsChart`] — Shewhart individuals chart with the four
 //!   classic Western Electric run rules,
-//! * [`XBarRChart`] — x̄/R chart for subgrouped measurements,
 //! * [`PChart`] — proportion-nonconforming chart for error rates
-//!   (e.g. the per-batch violation rate from the inspection engine),
-//! * [`Ewma`] — exponentially weighted moving average chart, more
-//!   sensitive to small sustained shifts.
+//!   (e.g. the per-batch violation rate from the inspection engine).
 
 use serde::{Deserialize, Serialize};
 
@@ -30,30 +27,6 @@ pub struct Signal {
 fn record_evaluation(samples: usize, signals: usize) {
     dq_obs::counter!("admin.spc.samples").add(samples as u64);
     dq_obs::counter!("admin.spc.signals").add(signals as u64);
-}
-
-/// Records a batch of SPC signals on an audit trail as
-/// [`crate::audit::AuditAction::Inspect`] events — the §4 "prompting for
-/// data inspection" made durable in the data's manufacturing history.
-pub fn record_signals(
-    trail: &mut crate::audit::AuditTrail,
-    date: relstore::Date,
-    actor: &str,
-    table: &str,
-    column: &str,
-    signals: &[Signal],
-) {
-    for s in signals {
-        trail.record(
-            date,
-            actor,
-            crate::audit::AuditAction::Inspect,
-            table,
-            Vec::new(),
-            Some(column),
-            format!("SPC rule {} at point {}: {}", s.rule, s.index, s.detail),
-        );
-    }
 }
 
 /// Shewhart individuals chart with Western Electric rules.
@@ -85,21 +58,6 @@ impl IndividualsChart {
     /// Explicit parameters.
     pub fn with_params(mean: f64, sigma: f64) -> Self {
         IndividualsChart { mean, sigma }
-    }
-
-    /// Center line.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Estimated process sigma.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Control limits `(lcl, ucl)` at 3σ.
-    pub fn limits(&self) -> (f64, f64) {
-        (self.mean - 3.0 * self.sigma, self.mean + 3.0 * self.sigma)
     }
 
     /// Applies Western Electric rules 1–4 to a monitored series:
@@ -179,119 +137,6 @@ impl IndividualsChart {
     }
 }
 
-/// A2/D3/D4 constants for x̄/R charts, subgroup sizes 2–10.
-fn xbar_constants(n: usize) -> Option<(f64, f64, f64)> {
-    let table = [
-        (2, 1.880, 0.0, 3.267),
-        (3, 1.023, 0.0, 2.574),
-        (4, 0.729, 0.0, 2.282),
-        (5, 0.577, 0.0, 2.114),
-        (6, 0.483, 0.0, 2.004),
-        (7, 0.419, 0.076, 1.924),
-        (8, 0.373, 0.136, 1.864),
-        (9, 0.337, 0.184, 1.816),
-        (10, 0.308, 0.223, 1.777),
-    ];
-    table
-        .iter()
-        .find(|(k, ..)| *k == n)
-        .map(|&(_, a2, d3, d4)| (a2, d3, d4))
-}
-
-/// x̄/R chart over fixed-size subgroups.
-#[derive(Debug, Clone)]
-pub struct XBarRChart {
-    /// Subgroup size.
-    pub n: usize,
-    xbar_bar: f64,
-    r_bar: f64,
-    a2: f64,
-    d3: f64,
-    d4: f64,
-}
-
-impl XBarRChart {
-    /// Fits from baseline subgroups (all of size `n`, 2 ≤ n ≤ 10).
-    pub fn fit(subgroups: &[Vec<f64>]) -> Option<Self> {
-        let n = subgroups.first()?.len();
-        let (a2, d3, d4) = xbar_constants(n)?;
-        if subgroups.iter().any(|s| s.len() != n) {
-            return None;
-        }
-        let means: Vec<f64> = subgroups
-            .iter()
-            .map(|s| s.iter().sum::<f64>() / n as f64)
-            .collect();
-        let ranges: Vec<f64> = subgroups
-            .iter()
-            .map(|s| {
-                let mx = s.iter().cloned().fold(f64::MIN, f64::max);
-                let mn = s.iter().cloned().fold(f64::MAX, f64::min);
-                mx - mn
-            })
-            .collect();
-        Some(XBarRChart {
-            n,
-            xbar_bar: means.iter().sum::<f64>() / means.len() as f64,
-            r_bar: ranges.iter().sum::<f64>() / ranges.len() as f64,
-            a2,
-            d3,
-            d4,
-        })
-    }
-
-    /// x̄-chart limits `(lcl, center, ucl)`.
-    pub fn xbar_limits(&self) -> (f64, f64, f64) {
-        (
-            self.xbar_bar - self.a2 * self.r_bar,
-            self.xbar_bar,
-            self.xbar_bar + self.a2 * self.r_bar,
-        )
-    }
-
-    /// R-chart limits `(lcl, center, ucl)`.
-    pub fn r_limits(&self) -> (f64, f64, f64) {
-        (self.d3 * self.r_bar, self.r_bar, self.d4 * self.r_bar)
-    }
-
-    /// Evaluates new subgroups against both charts.
-    pub fn evaluate(&self, subgroups: &[Vec<f64>]) -> Vec<Signal> {
-        let (xl, _, xu) = self.xbar_limits();
-        let (rl, _, ru) = self.r_limits();
-        let mut signals = Vec::new();
-        for (i, s) in subgroups.iter().enumerate() {
-            if s.len() != self.n {
-                signals.push(Signal {
-                    index: i,
-                    rule: "size".into(),
-                    detail: format!("subgroup size {} != {}", s.len(), self.n),
-                });
-                continue;
-            }
-            let mean = s.iter().sum::<f64>() / self.n as f64;
-            let mx = s.iter().cloned().fold(f64::MIN, f64::max);
-            let mn = s.iter().cloned().fold(f64::MAX, f64::min);
-            let range = mx - mn;
-            if mean < xl || mean > xu {
-                signals.push(Signal {
-                    index: i,
-                    rule: "xbar".into(),
-                    detail: format!("subgroup mean {mean:.3} outside [{xl:.3}, {xu:.3}]"),
-                });
-            }
-            if range < rl || range > ru {
-                signals.push(Signal {
-                    index: i,
-                    rule: "range".into(),
-                    detail: format!("subgroup range {range:.3} outside [{rl:.3}, {ru:.3}]"),
-                });
-            }
-        }
-        record_evaluation(subgroups.len(), signals.len());
-        signals
-    }
-}
-
 /// p-chart: proportion of nonconforming items per batch.
 #[derive(Debug, Clone)]
 pub struct PChart {
@@ -342,62 +187,12 @@ impl PChart {
     }
 }
 
-/// EWMA chart — detects small persistent shifts sooner than Shewhart.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    mean: f64,
-    sigma: f64,
-    /// Smoothing weight λ ∈ (0, 1].
-    pub lambda: f64,
-    /// Limit width multiplier (typically 2.7–3).
-    pub l: f64,
-}
-
-impl Ewma {
-    /// Builds with explicit process parameters.
-    pub fn new(mean: f64, sigma: f64, lambda: f64, l: f64) -> Self {
-        Ewma {
-            mean,
-            sigma,
-            lambda: lambda.clamp(f64::EPSILON, 1.0),
-            l,
-        }
-    }
-
-    /// Evaluates a series; returns signals where the EWMA statistic exits
-    /// its time-varying limits.
-    pub fn evaluate(&self, series: &[f64]) -> Vec<Signal> {
-        let mut signals = Vec::new();
-        let mut z = self.mean;
-        for (i, &x) in series.iter().enumerate() {
-            z = self.lambda * x + (1.0 - self.lambda) * z;
-            let t = (i + 1) as f64;
-            let var_factor =
-                self.lambda / (2.0 - self.lambda) * (1.0 - (1.0 - self.lambda).powf(2.0 * t));
-            let width = self.l * self.sigma * var_factor.sqrt();
-            if (z - self.mean).abs() > width {
-                signals.push(Signal {
-                    index: i,
-                    rule: "ewma".into(),
-                    detail: format!(
-                        "EWMA {z:.4} outside {:.4} ± {width:.4}",
-                        self.mean
-                    ),
-                });
-            }
-        }
-        record_evaluation(series.len(), signals.len());
-        signals
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn record_signals_writes_inspect_events() {
-        use crate::audit::{AuditAction, AuditTrail};
+    fn evaluation_ticks_spc_counters() {
         let c = IndividualsChart::with_params(10.0, 0.2);
         let before = dq_obs::registry().snapshot();
         let signals = c.evaluate(&[10.1, 9.9, 13.0, 10.0]);
@@ -405,29 +200,14 @@ mod tests {
         let after = dq_obs::registry().snapshot();
         assert!(after.counter("admin.spc.samples") >= before.counter("admin.spc.samples") + 4);
         assert!(after.counter("admin.spc.signals") > before.counter("admin.spc.signals"));
-        let mut trail = AuditTrail::new();
-        record_signals(
-            &mut trail,
-            relstore::Date::parse("10-24-91").unwrap(),
-            "spc",
-            "stocks",
-            "price",
-            &signals,
-        );
-        assert_eq!(trail.len(), signals.len());
-        let e = &trail.events()[0];
-        assert_eq!(e.action, AuditAction::Inspect);
-        assert_eq!(e.column.as_deref(), Some("price"));
-        assert!(e.detail.contains("SPC rule WE1"));
     }
 
     #[test]
-    fn individuals_fit_and_limits() {
+    fn individuals_fit() {
         let baseline = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.1, 9.9];
         let c = IndividualsChart::fit(&baseline).unwrap();
-        assert!((c.mean() - 10.0).abs() < 0.1);
-        let (lcl, ucl) = c.limits();
-        assert!(lcl < 10.0 && ucl > 10.0);
+        assert!((c.mean - 10.0).abs() < 0.1);
+        assert!(c.sigma > 0.0);
         assert!(IndividualsChart::fit(&[1.0]).is_none());
     }
 
@@ -479,34 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn xbar_r_chart() {
-        let baseline: Vec<Vec<f64>> = (0..20)
-            .map(|i| {
-                let base = 10.0 + (i % 3) as f64 * 0.1;
-                vec![base, base + 0.2, base - 0.2, base + 0.1]
-            })
-            .collect();
-        let c = XBarRChart::fit(&baseline).unwrap();
-        let (xl, xc, xu) = c.xbar_limits();
-        assert!(xl < xc && xc < xu);
-        // in-control subgroup passes
-        assert!(c.evaluate(&[vec![10.0, 10.1, 9.9, 10.2]]).is_empty());
-        // shifted subgroup mean caught
-        let sig = c.evaluate(&[vec![12.0, 12.1, 11.9, 12.2]]);
-        assert!(sig.iter().any(|s| s.rule == "xbar"));
-        // exploded range caught
-        let sig = c.evaluate(&[vec![8.0, 12.0, 10.0, 10.0]]);
-        assert!(sig.iter().any(|s| s.rule == "range"));
-        // wrong size flagged
-        let sig = c.evaluate(&[vec![10.0, 10.0]]);
-        assert!(sig.iter().any(|s| s.rule == "size"));
-        // bad fits
-        assert!(XBarRChart::fit(&[]).is_none());
-        assert!(XBarRChart::fit(&[vec![1.0]]).is_none()); // n=1 unsupported
-        assert!(XBarRChart::fit(&[vec![1.0, 2.0], vec![1.0]]).is_none());
-    }
-
-    #[test]
     fn p_chart_error_rates() {
         // baseline: ~2% error rate in batches of 500
         let baseline = [10, 9, 11, 10, 12, 8, 10, 10];
@@ -519,18 +271,5 @@ mod tests {
         assert_eq!(sig.len(), 1);
         assert!(PChart::fit(&[], 500).is_none());
         assert!(PChart::fit(&[1], 0).is_none());
-    }
-
-    #[test]
-    fn ewma_detects_small_shift_shewhart_misses() {
-        let shew = IndividualsChart::with_params(0.0, 1.0);
-        let ewma = Ewma::new(0.0, 1.0, 0.2, 2.7);
-        // persistent +1σ shift: never beyond 3σ (WE1 silent) but EWMA fires
-        let series = vec![1.0; 20];
-        assert!(!shew.evaluate(&series).iter().any(|s| s.rule == "WE1"));
-        assert!(!ewma.evaluate(&series).is_empty());
-        // in-control noise stays quiet
-        let noise = [0.1, -0.2, 0.05, -0.1, 0.15, -0.05];
-        assert!(ewma.evaluate(&noise).is_empty());
     }
 }

@@ -59,11 +59,6 @@ impl CandidateCatalog {
         self.attrs.values().filter(|a| a.kind == kind).collect()
     }
 
-    /// Attributes of one scope.
-    pub fn by_scope(&self, scope: ConcernScope) -> Vec<&QualityAttribute> {
-        self.attrs.values().filter(|a| a.scope == scope).collect()
-    }
-
     /// Pairs `(a, b)` with `a` declaring `b` as related — the Premise-1.2
     /// non-orthogonality graph.
     pub fn non_orthogonal_pairs(&self) -> Vec<(&str, &str)> {
@@ -262,7 +257,7 @@ mod tests {
             ConcernScope::Service,
             ConcernScope::User,
         ] {
-            assert!(!c.by_scope(scope).is_empty(), "no attrs in {scope}");
+            assert!(c.all().any(|a| a.scope == scope), "no attrs in {scope}");
         }
     }
 

@@ -37,14 +37,13 @@ pub mod views;
 pub use catalog::CandidateCatalog;
 pub use derive::{default_rules, DerivabilityRule};
 pub use mapping::{
-    AccuracyFromCollectionMethod, CompositeMapper, CredibilityFromSource, MappingContext,
-    ParameterMapper, QualityLevel, TimelinessFromAge,
+    CredibilityFromSource, MappingContext, ParameterMapper, QualityLevel, TimelinessFromAge,
 };
 pub use methodology::{
     promote_indicator_to_attribute, step1_application_view, step4_integrate, suggest_indicators,
     Step2, Step3,
 };
-pub use profiles::{ProfileRegistry, QualityStandard, StandardOp, UserProfile};
+pub use profiles::{QualityStandard, StandardOp, UserProfile};
 pub use taxonomy::{AttributeKind, ConcernScope, QualityAttribute};
 pub use views::{
     ApplicationView, IndicatorAnnotation, IntegrationNote, ParameterAnnotation, ParameterView,

@@ -104,12 +104,6 @@ impl CredibilityFromSource {
         self.table.insert(source.into(), score.clamp(0.0, 1.0));
         self
     }
-
-    /// Sets the default score for unknown sources.
-    pub fn with_default(mut self, score: f64) -> Self {
-        self.default = Some(score.clamp(0.0, 1.0));
-        self
-    }
 }
 
 impl ParameterMapper for CredibilityFromSource {
@@ -158,77 +152,6 @@ impl ParameterMapper for TimelinessFromAge {
     }
 }
 
-/// Accuracy from the `collection_method` indicator — "different means of
-/// capturing data ... each has inherent accuracy implications. Error
-/// rates may differ from device to device."
-#[derive(Debug, Clone, Default)]
-pub struct AccuracyFromCollectionMethod {
-    table: BTreeMap<String, f64>,
-}
-
-impl AccuracyFromCollectionMethod {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rates a collection method (builder style).
-    pub fn rate(mut self, method: impl Into<String>, score: f64) -> Self {
-        self.table.insert(method.into(), score.clamp(0.0, 1.0));
-        self
-    }
-}
-
-impl ParameterMapper for AccuracyFromCollectionMethod {
-    fn parameter(&self) -> &str {
-        "accuracy"
-    }
-
-    fn score(&self, cell: &QualityCell, _ctx: &MappingContext) -> Option<f64> {
-        match cell.tag_value("collection_method") {
-            Value::Text(m) => self.table.get(&m).copied(),
-            _ => None,
-        }
-    }
-}
-
-/// Combines several mappers; overall quality is the *minimum* score across
-/// parameters that could be evaluated (weakest-dimension semantics),
-/// `None` if no mapper applied.
-pub struct CompositeMapper {
-    mappers: Vec<Box<dyn ParameterMapper>>,
-}
-
-impl CompositeMapper {
-    /// Builds from boxed mappers.
-    pub fn new(mappers: Vec<Box<dyn ParameterMapper>>) -> Self {
-        CompositeMapper { mappers }
-    }
-
-    /// Minimum score across applicable mappers.
-    pub fn overall_score(&self, cell: &QualityCell, ctx: &MappingContext) -> Option<f64> {
-        let scores: Vec<f64> = self
-            .mappers
-            .iter()
-            .filter_map(|m| m.score(cell, ctx))
-            .collect();
-        scores.into_iter().fold(None, |acc, s| {
-            Some(match acc {
-                None => s,
-                Some(a) => a.min(s),
-            })
-        })
-    }
-
-    /// Per-parameter breakdown `(parameter, score)`.
-    pub fn breakdown(&self, cell: &QualityCell, ctx: &MappingContext) -> Vec<(&str, f64)> {
-        self.mappers
-            .iter()
-            .filter_map(|m| m.score(cell, ctx).map(|s| (m.parameter(), s)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +190,10 @@ mod tests {
         let cell = QualityCell::bare(700i64).with_tag(IndicatorValue::new("source", "rumor"));
         assert_eq!(m.score(&cell, &ctx()), None);
         // with default
-        let m = m.with_default(0.1);
+        let m = CredibilityFromSource {
+            default: Some(0.1),
+            ..m
+        };
         assert_eq!(m.score(&cell, &ctx()), Some(0.1));
         // untagged cell → unknown
         assert_eq!(m.score(&QualityCell::bare(1i64), &ctx()), None);
@@ -314,39 +240,5 @@ mod tests {
         };
         let cell = QualityCell::bare(1i64).with_tag(IndicatorValue::new("age", 15i64));
         assert!(hi.score(&cell, &ctx()).unwrap() < lo.score(&cell, &ctx()).unwrap());
-    }
-
-    #[test]
-    fn accuracy_by_collection_method() {
-        let m = AccuracyFromCollectionMethod::new()
-            .rate("bar code scanner", 0.99)
-            .rate("over the phone", 0.80)
-            .rate("voice decoder", 0.70);
-        let cell = QualityCell::bare("555-0100")
-            .with_tag(IndicatorValue::new("collection_method", "over the phone"));
-        assert_eq!(m.score(&cell, &ctx()), Some(0.80));
-        assert_eq!(m.parameter(), "accuracy");
-    }
-
-    #[test]
-    fn composite_weakest_dimension() {
-        let comp = CompositeMapper::new(vec![
-            Box::new(CredibilityFromSource::new().rate("NYSE", 0.9)),
-            Box::new(TimelinessFromAge {
-                volatility_days: 10.0,
-                sensitivity: 1.0,
-            }),
-        ]);
-        let cell = QualityCell::bare(10.0)
-            .with_tag(IndicatorValue::new("source", "NYSE"))
-            .with_tag(IndicatorValue::new("age", 5i64));
-        assert_eq!(comp.overall_score(&cell, &ctx()), Some(0.5)); // timeliness is weaker
-        let bd = comp.breakdown(&cell, &ctx());
-        assert_eq!(bd.len(), 2);
-        // only one applicable
-        let cell = QualityCell::bare(10.0).with_tag(IndicatorValue::new("age", 5i64));
-        assert_eq!(comp.overall_score(&cell, &ctx()), Some(0.5));
-        // none applicable
-        assert_eq!(comp.overall_score(&QualityCell::bare(1i64), &ctx()), None);
     }
 }

@@ -235,6 +235,7 @@ impl Step3 {
     /// Adds an indicator with no corresponding parameter (the paper's
     /// quality view includes e.g. `company_name` purely "to enhance the
     /// interpretability of ticker symbol").
+    #[cfg(test)]
     pub fn indicator(mut self, target: Target, def: IndicatorDef) -> DbResult<Self> {
         target.validate_in(&self.pv.app.er)?;
         self.indicators.push(IndicatorAnnotation {
@@ -599,10 +600,11 @@ mod tests {
     fn full_paper_pipeline() {
         let qv = paper_quality_view();
         assert_eq!(qv.parameters.len(), 5);
+        let report = Target::attr("company_stock", "research_report");
         assert!(qv
-            .indicators_on(&Target::attr("company_stock", "research_report"))
+            .indicators
             .iter()
-            .any(|i| i.def.name == "media"));
+            .any(|i| i.target == report && i.def.name == "media"));
 
         let qs = step4_integrate(
             "trading_quality",

@@ -67,12 +67,6 @@ impl QualityStandard {
         }
     }
 
-    /// Restricts the standard to rows matching `scope` (builder style).
-    pub fn scoped(mut self, scope: Expr) -> Self {
-        self.scope = Some(scope);
-        self
-    }
-
     /// Compiles to an expression over the tagged relation's pseudo-schema.
     /// A scoped standard becomes `NOT scope OR constraint` — rows outside
     /// the scope pass unconditionally.
@@ -250,26 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_standard_premise_3() {
-        // Premise 3: higher standards only for companies of interest —
-        // here, strict freshness only for Bob's record.
-        let strict_for_bob = QualityStandard::new(
-            "address",
-            "creation_time",
-            StandardOp::Ge,
-            Value::Date(Date::parse("1-1-91").unwrap()),
-        )
-        .scoped(Expr::col("person").eq(Expr::lit("Bob")));
-        let p = UserProfile::new("analyst", "").with_standard(strict_for_bob);
-        let out = p.filter(&addresses()).unwrap();
-        // Bob fails the scoped standard; Ann and Cyd are out of scope → pass
-        assert_eq!(out.len(), 2);
-        assert!(out
-            .iter()
-            .all(|r| r[0].value != Value::text("Bob")));
-    }
-
-    #[test]
     fn standards_conjoin() {
         let p = UserProfile::new("u", "")
             .with_standard(QualityStandard::new(
@@ -333,124 +307,5 @@ mod tests {
         ));
         // Dee's address has no source tag → cannot satisfy any standard
         assert_eq!(p.filter(&rel).unwrap().len(), 3);
-    }
-}
-
-/// A persistent registry of stored quality profiles, keyed by name —
-/// §4: "Data quality profiles may be stored for different applications."
-/// Serializable, so the registry itself is part of the quality
-/// requirements documentation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProfileRegistry {
-    profiles: std::collections::BTreeMap<String, UserProfile>,
-}
-
-impl ProfileRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores (or replaces) a profile under its own user/application name.
-    pub fn store(&mut self, profile: UserProfile) {
-        self.profiles.insert(profile.user.clone(), profile);
-    }
-
-    /// Looks up a profile by name.
-    pub fn get(&self, name: &str) -> Option<&UserProfile> {
-        self.profiles.get(name)
-    }
-
-    /// Removes a profile, returning it.
-    pub fn remove(&mut self, name: &str) -> Option<UserProfile> {
-        self.profiles.remove(name)
-    }
-
-    /// All stored profile names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.profiles.keys().map(String::as_str).collect()
-    }
-
-    /// Applies the named profile to a relation.
-    pub fn filter_as(&self, name: &str, rel: &TaggedRelation) -> DbResult<TaggedRelation> {
-        let p = self.get(name).ok_or_else(|| {
-            relstore::DbError::InvalidExpression(format!("no stored profile `{name}`"))
-        })?;
-        p.filter(rel)
-    }
-
-    /// JSON export of the whole registry.
-    pub fn to_json(&self) -> DbResult<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| relstore::DbError::ParseError(e.to_string()))
-    }
-
-    /// Parses a registry back from JSON.
-    pub fn from_json(json: &str) -> DbResult<Self> {
-        serde_json::from_str(json).map_err(|e| relstore::DbError::ParseError(e.to_string()))
-    }
-}
-
-#[cfg(test)]
-mod registry_tests {
-    use super::*;
-    use relstore::{DataType, Schema};
-    use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell};
-
-    fn rel() -> TaggedRelation {
-        let schema = Schema::of(&[("address", DataType::Text)]);
-        TaggedRelation::new(
-            schema,
-            IndicatorDictionary::with_paper_defaults(),
-            vec![
-                vec![QualityCell::bare("1 Elm St")
-                    .with_tag(IndicatorValue::new("source", "registry"))],
-                vec![QualityCell::bare("9 Oak Av")
-                    .with_tag(IndicatorValue::new("source", "purchased list"))],
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn store_lookup_apply() {
-        let mut reg = ProfileRegistry::new();
-        reg.store(UserProfile::new("mass_mailing", "no constraints"));
-        reg.store(
-            UserProfile::new("fund_raising", "strict").with_standard(QualityStandard::new(
-                "address",
-                "source",
-                StandardOp::Ne,
-                "purchased list",
-            )),
-        );
-        assert_eq!(reg.names(), vec!["fund_raising", "mass_mailing"]);
-        assert_eq!(reg.filter_as("mass_mailing", &rel()).unwrap().len(), 2);
-        assert_eq!(reg.filter_as("fund_raising", &rel()).unwrap().len(), 1);
-        assert!(reg.filter_as("ghost", &rel()).is_err());
-    }
-
-    #[test]
-    fn replace_and_remove() {
-        let mut reg = ProfileRegistry::new();
-        reg.store(UserProfile::new("app", "v1"));
-        reg.store(UserProfile::new("app", "v2"));
-        assert_eq!(reg.get("app").unwrap().description, "v2");
-        assert!(reg.remove("app").is_some());
-        assert!(reg.get("app").is_none());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut reg = ProfileRegistry::new();
-        reg.store(
-            UserProfile::new("trader", "fresh quotes only").with_standard(
-                QualityStandard::new("share_price", "age", StandardOp::Le, 1i64),
-            ),
-        );
-        let json = reg.to_json().unwrap();
-        let back = ProfileRegistry::from_json(&json).unwrap();
-        assert_eq!(back, reg);
-        assert!(ProfileRegistry::from_json("{bad").is_err());
     }
 }

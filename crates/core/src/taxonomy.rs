@@ -110,11 +110,6 @@ impl QualityAttribute {
         self.related.push(other.into());
         self
     }
-
-    /// True iff this attribute is subjective (a parameter).
-    pub fn is_parameter(&self) -> bool {
-        self.kind == AttributeKind::Parameter
-    }
 }
 
 #[cfg(test)]
@@ -125,8 +120,6 @@ mod tests {
     fn figure1_partition() {
         let t = QualityAttribute::parameter("timeliness", ConcernScope::Data, "how current");
         let a = QualityAttribute::indicator("age", ConcernScope::Data, "days since creation");
-        assert!(t.is_parameter());
-        assert!(!a.is_parameter());
         assert_eq!(t.kind.to_string(), "parameter (subjective)");
         assert_eq!(a.kind.to_string(), "indicator (objective)");
     }

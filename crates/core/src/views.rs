@@ -1,7 +1,6 @@
 //! The methodology's intermediate artifacts: application view, parameter
 //! view, quality view, and the integrated quality schema (Figure 2).
 
-use crate::taxonomy::AttributeKind;
 use er_model::ErSchema;
 use relstore::{DbError, DbResult};
 use serde::{Deserialize, Serialize};
@@ -145,16 +144,6 @@ pub struct QualityView {
     pub indicators: Vec<IndicatorAnnotation>,
 }
 
-impl QualityView {
-    /// Indicators attached to a target.
-    pub fn indicators_on(&self, target: &Target) -> Vec<&IndicatorAnnotation> {
-        self.indicators
-            .iter()
-            .filter(|a| &a.target == target)
-            .collect()
-    }
-}
-
 /// A note recorded during Step-4 integration (derivability collapse,
 /// structural re-examination, conflict resolution).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -195,14 +184,6 @@ impl QualitySchema {
         Ok(d)
     }
 
-    /// Indicators expected on a given target.
-    pub fn indicators_on(&self, target: &Target) -> Vec<&IndicatorAnnotation> {
-        self.indicators
-            .iter()
-            .filter(|a| &a.target == target)
-            .collect()
-    }
-
     /// All distinct indicator names in the schema.
     pub fn indicator_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self
@@ -218,14 +199,6 @@ impl QualitySchema {
     /// Kind statistics: `(parameters documented, indicators integrated)`.
     pub fn census(&self) -> (usize, usize) {
         (self.parameters.len(), self.indicators.len())
-    }
-}
-
-/// Which of Figure 1's kinds an annotation embodies (used by renderers).
-pub fn annotation_kind_of(parameter_or_indicator: AttributeKind) -> er_model::AnnotationKind {
-    match parameter_or_indicator {
-        AttributeKind::Parameter => er_model::AnnotationKind::Parameter,
-        AttributeKind::Indicator => er_model::AnnotationKind::Indicator,
     }
 }
 

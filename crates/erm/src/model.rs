@@ -254,23 +254,6 @@ impl ErSchema {
         }
         Ok(())
     }
-
-    /// All `(owner, attribute)` pairs in the schema — the sites to which
-    /// quality parameters can attach in Step 2.
-    pub fn attribute_sites(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for e in &self.entities {
-            for a in &e.attributes {
-                out.push((e.name.clone(), a.name.clone()));
-            }
-        }
-        for r in &self.relationships {
-            for a in &r.attributes {
-                out.push((r.name.clone(), a.name.clone()));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -353,13 +336,5 @@ mod tests {
                 ("ghost", Cardinality::Many),
             ));
         assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn attribute_sites_enumerated() {
-        let sites = figure3().attribute_sites();
-        assert!(sites.contains(&("client".into(), "telephone".into())));
-        assert!(sites.contains(&("trade".into(), "quantity".into())));
-        assert_eq!(sites.len(), 4 + 3 + 3);
     }
 }

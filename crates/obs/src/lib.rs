@@ -70,10 +70,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Upper bucket boundaries in microseconds (each bucket counts samples
@@ -139,14 +135,6 @@ impl Histogram {
     pub fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_us.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A span timer: measures from creation to drop and records the elapsed
@@ -155,13 +143,6 @@ impl Histogram {
 pub struct Span<'a> {
     hist: &'a Histogram,
     begin: Instant,
-}
-
-impl Span<'_> {
-    /// Elapsed time so far (the span keeps running).
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.begin.elapsed()
-    }
 }
 
 impl Drop for Span<'_> {
@@ -180,11 +161,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// New empty registry (tests; production code uses [`registry`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock().expect("obs registry poisoned");
@@ -236,17 +212,6 @@ impl MetricsRegistry {
         Snapshot {
             counters,
             histograms,
-        }
-    }
-
-    /// Zeroes every instrument (handles stay valid). Tests isolate
-    /// themselves with this; production code never needs it.
-    pub fn reset(&self) {
-        for c in self.counters.lock().expect("obs registry poisoned").values() {
-            c.reset();
-        }
-        for h in self.histograms.lock().expect("obs registry poisoned").values() {
-            h.reset();
         }
     }
 }
@@ -394,15 +359,13 @@ mod tests {
 
     #[test]
     fn counter_counts() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         let c = r.counter("a");
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
         // same name → same instrument
         assert_eq!(r.counter("a").get(), 5);
-        r.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -414,7 +377,7 @@ mod tests {
         h.record_us(2_000_000); // overflow bucket
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum_us(), 2_000_008);
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         let hh = r.histogram("h");
         hh.record_us(3);
         let snap = r.snapshot();
@@ -426,7 +389,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_bucket_upper_bounds() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         let h = r.histogram("q.us");
         assert_eq!(r.snapshot().histograms["q.us"].quantile_us(0.5), 0);
         for _ in 0..98 {
@@ -450,7 +413,7 @@ mod tests {
 
     #[test]
     fn span_records_on_drop() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         let h = r.histogram("span.us");
         {
             let _s = h.start();
@@ -460,7 +423,7 @@ mod tests {
 
     #[test]
     fn snapshot_renders_and_validates() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.counter("x.events").add(3);
         r.histogram("x.us").record_us(10);
         let snap = r.snapshot();
@@ -502,7 +465,7 @@ mod tests {
 
     #[test]
     fn atomics_are_thread_safe() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         let c = r.counter("t");
         let h = r.histogram("t.us");
         std::thread::scope(|s| {

@@ -43,6 +43,7 @@ pub struct PolyCell {
 
 impl PolyCell {
     /// A cell originating from a single source.
+    #[cfg(test)]
     pub fn originated(value: impl Into<Value>, source: SourceId) -> Self {
         let mut originating = SourceSet::new();
         originating.insert(source);
@@ -64,6 +65,7 @@ impl PolyCell {
     }
 
     /// A cell with no provenance (e.g. a computed literal).
+    #[cfg(test)]
     pub fn bare(value: impl Into<Value>) -> Self {
         PolyCell {
             value: value.into(),
@@ -82,14 +84,8 @@ impl PolyCell {
         &self.intermediate
     }
 
-    /// Adds one originating source (un-shares first if needed).
-    pub fn add_originating(&mut self, source: SourceId) {
-        if !self.originating.contains(&source) {
-            Arc::make_mut(&mut self.originating).insert(source);
-        }
-    }
-
     /// Adds one intermediate source (un-shares first if needed).
+    #[cfg(test)]
     pub fn add_intermediate(&mut self, source: SourceId) {
         if !self.intermediate.contains(&source) {
             Arc::make_mut(&mut self.intermediate).insert(source);
@@ -133,20 +129,6 @@ impl PolyCell {
             Arc::make_mut(&mut self.intermediate).extend(other.intermediate.iter().cloned());
         }
     }
-
-    /// All sources that touched this cell (originating ∪ intermediate).
-    pub fn lineage(&self) -> SourceSet {
-        self.originating
-            .union(&self.intermediate)
-            .cloned()
-            .collect()
-    }
-
-    /// True iff both cells share the same physical originating set — the
-    /// zero-copy propagation tests assert on this.
-    pub fn shares_originating_with(&self, other: &PolyCell) -> bool {
-        Arc::ptr_eq(&self.originating, &other.originating)
-    }
 }
 
 impl fmt::Display for PolyCell {
@@ -172,14 +154,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn originated_has_single_source() {
-        let c = PolyCell::originated(42i64, SourceId::new("db1"));
-        assert_eq!(c.originating().len(), 1);
-        assert!(c.intermediate().is_empty());
-        assert_eq!(c.value, Value::Int(42));
-    }
-
-    #[test]
     fn consult_grows_intermediate_only() {
         let mut c = PolyCell::originated("x", SourceId::new("a"));
         let mut consulted = SourceSet::new();
@@ -201,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn lineage_is_union() {
-        let mut c = PolyCell::originated(1i64, SourceId::new("a"));
-        c.add_intermediate(SourceId::new("b"));
-        let l = c.lineage();
-        assert!(l.contains(&SourceId::new("a")));
-        assert!(l.contains(&SourceId::new("b")));
-        assert_eq!(l.len(), 2);
-    }
-
-    #[test]
     fn display_format() {
         let mut c = PolyCell::originated(7i64, SourceId::new("a"));
         c.add_intermediate(SourceId::new("b"));
@@ -223,15 +187,9 @@ mod tests {
         let shared = Arc::new(SourceSet::from([SourceId::new("a")]));
         let x = PolyCell::originated_shared(1i64, Arc::clone(&shared));
         let y = PolyCell::originated_shared(2i64, Arc::clone(&shared));
-        assert!(x.shares_originating_with(&y));
+        assert!(Arc::ptr_eq(&x.originating, &y.originating));
         // clones still share
-        assert!(x.clone().shares_originating_with(&y));
-        // mutation un-shares only the mutated cell
-        let mut z = x.clone();
-        z.add_originating(SourceId::new("b"));
-        assert!(!z.shares_originating_with(&x));
-        assert_eq!(x.originating().len(), 1);
-        assert_eq!(z.originating().len(), 2);
+        assert!(Arc::ptr_eq(&x.clone().originating, &y.originating));
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //! | retrieve | the local source | ∅ |
 //! | project π | unchanged | unchanged |
 //! | restrict σ | unchanged | + originating sources of the cells the predicate examined in that tuple |
-//! | product × | unchanged | unchanged |
 //! | join ⋈ | unchanged | + originating sources of both join-key cells |
 //! | union ∪ | duplicates coalesce, source sets merge | merged |
-//! | difference − | unchanged | + originating sources of the subtrahend's corresponding column cells (non-membership consulted them) |
 
 use crate::cell::{PolyCell, SourceSet};
 use crate::source::SourceId;
@@ -32,14 +30,6 @@ pub struct PolyRelation {
 }
 
 impl PolyRelation {
-    /// Empty polygen relation.
-    pub fn empty(schema: Schema) -> Self {
-        PolyRelation {
-            schema,
-            rows: Vec::new(),
-        }
-    }
-
     /// **retrieve** — lifts a local relation into the polygen algebra with
     /// every cell originating from `source`. All cells share **one**
     /// originating-set allocation.
@@ -62,6 +52,7 @@ impl PolyRelation {
     }
 
     /// Builds from parts, validating values against the schema.
+    #[cfg(test)]
     pub fn new(schema: Schema, rows: Vec<PolyRow>) -> DbResult<Self> {
         for r in &rows {
             let values: Row = r.iter().map(|c| c.value.clone()).collect();
@@ -77,11 +68,6 @@ impl PolyRelation {
     /// Schema accessor.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Rows accessor.
-    pub fn rows(&self) -> &[PolyRow] {
-        &self.rows
     }
 
     /// Row count.
@@ -180,20 +166,6 @@ impl PolyRelation {
         Ok(PolyRelation::from_parts(schema, self.rows.clone()))
     }
 
-    /// × — Cartesian product.
-    pub fn product(&self, other: &PolyRelation) -> DbResult<PolyRelation> {
-        let schema = self.schema.join(&other.schema, "l", "r")?;
-        let mut rows = Vec::with_capacity(self.len() * other.len());
-        for lr in &self.rows {
-            for rr in &other.rows {
-                let mut row = lr.clone();
-                row.extend(rr.iter().cloned());
-                rows.push(row);
-            }
-        }
-        Ok(PolyRelation::from_parts(schema, rows))
-    }
-
     /// ⋈ — equi-join. Every output cell gains the originating sources of
     /// both join-key cells as intermediate sources: the match *consulted*
     /// both sides' keys.
@@ -261,40 +233,6 @@ impl PolyRelation {
             }
         }
         Ok(PolyRelation::from_parts(self.schema.clone(), out))
-    }
-
-    /// − — difference. Kept tuples gain, as intermediate sources, the
-    /// originating sources present in the subtrahend's matching columns
-    /// (deciding non-membership consulted the subtrahend).
-    pub fn difference(&self, other: &PolyRelation) -> DbResult<PolyRelation> {
-        if !self.schema.union_compatible(&other.schema) {
-            return Err(DbError::TypeMismatch {
-                expected: format!("union-compatible schemas ({})", self.schema),
-                found: other.schema.to_string(),
-            });
-        }
-        // Sources of the whole subtrahend, per column.
-        let arity = self.schema.arity();
-        let mut col_sources: Vec<SourceSet> = vec![SourceSet::new(); arity];
-        let mut other_values: std::collections::HashSet<Row> = std::collections::HashSet::new();
-        for row in &other.rows {
-            for (i, cell) in row.iter().enumerate() {
-                col_sources[i].extend(cell.originating().iter().cloned());
-            }
-            other_values.insert(row.iter().map(|c| c.value.clone()).collect());
-        }
-        let mut rows = Vec::new();
-        for row in &self.rows {
-            let key: Row = row.iter().map(|c| c.value.clone()).collect();
-            if !other_values.contains(&key) {
-                let mut out = row.clone();
-                for (i, cell) in out.iter_mut().enumerate() {
-                    cell.consult(&col_sources[i]);
-                }
-                rows.push(out);
-            }
-        }
-        Ok(PolyRelation::from_parts(self.schema.clone(), rows))
     }
 
     /// Renders with provenance, `value <originating; intermediate>`.
@@ -386,7 +324,7 @@ mod tests {
         let r = s.restrict(&Expr::col("price").gt(Expr::lit(15.0))).unwrap();
         assert_eq!(r.len(), 1);
         // every retained cell consulted the price cell's source
-        for cell in &r.rows()[0] {
+        for cell in &r.rows[0] {
             assert!(cell.intermediate().contains(&src("NYSE")));
         }
     }
@@ -395,14 +333,14 @@ mod tests {
     fn project_preserves_provenance() {
         let p = stocks().project(&["price"]).unwrap();
         assert_eq!(p.schema().names(), vec!["price"]);
-        assert!(p.rows()[0][0].originating().contains(&src("NYSE")));
+        assert!(p.rows[0][0].originating().contains(&src("NYSE")));
     }
 
     #[test]
     fn join_consults_both_key_sources() {
         let j = stocks().join(&reports(), "ticker", "ticker").unwrap();
         assert_eq!(j.len(), 1); // only FRT matches
-        for cell in &j.rows()[0] {
+        for cell in &j.rows[0] {
             assert!(cell.intermediate().contains(&src("NYSE")), "{cell}");
             assert!(cell.intermediate().contains(&src("WSJ")), "{cell}");
         }
@@ -431,30 +369,8 @@ mod tests {
     }
 
     #[test]
-    fn difference_consults_subtrahend() {
-        let schema = Schema::of(&[("x", DataType::Int)]);
-        let rel = Relation::new(schema.clone(), vec![vec![Value::Int(1)], vec![Value::Int(2)]])
-            .unwrap();
-        let a = PolyRelation::retrieve(&rel, src("A"));
-        let rel2 = Relation::new(schema, vec![vec![Value::Int(1)]]).unwrap();
-        let b = PolyRelation::retrieve(&rel2, src("B"));
-        let d = a.difference(&b).unwrap();
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.rows()[0][0].value, Value::Int(2));
-        assert!(d.rows()[0][0].intermediate().contains(&src("B")));
-    }
-
-    #[test]
-    fn product_concatenates() {
-        let p = stocks().product(&reports()).unwrap();
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.schema().arity(), 4);
-    }
-
-    #[test]
     fn incompatible_set_ops_rejected() {
         assert!(stocks().union(&reports()).is_err());
-        assert!(stocks().difference(&reports()).is_err());
     }
 
     #[test]

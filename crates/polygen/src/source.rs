@@ -106,21 +106,6 @@ impl SourceRegistry {
                 })
             })
     }
-
-    /// All registered sources, ordered by id.
-    pub fn all(&self) -> impl Iterator<Item = &SourceInfo> {
-        self.sources.values()
-    }
-
-    /// Number of registered sources.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// True iff no sources are registered.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +118,7 @@ mod tests {
         let wsj = r.register("WSJ", "Wall Street Journal", 0.95);
         assert_eq!(r.get(&wsj).unwrap().description, "Wall Street Journal");
         assert_eq!(r.credibility(&wsj), 0.95);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.sources.len(), 1);
     }
 
     #[test]
@@ -159,7 +144,7 @@ mod tests {
         let a = r.register("a", "old", 0.5);
         r.register("a", "new", 0.6);
         assert_eq!(r.get(&a).unwrap().description, "new");
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.sources.len(), 1);
     }
 
     #[test]
@@ -167,7 +152,7 @@ mod tests {
         let mut r = SourceRegistry::new();
         r.register("z", "", 0.1);
         r.register("a", "", 0.2);
-        let ids: Vec<&str> = r.all().map(|s| s.id.as_str()).collect();
+        let ids: Vec<&str> = r.sources.values().map(|s| s.id.as_str()).collect();
         assert_eq!(ids, vec!["a", "z"]);
     }
 }

@@ -23,12 +23,13 @@
 //! cache key. A statement that spells its own `WITH QUALITY (...)`
 //! clause opts out of injection: explicit wins over ambient.
 
-use crate::ast::Statement;
+use crate::ast::{SelectItem, Statement};
 use crate::exec::{execute, execute_traced, QueryCatalog, QueryResult};
 use crate::plan::{Plan, Planner};
 use relstore::{DbError, DbResult, Expr};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use tagstore::{TaggedRelation, TAG_SEP};
 
 /// Supplies ambient `WITH QUALITY` defaults for queries that do not
 /// spell their own. The server binds each session's `dq-core`
@@ -129,11 +130,12 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
-    /// The one statement pipeline: defaults injection → plan → optimize
-    /// → shape. A statement-cache miss runs it with the default planner
-    /// and the session's defaults; [`crate::run_with`], [`crate::explain`]
-    /// and [`crate::explain_analyze`] run it with the caller's planner
-    /// and [`NoDefaults`]. `TAG` statements are refused — they mutate
+    /// The one statement pipeline: indicator check → defaults injection
+    /// → plan → optimize → shape. A statement-cache miss runs it with
+    /// the default planner and the session's defaults;
+    /// [`crate::run_with`], [`crate::explain`] and
+    /// [`crate::explain_analyze`] run it with the caller's planner and
+    /// [`NoDefaults`]. `TAG` statements are refused — they mutate
     /// the catalog and go through [`crate::run_mut`] or
     /// [`crate::prepare_write`].
     pub(crate) fn prepare(
@@ -142,6 +144,7 @@ impl PreparedStatement {
         defaults: &dyn QualityDefaultsProvider,
         planner: &Planner,
     ) -> DbResult<PreparedStatement> {
+        check_indicators(&stmt, catalog)?;
         inject_defaults(&mut stmt, catalog, defaults);
         let optimized = || -> DbResult<Plan> {
             Ok(planner.optimize(planner.plan(&stmt, catalog)?, catalog))
@@ -191,6 +194,71 @@ impl PreparedStatement {
             }
         }
     }
+}
+
+/// Rejects a statement naming a `col@indicator[@meta…]` whose indicators
+/// the dictionary of the relation `col` belongs to does not declare —
+/// with the error `TAG` gives for the same name — instead of letting the
+/// read see an untagged (NULL) cell everywhere. Runs on the statement as
+/// written, before profile defaults are injected; a column that resolves
+/// to no table is left for the planner to report.
+fn check_indicators(stmt: &Statement, catalog: &QueryCatalog) -> DbResult<()> {
+    let (tables, names): (Vec<&str>, Vec<&str>) = match stmt {
+        Statement::Select(q) => {
+            let mut names: Vec<&str> = Vec::new();
+            for item in &q.items {
+                match item {
+                    SelectItem::Column { name, .. } => names.push(name),
+                    SelectItem::Aggregate {
+                        column: Some(c), ..
+                    } => names.push(c),
+                    _ => {}
+                }
+            }
+            let exprs = q.where_clause.iter().chain(&q.quality).chain(&q.having);
+            names.extend(exprs.flat_map(Expr::referenced_columns));
+            names.extend(q.group_by.iter().map(String::as_str));
+            names.extend(q.order_by.iter().map(|o| o.column.as_str()));
+            let mut tables = vec![q.table.as_str()];
+            tables.extend(q.join.as_ref().map(|j| j.table.as_str()));
+            (tables, names)
+        }
+        Statement::Inspect { table, filter } => (
+            vec![table.as_str()],
+            filter.iter().flat_map(Expr::referenced_columns).collect(),
+        ),
+        Statement::Explain { inner, .. } => return check_indicators(inner, catalog),
+        Statement::Tag { .. } => return Ok(()),
+    };
+    let mut bound = Vec::with_capacity(tables.len());
+    for name in names {
+        let Some((column, path)) = TaggedRelation::split_pseudo(name) else {
+            continue;
+        };
+        if bound.is_empty() {
+            for t in &tables {
+                bound.push(catalog.schema_and_dictionary(t)?);
+            }
+        }
+        // a join prefixes clashing names `l.` / `r.`
+        let owner = match (column.split_once('.'), bound.len()) {
+            (Some(("l", c)), 2) => bound[..1].iter().find(|(s, _)| s.index_of(c).is_some()),
+            (Some(("r", c)), 2) => bound[1..].iter().find(|(s, _)| s.index_of(c).is_some()),
+            _ => {
+                let mut sides = bound.iter().filter(|(s, _)| s.index_of(column).is_some());
+                sides.next().filter(|_| sides.next().is_none())
+            }
+        };
+        let Some((_, dict)) = owner else {
+            continue;
+        };
+        if let Some(ind) = path.split(TAG_SEP).find(|ind| dict.get(ind).is_none()) {
+            return Err(DbError::InvalidExpression(format!(
+                "undeclared indicator `{ind}`"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Injects the provider's default quality predicate into a statement
@@ -244,16 +312,6 @@ impl BoundStatement {
     pub fn run(&self) -> DbResult<QueryResult> {
         self.stmt.execute(&self.snapshot)
     }
-
-    /// The underlying cached plan.
-    pub fn statement(&self) -> &Arc<PreparedStatement> {
-        &self.stmt
-    }
-
-    /// The snapshot the plan was validated against (and will run on).
-    pub fn snapshot(&self) -> &QueryCatalog {
-        &self.snapshot
-    }
 }
 
 /// LRU-ish (FIFO-evicting) prepared-statement cache with generation
@@ -280,16 +338,6 @@ impl PlanCache {
             order: VecDeque::new(),
             capacity: capacity.max(1),
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no statements are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Drops every entry (e.g. after a bulk catalog reload).
@@ -361,46 +409,41 @@ impl PlanCache {
     }
 }
 
-/// A [`QualityDefaultsProvider`] built from a fixed per-table predicate
-/// map — the bridge the server uses after resolving a `dq-core` profile
-/// against each registered table's schema.
-#[derive(Debug, Clone, Default)]
-pub struct TableDefaults {
-    key: String,
-    by_table: HashMap<String, Expr>,
-}
-
-impl TableDefaults {
-    /// Provider identified by `key` (the profile/user name).
-    pub fn new(key: impl Into<String>) -> Self {
-        TableDefaults {
-            key: key.into(),
-            by_table: HashMap::new(),
-        }
-    }
-
-    /// Sets the default predicate for one table (builder style).
-    pub fn with(mut self, table: impl Into<String>, predicate: Expr) -> Self {
-        self.by_table.insert(table.into(), predicate);
-        self
-    }
-}
-
-impl QualityDefaultsProvider for TableDefaults {
-    fn default_quality(&self, _catalog: &QueryCatalog, table: &str) -> Option<Expr> {
-        self.by_table.get(table).cloned()
-    }
-    fn cache_key(&self) -> &str {
-        &self.key
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run;
     use relstore::{DataType, Schema};
     use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
+
+    /// Fixed per-table default predicates under one cache key.
+    struct TableDefaults {
+        key: String,
+        by_table: HashMap<String, Expr>,
+    }
+
+    impl TableDefaults {
+        fn new(key: &str) -> Self {
+            TableDefaults {
+                key: key.into(),
+                by_table: HashMap::new(),
+            }
+        }
+
+        fn with(mut self, table: &str, predicate: Expr) -> Self {
+            self.by_table.insert(table.into(), predicate);
+            self
+        }
+    }
+
+    impl QualityDefaultsProvider for TableDefaults {
+        fn default_quality(&self, _catalog: &QueryCatalog, table: &str) -> Option<Expr> {
+            self.by_table.get(table).cloned()
+        }
+        fn cache_key(&self) -> &str {
+            &self.key
+        }
+    }
 
     fn catalog() -> QueryCatalog {
         let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
@@ -526,7 +569,7 @@ mod tests {
         cache.execute(&c, "SELECT * FROM t WHERE k = 1", &NoDefaults).unwrap();
         cache.execute(&c, "SELECT * FROM t WHERE k = 2", &NoDefaults).unwrap();
         cache.execute(&c, "SELECT * FROM t WHERE k = 3", &NoDefaults).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         let (h0, m0) = (hits(), misses());
         // oldest entry (k = 1) was evicted → miss; k = 3 still cached → hit
         cache.execute(&c, "SELECT * FROM t WHERE k = 1", &NoDefaults).unwrap();
@@ -555,7 +598,7 @@ mod tests {
         .unwrap();
         c.register("t", rel);
         // the validated plan runs on the state that validated it
-        assert_eq!(bound.snapshot().generation() + 1, c.generation());
+        assert_eq!(bound.snapshot.generation() + 1, c.generation());
         assert_eq!(bound.run().unwrap().relation().len(), 20);
         // a fresh execute re-validates and sees the new state
         assert_eq!(cache.execute(&c, sql, &NoDefaults).unwrap().relation().len(), 1);

@@ -5,14 +5,15 @@ use crate::cache::{NoDefaults, PreparedStatement};
 use crate::plan::{AccessPathStats, Plan, Planner, SchemaProvider};
 use relstore::index::HashIndex;
 use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 use tagstore::algebra::{self, TagPolicy, TagRule};
 use tagstore::bitmap::{extract_atoms, QualityIndex};
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
-    hash_join_probe_columnar, hash_join_probe_vectorized, select_columnar,
-    select_indexed_columnar, select_vectorized, BatchStats, QualityCell, TaggedRelation,
+    hash_join_probe_columnar, hash_join_probe_vectorized, select_columnar, select_indexed_columnar,
+    select_vectorized, BatchStats, IndicatorDictionary, QualityCell, TaggedRelation,
     DEFAULT_BATCH_SIZE,
 };
 
@@ -42,6 +43,8 @@ pub struct PagedScanStats {
 pub trait PagedProvider: Send + Sync + std::fmt::Debug {
     /// Application schema of the paged relation.
     fn schema(&self) -> DbResult<Schema>;
+    /// The indicator dictionary the relation's tags are declared in.
+    fn dictionary(&self) -> DbResult<IndicatorDictionary>;
     /// Current row count.
     fn row_count(&self) -> DbResult<u64>;
     /// Full materialization (streamed through the pool with
@@ -304,6 +307,19 @@ impl QueryCatalog {
         v
     }
 
+    /// Schema and indicator dictionary of a resident or paged table —
+    /// what a statement's `col@indicator` names are checked against.
+    pub(crate) fn schema_and_dictionary(
+        &self,
+        name: &str,
+    ) -> DbResult<(Schema, Cow<'_, IndicatorDictionary>)> {
+        if let Some(p) = self.paged.get(name) {
+            return Ok((p.schema()?, Cow::Owned(p.dictionary()?)));
+        }
+        let rel = self.get(name)?;
+        Ok((rel.schema().clone(), Cow::Borrowed(rel.dictionary())))
+    }
+
     /// The resident table's entry: its relation plus the lazily built
     /// access paths (columnar layout, bitmap index, key hash indexes).
     fn entry(&self, table: &str) -> DbResult<&Arc<TableEntry>> {
@@ -403,9 +419,6 @@ pub struct OpTrace {
     pub label: String,
     /// Rows this operator produced.
     pub rows_out: usize,
-    /// Rows entering this operator (sum of child outputs; base-table row
-    /// count for leaf scans).
-    pub rows_in: usize,
     /// Wall-clock time spent in this operator, excluding children.
     pub elapsed: std::time::Duration,
     /// Planner-estimated matching fraction (index access paths only).
@@ -808,7 +821,6 @@ impl Tracer for TraceTree {
             children.push(OpTrace {
                 label: scan.node_line(),
                 rows_out: rows,
-                rows_in: rows,
                 layout: stats.layout,
                 ..OpTrace::default()
             });
@@ -821,7 +833,6 @@ impl Tracer for TraceTree {
         OpTrace {
             label: plan.node_line(),
             rows_out,
-            rows_in: stats.rows_in,
             elapsed,
             est_selectivity: stats.est_selectivity,
             actual_selectivity: stats.selective.then_some(actual),
@@ -1547,7 +1558,6 @@ mod tests {
         let (rel, trace) = execute_traced(&c, &plan).unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(trace.rows_out, 1);
-        assert_eq!(trace.rows_in, 3);
         // 1 of 3 rows matched; the planner estimated exactly that
         assert_eq!(trace.actual_selectivity, Some(1.0 / 3.0));
         assert_eq!(trace.est_selectivity, Some(1.0 / 3.0));
@@ -1974,6 +1984,9 @@ mod paged_tests {
     impl PagedProvider for MemPaged {
         fn schema(&self) -> DbResult<Schema> {
             Ok(self.rel.schema().clone())
+        }
+        fn dictionary(&self) -> DbResult<IndicatorDictionary> {
+            Ok(self.rel.dictionary().clone())
         }
         fn row_count(&self) -> DbResult<u64> {
             Ok(self.rel.len() as u64)

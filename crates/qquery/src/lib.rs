@@ -38,8 +38,7 @@ pub mod token;
 
 pub use ast::{JoinClause, OrderItem, SelectItem, SelectQuery, Statement};
 pub use cache::{
-    normalize, BoundStatement, NoDefaults, PlanCache, PreparedStatement,
-    QualityDefaultsProvider, TableDefaults,
+    normalize, BoundStatement, NoDefaults, PlanCache, PreparedStatement, QualityDefaultsProvider,
 };
 pub use exec::{
     default_agg_policies, execute, execute_traced, explain, explain_analyze, prepare_write, run,

@@ -116,8 +116,9 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// Depth-first operator count (used in tests/benches to verify
-    /// pushdown changed the shape).
+    /// Depth-first operator count (used in tests to verify pushdown
+    /// changed the shape).
+    #[cfg(test)]
     pub fn operator_count(&self) -> usize {
         match self {
             Plan::Scan(_) | Plan::IndexScan { .. } | Plan::PagedIndexScan { .. } => 1,
@@ -135,6 +136,7 @@ impl Plan {
     /// True if a `Filter` (or an `IndexScan`, which is a fused
     /// filter+scan) appears beneath a `Join`/`IndexJoin` (evidence of
     /// pushdown).
+    #[cfg(test)]
     pub fn has_filter_below_join(&self) -> bool {
         fn contains_filter(p: &Plan) -> bool {
             match p {

@@ -1,11 +1,6 @@
-//! Join algorithms: nested-loop θ-join, hash equi-join, sort-merge join.
-//!
-//! All three produce the same result for equi-joins (see the property test
-//! in `tests`); the separate implementations exist so benchmark B1 can
-//! compare tag-propagation overhead across algorithm classes.
+//! Hash equi-join, inner or left outer.
 
-use crate::error::{DbError, DbResult};
-use crate::expr::Expr;
+use crate::error::DbResult;
 use crate::par;
 use crate::relation::{Relation, Row};
 use crate::value::Value;
@@ -18,68 +13,6 @@ pub enum JoinType {
     Inner,
     /// Keep all left rows; unmatched are padded with NULLs.
     LeftOuter,
-}
-
-/// θ-join via nested loops: most general, accepts any predicate over the
-/// combined schema.
-pub fn theta_join(
-    left: &Relation,
-    right: &Relation,
-    predicate: &Expr,
-    join_type: JoinType,
-) -> DbResult<Relation> {
-    let schema = left.schema().join(right.schema(), "l", "r")?;
-    let mut rows = Vec::new();
-    for lr in left.iter() {
-        let mut matched = false;
-        for rr in right.iter() {
-            let mut combined = lr.clone();
-            combined.extend(rr.iter().cloned());
-            if predicate.eval_predicate(&schema, &combined)? {
-                rows.push(combined);
-                matched = true;
-            }
-        }
-        if !matched && join_type == JoinType::LeftOuter {
-            let mut combined = lr.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right.schema().arity()));
-            rows.push(combined);
-        }
-    }
-    Ok(Relation::from_parts_unchecked(schema, rows))
-}
-
-/// Equi-join via nested loops on named key columns.
-pub fn nested_loop_join(
-    left: &Relation,
-    right: &Relation,
-    left_key: &str,
-    right_key: &str,
-    join_type: JoinType,
-) -> DbResult<Relation> {
-    let li = left.schema().resolve(left_key)?;
-    let ri = right.schema().resolve(right_key)?;
-    let schema = left.schema().join(right.schema(), "l", "r")?;
-    let mut rows = Vec::new();
-    for lr in left.iter() {
-        let mut matched = false;
-        if !lr[li].is_null() {
-            for rr in right.iter() {
-                if !rr[ri].is_null() && lr[li] == rr[ri] {
-                    let mut combined = lr.clone();
-                    combined.extend(rr.iter().cloned());
-                    rows.push(combined);
-                    matched = true;
-                }
-            }
-        }
-        if !matched && join_type == JoinType::LeftOuter {
-            let mut combined = lr.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right.schema().arity()));
-            rows.push(combined);
-        }
-    }
-    Ok(Relation::from_parts_unchecked(schema, rows))
 }
 
 /// Equi-join via a hash table built on the right input.
@@ -162,97 +95,6 @@ pub fn hash_join(
     Ok(Relation::from_parts_unchecked(schema, rows))
 }
 
-/// Equi-join by sorting both inputs on the key and merging. NULL keys never
-/// match (consistent with the other algorithms).
-pub fn merge_join(
-    left: &Relation,
-    right: &Relation,
-    left_key: &str,
-    right_key: &str,
-) -> DbResult<Relation> {
-    let li = left.schema().resolve(left_key)?;
-    let ri = right.schema().resolve(right_key)?;
-    let schema = left.schema().join(right.schema(), "l", "r")?;
-
-    let mut ls: Vec<&Row> = left.iter().filter(|r| !r[li].is_null()).collect();
-    let mut rs: Vec<&Row> = right.iter().filter(|r| !r[ri].is_null()).collect();
-    ls.sort_by(|a, b| a[li].cmp(&b[li]));
-    rs.sort_by(|a, b| a[ri].cmp(&b[ri]));
-
-    let mut rows = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ls.len() && j < rs.len() {
-        match ls[i][li].cmp(&rs[j][ri]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full group × group block.
-                let key = &ls[i][li];
-                let i0 = i;
-                while i < ls.len() && &ls[i][li] == key {
-                    i += 1;
-                }
-                let j0 = j;
-                while j < rs.len() && &rs[j][ri] == key {
-                    j += 1;
-                }
-                for lrow in &ls[i0..i] {
-                    for rrow in &rs[j0..j] {
-                        let mut combined = (*lrow).clone();
-                        combined.extend(rrow.iter().cloned());
-                        rows.push(combined);
-                    }
-                }
-            }
-        }
-    }
-    Ok(Relation::from_parts_unchecked(schema, rows))
-}
-
-/// Semi-join: left rows that have at least one match on the right.
-pub fn semi_join(
-    left: &Relation,
-    right: &Relation,
-    left_key: &str,
-    right_key: &str,
-) -> DbResult<Relation> {
-    let li = left.schema().resolve(left_key)?;
-    let ri = right.schema().resolve(right_key)?;
-    let keys: std::collections::HashSet<&Value> = right
-        .iter()
-        .map(|r| &r[ri])
-        .filter(|v| !v.is_null())
-        .collect();
-    let rows = left
-        .iter()
-        .filter(|r| !r[li].is_null() && keys.contains(&r[li]))
-        .cloned()
-        .collect();
-    Ok(Relation::from_parts_unchecked(left.schema().clone(), rows))
-}
-
-/// Validates that the same key columns exist and produce identical results
-/// across the three equi-join algorithms (used by tests and benches).
-pub fn equi_join_consistent(
-    left: &Relation,
-    right: &Relation,
-    lk: &str,
-    rk: &str,
-) -> DbResult<bool> {
-    let mut a = hash_join(left, right, lk, rk, JoinType::Inner)?.into_rows();
-    let mut b = nested_loop_join(left, right, lk, rk, JoinType::Inner)?.into_rows();
-    let mut c = merge_join(left, right, lk, rk)?.into_rows();
-    a.sort();
-    b.sort();
-    c.sort();
-    if a != b || b != c {
-        return Err(DbError::InvalidExpression(
-            "join algorithms disagree".into(),
-        ));
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,53 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn algorithms_agree() {
-        assert!(equi_join_consistent(&trades(), &stocks(), "ticker", "ticker").unwrap());
-    }
-
-    #[test]
-    fn theta_join_range_predicate() {
-        let pred = Expr::col("price").gt(Expr::lit(15.0));
-        let j = theta_join(&trades(), &stocks(), &pred, JoinType::Inner).unwrap();
-        // every trade row pairs with the two stocks priced > 15 (NUT, BLT)
-        // except NULL-price filtering doesn't apply; price 99 row included.
-        assert_eq!(j.len(), trades().len() * 3);
-    }
-
-    #[test]
-    fn semi_join_filters_left() {
-        let s = semi_join(&trades(), &stocks(), "ticker", "ticker").unwrap();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.schema().names(), vec!["ticker", "qty"]);
-    }
-
-    #[test]
-    fn merge_join_duplicate_groups() {
-        // both sides contain duplicate keys → cross product within group
-        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Text)]);
-        let l = Relation::new(
-            schema.clone(),
-            vec![
-                vec![Value::Int(1), Value::text("a")],
-                vec![Value::Int(1), Value::text("b")],
-            ],
-        )
-        .unwrap();
-        let r = Relation::new(
-            schema,
-            vec![
-                vec![Value::Int(1), Value::text("x")],
-                vec![Value::Int(1), Value::text("y")],
-            ],
-        )
-        .unwrap();
-        let j = merge_join(&l, &r, "k", "k").unwrap();
-        assert_eq!(j.len(), 4);
-    }
-
-    #[test]
     fn unknown_key_errors() {
         assert!(hash_join(&trades(), &stocks(), "bogus", "ticker", JoinType::Inner).is_err());
-        assert!(merge_join(&trades(), &stocks(), "ticker", "bogus").is_err());
     }
 }

@@ -8,20 +8,15 @@
 mod aggregate;
 mod join;
 mod set;
-mod sort;
 
 pub use aggregate::{aggregate, AggCall, AggFunc};
-pub use join::{
-    equi_join_consistent, hash_join, merge_join, nested_loop_join, semi_join, theta_join, JoinType,
-};
-pub use set::{difference, distinct, intersect, union_all};
-pub use sort::{sort_by, SortKey, SortOrder};
+pub use join::{hash_join, JoinType};
+pub use set::{distinct, union_all};
 
 use crate::error::DbResult;
 use crate::expr::Expr;
 use crate::par;
 use crate::relation::{Relation, Row};
-use crate::schema::{ColumnDef, Schema};
 
 /// σ — keeps rows whose predicate evaluates to `true`.
 ///
@@ -74,74 +69,11 @@ pub fn project(input: &Relation, columns: &[&str]) -> DbResult<Relation> {
     Ok(Relation::from_parts_unchecked(schema, rows))
 }
 
-/// Extended projection: computes named expressions per row
-/// (`SELECT expr AS name, ...`).
-pub fn extend(input: &Relation, exprs: &[(&str, Expr)]) -> DbResult<Relation> {
-    let in_schema = input.schema().clone();
-    let compiled: Vec<_> = exprs
-        .iter()
-        .map(|(_, e)| e.compile(&in_schema))
-        .collect::<DbResult<_>>()?;
-    let mut rows: Vec<Row> = Vec::with_capacity(input.len());
-    let mut out_cols: Vec<ColumnDef> = Vec::with_capacity(exprs.len());
-    // Infer each output column's type from the first non-null result; this
-    // keeps the engine simple while staying typed for downstream checks.
-    let mut inferred: Vec<Option<crate::value::DataType>> = vec![None; exprs.len()];
-    for row in input.iter() {
-        let mut out = Vec::with_capacity(exprs.len());
-        for (i, e) in compiled.iter().enumerate() {
-            let v = e.eval_value(row.as_slice())?;
-            if inferred[i].is_none() {
-                inferred[i] = v.data_type();
-            }
-            out.push(v);
-        }
-        rows.push(out);
-    }
-    for (i, (name, _)) in exprs.iter().enumerate() {
-        out_cols.push(ColumnDef::new(
-            *name,
-            inferred[i].unwrap_or(crate::value::DataType::Any),
-        ));
-    }
-    Ok(Relation::from_parts_unchecked(Schema::new(out_cols)?, rows))
-}
-
-/// ρ — renames a single column.
-pub fn rename(input: &Relation, from: &str, to: &str) -> DbResult<Relation> {
-    let schema = input.schema().rename(from, to)?;
-    Ok(Relation::from_parts_unchecked(
-        schema,
-        input.rows().to_vec(),
-    ))
-}
-
-/// × — Cartesian product. Clashing column names get `l.`/`r.` prefixes.
-pub fn product(left: &Relation, right: &Relation) -> DbResult<Relation> {
-    let schema = left.schema().join(right.schema(), "l", "r")?;
-    let mut rows = Vec::with_capacity(left.len() * right.len());
-    for lr in left.iter() {
-        for rr in right.iter() {
-            let mut row = lr.clone();
-            row.extend(rr.iter().cloned());
-            rows.push(row);
-        }
-    }
-    Ok(Relation::from_parts_unchecked(schema, rows))
-}
-
-/// LIMIT — first `n` rows.
-pub fn limit(input: &Relation, n: usize) -> Relation {
-    Relation::from_parts_unchecked(
-        input.schema().clone(),
-        input.rows().iter().take(n).cloned().collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::schema::Schema;
     use crate::value::{DataType, Value};
 
     pub(crate) fn customers() -> Relation {
@@ -183,45 +115,5 @@ mod tests {
         assert_eq!(r.schema().names(), vec!["employees", "co_name"]);
         assert_eq!(r.rows()[0][0], Value::Int(4004));
         assert!(project(&customers(), &["bogus"]).is_err());
-    }
-
-    #[test]
-    fn extend_computes() {
-        let r = extend(
-            &customers(),
-            &[
-                ("name", Expr::col("co_name")),
-                ("doubled", Expr::col("employees").add(Expr::col("employees"))),
-            ],
-        )
-        .unwrap();
-        assert_eq!(r.schema().names(), vec!["name", "doubled"]);
-        assert_eq!(r.rows()[1][1], Value::Int(1400));
-    }
-
-    #[test]
-    fn rename_column() {
-        let r = rename(&customers(), "co_name", "company").unwrap();
-        assert_eq!(r.schema().index_of("company"), Some(0));
-        assert!(rename(&customers(), "nope", "x").is_err());
-    }
-
-    #[test]
-    fn cartesian_product() {
-        let a = customers();
-        let b = project(&customers(), &["co_name"]).unwrap();
-        let p = product(&a, &b).unwrap();
-        assert_eq!(p.len(), 9);
-        assert_eq!(p.schema().arity(), 4);
-        // name clash handled
-        assert!(p.schema().index_of("l.co_name").is_some());
-        assert!(p.schema().index_of("r.co_name").is_some());
-    }
-
-    #[test]
-    fn limit_rows() {
-        assert_eq!(limit(&customers(), 2).len(), 2);
-        assert_eq!(limit(&customers(), 0).len(), 0);
-        assert_eq!(limit(&customers(), 99).len(), 3);
     }
 }

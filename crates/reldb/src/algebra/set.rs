@@ -1,7 +1,4 @@
-//! Set operators: union, intersection, difference, duplicate elimination.
-//!
-//! `union_all` keeps duplicates (bag union); `intersect` and `difference`
-//! use set semantics on whole rows, mirroring SQL's `INTERSECT`/`EXCEPT`.
+//! Set operators: bag union and duplicate elimination.
 
 use crate::error::{DbError, DbResult};
 use crate::relation::{Relation, Row};
@@ -37,34 +34,6 @@ pub fn distinct(input: &Relation) -> Relation {
     Relation::from_parts_unchecked(input.schema().clone(), keep)
 }
 
-/// ∩ — rows present in both inputs (set semantics).
-pub fn intersect(a: &Relation, b: &Relation) -> DbResult<Relation> {
-    check_compat(a, b)?;
-    let right: HashSet<&Row> = b.iter().collect();
-    let mut seen: HashSet<&Row> = HashSet::new();
-    let mut rows = Vec::new();
-    for row in a.iter() {
-        if right.contains(row) && seen.insert(row) {
-            rows.push(row.clone());
-        }
-    }
-    Ok(Relation::from_parts_unchecked(a.schema().clone(), rows))
-}
-
-/// − — rows of `a` not present in `b` (set semantics).
-pub fn difference(a: &Relation, b: &Relation) -> DbResult<Relation> {
-    check_compat(a, b)?;
-    let right: HashSet<&Row> = b.iter().collect();
-    let mut seen: HashSet<&Row> = HashSet::new();
-    let mut rows = Vec::new();
-    for row in a.iter() {
-        if !right.contains(row) && seen.insert(row) {
-            rows.push(row.clone());
-        }
-    }
-    Ok(Relation::from_parts_unchecked(a.schema().clone(), rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,46 +59,24 @@ mod tests {
     }
 
     #[test]
-    fn intersect_set_semantics() {
-        let i = intersect(&rel(&[1, 2, 2, 3]), &rel(&[2, 3, 4])).unwrap();
-        let got: Vec<i64> = i.iter().map(|r| r[0].as_int().unwrap()).collect();
-        assert_eq!(got, vec![2, 3]);
-    }
-
-    #[test]
-    fn difference_set_semantics() {
-        let d = difference(&rel(&[1, 2, 2, 3]), &rel(&[2])).unwrap();
-        let got: Vec<i64> = d.iter().map(|r| r[0].as_int().unwrap()).collect();
-        assert_eq!(got, vec![1, 3]);
-    }
-
-    #[test]
     fn incompatible_schemas_rejected() {
         let a = rel(&[1]);
         let schema = Schema::of(&[("s", DataType::Text)]);
         let b = Relation::new(schema, vec![vec![Value::text("x")]]).unwrap();
         assert!(union_all(&a, &b).is_err());
-        assert!(intersect(&a, &b).is_err());
-        assert!(difference(&a, &b).is_err());
     }
 
     #[test]
     fn empty_inputs() {
         let e = rel(&[]);
         assert_eq!(union_all(&e, &rel(&[1])).unwrap().len(), 1);
-        assert!(intersect(&e, &rel(&[1])).unwrap().is_empty());
-        assert!(difference(&e, &rel(&[1])).unwrap().is_empty());
-        assert_eq!(difference(&rel(&[1]), &e).unwrap().len(), 1);
     }
 
     #[test]
     fn null_rows_participate() {
         let schema = Schema::of(&[("n", DataType::Int)]);
-        let a = Relation::new(schema.clone(), vec![vec![Value::Null], vec![Value::Null]]).unwrap();
-        let b = Relation::new(schema, vec![vec![Value::Null]]).unwrap();
+        let a = Relation::new(schema, vec![vec![Value::Null], vec![Value::Null]]).unwrap();
         // Whole-row set ops treat NULL = NULL (SQL DISTINCT-style grouping).
         assert_eq!(distinct(&a).len(), 1);
-        assert_eq!(intersect(&a, &b).unwrap().len(), 1);
-        assert!(difference(&a, &b).unwrap().is_empty());
     }
 }

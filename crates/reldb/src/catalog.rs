@@ -1,34 +1,18 @@
 //! The catalog: a named collection of tables with cross-table (foreign
-//! key) integrity and transactional modification.
-//!
-//! Transactions use an in-memory undo log with stack discipline: `rollback`
-//! replays inverse operations in reverse order, restoring the exact
-//! pre-transaction state (including index contents).
+//! key) integrity.
 
 use crate::constraint::ForeignKey;
 use crate::error::{DbError, DbResult};
-use crate::relation::{Relation, Row};
+use crate::relation::Row;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::collections::HashMap;
 
-/// Inverse operations recorded while a transaction is open.
-#[derive(Debug, Clone)]
-enum UndoOp {
-    /// An insert happened on `table` (the row is at the end).
-    Insert { table: String },
-    /// `table[pos]` was overwritten; `old` restores it.
-    Update { table: String, pos: usize, old: Row },
-    /// `swap_remove(pos)` removed `old` from `table`.
-    Delete { table: String, pos: usize, old: Row },
-}
-
-/// A database: tables + foreign keys + optional open transaction.
+/// A database: tables + foreign keys.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: HashMap<String, Table>,
     foreign_keys: Vec<ForeignKey>,
-    undo: Option<Vec<UndoOp>>,
 }
 
 impl Database {
@@ -62,11 +46,6 @@ impl Database {
                 detail: format!("table `{name}` participates in a foreign key"),
             });
         }
-        if self.undo.is_some() {
-            return Err(DbError::TransactionError(
-                "DDL not allowed inside a transaction".into(),
-            ));
-        }
         self.tables.remove(name);
         Ok(())
     }
@@ -78,7 +57,7 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
     }
 
-    /// Mutable table lookup. Bypasses FK + transaction machinery — callers
+    /// Mutable table lookup. Bypasses FK enforcement — callers
     /// should prefer [`Database::insert`]/[`Database::update`]/
     /// [`Database::delete`] for data changes.
     pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
@@ -110,67 +89,6 @@ impl Database {
         &self.foreign_keys
     }
 
-    /// Begins a transaction. Nested transactions are not supported.
-    pub fn begin(&mut self) -> DbResult<()> {
-        if self.undo.is_some() {
-            return Err(DbError::TransactionError("transaction already open".into()));
-        }
-        self.undo = Some(Vec::new());
-        Ok(())
-    }
-
-    /// Commits the open transaction (discards the undo log).
-    pub fn commit(&mut self) -> DbResult<()> {
-        self.undo
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| DbError::TransactionError("no open transaction".into()))
-    }
-
-    /// Rolls back the open transaction, restoring pre-transaction state.
-    pub fn rollback(&mut self) -> DbResult<()> {
-        let log = self
-            .undo
-            .take()
-            .ok_or_else(|| DbError::TransactionError("no open transaction".into()))?;
-        for op in log.into_iter().rev() {
-            match op {
-                UndoOp::Insert { table } => {
-                    let t = self.tables.get_mut(&table).expect("undo table exists");
-                    t.pop_last();
-                }
-                UndoOp::Update { table, pos, old } => {
-                    let t = self.tables.get_mut(&table).expect("undo table exists");
-                    t.overwrite(pos, old);
-                }
-                UndoOp::Delete { table, pos, old } => {
-                    let t = self.tables.get_mut(&table).expect("undo table exists");
-                    // Inverse of swap_remove(pos): the row that moved into
-                    // `pos` goes back to the end, `old` returns to `pos`.
-                    if pos == t.len() {
-                        t.restore(old);
-                    } else {
-                        let moved = t.rows()[pos].clone();
-                        t.restore(moved);
-                        t.overwrite(pos, old);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// True iff a transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.undo.is_some()
-    }
-
-    fn log(&mut self, op: UndoOp) {
-        if let Some(log) = self.undo.as_mut() {
-            log.push(op);
-        }
-    }
-
     /// Checks every foreign key whose child is `table` against `row`.
     fn check_fks_for_insert(&self, table: &str, row: &Row) -> DbResult<()> {
         let child = self.table(table)?;
@@ -184,11 +102,7 @@ impl Database {
     /// Inserts a row through full integrity enforcement. Returns position.
     pub fn insert(&mut self, table: &str, row: Row) -> DbResult<usize> {
         self.check_fks_for_insert(table, &row)?;
-        let pos = self.table_mut(table)?.insert(row)?;
-        self.log(UndoOp::Insert {
-            table: table.to_owned(),
-        });
-        Ok(pos)
+        self.table_mut(table)?.insert(row)
     }
 
     /// Updates `table[pos]` through full integrity enforcement.
@@ -203,12 +117,7 @@ impl Database {
             .cloned()
             .ok_or_else(|| DbError::InvalidExpression(format!("row {pos} out of range")))?;
         self.check_no_orphans(table, &old, Some(&row))?;
-        let old = self.table_mut(table)?.update(pos, row)?;
-        self.log(UndoOp::Update {
-            table: table.to_owned(),
-            pos,
-            old,
-        });
+        self.table_mut(table)?.update(pos, row)?;
         Ok(())
     }
 
@@ -221,13 +130,7 @@ impl Database {
             .cloned()
             .ok_or_else(|| DbError::InvalidExpression(format!("row {pos} out of range")))?;
         self.check_no_orphans(table, &old, None)?;
-        let removed = self.table_mut(table)?.delete(pos)?;
-        self.log(UndoOp::Delete {
-            table: table.to_owned(),
-            pos,
-            old: removed.clone(),
-        });
-        Ok(removed)
+        self.table_mut(table)?.delete(pos)
     }
 
     /// Fails if removing/rekeying `old` in parent `table` would orphan
@@ -260,19 +163,6 @@ impl Database {
             }
         }
         Ok(())
-    }
-
-    /// Convenience: snapshot a table as a relation.
-    pub fn scan(&self, table: &str) -> DbResult<Relation> {
-        Ok(self.table(table)?.to_relation())
-    }
-
-    /// Index-aware selection: answers the predicate through one of the
-    /// table's indexes when a sargable conjunct matches (see
-    /// [`crate::query::select_indexed`]); results always equal a scan.
-    pub fn query(&self, table: &str, predicate: &crate::expr::Expr) -> DbResult<Relation> {
-        let (rel, _) = crate::query::select_indexed(self.table(table)?, predicate)?;
-        Ok(rel)
     }
 }
 
@@ -382,78 +272,5 @@ mod tests {
             ref_columns: vec!["id".into()],
         });
         assert!(e.is_err());
-    }
-
-    #[test]
-    fn transaction_rollback_restores_everything() {
-        let mut db = setup();
-        db.insert("trade", vec![Value::Int(1), Value::text("FRT"), Value::Int(10)])
-            .unwrap();
-        let before_company = db.scan("company").unwrap();
-        let before_trade = db.scan("trade").unwrap();
-
-        db.begin().unwrap();
-        db.insert("trade", vec![Value::Int(2), Value::text("NUT"), Value::Int(5)])
-            .unwrap();
-        db.update("trade", 0, vec![Value::Int(1), Value::text("NUT"), Value::Int(99)])
-            .unwrap();
-        db.delete("trade", 1).unwrap();
-        db.insert("company", vec![Value::text("BLT"), Value::Float(3.0)])
-            .unwrap();
-        db.rollback().unwrap();
-
-        assert_eq!(db.scan("company").unwrap(), before_company);
-        assert_eq!(db.scan("trade").unwrap(), before_trade);
-        assert!(!db.in_transaction());
-    }
-
-    #[test]
-    fn transaction_commit_keeps_changes() {
-        let mut db = setup();
-        db.begin().unwrap();
-        db.insert("trade", vec![Value::Int(1), Value::text("FRT"), Value::Int(10)])
-            .unwrap();
-        db.commit().unwrap();
-        assert_eq!(db.table("trade").unwrap().len(), 1);
-    }
-
-    #[test]
-    fn rollback_of_delete_middle_row() {
-        let mut db = Database::new();
-        db.create_table("t", Schema::of(&[("x", DataType::Int)]))
-            .unwrap();
-        for i in 0..4i64 {
-            db.insert("t", vec![Value::Int(i)]).unwrap();
-        }
-        let before = db.scan("t").unwrap();
-        db.begin().unwrap();
-        db.delete("t", 1).unwrap(); // swap_remove moves row 3 into slot 1
-        db.delete("t", 0).unwrap();
-        db.rollback().unwrap();
-        assert_eq!(db.scan("t").unwrap(), before);
-    }
-
-    #[test]
-    fn transaction_discipline() {
-        let mut db = Database::new();
-        assert!(db.commit().is_err());
-        assert!(db.rollback().is_err());
-        db.begin().unwrap();
-        assert!(db.begin().is_err());
-        db.commit().unwrap();
-        // DDL inside txn rejected
-        db.create_table("t", Schema::of(&[("x", DataType::Int)]))
-            .unwrap();
-        db.begin().unwrap();
-        assert!(db.drop_table("t").is_err());
-        db.rollback().unwrap();
-    }
-
-    #[test]
-    fn scan_snapshots() {
-        let db = setup();
-        let r = db.scan("company").unwrap();
-        assert_eq!(r.len(), 2);
-        assert!(db.scan("ghost").is_err());
     }
 }

@@ -12,7 +12,6 @@ use crate::expr::Expr;
 use crate::relation::Row;
 use crate::schema::Schema;
 use crate::value::Value;
-use std::collections::HashSet;
 
 /// A declarative constraint attached to a table.
 #[derive(Debug, Clone)]
@@ -331,28 +330,6 @@ impl ForeignKey {
     }
 }
 
-/// Checks a batch of rows for internal key duplicates (bulk load path).
-pub fn check_bulk_unique(schema: &Schema, rows: &[Row], columns: &[String]) -> DbResult<()> {
-    let idx: Vec<usize> = columns
-        .iter()
-        .map(|c| schema.resolve(c))
-        .collect::<DbResult<_>>()?;
-    let mut seen: HashSet<Vec<&Value>> = HashSet::with_capacity(rows.len());
-    for row in rows {
-        if idx.iter().any(|&i| row[i].is_null()) {
-            continue;
-        }
-        let key: Vec<&Value> = idx.iter().map(|&i| &row[i]).collect();
-        if !seen.insert(key) {
-            return Err(DbError::ConstraintViolation {
-                constraint: format!("unique({})", columns.join(",")),
-                detail: "duplicate key in bulk load".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,20 +486,5 @@ mod tests {
             .children_of(&child, &kids, &parent, &vec![Value::Int(2)])
             .unwrap();
         assert_eq!(hits, vec![0]);
-    }
-
-    #[test]
-    fn bulk_unique() {
-        let s = schema();
-        let rows = vec![
-            vec![Value::Int(1), Value::text("a"), Value::Int(1)],
-            vec![Value::Int(2), Value::text("b"), Value::Int(2)],
-        ];
-        assert!(check_bulk_unique(&s, &rows, &["id".into()]).is_ok());
-        let dup = vec![
-            vec![Value::Int(1), Value::text("a"), Value::Int(1)],
-            vec![Value::Int(1), Value::text("b"), Value::Int(2)],
-        ];
-        assert!(check_bulk_unique(&s, &dup, &["id".into()]).is_err());
     }
 }

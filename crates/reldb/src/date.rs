@@ -97,21 +97,6 @@ impl Date {
         civil_from_days(self.days)
     }
 
-    /// Year component.
-    pub fn year(&self) -> i64 {
-        self.ymd().0
-    }
-
-    /// Month component, 1–12.
-    pub fn month(&self) -> u32 {
-        self.ymd().1
-    }
-
-    /// Day-of-month component, 1–31.
-    pub fn day(&self) -> u32 {
-        self.ymd().2
-    }
-
     /// Date shifted by a signed number of days.
     pub fn plus_days(&self, delta: i64) -> Self {
         Date {
@@ -226,9 +211,9 @@ mod tests {
 
     #[test]
     fn two_digit_year_pivot() {
-        assert_eq!(Date::parse("1-1-70").unwrap().year(), 1970);
-        assert_eq!(Date::parse("1-1-69").unwrap().year(), 2069);
-        assert_eq!(Date::parse("1-1-05").unwrap().year(), 2005);
+        assert_eq!(Date::parse("1-1-70").unwrap().ymd().0, 1970);
+        assert_eq!(Date::parse("1-1-69").unwrap().ymd().0, 2069);
+        assert_eq!(Date::parse("1-1-05").unwrap().ymd().0, 2005);
     }
 
     #[test]

@@ -1,131 +1,16 @@
-//! Secondary indexes over table rows.
-//!
-//! Two classes: [`BTreeIndex`] supports range scans (used by quality
-//! predicates like `creation_time >= d`), [`HashIndex`] supports point
-//! lookups. Both map a key (one or more column values) to the positions of
-//! matching rows.
-//!
-//! # Maintenance model
-//!
-//! [`crate::table::Table`] maintains its indexes **incrementally** through
-//! every mutation path: `insert` adds the new row's key, `update` removes
-//! the old key and adds the new one, and `delete` (a swap-remove) removes
-//! the deleted row's key *and* re-homes the moved last row's entry to its
-//! new position. Each index counts these maintenance events in
-//! [`IndexStats`] (`stats()`), so tests can assert that deletes really
-//! were applied incrementally rather than by rebuild.
-//!
-//! **Bulk loads rebuild instead.** `Table::bulk_load` appends the whole
-//! batch first and then calls `rebuild` once per index — O(batch) total
-//! rather than per-row index churn; `rebuilds` increments once and
-//! `inserts`/`removes` stay untouched. Anything that mutates rows behind
-//! the indexes' back must finish with [`BTreeIndex::rebuild`] /
-//! [`HashIndex::rebuild`].
+//! A hash index over rows: maps a key (one or more column values) to the
+//! positions of matching rows, for point lookups and hash-join probes.
 
 use crate::relation::Row;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use std::collections::HashMap;
 
 /// Composite index key.
 pub type IndexKey = Vec<Value>;
 
-/// Counters of index maintenance events — incremental upkeep
-/// (`inserts`/`removes`) vs. wholesale `rebuilds`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Keys added one at a time (insert, update, delete fix-ups).
-    pub inserts: u64,
-    /// Keys removed one at a time (delete, update, delete fix-ups).
-    pub removes: u64,
-    /// Full rebuilds (index creation, bulk load).
-    pub rebuilds: u64,
-}
-
 /// Extracts the index key from a row given key column positions.
 pub fn key_of(row: &Row, cols: &[usize]) -> IndexKey {
     cols.iter().map(|&i| row[i].clone()).collect()
-}
-
-/// Ordered index supporting point and range lookups.
-#[derive(Debug, Clone, Default)]
-pub struct BTreeIndex {
-    map: BTreeMap<IndexKey, Vec<usize>>,
-    /// Positions of key columns within the table schema.
-    cols: Vec<usize>,
-    stats: IndexStats,
-}
-
-impl BTreeIndex {
-    /// New empty index over the given key column positions.
-    pub fn new(cols: Vec<usize>) -> Self {
-        BTreeIndex {
-            map: BTreeMap::new(),
-            cols,
-            stats: IndexStats::default(),
-        }
-    }
-
-    /// Key column positions.
-    pub fn columns(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// Maintenance counters since creation.
-    pub fn stats(&self) -> IndexStats {
-        self.stats
-    }
-
-    /// Inserts `row` (located at `pos` in the table) into the index.
-    pub fn insert(&mut self, row: &Row, pos: usize) {
-        self.stats.inserts += 1;
-        self.map.entry(key_of(row, &self.cols)).or_default().push(pos);
-    }
-
-    /// Removes the entry for `row` at `pos`.
-    pub fn remove(&mut self, row: &Row, pos: usize) {
-        self.stats.removes += 1;
-        let key = key_of(row, &self.cols);
-        if let Some(v) = self.map.get_mut(&key) {
-            v.retain(|&p| p != pos);
-            if v.is_empty() {
-                self.map.remove(&key);
-            }
-        }
-    }
-
-    /// Row positions matching `key` exactly.
-    pub fn get(&self, key: &IndexKey) -> &[usize] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Row positions with keys in `[lo, hi]` under the given bounds.
-    pub fn range(&self, lo: Bound<&IndexKey>, hi: Bound<&IndexKey>) -> Vec<usize> {
-        self.map
-            .range::<IndexKey, _>((lo, hi))
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect()
-    }
-
-    /// True iff any row has this key.
-    pub fn contains(&self, key: &IndexKey) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Rebuilds from scratch over all rows (after bulk mutation). Counts
-    /// as one `rebuilds` event — not per-row `inserts`.
-    pub fn rebuild(&mut self, rows: &[Row]) {
-        self.stats.rebuilds += 1;
-        self.map.clear();
-        for (pos, row) in rows.iter().enumerate() {
-            self.map.entry(key_of(row, &self.cols)).or_default().push(pos);
-        }
-    }
 }
 
 /// Hash index for point lookups.
@@ -133,7 +18,6 @@ impl BTreeIndex {
 pub struct HashIndex {
     map: HashMap<IndexKey, Vec<usize>>,
     cols: Vec<usize>,
-    stats: IndexStats,
 }
 
 impl HashIndex {
@@ -142,46 +26,17 @@ impl HashIndex {
         HashIndex {
             map: HashMap::new(),
             cols,
-            stats: IndexStats::default(),
         }
-    }
-
-    /// Key column positions.
-    pub fn columns(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// Maintenance counters since creation.
-    pub fn stats(&self) -> IndexStats {
-        self.stats
     }
 
     /// Inserts `row` at table position `pos`.
     pub fn insert(&mut self, row: &Row, pos: usize) {
-        self.stats.inserts += 1;
         self.map.entry(key_of(row, &self.cols)).or_default().push(pos);
-    }
-
-    /// Removes the entry for `row` at `pos`.
-    pub fn remove(&mut self, row: &Row, pos: usize) {
-        self.stats.removes += 1;
-        let key = key_of(row, &self.cols);
-        if let Some(v) = self.map.get_mut(&key) {
-            v.retain(|&p| p != pos);
-            if v.is_empty() {
-                self.map.remove(&key);
-            }
-        }
     }
 
     /// Row positions matching `key`.
     pub fn get(&self, key: &IndexKey) -> &[usize] {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// True iff any row has this key.
-    pub fn contains(&self, key: &IndexKey) -> bool {
-        self.map.contains_key(key)
     }
 
     /// Number of distinct keys (selectivity input: `distinct_keys / rows`
@@ -190,10 +45,8 @@ impl HashIndex {
         self.map.len()
     }
 
-    /// Rebuilds from scratch. Counts as one `rebuilds` event — not
-    /// per-row `inserts`.
+    /// Rebuilds from scratch over all rows.
     pub fn rebuild(&mut self, rows: &[Row]) {
-        self.stats.rebuilds += 1;
         self.map.clear();
         for (pos, row) in rows.iter().enumerate() {
             self.map.entry(key_of(row, &self.cols)).or_default().push(pos);
@@ -215,85 +68,11 @@ mod tests {
     }
 
     #[test]
-    fn btree_point_lookup() {
-        let mut idx = BTreeIndex::new(vec![0]);
-        idx.rebuild(&rows());
-        assert_eq!(idx.get(&vec![Value::Int(1)]), &[1, 3]);
-        assert_eq!(idx.get(&vec![Value::Int(9)]), &[] as &[usize]);
-        assert_eq!(idx.distinct_keys(), 3);
-    }
-
-    #[test]
-    fn btree_range_scan() {
-        let mut idx = BTreeIndex::new(vec![0]);
-        idx.rebuild(&rows());
-        let lo = vec![Value::Int(2)];
-        let hi = vec![Value::Int(3)];
-        let mut got = idx.range(Bound::Included(&lo), Bound::Included(&hi));
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 2]);
-        // unbounded
-        let got = idx.range(Bound::Unbounded, Bound::Excluded(&vec![Value::Int(2)]));
-        assert_eq!(got.len(), 2); // the two key=1 rows
-    }
-
-    #[test]
-    fn btree_remove() {
-        let mut idx = BTreeIndex::new(vec![0]);
-        idx.rebuild(&rows());
-        idx.remove(&rows()[1], 1);
-        assert_eq!(idx.get(&vec![Value::Int(1)]), &[3]);
-        idx.remove(&rows()[3], 3);
-        assert!(!idx.contains(&vec![Value::Int(1)]));
-    }
-
-    #[test]
     fn hash_index_ops() {
         let mut idx = HashIndex::new(vec![1]);
         idx.rebuild(&rows());
         assert_eq!(idx.get(&vec![Value::text("b")]), &[2]);
         idx.insert(&vec![Value::Int(9), Value::text("b")], 4);
         assert_eq!(idx.get(&vec![Value::text("b")]), &[2, 4]);
-        idx.remove(&vec![Value::Int(2), Value::text("b")], 2);
-        assert_eq!(idx.get(&vec![Value::text("b")]), &[4]);
-    }
-
-    #[test]
-    fn composite_keys() {
-        let mut idx = BTreeIndex::new(vec![0, 1]);
-        idx.rebuild(&rows());
-        assert!(idx.contains(&vec![Value::Int(1), Value::text("a")]));
-        assert!(!idx.contains(&vec![Value::Int(1), Value::text("b")]));
-    }
-
-    #[test]
-    fn stats_distinguish_incremental_from_rebuild() {
-        let mut idx = BTreeIndex::new(vec![0]);
-        idx.rebuild(&rows());
-        assert_eq!(
-            idx.stats(),
-            IndexStats { inserts: 0, removes: 0, rebuilds: 1 }
-        );
-        idx.insert(&vec![Value::Int(7), Value::text("z")], 4);
-        idx.remove(&rows()[0], 0);
-        assert_eq!(
-            idx.stats(),
-            IndexStats { inserts: 1, removes: 1, rebuilds: 1 }
-        );
-        let mut h = HashIndex::new(vec![1]);
-        h.rebuild(&rows());
-        h.insert(&rows()[0], 4);
-        assert_eq!(
-            h.stats(),
-            IndexStats { inserts: 1, removes: 0, rebuilds: 1 }
-        );
-        assert_eq!(h.distinct_keys(), 4);
-    }
-
-    #[test]
-    fn null_keys_indexed() {
-        let mut idx = BTreeIndex::new(vec![0]);
-        idx.insert(&vec![Value::Null, Value::text("x")], 0);
-        assert!(idx.contains(&vec![Value::Null]));
     }
 }

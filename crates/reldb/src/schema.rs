@@ -66,13 +66,6 @@ impl Schema {
         .expect("Schema::of called with duplicate column names")
     }
 
-    /// The empty schema (zero columns).
-    pub fn empty() -> Self {
-        Schema {
-            columns: Arc::new(Vec::new()),
-        }
-    }
-
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.columns.len()

@@ -1,55 +1,9 @@
-//! A mutable table: rows plus constraints plus maintained indexes.
+//! A mutable table: rows plus constraints.
 
 use crate::constraint::Constraint;
 use crate::error::{DbError, DbResult};
-use crate::index::{BTreeIndex, HashIndex, IndexKey};
-use crate::relation::{Relation, Row};
+use crate::relation::Row;
 use crate::schema::Schema;
-use std::collections::HashMap;
-
-/// A secondary index of either kind.
-#[derive(Debug, Clone)]
-pub enum Index {
-    /// Ordered index (range scans).
-    BTree(BTreeIndex),
-    /// Hash index (point lookups).
-    Hash(HashIndex),
-}
-
-impl Index {
-    fn insert(&mut self, row: &Row, pos: usize) {
-        match self {
-            Index::BTree(i) => i.insert(row, pos),
-            Index::Hash(i) => i.insert(row, pos),
-        }
-    }
-    fn remove(&mut self, row: &Row, pos: usize) {
-        match self {
-            Index::BTree(i) => i.remove(row, pos),
-            Index::Hash(i) => i.remove(row, pos),
-        }
-    }
-    fn rebuild(&mut self, rows: &[Row]) {
-        match self {
-            Index::BTree(i) => i.rebuild(rows),
-            Index::Hash(i) => i.rebuild(rows),
-        }
-    }
-    /// Point lookup.
-    pub fn get(&self, key: &IndexKey) -> &[usize] {
-        match self {
-            Index::BTree(i) => i.get(key),
-            Index::Hash(i) => i.get(key),
-        }
-    }
-    /// Maintenance counters since creation.
-    pub fn stats(&self) -> crate::index::IndexStats {
-        match self {
-            Index::BTree(i) => i.stats(),
-            Index::Hash(i) => i.stats(),
-        }
-    }
-}
 
 /// A table in the catalog.
 #[derive(Debug, Clone)]
@@ -58,7 +12,6 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     constraints: Vec<Constraint>,
-    indexes: HashMap<String, Index>,
 }
 
 impl Table {
@@ -69,13 +22,7 @@ impl Table {
             schema,
             rows: Vec::new(),
             constraints: Vec::new(),
-            indexes: HashMap::new(),
         }
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Table schema.
@@ -116,46 +63,6 @@ impl Table {
         Ok(())
     }
 
-    /// Creates a named B-tree index over the given columns.
-    pub fn create_btree_index(&mut self, index_name: &str, columns: &[&str]) -> DbResult<()> {
-        let cols = self.resolve_index_cols(index_name, columns)?;
-        let mut idx = BTreeIndex::new(cols);
-        idx.rebuild(&self.rows);
-        self.indexes.insert(index_name.to_owned(), Index::BTree(idx));
-        Ok(())
-    }
-
-    /// Creates a named hash index over the given columns.
-    pub fn create_hash_index(&mut self, index_name: &str, columns: &[&str]) -> DbResult<()> {
-        let cols = self.resolve_index_cols(index_name, columns)?;
-        let mut idx = HashIndex::new(cols);
-        idx.rebuild(&self.rows);
-        self.indexes.insert(index_name.to_owned(), Index::Hash(idx));
-        Ok(())
-    }
-
-    fn resolve_index_cols(&self, index_name: &str, columns: &[&str]) -> DbResult<Vec<usize>> {
-        if self.indexes.contains_key(index_name) {
-            return Err(DbError::IndexError(format!(
-                "index `{index_name}` already exists on `{}`",
-                self.name
-            )));
-        }
-        columns.iter().map(|c| self.schema.resolve(c)).collect()
-    }
-
-    /// Looks up an index by name.
-    pub fn index(&self, name: &str) -> Option<&Index> {
-        self.indexes.get(name)
-    }
-
-    /// Names of all indexes on this table, sorted.
-    pub fn index_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.indexes.keys().cloned().collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Validates a row against schema and all row-local constraints
     /// without modifying the table.
     pub fn validate_insert(&self, row: &Row) -> DbResult<()> {
@@ -167,14 +74,11 @@ impl Table {
         Ok(())
     }
 
-    /// Inserts a row, enforcing constraints and maintaining indexes.
-    /// Returns the new row's position.
+    /// Inserts a row, enforcing constraints. Returns the new row's
+    /// position.
     pub fn insert(&mut self, row: Row) -> DbResult<usize> {
         self.validate_insert(&row)?;
         let pos = self.rows.len();
-        for idx in self.indexes.values_mut() {
-            idx.insert(&row, pos);
-        }
         self.rows.push(row);
         Ok(pos)
     }
@@ -192,16 +96,11 @@ impl Table {
             c.check_row(&self.schema, &row)?;
             c.check_key_against(&self.schema, &row, &self.rows, Some(pos))?;
         }
-        let old = std::mem::replace(&mut self.rows[pos], row);
-        for idx in self.indexes.values_mut() {
-            idx.remove(&old, pos);
-            idx.insert(&self.rows[pos], pos);
-        }
-        Ok(old)
+        Ok(std::mem::replace(&mut self.rows[pos], row))
     }
 
-    /// Deletes the row at `pos` (swap-remove; the moved row's index entries
-    /// are fixed up). Returns the removed row.
+    /// Deletes the row at `pos` (swap-remove: the last row moves into
+    /// `pos`). Returns the removed row.
     pub fn delete(&mut self, pos: usize) -> DbResult<Row> {
         if pos >= self.rows.len() {
             return Err(DbError::InvalidExpression(format!(
@@ -209,90 +108,10 @@ impl Table {
                 self.name
             )));
         }
-        let last = self.rows.len() - 1;
-        let removed = self.rows.swap_remove(pos);
-        for idx in self.indexes.values_mut() {
-            idx.remove(&removed, pos);
-            if pos != last {
-                // The former last row now lives at `pos`.
-                idx.remove(&self.rows[pos], last);
-                idx.insert(&self.rows[pos], pos);
-            }
-        }
-        Ok(removed)
+        Ok(self.rows.swap_remove(pos))
     }
 
-    /// Restores a previously deleted row at the end (used by rollback).
-    pub(crate) fn restore(&mut self, row: Row) {
-        let pos = self.rows.len();
-        for idx in self.indexes.values_mut() {
-            idx.insert(&row, pos);
-        }
-        self.rows.push(row);
-    }
-
-    /// Removes the last row unconditionally (used by rollback of insert).
-    pub(crate) fn pop_last(&mut self) -> Option<Row> {
-        let row = self.rows.pop()?;
-        let pos = self.rows.len();
-        for idx in self.indexes.values_mut() {
-            idx.remove(&row, pos);
-        }
-        Some(row)
-    }
-
-    /// Overwrites a row without constraint checks (used by rollback).
-    pub(crate) fn overwrite(&mut self, pos: usize, row: Row) {
-        let old = std::mem::replace(&mut self.rows[pos], row);
-        for idx in self.indexes.values_mut() {
-            idx.remove(&old, pos);
-            idx.insert(&self.rows[pos], pos);
-        }
-    }
-
-    /// Rebuilds every index (after bulk operations).
-    pub fn rebuild_indexes(&mut self) {
-        for idx in self.indexes.values_mut() {
-            idx.rebuild(&self.rows);
-        }
-    }
-
-    /// Snapshot as an immutable relation.
-    pub fn to_relation(&self) -> Relation {
-        Relation::from_parts_unchecked(self.schema.clone(), self.rows.clone())
-    }
-
-    /// Point lookup through a named index; falls back to a scan when the
-    /// index is absent.
-    pub fn lookup(&self, index_name: &str, key: &IndexKey) -> Vec<&Row> {
-        match self.indexes.get(index_name) {
-            Some(idx) => idx.get(key).iter().map(|&p| &self.rows[p]).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Maintenance counters for the named index.
-    pub fn index_stats(&self, name: &str) -> Option<crate::index::IndexStats> {
-        self.indexes.get(name).map(|i| i.stats())
-    }
-
-    /// Index-aware σ over this table: consults the maintained indexes for
-    /// sargable conjuncts and reports which [`crate::query::AccessPath`]
-    /// ran. This is the public entry the indexes exist for — equivalent to
-    /// `crate::query::select_indexed(self, predicate)`.
-    pub fn select(&self, predicate: &crate::expr::Expr) -> DbResult<(Relation, crate::query::AccessPath)> {
-        crate::query::select_indexed(self, predicate)
-    }
-
-    /// EXPLAIN-style rendering of how [`Table::select`] would answer
-    /// `predicate` — see [`crate::query::explain_select`].
-    pub fn explain_select(&self, predicate: &crate::expr::Expr) -> DbResult<String> {
-        crate::query::explain_select(self, predicate)
-    }
-
-    /// Bulk-loads a batch of rows: validates and appends every row first,
-    /// then rebuilds each index **once** (the rebuild-on-bulk-load path —
-    /// O(batch) index work instead of per-row churn). On any validation
+    /// Bulk-loads a batch of rows, validating each. On any validation
     /// failure the table is restored to its pre-call state and the error
     /// returned. Returns the number of rows loaded.
     pub fn bulk_load(&mut self, batch: Vec<Row>) -> DbResult<usize> {
@@ -306,11 +125,7 @@ impl Table {
             }
             self.rows.push(row);
         }
-        let loaded = self.rows.len() - baseline;
-        if loaded > 0 {
-            self.rebuild_indexes();
-        }
-        Ok(loaded)
+        Ok(self.rows.len() - baseline)
     }
 }
 
@@ -358,28 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn update_and_delete_maintain_indexes() {
-        let mut t = make_table();
-        t.create_hash_index("by_name", &["name"]).unwrap();
-        for i in 0..5i64 {
-            t.insert(vec![Value::Int(i), Value::text(format!("co{i}")), Value::Int(10)])
-                .unwrap();
-        }
-        // lookup via index
-        assert_eq!(t.lookup("by_name", &vec![Value::text("co3")]).len(), 1);
-        // update renames
-        t.update(3, vec![Value::Int(3), Value::text("renamed"), Value::Int(10)])
-            .unwrap();
-        assert!(t.lookup("by_name", &vec![Value::text("co3")]).is_empty());
-        assert_eq!(t.lookup("by_name", &vec![Value::text("renamed")]).len(), 1);
-        // delete (swap-remove) keeps the moved row findable
-        t.delete(0).unwrap();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.lookup("by_name", &vec![Value::text("co4")]).len(), 1);
-        assert!(t.lookup("by_name", &vec![Value::text("co0")]).is_empty());
-    }
-
-    #[test]
     fn update_constraint_enforced() {
         let mut t = make_table();
         t.insert(vec![Value::Int(1), Value::text("a"), Value::Int(1)])
@@ -412,14 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_index_name_rejected() {
-        let mut t = make_table();
-        t.create_btree_index("i", &["id"]).unwrap();
-        assert!(t.create_hash_index("i", &["name"]).is_err());
-        assert!(t.create_btree_index("j", &["ghost"]).is_err());
-    }
-
-    #[test]
     fn out_of_range_positions() {
         let mut t = make_table();
         assert!(t.update(0, vec![Value::Int(1), Value::Null, Value::Null]).is_err());
@@ -427,46 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn delete_maintains_indexes_incrementally() {
-        let mut t = make_table();
-        t.create_btree_index("by_id", &["id"]).unwrap();
-        for i in 0..4i64 {
-            t.insert(vec![Value::Int(i), Value::text(format!("c{i}")), Value::Int(1)])
-                .unwrap();
-        }
-        let before = t.index_stats("by_id").unwrap();
-        assert_eq!(before.rebuilds, 1); // creation only
-        // swap-remove of a non-last row: one remove for the deleted row,
-        // plus remove+insert re-homing the moved last row — all
-        // incremental, no rebuild.
-        t.delete(1).unwrap();
-        let after = t.index_stats("by_id").unwrap();
-        assert_eq!(after.rebuilds, before.rebuilds);
-        assert_eq!(after.removes, before.removes + 2);
-        assert_eq!(after.inserts, before.inserts + 1);
-        // and the index still answers correctly
-        assert_eq!(t.lookup("by_id", &vec![Value::Int(3)]).len(), 1);
-        assert!(t.lookup("by_id", &vec![Value::Int(1)]).is_empty());
-    }
-
-    #[test]
-    fn bulk_load_rebuilds_once() {
-        let mut t = make_table();
-        t.create_btree_index("by_id", &["id"]).unwrap();
-        let batch: Vec<Row> = (0..10i64)
-            .map(|i| vec![Value::Int(i), Value::text(format!("c{i}")), Value::Int(1)])
-            .collect();
-        assert_eq!(t.bulk_load(batch).unwrap(), 10);
-        let s = t.index_stats("by_id").unwrap();
-        assert_eq!(s.rebuilds, 2); // creation + one bulk rebuild
-        assert_eq!(s.inserts, 0); // no per-row churn
-        assert_eq!(t.lookup("by_id", &vec![Value::Int(7)]).len(), 1);
-    }
-
-    #[test]
     fn bulk_load_rolls_back_on_bad_row() {
         let mut t = make_table();
-        t.create_hash_index("by_name", &["name"]).unwrap();
         t.insert(vec![Value::Int(0), Value::text("seed"), Value::Int(1)])
             .unwrap();
         let batch = vec![
@@ -475,8 +222,7 @@ mod tests {
         ];
         assert!(t.bulk_load(batch).is_err());
         assert_eq!(t.len(), 1); // batch fully rolled back
-        assert_eq!(t.lookup("by_name", &vec![Value::text("seed")]).len(), 1);
-        assert!(t.lookup("by_name", &vec![Value::text("ok")]).is_empty());
+        assert_eq!(t.rows()[0][1], Value::text("seed"));
         // intra-batch duplicates also fail atomically
         let batch = vec![
             vec![Value::Int(2), Value::text("x"), Value::Int(1)],
@@ -484,34 +230,5 @@ mod tests {
         ];
         assert!(t.bulk_load(batch).is_err());
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn table_select_consults_indexes() {
-        let mut t = make_table();
-        t.create_btree_index("by_emp", &["employees"]).unwrap();
-        for i in 0..20i64 {
-            t.insert(vec![Value::Int(i), Value::text(format!("c{i}")), Value::Int(i * 10)])
-                .unwrap();
-        }
-        let p = Expr::col("employees").ge(Expr::lit(150i64));
-        let (rel, path) = t.select(&p).unwrap();
-        assert_eq!(path, crate::query::AccessPath::Index("by_emp".into()));
-        assert_eq!(rel.len(), 5);
-        let plan = t.explain_select(&p).unwrap();
-        assert!(plan.contains("index(by_emp)"), "got:\n{plan}");
-        assert!(plan.contains("(employees >= 150)"), "got:\n{plan}");
-    }
-
-    #[test]
-    fn to_relation_snapshot() {
-        let mut t = make_table();
-        t.insert(vec![Value::Int(1), Value::text("a"), Value::Int(1)])
-            .unwrap();
-        let r = t.to_relation();
-        assert_eq!(r.len(), 1);
-        t.insert(vec![Value::Int(2), Value::text("b"), Value::Int(2)])
-            .unwrap();
-        assert_eq!(r.len(), 1); // snapshot unaffected
     }
 }

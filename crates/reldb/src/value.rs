@@ -119,34 +119,12 @@ impl Value {
         }
     }
 
-    /// Extracts a `bool`.
-    pub fn as_bool(&self) -> DbResult<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DbError::TypeMismatch {
-                expected: "Bool".into(),
-                found: other.type_name().into(),
-            }),
-        }
-    }
-
     /// Extracts a string slice.
     pub fn as_text(&self) -> DbResult<&str> {
         match self {
             Value::Text(s) => Ok(s),
             other => Err(DbError::TypeMismatch {
                 expected: "Text".into(),
-                found: other.type_name().into(),
-            }),
-        }
-    }
-
-    /// Extracts a [`Date`].
-    pub fn as_date(&self) -> DbResult<Date> {
-        match self {
-            Value::Date(d) => Ok(*d),
-            other => Err(DbError::TypeMismatch {
-                expected: "Date".into(),
                 found: other.type_name().into(),
             }),
         }
@@ -409,7 +387,6 @@ mod tests {
     fn extraction_errors() {
         assert!(Value::text("x").as_int().is_err());
         assert!(Value::Int(1).as_text().is_err());
-        assert!(Value::Null.as_bool().is_err());
         assert_eq!(Value::Float(3.0).as_int().unwrap(), 3);
         assert!(Value::Float(3.5).as_int().is_err());
         assert_eq!(Value::Int(3).as_float().unwrap(), 3.0);

@@ -6,8 +6,7 @@
 //! ```
 //!
 //! Prints the bound address on stdout (`listening on 127.0.0.1:4040`)
-//! and serves until killed. Connect with `dq_server::Client` or the
-//! loadgen bench.
+//! and serves until killed. Connect with `dq_server::Client`.
 
 use dq_query::QueryCatalog;
 use dq_server::{start, ServerConfig};

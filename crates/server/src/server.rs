@@ -25,12 +25,12 @@ use dq_storage::DurableDb;
 use relstore::{DbResult, Expr, Schema};
 use tagstore::TaggedRelation;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tagstore::{EpochCell, Stamped};
+use tagstore::{EpochCell, IndicatorDictionary, Stamped};
 
 /// How long an idle worker / accept thread sleeps before re-polling.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
@@ -88,6 +88,15 @@ impl PagedProvider for PagedTable {
         Ok(self.db.lock().unwrap().paged_schema(&self.name)?.clone())
     }
 
+    fn dictionary(&self) -> DbResult<IndicatorDictionary> {
+        Ok(self
+            .db
+            .lock()
+            .unwrap()
+            .paged_dictionary(&self.name)?
+            .clone())
+    }
+
     fn row_count(&self) -> DbResult<u64> {
         self.db.lock().unwrap().paged_len(&self.name)
     }
@@ -129,26 +138,22 @@ impl PagedProvider for PagedTable {
 /// the immutable epoch-stamped snapshot every reader pins. The read
 /// hot path touches one lock-free atomic ([`published_epoch`]) per
 /// request to decide whether to re-pin; re-pinning is one `Arc` clone
-/// under a short read lock. `generation` mirrors
-/// `master.generation()` for prepared-statement-cache invalidation.
+/// under a short read lock.
 ///
 /// [`published_epoch`]: SharedCatalog::published_epoch
 #[derive(Debug)]
 pub struct SharedCatalog {
     master: Mutex<WriterState>,
     published: EpochCell<QueryCatalog>,
-    generation: AtomicU64,
 }
 
 impl SharedCatalog {
     /// Wraps an in-memory catalog for serving.
     pub fn new(catalog: QueryCatalog) -> Self {
-        let generation = AtomicU64::new(catalog.generation());
         let published = EpochCell::new(catalog.snapshot());
         SharedCatalog {
             master: Mutex::new(WriterState { catalog, db: None }),
             published,
-            generation,
         }
     }
 
@@ -181,7 +186,6 @@ impl SharedCatalog {
             };
             catalog.register_paged(name, Arc::new(provider));
         }
-        let generation = AtomicU64::new(catalog.generation());
         let published = EpochCell::with_epoch(epoch, catalog.snapshot());
         Ok(SharedCatalog {
             master: Mutex::new(WriterState {
@@ -189,13 +193,7 @@ impl SharedCatalog {
                 db: Some(db),
             }),
             published,
-            generation,
         })
-    }
-
-    /// The generation of the most recently published catalog.
-    pub fn published_generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// The epoch of the most recently published snapshot (lock-free).
@@ -287,8 +285,6 @@ impl SharedCatalog {
             .map(|db| db.lock().unwrap().epoch())
             .unwrap_or(0);
         self.published.publish_at(ws.catalog.snapshot(), floor);
-        self.generation
-            .store(ws.catalog.generation(), Ordering::Release);
     }
 }
 

@@ -153,6 +153,42 @@ fn tag_set_runs_only_on_rows_where_keeps() {
     assert!(table.contains("20 (52, 1991-10-01, NYSE feed)"), "{table}");
 }
 
+/// A read naming an indicator the table's dictionary does not declare
+/// fails when it is prepared, with the error `TAG` gives for that name
+/// and over the wire exactly as embedded — it no longer reads as an
+/// all-NULL tag. A declared indicator no cell carries still reads NULL.
+#[test]
+fn undeclared_indicators_fail_like_tag() {
+    let server = start(test_config(), catalog()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut embedded = catalog();
+    let tag_err = run_mut(&mut embedded, "TAG stocks SET share_price@sorce = 'x'")
+        .unwrap_err()
+        .to_string();
+    assert!(
+        tag_err.contains("undeclared indicator `sorce`"),
+        "{tag_err}"
+    );
+    for sql in [
+        "SELECT ticker FROM stocks WITH QUALITY (share_price@sorce <> 'estimate')",
+        "SELECT ticker, share_price@sorce FROM stocks",
+        "SELECT ticker FROM stocks WHERE share_price@sorce = 'x'",
+        "INSPECT FROM stocks WHERE share_price@source@sorce IS NULL",
+        "EXPLAIN SELECT ticker FROM stocks WHERE share_price@sorce = 'x'",
+    ] {
+        let err = run(&embedded, sql).unwrap_err().to_string();
+        assert_eq!(err, tag_err, "{sql}");
+        match client.query(sql) {
+            Err(ClientError::Server(msg)) => assert_eq!(msg, err, "{sql}"),
+            other => panic!("expected the undeclared-indicator error, got {other:?}"),
+        }
+    }
+    let sql = "SELECT ticker FROM stocks WITH QUALITY (share_price@analyst IS NULL)";
+    let expect = render_result(&run(&embedded, sql).unwrap());
+    assert_eq!(client.query(sql).unwrap(), expect);
+    assert!(expect.contains("BLT"), "{expect}");
+}
+
 #[test]
 fn profile_supplies_quality_defaults() {
     let server = start(test_config(), catalog()).unwrap();
@@ -244,6 +280,13 @@ fn paged_tables_are_served_like_resident_ones() {
     cat.register("trades", twin);
     assert_eq!(over_wire, render_result(&run(&cat, sql).unwrap()));
     assert!(over_wire.contains("80"), "got: {over_wire}");
+    // the provider's dictionary binds a paged table's indicator names
+    let typo = "SELECT id FROM trades WITH QUALITY (sym@sorce = 'audit')";
+    let err = run(&cat, typo).unwrap_err().to_string();
+    match client.query(typo) {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, err),
+        other => panic!("expected the undeclared-indicator error, got {other:?}"),
+    }
 
     // the planner picks the bitmap path and annotates the pool I/O
     let plan = client.query(&format!("EXPLAIN {sql}")).unwrap();

@@ -76,15 +76,6 @@ pub struct FetchStats {
     pub prefetches: u64,
 }
 
-impl FetchStats {
-    /// Field-wise accumulation across calls.
-    pub fn absorb(&mut self, other: FetchStats) {
-        self.pages_read += other.pages_read;
-        self.pool_hits += other.pool_hits;
-        self.prefetches += other.prefetches;
-    }
-}
-
 /// The write-ahead gate: called by the pool before a dirty page is
 /// written out, with the page's LSN. Implementations commit the WAL up
 /// to (at least) that LSN or fail the flush.
@@ -216,11 +207,6 @@ impl BufferPool {
     /// bench/CI knob for isolating the coalescing win).
     pub fn set_readahead(&mut self, on: bool) {
         self.readahead = on;
-    }
-
-    /// Whether readahead coalescing is enabled.
-    pub fn readahead(&self) -> bool {
-        self.readahead
     }
 
     /// Registers a brand-new (empty) paged file.
@@ -535,6 +521,7 @@ impl BufferPool {
     }
 
     /// Number of currently pinned frames (test/debug aid).
+    #[cfg(test)]
     pub fn pinned_frames(&self) -> usize {
         self.frames.iter().filter(|f| f.pins > 0).count()
     }

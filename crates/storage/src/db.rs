@@ -107,8 +107,6 @@ impl LogGate for DbGate<'_> {
 pub struct RecoveryReport {
     /// Checkpoint file the state was loaded from, if any.
     pub checkpoint: Option<String>,
-    /// LSN the checkpoint covered (0 when starting fresh).
-    pub checkpoint_lsn: u64,
     /// WAL records replayed on top of the checkpoint.
     pub replayed_records: u64,
     /// Bytes of torn WAL tail truncated during the scan.
@@ -416,7 +414,6 @@ impl DurableDb {
         let wal = Wal::resume(Arc::clone(&fs), opts.wal.clone(), next_lsn, scan.tail);
         let report = RecoveryReport {
             checkpoint: ckpt_name,
-            checkpoint_lsn,
             replayed_records: replayed,
             truncated_bytes: scan.truncated_bytes,
             indexes_rebuilt,
@@ -495,6 +492,7 @@ impl DurableDb {
     }
 
     /// Replaces the row at `pos`.
+    #[cfg(test)]
     pub fn update(&mut self, table: &str, pos: usize, row: Row) -> DbResult<()> {
         self.db.update(table, pos, row.clone())?;
         self.log(WalRecord::Update {
@@ -505,6 +503,7 @@ impl DurableDb {
     }
 
     /// Deletes the row at `pos` (swap-remove), returning it.
+    #[cfg(test)]
     pub fn delete(&mut self, table: &str, pos: usize) -> DbResult<Row> {
         let removed = self.db.delete(table, pos)?;
         self.log(WalRecord::Delete {
@@ -512,16 +511,6 @@ impl DurableDb {
             pos: pos as u64,
         })?;
         Ok(removed)
-    }
-
-    /// Bulk-loads a batch (indexes rebuilt once), returning rows added.
-    pub fn bulk_load(&mut self, table: &str, rows: Vec<Row>) -> DbResult<usize> {
-        let n = self.db.table_mut(table)?.bulk_load(rows.clone())?;
-        self.log(WalRecord::BulkLoad {
-            table: table.to_owned(),
-            rows,
-        })?;
-        Ok(n)
     }
 
     // ---- tagged relations -----------------------------------------------
@@ -580,6 +569,7 @@ impl DurableDb {
     }
 
     /// Removes row `row` from a tagged relation (swap-remove).
+    #[cfg(test)]
     pub fn swap_remove(&mut self, name: &str, row: usize) -> DbResult<TaggedRow> {
         let removed = self.tagged_mut(name)?.swap_remove(row)?;
         self.log(WalRecord::TagRemove {
@@ -950,6 +940,11 @@ impl DurableDb {
         Ok(self.paged_ref(name)?.schema())
     }
 
+    /// A paged relation's indicator dictionary.
+    pub fn paged_dictionary(&self, name: &str) -> DbResult<&IndicatorDictionary> {
+        Ok(self.paged_ref(name)?.dictionary())
+    }
+
     /// Materializes a whole paged relation in memory (parity checks and
     /// small relations — defeats the point at scale).
     pub fn paged_to_relation(&mut self, name: &str) -> DbResult<TaggedRelation> {
@@ -962,24 +957,6 @@ impl DurableDb {
             epoch: &mut self.epoch,
         };
         rel.to_relation(&mut self.pool, &mut gate)
-    }
-
-    /// Streams every row of a paged relation through `f` in positional
-    /// order without materializing the relation.
-    pub fn paged_for_each(
-        &mut self,
-        name: &str,
-        f: impl FnMut(u64, TaggedRow) -> DbResult<()>,
-    ) -> DbResult<()> {
-        let rel = self
-            .paged
-            .get(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_owned()))?;
-        let mut gate = DbGate {
-            wal: &mut self.wal,
-            epoch: &mut self.epoch,
-        };
-        rel.for_each_row(&mut self.pool, &mut gate, f)
     }
 
     /// Names of all paged relations, sorted.
@@ -1110,11 +1087,6 @@ impl DurableDb {
 
     // ---- accessors ------------------------------------------------------
 
-    /// The relational catalog (read-only; mutate through [`DurableDb`]).
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
     /// One plain table.
     pub fn table(&self, name: &str) -> DbResult<&Table> {
         self.db.table(name)
@@ -1138,6 +1110,7 @@ impl DurableDb {
     }
 
     /// LSN of the last appended record.
+    #[cfg(test)]
     pub fn last_lsn(&self) -> u64 {
         self.wal.last_lsn()
     }
@@ -1278,7 +1251,6 @@ mod tests {
 
         let (db, report) = open(&fs, false);
         assert!(report.checkpoint.is_some());
-        assert_eq!(report.checkpoint_lsn, 6);
         assert_eq!(report.replayed_records, 3);
         // 6 epochs inside the checkpoint + 3 replayed from the tail
         assert_eq!(report.epoch, 9);
@@ -1306,6 +1278,7 @@ mod tests {
         db.insert("company", vec![Value::text("BLT"), Value::Float(1.0)])
             .unwrap();
         db.checkpoint().unwrap();
+        let checkpoint_lsn = db.last_lsn();
         let files = fs.list().unwrap();
         let ckpts = files.iter().filter(|n| n.starts_with("ckpt-")).count();
         let wals = files.iter().filter(|n| n.starts_with("wal-")).count();
@@ -1316,7 +1289,7 @@ mod tests {
         assert_eq!(report.replayed_records, 0);
         assert_eq!(db.table("company").unwrap().len(), 3);
         // LSNs continue past the checkpoint after a pruned-log reopen
-        assert_eq!(db.last_lsn(), report.checkpoint_lsn);
+        assert_eq!(db.last_lsn(), checkpoint_lsn);
         // with the WAL pruned, the checkpoint is the epoch authority
         assert_eq!(db.epoch(), 7);
     }

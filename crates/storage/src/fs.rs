@@ -321,11 +321,6 @@ impl MemFs {
         self.lock().dir_fsyncs
     }
 
-    /// Total durable (fsynced) bytes of `name`; 0 when absent.
-    pub fn synced_len(&self, name: &str) -> usize {
-        self.lock().files.get(name).map_or(0, |f| f.durable.len())
-    }
-
     /// A deep snapshot of the current *durable* state, as a fresh
     /// independent [`MemFs`] — "what a crashed machine's disk holds".
     pub fn durable_snapshot(&self) -> MemFs {

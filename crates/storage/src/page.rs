@@ -88,11 +88,6 @@ impl Page {
         Ok(p)
     }
 
-    /// Total size of the page image in bytes.
-    pub fn page_size(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// WAL position of the last record that dirtied this page.
     pub fn lsn(&self) -> u64 {
         u64::from_le_bytes(self.bytes[4..12].try_into().unwrap())

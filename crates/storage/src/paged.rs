@@ -157,11 +157,6 @@ impl PagedRelation {
         }
     }
 
-    /// Relation name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Application schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -182,7 +177,8 @@ impl PagedRelation {
         self.rows == 0
     }
 
-    /// Pool file id of the heap — residency probes in tests and benches.
+    /// Pool file id of the heap — residency probes in tests.
+    #[cfg(test)]
     pub fn heap_id(&self) -> FileId {
         self.heap
     }

@@ -257,11 +257,6 @@ impl Wal {
         }
     }
 
-    /// The LSN the next [`Wal::append`] will assign.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn
-    }
-
     /// The LSN of the last appended record (0 if none yet).
     pub fn last_lsn(&self) -> u64 {
         self.next_lsn - 1

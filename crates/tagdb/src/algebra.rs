@@ -379,17 +379,6 @@ pub fn project(rel: &TaggedRelation, columns: &[&str]) -> DbResult<TaggedRelatio
     ))
 }
 
-/// ρ — renames one column. Tags are untouched (they are keyed by
-/// indicator, not by column name).
-pub fn rename(rel: &TaggedRelation, from: &str, to: &str) -> DbResult<TaggedRelation> {
-    let schema = rel.schema().rename(from, to)?;
-    Ok(TaggedRelation::from_parts_unchecked(
-        schema,
-        rel.dictionary().clone(),
-        rel.rows().to_vec(),
-    ))
-}
-
 /// ⋈ — hash equi-join on application values. Output cells keep the tags of
 /// the input cell they came from. Dictionaries must be merged by the
 /// caller if they differ; we require the left dictionary to cover both.
@@ -510,23 +499,6 @@ pub fn hash_join_probe(
     ))
 }
 
-/// ∪ — bag union; requires union-compatible application schemas.
-pub fn union_all(a: &TaggedRelation, b: &TaggedRelation) -> DbResult<TaggedRelation> {
-    if !a.schema().union_compatible(b.schema()) {
-        return Err(DbError::TypeMismatch {
-            expected: format!("union-compatible schemas ({})", a.schema()),
-            found: b.schema().to_string(),
-        });
-    }
-    let mut rows = a.rows().to_vec();
-    rows.extend(b.rows().iter().cloned());
-    Ok(TaggedRelation::from_parts_unchecked(
-        a.schema().clone(),
-        a.dictionary().clone(),
-        rows,
-    ))
-}
-
 /// δ over application values: rows with equal *values* collapse to one row
 /// whose cell tags are the merge of the duplicates' tags (conflicting tags
 /// drop — ambiguous provenance is not invented).
@@ -548,18 +520,6 @@ pub fn distinct_merging(rel: &TaggedRelation) -> TaggedRelation {
         }
     }
     TaggedRelation::from_parts_unchecked(rel.schema().clone(), rel.dictionary().clone(), out)
-}
-
-/// τ — stable sort by application values, ascending.
-pub fn sort_by_value(rel: &TaggedRelation, column: &str) -> DbResult<TaggedRelation> {
-    let ci = rel.schema().resolve(column)?;
-    let mut rows = rel.rows().to_vec();
-    rows.sort_by(|a, b| a[ci].value.cmp(&b[ci].value));
-    Ok(TaggedRelation::from_parts_unchecked(
-        rel.schema().clone(),
-        rel.dictionary().clone(),
-        rows,
-    ))
 }
 
 /// How an aggregate output cell derives one indicator from its input group.
@@ -858,15 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_keeps_tags() {
-        let r = rename(&prices(), "price", "share_price").unwrap();
-        assert_eq!(
-            r.cell(0, "share_price").unwrap().tag_value("source"),
-            Value::text("NYSE feed")
-        );
-    }
-
-    #[test]
     fn join_propagates_tags_from_both_sides() {
         let schema = Schema::of(&[("ticker", DataType::Text), ("qty", DataType::Int)]);
         let dict = IndicatorDictionary::with_paper_defaults();
@@ -977,10 +928,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_distinct_merge() {
+    fn distinct_merges_duplicate_rows() {
         let a = prices();
-        let b = prices();
-        let u = union_all(&a, &b).unwrap();
+        let mut rows = a.rows().to_vec();
+        rows.extend(prices().rows().iter().cloned());
+        let u = TaggedRelation::new(a.schema().clone(), a.dictionary().clone(), rows).unwrap();
         assert_eq!(u.len(), 6);
         let dd = distinct_merging(&u);
         assert_eq!(dd.len(), 3);
@@ -1109,15 +1061,5 @@ mod tests {
         // analogue in days (Premise 2.2)
         let fresh = select(&rel, &Expr::col("price@age").le(Expr::lit(10i64))).unwrap();
         assert_eq!(fresh.len(), 1);
-    }
-
-    #[test]
-    fn sort_by_value_keeps_tags() {
-        let s = sort_by_value(&prices(), "price").unwrap();
-        assert_eq!(s.cell(0, "ticker").unwrap().value, Value::text("FRT"));
-        assert_eq!(
-            s.cell(2, "price").unwrap().tag_value("source"),
-            Value::text("manual entry")
-        );
     }
 }

@@ -193,15 +193,6 @@ impl Bitset {
         }
     }
 
-    /// Flips every bit within a universe of `nbits` rows.
-    pub fn complement(&mut self, nbits: usize) {
-        self.grow(nbits);
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
     /// The backing `u64` words. Bit `i` lives in `words()[i / 64]` at
     /// `1 << (i % 64)`; bits at positions `>= len()` are always zero.
     pub fn words(&self) -> &[u64] {
@@ -296,11 +287,6 @@ impl Posting {
     /// Number of distinct indexed tag values.
     pub fn distinct_values(&self) -> usize {
         self.values.len()
-    }
-
-    /// Popcount of the tagged-rows bitset.
-    pub fn tagged_rows(&self) -> usize {
-        self.tagged.count()
     }
 
     /// Positional swap-delete fix-up: drops row `row`'s bits and re-homes
@@ -617,11 +603,6 @@ impl QualityIndex {
         self.rows
     }
 
-    /// True iff the index covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// The posting for `(column, indicator)`, if any row is tagged there.
     pub fn posting(&self, col: usize, indicator: &Symbol) -> Option<&Posting> {
         self.postings.get(&(col, indicator.clone())).map(Arc::as_ref)
@@ -837,11 +818,6 @@ impl IndexedTaggedRelation {
         &self.index
     }
 
-    /// Unwraps into the relation, dropping the index.
-    pub fn into_relation(self) -> TaggedRelation {
-        self.rel
-    }
-
     /// Row count.
     pub fn len(&self) -> usize {
         self.rel.len()
@@ -947,11 +923,6 @@ mod tests {
 
         let full = Bitset::full(67);
         assert_eq!(full.count(), 67);
-        let mut c = Bitset::new(67);
-        c.set(3);
-        c.complement(67);
-        assert_eq!(c.count(), 66);
-        assert!(!c.contains(3));
         assert!(Bitset::new(0).is_empty());
     }
 
@@ -1232,7 +1203,7 @@ mod tests {
         // a NULL retag untags the cell and drops its value too
         ir.tag_cell(0, "v", IndicatorValue::new("age", Value::Null)).unwrap();
         let posting = ir.index().posting(1, &age).unwrap();
-        assert_eq!((posting.distinct_values(), posting.tagged_rows()), (2, 2));
+        assert_eq!((posting.distinct_values(), posting.tagged.count()), (2, 2));
     }
 
     #[test]
@@ -1248,7 +1219,7 @@ mod tests {
         // only the written posting was copied, and only in the clone
         assert!(!shared(&original, &copy, &age) && shared(&original, &copy, &source));
         assert_eq!(original, QualityIndex::build(&rel()));
-        assert_eq!(copy.posting(1, &age).unwrap().tagged_rows(), 4);
+        assert_eq!(copy.posting(1, &age).unwrap().tagged.count(), 4);
     }
 
     #[test]

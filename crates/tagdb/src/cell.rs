@@ -64,6 +64,7 @@ impl QualityCell {
 
     /// True iff `self` and `other` share one physical tag vector — the
     /// zero-copy propagation tests assert on this.
+    #[cfg(test)]
     pub fn shares_tags_with(&self, other: &QualityCell) -> bool {
         match (&self.tags, &other.tags) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),

@@ -68,16 +68,6 @@ impl StrPool {
         &self.strings[id as usize]
     }
 
-    /// Number of distinct strings pooled.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True iff the pool holds no strings (an all-NULL Text column).
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
     /// The id of `s`, if pooled. Linear scan — callers resolve literals
     /// once per operator, not per row.
     pub fn id_of(&self, s: &str) -> Option<u32> {
@@ -130,17 +120,8 @@ impl TagRuns {
         self.len += n;
     }
 
-    /// Number of cells covered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff no cells are covered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of runs — the compression ratio signal (`len / runs`).
+    #[cfg(test)]
     pub fn run_count(&self) -> usize {
         self.runs.len()
     }
@@ -419,17 +400,8 @@ impl ColumnarRelation {
         rel
     }
 
-    /// Application schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Indicator dictionary in force.
-    pub fn dictionary(&self) -> &IndicatorDictionary {
-        &self.dict
-    }
-
     /// The columns, in schema order.
+    #[cfg(test)]
     pub fn columns(&self) -> &[Column] {
         &self.columns
     }
@@ -442,11 +414,6 @@ impl ColumnarRelation {
     /// True iff there are no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Relation-level quality tags (preserved through conversion).
-    pub fn relation_tags(&self) -> &[IndicatorValue] {
-        &self.relation_tags
     }
 
     /// The value of `(row, col)` as an owned [`Value`] (NULL when the
@@ -1287,10 +1254,13 @@ mod tests {
         for p in predicates() {
             let expect = algebra::select(&rel, &p).unwrap();
             for threads in [1usize, 2, 8] {
-                let (got, _) = par::with_thread_count(threads, || {
-                    select_columnar(&crel, &p, 7).unwrap()
-                });
+                let (got, stats) =
+                    par::with_thread_count(threads, || select_columnar(&crel, &p, 7).unwrap());
                 assert_eq!(got.to_tagged(), expect, "threads={threads} p={p:?}");
+                assert!(
+                    stats.batches * stats.batch_size >= stats.rows_out,
+                    "threads={threads}"
+                );
             }
         }
     }
@@ -1483,5 +1453,13 @@ mod tests {
         assert!(after.counter("columnar.rows_out") >= before.counter("columnar.rows_out"));
         assert!(stats.batches * stats.batch_size >= stats.rows_out);
         assert!(after.validate().is_ok());
+        // process-wide: σ batches are capped at the batch width (join
+        // fan-out counts under columnar.join.*)
+        let (batches, rows_out) = (
+            after.counter("columnar.batches"),
+            after.counter("columnar.rows_out"),
+        );
+        assert!(rows_out <= after.counter("columnar.rows_in"));
+        assert!(batches * crate::DEFAULT_BATCH_SIZE as u64 >= rows_out);
     }
 }

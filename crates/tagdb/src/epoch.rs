@@ -44,11 +44,6 @@ impl<T> Stamped<T> {
     pub fn value(&self) -> &T {
         &self.value
     }
-
-    /// Consume the stamp, yielding the value.
-    pub fn into_value(self) -> T {
-        self.value
-    }
 }
 
 /// A single-slot publication cell: writers swap in new epoch-stamped
@@ -92,13 +87,6 @@ impl<T> EpochCell<T> {
         Arc::clone(&self.current.read().expect("epoch cell poisoned"))
     }
 
-    /// Publish `value` at the next epoch (`current + 1`). Returns the
-    /// epoch assigned. Concurrent publishers serialize on the internal
-    /// write lock, so epochs are strictly increasing.
-    pub fn publish(&self, value: T) -> u64 {
-        self.publish_at(value, 0)
-    }
-
     /// Publish `value` at `max(current + 1, floor)`. The floor lets an
     /// external epoch authority (the WAL) dictate the stamp while still
     /// guaranteeing strict monotonicity if the authority lags.
@@ -125,7 +113,7 @@ mod tests {
         assert_eq!(pinned.epoch(), 0);
         assert_eq!(pinned.value(), &vec![1, 2]);
 
-        let e = cell.publish(vec![3]);
+        let e = cell.publish_at(vec![3], 0);
         assert_eq!(e, 1);
         assert_eq!(cell.published_epoch(), 1);
         // the old pin is unaffected by the publish
@@ -146,7 +134,7 @@ mod tests {
     fn with_epoch_starts_at_the_recovered_stamp() {
         let cell = EpochCell::with_epoch(42, "state");
         assert_eq!(cell.published_epoch(), 42);
-        assert_eq!(cell.publish("next"), 43);
+        assert_eq!(cell.publish_at("next", 0), 43);
     }
 
     #[test]
@@ -155,7 +143,7 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let cell = Arc::clone(&cell);
-                thread::spawn(move || (0..50).map(|_| cell.publish(i)).collect::<Vec<u64>>())
+                thread::spawn(move || (0..50).map(|_| cell.publish_at(i, 0)).collect::<Vec<u64>>())
             })
             .collect();
         let mut all: Vec<u64> = handles

@@ -81,16 +81,6 @@ impl IndicatorDictionary {
         self.defs.keys().map(String::as_str).collect()
     }
 
-    /// Number of declared indicators.
-    pub fn len(&self) -> usize {
-        self.defs.len()
-    }
-
-    /// True iff no indicators are declared.
-    pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
-    }
-
     /// Validates one indicator value (and, recursively, its meta tags).
     pub fn check(&self, iv: &IndicatorValue) -> DbResult<()> {
         let def = self.get(&iv.indicator).ok_or_else(|| {
@@ -165,6 +155,7 @@ impl IndicatorValue {
     }
 
     /// Depth of the meta-tag tree (a leaf tag has depth 1).
+    #[cfg(test)]
     pub fn depth(&self) -> usize {
         1 + self.meta.iter().map(IndicatorValue::depth).max().unwrap_or(0)
     }
@@ -210,11 +201,11 @@ mod tests {
             .unwrap();
         assert!(d.get("source").is_some());
         assert!(d.get("ghost").is_none());
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.defs.len(), 1);
         // idempotent redeclare
         d.declare(IndicatorDef::new("source", DataType::Text, "origin"))
             .unwrap();
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.defs.len(), 1);
         // conflicting redeclare
         assert!(d
             .declare(IndicatorDef::new("source", DataType::Int, "origin"))

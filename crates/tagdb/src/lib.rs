@@ -215,18 +215,6 @@ mod proptests {
             prop_assert_eq!(back, rel);
         }
 
-        /// expand_all never changes row count and prefixes the original
-        /// application columns unchanged.
-        #[test]
-        fn expand_preserves_values(rel in arb_tagged()) {
-            let x = rel.expand_all().unwrap();
-            prop_assert_eq!(x.len(), rel.len());
-            let stripped = rel.strip();
-            for (er, sr) in x.iter().zip(stripped.iter()) {
-                prop_assert_eq!(&er[..2], sr.as_slice());
-            }
-        }
-
         /// Parallel tag-propagating execution is invisible: σ (value and
         /// quality predicates), π, and ⋈ produce identical rows, order,
         /// and tags at thread counts 1, 2, and 8.

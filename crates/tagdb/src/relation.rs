@@ -9,9 +9,8 @@
 
 use crate::cell::QualityCell;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
-use relstore::{ColumnDef, DataType, DbError, DbResult, Relation, Row, Schema};
+use relstore::{DbError, DbResult, Relation, Row, Schema};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Separator between column and indicator in a pseudo-column name.
@@ -180,15 +179,6 @@ impl TaggedRelation {
         Ok(())
     }
 
-    /// The relation-level tag value for `indicator`; NULL when untagged.
-    pub fn relation_tag_value(&self, indicator: &str) -> relstore::Value {
-        self.relation_tags
-            .iter()
-            .find(|t| t.indicator == indicator)
-            .map(|t| t.value.clone())
-            .unwrap_or(relstore::Value::Null)
-    }
-
     /// Tags one cell, validating against the dictionary.
     pub fn tag_cell(&mut self, row: usize, column: &str, tag: IndicatorValue) -> DbResult<()> {
         self.dict.check(&tag)?;
@@ -230,57 +220,6 @@ impl TaggedRelation {
     /// Splits a pseudo-column name `col@indicator` into its parts.
     pub fn split_pseudo(name: &str) -> Option<(&str, &str)> {
         name.split_once(TAG_SEP)
-    }
-
-    /// The indicators actually used on a column across all rows, sorted.
-    pub fn indicators_on(&self, column: &str) -> DbResult<Vec<String>> {
-        let c = self.schema.resolve(column)?;
-        let mut set = BTreeSet::new();
-        for row in &self.rows {
-            for t in row[c].tags() {
-                set.insert(t.indicator.to_string());
-            }
-        }
-        Ok(set.into_iter().collect())
-    }
-
-    /// Materializes the relation with tags expanded into pseudo-columns.
-    /// `pairs` lists `(column, indicator)`; each contributes a column named
-    /// `column@indicator` whose value is the tag value (NULL if untagged).
-    pub fn expand(&self, pairs: &[(&str, &str)]) -> DbResult<Relation> {
-        let mut cols: Vec<ColumnDef> = self.schema.columns().to_vec();
-        let mut idx = Vec::with_capacity(pairs.len());
-        for (col, ind) in pairs {
-            let ci = self.schema.resolve(col)?;
-            let dtype = self.dict.get(ind).map(|d| d.dtype).unwrap_or(DataType::Any);
-            cols.push(ColumnDef::new(format!("{col}{TAG_SEP}{ind}"), dtype));
-            idx.push((ci, (*ind).to_owned()));
-        }
-        let schema = Schema::new(cols)?;
-        let mut rows = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            let mut out: Row = row.iter().map(|c| c.value.clone()).collect();
-            for (ci, ind) in &idx {
-                out.push(row[*ci].tag_value(ind));
-            }
-            rows.push(out);
-        }
-        Relation::new(schema, rows)
-    }
-
-    /// [`TaggedRelation::expand`] over every `(column, indicator)` pair
-    /// present anywhere in the data, in schema-then-indicator order.
-    pub fn expand_all(&self) -> DbResult<Relation> {
-        let names: Vec<String> = self.schema.names().iter().map(|s| s.to_string()).collect();
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for col in &names {
-            for ind in self.indicators_on(col)? {
-                pairs.push((col.clone(), ind));
-            }
-        }
-        let borrowed: Vec<(&str, &str)> =
-            pairs.iter().map(|(c, i)| (c.as_str(), i.as_str())).collect();
-        self.expand(&borrowed)
     }
 
     /// Renders in the paper's Table 2 layout: each cell as
@@ -345,7 +284,7 @@ impl fmt::Display for TaggedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relstore::{Date, Value};
+    use relstore::{DataType, Date, Value};
 
     /// The paper's Table 2, verbatim.
     pub(crate) fn table2() -> TaggedRelation {
@@ -443,48 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn indicators_on_column() {
-        let t = table2();
-        assert_eq!(
-            t.indicators_on("address").unwrap(),
-            vec!["creation_time".to_string(), "source".to_string()]
-        );
-        assert!(t.indicators_on("co_name").unwrap().is_empty());
-        assert!(t.indicators_on("ghost").is_err());
-    }
-
-    #[test]
-    fn expansion_creates_pseudo_columns() {
-        let t = table2();
-        let x = t
-            .expand(&[("employees", "source"), ("employees", "creation_time")])
-            .unwrap();
-        assert_eq!(
-            x.schema().names(),
-            vec![
-                "co_name",
-                "address",
-                "employees",
-                "employees@source",
-                "employees@creation_time"
-            ]
-        );
-        assert_eq!(
-            x.value_at(1, "employees@source").unwrap(),
-            &Value::text("estimate")
-        );
-        // untagged pseudo-cells are NULL
-        let x = t.expand(&[("co_name", "source")]).unwrap();
-        assert!(x.value_at(0, "co_name@source").unwrap().is_null());
-    }
-
-    #[test]
-    fn expand_all_covers_used_pairs() {
-        let x = table2().expand_all().unwrap();
-        assert_eq!(x.schema().arity(), 3 + 4); // address×2 + employees×2
-    }
-
-    #[test]
     fn pseudo_name_splitting() {
         assert_eq!(
             TaggedRelation::split_pseudo("price@age"),
@@ -497,7 +394,6 @@ mod tests {
     fn relation_level_tags() {
         let t = table2();
         assert!(t.relation_tags().is_empty());
-        assert!(t.relation_tag_value("population_method").is_null());
         // declare the table-level indicator, then tag the relation
         let mut dict = t.dictionary().clone();
         dict.declare(tagstore_test_def()).unwrap();
@@ -508,7 +404,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            t.relation_tag_value("population_method"),
+            t.relation_tags()[0].value,
             Value::text("bulk import from sales ledger")
         );
         // replace

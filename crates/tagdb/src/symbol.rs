@@ -81,12 +81,6 @@ impl Symbol {
     pub fn as_str(&self) -> &str {
         &self.name
     }
-
-    /// The interner id. Stable for the life of the process; not
-    /// meaningful across processes — never persist it.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
 }
 
 impl PartialEq for Symbol {
@@ -245,7 +239,7 @@ mod tests {
     fn intern_dedupes_and_shares() {
         let a = Symbol::intern("source");
         let b = Symbol::intern("source");
-        assert_eq!(a.id(), b.id());
+        assert_eq!(a.id, b.id);
         assert_eq!(a, b);
         assert!(Arc::ptr_eq(&a.name, &b.name));
         let c = Symbol::intern("age");
@@ -290,7 +284,7 @@ mod tests {
     #[test]
     fn concurrent_interning_is_consistent() {
         let handles: Vec<_> = (0..8)
-            .map(|_| std::thread::spawn(|| Symbol::intern("concurrent_test").id()))
+            .map(|_| std::thread::spawn(|| Symbol::intern("concurrent_test").id))
             .collect();
         let ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(ids.windows(2).all(|w| w[0] == w[1]));

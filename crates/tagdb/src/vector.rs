@@ -557,10 +557,13 @@ mod tests {
         for p in predicates() {
             let expect = algebra::select(&rel, &p).unwrap();
             for threads in [1usize, 2, 8] {
-                let (got, _) = par::with_thread_count(threads, || {
-                    select_vectorized(&rel, &p, 7).unwrap()
-                });
+                let (got, stats) =
+                    par::with_thread_count(threads, || select_vectorized(&rel, &p, 7).unwrap());
                 assert_eq!(got, expect, "threads={threads} p={p:?}");
+                assert!(
+                    stats.batches * stats.batch_size >= stats.rows_out,
+                    "threads={threads}"
+                );
             }
         }
     }
@@ -623,5 +626,13 @@ mod tests {
         assert!(after.counter("vector.rows_out") >= before.counter("vector.rows_out"));
         assert!(stats.batches * stats.batch_size >= stats.rows_out);
         assert!(after.validate().is_ok());
+        // process-wide: σ batches are capped at the batch width (join
+        // fan-out counts under vector.join.*)
+        let (batches, rows_out) = (
+            after.counter("vector.batches"),
+            after.counter("vector.rows_out"),
+        );
+        assert!(rows_out <= after.counter("vector.rows_in"));
+        assert!(batches * DEFAULT_BATCH_SIZE as u64 >= rows_out);
     }
 }

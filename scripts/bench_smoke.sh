@@ -4,11 +4,9 @@
 # time budget, and record one JSON line per benchmark in BENCH_tagprop.json.
 # Then run the B7 scan-vs-bitmap index series into BENCH_index.json, the
 # B8 WAL/recovery durability series into BENCH_wal.json, the B9
-# vectorized-execution series into BENCH_vector.json, and the B10
-# columnar-vs-row series into BENCH_columnar.json, the B11 server
-# loadgen (qps vs clients + stmt-cache cold/hit split) into
-# BENCH_server.json, and the B12 MVCC reader-throughput burst into
-# BENCH_mvcc.json.
+# vectorized-execution series into BENCH_vector.json, the B10
+# columnar-vs-row series into BENCH_columnar.json, and the B12 MVCC
+# reader-throughput burst into BENCH_mvcc.json.
 # Finishes with the parallel index-build regression gate over the fresh
 # B9 numbers.
 #
@@ -18,9 +16,7 @@
 #   DQ_BENCH_WAL_JSON    output file for B8       (default BENCH_wal.json)
 #   DQ_BENCH_VECTOR_JSON output file for B9       (default BENCH_vector.json)
 #   DQ_BENCH_COLUMNAR_JSON output file for B10    (default BENCH_columnar.json)
-#   DQ_BENCH_SERVER_JSON output file for B11      (default BENCH_server.json)
 #   DQ_BENCH_MVCC_JSON   output file for B12      (default BENCH_mvcc.json)
-#   DQ_LOADGEN_MS        B11 measure window per client tier, ms (default DQ_BENCH_MS)
 #   DQ_MVCC_MS           B12 measure window per tier, ms (default DQ_BENCH_MS)
 #   DQ_BENCH_WAL_TIERS  log lengths for B8 recovery (default 1000,10000,50000)
 #   DQ_BENCH_MS         measure budget per bench, ms   (default 200)
@@ -76,21 +72,6 @@ DQ_BENCH_COLUMNAR_JSON="${DQ_BENCH_COLUMNAR_JSON:-$PWD/BENCH_columnar.json}"
 DQ_BENCH_JSON="$DQ_BENCH_COLUMNAR_JSON" cargo bench --offline -p dq-bench --bench columnar
 
 echo "wrote $(wc -l < "$DQ_BENCH_COLUMNAR_JSON") records to $DQ_BENCH_COLUMNAR_JSON"
-
-# B11: concurrent query server — qps vs client count over real sockets
-# plus the prepared-statement cache's cold-vs-hit latency split. The
-# ≥100k qps target is a multi-core target: on a single-CPU box the
-# clients, workers, and engine timeshare one core, so the loadgen's
-# numbers there are a floor, not a capability (it prints its own
-# warning, mirroring index_build_gate.sh).
-DQ_BENCH_SERVER_JSON="${DQ_BENCH_SERVER_JSON:-$PWD/BENCH_server.json}"
-if [ "$(nproc 2>/dev/null || echo 1)" -lt 2 ]; then
-    echo "bench_smoke: single CPU detected; B11 qps numbers will be a single-core floor"
-fi
-DQ_BENCH_SERVER_JSON="$DQ_BENCH_SERVER_JSON" DQ_LOADGEN_MS="${DQ_LOADGEN_MS:-$DQ_BENCH_MS}" \
-    cargo run -q --offline --release -p dq-bench --bin loadgen
-
-echo "wrote $(wc -l < "$DQ_BENCH_SERVER_JSON") records to $DQ_BENCH_SERVER_JSON"
 
 # B12: MVCC reader throughput under a sustained TAG-write burst — 1
 # writer + 4/16 readers. The bench itself is the parity gate: reader

@@ -46,17 +46,6 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_columnar.json \
     cargo bench --offline -p dq-bench --bench columnar >/dev/null
 
-# Vectorized-execution gate: row-at-a-time vs batched parity, EXPLAIN
-# ANALYZE batch annotations, and the vector.* metrics invariants
-# (finite, non-negative, batches × batch_size ≥ rows_out).
-cargo run -q --offline --release --example vectorized >/dev/null
-
-# Columnar-layout gate: lossless row↔columnar round-trip, columnar
-# σ/π/⋈ and index-build parity at 1/2/8 threads × batch 1/7/1024,
-# EXPLAIN ANALYZE layout=columnar annotations, and the columnar.*
-# metrics invariants.
-cargo run -q --offline --release --example columnar >/dev/null
-
 # Observability smoke: EXPLAIN ANALYZE over the B7 query set plus the
 # trading join; exits nonzero if the metrics registry snapshot contains
 # a NaN, negative, or inconsistent value.

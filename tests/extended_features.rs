@@ -13,7 +13,7 @@ use dq_workloads::{
     generate_addresses, generate_trading, MailingGenConfig, TradingGenConfig,
 };
 use polygen::{to_tagged, PolyRelation, SourceId, SourceRegistry};
-use relstore::{Date, Expr, Value};
+use relstore::{Date, Value};
 use tagstore::{from_quality_store, to_quality_store};
 
 #[test]
@@ -205,36 +205,4 @@ fn polygen_bridge_into_quality_queries() {
         r.relation().cell(0, "ticker").unwrap().value,
         Value::text("NUT")
     );
-}
-
-#[test]
-fn database_indexed_query_over_mapped_schema() {
-    // ER-mapped database + secondary index + index-aware query.
-    let er = dq_workloads::figure3_schema();
-    let mut db = er_model::to_database(&er).unwrap();
-    let w = generate_trading(&TradingGenConfig {
-        clients: 50,
-        stocks: 0,
-        trades: 0,
-        ..Default::default()
-    })
-    .unwrap();
-    for row in w.clients.strip().rows() {
-        db.insert("client", row.clone()).unwrap();
-    }
-    db.table_mut("client")
-        .unwrap()
-        .create_btree_index("by_acct", &["account_number"])
-        .unwrap();
-    let pred = Expr::col("account_number")
-        .ge(Expr::lit(10i64))
-        .and(Expr::col("account_number").lt(Expr::lit(20i64)));
-    let via_index = db.query("client", &pred).unwrap();
-    let via_scan = relstore::algebra::select(&db.scan("client").unwrap(), &pred).unwrap();
-    assert_eq!(via_index.len(), 10);
-    let mut a = via_index.into_rows();
-    let mut b = via_scan.into_rows();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
 }

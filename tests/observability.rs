@@ -46,6 +46,23 @@ fn explain_analyze_annotates_every_index_operator() {
     assert!(report.contains("IndexScan"), "no IndexScan in:\n{report}");
     assert!(report.contains("IndexJoin"), "no IndexJoin in:\n{report}");
     assert!(index_ops >= 2, "expected both index operators:\n{report}");
+
+    // the batched executor reports how it ran: batch counts, and the
+    // columnar layout on the index scan and on an unfiltered join's probe
+    let join = explain_analyze(
+        &catalog,
+        "SELECT * FROM company_stock JOIN trade ON ticker_symbol = ticker_symbol",
+        &Planner::default(),
+    )
+    .unwrap();
+    for (report, op) in [(&report, "IndexScan"), (&join, "IndexJoin")] {
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with(op))
+            .unwrap_or_else(|| panic!("no {op} in:\n{report}"));
+        assert!(line.contains("batches="), "{line}");
+        assert!(line.contains("layout=columnar"), "{line}");
+    }
 }
 
 #[test]

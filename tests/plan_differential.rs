@@ -8,9 +8,14 @@
 //! for line. Then the pinned cases for the one-walker executor: the
 //! traced run of a `col = literal` query takes (and reports) the
 //! key-hash point lookup the lean run takes, and both tick the same
-//! counters.
+//! counters. Last, the same generator with a misspelled indicator in
+//! every `col@indicator` it writes: each such statement fails, through
+//! either planner and under either `EXPLAIN`, with the error `TAG`
+//! gives for that indicator.
 
-use dq_query::{execute, execute_traced, parse, run_with, Planner, QueryCatalog, QueryResult};
+use dq_query::{
+    execute, execute_traced, parse, run_mut, run_with, Planner, QueryCatalog, QueryResult,
+};
 use dq_server::render_result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,16 +65,32 @@ fn catalog() -> QueryCatalog {
     c
 }
 
-/// Seeded generator of well-typed QQL over the two tables.
-struct Gen(StdRng);
+/// Seeded generator of well-typed QQL over the two tables. With a
+/// `typo`, every indicator path it writes is that path instead.
+struct Gen {
+    rng: StdRng,
+    typo: Option<&'static str>,
+}
 
 impl Gen {
+    fn new(seed: u64) -> Self {
+        Gen {
+            rng: StdRng::seed_from_u64(seed),
+            typo: None,
+        }
+    }
+
     fn below(&mut self, n: usize) -> usize {
-        self.0.gen_range(0..n)
+        self.rng.gen_range(0..n)
     }
 
     fn chance(&mut self, p: f64) -> bool {
-        self.0.gen_bool(p)
+        self.rng.gen_bool(p)
+    }
+
+    /// `column@indicator`, or `column@<typo>` when misspelling.
+    fn tag(&self, column: &str, indicator: &str) -> String {
+        format!("{column}@{}", self.typo.unwrap_or(indicator))
     }
 
     fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
@@ -108,12 +129,17 @@ impl Gen {
         let eq = self.pick(&["=", "<>"]);
         if table == "stocks" {
             match self.below(3) {
-                0 => format!("price@source {eq} '{}'", self.pick(&SOURCES)),
-                1 => format!("price@age <= {}", self.below(30)),
-                _ => format!("price@age > {}", self.below(30)),
+                0 => format!(
+                    "{} {eq} '{}'",
+                    self.tag("price", "source"),
+                    self.pick(&SOURCES)
+                ),
+                1 => format!("{} <= {}", self.tag("price", "age"), self.below(30)),
+                _ => format!("{} > {}", self.tag("price", "age"), self.below(30)),
             }
         } else {
-            format!("qty@inspection {eq} '{}'", self.pick(&INSPECTIONS))
+            let inspection = self.tag("qty", "inspection");
+            format!("{inspection} {eq} '{}'", self.pick(&INSPECTIONS))
         }
     }
 
@@ -190,7 +216,7 @@ impl Gen {
             let mut list: Vec<_> = columns.iter().map(|c| plain(c)).collect();
             list.retain(|_| self.chance(0.5));
             if has("stocks") && self.chance(0.4) {
-                list.push(aliased("price@age".into(), "age"));
+                list.push(aliased(self.tag("price", "age"), "age"));
             }
             if list.is_empty() {
                 list.push(plain(columns[0]));
@@ -246,7 +272,7 @@ fn generated_statements_agree_across_planners_and_explain() {
         pushdown: false,
         use_indexes: false,
     };
-    let mut gen = Gen(StdRng::seed_from_u64(16));
+    let mut gen = Gen::new(16);
     let (mut point_lookups, mut joins, mut nonempty) = (0, 0, 0);
     for case in 0..400 {
         let sql = gen.statement();
@@ -352,4 +378,52 @@ fn lean_and_traced_runs_tick_the_same_counters() {
         assert_eq!(r1 - r0, r2 - r1, "query.rows_out per run: {sql}");
         assert!(o1 > o0, "{sql}");
     }
+}
+
+#[test]
+fn undeclared_indicators_fail_like_tag() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = catalog();
+    let naive = Planner {
+        pushdown: false,
+        use_indexes: false,
+    };
+    let mut gen = Gen::new(24);
+    let mut rejected = 0;
+    // (path written, the indicator no dictionary declares)
+    for (typo, undeclared) in [
+        ("sorce", "sorce"),
+        ("agee", "agee"),
+        ("source@sorce", "sorce"),
+    ] {
+        let tag = format!("TAG stocks SET price@{undeclared} = 'x'");
+        let expected = run_mut(&mut catalog.clone(), &tag).unwrap_err().to_string();
+        assert!(expected.contains("undeclared indicator"), "{expected}");
+        gen.typo = Some(typo);
+        for case in 0..60 {
+            let sql = gen.statement();
+            let ctx = format!("{typo} case {case}: {sql}");
+            if !sql.contains('@') {
+                run_with(&catalog, &sql, &Planner::default())
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                continue;
+            }
+            for (stmt, planner) in [
+                (sql.clone(), &Planner::default()),
+                (sql.clone(), &naive),
+                (format!("EXPLAIN {sql}"), &Planner::default()),
+                (format!("EXPLAIN ANALYZE {sql}"), &Planner::default()),
+            ] {
+                let err = run_with(&catalog, &stmt, planner)
+                    .err()
+                    .unwrap_or_else(|| panic!("{ctx}: `{stmt}` ran"));
+                assert_eq!(err.to_string(), expected, "{ctx}");
+            }
+            rejected += 1;
+        }
+    }
+    assert!(
+        rejected >= 90,
+        "only {rejected} statements named an indicator"
+    );
 }
