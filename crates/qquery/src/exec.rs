@@ -3,6 +3,7 @@
 use crate::ast::Statement;
 use crate::cache::{NoDefaults, PreparedStatement};
 use crate::plan::{AccessPathStats, Plan, Planner, SchemaProvider};
+use relstore::algebra::AggCall;
 use relstore::index::HashIndex;
 use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema};
 use std::borrow::Cow;
@@ -12,9 +13,9 @@ use tagstore::algebra::{self, TagPolicy, TagRule};
 use tagstore::bitmap::{extract_atoms, QualityIndex};
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
-    hash_join_probe_columnar, hash_join_probe_vectorized, select_columnar, select_indexed_columnar,
-    select_vectorized, BatchStats, IndicatorDictionary, QualityCell, TaggedRelation,
-    DEFAULT_BATCH_SIZE,
+    hash_join_probe_columnar, hash_join_probe_vectorized, select_vectorized, selection_columnar,
+    selection_indexed_columnar, BatchStats, Bitset, IndicatorDictionary, QualityCell,
+    TaggedRelation, DEFAULT_BATCH_SIZE,
 };
 
 /// Page-level I/O counters a [`PagedProvider`] reports for one indexed
@@ -718,14 +719,96 @@ fn prepare_tag(catalog: &QueryCatalog, stmt: Statement) -> DbResult<TagWrite> {
 /// query. `query.ops` / `query.rows_out` still tick per operator; the
 /// `query.op_us` histogram only gets samples from traced runs.
 pub fn execute(catalog: &QueryCatalog, plan: &Plan) -> DbResult<TaggedRelation> {
-    Ok(walk::<NoTrace>(catalog, plan)?.0)
+    walk::<NoTrace>(catalog, plan, false)?.0.into_rows()
 }
 
 /// Executes a logical plan through the same walker as [`execute`],
 /// returning the result alongside the per-operator [`OpTrace`] that
 /// `EXPLAIN ANALYZE` renders.
 pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelation, OpTrace)> {
-    walk::<TraceTree>(catalog, plan)
+    let (out, trace) = walk::<TraceTree>(catalog, plan, false)?;
+    Ok((out.into_rows()?, trace))
+}
+
+/// σ over a resident base table before its rows are gathered — what
+/// [`select_base`] answers. σ's own arms gather it; an aggregate folds
+/// it where it lies.
+enum Selection<'c> {
+    /// Rows of the table's relation: every one (a bare scan), or the
+    /// positions a keyed predicate kept.
+    Rows(&'c TaggedRelation, Option<Vec<usize>>),
+    /// The σ kernels' selection over the table's columnar layout.
+    Columnar(Arc<ColumnarRelation>, Bitset),
+}
+
+impl<'c> Selection<'c> {
+    fn len(&self) -> usize {
+        match self {
+            Selection::Rows(rel, None) => rel.len(),
+            Selection::Rows(_, Some(at)) => at.len(),
+            Selection::Columnar(_, sel) => sel.count(),
+        }
+    }
+
+    fn gather(self) -> DbResult<TaggedRelation> {
+        match self {
+            Selection::Rows(rel, None) => Ok(rel.clone()),
+            Selection::Rows(rel, Some(at)) => algebra::select_at(rel, &at, None),
+            Selection::Columnar(crel, sel) => Ok(crel.gather(&sel).to_tagged()),
+        }
+    }
+
+    /// The operator's output: the selection itself when the parent folds
+    /// it (`lazy`), else its rows.
+    fn output(self, lazy: bool) -> DbResult<Output<'c>> {
+        Ok(if lazy {
+            Output::Selected(self)
+        } else {
+            Output::Rows(self.gather()?)
+        })
+    }
+}
+
+/// What an operator hands its parent: rows, or a base-table [`Selection`]
+/// the parent asked for as it stands.
+enum Output<'c> {
+    Rows(TaggedRelation),
+    Selected(Selection<'c>),
+}
+
+impl Output<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Output::Rows(rel) => rel.len(),
+            Output::Selected(sel) => sel.len(),
+        }
+    }
+
+    fn into_rows(self) -> DbResult<TaggedRelation> {
+        match self {
+            Output::Rows(rel) => Ok(rel),
+            Output::Selected(sel) => sel.gather(),
+        }
+    }
+
+    /// γ over the output, tags derived per [`default_agg_policies`]: one
+    /// fold over the rows, or over the selection where it lies.
+    fn aggregate(&self, group_by: &[&str], aggs: &[AggCall]) -> DbResult<TaggedRelation> {
+        let policies = default_agg_policies();
+        match self {
+            Output::Rows(rel) => algebra::aggregate(rel, group_by, aggs, &policies),
+            Output::Selected(Selection::Rows(rel, None)) => {
+                algebra::aggregate(rel, group_by, aggs, &policies)
+            }
+            Output::Selected(Selection::Rows(rel, Some(at))) => {
+                let rows = at.iter().map(|&i| &rel.rows()[i]);
+                algebra::aggregate_rows(rel, rows, group_by, aggs, &policies)
+            }
+            Output::Selected(Selection::Columnar(crel, sel)) => {
+                crel.aggregate(sel, group_by, aggs, &policies)
+            }
+        }
+    }
 }
 
 /// What one operator run reports besides its output — values the
@@ -849,18 +932,24 @@ impl Tracer for TraceTree {
 
 /// The plan walker: the only place operators meet kernels. Each arm
 /// runs its inputs, then its kernel, and reports what the kernel told
-/// it; the tracer decides whether anyone listens.
-fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelation, T::Node)> {
+/// it; the tracer decides whether anyone listens. With `lazy`, a σ over
+/// a resident base table hands back its [`Selection`] ungathered.
+fn walk<'c, T: Tracer>(
+    catalog: &'c QueryCatalog,
+    plan: &Plan,
+    lazy: bool,
+) -> DbResult<(Output<'c>, T::Node)> {
     let mut since = T::now();
     let mut children = Vec::new();
     // Runs an input subtree and files its record under this operator;
     // the operator's own clock restarts when its last input returns.
-    let mut run_input = |p: &Plan| -> DbResult<TaggedRelation> {
-        let (rel, node) = walk::<T>(catalog, p)?;
+    let mut run = |p: &Plan, lazy: bool| -> DbResult<Output<'c>> {
+        let (out, node) = walk::<T>(catalog, p, lazy)?;
         children.push(node);
         since = T::now();
-        Ok(rel)
+        Ok(out)
     };
+    let mut run_input = |p: &Plan| run(p, false)?.into_rows();
     // A paged table's cardinality, for `rows_in`.
     let paged_rows = |p: &Arc<dyn PagedProvider>| -> DbResult<usize> {
         if T::TRACING {
@@ -869,7 +958,7 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
             Ok(0)
         }
     };
-    let (rel, stats) = match plan {
+    let (out, stats) = match plan {
         Plan::Scan(name) => match catalog.paged.get(name) {
             Some(p) => {
                 let rel = p.scan()?;
@@ -877,12 +966,12 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
                     layout: Some("paged"),
                     ..NodeStats::of(rel.len())
                 };
-                (rel, stats)
+                (Output::Rows(rel), stats)
             }
             None => {
-                let rel = catalog.get(name)?.clone();
+                let rel = catalog.get(name)?;
                 let stats = NodeStats::of(rel.len());
-                (rel, stats)
+                (Selection::Rows(rel, None).output(lazy)?, stats)
             }
         },
         Plan::Filter { input, predicate } => match &**input {
@@ -890,22 +979,25 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
             // through their provider (pages never materialize as a
             // relation), resident ones take the base-table σ sequence.
             Plan::Scan(name) => {
-                let (rel, stats) = match catalog.paged.get(name) {
+                let (out, stats) = match catalog.paged.get(name) {
                     Some(p) => {
                         let n = paged_rows(p)?;
                         let stats = NodeStats {
                             layout: Some("paged"),
                             ..NodeStats::selective(n)
                         };
-                        (p.select(predicate)?, stats)
+                        (Output::Rows(p.select(predicate)?), stats)
                     }
-                    None => select_base(catalog, name, predicate, false)?,
+                    None => {
+                        let (sel, stats) = select_base(catalog, name, predicate, false)?;
+                        (sel.output(lazy)?, stats)
+                    }
                 };
                 let stats = NodeStats {
                     absorbed: Some((&**input, stats.rows_in)),
                     ..stats
                 };
-                (rel, stats)
+                (out, stats)
             }
             _ => {
                 let input_rel = run_input(input)?;
@@ -914,7 +1006,7 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
                     batch: Some(batch),
                     ..NodeStats::selective(input_rel.len())
                 };
-                (rel, stats)
+                (Output::Rows(rel), stats)
             }
         },
         Plan::Join {
@@ -925,32 +1017,34 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
         } => {
             let (l, r) = (run_input(left)?, run_input(right)?);
             let rel = algebra::hash_join(&l, &r, left_key, right_key)?;
-            (rel, NodeStats::selective(l.len() + r.len()))
+            (Output::Rows(rel), NodeStats::selective(l.len() + r.len()))
         }
         Plan::Project { input, columns } => {
             let input_rel = run_input(input)?;
             let rel = project_mixed(&input_rel, columns)?;
-            (rel, NodeStats::of(input_rel.len()))
+            (Output::Rows(rel), NodeStats::of(input_rel.len()))
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let input_rel = run_input(input)?;
+            // A base-table σ input is folded where it lies, never
+            // gathered; its own node still reports how it selected.
+            let input = run(input, true)?;
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            let rel = algebra::aggregate(&input_rel, &gb, aggs, &default_agg_policies())?;
-            (rel, NodeStats::of(input_rel.len()))
+            let rel = input.aggregate(&gb, aggs)?;
+            (Output::Rows(rel), NodeStats::of(input.len()))
         }
         Plan::Distinct { input } => {
             let input_rel = run_input(input)?;
             let rel = algebra::distinct_merging(&input_rel);
-            (rel, NodeStats::of(input_rel.len()))
+            (Output::Rows(rel), NodeStats::of(input_rel.len()))
         }
         Plan::Sort { input, keys } => {
             let input_rel = run_input(input)?;
             let rel = sort_multi(&input_rel, keys)?;
-            (rel, NodeStats::of(input_rel.len()))
+            (Output::Rows(rel), NodeStats::of(input_rel.len()))
         }
         Plan::Limit { input, n } => {
             let input_rel = run_input(input)?;
@@ -959,7 +1053,7 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
                 input_rel.dictionary().clone(),
                 input_rel.rows().iter().take(*n).cloned().collect(),
             )?;
-            (rel, NodeStats::of(input_rel.len()))
+            (Output::Rows(rel), NodeStats::of(input_rel.len()))
         }
         Plan::IndexScan {
             table,
@@ -967,12 +1061,12 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
             est_selectivity,
             ..
         } => {
-            let (rel, stats) = select_base(catalog, table, predicate, true)?;
+            let (sel, stats) = select_base(catalog, table, predicate, true)?;
             let stats = NodeStats {
                 est_selectivity: Some(*est_selectivity),
                 ..stats
             };
-            (rel, stats)
+            (sel.output(lazy)?, stats)
         }
         Plan::PagedIndexScan {
             table,
@@ -989,7 +1083,7 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
                 io: Some(io),
                 ..NodeStats::selective(n)
             };
-            (rel, stats)
+            (Output::Rows(rel), stats)
         }
         Plan::IndexJoin {
             left,
@@ -1023,7 +1117,7 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
                         absorbed: Some((&**left, cl.len())),
                         ..NodeStats::selective(cl.len() + cr.len())
                     };
-                    (out.to_tagged(), stats)
+                    (Output::Rows(out.to_tagged()), stats)
                 }
                 _ => {
                     let l = run_input(left)?;
@@ -1035,61 +1129,60 @@ fn walk<T: Tracer>(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelat
                         batch: Some(batch),
                         ..NodeStats::selective(l.len() + r.len())
                     };
-                    (rel, stats)
+                    (Output::Rows(rel), stats)
                 }
             }
         }
     };
+    let rows_out = out.len();
     dq_obs::counter!("query.ops").incr();
-    dq_obs::counter!("query.rows_out").add(rel.len() as u64);
-    let node = T::node(plan, since, rel.len(), stats, children);
-    Ok((rel, node))
+    dq_obs::counter!("query.rows_out").add(rows_out as u64);
+    let node = T::node(plan, since, rows_out, stats, children);
+    Ok((out, node))
 }
 
 /// σ over a resident base table — the one access sequence behind both
-/// `Filter(Scan)` and `IndexScan`, lean or traced.
+/// `Filter(Scan)` and `IndexScan`, lean or traced. It selects; the
+/// caller gathers the [`Selection`] or folds it.
 ///
-/// When the predicate is keyed ([`keyed_rows`]), gather exactly the
-/// rows the key index and the re-check keep: a served point query
-/// touches a handful of rows instead of the whole table, which is what
-/// lets the prepared-statement cache's saving (parse + plan) show up at
-/// all.
+/// When the predicate is keyed ([`keyed_rows`]), select exactly the rows
+/// the key index and the re-check keep: a served point query touches a
+/// handful of rows instead of the whole table, which is what lets the
+/// prepared-statement cache's saving (parse + plan) show up at all.
 ///
 /// Otherwise run the columnar kernels against the catalog's cached
-/// layout — through the quality bitmap index when `use_index` — and
-/// materialize rows only at the operator boundary.
-fn select_base<'p>(
-    catalog: &QueryCatalog,
+/// layout — through the quality bitmap index when `use_index`.
+fn select_base<'c, 'p>(
+    catalog: &'c QueryCatalog,
     table: &str,
     predicate: &'p Expr,
     use_index: bool,
-) -> DbResult<(TaggedRelation, NodeStats<'p>)> {
+) -> DbResult<(Selection<'c>, NodeStats<'p>)> {
     let entry = catalog.entry(table)?;
     let stats = NodeStats::selective(entry.rel.len());
     if let Some((col, rows)) = keyed_rows(entry, predicate)? {
-        let out = algebra::select_at(&entry.rel, &rows, None)?;
         dq_obs::counter!("query.point_lookups").incr();
         let stats = NodeStats {
             point_lookup: Some(col),
             ..stats
         };
-        return Ok((out, stats));
+        return Ok((Selection::Rows(&entry.rel, Some(rows)), stats));
     }
     let crel = entry.columnar();
-    let (out, batch) = if use_index {
+    let (sel, batch) = if use_index {
         let idx = entry.quality_index();
-        let (out, _path, batch) =
-            select_indexed_columnar(&crel, &idx, predicate, DEFAULT_BATCH_SIZE)?;
-        (out, batch)
+        let (sel, _path, batch) =
+            selection_indexed_columnar(&crel, &idx, predicate, DEFAULT_BATCH_SIZE)?;
+        (sel, batch)
     } else {
-        select_columnar(&crel, predicate, DEFAULT_BATCH_SIZE)?
+        selection_columnar(&crel, predicate, DEFAULT_BATCH_SIZE)?
     };
     let stats = NodeStats {
         batch: Some(batch),
         layout: Some("columnar"),
         ..stats
     };
-    Ok((out.to_tagged(), stats))
+    Ok((Selection::Columnar(crel, sel), stats))
 }
 
 /// The rows of `entry` a keyed predicate keeps, in ascending order, and
@@ -1366,6 +1459,45 @@ mod tests {
             avg.tag_value("source"),
             Value::text("NYSE feed+manual entry")
         );
+    }
+
+    /// An integer SUM past `i64` is an arithmetic error on every source
+    /// the aggregate folds — a bare scan, a columnar σ, a bitmap σ, a
+    /// keyed lookup, join output — grouped or not.
+    #[test]
+    fn integer_sum_overflow_errors_on_every_source() {
+        let schema = relstore::Schema::of(&[("k", DataType::Text), ("v", DataType::Int)]);
+        let tagged = |v: i64| {
+            QualityCell::bare(v).with_tag(IndicatorValue::new("source", "feed"))
+        };
+        let rows = vec![
+            vec![QualityCell::bare("a"), tagged(i64::MAX)],
+            vec![QualityCell::bare("a"), tagged(1)],
+            vec![QualityCell::bare("b"), tagged(2)],
+        ];
+        let dict = IndicatorDictionary::with_paper_defaults();
+        let mut c = catalog();
+        c.register("big", TaggedRelation::new(schema, dict, rows).unwrap());
+        for (from, key, v) in [
+            ("FROM big", "k", "v"),
+            ("FROM big WHERE v > 0", "k", "v"),
+            ("FROM big WITH QUALITY (v@source = 'feed')", "k", "v"),
+            ("FROM big WHERE k = 'a'", "k", "v"),
+            ("FROM big JOIN big ON k = k", "l.k", "l.v"),
+        ] {
+            for sql in [
+                format!("SELECT SUM({v}) AS s {from}"),
+                format!("SELECT {key}, SUM({v}) AS s {from} GROUP BY {key}"),
+            ] {
+                match run(&c, &sql) {
+                    Err(DbError::Arithmetic(m)) => assert_eq!(m, "integer overflow in SUM", "{sql}"),
+                    other => panic!("{sql}: expected an overflow error, got {other:?}"),
+                }
+            }
+        }
+        // below the edge the same statements answer
+        let r = run(&c, "SELECT SUM(v) AS s FROM big WHERE k = 'b'").unwrap();
+        assert_eq!(r.relation().cell(0, "s").unwrap().value, Value::Int(2));
     }
 
     #[test]

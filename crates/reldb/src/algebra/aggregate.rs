@@ -59,8 +59,15 @@ impl AggCall {
     }
 }
 
-/// Accumulator state for one aggregate within one group.
-enum Acc {
+/// Running state of one aggregate call within one group — the one place
+/// COUNT/SUM/AVG/MIN/MAX/COUNT(DISTINCT) semantics live. [`aggregate`]
+/// drives it over plain rows and `tagstore`'s one-pass tagged γ over
+/// tagged rows and columnar selections, so every path answers alike.
+#[derive(Debug, Clone)]
+pub struct Acc(State);
+
+#[derive(Debug, Clone)]
+enum State {
     Count(i64),
     SumInt(i64, bool),
     SumFloat(f64, bool),
@@ -71,21 +78,25 @@ enum Acc {
 }
 
 impl Acc {
-    fn new(func: AggFunc) -> Acc {
-        match func {
-            AggFunc::Count => Acc::Count(0),
+    /// The empty state of `func`.
+    pub fn new(func: AggFunc) -> Acc {
+        Acc(match func {
+            AggFunc::Count => State::Count(0),
             // Sum starts as int and upgrades to float on first float input.
-            AggFunc::Sum => Acc::SumInt(0, false),
-            AggFunc::Avg => Acc::Avg(0.0, 0),
-            AggFunc::Min => Acc::Min(None),
-            AggFunc::Max => Acc::Max(None),
-            AggFunc::CountDistinct => Acc::Distinct(std::collections::HashSet::new()),
-        }
+            AggFunc::Sum => State::SumInt(0, false),
+            AggFunc::Avg => State::Avg(0.0, 0),
+            AggFunc::Min => State::Min(None),
+            AggFunc::Max => State::Max(None),
+            AggFunc::CountDistinct => State::Distinct(std::collections::HashSet::new()),
+        })
     }
 
-    fn update(&mut self, v: Option<&Value>) -> DbResult<()> {
-        match self {
-            Acc::Count(n) => {
+    /// Folds in one row's input: `None` for `COUNT(*)`, else the input
+    /// column's value. An integer `SUM` that leaves `i64` is an
+    /// [`DbError::Arithmetic`] error, not a wrapped total.
+    pub fn update(&mut self, v: Option<&Value>) -> DbResult<()> {
+        match &mut self.0 {
+            State::Count(n) => {
                 // COUNT(*) counts rows; COUNT(col) counts non-null values.
                 match v {
                     None => *n += 1,
@@ -93,17 +104,19 @@ impl Acc {
                     _ => {}
                 }
             }
-            Acc::SumInt(s, any) => {
+            State::SumInt(s, any) => {
                 if let Some(val) = v {
                     match val {
                         Value::Null => {}
                         Value::Int(i) => {
-                            *s += i;
+                            *s = s.checked_add(*i).ok_or_else(|| {
+                                DbError::Arithmetic("integer overflow in SUM".into())
+                            })?;
                             *any = true;
                         }
                         Value::Float(f) => {
                             let cur = *s as f64 + f;
-                            *self = Acc::SumFloat(cur, true);
+                            self.0 = State::SumFloat(cur, true);
                         }
                         other => {
                             return Err(DbError::TypeMismatch {
@@ -114,7 +127,7 @@ impl Acc {
                     }
                 }
             }
-            Acc::SumFloat(s, any) => {
+            State::SumFloat(s, any) => {
                 if let Some(val) = v {
                     match val {
                         Value::Null => {}
@@ -125,7 +138,7 @@ impl Acc {
                     }
                 }
             }
-            Acc::Avg(s, n) => {
+            State::Avg(s, n) => {
                 if let Some(val) = v {
                     if !val.is_null() {
                         *s += val.as_float()?;
@@ -133,23 +146,23 @@ impl Acc {
                     }
                 }
             }
-            Acc::Min(m) => {
+            State::Min(m) => {
                 if let Some(val) = v {
                     if !val.is_null() && m.as_ref().is_none_or(|cur| val < cur) {
                         *m = Some(val.clone());
                     }
                 }
             }
-            Acc::Max(m) => {
+            State::Max(m) => {
                 if let Some(val) = v {
                     if !val.is_null() && m.as_ref().is_none_or(|cur| val > cur) {
                         *m = Some(val.clone());
                     }
                 }
             }
-            Acc::Distinct(set) => {
+            State::Distinct(set) => {
                 if let Some(val) = v {
-                    if !val.is_null() {
+                    if !val.is_null() && !set.contains(val) {
                         set.insert(val.clone());
                     }
                 }
@@ -158,47 +171,56 @@ impl Acc {
         Ok(())
     }
 
-    fn finish(self) -> Value {
-        match self {
-            Acc::Count(n) => Value::Int(n),
-            Acc::SumInt(s, any) => {
+    /// The aggregate's value: NULL for a SUM/AVG/MIN/MAX that saw no
+    /// non-null input.
+    pub fn finish(self) -> Value {
+        match self.0 {
+            State::Count(n) => Value::Int(n),
+            State::SumInt(s, any) => {
                 if any {
                     Value::Int(s)
                 } else {
                     Value::Null
                 }
             }
-            Acc::SumFloat(s, any) => {
+            State::SumFloat(s, any) => {
                 if any {
                     Value::Float(s)
                 } else {
                     Value::Null
                 }
             }
-            Acc::Avg(s, n) => {
+            State::Avg(s, n) => {
                 if n == 0 {
                     Value::Null
                 } else {
                     Value::Float(s / n as f64)
                 }
             }
-            Acc::Min(m) => m.unwrap_or(Value::Null),
-            Acc::Max(m) => m.unwrap_or(Value::Null),
-            Acc::Distinct(set) => Value::Int(set.len() as i64),
+            State::Min(m) => m.unwrap_or(Value::Null),
+            State::Max(m) => m.unwrap_or(Value::Null),
+            State::Distinct(set) => Value::Int(set.len() as i64),
         }
     }
 }
 
-/// γ — group by `group_by` columns and evaluate `aggs` per group.
-pub fn aggregate(input: &Relation, group_by: &[&str], aggs: &[AggCall]) -> DbResult<Relation> {
+/// Resolves a γ's inputs against `schema`: the group-key column
+/// positions, and per call its input column (`None` for `COUNT(*)`).
+/// Unknown columns, and calls other than COUNT without an input column,
+/// are errors.
+pub fn resolve_aggregate(
+    schema: &Schema,
+    group_by: &[&str],
+    aggs: &[AggCall],
+) -> DbResult<(Vec<usize>, Vec<Option<usize>>)> {
     let key_idx: Vec<usize> = group_by
         .iter()
-        .map(|c| input.schema().resolve(c))
+        .map(|c| schema.resolve(c))
         .collect::<DbResult<_>>()?;
     let agg_idx: Vec<Option<usize>> = aggs
         .iter()
         .map(|a| match &a.column {
-            Some(c) => input.schema().resolve(c).map(Some),
+            Some(c) => schema.resolve(c).map(Some),
             None => {
                 if a.func == AggFunc::Count {
                     Ok(None)
@@ -211,6 +233,30 @@ pub fn aggregate(input: &Relation, group_by: &[&str], aggs: &[AggCall]) -> DbRes
             }
         })
         .collect::<DbResult<_>>()?;
+    Ok((key_idx, agg_idx))
+}
+
+/// A γ's output schema: the group columns as declared in `schema`, then
+/// one column per call.
+pub fn aggregate_schema(schema: &Schema, key_idx: &[usize], aggs: &[AggCall]) -> DbResult<Schema> {
+    let mut cols: Vec<ColumnDef> = key_idx
+        .iter()
+        .map(|&i| schema.column(i).unwrap().clone())
+        .collect();
+    for a in aggs {
+        let dtype = match a.func {
+            AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
+            AggFunc::Avg => DataType::Float,
+            _ => DataType::Any,
+        };
+        cols.push(ColumnDef::new(a.output.clone(), dtype));
+    }
+    Schema::new(cols)
+}
+
+/// γ — group by `group_by` columns and evaluate `aggs` per group.
+pub fn aggregate(input: &Relation, group_by: &[&str], aggs: &[AggCall]) -> DbResult<Relation> {
+    let (key_idx, agg_idx) = resolve_aggregate(input.schema(), group_by, aggs)?;
 
     // Group rows. Vec<Value> keys are hashable because Value is.
     let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
@@ -232,19 +278,7 @@ pub fn aggregate(input: &Relation, group_by: &[&str], aggs: &[AggCall]) -> DbRes
     }
 
     // Output schema: group columns then aggregate outputs.
-    let mut cols: Vec<ColumnDef> = key_idx
-        .iter()
-        .map(|&i| input.schema().column(i).unwrap().clone())
-        .collect();
-    for a in aggs {
-        let dtype = match a.func {
-            AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
-            AggFunc::Avg => DataType::Float,
-            _ => DataType::Any,
-        };
-        cols.push(ColumnDef::new(a.output.clone(), dtype));
-    }
-    let schema = Schema::new(cols)?;
+    let schema = aggregate_schema(input.schema(), &key_idx, aggs)?;
 
     let mut rows: Vec<Row> = Vec::with_capacity(order.len());
     for key in order {
@@ -422,5 +456,31 @@ mod tests {
             }]
         )
         .is_err());
+    }
+
+    #[test]
+    fn integer_sum_overflow_is_an_error() {
+        let schema = Schema::of(&[("v", DataType::Int)]);
+        let r = Relation::new(schema, vec![vec![Value::Int(i64::MAX)], vec![Value::Int(1)]])
+            .unwrap();
+        match aggregate(&r, &[], &[AggCall::on(AggFunc::Sum, "v", "s")]) {
+            Err(DbError::Arithmetic(m)) => assert_eq!(m, "integer overflow in SUM"),
+            other => panic!("expected an overflow error, got {other:?}"),
+        }
+        // the same inputs in the other order overflow too, and the
+        // largest exact total still fits
+        let r = Relation::new(
+            r.schema().clone(),
+            vec![vec![Value::Int(i64::MIN)], vec![Value::Int(-1)]],
+        )
+        .unwrap();
+        assert!(aggregate(&r, &[], &[AggCall::on(AggFunc::Sum, "v", "s")]).is_err());
+        let r = Relation::new(
+            r.schema().clone(),
+            vec![vec![Value::Int(i64::MAX - 1)], vec![Value::Int(1)]],
+        )
+        .unwrap();
+        let out = aggregate(&r, &[], &[AggCall::on(AggFunc::Sum, "v", "s")]).unwrap();
+        assert_eq!(out.rows()[0][0], Value::Int(i64::MAX));
     }
 }

@@ -9,7 +9,7 @@ mod aggregate;
 mod join;
 mod set;
 
-pub use aggregate::{aggregate, AggCall, AggFunc};
+pub use aggregate::{aggregate, aggregate_schema, resolve_aggregate, Acc, AggCall, AggFunc};
 pub use join::{hash_join, JoinType};
 pub use set::{distinct, union_all};
 

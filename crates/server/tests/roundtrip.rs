@@ -189,6 +189,37 @@ fn undeclared_indicators_fail_like_tag() {
     assert!(expect.contains("BLT"), "{expect}");
 }
 
+/// An integer `SUM` past `i64` comes back as an error frame — not a
+/// panicked worker, not a wrapped total — with the embedded error's
+/// text, and the same session answers the next query.
+#[test]
+fn integer_sum_overflow_is_an_error_frame() {
+    let schema = Schema::of(&[("k", DataType::Text), ("v", DataType::Int)]);
+    let rows = [("a", i64::MAX), ("a", 1), ("b", 2)]
+        .iter()
+        .map(|&(k, v)| vec![QualityCell::bare(k), QualityCell::bare(v)])
+        .collect();
+    let dict = IndicatorDictionary::with_paper_defaults();
+    let mut embedded = catalog();
+    embedded.register("big", TaggedRelation::new(schema, dict, rows).unwrap());
+    let server = start(test_config(), embedded.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for sql in [
+        "SELECT SUM(v) AS s FROM big",
+        "SELECT k, SUM(v) AS s FROM big WHERE v > 0 GROUP BY k",
+    ] {
+        let err = run(&embedded, sql).unwrap_err().to_string();
+        assert!(err.contains("integer overflow in SUM"), "{err}");
+        match client.query(sql) {
+            Err(ClientError::Server(msg)) => assert_eq!(msg, err, "{sql}"),
+            other => panic!("expected the overflow error, got {other:?}"),
+        }
+        let next = "SELECT k, SUM(v) AS s FROM big WHERE k = 'b' GROUP BY k";
+        let expect = render_result(&run(&embedded, next).unwrap());
+        assert_eq!(client.query(next).unwrap(), expect);
+    }
+}
+
 #[test]
 fn profile_supplies_quality_defaults() {
     let server = start(test_config(), catalog()).unwrap();

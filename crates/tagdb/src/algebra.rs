@@ -14,6 +14,7 @@
 
 use crate::bitmap::{extract_atoms, QualityIndex};
 use crate::cell::QualityCell;
+use crate::fold::Fold;
 use crate::indicator::IndicatorValue;
 use crate::relation::{TaggedRelation, TaggedRow, TAG_SEP};
 use crate::symbol::Symbol;
@@ -555,120 +556,36 @@ impl TagPolicy {
             rule,
         }
     }
-
-    fn derive(&self, inputs: &[&QualityCell]) -> Option<IndicatorValue> {
-        let vals: Vec<Value> = inputs
-            .iter()
-            .filter_map(|c| c.tag(&self.indicator).map(|t| t.value.clone()))
-            .collect();
-        if vals.is_empty() {
-            return None;
-        }
-        let value = match self.rule {
-            TagRule::Min => vals.iter().min().cloned()?,
-            TagRule::Max => vals.iter().max().cloned()?,
-            TagRule::Unanimous => {
-                let first = &vals[0];
-                if vals.len() == inputs.len() && vals.iter().all(|v| v == first) {
-                    first.clone()
-                } else {
-                    return None;
-                }
-            }
-            TagRule::MergeText => {
-                let mut texts: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
-                texts.sort();
-                texts.dedup();
-                Value::Text(texts.join("+"))
-            }
-        };
-        Some(IndicatorValue::new(self.indicator.clone(), value))
-    }
 }
 
 /// γ — group by `group_by` application values and compute `aggs`, deriving
-/// output-cell tags per `policies`. Group-key output cells merge the tags
-/// of the group's key cells (conflicts drop); aggregate output cells get
-/// tags derived from the aggregated column's input cells.
+/// output-cell tags per `policies`. Group-key output cells keep the tags
+/// every group member's key cell carries alike; aggregate output cells get
+/// tags derived from the aggregated column's input cells. One pass over
+/// the rows, no intermediate copy.
 pub fn aggregate(
     rel: &TaggedRelation,
     group_by: &[&str],
     aggs: &[AggCall],
     policies: &[TagPolicy],
 ) -> DbResult<TaggedRelation> {
-    // Compute the value-level aggregate via the base engine for exact
-    // SQL semantics, then attach derived tags.
-    let plain = rel.strip();
-    let value_result = relstore::algebra::aggregate(&plain, group_by, aggs)?;
+    aggregate_rows(rel, rel.iter(), group_by, aggs, policies)
+}
 
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|c| rel.schema().resolve(c))
-        .collect::<DbResult<_>>()?;
-    let agg_src: Vec<Option<usize>> = aggs
-        .iter()
-        .map(|a| match &a.column {
-            Some(c) => rel.schema().resolve(c).map(Some),
-            None => Ok(None),
-        })
-        .collect::<DbResult<_>>()?;
-
-    // Bucket input rows per group key.
-    let mut groups: HashMap<Row, Vec<&TaggedRow>> = HashMap::new();
-    for row in rel.iter() {
-        let key: Row = key_idx.iter().map(|&i| row[i].value.clone()).collect();
-        groups.entry(key).or_default().push(row);
+/// [`aggregate`] over some of `rel`'s rows — e.g. the positions a keyed
+/// lookup kept — without gathering them first.
+pub fn aggregate_rows<'r>(
+    rel: &TaggedRelation,
+    rows: impl IntoIterator<Item = &'r TaggedRow>,
+    group_by: &[&str],
+    aggs: &[AggCall],
+    policies: &[TagPolicy],
+) -> DbResult<TaggedRelation> {
+    let mut fold = Fold::new(rel.schema(), group_by, aggs, policies)?;
+    for row in rows {
+        fold.add(row.as_slice())?;
     }
-
-    let mut rows: Vec<TaggedRow> = Vec::with_capacity(value_result.len());
-    for vrow in value_result.iter() {
-        let key: Row = vrow[..key_idx.len()].to_vec();
-        let members: &[&TaggedRow] = groups.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
-        let mut out: TaggedRow = Vec::with_capacity(vrow.len());
-        // Group-key cells: merge tags across the group.
-        for (k, &src) in key_idx.iter().enumerate() {
-            let mut cell = QualityCell::bare(vrow[k].clone());
-            let mut first = true;
-            for m in members {
-                if first {
-                    cell = QualityCell::tagged(vrow[k].clone(), m[src].tags().to_vec());
-                    first = false;
-                } else {
-                    // merge_tags_from drops disagreeing tags but keeps tags
-                    // `cell` has and `m` lacks; intersect instead: drop tags
-                    // absent from `m`.
-                    let keep: Vec<IndicatorValue> = cell
-                        .tags()
-                        .iter()
-                        .filter(|t| m[src].tag(&t.indicator) == Some(*t))
-                        .cloned()
-                        .collect();
-                    cell = QualityCell::tagged(vrow[k].clone(), keep);
-                }
-            }
-            out.push(cell);
-        }
-        // Aggregate cells: derive tags from the inputs of their source col.
-        for (a, &src) in agg_src.iter().enumerate() {
-            let value = vrow[key_idx.len() + a].clone();
-            let mut cell = QualityCell::bare(value);
-            if let Some(src) = src {
-                let inputs: Vec<&QualityCell> = members.iter().map(|m| &m[src]).collect();
-                for p in policies {
-                    if let Some(tag) = p.derive(&inputs) {
-                        cell.set_tag(tag);
-                    }
-                }
-            }
-            out.push(cell);
-        }
-        rows.push(out);
-    }
-    Ok(TaggedRelation::from_parts_unchecked(
-        value_result.schema().clone(),
-        rel.dictionary().clone(),
-        rows,
-    ))
+    fold.finish(rel.schema(), rel.dictionary())
 }
 
 /// Derives the `age` indicator (in days) from `creation_time` for every
@@ -1029,19 +946,24 @@ mod tests {
 
     #[test]
     fn unanimous_rule() {
-        let p = TagPolicy::new("source", TagRule::Unanimous);
-        let a = QualityCell::bare(1i64).with_tag(IndicatorValue::new("source", "s"));
-        let b = QualityCell::bare(2i64).with_tag(IndicatorValue::new("source", "s"));
-        let c = QualityCell::bare(3i64).with_tag(IndicatorValue::new("source", "t"));
-        assert_eq!(
-            p.derive(&[&a, &b]).unwrap().value,
-            Value::text("s")
-        );
-        assert!(p.derive(&[&a, &c]).is_none());
+        let p = [TagPolicy::new("source", TagRule::Unanimous)];
+        let cell = |v: i64, src: Option<&str>| match src {
+            Some(s) => QualityCell::bare(v).with_tag(IndicatorValue::new("source", s)),
+            None => QualityCell::bare(v),
+        };
+        let derived = |cells: Vec<QualityCell>| -> Value {
+            let schema = Schema::of(&[("v", DataType::Int)]);
+            let rows = cells.into_iter().map(|c| vec![c]).collect();
+            let rel =
+                TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap();
+            let out = aggregate(&rel, &[], &[Agg::on(AggF::Sum, "v", "s")], &p).unwrap();
+            out.cell(0, "s").unwrap().tag_value("source")
+        };
+        assert_eq!(derived(vec![cell(1, Some("s")), cell(2, Some("s"))]), Value::text("s"));
+        assert_eq!(derived(vec![cell(1, Some("s")), cell(3, Some("t"))]), Value::Null);
         // a cell missing the tag also breaks unanimity
-        let bare = QualityCell::bare(4i64);
-        assert!(p.derive(&[&a, &bare]).is_none());
-        assert!(p.derive(&[]).is_none());
+        assert_eq!(derived(vec![cell(1, Some("s")), cell(4, None)]), Value::Null);
+        assert_eq!(derived(vec![]), Value::Null);
     }
 
     #[test]

@@ -33,14 +33,16 @@
 //! storage total order for `=`/`≠`, [`cmp_check`] errors for ordered
 //! cross-class compares) with the same batch-granular error-row caveat.
 
-use crate::algebra::CompiledTagExpr;
+use crate::algebra::{CompiledTagExpr, TagPolicy};
 use crate::bitmap::{extract_atoms_schema, Bitset, QualityIndex};
 use crate::cell::QualityCell;
+use crate::fold::{Cells, Fold};
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
 use crate::algebra::TagAccessPath;
 use crate::vector::{compile_kernels, for_each_run, Access, BatchStats, Kernel};
+use relstore::algebra::AggCall;
 use relstore::expr::{cmp_check, BinOp};
 use relstore::index::HashIndex;
 use relstore::{par, DataType, Date, DbError, DbResult, Expr, Schema, Value};
@@ -880,22 +882,23 @@ fn publish_columnar(stats: &BatchStats) {
     dq_obs::counter!("columnar.rows_out").add(stats.rows_out as u64);
 }
 
-/// The shared columnar σ pipeline: batch windows filter to surviving
-/// runs (parallel per [`par::plan`], merged in batch order), then one
-/// serial gather assembles the output column arrays run by run.
-fn run_pipeline_columnar(
+/// The shared columnar σ: batch windows filter to a selection —
+/// parallel per [`par::plan`]; batches own disjoint rows, so the
+/// workers' bitsets merge by OR. Which rows survive, not the rows:
+/// [`ColumnarRelation::gather`] assembles them, an aggregate folds them
+/// where they lie ([`ColumnarRelation::aggregate`]).
+fn run_selection(
     crel: &ColumnarRelation,
     candidates: Option<&Bitset>,
     kernels: &[Kernel],
     compiled: &CompiledTagExpr,
     batch_size: usize,
-) -> DbResult<(ColumnarRelation, BatchStats)> {
+) -> DbResult<(Bitset, BatchStats)> {
     let len = crel.len;
     let batch_size = batch_size.max(1);
     let nbatches = len.div_ceil(batch_size);
-    type Runs = Vec<(usize, usize)>;
-    let run_range = |brange: std::ops::Range<usize>| -> DbResult<(Runs, BatchStats)> {
-        let mut runs: Runs = Vec::new();
+    let run_range = |brange: std::ops::Range<usize>| -> DbResult<(Bitset, BatchStats)> {
+        let mut out = Bitset::new(len);
         let mut stats = BatchStats::new(batch_size);
         for b in brange {
             let start = b * batch_size;
@@ -912,34 +915,43 @@ fn run_pipeline_columnar(
             stats.batches += 1;
             stats.rows_in += picked;
             filter_batch_columnar(crel, start, &mut sel, kernels, compiled)?;
-            for_each_run(&sel, |rs, rl| {
-                runs.push((start + rs, rl));
-                stats.rows_out += rl;
-            });
+            stats.rows_out += sel.count();
+            if start.is_multiple_of(64) {
+                out.or_words_at(start / 64, &sel);
+            } else {
+                for_each_run(&sel, |rs, rl| out.set_range(start + rs, rl));
+            }
         }
-        Ok((runs, stats))
+        Ok((out, stats))
     };
-    let (runs, stats) = match par::plan(len) {
+    let (sel, stats) = match par::plan(len) {
         Some(threads) if nbatches > 1 => {
             let parts = par::run_ranges(nbatches, threads.min(nbatches), |_, r| run_range(r));
-            let mut runs: Runs = Vec::new();
+            let mut sel = Bitset::new(len);
             let mut stats = BatchStats::new(batch_size);
             for part in parts {
-                let (mut rs, s) = part?;
-                runs.append(&mut rs);
-                stats.absorb(s);
+                let (s, st) = part?;
+                sel.or_assign(&s);
+                stats.absorb(st);
             }
-            (runs, stats)
+            (sel, stats)
         }
         _ => run_range(0..nbatches)?,
     };
-    let mut builder = ColumnarBuilder::new(crel);
-    for &(s, l) in &runs {
-        builder.append_range(crel, s, l);
-    }
-    dq_obs::counter!("columnar.gather_runs").add(runs.len() as u64);
     publish_columnar(&stats);
-    Ok((builder.finish(crel.schema.clone(), crel.dict.clone()), stats))
+    Ok((sel, stats))
+}
+
+/// Columnar σ's selection: the rows of `crel` that satisfy `predicate`,
+/// as a bitset over its rows, not yet gathered.
+pub fn selection_columnar(
+    crel: &ColumnarRelation,
+    predicate: &Expr,
+    batch_size: usize,
+) -> DbResult<(Bitset, BatchStats)> {
+    let compiled = CompiledTagExpr::compile_schema(&crel.schema, predicate)?;
+    let kernels = compile_kernels(&compiled);
+    run_selection(crel, None, &kernels, &compiled, batch_size)
 }
 
 /// Columnar σ — `to_tagged()`-identical to [`crate::algebra::select`]
@@ -949,28 +961,26 @@ pub fn select_columnar(
     predicate: &Expr,
     batch_size: usize,
 ) -> DbResult<(ColumnarRelation, BatchStats)> {
-    let compiled = CompiledTagExpr::compile_schema(&crel.schema, predicate)?;
-    let kernels = compile_kernels(&compiled);
-    run_pipeline_columnar(crel, None, &kernels, &compiled, batch_size)
+    let (sel, stats) = selection_columnar(crel, predicate, batch_size)?;
+    Ok((crel.gather(&sel), stats))
 }
 
-/// Columnar index-assisted σ — identical rows, tags, and access-path
-/// reporting to [`crate::algebra::select_indexed`], with candidate
-/// bitset words flowing straight into per-batch selection vectors and
-/// only surviving runs gathered into output columns.
-pub fn select_indexed_columnar(
+/// [`select_indexed_columnar`]'s selection, not yet gathered: the bitmap
+/// index's candidate words flow straight into per-batch selection
+/// vectors, and only the residual (if any) is re-checked.
+pub fn selection_indexed_columnar(
     crel: &ColumnarRelation,
     index: &QualityIndex,
     predicate: &Expr,
     batch_size: usize,
-) -> DbResult<(ColumnarRelation, TagAccessPath, BatchStats)> {
+) -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
     let compiled = CompiledTagExpr::compile_schema(&crel.schema, predicate)?;
     let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
-    let scan = |compiled: &CompiledTagExpr| -> DbResult<(ColumnarRelation, TagAccessPath, BatchStats)> {
+    let scan = |compiled: &CompiledTagExpr| -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
         dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
         let kernels = compile_kernels(compiled);
-        let (out, stats) = run_pipeline_columnar(crel, None, &kernels, compiled, batch_size)?;
-        Ok((out, TagAccessPath::Scan, stats))
+        let (sel, stats) = run_selection(crel, None, &kernels, compiled, batch_size)?;
+        Ok((sel, TagAccessPath::Scan, stats))
     };
     if index.rows() != crel.len {
         return scan(&compiled); // stale index — never trust it
@@ -990,7 +1000,7 @@ pub fn select_indexed_columnar(
     } else {
         compile_kernels(&compiled)
     };
-    let (out, stats) = run_pipeline_columnar(crel, Some(&bs), &kernels, &compiled, batch_size)?;
+    let (sel, stats) = run_selection(crel, Some(&bs), &kernels, &compiled, batch_size)?;
     dq_obs::counter!("tagstore.bitmap.candidate_rows").add(stats.rows_in as u64);
     dq_obs::counter!("tagstore.bitmap.gathered_rows").add(stats.rows_out as u64);
     let path = TagAccessPath::Bitmap {
@@ -998,7 +1008,20 @@ pub fn select_indexed_columnar(
         candidates: stats.rows_in,
         residual: !residual.is_empty(),
     };
-    Ok((out, path, stats))
+    Ok((sel, path, stats))
+}
+
+/// Columnar index-assisted σ — identical rows, tags, and access-path
+/// reporting to [`crate::algebra::select_indexed`], with only surviving
+/// runs gathered into output columns.
+pub fn select_indexed_columnar(
+    crel: &ColumnarRelation,
+    index: &QualityIndex,
+    predicate: &Expr,
+    batch_size: usize,
+) -> DbResult<(ColumnarRelation, TagAccessPath, BatchStats)> {
+    let (sel, path, stats) = selection_indexed_columnar(crel, index, predicate, batch_size)?;
+    Ok((crel.gather(&sel), path, stats))
 }
 
 /// Columnar π — whole-column clones (typed-array `memcpy` + tag-run
@@ -1110,6 +1133,143 @@ pub fn hash_join_probe_columnar(
     dq_obs::counter!("columnar.join.rows_in").add(stats.rows_in as u64);
     dq_obs::counter!("columnar.join.rows_out").add(stats.rows_out as u64);
     Ok((builder.finish(schema, left.dict.clone()), stats))
+}
+
+// ---------------------------------------------------------------------
+// What a selection feeds: a gather, or the γ fold
+// ---------------------------------------------------------------------
+
+impl ColumnarRelation {
+    /// The rows `sel` selects, assembled run by run (typed-array copies,
+    /// tag-run `Arc` bumps) — a σ's output once its selection is known.
+    pub fn gather(&self, sel: &Bitset) -> ColumnarRelation {
+        let mut builder = ColumnarBuilder::new(self);
+        let mut runs = 0u64;
+        for_each_run(sel, |s, l| {
+            builder.append_range(self, s, l);
+            runs += 1;
+        });
+        dq_obs::counter!("columnar.gather_runs").add(runs);
+        builder.finish(self.schema.clone(), self.dict.clone())
+    }
+
+    /// γ over the rows `sel` selects, folded straight from the typed
+    /// arrays and tag runs: no row is gathered or materialized. Equal to
+    /// [`crate::algebra::aggregate`] over `self.gather(sel).to_tagged()`.
+    pub fn aggregate(
+        &self,
+        sel: &Bitset,
+        group_by: &[&str],
+        aggs: &[AggCall],
+        policies: &[TagPolicy],
+    ) -> DbResult<TaggedRelation> {
+        let mut fold = Fold::new(&self.schema, group_by, aggs, policies)?;
+        let mut row = FoldRow {
+            cols: self.columns.iter().map(|_| None).collect(),
+        };
+        let read = fold.columns();
+        for &c in &read {
+            row.cols[c] = Some(FoldColumn::new(&self.columns[c], self.len));
+        }
+        for i in sel.iter_ones() {
+            for &c in &read {
+                if let Some(col) = &mut row.cols[c] {
+                    col.load(i);
+                }
+            }
+            fold.add(&row)?;
+        }
+        fold.finish(&self.schema, &self.dict)
+    }
+}
+
+/// One column as the γ fold reads it, row by ascending row: the row's
+/// value, and the tag run covering it (walked, not searched).
+struct FoldColumn<'a> {
+    col: &'a Column,
+    runs: TagRunWindow<'a>,
+    run_end: usize,
+    tags: Option<&'a SharedTags>,
+    row: usize,
+    null: bool,
+    /// The row's value, for the fixed-width layouts.
+    value: Value,
+    /// Text layout: each pool string as a [`Value`], built on first use.
+    texts: Vec<Option<Value>>,
+}
+
+impl<'a> FoldColumn<'a> {
+    fn new(col: &'a Column, len: usize) -> Self {
+        FoldColumn {
+            col,
+            runs: col.tags.window(0, len),
+            run_end: 0,
+            tags: None,
+            row: 0,
+            null: true,
+            value: Value::Null,
+            texts: Vec::new(),
+        }
+    }
+
+    /// Moves to `row` (rows ascend from call to call).
+    fn load(&mut self, row: usize) {
+        while row >= self.run_end {
+            let Some((off, len, tags)) = self.runs.next() else {
+                break;
+            };
+            self.run_end = off + len;
+            self.tags = tags;
+        }
+        self.row = row;
+        self.null = !self.col.validity.contains(row);
+        if self.null {
+            return;
+        }
+        match &self.col.data {
+            ColumnData::Int(v) => self.value = Value::Int(v[row]),
+            ColumnData::Float(v) => self.value = Value::Float(v[row]),
+            ColumnData::Bool(v) => self.value = Value::Bool(v[row]),
+            ColumnData::Date(v) => self.value = Value::Date(Date::from_days(v[row])),
+            ColumnData::Text { ids, pool } => {
+                let id = ids[row];
+                if self.texts.is_empty() {
+                    self.texts = vec![None; pool.strings.len()];
+                }
+                self.texts[id as usize].get_or_insert_with(|| Value::Text(pool.get(id).to_owned()));
+            }
+            ColumnData::Mixed(_) => {}
+        }
+    }
+
+    fn value(&self) -> &Value {
+        if self.null {
+            return &NULL_SENTINEL;
+        }
+        match &self.col.data {
+            ColumnData::Text { ids, .. } => self.texts[ids[self.row] as usize]
+                .as_ref()
+                .unwrap_or(&NULL_SENTINEL),
+            ColumnData::Mixed(v) => &v[self.row],
+            _ => &self.value,
+        }
+    }
+}
+
+/// The fold's view of the current selected row: a [`FoldColumn`] per
+/// column the γ reads.
+struct FoldRow<'a> {
+    cols: Vec<Option<FoldColumn<'a>>>,
+}
+
+impl Cells for FoldRow<'_> {
+    fn value(&self, col: usize) -> &Value {
+        self.cols[col].as_ref().map_or(&NULL_SENTINEL, FoldColumn::value)
+    }
+
+    fn tags(&self, col: usize) -> Option<&SharedTags> {
+        self.cols[col].as_ref().and_then(|c| c.tags)
+    }
 }
 
 #[cfg(test)]
@@ -1461,5 +1621,52 @@ mod tests {
         );
         assert!(rows_out <= after.counter("columnar.rows_in"));
         assert!(batches * crate::DEFAULT_BATCH_SIZE as u64 >= rows_out);
+    }
+
+    #[test]
+    fn aggregate_over_selection_matches_gathered_rows() {
+        use crate::algebra::{TagPolicy, TagRule};
+        use relstore::algebra::{AggCall, AggFunc};
+        let policies = [
+            TagPolicy::new("age", TagRule::Min),
+            TagPolicy::new("age", TagRule::Max),
+            TagPolicy::new("source", TagRule::MergeText),
+            TagPolicy::new("source", TagRule::Unanimous),
+            TagPolicy::new("collection_method", TagRule::Unanimous),
+        ];
+        let aggs = [
+            AggCall::count_star("n"),
+            AggCall::on(AggFunc::Count, "v", "nv"),
+            AggCall::on(AggFunc::Sum, "v", "s"),
+            AggCall::on(AggFunc::Avg, "score", "a"),
+            AggCall::on(AggFunc::Min, "name", "lo"),
+            AggCall::on(AggFunc::Max, "v", "hi"),
+            AggCall::on(AggFunc::CountDistinct, "name", "d"),
+        ];
+        for n in [0i64, 1, 65, 150] {
+            let crel = ColumnarRelation::from_tagged(&mixed(n));
+            for p in predicates().iter().take(12) {
+                let Ok((sel, _)) = selection_columnar(&crel, p, 7) else {
+                    continue;
+                };
+                let rows = crel.gather(&sel).to_tagged();
+                for group_by in [&[][..], &["name"], &["k", "name"]] {
+                    for pol in [&policies[..], &[]] {
+                        let expect = algebra::aggregate(&rows, group_by, &aggs, pol).unwrap();
+                        let got = crel.aggregate(&sel, group_by, &aggs, pol).unwrap();
+                        assert_eq!(got, expect, "n={n} p={p:?} group_by={group_by:?}");
+                    }
+                }
+            }
+        }
+        // SUM over Text fails alike on both sources
+        let crel = ColumnarRelation::from_tagged(&mixed(5));
+        let sel = Bitset::full(crel.len());
+        let sum_text = [AggCall::on(AggFunc::Sum, "name", "s")];
+        let rows = crel.gather(&sel).to_tagged();
+        assert_eq!(
+            crel.aggregate(&sel, &[], &sum_text, &policies).unwrap_err().to_string(),
+            algebra::aggregate(&rows, &[], &sum_text, &policies).unwrap_err().to_string(),
+        );
     }
 }

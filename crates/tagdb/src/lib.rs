@@ -33,6 +33,7 @@ pub mod bitmap;
 pub mod cell;
 pub mod columnar;
 pub mod epoch;
+mod fold;
 pub mod indicator;
 pub mod relation;
 pub mod store;
@@ -44,7 +45,7 @@ pub use bitmap::{
 };
 pub use columnar::{
     hash_join_probe_columnar, project_columnar, select_columnar, select_indexed_columnar,
-    ColumnarRelation,
+    selection_columnar, selection_indexed_columnar, ColumnarRelation,
 };
 pub use vector::{
     hash_join_probe_vectorized, select_vectorized, BatchStats, DEFAULT_BATCH_SIZE,

@@ -22,6 +22,11 @@ PROPTEST_CASES=128 cargo test -q --offline -p tagstore vector
 # index build vs the serial fold, at a higher case count.
 PROPTEST_CASES=128 cargo test -q --offline -p tagstore columnar
 
+# Aggregation over a selection: the one-pass tagged γ, fed by columnar
+# selections, keyed lookups and join rows, against the three-pass
+# reference it replaced, at a higher case count.
+PROPTEST_CASES=128 cargo test -q --offline --test aggregate_fold
+
 # B7 smoke at the 10k tier: asserts scan==bitmap parity inside the bench
 # before timing anything.
 DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \

@@ -1,0 +1,533 @@
+//! Aggregation over a selection, differentially. Every γ the executor
+//! answers — folded from a resident table's columnar selection (no σ,
+//! value σ, bitmap σ, bitmap σ + residual), from a keyed lookup's rows,
+//! or from join output — renders byte-equal (`render_result`) and
+//! compares equal, tags and all, to the composition the executor ran
+//! before the one-pass fold: σ → gather → `to_tagged` → the three-pass
+//! tagged aggregate, copied below as the reference. Inputs are seeded
+//! tagged relations with NULL keys and values, shared and per-cell tag
+//! `Arc`s and meta-tags, and Int/Text/Date/Float keys; every statement
+//! runs at 1, 2 and 8 threads. The fold's tagstore entry points are
+//! checked against the same reference directly, with every `AggFunc`
+//! (QQL cannot spell `COUNT(DISTINCT …)`) and every `TagRule`.
+
+use dq_query::{default_agg_policies, explain_analyze, run, Planner, QueryCatalog, QueryResult};
+use dq_server::render_result;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use relstore::algebra::{AggCall, AggFunc};
+use relstore::{par, DataType, Date, DbResult, Expr, Row, Schema, Value};
+use std::collections::HashMap;
+use tagstore::algebra::{TagPolicy, TagRule};
+use tagstore::{
+    selection_columnar, selection_indexed_columnar, ColumnarRelation, IndicatorDictionary,
+    IndicatorValue, QualityCell, QualityIndex, TaggedRelation, TaggedRow,
+};
+
+// ---------------------------------------------------------------------
+// The reference: tagged γ in three passes
+// ---------------------------------------------------------------------
+
+/// One policy's derivation from a group's input cells, all at once.
+fn derive(p: &TagPolicy, inputs: &[&QualityCell]) -> Option<IndicatorValue> {
+    let vals: Vec<Value> = inputs
+        .iter()
+        .filter_map(|c| c.tag(&p.indicator).map(|t| t.value.clone()))
+        .collect();
+    if vals.is_empty() {
+        return None;
+    }
+    let value = match p.rule {
+        TagRule::Min => vals.iter().min().cloned()?,
+        TagRule::Max => vals.iter().max().cloned()?,
+        TagRule::Unanimous => {
+            let first = &vals[0];
+            if vals.len() == inputs.len() && vals.iter().all(|v| v == first) {
+                first.clone()
+            } else {
+                return None;
+            }
+        }
+        TagRule::MergeText => {
+            let mut texts: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
+            texts.sort();
+            texts.dedup();
+            Value::Text(texts.join("+"))
+        }
+    };
+    Some(IndicatorValue::new(p.indicator.clone(), value))
+}
+
+/// Strip the tags and aggregate the values with relstore, re-bucket every
+/// input row by its key, then derive each group's tags from its members.
+fn reference_aggregate(
+    rel: &TaggedRelation,
+    group_by: &[&str],
+    aggs: &[AggCall],
+    policies: &[TagPolicy],
+) -> DbResult<TaggedRelation> {
+    let plain = rel.strip();
+    let value_result = relstore::algebra::aggregate(&plain, group_by, aggs)?;
+    let key_idx: Vec<usize> = group_by
+        .iter()
+        .map(|c| rel.schema().resolve(c))
+        .collect::<DbResult<_>>()?;
+    let agg_src: Vec<Option<usize>> = aggs
+        .iter()
+        .map(|a| match &a.column {
+            Some(c) => rel.schema().resolve(c).map(Some),
+            None => Ok(None),
+        })
+        .collect::<DbResult<_>>()?;
+    let mut groups: HashMap<Row, Vec<&TaggedRow>> = HashMap::new();
+    for row in rel.iter() {
+        let key: Row = key_idx.iter().map(|&i| row[i].value.clone()).collect();
+        groups.entry(key).or_default().push(row);
+    }
+    let mut rows: Vec<TaggedRow> = Vec::with_capacity(value_result.len());
+    for vrow in value_result.iter() {
+        let key: Row = vrow[..key_idx.len()].to_vec();
+        let members: &[&TaggedRow] = groups.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
+        let mut out: TaggedRow = Vec::with_capacity(vrow.len());
+        for (k, &src) in key_idx.iter().enumerate() {
+            let mut cell = QualityCell::bare(vrow[k].clone());
+            for (i, m) in members.iter().enumerate() {
+                let keep: Vec<IndicatorValue> = if i == 0 {
+                    m[src].tags().to_vec()
+                } else {
+                    cell.tags()
+                        .iter()
+                        .filter(|t| m[src].tag(&t.indicator) == Some(*t))
+                        .cloned()
+                        .collect()
+                };
+                cell = QualityCell::tagged(vrow[k].clone(), keep);
+            }
+            out.push(cell);
+        }
+        for (a, &src) in agg_src.iter().enumerate() {
+            let mut cell = QualityCell::bare(vrow[key_idx.len() + a].clone());
+            if let Some(src) = src {
+                let inputs: Vec<&QualityCell> = members.iter().map(|m| &m[src]).collect();
+                for p in policies {
+                    if let Some(tag) = derive(p, &inputs) {
+                        cell.set_tag(tag);
+                    }
+                }
+            }
+            out.push(cell);
+        }
+        rows.push(out);
+    }
+    TaggedRelation::new(
+        value_result.schema().clone(),
+        rel.dictionary().clone(),
+        rows,
+    )
+}
+
+// ---------------------------------------------------------------------
+// Inputs
+// ---------------------------------------------------------------------
+
+const SOURCES: [&str; 3] = ["feed", "desk", "manual"];
+const METHODS: [&str; 2] = ["phone", "scan"];
+
+/// A value `make` draws, or NULL one time in ten.
+fn null(rng: &mut StdRng, make: impl FnOnce(&mut StdRng) -> Value) -> Value {
+    let v = make(rng);
+    if rng.gen_bool(0.1) {
+        Value::Null
+    } else {
+        v
+    }
+}
+
+fn day(rng: &mut StdRng, span: i64) -> Value {
+    Value::Date(Date::from_days(8_000 + rng.gen_range(0..span)))
+}
+
+/// `t(ki, kt, kd, kf, v, w, m, s)`: four key columns of four types, Int
+/// `v` with per-cell, shared (one `Arc` for many cells) and missing tags
+/// (some with a meta-tag), Float `w` bulk-tagged, `Any`-typed `m` mixing
+/// Int and Float (a SUM over it upgrades), Text `s`; about one value in
+/// ten NULL everywhere.
+fn table(rng: &mut StdRng, rows: usize) -> TaggedRelation {
+    use DataType::*;
+    let schema = Schema::of(&[
+        ("ki", Int),
+        ("kt", Text),
+        ("kd", Date),
+        ("kf", Float),
+        ("v", Int),
+        ("w", Float),
+        ("m", Any),
+        ("s", Text),
+    ]);
+    let shared = QualityCell::bare(0i64)
+        .with_tag(IndicatorValue::new("source", "feed"))
+        .with_tag(IndicatorValue::new("collection_method", "phone"));
+    let mut out = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let ki = null(rng, |r| Value::Int(r.gen_range(0..6)));
+        let kt = null(rng, |r| Value::Text(format!("t{}", r.gen_range(0..5))));
+        let kd = null(rng, |r| day(r, 4));
+        let kf = null(rng, |r| Value::Float(r.gen_range(0..4) as f64 * 0.5));
+        let v = null(rng, |r| Value::Int(r.gen_range(-50..50)));
+        let w = null(rng, |r| Value::Float(r.gen_range(-100..100) as f64 / 4.0));
+        let m = null(rng, |r| {
+            if r.gen_bool(0.5) {
+                Value::Int(r.gen_range(-10..10))
+            } else {
+                Value::Float(r.gen_range(-10..10) as f64 + 0.5)
+            }
+        });
+        let s = null(rng, |r| {
+            Value::Text(["x", "y", "z"][r.gen_range(0..3)].to_owned())
+        });
+        let mut ki = QualityCell::bare(ki);
+        if rng.gen_bool(0.5) {
+            ki.set_tag(IndicatorValue::new("source", SOURCES[rng.gen_range(0..2)]));
+        }
+        let mut kt = QualityCell::bare(kt);
+        if rng.gen_bool(0.3) {
+            kt.set_tag(IndicatorValue::new("source", "desk"));
+        }
+        let v = match rng.gen_range(0..4) {
+            0 => {
+                let mut cell = shared.clone();
+                cell.value = v;
+                cell
+            }
+            1 => {
+                let mut source = IndicatorValue::new("source", SOURCES[rng.gen_range(0..3)]);
+                if rng.gen_bool(0.3) {
+                    source = source.with_meta(IndicatorValue::new("analyst", "ann"));
+                }
+                let mut cell = QualityCell::bare(v)
+                    .with_tag(source)
+                    .with_tag(IndicatorValue::new("creation_time", day(rng, 30)));
+                if rng.gen_bool(0.6) {
+                    cell.set_tag(IndicatorValue::new(
+                        "collection_method",
+                        METHODS[rng.gen_range(0..2)],
+                    ));
+                }
+                cell
+            }
+            2 => QualityCell::bare(v).with_tag(IndicatorValue::new("creation_time", day(rng, 30))),
+            _ => QualityCell::bare(v),
+        };
+        let bare = [kd, kf, w, m, s].map(QualityCell::bare);
+        let [kd, kf, w, m, s] = bare;
+        out.push(vec![ki, kt, kd, kf, v, w, m, s]);
+    }
+    let mut rel = TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), out)
+        .expect("generated rows conform");
+    rel.tag_column("kt", IndicatorValue::new("collection_method", "scan"))
+        .unwrap();
+    rel.tag_column("w", IndicatorValue::new("source", "feed"))
+        .unwrap();
+    rel
+}
+
+/// `u(kt, label)`: the join's other side, one row per `t` text key but
+/// `t4`, plus one no `t` row matches.
+fn dimension() -> TaggedRelation {
+    let schema = Schema::of(&[("kt", DataType::Text), ("label", DataType::Text)]);
+    let rows = ["t0", "t1", "t2", "t3", "t9"]
+        .iter()
+        .map(|k| {
+            vec![
+                QualityCell::bare(*k).with_tag(IndicatorValue::new("source", "desk")),
+                QualityCell::bare(format!("label {k}")),
+            ]
+        })
+        .collect();
+    TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap()
+}
+
+fn rows_for(rng: &mut StdRng) -> usize {
+    match rng.gen_range(0..8) {
+        0 => rng.gen_range(0..3),
+        1..=6 => rng.gen_range(3..80),
+        // more than one executor batch
+        _ => rng.gen_range(1_100..1_400),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Statements
+// ---------------------------------------------------------------------
+
+/// σ shapes over `t`, by the operator the aggregate folds.
+const SHAPES: [(&str, &str); 6] = [
+    ("scan", "FROM t"),
+    ("value", "FROM t WHERE v > 0"),
+    ("bitmap", "FROM t WITH QUALITY (v@source = 'feed')"),
+    (
+        "bitmap+residual",
+        "FROM t WHERE w < 10.0 WITH QUALITY (v@collection_method = 'phone')",
+    ),
+    ("keyed", "FROM t WHERE ki = 2"),
+    ("empty", "FROM t WHERE v > 1000"),
+];
+
+const JOIN: &str = "FROM t JOIN u ON kt = kt WHERE v <> 7";
+
+const GROUP_BYS: [&[&str]; 7] = [
+    &[],
+    &["ki"],
+    &["kt"],
+    &["kd"],
+    &["kf"],
+    &["kt", "ki"],
+    &["kd", "kf"],
+];
+
+/// The calls every statement makes, as (func, column, alias); `SUM(s)`
+/// (Text) is the one that fails when it meets a value.
+fn calls(with_error: bool) -> Vec<(AggFunc, Option<&'static str>, &'static str)> {
+    let mut calls = vec![
+        (AggFunc::Count, None, "n"),
+        (AggFunc::Count, Some("v"), "nv"),
+        (AggFunc::Sum, Some("v"), "sv"),
+        (AggFunc::Sum, Some("m"), "sm"),
+        (AggFunc::Avg, Some("w"), "aw"),
+        (AggFunc::Min, Some("s"), "lo"),
+        (AggFunc::Max, Some("kd"), "hi"),
+        (AggFunc::Min, Some("v"), "mv"),
+    ];
+    if with_error {
+        calls.push((AggFunc::Sum, Some("s"), "bad"));
+    }
+    calls
+}
+
+fn sql_of(func: AggFunc, col: Option<&str>) -> String {
+    let name = match func {
+        AggFunc::Count => "COUNT",
+        AggFunc::Sum => "SUM",
+        AggFunc::Avg => "AVG",
+        AggFunc::Min => "MIN",
+        AggFunc::Max => "MAX",
+        AggFunc::CountDistinct => unreachable!("QQL has no COUNT(DISTINCT)"),
+    };
+    format!("{name}({})", col.unwrap_or("*"))
+}
+
+/// A statement's rendering and relation, or its error's text.
+fn answer(result: DbResult<TaggedRelation>) -> Result<(String, TaggedRelation), String> {
+    result
+        .map(|rel| (render_result(&QueryResult::Table(rel.clone())), rel))
+        .map_err(|e| e.to_string())
+}
+
+/// `SELECT keys, calls <from> GROUP BY keys` through the executor, and
+/// through the reference over `SELECT * <from>`.
+fn check(catalog: &QueryCatalog, from: &str, keys: &[&str], with_error: bool, ctx: &str) {
+    let calls = calls(with_error);
+    let items: Vec<String> = keys
+        .iter()
+        .map(|k| k.to_string())
+        .chain(
+            calls
+                .iter()
+                .map(|(f, c, a)| format!("{} AS {a}", sql_of(*f, *c))),
+        )
+        .collect();
+    let mut sql = format!("SELECT {} {from}", items.join(", "));
+    if !keys.is_empty() {
+        sql += &format!(" GROUP BY {}", keys.join(", "));
+    }
+    let aggs: Vec<AggCall> = calls
+        .iter()
+        .map(|(func, col, alias)| AggCall {
+            func: *func,
+            column: col.map(str::to_owned),
+            output: (*alias).to_owned(),
+        })
+        .collect();
+    for threads in [1, 2, 8] {
+        par::with_thread_count(threads, || {
+            let got = answer(run(catalog, &sql).map(|r| r.relation().clone()));
+            let input = run(catalog, &format!("SELECT * {from}")).unwrap();
+            let want = answer(reference_aggregate(
+                input.relation(),
+                keys,
+                &aggs,
+                &default_agg_policies(),
+            ));
+            assert_eq!(got, want, "{ctx}, {threads} threads: {sql}");
+        });
+    }
+}
+
+fn catalog(t: TaggedRelation) -> QueryCatalog {
+    let mut c = QueryCatalog::new();
+    c.register("t", t);
+    c.register("u", dimension());
+    c
+}
+
+fn statements_match_reference(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = rows_for(&mut rng);
+    let c = catalog(table(&mut rng, rows));
+    for (shape, from) in SHAPES {
+        let keys = GROUP_BYS[rng.gen_range(0..GROUP_BYS.len())];
+        let ctx = format!("seed {seed}, {rows} rows, {shape}");
+        check(&c, from, keys, rng.gen_bool(0.15), &ctx);
+    }
+    let keys: &[&str] = if rng.gen_bool(0.5) {
+        &["l.kt"]
+    } else {
+        &["l.kt", "ki"]
+    };
+    check(
+        &c,
+        JOIN,
+        keys,
+        false,
+        &format!("seed {seed}, {rows} rows, join"),
+    );
+}
+
+/// The fold's entry points against the reference with every `AggFunc`
+/// and every `TagRule`: the columnar source over selections made at a
+/// batch width that splits even small tables, and the row source.
+fn entry_points_match_reference(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    let rows = rows_for(&mut rng);
+    let rel = table(&mut rng, rows);
+    let crel = ColumnarRelation::from_tagged(&rel);
+    let index = QualityIndex::build(&rel);
+    let policies = [
+        TagPolicy::new("creation_time", TagRule::Min),
+        TagPolicy::new("creation_time", TagRule::Max),
+        TagPolicy::new("source", TagRule::MergeText),
+        TagPolicy::new("collection_method", TagRule::Unanimous),
+        TagPolicy::new("source", TagRule::Unanimous),
+    ];
+    let aggs = [
+        AggCall::count_star("n"),
+        AggCall::on(AggFunc::Count, "s", "ns"),
+        AggCall::on(AggFunc::Sum, "v", "sv"),
+        AggCall::on(AggFunc::Sum, "m", "sm"),
+        AggCall::on(AggFunc::Avg, "w", "aw"),
+        AggCall::on(AggFunc::Min, "kt", "lo"),
+        AggCall::on(AggFunc::Max, "m", "hi"),
+        AggCall::on(AggFunc::CountDistinct, "s", "ds"),
+        AggCall::on(AggFunc::CountDistinct, "m", "dm"),
+    ];
+    let predicates = [
+        Expr::col("v@source").eq(Expr::lit("feed")),
+        Expr::col("v").gt(Expr::lit(0i64)),
+        Expr::col("kt@collection_method")
+            .eq(Expr::lit("scan"))
+            .and(Expr::col("w").lt(Expr::lit(0.0f64))),
+    ];
+    for p in &predicates {
+        // the selection is the only parallel step: equal at every width
+        let selections: Vec<_> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                par::with_thread_count(threads, || {
+                    let (bitmap, _, _) = selection_indexed_columnar(&crel, &index, p, 64).unwrap();
+                    let (scan, _) = selection_columnar(&crel, p, 64).unwrap();
+                    assert_eq!(
+                        bitmap, scan,
+                        "seed {seed}, {threads} threads: bitmap vs scan"
+                    );
+                    bitmap
+                })
+            })
+            .collect();
+        assert!(selections.windows(2).all(|w| w[0] == w[1]), "seed {seed}");
+        let sel = &selections[0];
+        let gathered = crel.gather(sel).to_tagged();
+        for _ in 0..3 {
+            let keys = GROUP_BYS[rng.gen_range(0..GROUP_BYS.len())];
+            let ctx = format!("seed {seed}, {p:?}, {keys:?}");
+            let want = answer(reference_aggregate(&gathered, keys, &aggs, &policies));
+            let folded = answer(crel.aggregate(sel, keys, &aggs, &policies));
+            assert_eq!(folded, want, "{ctx}: columnar source");
+            let rows = answer(tagstore::algebra::aggregate(
+                &gathered, keys, &aggs, &policies,
+            ));
+            assert_eq!(rows, want, "{ctx}: row source");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn executor_aggregates_match_the_three_pass_reference(seed in any::<u64>()) {
+        statements_match_reference(seed);
+    }
+
+    #[test]
+    fn fold_entry_points_match_the_three_pass_reference(seed in any::<u64>()) {
+        entry_points_match_reference(seed);
+    }
+}
+
+#[test]
+fn empty_inputs_global_and_grouped() {
+    let mut rng = StdRng::seed_from_u64(7);
+    for c in [catalog(table(&mut rng, 0)), catalog(table(&mut rng, 40))] {
+        for from in ["FROM t WHERE v > 1000", "FROM t WHERE ki = 99"] {
+            for keys in [&[][..], &["kt"], &["kd", "kf"]] {
+                check(&c, from, keys, true, "empty input");
+            }
+        }
+        let global = run(
+            &c,
+            "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE v > 1000",
+        )
+        .unwrap();
+        assert_eq!(
+            global.relation().len(),
+            1,
+            "a global γ over no rows has one row"
+        );
+        let grouped = run(
+            &c,
+            "SELECT kt, COUNT(*) AS n FROM t WHERE v > 1000 GROUP BY kt",
+        )
+        .unwrap();
+        assert!(
+            grouped.relation().is_empty(),
+            "a grouped γ over no rows has none"
+        );
+    }
+}
+
+/// The shapes reach the operators they are named for: the bitmap ones an
+/// `IndexScan`, the value one a columnar `Filter`, the keyed one a point
+/// lookup — so the differential above covers every fold source.
+#[test]
+fn shapes_reach_their_operators() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let c = catalog(table(&mut rng, 60));
+    let report = |from: &str| {
+        explain_analyze(
+            &c,
+            &format!("SELECT COUNT(*) AS n {from}"),
+            &Planner::default(),
+        )
+        .unwrap()
+    };
+    for (shape, from) in SHAPES {
+        let r = report(from);
+        let want = match shape {
+            "bitmap" | "bitmap+residual" => "IndexScan",
+            "keyed" => "point_lookup=ki",
+            "scan" => "TableScan",
+            _ => "layout=columnar",
+        };
+        assert!(r.contains(want), "{shape}: no `{want}` in\n{r}");
+    }
+    assert!(report(JOIN).contains("Join"));
+}

@@ -2,8 +2,17 @@
 //! ANALYZE over the generated trading workload, serial/parallel parity,
 //! and a well-formed metrics registry snapshot.
 
-use dq_query::{explain_analyze, run, run_with, Planner, QueryCatalog, QueryResult};
+use dq_query::{explain, explain_analyze, run, run_with, Planner, QueryCatalog, QueryResult};
 use dq_workloads::{generate_trading, TradingGenConfig};
+use std::sync::Mutex;
+
+/// The metrics registry is process-wide: a test reading a counter's
+/// delta must not overlap with tests that execute plans.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn setup() -> QueryCatalog {
     let w = generate_trading(&TradingGenConfig {
@@ -28,6 +37,7 @@ const QUERY: &str = "SELECT l.ticker_symbol, quantity \
 
 #[test]
 fn explain_analyze_annotates_every_index_operator() {
+    let _serial = serial();
     let catalog = setup();
     let report = explain_analyze(&catalog, QUERY, &Planner::default()).unwrap();
 
@@ -67,6 +77,7 @@ fn explain_analyze_annotates_every_index_operator() {
 
 #[test]
 fn explain_analyze_statement_returns_rows_and_report() {
+    let _serial = serial();
     let catalog = setup();
     let sql = format!("EXPLAIN ANALYZE {QUERY}");
     let result = run_with(&catalog, &sql, &Planner::default()).unwrap();
@@ -101,6 +112,7 @@ fn explain_analyze_statement_returns_rows_and_report() {
 
 #[test]
 fn serial_and_parallel_runs_agree_and_snapshot_validates() {
+    let _serial = serial();
     let catalog = setup();
     let rows_at = |threads: usize| {
         relstore::par::with_thread_count(threads, || {
@@ -115,4 +127,47 @@ fn serial_and_parallel_runs_agree_and_snapshot_validates() {
     assert!(snap.counter("query.ops") > 0, "executor left no metrics");
     snap.validate().unwrap_or_else(|errs| panic!("bad snapshot: {errs:?}"));
     assert!(snap.render_text().contains("query.ops"));
+}
+
+/// `analytic_scan`'s `filter_count` shape — a global COUNT over a bitmap
+/// σ with a residual — folds the σ's selection where it lies: executing
+/// it, traced or not, gathers no row (`columnar.gather_runs` stands
+/// still), while the analyzed tree is still plain EXPLAIN's, line for
+/// line, and its IndexScan still reports how it selected.
+#[test]
+fn aggregate_over_a_selection_gathers_nothing() {
+    let _serial = serial();
+    let catalog = setup();
+    let from = "FROM trade WHERE trade_price > 500.0 \
+                WITH QUALITY (quantity@inspection = 'double entry')";
+    let sql = format!("SELECT COUNT(*) AS n {from}");
+    run(&catalog, &sql).unwrap(); // builds the lazy layout and index
+    let gather_runs = dq_obs::counter!("columnar.gather_runs");
+    let before = gather_runs.get();
+    let report = explain_analyze(&catalog, &sql, &Planner::default()).unwrap();
+    let answer = run(&catalog, &sql).unwrap();
+    assert_eq!(gather_runs.get(), before, "the aggregate gathered:\n{report}");
+
+    let ops = |s: &str| {
+        s.lines()
+            .map(|l| l.split(" | ").next().unwrap().to_owned())
+            .collect::<Vec<_>>()
+    };
+    let plain = explain(&catalog, &sql, &Planner::default()).unwrap();
+    assert_eq!(ops(&report), ops(&plain));
+    let scan = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("IndexScan"))
+        .unwrap_or_else(|| panic!("no IndexScan in:\n{report}"));
+    for annotation in ["est_selectivity=", "actual_selectivity=", "batches="] {
+        assert!(scan.contains(annotation), "{scan}");
+    }
+    // the count is the selection's size, which the scan line reports
+    let n = answer.relation().cell(0, "n").unwrap().value.to_string();
+    assert!(scan.contains(&format!("rows={n} ")), "{n} vs {scan}");
+
+    // the same σ returning its rows does gather
+    let rows = run(&catalog, &format!("SELECT * {from}")).unwrap();
+    assert_eq!(rows.relation().len().to_string(), n);
+    assert!(gather_runs.get() > before);
 }
