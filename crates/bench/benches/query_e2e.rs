@@ -41,22 +41,9 @@ fn bench_parse_plan(c: &mut Criterion) {
     let stmt = parse(JOIN_Q).unwrap();
     let planner = Planner::default();
     g.bench_function("plan_join_query", |b| {
-        b.iter(|| {
-            planner
-                .plan(&stmt, &cat_schemas(&cat))
-                .expect("plans")
-        })
+        b.iter(|| planner.plan(&stmt, &cat).expect("plans"))
     });
     g.finish();
-}
-
-// The planner needs the HashMap<String, TaggedRelation> schema provider;
-// rebuild it from the catalog's registered names.
-fn cat_schemas(cat: &QueryCatalog) -> std::collections::HashMap<String, tagstore::TaggedRelation> {
-    cat.names()
-        .into_iter()
-        .map(|n| (n.to_owned(), cat.get(n).unwrap().clone()))
-        .collect()
 }
 
 fn bench_execute(c: &mut Criterion) {

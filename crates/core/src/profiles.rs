@@ -11,7 +11,7 @@
 
 use relstore::{DbResult, Expr, Value};
 use serde::{Deserialize, Serialize};
-use tagstore::{algebra, TaggedRelation};
+use tagstore::{algebra, IndicatorDictionary, TaggedRelation, TAG_SEP};
 
 /// Comparison operator of a standard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -136,17 +136,26 @@ impl UserProfile {
     }
 
     /// The profile's default `WITH QUALITY` predicate *for one table*:
-    /// the conjunction of standards whose column exists in `schema`.
-    /// Standards over columns the table does not have are skipped —
-    /// a profile spans every table its user touches, and a session
-    /// applying it to `stocks` must not fail because the profile also
-    /// constrains `addresses.address`. Returns `None` when no standard
-    /// applies (the mass-mailing grade for this table).
-    pub fn default_quality_for(&self, schema: &relstore::Schema) -> Option<Expr> {
+    /// the conjunction of standards whose column exists in `schema` and
+    /// whose indicator `dictionary` declares. Other standards are
+    /// skipped — a profile spans every table its user touches, and a
+    /// session applying it to `stocks` must not fail because the profile
+    /// also constrains `addresses.address`, or an indicator only
+    /// `addresses` records. Returns `None` when no standard applies (the
+    /// mass-mailing grade for this table).
+    pub fn default_quality_for(
+        &self,
+        schema: &relstore::Schema,
+        dictionary: &IndicatorDictionary,
+    ) -> Option<Expr> {
+        let applies = |s: &&QualityStandard| {
+            schema.index_of(&s.column).is_some()
+                && s.indicator.split(TAG_SEP).all(|ind| dictionary.get(ind).is_some())
+        };
         let mut it = self
             .standards
             .iter()
-            .filter(|s| schema.index_of(&s.column).is_some())
+            .filter(applies)
             .map(QualityStandard::to_expr);
         let first = it.next()?;
         Some(it.fold(first, |acc, e| acc.and(e)))
@@ -263,6 +272,27 @@ mod tests {
         assert_eq!(out.cell(0, "person").unwrap().value, Value::text("Cyd"));
     }
 
+    /// A standard over an indicator the table's dictionary does not
+    /// declare is skipped for that table, as a foreign column is: the
+    /// query binds only what the table can carry.
+    #[test]
+    fn default_quality_skips_undeclared_indicators() {
+        use tagstore::IndicatorDef;
+        let p = UserProfile::new("auditor", "")
+            .with_standard(QualityStandard::new("address", "age", StandardOp::Le, 5i64))
+            .with_standard(QualityStandard::new("address", "audit_grade", StandardOp::Eq, "A"));
+        let schema = Schema::of(&[("address", DataType::Text)]);
+        let mut dict = IndicatorDictionary::with_paper_defaults();
+        assert_eq!(
+            p.default_quality_for(&schema, &dict),
+            Some(Expr::col("address@age").le(Expr::lit(5i64)))
+        );
+        dict.declare(IndicatorDef::new("audit_grade", DataType::Text, "")).unwrap();
+        let both = p.default_quality_for(&schema, &dict).unwrap();
+        assert_eq!(both.referenced_columns(), vec!["address@age", "address@audit_grade"]);
+        assert_eq!(p.default_quality_for(&schema, &IndicatorDictionary::new()), None);
+    }
+
     #[test]
     fn default_quality_skips_foreign_columns() {
         let p = UserProfile::new("trader", "multi-table profile")
@@ -278,18 +308,19 @@ mod tests {
         let stock_schema =
             Schema::of(&[("ticker", DataType::Text), ("share_price", DataType::Float)]);
         let unrelated = Schema::of(&[("id", DataType::Int)]);
+        let dict = IndicatorDictionary::with_paper_defaults();
         // only the standard over a column the table actually has applies
         assert_eq!(
-            p.default_quality_for(&addr_schema),
+            p.default_quality_for(&addr_schema, &dict),
             Some(Expr::col("address@age").le(Expr::lit(5i64)))
         );
         assert_eq!(
-            p.default_quality_for(&stock_schema),
+            p.default_quality_for(&stock_schema, &dict),
             Some(Expr::col("share_price@age").le(Expr::lit(1i64)))
         );
-        assert_eq!(p.default_quality_for(&unrelated), None);
+        assert_eq!(p.default_quality_for(&unrelated, &dict), None);
         assert_eq!(
-            UserProfile::new("mass_mailing", "").default_quality_for(&addr_schema),
+            UserProfile::new("mass_mailing", "").default_quality_for(&addr_schema, &dict),
             None
         );
     }

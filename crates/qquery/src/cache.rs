@@ -131,8 +131,8 @@ pub struct PreparedStatement {
 
 impl PreparedStatement {
     /// The one statement pipeline: indicator check → defaults injection
-    /// → plan → optimize → shape. A statement-cache miss runs it with
-    /// the default planner and the session's defaults;
+    /// → plan, binding each σ → optimize → shape. A statement-cache miss
+    /// runs it with the default planner and the session's defaults;
     /// [`crate::run_with`], [`crate::explain`] and
     /// [`crate::explain_analyze`] run it with the caller's planner and
     /// [`NoDefaults`]. `TAG` statements are refused — they mutate
@@ -401,6 +401,12 @@ impl PlanCache {
         defaults: &dyn QualityDefaultsProvider,
     ) -> DbResult<QueryResult> {
         self.prepare(catalog, sql, defaults)?.run()
+    }
+
+    /// Drops the entry for `sql` under `defaults`, if cached — e.g. the
+    /// plan of a statement whose execution panicked.
+    pub fn evict(&mut self, sql: &str, defaults: &dyn QualityDefaultsProvider) {
+        self.remove(&(defaults.cache_key().to_owned(), normalize(sql)));
     }
 
     fn remove(&mut self, key: &(String, String)) {

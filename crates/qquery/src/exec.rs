@@ -2,7 +2,7 @@
 
 use crate::ast::Statement;
 use crate::cache::{NoDefaults, PreparedStatement};
-use crate::plan::{AccessPathStats, Plan, Planner, SchemaProvider};
+use crate::plan::{AccessPathStats, Plan, Planner};
 use relstore::algebra::AggCall;
 use relstore::index::HashIndex;
 use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema};
@@ -10,11 +10,11 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 use tagstore::algebra::{self, TagPolicy, TagRule};
-use tagstore::bitmap::{extract_atoms, QualityIndex};
+use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
     hash_join_probe_columnar, hash_join_probe_vectorized, select_vectorized, selection_columnar,
-    selection_indexed_columnar, BatchStats, Bitset, IndicatorDictionary, QualityCell,
+    selection_indexed_columnar, BatchStats, Bitset, IndicatorDictionary, Predicate, QualityCell,
     TaggedRelation, DEFAULT_BATCH_SIZE,
 };
 
@@ -78,8 +78,9 @@ struct TableEntry {
     columnar: OnceLock<Arc<ColumnarRelation>>,
     quality_index: OnceLock<Arc<QualityIndex>>,
     /// Shared along a lineage of tag-only successors: a key index maps
-    /// application values to row positions, and a `TAG` changes neither.
-    key_indexes: Arc<RwLock<HashMap<String, Arc<HashIndex>>>>,
+    /// one column's application values (by ordinal) to row positions,
+    /// and a `TAG` changes neither.
+    key_indexes: Arc<RwLock<HashMap<usize, Arc<HashIndex>>>>,
 }
 
 impl TableEntry {
@@ -144,12 +145,11 @@ impl TableEntry {
         )
     }
 
-    /// Hash index over `key` application values, positions in row order
-    /// (the layout [`algebra::hash_join_probe`] expects).
-    fn key_index(&self, key: &str) -> DbResult<Arc<HashIndex>> {
-        let ci = self.rel.schema().resolve(key)?;
-        if let Some(idx) = self.key_indexes.read().unwrap().get(key) {
-            return Ok(Arc::clone(idx));
+    /// Hash index over column `ci`'s application values, positions in
+    /// row order (the layout [`algebra::hash_join_probe`] expects).
+    fn key_index(&self, ci: usize) -> Arc<HashIndex> {
+        if let Some(idx) = self.key_indexes.read().unwrap().get(&ci) {
+            return Arc::clone(idx);
         }
         let keys: Vec<relstore::Row> = self
             .rel
@@ -160,11 +160,8 @@ impl TableEntry {
         let mut idx = HashIndex::new(vec![0]);
         idx.rebuild(&keys);
         let idx = Arc::new(idx);
-        self.key_indexes
-            .write()
-            .unwrap()
-            .insert(key.to_owned(), Arc::clone(&idx));
-        Ok(idx)
+        self.key_indexes.write().unwrap().insert(ci, Arc::clone(&idx));
+        idx
     }
 }
 
@@ -309,8 +306,9 @@ impl QueryCatalog {
     }
 
     /// Schema and indicator dictionary of a resident or paged table —
-    /// what a statement's `col@indicator` names are checked against.
-    pub(crate) fn schema_and_dictionary(
+    /// what a statement's `col@indicator` names are checked and bound
+    /// against.
+    pub fn schema_and_dictionary(
         &self,
         name: &str,
     ) -> DbResult<(Schema, Cow<'_, IndicatorDictionary>)> {
@@ -331,26 +329,17 @@ impl QueryCatalog {
 
 }
 
-impl SchemaProvider for QueryCatalog {
-    fn schema_of(&self, name: &str) -> DbResult<Schema> {
-        if let Some(p) = self.paged.get(name) {
-            return p.schema();
-        }
-        self.get(name).map(|r| r.schema().clone())
-    }
-}
-
 impl AccessPathStats for QueryCatalog {
-    fn access_estimate(&self, table: &str, predicate: &Expr) -> Option<(Vec<String>, f64)> {
+    fn access_estimate(&self, table: &str, predicate: &Predicate) -> Option<(Vec<String>, f64)> {
         if let Some(p) = self.paged.get(table) {
-            return p.access_estimate(predicate);
+            return p.access_estimate(predicate.expr());
         }
         let entry = self.tables.get(table)?;
-        let (atoms, _residual) = extract_atoms(&entry.rel, predicate);
+        let atoms = predicate.atoms();
         if atoms.is_empty() {
             return None;
         }
-        let est = entry.quality_index().estimate(&atoms)?;
+        let est = entry.quality_index().estimate(atoms)?;
         Some((atoms.iter().map(|a| a.to_string()).collect(), est))
     }
 
@@ -682,6 +671,9 @@ fn prepare_tag(catalog: &QueryCatalog, stmt: Statement) -> DbResult<TagWrite> {
         )));
     }
     let entry = catalog.entry(&table)?;
+    let bind = |e: &Expr| Predicate::bind(entry.rel.schema(), entry.rel.dictionary(), e);
+    let filter = filter.as_ref().map(bind).transpose()?;
+    let value = bind(&value)?;
     let rows = match &filter {
         Some(f) => match keyed_rows(entry, f)? {
             Some((_, rows)) => rows,
@@ -986,7 +978,7 @@ fn walk<'c, T: Tracer>(
                             layout: Some("paged"),
                             ..NodeStats::selective(n)
                         };
-                        (Output::Rows(p.select(predicate)?), stats)
+                        (Output::Rows(p.select(predicate.expr())?), stats)
                     }
                     None => {
                         let (sel, stats) = select_base(catalog, name, predicate, false)?;
@@ -1076,7 +1068,7 @@ fn walk<'c, T: Tracer>(
         } => {
             let p = catalog.paged_provider(table)?;
             let n = paged_rows(p)?;
-            let (rel, io) = p.select_indexed(predicate)?;
+            let (rel, io) = p.select_indexed(predicate.expr())?;
             let stats = NodeStats {
                 est_selectivity: Some(*est_selectivity),
                 layout: Some("paged"),
@@ -1100,6 +1092,7 @@ fn walk<'c, T: Tracer>(
             };
             let (lk, rk) = (left_key, right_key);
             let right = catalog.entry(right_table)?;
+            let idx = right.key_index(right.rel.schema().resolve(rk)?);
             match &**left {
                 // ⋈ probing straight out of a resident base-table scan
                 // absorbs it: the columnar probe reads only the key
@@ -1107,7 +1100,6 @@ fn walk<'c, T: Tracer>(
                 // run by run instead of cloning rows.
                 Plan::Scan(lname) if !catalog.is_paged_table(lname) => {
                     let (cl, cr) = (catalog.entry(lname)?.columnar(), right.columnar());
-                    let idx = right.key_index(rk)?;
                     let (out, batch) =
                         hash_join_probe_columnar(&cl, &cr, lk, rk, &idx, DEFAULT_BATCH_SIZE)?;
                     let stats = NodeStats {
@@ -1121,7 +1113,7 @@ fn walk<'c, T: Tracer>(
                 }
                 _ => {
                     let l = run_input(left)?;
-                    let (r, idx) = (&right.rel, right.key_index(rk)?);
+                    let r = &right.rel;
                     let (rel, batch) =
                         hash_join_probe_vectorized(&l, r, lk, rk, &idx, DEFAULT_BATCH_SIZE)?;
                     let stats = NodeStats {
@@ -1155,7 +1147,7 @@ fn walk<'c, T: Tracer>(
 fn select_base<'c, 'p>(
     catalog: &'c QueryCatalog,
     table: &str,
-    predicate: &'p Expr,
+    predicate: &'p Predicate,
     use_index: bool,
 ) -> DbResult<(Selection<'c>, NodeStats<'p>)> {
     let entry = catalog.entry(table)?;
@@ -1186,55 +1178,29 @@ fn select_base<'c, 'p>(
 }
 
 /// The rows of `entry` a keyed predicate keeps, in ascending order, and
-/// the key column — `None` when the predicate has no `col = literal`
-/// conjunct on a base (non-tag) column ([`equality_conjunct`]; the
-/// property is read off the statement). The table's per-key hash index
-/// gives the candidate positions and the **unmodified** predicate
+/// the key column — `None` when the bound predicate has no key-equality
+/// conjunct ([`Predicate::key`]: a `col = literal` on an application
+/// column, reached through top-level ANDs only). The table's per-key
+/// hash index gives the candidate positions and the **whole** predicate
 /// re-runs over them in ascending row order, so the kept rows — and
 /// their order — match a scan exactly. `SELECT` gathers these rows,
 /// `TAG` tags them.
 fn keyed_rows<'p>(
     entry: &TableEntry,
-    predicate: &'p Expr,
+    predicate: &'p Predicate,
 ) -> DbResult<Option<(&'p str, Vec<usize>)>> {
-    let Some((col, key)) = equality_conjunct(predicate, entry.rel.schema()) else {
+    let Some((ci, col, key)) = predicate.key() else {
         return Ok(None);
     };
-    let mut rows: Vec<usize> = entry.key_index(col)?.get(&vec![key.clone()]).to_vec();
+    let mut rows: Vec<usize> = entry.key_index(ci).get(&vec![key.clone()]).to_vec();
     rows.sort_unstable();
-    let compiled = algebra::CompiledTagExpr::compile(&entry.rel, predicate)?;
     let mut kept = Vec::with_capacity(rows.len());
     for row in rows {
-        if compiled.matches(&entry.rel.rows()[row])? {
+        if predicate.matches(&entry.rel.rows()[row])? {
             kept.push(row);
         }
     }
     Ok(Some((col, kept)))
-}
-
-/// Finds a `col = literal` (or `literal = col`) conjunct reachable
-/// through top-level ANDs only — never under OR/NOT, where satisfying
-/// the equality is not necessary for the row to qualify. Tag
-/// pseudo-columns (`col@indicator`) and NULL literals (never equal to
-/// anything under 3VL) are skipped.
-fn equality_conjunct<'a>(
-    e: &'a Expr,
-    schema: &Schema,
-) -> Option<(&'a str, &'a relstore::Value)> {
-    match e {
-        Expr::Bin(l, relstore::expr::BinOp::And, r) => {
-            equality_conjunct(l, schema).or_else(|| equality_conjunct(r, schema))
-        }
-        Expr::Bin(l, relstore::expr::BinOp::Eq, r) => match (&**l, &**r) {
-            (Expr::Col(c), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(c))
-                if !v.is_null() && !c.contains('@') && schema.index_of(c).is_some() =>
-            {
-                Some((c.as_str(), v))
-            }
-            _ => None,
-        },
-        _ => None,
-    }
 }
 
 /// Projection supporting both plain columns (cells travel with tags) and
@@ -2133,11 +2099,13 @@ mod paged_tests {
             Ok((algebra::select(&self.rel, predicate)?, self.stats))
         }
         fn access_estimate(&self, predicate: &Expr) -> Option<(Vec<String>, f64)> {
-            let (atoms, _) = extract_atoms(&self.rel, predicate);
+            let bound =
+                Predicate::bind(self.rel.schema(), self.rel.dictionary(), predicate).ok()?;
+            let atoms = bound.atoms();
             if atoms.is_empty() {
                 return None;
             }
-            let est = QualityIndex::build(&self.rel).estimate(&atoms)?;
+            let est = QualityIndex::build(&self.rel).estimate(atoms)?;
             Some((atoms.iter().map(|a| a.to_string()).collect(), est))
         }
     }
@@ -2298,7 +2266,7 @@ mod paged_tests {
         assert!(!c.is_paged_table("trades"));
         assert_eq!(c.names(), vec!["stocks", "trades"]);
         assert_eq!(
-            c.schema_of("stocks").unwrap().names(),
+            c.schema_and_dictionary("stocks").unwrap().0.names(),
             vec!["ticker", "price"]
         );
         // TAG routes writers to the storage layer

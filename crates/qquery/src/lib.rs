@@ -46,7 +46,7 @@ pub use exec::{
     TagWrite,
 };
 pub use parser::parse;
-pub use plan::{AccessPathStats, Plan, Planner, SchemaProvider};
+pub use plan::{AccessPathStats, Plan, Planner};
 
 #[cfg(test)]
 mod proptests {

@@ -1,11 +1,12 @@
 //! Logical plans and the planner (with optional predicate pushdown).
 
 use crate::ast::{SelectItem, SelectQuery, Statement};
-use relstore::algebra::AggCall;
+use crate::exec::QueryCatalog;
+use relstore::algebra::{aggregate_schema, resolve_aggregate, AggCall};
 use relstore::{DbError, DbResult, Expr, Schema};
+use std::borrow::Cow;
 use std::fmt::Write as _;
-use tagstore::bitmap::{extract_atoms, QualityIndex};
-use tagstore::TaggedRelation;
+use tagstore::{IndicatorDictionary, Predicate};
 
 /// A logical query plan over tagged relations.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,8 +28,9 @@ pub enum Plan {
     Filter {
         /// Input plan.
         input: Box<Plan>,
-        /// Predicate; may reference `col@indicator` pseudo-columns.
-        predicate: Expr,
+        /// Predicate, bound against the input; may reference
+        /// `col@indicator` pseudo-columns.
+        predicate: Predicate,
     },
     /// Projection onto named columns/pseudo-columns with output names.
     Project {
@@ -73,10 +75,10 @@ pub enum Plan {
     IndexScan {
         /// Base table name.
         table: String,
-        /// Full predicate (atoms + residual); execution re-derives the
-        /// split against the live index so a stale estimate can never
+        /// Full bound predicate (atoms + residual); execution asks the
+        /// live index for its atoms, so a stale estimate can never
         /// change results.
-        predicate: Expr,
+        predicate: Predicate,
         /// Rendered sargable atoms (e.g. `price@source=NYSE feed`),
         /// for EXPLAIN output.
         atoms: Vec<String>,
@@ -93,9 +95,9 @@ pub enum Plan {
     PagedIndexScan {
         /// Paged base table name.
         table: String,
-        /// Full predicate (atoms + residual); the storage layer
-        /// re-derives the split against its live index.
-        predicate: Expr,
+        /// Full bound predicate (atoms + residual); the storage layer
+        /// binds it again against its live relation.
+        predicate: Predicate,
         /// Rendered sargable atoms, for EXPLAIN output.
         atoms: Vec<String>,
         /// Estimated matching fraction in `[0, 1]`.
@@ -270,20 +272,6 @@ impl Plan {
     }
 }
 
-/// Schema provider used by the planner for pushdown decisions.
-pub trait SchemaProvider {
-    /// Application schema of the named relation.
-    fn schema_of(&self, name: &str) -> DbResult<Schema>;
-}
-
-impl SchemaProvider for std::collections::HashMap<String, TaggedRelation> {
-    fn schema_of(&self, name: &str) -> DbResult<Schema> {
-        self.get(name)
-            .map(|r| r.schema().clone())
-            .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
-    }
-}
-
 /// Access-path statistics the optimizer consults when deciding whether a
 /// filter over a base table should become an [`Plan::IndexScan`].
 pub trait AccessPathStats {
@@ -291,7 +279,7 @@ pub trait AccessPathStats {
     /// a bitmap index on `table`, returns the rendered atoms and the
     /// estimated matching fraction (bitmap popcount / row count).
     /// `None` means no usable index path — keep the scan.
-    fn access_estimate(&self, table: &str, predicate: &Expr) -> Option<(Vec<String>, f64)>;
+    fn access_estimate(&self, table: &str, predicate: &Predicate) -> Option<(Vec<String>, f64)>;
 
     /// True when `table` lives in paged storage: an index-eligible
     /// filter over it becomes a [`Plan::PagedIndexScan`] (page-skipping
@@ -301,21 +289,6 @@ pub trait AccessPathStats {
     /// to probe).
     fn is_paged(&self, _table: &str) -> bool {
         false
-    }
-}
-
-/// Test/small-scale provider: builds a [`QualityIndex`] per call. Real
-/// deployments cache the index (see `QueryCatalog`).
-impl AccessPathStats for std::collections::HashMap<String, TaggedRelation> {
-    fn access_estimate(&self, table: &str, predicate: &Expr) -> Option<(Vec<String>, f64)> {
-        let rel = self.get(table)?;
-        let (atoms, _residual) = extract_atoms(rel, predicate);
-        if atoms.is_empty() {
-            return None;
-        }
-        let index = QualityIndex::build(rel);
-        let est = index.estimate(&atoms)?;
-        Some((atoms.iter().map(|a| a.to_string()).collect(), est))
     }
 }
 
@@ -370,6 +343,56 @@ fn conjoin(mut parts: Vec<Expr>) -> Option<Expr> {
     }
     let first = parts.remove(0);
     Some(parts.into_iter().fold(first, |acc, e| acc.and(e)))
+}
+
+/// What a σ the planner builds binds against: its input's schema and
+/// the dictionaries that declare its pseudo-columns' indicators — one
+/// table's, or a join's two, split at the left table's arity.
+struct Scope<'c> {
+    schema: Schema,
+    left: Cow<'c, IndicatorDictionary>,
+    right: Option<(usize, Cow<'c, IndicatorDictionary>)>,
+}
+
+impl<'c> Scope<'c> {
+    fn table(catalog: &'c QueryCatalog, name: &str) -> DbResult<Self> {
+        let (schema, left) = catalog.schema_and_dictionary(name)?;
+        Ok(Scope {
+            schema,
+            left,
+            right: None,
+        })
+    }
+
+    /// A join's output; a pseudo-column takes its types from the side
+    /// its column came from, the `l.`/`r.` rule the name check applies.
+    fn join(left: Scope<'c>, right: Scope<'c>) -> DbResult<Self> {
+        Ok(Scope {
+            schema: left.schema.join(&right.schema, "l", "r")?,
+            right: Some((left.schema.arity(), right.left)),
+            left: left.left,
+        })
+    }
+
+    /// A γ's output, whose rows carry its input's (left) dictionary.
+    fn aggregate(self, group_by: &[String], aggs: &[AggCall]) -> DbResult<Self> {
+        let group_by: Vec<&str> = group_by.iter().map(String::as_str).collect();
+        let (keys, _) = resolve_aggregate(&self.schema, &group_by, aggs)?;
+        Ok(Scope {
+            schema: aggregate_schema(&self.schema, &keys, aggs)?,
+            left: self.left,
+            right: None,
+        })
+    }
+
+    fn bind(&self, e: &Expr) -> DbResult<Predicate> {
+        match &self.right {
+            None => Predicate::bind(&self.schema, &self.left, e),
+            Some((arity, right)) => {
+                Predicate::bind_join(&self.schema, *arity, &self.left, right, e)
+            }
+        }
+    }
 }
 
 /// Base column of a possibly-pseudo name (`price@age` → `price`).
@@ -460,48 +483,52 @@ fn rewrite_strip_prefix(e: &Expr, prefix: &str) -> Expr {
 }
 
 impl Planner {
-    /// Plans a parsed statement. `Inspect` statements plan as a filtered
-    /// scan; rendering happens at execution.
-    pub fn plan(&self, stmt: &Statement, schemas: &dyn SchemaProvider) -> DbResult<Plan> {
+    /// Plans a parsed statement, binding each σ it builds against that
+    /// σ's input ([`Predicate::bind`]): unknown columns, undeclared
+    /// indicators and ill-typed comparisons fail here. `Inspect`
+    /// statements plan as a filtered scan; rendering happens at
+    /// execution.
+    pub fn plan(&self, stmt: &Statement, catalog: &QueryCatalog) -> DbResult<Plan> {
         match stmt {
             Statement::Inspect { table, filter } => {
-                schemas.schema_of(table)?;
+                let scope = Scope::table(catalog, table)?;
                 let scan = Plan::Scan(table.clone());
                 Ok(match filter {
                     Some(f) => Plan::Filter {
                         input: Box::new(scan),
-                        predicate: f.clone(),
+                        predicate: scope.bind(f)?,
                     },
                     None => scan,
                 })
             }
-            Statement::Select(q) => self.plan_select(q, schemas),
+            Statement::Select(q) => self.plan_select(q, catalog),
             // EXPLAIN plans its inner statement; rendering (and, for
             // ANALYZE, traced execution) happens at the execution layer.
-            Statement::Explain { inner, .. } => self.plan(inner, schemas),
+            Statement::Explain { inner, .. } => self.plan(inner, catalog),
             Statement::Tag { .. } => Err(DbError::InvalidExpression(
                 "TAG is a mutation statement; execute it with run_mut".into(),
             )),
         }
     }
 
-    fn plan_select(&self, q: &SelectQuery, schemas: &dyn SchemaProvider) -> DbResult<Plan> {
-        let left_schema = schemas.schema_of(&q.table)?;
+    fn plan_select(&self, q: &SelectQuery, catalog: &QueryCatalog) -> DbResult<Plan> {
+        let left_scope = Scope::table(catalog, &q.table)?;
         let mut plan;
         let predicate = q.combined_predicate();
 
-        match &q.join {
+        let scope = match &q.join {
             None => {
                 plan = Plan::Scan(q.table.clone());
                 if let Some(p) = predicate {
                     plan = Plan::Filter {
                         input: Box::new(plan),
-                        predicate: p,
+                        predicate: left_scope.bind(&p)?,
                     };
                 }
+                left_scope
             }
             Some(j) => {
-                let right_schema = schemas.schema_of(&j.table)?;
+                let right_scope = Scope::table(catalog, &j.table)?;
                 let mut left: Plan = Plan::Scan(q.table.clone());
                 let mut right: Plan = Plan::Scan(j.table.clone());
                 let mut residual: Vec<Expr> = Vec::new();
@@ -509,7 +536,7 @@ impl Planner {
                     if self.pushdown {
                         let (mut lparts, mut rparts) = (Vec::new(), Vec::new());
                         for c in conjuncts(&p) {
-                            match classify(&c, &left_schema, &right_schema) {
+                            match classify(&c, &left_scope.schema, &right_scope.schema) {
                                 Some((false, e)) => lparts.push(e),
                                 Some((true, e)) => rparts.push(e),
                                 None => residual.push(c),
@@ -518,13 +545,13 @@ impl Planner {
                         if let Some(lp) = conjoin(lparts) {
                             left = Plan::Filter {
                                 input: Box::new(left),
-                                predicate: lp,
+                                predicate: left_scope.bind(&lp)?,
                             };
                         }
                         if let Some(rp) = conjoin(rparts) {
                             right = Plan::Filter {
                                 input: Box::new(right),
-                                predicate: rp,
+                                predicate: right_scope.bind(&rp)?,
                             };
                         }
                     } else {
@@ -537,14 +564,16 @@ impl Planner {
                     left_key: j.left_key.clone(),
                     right_key: j.right_key.clone(),
                 };
+                let joined = Scope::join(left_scope, right_scope)?;
                 if let Some(res) = conjoin(residual) {
                     plan = Plan::Filter {
                         input: Box::new(plan),
-                        predicate: res,
+                        predicate: joined.bind(&res)?,
                     };
                 }
+                joined
             }
-        }
+        };
 
         // Aggregation or projection.
         if q.is_aggregate() {
@@ -576,15 +605,19 @@ impl Planner {
                     }
                 }
             }
+            let having = match &q.having {
+                Some(h) => Some(scope.aggregate(&q.group_by, &aggs)?.bind(h)?),
+                None => None,
+            };
             plan = Plan::Aggregate {
                 input: Box::new(plan),
                 group_by: q.group_by.clone(),
                 aggs,
             };
-            if let Some(h) = &q.having {
+            if let Some(predicate) = having {
                 plan = Plan::Filter {
                     input: Box::new(plan),
-                    predicate: h.clone(),
+                    predicate,
                 };
             }
         } else if q.having.is_some() {
@@ -638,9 +671,10 @@ impl Planner {
     /// * `Join { right: Scan(t) }` → [`Plan::IndexJoin`] probing the base
     ///   table's prebuilt key index instead of hashing it per execution.
     ///
-    /// The rewrite is purely an access-path change: execution re-derives
-    /// the atom/residual split against the live index and falls back to a
-    /// scan when the index is stale, so results are identical either way.
+    /// The rewrite is purely an access-path change: the bound predicate
+    /// moves into the new node as it is, execution asks the live index
+    /// for its atoms and falls back to a scan when the index is stale, so
+    /// results are identical either way.
     pub fn optimize(&self, plan: Plan, stats: &dyn AccessPathStats) -> Plan {
         if !self.use_indexes {
             return plan;
@@ -764,26 +798,25 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use relstore::DataType;
-    use std::collections::HashMap;
-    use tagstore::IndicatorDictionary;
+    use tagstore::{IndicatorDictionary, TaggedRelation};
 
-    fn catalog() -> HashMap<String, TaggedRelation> {
-        let mut m = HashMap::new();
-        m.insert(
-            "stocks".to_owned(),
+    fn catalog() -> QueryCatalog {
+        let mut c = QueryCatalog::new();
+        c.register(
+            "stocks",
             TaggedRelation::empty(
                 Schema::of(&[("ticker", DataType::Text), ("price", DataType::Float)]),
                 IndicatorDictionary::with_paper_defaults(),
             ),
         );
-        m.insert(
-            "trades".to_owned(),
+        c.register(
+            "trades",
             TaggedRelation::empty(
                 Schema::of(&[("tkr", DataType::Text), ("qty", DataType::Int)]),
                 IndicatorDictionary::with_paper_defaults(),
             ),
         );
-        m
+        c
     }
 
     fn plan_q(sql: &str, pushdown: bool) -> Plan {
@@ -845,7 +878,7 @@ mod tests {
         match &p {
             Plan::Join { left, .. } => match &**left {
                 Plan::Filter { predicate, .. } => {
-                    assert_eq!(predicate.referenced_columns(), vec!["price"]);
+                    assert_eq!(predicate.expr().referenced_columns(), vec!["price"]);
                 }
                 other => panic!("{other:?}"),
             },
@@ -911,7 +944,7 @@ mod tests {
     }
 
     /// Catalog with actual tagged rows so access-path estimates are live.
-    fn tagged_catalog() -> HashMap<String, TaggedRelation> {
+    fn tagged_catalog() -> QueryCatalog {
         use tagstore::{IndicatorValue, QualityCell};
         let dict = IndicatorDictionary::with_paper_defaults();
         let mk = |t: &str, p: f64, src: &str| {
@@ -936,17 +969,17 @@ mod tests {
             vec![vec![QualityCell::bare("FRT"), QualityCell::bare(100i64)]],
         )
         .unwrap();
-        let mut m = HashMap::new();
-        m.insert("stocks".to_owned(), stocks);
-        m.insert("trades".to_owned(), trades);
-        m
+        let mut c = QueryCatalog::new();
+        c.register("stocks", stocks);
+        c.register("trades", trades);
+        c
     }
 
     /// Stats source reporting a fixed estimate, for pinning the cutoff
     /// boundary without crafting an exact row distribution.
     struct FixedStats(f64);
     impl AccessPathStats for FixedStats {
-        fn access_estimate(&self, _: &str, _: &Expr) -> Option<(Vec<String>, f64)> {
+        fn access_estimate(&self, _: &str, _: &Predicate) -> Option<(Vec<String>, f64)> {
             Some((vec!["price@source=NYSE feed".to_owned()], self.0))
         }
     }
@@ -1033,8 +1066,8 @@ mod tests {
             rows,
         )
         .unwrap();
-        let mut cat = HashMap::new();
-        cat.insert("t".to_owned(), rel);
+        let mut cat = QueryCatalog::new();
+        cat.register("t", rel);
         let planner = Planner::default();
         for (max_age, est, indexed) in [(0i64, 0.01, true), (49, 0.50, true), (89, 0.90, false)] {
             let stmt =
@@ -1111,7 +1144,7 @@ mod tests {
     fn nan_estimate_clamps_to_zero() {
         struct NanStats;
         impl AccessPathStats for NanStats {
-            fn access_estimate(&self, _: &str, _: &Expr) -> Option<(Vec<String>, f64)> {
+            fn access_estimate(&self, _: &str, _: &Predicate) -> Option<(Vec<String>, f64)> {
                 Some((vec!["price@source=manual entry".to_owned()], f64::NAN))
             }
         }

@@ -9,7 +9,7 @@
 use crate::error::{DbError, DbResult};
 use crate::relation::Row;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -454,7 +454,7 @@ impl CompiledExpr {
                     },
                     UnOp::Neg => match v.as_ref() {
                         Value::Null => Value::Null,
-                        Value::Int(i) => Value::Int(-i),
+                        Value::Int(i) => Value::Int(i.checked_neg().ok_or_else(|| overflow("-"))?),
                         Value::Float(f) => Value::Float(-f),
                         other => {
                             return Err(DbError::TypeMismatch {
@@ -548,6 +548,81 @@ impl CompiledExpr {
             }),
         }
     }
+
+    /// The type this expression evaluates to when each position has the
+    /// type `declared` gives it (`None` or `Any`: undeclared), or the
+    /// type error it raises on every row whose operands are not NULL.
+    /// Each operator is tried once on a representative value of each
+    /// declared operand type, so the error is the evaluator's own; an
+    /// undeclared operand stands in as NULL and keeps its per-row checks.
+    /// `=` and `<>` are checked like `<`: comparing unrelated types is a
+    /// schema mistake either way, though the evaluator's total order
+    /// would answer it. A function's or a `CASE`'s result is undeclared.
+    pub fn check_types(
+        &self,
+        declared: &dyn Fn(usize) -> Option<DataType>,
+    ) -> DbResult<Option<DataType>> {
+        let check = |e: &CompiledExpr| e.check_types(declared);
+        let probe_of = |t: Option<DataType>| Box::new(CompiledExpr::Lit(representative(t)));
+        let run = |probe: CompiledExpr| -> DbResult<Option<DataType>> {
+            let no_columns: &[Value] = &[];
+            Ok(probe.eval(no_columns)?.data_type())
+        };
+        let only_checked = |children: &mut dyn Iterator<Item = &CompiledExpr>, t| {
+            for c in children {
+                check(c)?;
+            }
+            Ok(t)
+        };
+        match self {
+            CompiledExpr::Lit(v) => Ok(v.data_type()),
+            CompiledExpr::Col(i) => Ok(declared(*i).filter(|t| *t != DataType::Any)),
+            CompiledExpr::Bin(l, op, r) => {
+                let op = match op {
+                    BinOp::Eq | BinOp::Ne => BinOp::Lt,
+                    op => *op,
+                };
+                run(CompiledExpr::Bin(probe_of(check(l)?), op, probe_of(check(r)?)))
+            }
+            CompiledExpr::Un(op, e) => run(CompiledExpr::Un(*op, probe_of(check(e)?))),
+            CompiledExpr::Like(e, pattern) => {
+                run(CompiledExpr::Like(probe_of(check(e)?), pattern.clone()))
+            }
+            CompiledExpr::IsNull(e) | CompiledExpr::IsNotNull(e) => {
+                only_checked(&mut std::iter::once(&**e), Some(DataType::Bool))
+            }
+            CompiledExpr::Between(e, lo, hi) => {
+                only_checked(&mut [e, lo, hi].into_iter().map(|x| &**x), Some(DataType::Bool))
+            }
+            CompiledExpr::InList(e, list) => {
+                only_checked(&mut std::iter::once(&**e).chain(list), Some(DataType::Bool))
+            }
+            CompiledExpr::Call(_, args) => only_checked(&mut args.iter(), None),
+            CompiledExpr::Case(arms, els) => only_checked(
+                &mut arms.iter().flat_map(|(c, v)| [c, v]).chain(els.as_deref()),
+                None,
+            ),
+        }
+    }
+}
+
+/// A value of type `t` that no operator [`CompiledExpr::check_types`]
+/// probes with can fault on for a reason other than its type (no zero
+/// divisor, no overflow); NULL for an undeclared type.
+fn representative(t: Option<DataType>) -> Value {
+    match t {
+        Some(DataType::Bool) => Value::Bool(true),
+        Some(DataType::Int) => Value::Int(1),
+        Some(DataType::Float) => Value::Float(1.0),
+        Some(DataType::Text) => Value::Text(String::new()),
+        Some(DataType::Date) => Value::Date(crate::date::Date::from_days(0)),
+        Some(DataType::Any) | None => Value::Null,
+    }
+}
+
+/// The error of an `i64` result that does not fit.
+fn overflow(op: &str) -> DbError {
+    DbError::Arithmetic(format!("integer overflow in {op}"))
 }
 
 /// SQL LIKE matcher: `%` matches any run, `_` matches one char.
@@ -599,9 +674,9 @@ fn eval_binop(l: &Value, op: BinOp, r: &Value) -> DbResult<Value> {
 
 /// Ordering comparisons across unrelated types are almost always schema
 /// mistakes in quality predicates, so we reject them instead of using the
-/// arbitrary cross-type total order. Public so vectorized comparison
-/// kernels can reproduce the evaluator's `<`-family type errors exactly.
-pub fn cmp_check(l: &Value, r: &Value) -> DbResult<()> {
+/// arbitrary cross-type total order. [`CompiledExpr::check_types`]
+/// raises the same error for `=` and `<>` over declared types.
+fn cmp_check(l: &Value, r: &Value) -> DbResult<()> {
     let ok = matches!(
         (l, r),
         (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_))
@@ -654,26 +729,18 @@ fn eval_arith(l: &Value, op: BinOp, r: &Value) -> DbResult<Value> {
     use BinOp::*;
     use Value::*;
     match (l, r) {
+        (Int(_), Int(0)) if op == Div => Err(DbError::Arithmetic("division by zero".into())),
+        (Int(_), Int(0)) if op == Mod => Err(DbError::Arithmetic("modulo by zero".into())),
         (Int(a), Int(b)) => match op {
-            Add => Ok(Int(a.wrapping_add(*b))),
-            Sub => Ok(Int(a.wrapping_sub(*b))),
-            Mul => Ok(Int(a.wrapping_mul(*b))),
-            Div => {
-                if *b == 0 {
-                    Err(DbError::Arithmetic("division by zero".into()))
-                } else {
-                    Ok(Int(a / b))
-                }
-            }
-            Mod => {
-                if *b == 0 {
-                    Err(DbError::Arithmetic("modulo by zero".into()))
-                } else {
-                    Ok(Int(a % b))
-                }
-            }
+            Add => a.checked_add(*b),
+            Sub => a.checked_sub(*b),
+            Mul => a.checked_mul(*b),
+            Div => a.checked_div(*b),
+            Mod => a.checked_rem(*b),
             _ => unreachable!(),
-        },
+        }
+        .map(Int)
+        .ok_or_else(|| overflow(&op.to_string())),
         (Int(_) | Float(_), Int(_) | Float(_)) => {
             let a = l.as_float()?;
             let b = r.as_float()?;
@@ -697,10 +764,17 @@ fn eval_arith(l: &Value, op: BinOp, r: &Value) -> DbResult<Value> {
         }
         // Date arithmetic: Date ± days, Date - Date → days.
         (Date(d), Int(n)) if matches!(op, Add | Sub) => {
-            let delta = if op == Add { *n } else { -*n };
-            Ok(Date(d.plus_days(delta)))
+            let delta = if op == Add { Some(*n) } else { n.checked_neg() };
+            delta
+                .and_then(|n| d.days().checked_add(n))
+                .map(|days| Date(crate::date::Date::from_days(days)))
+                .ok_or_else(|| overflow(&op.to_string()))
         }
-        (Date(a), Date(b)) if op == Sub => Ok(Int(a.days_between(b))),
+        (Date(a), Date(b)) if op == Sub => a
+            .days()
+            .checked_sub(b.days())
+            .map(Int)
+            .ok_or_else(|| overflow("-")),
         _ => Err(DbError::TypeMismatch {
             expected: "numeric (or date) operands".into(),
             found: format!("{} {op} {}", l.type_name(), r.type_name()),
@@ -724,7 +798,7 @@ fn eval_func(f: Func, args: &[Value]) -> DbResult<Value> {
             need(1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+                Value::Int(i) => Ok(Value::Int(i.checked_abs().ok_or_else(|| overflow("abs"))?)),
                 Value::Float(x) => Ok(Value::Float(x.abs())),
                 other => Err(DbError::TypeMismatch {
                     expected: "numeric".into(),
@@ -1020,6 +1094,65 @@ mod tests {
         let (s, r) = ctx();
         let e = Expr::col("name").lt(Expr::lit(5i64));
         assert!(e.eval(&s, &r).is_err());
+    }
+
+    /// Int arithmetic that leaves `i64` is an error on every operator,
+    /// never a wrap or a panic; so are negation, `abs` and date shifts.
+    #[test]
+    fn integer_overflow_is_an_error() {
+        let (s, r) = ctx();
+        let (min, max) = (Expr::lit(i64::MIN), Expr::lit(i64::MAX));
+        let bin = |l: &Expr, op, r: i64| Expr::Bin(Box::new(l.clone()), op, Box::new(Expr::lit(r)));
+        for e in [
+            bin(&max, BinOp::Add, 1),
+            bin(&min, BinOp::Sub, 1),
+            bin(&max, BinOp::Mul, 2),
+            bin(&min, BinOp::Div, -1),
+            bin(&min, BinOp::Mod, -1),
+            Expr::Un(UnOp::Neg, Box::new(min.clone())),
+            Expr::Call(Func::Abs, vec![min.clone()]),
+            Expr::col("created").add(max.clone()),
+            Expr::col("created").sub(min.clone()),
+            Expr::lit(Value::Date(Date::from_days(i64::MIN))).sub(Expr::col("created")),
+        ] {
+            match e.eval(&s, &r) {
+                Err(DbError::Arithmetic(m)) => assert!(m.starts_with("integer overflow"), "{e}: {m}"),
+                other => panic!("{e}: {other:?}"),
+            }
+        }
+        // the edges themselves still compute
+        assert_eq!(eval(&bin(&max, BinOp::Sub, 1)), Value::Int(i64::MAX - 1));
+        assert_eq!(eval(&bin(&min, BinOp::Div, 1)), Value::Int(i64::MIN));
+    }
+
+    /// A declared operand type fails where the evaluator would fail on a
+    /// row, with the evaluator's text; `=` fails like `<`; undeclared
+    /// operands and NULL literals are left to the rows.
+    #[test]
+    fn check_types_reports_the_evaluators_error() {
+        let (s, r) = ctx();
+        let types = |e: &Expr| {
+            let declared = |i: usize| s.column(i).map(|c| c.dtype);
+            e.compile(&s).unwrap().check_types(&declared)
+        };
+        for (lt, eq) in [
+            (Expr::col("employees").lt(Expr::lit("a")), Expr::col("employees").eq(Expr::lit("a"))),
+            (Expr::lit("a").lt(Expr::col("employees")), Expr::lit("a").ne(Expr::col("employees"))),
+        ] {
+            let row_error = lt.eval(&s, &r).unwrap_err().to_string();
+            assert_eq!(types(&lt).unwrap_err().to_string(), row_error, "{lt}");
+            assert_eq!(types(&eq).unwrap_err().to_string(), row_error, "{eq}");
+        }
+        let add = Expr::col("name").add(Expr::lit(1i64));
+        assert_eq!(types(&add).unwrap_err().to_string(), add.eval(&s, &r).unwrap_err().to_string());
+        let and = Expr::col("employees").and(Expr::lit(true));
+        assert_eq!(types(&and).unwrap_err().to_string(), and.eval(&s, &r).unwrap_err().to_string());
+        assert_eq!(types(&Expr::col("created").sub(Expr::col("created"))).unwrap(), Some(DataType::Int));
+        assert_eq!(types(&Expr::col("price").add(Expr::lit(1i64))).unwrap(), Some(DataType::Float));
+        assert_eq!(types(&Expr::col("employees").eq(Expr::Lit(Value::Null))).unwrap(), None);
+        let any = Schema::of(&[("x", DataType::Any)]);
+        let compiled = Expr::col("x").lt(Expr::lit("a")).compile(&any).unwrap();
+        assert_eq!(compiled.check_types(&|_| Some(DataType::Any)).unwrap(), None);
     }
 
     #[test]

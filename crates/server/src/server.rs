@@ -22,12 +22,12 @@
 use crate::session::Session;
 use dq_query::{PagedProvider, PagedScanStats, QueryCatalog, QueryResult, TagWrite};
 use dq_storage::DurableDb;
-use relstore::{DbResult, Expr, Schema};
+use relstore::{DbError, DbResult, Expr, Schema};
 use tagstore::TaggedRelation;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tagstore::{EpochCell, IndicatorDictionary, Stamped};
@@ -59,6 +59,13 @@ impl Default for ServerConfig {
     }
 }
 
+/// `m`'s guard, or an error when a panic poisoned it: a request on a
+/// poisoned lock fails, it does not take its worker down too.
+fn lock<T>(m: &Mutex<T>) -> DbResult<MutexGuard<'_, T>> {
+    m.lock()
+        .map_err(|_| DbError::Storage("lock poisoned by an earlier panic".into()))
+}
+
 /// The single mutable state writers serialize on: the master catalog
 /// copy and, for durable servers, the WAL-backed database it mirrors.
 ///
@@ -85,33 +92,27 @@ struct PagedTable {
 
 impl PagedProvider for PagedTable {
     fn schema(&self) -> DbResult<Schema> {
-        Ok(self.db.lock().unwrap().paged_schema(&self.name)?.clone())
+        Ok(lock(&self.db)?.paged_schema(&self.name)?.clone())
     }
 
     fn dictionary(&self) -> DbResult<IndicatorDictionary> {
-        Ok(self
-            .db
-            .lock()
-            .unwrap()
-            .paged_dictionary(&self.name)?
-            .clone())
+        Ok(lock(&self.db)?.paged_dictionary(&self.name)?.clone())
     }
 
     fn row_count(&self) -> DbResult<u64> {
-        self.db.lock().unwrap().paged_len(&self.name)
+        lock(&self.db)?.paged_len(&self.name)
     }
 
     fn scan(&self) -> DbResult<TaggedRelation> {
-        self.db.lock().unwrap().paged_to_relation(&self.name)
+        lock(&self.db)?.paged_to_relation(&self.name)
     }
 
     fn select(&self, predicate: &Expr) -> DbResult<TaggedRelation> {
-        self.db.lock().unwrap().paged_select(&self.name, predicate)
+        lock(&self.db)?.paged_select(&self.name, predicate)
     }
 
     fn select_indexed(&self, predicate: &Expr) -> DbResult<(TaggedRelation, PagedScanStats)> {
-        let mut db = self.db.lock().unwrap();
-        let (rel, stats) = db.paged_select_indexed(&self.name, predicate)?;
+        let (rel, stats) = lock(&self.db)?.paged_select_indexed(&self.name, predicate)?;
         Ok((
             rel,
             PagedScanStats {
@@ -123,9 +124,8 @@ impl PagedProvider for PagedTable {
     }
 
     fn access_estimate(&self, predicate: &Expr) -> Option<(Vec<String>, f64)> {
-        self.db
-            .lock()
-            .unwrap()
+        lock(&self.db)
+            .ok()?
             .paged_access_estimate(&self.name, predicate)
             .ok()
             .flatten()
@@ -172,9 +172,7 @@ impl SharedCatalog {
         let db = Arc::new(Mutex::new(db));
         // Paged relations stay on disk: the catalog gets a provider
         // that routes each access through the shared buffer pool.
-        let paged: Vec<String> = db
-            .lock()
-            .unwrap()
+        let paged: Vec<String> = lock(&db)?
             .paged_names()
             .iter()
             .map(|n| n.to_string())
@@ -221,13 +219,13 @@ impl SharedCatalog {
     /// Mutations here reach only the in-memory catalog, not the WAL.
     ///
     /// [`commit_write`]: SharedCatalog::commit_write
-    pub fn publish<R>(&self, mutate: impl FnOnce(&mut QueryCatalog) -> R) -> R {
+    pub fn publish<R>(&self, mutate: impl FnOnce(&mut QueryCatalog) -> R) -> DbResult<R> {
         let wait = Instant::now();
-        let mut ws = self.master.lock().unwrap();
+        let mut ws = lock(&self.master)?;
         dq_obs::histogram!("mvcc.writer_wait_us").record(wait.elapsed());
         let out = mutate(&mut ws.catalog);
-        self.publish_locked(&ws);
-        out
+        self.publish_locked(&ws)?;
+        Ok(out)
     }
 
     /// Applies a prepared [`TagWrite`] and publishes the result — the
@@ -238,7 +236,7 @@ impl SharedCatalog {
     /// commit + publish.
     pub fn commit_write(&self, write: TagWrite) -> DbResult<QueryResult> {
         let wait = Instant::now();
-        let mut ws = self.master.lock().unwrap();
+        let mut ws = lock(&self.master)?;
         dq_obs::histogram!("mvcc.writer_wait_us").record(wait.elapsed());
         let result = match ws.db.clone() {
             Some(db) => {
@@ -250,7 +248,7 @@ impl SharedCatalog {
                 let mut next = ws.catalog.clone();
                 let staged = write.apply(&mut next);
                 let logged = staged.and_then(|res| {
-                    let mut db = db.lock().unwrap();
+                    let mut db = lock(&db)?;
                     let len = db.tagged(&table)?.relation().len();
                     for (row, column, tag) in tags {
                         // Rows past the end were skipped by the
@@ -270,7 +268,7 @@ impl SharedCatalog {
             None => write.apply(&mut ws.catalog),
         };
         if result.is_ok() {
-            self.publish_locked(&ws);
+            self.publish_locked(&ws)?;
         }
         result
     }
@@ -278,13 +276,13 @@ impl SharedCatalog {
     /// Publishes the master catalog as a new epoch snapshot. The WAL
     /// epoch (when present) floors the published epoch so the two
     /// counters stay on one line across restarts.
-    fn publish_locked(&self, ws: &WriterState) {
-        let floor = ws
-            .db
-            .as_ref()
-            .map(|db| db.lock().unwrap().epoch())
-            .unwrap_or(0);
+    fn publish_locked(&self, ws: &WriterState) -> DbResult<()> {
+        let floor = match &ws.db {
+            Some(db) => lock(db)?.epoch(),
+            None => 0,
+        };
         self.published.publish_at(ws.catalog.snapshot(), floor);
+        Ok(())
     }
 }
 
@@ -383,16 +381,32 @@ fn start_shared(config: ServerConfig, shared: Arc<SharedCatalog>) -> std::io::Re
     })
 }
 
-fn accept_loop(listener: TcpListener, senders: Vec<Sender<TcpStream>>, shutdown: Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    mut senders: Vec<Sender<TcpStream>>,
+    shutdown: Arc<AtomicBool>,
+) {
     let mut next = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
+    while !shutdown.load(Ordering::SeqCst) && !senders.is_empty() {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Round-robin: each worker multiplexes its share.
-                if senders[next % senders.len()].send(stream).is_err() {
-                    break; // worker gone — server is tearing down
+            Ok((mut stream, _peer)) => {
+                // Round-robin: each worker multiplexes its share. A worker
+                // that has exited leaves the rotation, counted; the rest
+                // keep serving.
+                while !senders.is_empty() {
+                    let i = next % senders.len();
+                    match senders[i].send(stream) {
+                        Ok(()) => {
+                            next = next.wrapping_add(1);
+                            break;
+                        }
+                        Err(SendError(back)) => {
+                            dq_obs::counter!("server.worker_exits").incr();
+                            senders.remove(i);
+                            stream = back;
+                        }
+                    }
                 }
-                next = next.wrapping_add(1);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(IDLE_SLEEP);
@@ -424,5 +438,69 @@ fn worker_loop(
         if !progress {
             std::thread::sleep(IDLE_SLEEP);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, ClientError};
+
+    /// A paged table whose every read panics.
+    #[derive(Debug)]
+    struct Boom;
+
+    impl PagedProvider for Boom {
+        fn schema(&self) -> DbResult<Schema> {
+            Ok(Schema::of(&[("x", relstore::DataType::Int)]))
+        }
+        fn dictionary(&self) -> DbResult<IndicatorDictionary> {
+            Ok(IndicatorDictionary::new())
+        }
+        fn row_count(&self) -> DbResult<u64> {
+            Ok(0)
+        }
+        fn scan(&self) -> DbResult<TaggedRelation> {
+            panic!("boom")
+        }
+        fn select(&self, _: &Expr) -> DbResult<TaggedRelation> {
+            panic!("boom")
+        }
+        fn select_indexed(&self, _: &Expr) -> DbResult<(TaggedRelation, PagedScanStats)> {
+            panic!("boom")
+        }
+        fn access_estimate(&self, _: &Expr) -> Option<(Vec<String>, f64)> {
+            None
+        }
+    }
+
+    /// A request that panics is answered with an error and counted; the
+    /// only worker answers the same session's next frames, and the
+    /// accept loop still hands it new connections.
+    #[test]
+    fn a_panicking_request_leaves_its_worker_serving() {
+        let mut catalog = QueryCatalog::new();
+        catalog.register_paged("boom", Arc::new(Boom));
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = start(config, catalog).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let panics = dq_obs::counter!("server.request_panics");
+        let before = panics.get();
+        for sql in ["SELECT * FROM boom", "SELECT * FROM boom WHERE x > 1"] {
+            match client.query(sql) {
+                Err(ClientError::Server(msg)) => assert_eq!(msg, "internal error: boom", "{sql}"),
+                other => panic!("{sql}: expected an internal error, got {other:?}"),
+            }
+            client.ping().unwrap();
+        }
+        assert_eq!(panics.get() - before, 2);
+        match client.query("SELECT * FROM ghost") {
+            Err(ClientError::Server(msg)) => assert!(msg.contains("ghost"), "{msg}"),
+            other => panic!("expected an engine error, got {other:?}"),
+        }
+        Client::connect(server.addr()).unwrap().ping().unwrap();
     }
 }

@@ -14,10 +14,11 @@
 use crate::protocol::{self, Request, Response};
 use crate::server::SharedCatalog;
 use dq_core::profiles::UserProfile;
-use dq_query::{PlanCache, QualityDefaultsProvider, QueryCatalog, QueryResult, SchemaProvider};
-use relstore::Expr;
+use dq_query::{PlanCache, QualityDefaultsProvider, QueryCatalog, QueryResult};
+use relstore::{DbResult, Expr};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use tagstore::Stamped;
 
@@ -50,8 +51,9 @@ pub fn is_write_statement(sql: &str) -> bool {
 }
 
 /// The session's [`QualityDefaultsProvider`]: resolves the bound
-/// profile's standards against each table's schema at prepare time
-/// (standards over columns the table lacks are skipped).
+/// profile's standards against each table's schema and dictionary at
+/// prepare time (standards over columns the table lacks, or indicators
+/// its dictionary does not declare, are skipped).
 #[derive(Debug, Default)]
 struct SessionDefaults {
     profile: Option<UserProfile>,
@@ -60,8 +62,8 @@ struct SessionDefaults {
 impl QualityDefaultsProvider for SessionDefaults {
     fn default_quality(&self, catalog: &QueryCatalog, table: &str) -> Option<Expr> {
         let profile = self.profile.as_ref()?;
-        let schema = catalog.schema_of(table).ok()?;
-        profile.default_quality_for(&schema)
+        let (schema, dictionary) = catalog.schema_and_dictionary(table).ok()?;
+        profile.default_quality_for(&schema, &dictionary)
     }
 
     fn cache_key(&self) -> &str {
@@ -199,7 +201,33 @@ impl Session {
         }
     }
 
+    /// Answers one statement. A panic anywhere in prepare, execute or
+    /// render is this request's error, not the worker's: it is answered
+    /// as `internal error: …`, counted as `server.request_panics`, and
+    /// the statement's cached plan is evicted. The session stays open —
+    /// its pin is an immutable snapshot the panic cannot have torn.
     fn run_query(&mut self, sql: &str, shared: &SharedCatalog) -> Response {
+        match panic::catch_unwind(AssertUnwindSafe(|| self.answer(sql, shared))) {
+            Ok(Ok(body)) => Response::Ok { body },
+            Ok(Err(e)) => Response::Err {
+                message: e.to_string(),
+            },
+            Err(payload) => {
+                dq_obs::counter!("server.request_panics").incr();
+                self.cache.evict(sql, &self.defaults);
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("panic");
+                Response::Err {
+                    message: format!("internal error: {what}"),
+                }
+            }
+        }
+    }
+
+    fn answer(&mut self, sql: &str, shared: &SharedCatalog) -> DbResult<String> {
         // One atomic load; re-pin only when a writer moved the epoch
         // since this session last looked.
         self.refresh_pin(shared);
@@ -225,14 +253,7 @@ impl Session {
             // Zero-lock hot path: cached plan, pinned snapshot.
             self.cache.execute(self.pin.value(), sql, &self.defaults)
         };
-        match result {
-            Ok(res) => Response::Ok {
-                body: render_result(&res),
-            },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        }
+        result.map(|res| render_result(&res))
     }
 
     /// Nonblocking write of buffered output.

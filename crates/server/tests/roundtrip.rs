@@ -220,6 +220,113 @@ fn integer_sum_overflow_is_an_error_frame() {
     }
 }
 
+/// Over an Int column `=`, `<>` and `<` against a Text literal all fail
+/// when the statement is prepared, with one type-mismatch text, embedded
+/// and over the wire — over a table with rows and over one without.
+#[test]
+fn ill_typed_comparisons_fail_alike() {
+    let schema = Schema::of(&[("k", DataType::Int)]);
+    let dict = IndicatorDictionary::with_paper_defaults();
+    let rows = vec![vec![QualityCell::bare(1i64)]];
+    let mut embedded = catalog();
+    embedded.register("t", TaggedRelation::new(schema.clone(), dict.clone(), rows).unwrap());
+    embedded.register("empty", TaggedRelation::empty(schema, dict));
+    let server = start(test_config(), embedded.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut texts = Vec::new();
+    for table in ["t", "empty"] {
+        for op in ["=", "<>", "<"] {
+            for sql in [
+                format!("SELECT k FROM {table} WHERE k {op} 'a'"),
+                format!("SELECT k FROM {table} WITH QUALITY (k@age {op} 'a')"),
+            ] {
+                let err = run(&embedded, &sql).unwrap_err().to_string();
+                match client.query(&sql) {
+                    Err(ClientError::Server(msg)) => assert_eq!(msg, err, "{sql}"),
+                    other => panic!("{sql}: expected a type error, got {other:?}"),
+                }
+                texts.push(err);
+            }
+        }
+    }
+    texts.dedup();
+    assert_eq!(
+        texts,
+        ["type mismatch: expected comparable values of the same type, found Int vs Text"]
+    );
+    client.ping().unwrap();
+}
+
+/// Int arithmetic past `i64` in a scanned, a keyed and a paged σ — the
+/// statements that used to wrap, or panic a worker — is one arithmetic
+/// error each, byte-equal embedded and over the wire, and the session
+/// answers its next query.
+#[test]
+fn integer_overflow_is_an_error_on_every_access_path() {
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let dict = IndicatorDictionary::with_paper_defaults();
+    let rows: Vec<Vec<QualityCell>> = (0..4i64)
+        .map(|k| vec![QualityCell::bare(k), QualityCell::bare(k - 2)])
+        .collect();
+    let fs: Arc<MemFs> = Arc::new(MemFs::default());
+    let opts = DurableOptions {
+        page_size: 512,
+        pool_pages: 8,
+        ..Default::default()
+    };
+    {
+        let (mut db, _) = DurableDb::open(fs.clone(), opts.clone()).unwrap();
+        db.create_paged("p", schema.clone(), dict.clone()).unwrap();
+        for row in &rows {
+            db.paged_push("p", row.clone()).unwrap();
+        }
+        db.commit().unwrap();
+    }
+    let rel = TaggedRelation::new(schema, dict, rows).unwrap();
+    let mut embedded = QueryCatalog::new();
+    embedded.register("t", rel.clone());
+    embedded.register("p", rel.clone());
+    let (db, _) = DurableDb::open(fs, opts).unwrap();
+    let server = start_durable(test_config(), db).unwrap();
+    server.catalog().publish(|c| c.register("t", rel)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let min_over_minus_one = "(0 - 9223372036854775807 - 1) / (0 - 1) = 1";
+    for sql in [
+        "SELECT k FROM t WHERE v + 9223372036854775807 < 0".to_owned(),
+        format!("SELECT k FROM t WHERE k = 1 AND {min_over_minus_one}"),
+        format!("SELECT k FROM p WHERE {min_over_minus_one}"),
+    ] {
+        let err = run(&embedded, &sql).unwrap_err().to_string();
+        assert!(err.starts_with("arithmetic error: integer overflow"), "{sql}: {err}");
+        match client.query(&sql) {
+            Err(ClientError::Server(msg)) => assert_eq!(msg, err, "{sql}"),
+            other => panic!("{sql}: expected the overflow error, got {other:?}"),
+        }
+        let next = "SELECT k FROM p WHERE k = 3";
+        assert_eq!(client.query(next).unwrap(), render_result(&run(&embedded, next).unwrap()));
+    }
+    server.shutdown();
+}
+
+/// A profile standard over an indicator a table's dictionary does not
+/// declare is skipped for that table, not injected and then refused:
+/// the table answers as if the profile said nothing about it.
+#[test]
+fn profile_defaults_skip_undeclared_indicators() {
+    let server = start(test_config(), catalog()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let standard = |ind: &str, op, v: &str| QualityStandard::new("share_price", ind, op, v);
+    let auditor = UserProfile::new("auditor", "graded sources only")
+        .with_standard(standard("source", StandardOp::Ne, "manual entry"))
+        .with_standard(standard("audit_grade", StandardOp::Eq, "A"));
+    client.hello(Some(&auditor)).unwrap();
+    let defaulted = client.query("SELECT ticker FROM stocks").unwrap();
+    let declared_only =
+        "SELECT ticker FROM stocks WITH QUALITY (share_price@source <> 'manual entry')";
+    assert_eq!(defaulted, render_result(&run(&catalog(), declared_only).unwrap()));
+    assert!(defaulted.contains("FRT") && !defaulted.contains("BLT"), "{defaulted}");
+}
+
 #[test]
 fn profile_supplies_quality_defaults() {
     let server = start(test_config(), catalog()).unwrap();
@@ -355,7 +462,7 @@ fn out_of_band_registration_reaches_live_sessions() {
         vec![vec![QualityCell::bare(7i64)]],
     )
     .unwrap();
-    server.catalog().publish(|c| c.register("extra", rel));
+    server.catalog().publish(|c| c.register("extra", rel)).unwrap();
     let out = client.query("SELECT * FROM extra").unwrap();
     assert!(out.contains('7'), "got: {out}");
 }

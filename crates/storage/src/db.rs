@@ -26,14 +26,12 @@ use crate::paged::{PagedReadStats, PagedRelation};
 use crate::record::WalRecord;
 use crate::wal::{self, Wal, WalOptions};
 use dq_admin::{AuditAction, AuditTrail};
-use relstore::expr::BinOp;
 use relstore::{Database, Date, DbError, DbResult, Expr, Row, Schema, Table, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use tagstore::bitmap::extract_atoms_schema;
 use tagstore::{
-    IndexedTaggedRelation, IndicatorDef, IndicatorDictionary, IndicatorValue, QualityIndex,
-    TaggedRelation, TaggedRow,
+    IndexedTaggedRelation, IndicatorDef, IndicatorDictionary, IndicatorValue, Predicate,
+    QualityIndex, TaggedRelation, TaggedRow, ToPredicate,
 };
 
 /// Tuning knobs for a durable database.
@@ -186,27 +184,6 @@ fn remove_key_pos(hash: &mut HashMap<Value, Vec<u64>>, v: &Value, pos: u64) {
         if list.is_empty() {
             hash.remove(v);
         }
-    }
-}
-
-/// First `col = literal` conjunct of `e` naming a plain (non-tag)
-/// column of `schema`, if any — the key-hash access path. Only AND
-/// spines are walked: under OR/NOT an equality is not a filter the
-/// whole result must satisfy.
-fn eq_conjunct(schema: &Schema, e: &Expr) -> Option<(usize, Value)> {
-    match e {
-        Expr::Bin(l, BinOp::And, r) => {
-            eq_conjunct(schema, l).or_else(|| eq_conjunct(schema, r))
-        }
-        Expr::Bin(l, BinOp::Eq, r) => match (l.as_ref(), r.as_ref()) {
-            (Expr::Col(c), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(c))
-                if !c.contains('@') && !v.is_null() =>
-            {
-                schema.resolve(c).ok().map(|ci| (ci, v.clone()))
-            }
-            _ => None,
-        },
-        _ => None,
     }
 }
 
@@ -775,7 +752,11 @@ impl DurableDb {
 
     /// Quality-predicate selection over a paged relation, streamed
     /// through the pool; only matching rows are materialized.
-    pub fn paged_select(&mut self, name: &str, expr: &relstore::Expr) -> DbResult<TaggedRelation> {
+    pub fn paged_select(
+        &mut self,
+        name: &str,
+        expr: &impl ToPredicate,
+    ) -> DbResult<TaggedRelation> {
         let rel = self
             .paged
             .get(name)
@@ -785,6 +766,12 @@ impl DurableDb {
             epoch: &mut self.epoch,
         };
         rel.select(&mut self.pool, &mut gate, expr)
+    }
+
+    /// `expr` bound against paged relation `name`.
+    fn paged_bind(&self, name: &str, expr: &Expr) -> DbResult<Predicate> {
+        let rel = self.paged_ref(name)?;
+        Predicate::bind(rel.schema(), rel.dictionary(), expr)
     }
 
     /// Ensures the quality bitmap index for paged relation `name` exists,
@@ -861,13 +848,13 @@ impl DurableDb {
         expr: &Expr,
     ) -> DbResult<Option<(Vec<String>, f64)>> {
         self.ensure_paged_index(name)?;
-        let rel = self.paged_ref(name)?;
-        let (atoms, _residual) = extract_atoms_schema(rel.schema(), expr);
+        let pred = self.paged_bind(name, expr)?;
+        let atoms = pred.atoms();
         if atoms.is_empty() {
             return Ok(None);
         }
         let st = self.paged_index.get(name).expect("just built");
-        let Some(est) = st.quality.estimate(&atoms) else {
+        let Some(est) = st.quality.estimate(atoms) else {
             return Ok(None);
         };
         Ok(Some((atoms.iter().map(ToString::to_string).collect(), est)))
@@ -885,20 +872,19 @@ impl DurableDb {
         expr: &Expr,
     ) -> DbResult<(TaggedRelation, PagedReadStats)> {
         self.ensure_paged_index(name)?;
-        let schema = self.paged_ref(name)?.schema().clone();
-        let (atoms, _residual) = extract_atoms_schema(&schema, expr);
-        let eq = eq_conjunct(&schema, expr);
-        if let Some((ci, _)) = &eq {
-            self.ensure_paged_key_hash(name, *ci)?;
+        let pred = self.paged_bind(name, expr)?;
+        if let Some((ci, ..)) = pred.key() {
+            self.ensure_paged_key_hash(name, ci)?;
         }
         let st = self.paged_index.get(name).expect("just built");
+        let atoms = pred.atoms();
         let bitmap = if atoms.is_empty() {
             None
         } else {
-            st.quality.candidates(&atoms)
+            st.quality.candidates(atoms)
         };
-        let key: Option<Vec<u64>> = eq.map(|(ci, v)| {
-            st.keys[&ci].get(&v).cloned().unwrap_or_default() // absent value ⇒ no rows
+        let key: Option<Vec<u64>> = pred.key().map(|(ci, _, v)| {
+            st.keys[&ci].get(v).cloned().unwrap_or_default() // absent value ⇒ no rows
         });
         let positions: Vec<u64> = match (bitmap, key) {
             (Some(bs), Some(kp)) => kp
@@ -913,7 +899,7 @@ impl DurableDb {
                 let rel = self.paged_ref(name)?;
                 let (heap_pages, _) = rel.pages(&self.pool);
                 let candidate_rows = rel.len();
-                let out = self.paged_select(name, expr)?;
+                let out = self.paged_select(name, &pred)?;
                 let stats = PagedReadStats {
                     candidate_rows,
                     candidate_pages: heap_pages as u64,
@@ -932,7 +918,7 @@ impl DurableDb {
             wal: &mut self.wal,
             epoch: &mut self.epoch,
         };
-        rel.select_at(&mut self.pool, &mut gate, &positions, Some(expr))
+        rel.select_at(&mut self.pool, &mut gate, &positions, Some(&pred))
     }
 
     /// Schema of a paged relation.
@@ -1131,6 +1117,7 @@ impl DurableDb {
 mod tests {
     use super::*;
     use crate::fs::MemFs;
+    use relstore::expr::BinOp;
     use relstore::DataType;
     use tagstore::QualityCell;
 

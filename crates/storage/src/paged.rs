@@ -32,7 +32,9 @@ use crate::page::{Page, PAGE_HEADER, PAGE_TRAILER, SLOT_SIZE};
 use relstore::{DbError, DbResult, Schema};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tagstore::{IndicatorDictionary, IndicatorValue, TaggedRelation, TaggedRow};
+use tagstore::{
+    IndicatorDictionary, IndicatorValue, Predicate, TaggedRelation, TaggedRow, ToPredicate,
+};
 
 /// I/O and page-skipping accounting for one indexed paged read — the
 /// numbers EXPLAIN ANALYZE surfaces as `pages_read=` / `pool_hits=` and
@@ -366,7 +368,7 @@ impl PagedRelation {
         pool: &mut BufferPool,
         gate: &mut dyn LogGate,
         positions: &[u64],
-        expr: Option<&relstore::Expr>,
+        pred: Option<&Predicate>,
     ) -> DbResult<(TaggedRelation, PagedReadStats)> {
         debug_assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
@@ -375,9 +377,6 @@ impl PagedRelation {
         if let Some(&last) = positions.last() {
             self.check_pos(last)?; // sorted ⇒ bounds-checks every position
         }
-        let compiled = expr
-            .map(|e| tagstore::algebra::CompiledTagExpr::compile_schema(&self.schema, e))
-            .transpose()?;
         let mut stats = PagedReadStats {
             candidate_rows: positions.len() as u64,
             ..Default::default()
@@ -421,11 +420,7 @@ impl PagedRelation {
                     DbError::Storage(format!("heap record {hp}/{hs} tombstoned"))
                 })?;
                 let row = decode_row(bytes)?;
-                let keep = match &compiled {
-                    Some(c) => c.matches(&row)?,
-                    None => true,
-                };
-                if keep {
+                if pred.map_or(Ok(true), |p| p.matches(&row))? {
                     hits.push((pos, row));
                 }
             }
@@ -462,12 +457,12 @@ impl PagedRelation {
         &self,
         pool: &mut BufferPool,
         gate: &mut dyn LogGate,
-        expr: &relstore::Expr,
+        predicate: &impl ToPredicate,
     ) -> DbResult<TaggedRelation> {
-        let compiled = tagstore::algebra::CompiledTagExpr::compile_schema(&self.schema, expr)?;
+        let pred = predicate.to_predicate(&self.schema, &self.dict)?;
         let mut hits = Vec::new();
         self.for_each_row(pool, gate, |_, row| {
-            if compiled.matches(&row)? {
+            if pred.matches(&row)? {
                 hits.push(row);
             }
             Ok(())
@@ -713,6 +708,7 @@ mod tests {
             );
         }
         let pred = Expr::col("v@source").eq(Expr::lit("nexis"));
+        let pred = Predicate::bind(rel.schema(), rel.dictionary(), &pred).unwrap();
         let got = rel.select(&mut pool, &mut NoGate, &pred).unwrap();
         assert_eq!(got.len(), 50);
         // parity with the in-memory algebra over the materialized twin
@@ -744,6 +740,7 @@ mod tests {
             .unwrap();
         }
         let pred = Expr::col("v@source").eq(Expr::lit("nexis"));
+        let pred = Predicate::bind(rel.schema(), rel.dictionary(), &pred).unwrap();
         let want = rel.select(&mut pool, &mut NoGate, &pred).unwrap();
 
         // exact candidate set (what the bitmap index would hand over)

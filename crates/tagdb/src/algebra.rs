@@ -12,157 +12,34 @@
 //! * predicates may reference pseudo-columns `col@indicator`, which is the
 //!   paper's query-time quality filtering.
 
-use crate::bitmap::{extract_atoms, QualityIndex};
-use crate::cell::QualityCell;
+use crate::bitmap::QualityIndex;
 use crate::fold::Fold;
 use crate::indicator::IndicatorValue;
-use crate::relation::{TaggedRelation, TaggedRow, TAG_SEP};
+use crate::predicate::{Predicate, ToPredicate};
+use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
 use relstore::algebra::AggCall;
-use relstore::expr::{CompiledExpr, ValueSource};
 use relstore::index::HashIndex;
-use relstore::{par, Date, DbError, DbResult, Expr, Row, Value};
+use relstore::{par, Date, DbError, DbResult, Row, Value};
 use std::collections::HashMap;
 use std::fmt;
-
-/// A quality predicate compiled against a tagged relation's schema.
-///
-/// Application columns resolve to their cell positions; each distinct
-/// `col@indicator[@meta…]` pseudo-column resolves to a slot in an
-/// *extraction plan* of `(cell index, interned indicator path)` pairs.
-/// Evaluation reads tag values straight out of the [`TaggedRow`] —
-/// no owned `Row` is materialized per tuple, and indicator-path lookups
-/// are symbol-id compares, not string compares.
-#[derive(Debug, Clone)]
-pub struct CompiledTagExpr {
-    expr: CompiledExpr,
-    plan: Vec<(usize, Vec<Symbol>)>,
-    base: usize,
-}
-
-/// Missing tags evaluate to NULL (3VL then drops the row), borrowed from
-/// this sentinel so `value_at` never allocates.
-static NULL_SENTINEL: Value = Value::Null;
-
-/// [`ValueSource`] adapter: positions `0..base` are the row's application
-/// values, positions `base..` are tag values per the extraction plan.
-struct TagRowSource<'a> {
-    row: &'a [QualityCell],
-    compiled: &'a CompiledTagExpr,
-}
-
-impl ValueSource for TagRowSource<'_> {
-    fn value_at(&self, idx: usize) -> &Value {
-        if idx < self.compiled.base {
-            return &self.row[idx].value;
-        }
-        let (ci, path) = &self.compiled.plan[idx - self.compiled.base];
-        match self.row[*ci].tag_path_syms(path) {
-            Some(tag) => &tag.value,
-            None => &NULL_SENTINEL,
-        }
-    }
-}
-
-impl CompiledTagExpr {
-    /// Compiles `expr` against `rel`'s schema and dictionary. Unknown
-    /// plain columns and pseudo-columns over unknown application columns
-    /// error here, once — not per row.
-    pub fn compile(rel: &TaggedRelation, expr: &Expr) -> DbResult<CompiledTagExpr> {
-        Self::compile_schema(rel.schema(), expr)
-    }
-
-    /// [`Self::compile`] against a bare schema — compilation only consults
-    /// column names, so callers holding a columnar relation (no
-    /// [`TaggedRelation`] in hand) compile identically.
-    pub fn compile_schema(schema: &relstore::Schema, expr: &Expr) -> DbResult<CompiledTagExpr> {
-        let base = schema.arity();
-        let mut plan: Vec<(usize, Vec<Symbol>)> = Vec::new();
-        let compiled = expr.compile_with(&mut |name| {
-            if let Some(i) = schema.index_of(name) {
-                return Ok(i);
-            }
-            match TaggedRelation::split_pseudo(name) {
-                Some((col, ind_path)) => {
-                    let ci = schema.resolve(col)?;
-                    let path: Vec<Symbol> =
-                        ind_path.split(TAG_SEP).map(Symbol::intern).collect();
-                    let slot = plan
-                        .iter()
-                        .position(|p| p == &(ci, path.clone()))
-                        .unwrap_or_else(|| {
-                            plan.push((ci, path));
-                            plan.len() - 1
-                        });
-                    Ok(base + slot)
-                }
-                None => Err(DbError::UnknownColumn(name.to_owned())),
-            }
-        })?;
-        Ok(CompiledTagExpr {
-            expr: compiled,
-            plan,
-            base,
-        })
-    }
-
-    /// Evaluates to an owned value against one tagged row.
-    pub fn eval(&self, row: &TaggedRow) -> DbResult<Value> {
-        self.expr.eval_value(&TagRowSource {
-            row,
-            compiled: self,
-        })
-    }
-
-    /// Predicate semantics: `true` keeps the row, `false`/NULL drops it.
-    /// This is *the* mask function — σ, `evaluate_mask`, and the query
-    /// layer's TAG statement all funnel through it.
-    pub fn matches(&self, row: &TaggedRow) -> DbResult<bool> {
-        self.expr.eval_predicate(&TagRowSource {
-            row,
-            compiled: self,
-        })
-    }
-
-    /// The compiled scalar expression (the vectorized executor decomposes
-    /// it into per-conjunct kernels).
-    pub(crate) fn expr(&self) -> &CompiledExpr {
-        &self.expr
-    }
-
-    /// The pseudo-column extraction plan backing positions `base..`.
-    pub(crate) fn plan(&self) -> &[(usize, Vec<Symbol>)] {
-        &self.plan
-    }
-
-    /// Arity of the application schema — the first pseudo-column slot.
-    pub(crate) fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Evaluates `sub` — a node of [`Self::expr`] — as a predicate
-    /// against `row` using this expression's extraction plan (the
-    /// vectorized executor's fallback for non-kernel conjuncts).
-    pub(crate) fn matches_sub(&self, sub: &CompiledExpr, row: &TaggedRow) -> DbResult<bool> {
-        sub.eval_predicate(&TagRowSource {
-            row,
-            compiled: self,
-        })
-    }
-}
 
 /// Evaluates an expression (which may reference `col@indicator` and
 /// nested `col@ind@meta` pseudo-columns) on the rows at `ids`, returning
 /// the results in `ids` order. This is the building block for
 /// retro-tagging (`TAG ... SET`) and derived indicators: rows outside
 /// `ids` are never looked at, so an expression that fails on a row the
-/// statement's `WHERE` rejects does not fail the statement. Compiled
-/// once (an unknown column errors even for empty `ids`), evaluated in
+/// statement's `WHERE` rejects does not fail the statement. Bound once
+/// (an unknown column errors even for empty `ids`), evaluated in
 /// parallel chunks of the id list on large inputs.
-pub fn evaluate_at(rel: &TaggedRelation, ids: &[usize], expr: &Expr) -> DbResult<Vec<Value>> {
-    let compiled = CompiledTagExpr::compile(rel, expr)?;
+pub fn evaluate_at(
+    rel: &TaggedRelation,
+    ids: &[usize],
+    expr: &impl ToPredicate,
+) -> DbResult<Vec<Value>> {
+    let bound = expr.to_predicate(rel.schema(), rel.dictionary())?;
     let eval_chunk = |chunk: &[usize]| -> DbResult<Vec<Value>> {
-        chunk.iter().map(|&id| compiled.eval(row_at(rel, id)?)).collect()
+        chunk.iter().map(|&id| bound.eval(row_at(rel, id)?)).collect()
     };
     match par::plan(ids.len()) {
         Some(threads) => par::merge_results(par::run_chunked(ids, threads, |_, c| eval_chunk(c))),
@@ -179,10 +56,10 @@ fn row_at(rel: &TaggedRelation, id: usize) -> DbResult<&TaggedRow> {
 
 /// Evaluates `predicate` once per row as a boolean mask in row order
 /// (NULL counts as `false`, matching predicate semantics).
-pub fn evaluate_mask(rel: &TaggedRelation, predicate: &Expr) -> DbResult<Vec<bool>> {
-    let compiled = CompiledTagExpr::compile(rel, predicate)?;
+pub fn evaluate_mask(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbResult<Vec<bool>> {
+    let bound = predicate.to_predicate(rel.schema(), rel.dictionary())?;
     let mask_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<bool>> {
-        chunk.iter().map(|row| compiled.matches(row)).collect()
+        chunk.iter().map(|row| bound.matches(row)).collect()
     };
     match par::plan(rel.len()) {
         Some(threads) => {
@@ -197,15 +74,17 @@ pub fn evaluate_mask(rel: &TaggedRelation, predicate: &Expr) -> DbResult<Vec<boo
 /// missing evaluate to NULL and are dropped, so *untagged data never
 /// satisfies a quality constraint*.
 ///
-/// The predicate is compiled once ([`CompiledTagExpr`]); surviving rows are
-/// cloned — a refcount bump per tagged cell, not a deep copy of its tags.
-/// Large inputs filter in parallel chunks with input order preserved.
-pub fn select(rel: &TaggedRelation, predicate: &Expr) -> DbResult<TaggedRelation> {
-    let compiled = CompiledTagExpr::compile(rel, predicate)?;
+/// The whole bound tree is evaluated row by row, never through the
+/// conjunct kernels: this is the reference the batch, columnar, bitmap
+/// and paged σ are tested against. Surviving rows are cloned — a
+/// refcount bump per tagged cell, not a deep copy of its tags. Large
+/// inputs filter in parallel chunks with input order preserved.
+pub fn select(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbResult<TaggedRelation> {
+    let bound = predicate.to_predicate(rel.schema(), rel.dictionary())?;
     let filter_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<TaggedRow>> {
         let mut out = Vec::new();
         for row in chunk {
-            if compiled.matches(row)? {
+            if bound.matches(row)? {
                 out.push(row.clone());
             }
         }
@@ -233,23 +112,14 @@ pub fn select(rel: &TaggedRelation, predicate: &Expr) -> DbResult<TaggedRelation
 pub fn select_at(
     rel: &TaggedRelation,
     ids: &[usize],
-    predicate: Option<&Expr>,
+    predicate: Option<&Predicate>,
 ) -> DbResult<TaggedRelation> {
-    let compiled = match predicate {
-        Some(p) => Some(CompiledTagExpr::compile(rel, p)?),
-        None => None,
-    };
     let gather_chunk = |chunk: &[usize]| -> DbResult<Vec<TaggedRow>> {
         let mut out = Vec::with_capacity(chunk.len());
         for &id in chunk {
             let row = row_at(rel, id)?;
-            match &compiled {
-                Some(c) => {
-                    if c.matches(row)? {
-                        out.push(row.clone());
-                    }
-                }
-                None => out.push(row.clone()),
+            if predicate.map_or(Ok(true), |p| p.matches(row))? {
+                out.push(row.clone());
             }
         }
         Ok(out)
@@ -314,24 +184,20 @@ impl fmt::Display for TagAccessPath {
 pub fn select_indexed(
     rel: &TaggedRelation,
     index: &QualityIndex,
-    predicate: &Expr,
+    predicate: &impl ToPredicate,
 ) -> DbResult<(TaggedRelation, TagAccessPath)> {
-    // Compile up front so malformed predicates error exactly like the scan.
-    CompiledTagExpr::compile(rel, predicate)?;
+    let bound = predicate.to_predicate(rel.schema(), rel.dictionary())?;
     let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
-    let scan = |rel: &TaggedRelation| {
+    let scan = || {
         dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
-        Ok((select(rel, predicate)?, TagAccessPath::Scan))
+        Ok((select(rel, &*bound)?, TagAccessPath::Scan))
     };
-    if index.rows() != rel.len() {
-        return scan(rel); // stale index — never trust it
+    let atoms = bound.atoms();
+    if index.rows() != rel.len() || atoms.is_empty() {
+        return scan(); // stale index — never trust it — or nothing to ask
     }
-    let (atoms, residual) = extract_atoms(rel, predicate);
-    if atoms.is_empty() {
-        return scan(rel);
-    }
-    let Some(bs) = index.candidates(&atoms) else {
-        return scan(rel);
+    let Some(bs) = index.candidates(atoms) else {
+        return scan();
     };
     let ids: Vec<usize> = bs.iter_ones().collect();
     dq_obs::counter!("tagstore.bitmap.intersections").add(atoms.len() as u64);
@@ -339,15 +205,12 @@ pub fn select_indexed(
     let path = TagAccessPath::Bitmap {
         atoms: atoms.iter().map(|a| a.to_string()).collect(),
         candidates: ids.len(),
-        residual: !residual.is_empty(),
+        residual: bound.has_residual(),
     };
-    let filtered = if residual.is_empty() {
-        select_at(rel, &ids, None)?
-    } else {
-        // Re-check the *full* predicate: correct regardless of how the
-        // residual interleaves with atoms, and atom re-checks are cheap.
-        select_at(rel, &ids, Some(predicate))?
-    };
+    // Re-check the *full* predicate when any residual exists: correct
+    // regardless of how it interleaves with atoms, and atom re-checks
+    // are cheap.
+    let filtered = select_at(rel, &ids, bound.has_residual().then_some(&*bound))?;
     dq_obs::counter!("tagstore.bitmap.gathered_rows").add(filtered.len() as u64);
     Ok((filtered, path))
 }
@@ -614,8 +477,9 @@ pub use relstore::algebra::{AggCall as Agg, AggFunc as AggF};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::QualityCell;
     use crate::indicator::IndicatorDictionary;
-    use relstore::{DataType, Schema};
+    use relstore::{DataType, Expr, Schema};
 
     fn d(s: &str) -> Value {
         Value::Date(Date::parse(s).unwrap())
@@ -809,6 +673,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.cell(1, "ticker").unwrap().value, Value::text("BLT"));
         let p = Expr::col("price").gt(Expr::lit(15.0));
+        let p = Predicate::bind(rel.schema(), rel.dictionary(), &p).unwrap();
         let r = select_at(&rel, &[0, 2], Some(&p)).unwrap();
         assert_eq!(r.len(), 1);
         assert!(select_at(&rel, &[99], None).is_err());

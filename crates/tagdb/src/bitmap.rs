@@ -9,7 +9,9 @@
 //! non-NULL value. Conjunctions of atoms then resolve to bitmap
 //! AND/OR/NOT instead of walking every row's tag vector; only residual
 //! (non-atomic) predicate parts fall back to per-row evaluation over the
-//! surviving candidates.
+//! surviving candidates. The atoms are the bound predicate's
+//! ([`crate::Predicate::atoms`]): binding classifies each conjunct once,
+//! and this module walks no predicate of its own.
 //!
 //! ## Exactness contract
 //!
@@ -23,23 +25,25 @@
 //!   value is order-comparable with the literal (the scan would raise
 //!   `TypeMismatch` otherwise); the per-posting [`Posting::classes`]
 //!   bitmask gates this, and unanswerable atoms force a full scan so
-//!   type errors surface identically. Class bits are sticky across
-//!   retags — an over-approximation that can only force a scan, never a
-//!   wrong answer.
+//!   type errors surface identically. Binding already rejects a literal
+//!   of another class for an indicator of declared type; the gate is for
+//!   indicators declared `Any`, whose postings may mix classes, and for
+//!   tags set through `TaggedRelation::cell_mut`, which skips the
+//!   dictionary check. Class bits are sticky across retags — an
+//!   over-approximation that can only force a scan, never a wrong answer.
 //! * `BETWEEN` evaluates on the raw total order (the evaluator skips the
 //!   comparability check for it), so it is always answerable.
 //!
 //! One caveat is inherent to index narrowing: when a *residual* conjunct
-//! would raise a type error on a row the index already excluded, the
-//! indexed path cannot observe that error. Well-typed predicates (the
-//! only kind the query layer produces against declared schemas) are
-//! unaffected; the property tests pin scan ≡ bitmap on those.
+//! raises a runtime error (division by zero, overflow, or a type error
+//! over an `Any` operand) on a row the index already excluded, the
+//! indexed path cannot observe that error.
 
 use crate::cell::QualityCell;
+use crate::predicate::ToPredicate;
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
-use relstore::expr::BinOp;
-use relstore::{Expr, Value};
+use relstore::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Bound;
@@ -368,133 +372,6 @@ impl fmt::Display for QualityAtom {
                 }
             }
         }
-    }
-}
-
-/// Splits `predicate` into index-answerable quality atoms and residual
-/// conjuncts. Only top-level AND conjuncts of the shape
-/// `col@indicator OP literal` (or the flipped `literal OP col@indicator`,
-/// or `col@indicator BETWEEN lit AND lit`) become atoms; meta-tag paths
-/// (`col@ind@meta`), NULL literals, and everything else stay residual.
-pub fn extract_atoms(rel: &TaggedRelation, predicate: &Expr) -> (Vec<QualityAtom>, Vec<Expr>) {
-    extract_atoms_schema(rel.schema(), predicate)
-}
-
-/// [`extract_atoms`] against a bare schema — atom extraction only
-/// consults column names, so the columnar executor (no [`TaggedRelation`]
-/// in hand) splits predicates identically.
-pub fn extract_atoms_schema(schema: &relstore::Schema, predicate: &Expr) -> (Vec<QualityAtom>, Vec<Expr>) {
-    let mut atoms = Vec::new();
-    let mut residual = Vec::new();
-    split_conjuncts(schema, predicate, &mut atoms, &mut residual);
-    (atoms, residual)
-}
-
-fn split_conjuncts(
-    schema: &relstore::Schema,
-    e: &Expr,
-    atoms: &mut Vec<QualityAtom>,
-    residual: &mut Vec<Expr>,
-) {
-    match e {
-        Expr::Bin(l, BinOp::And, r) => {
-            split_conjuncts(schema, l, atoms, residual);
-            split_conjuncts(schema, r, atoms, residual);
-        }
-        other => match as_atom(schema, other) {
-            Some(a) => atoms.push(a),
-            None => residual.push(other.clone()),
-        },
-    }
-}
-
-/// Resolves a `col@indicator` pseudo-name with a single-level path
-/// against the relation's schema.
-fn resolve_pseudo(schema: &relstore::Schema, name: &str) -> Option<(usize, Symbol)> {
-    let (col, ind) = TaggedRelation::split_pseudo(name)?;
-    if ind.contains(crate::relation::TAG_SEP) {
-        return None; // meta-tag path — residual only
-    }
-    let ci = schema.index_of(col)?;
-    Some((ci, Symbol::intern(ind)))
-}
-
-fn as_atom(schema: &relstore::Schema, e: &Expr) -> Option<QualityAtom> {
-    match e {
-        Expr::Bin(l, op, r) => {
-            let (name, lit, op) = match (&**l, &**r) {
-                (Expr::Col(c), Expr::Lit(v)) => (c, v, *op),
-                (Expr::Lit(v), Expr::Col(c)) => (c, v, flip(*op)),
-                _ => return None,
-            };
-            if lit.is_null() {
-                return None; // NULL comparisons never match — leave to 3VL
-            }
-            let (col, indicator) = resolve_pseudo(schema, name)?;
-            let atom_op = match op {
-                BinOp::Eq => AtomOp::Eq(lit.clone()),
-                BinOp::Ne => AtomOp::Ne(lit.clone()),
-                BinOp::Lt => AtomOp::Range {
-                    lo: Bound::Unbounded,
-                    hi: Bound::Excluded(lit.clone()),
-                    strict: true,
-                },
-                BinOp::Le => AtomOp::Range {
-                    lo: Bound::Unbounded,
-                    hi: Bound::Included(lit.clone()),
-                    strict: true,
-                },
-                BinOp::Gt => AtomOp::Range {
-                    lo: Bound::Excluded(lit.clone()),
-                    hi: Bound::Unbounded,
-                    strict: true,
-                },
-                BinOp::Ge => AtomOp::Range {
-                    lo: Bound::Included(lit.clone()),
-                    hi: Bound::Unbounded,
-                    strict: true,
-                },
-                _ => return None,
-            };
-            Some(QualityAtom {
-                col,
-                indicator,
-                pseudo: name.clone(),
-                op: atom_op,
-            })
-        }
-        Expr::Between(x, lo, hi) => {
-            let (Expr::Col(name), Expr::Lit(a), Expr::Lit(b)) = (&**x, &**lo, &**hi) else {
-                return None;
-            };
-            if a.is_null() || b.is_null() {
-                return None;
-            }
-            let (col, indicator) = resolve_pseudo(schema, name)?;
-            Some(QualityAtom {
-                col,
-                indicator,
-                pseudo: name.clone(),
-                op: AtomOp::Range {
-                    lo: Bound::Included(a.clone()),
-                    hi: Bound::Included(b.clone()),
-                    // BETWEEN compares on the raw total order — the
-                    // evaluator never type-checks it, so neither do we.
-                    strict: false,
-                },
-            })
-        }
-        _ => None,
-    }
-}
-
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
     }
 }
 
@@ -871,7 +748,7 @@ impl IndexedTaggedRelation {
     /// Index-accelerated σ: see [`crate::algebra::select_indexed`].
     pub fn select(
         &self,
-        predicate: &Expr,
+        predicate: &impl ToPredicate,
     ) -> relstore::DbResult<(TaggedRelation, crate::algebra::TagAccessPath)> {
         crate::algebra::select_indexed(&self.rel, &self.index, predicate)
     }
@@ -887,7 +764,8 @@ fn cell_tag_value(row: &[QualityCell], ci: usize, indicator: &Symbol) -> Option<
 mod tests {
     use super::*;
     use crate::indicator::{IndicatorDictionary, IndicatorValue};
-    use relstore::{DataType, Schema};
+    use crate::predicate::Predicate;
+    use relstore::{DataType, Expr, Schema};
 
     #[test]
     fn bitset_ops() {
@@ -1062,9 +940,14 @@ mod tests {
         r
     }
 
+    fn bound_atoms(rel: &TaggedRelation, e: &Expr) -> (Vec<QualityAtom>, bool) {
+        let bound = Predicate::bind(rel.schema(), rel.dictionary(), e).unwrap();
+        (bound.atoms().to_vec(), bound.has_residual())
+    }
+
     fn atom(rel: &TaggedRelation, e: &Expr) -> QualityAtom {
-        let (atoms, residual) = extract_atoms(rel, e);
-        assert!(residual.is_empty(), "unexpected residual: {residual:?}");
+        let (atoms, residual) = bound_atoms(rel, e);
+        assert!(!residual, "unexpected residual in {e}");
         assert_eq!(atoms.len(), 1);
         atoms.into_iter().next().unwrap()
     }
@@ -1088,8 +971,15 @@ mod tests {
         let idx = QualityIndex::build(&r);
         let a = atom(&r, &Expr::col("v@age").le(Expr::lit(10i64)));
         assert_eq!(idx.lookup(&a).unwrap().iter_ones().collect::<Vec<_>>(), vec![0, 3]);
-        // cross-class strict comparison is refused (scan would error)
-        let a = atom(&r, &Expr::col("v@age").lt(Expr::lit("text")));
+        // a strict comparison over a posting holding values of another
+        // class is refused (the scan would error): binding rejects it for
+        // a typed indicator, so build the atom by hand
+        let mut a = atom(&r, &Expr::col("v@age").lt(Expr::lit(3i64)));
+        a.op = AtomOp::Range {
+            lo: Bound::Unbounded,
+            hi: Bound::Excluded(Value::text("text")),
+            strict: true,
+        };
         assert!(idx.lookup(&a).is_none());
         // BETWEEN is total-order and always answerable
         let a = atom(
@@ -1117,7 +1007,7 @@ mod tests {
     fn conjunction_candidates_and_estimate() {
         let r = rel();
         let idx = QualityIndex::build(&r);
-        let (atoms, residual) = extract_atoms(
+        let (atoms, residual) = bound_atoms(
             &r,
             &Expr::col("v@source")
                 .eq(Expr::lit("a"))
@@ -1125,7 +1015,7 @@ mod tests {
                 .and(Expr::col("k").ge(Expr::lit(0i64))),
         );
         assert_eq!(atoms.len(), 2);
-        assert_eq!(residual.len(), 1); // plain value conjunct
+        assert!(residual); // plain value conjunct
         let bs = idx.candidates(&atoms).unwrap();
         assert_eq!(bs.iter_ones().collect::<Vec<_>>(), vec![3]);
         assert_eq!(idx.estimate(&atoms).unwrap(), 1.0 / 5.0);
@@ -1135,21 +1025,20 @@ mod tests {
     #[test]
     fn extraction_rejects_non_atoms() {
         let r = rel();
-        // meta path, OR, unknown column, NULL literal — all residual
+        // meta path, OR, NULL literal — all residual
         for e in [
             Expr::col("v@source@inspection").eq(Expr::lit("x")),
             Expr::col("v@age")
                 .eq(Expr::lit(1i64))
                 .or(Expr::col("v@age").eq(Expr::lit(2i64))),
-            Expr::col("ghost@age").eq(Expr::lit(1i64)),
             Expr::col("v@age").eq(Expr::Lit(Value::Null)),
         ] {
-            let (atoms, residual) = extract_atoms(&r, &e);
+            let (atoms, residual) = bound_atoms(&r, &e);
             assert!(atoms.is_empty(), "{e:?}");
-            assert_eq!(residual.len(), 1);
+            assert!(residual);
         }
         // flipped literal side still extracts
-        let (atoms, _) = extract_atoms(&r, &Expr::lit(10i64).gt(Expr::col("v@age")));
+        let (atoms, _) = bound_atoms(&r, &Expr::lit(10i64).gt(Expr::col("v@age")));
         assert!(matches!(
             &atoms[0].op,
             AtomOp::Range { hi: Bound::Excluded(Value::Int(10)), .. }
@@ -1256,7 +1145,7 @@ mod tests {
         assert_eq!(ir.index(), &QualityIndex::new());
         // estimates on the empty index are defined (0.0), never NaN
         let probe = rel();
-        let (atoms, _) = extract_atoms(&probe, &Expr::col("v@source").eq(Expr::lit("a")));
+        let (atoms, _) = bound_atoms(&probe, &Expr::col("v@source").eq(Expr::lit("a")));
         let est = ir.index().estimate(&atoms).unwrap();
         assert_eq!(est, 0.0);
         assert!(est.is_finite());

@@ -27,25 +27,28 @@
 //! per-cell tag sets — including `Arc` identity, so cells that shared a
 //! tag allocation still share it after the round trip. Every columnar
 //! operator (σ, indexed σ, π, ⋈ probe, index build) produces output
-//! `to_tagged()`-equal to its row-at-a-time twin; the property tests pin
-//! this at batch sizes 1/7/1024 and 1/2/8 threads. Kernel semantics are
-//! inherited from `tagstore::vector` (NULLs drop before any type check,
-//! storage total order for `=`/`≠`, [`cmp_check`] errors for ordered
-//! cross-class compares) with the same batch-granular error-row caveat.
+//! `to_tagged()`-equal to the row-at-a-time reference; the property
+//! tests pin this at batch sizes 1/7/1024 and 1/2/8 threads. The kernels
+//! are the bound [`Predicate`]'s conjuncts, as in `tagstore::vector`:
+//! NULLs drop first, `=`/`≠` use the storage total order, a typed kernel
+//! runs no type check per row (binding made its literal comparable), and
+//! a generic conjunct — including one over an `Any`-typed, `Mixed`
+//! column — is the scalar evaluator over materialized rows, with the
+//! same batch-granular error-row caveat.
 
-use crate::algebra::{CompiledTagExpr, TagPolicy};
-use crate::bitmap::{extract_atoms_schema, Bitset, QualityIndex};
+use crate::algebra::{TagAccessPath, TagPolicy};
+use crate::bitmap::{Bitset, QualityIndex};
 use crate::cell::QualityCell;
 use crate::fold::{Cells, Fold};
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
+use crate::predicate::{Access, Kernel, Predicate, ToPredicate};
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
-use crate::algebra::TagAccessPath;
-use crate::vector::{compile_kernels, for_each_run, Access, BatchStats, Kernel};
+use crate::vector::{for_each_run, retain, BatchStats};
 use relstore::algebra::AggCall;
-use relstore::expr::{cmp_check, BinOp};
+use relstore::expr::BinOp;
 use relstore::index::HashIndex;
-use relstore::{par, DataType, Date, DbError, DbResult, Expr, Schema, Value};
+use relstore::{par, DataType, Date, DbError, DbResult, Schema, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -667,80 +670,30 @@ fn retain_by_ord(sel: &mut Bitset, op: BinOp, mut ord: impl FnMut(usize) -> Orde
     }
 }
 
-/// Fallible per-live-row retain (Mixed columns, Between, Generic).
-fn retain_fallible(
-    sel: &mut Bitset,
-    mut test: impl FnMut(usize) -> DbResult<bool>,
-) -> DbResult<()> {
-    for (wi, word) in sel.words_mut().iter_mut().enumerate() {
-        let mut bits = *word;
-        let mut keep = bits;
-        while bits != 0 {
-            let tz = bits.trailing_zeros();
-            bits &= bits - 1;
-            let ok = test(wi * 64 + tz as usize)?;
-            keep &= !(u64::from(!ok) << tz);
-        }
-        *word = keep;
-    }
-    Ok(())
-}
-
-/// Resolves a cross-class comparison decided once per (column, literal):
-/// `=` matches nothing, `≠` matches every live (non-NULL) row, ordered
-/// ops reproduce the scalar evaluator's [`cmp_check`] error iff any live
-/// row exists.
-fn cross_class(sel: &mut Bitset, op: BinOp, sample: &Value, lit: &Value) -> DbResult<()> {
-    match op {
-        BinOp::Eq => {
-            for w in sel.words_mut() {
-                *w = 0;
-            }
-            Ok(())
-        }
-        BinOp::Ne => Ok(()),
-        _ => {
-            if sel.count() > 0 {
-                cmp_check(sample, lit)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// One kernel's worth of testing against an application column already
-/// narrowed to non-NULL rows. Typed fast paths reproduce
+/// One comparison against an application column already narrowed to
+/// non-NULL rows, on its typed array. The fast paths reproduce
 /// [`Value`]'s total order exactly (Int×Float via `as f64` +
-/// `total_cmp`, Text via `str` order, Date via day numbers).
-fn apply_cmp_app(
-    col: &Column,
-    start: usize,
-    sel: &mut Bitset,
-    op: BinOp,
-    lit: &Value,
-    kernel: &Kernel,
-) -> DbResult<()> {
+/// `total_cmp`, Text via `str` order, Date via day numbers). Returns
+/// false, leaving `sel` as it was, when the layout and the literal have
+/// no such path: a `BETWEEN` bound of another class (the evaluator
+/// compares it on the total order), or a column whose data disagreed
+/// with its declared type and fell back to the `Mixed` layout.
+fn retain_cmp(col: &Column, start: usize, sel: &mut Bitset, op: BinOp, lit: &Value) -> bool {
     match (&col.data, lit) {
         (ColumnData::Int(v), Value::Int(l)) => retain_by_ord(sel, op, |i| v[start + i].cmp(l)),
         (ColumnData::Int(v), Value::Float(f)) => {
             retain_by_ord(sel, op, |i| (v[start + i] as f64).total_cmp(f))
         }
-        (ColumnData::Int(_), _) => return cross_class(sel, op, &Value::Int(0), lit),
         (ColumnData::Float(v), Value::Float(f)) => {
             retain_by_ord(sel, op, |i| v[start + i].total_cmp(f))
         }
         (ColumnData::Float(v), Value::Int(l)) => {
             retain_by_ord(sel, op, |i| v[start + i].total_cmp(&(*l as f64)))
         }
-        (ColumnData::Float(_), _) => return cross_class(sel, op, &Value::Float(0.0), lit),
         (ColumnData::Bool(v), Value::Bool(b)) => retain_by_ord(sel, op, |i| v[start + i].cmp(b)),
-        (ColumnData::Bool(_), _) => return cross_class(sel, op, &Value::Bool(false), lit),
         (ColumnData::Date(v), Value::Date(d)) => {
             let days = d.days();
             retain_by_ord(sel, op, |i| v[start + i].cmp(&days))
-        }
-        (ColumnData::Date(_), _) => {
-            return cross_class(sel, op, &Value::Date(Date::from_days(0)), lit)
         }
         (ColumnData::Text { ids, pool }, Value::Text(s)) => match op {
             // Equality resolves the literal to a pool id once; rows then
@@ -754,29 +707,9 @@ fn apply_cmp_app(
             }
             _ => retain_by_ord(sel, op, |i| pool.get(ids[start + i]).cmp(s.as_str())),
         },
-        (ColumnData::Text { .. }, _) => {
-            return cross_class(sel, op, &Value::Text(String::new()), lit)
-        }
-        (ColumnData::Mixed(v), _) => {
-            return retain_fallible(sel, |i| kernel.test_value(&v[start + i]))
-        }
+        _ => return false,
     }
-    Ok(())
-}
-
-/// Per-live-row kernel test via a temporary [`Value`] — the Between and
-/// safety fallback (only Text materialization allocates).
-fn test_at(kernel: &Kernel, col: &Column, row: usize) -> DbResult<bool> {
-    match &col.data {
-        ColumnData::Int(v) => kernel.test_value(&Value::Int(v[row])),
-        ColumnData::Float(v) => kernel.test_value(&Value::Float(v[row])),
-        ColumnData::Bool(v) => kernel.test_value(&Value::Bool(v[row])),
-        ColumnData::Date(v) => kernel.test_value(&Value::Date(Date::from_days(v[row]))),
-        ColumnData::Text { ids, pool } => {
-            kernel.test_value(&Value::Text(pool.get(ids[row]).to_owned()))
-        }
-        ColumnData::Mixed(v) => kernel.test_value(&v[row]),
-    }
+    true
 }
 
 /// Missing tags evaluate to NULL, borrowed from this sentinel.
@@ -813,63 +746,47 @@ fn apply_tag_kernel(
     kernel: &Kernel,
     start: usize,
     sel: &mut Bitset,
-) -> DbResult<()> {
+) {
     let len = sel.len();
     for (off, seg_len, tags) in col.tags.window(start, len) {
-        if !any_in_range(sel, off, seg_len) {
-            continue;
-        }
-        let v = tag_path_value(tags, path);
-        if !kernel.test_value(v)? {
+        if any_in_range(sel, off, seg_len) && !kernel.test_value(tag_path_value(tags, path)) {
             clear_range(sel, off, seg_len);
         }
     }
-    Ok(())
 }
 
+/// Runs the bound predicate's conjuncts over one batch window.
 fn filter_batch_columnar(
     crel: &ColumnarRelation,
     start: usize,
     sel: &mut Bitset,
-    kernels: &[Kernel],
-    compiled: &CompiledTagExpr,
+    pred: &Predicate,
 ) -> DbResult<()> {
-    for kernel in kernels {
-        match kernel {
-            Kernel::Cmp {
-                access: Access::App(ci),
-                op,
-                lit,
-            } => {
+    for conjunct in pred.conjuncts() {
+        let kernel = &conjunct.kernel;
+        let typed = match kernel.access() {
+            Some(Access::App(ci)) => {
                 let col = &crel.columns[*ci];
                 sel.and_assign(&col.validity.extract_range(start, sel.len()));
-                apply_cmp_app(col, start, sel, *op, lit, kernel)?;
+                match kernel {
+                    Kernel::Cmp { op, lit, .. } => retain_cmp(col, start, sel, *op, lit),
+                    Kernel::Between { lo, hi, .. } => {
+                        retain_cmp(col, start, sel, BinOp::Ge, lo)
+                            && retain_cmp(col, start, sel, BinOp::Le, hi)
+                    }
+                    Kernel::Generic => unreachable!("a generic conjunct has no access"),
+                }
             }
-            Kernel::Between {
-                access: Access::App(ci),
-                ..
-            } => {
-                let col = &crel.columns[*ci];
-                sel.and_assign(&col.validity.extract_range(start, sel.len()));
-                retain_fallible(sel, |i| test_at(kernel, col, start + i))?;
+            Some(Access::Tag(ci, path)) => {
+                apply_tag_kernel(&crel.columns[*ci], path, kernel, start, sel);
+                true
             }
-            Kernel::Cmp {
-                access: Access::Tag(ci, path),
-                ..
-            }
-            | Kernel::Between {
-                access: Access::Tag(ci, path),
-                ..
-            } => {
-                apply_tag_kernel(&crel.columns[*ci], path, kernel, start, sel)?;
-            }
-            Kernel::Generic(e) => {
-                retain_fallible(sel, |i| {
-                    compiled.matches_sub(e, &crel.materialize_row(start + i))
-                })?;
-            }
+            None => false,
+        };
+        if !typed {
+            retain(sel, |i| pred.holds(conjunct, &crel.materialize_row(start + i)))?;
         }
-        if sel.words().iter().all(|&w| w == 0) {
+        if sel.none() {
             break;
         }
     }
@@ -890,8 +807,7 @@ fn publish_columnar(stats: &BatchStats) {
 fn run_selection(
     crel: &ColumnarRelation,
     candidates: Option<&Bitset>,
-    kernels: &[Kernel],
-    compiled: &CompiledTagExpr,
+    pred: Option<&Predicate>,
     batch_size: usize,
 ) -> DbResult<(Bitset, BatchStats)> {
     let len = crel.len;
@@ -914,7 +830,9 @@ fn run_selection(
             let _t = dq_obs::histogram!("columnar.batch_us").start();
             stats.batches += 1;
             stats.rows_in += picked;
-            filter_batch_columnar(crel, start, &mut sel, kernels, compiled)?;
+            if let Some(pred) = pred {
+                filter_batch_columnar(crel, start, &mut sel, pred)?;
+            }
             stats.rows_out += sel.count();
             if start.is_multiple_of(64) {
                 out.or_words_at(start / 64, &sel);
@@ -946,19 +864,18 @@ fn run_selection(
 /// as a bitset over its rows, not yet gathered.
 pub fn selection_columnar(
     crel: &ColumnarRelation,
-    predicate: &Expr,
+    predicate: &impl ToPredicate,
     batch_size: usize,
 ) -> DbResult<(Bitset, BatchStats)> {
-    let compiled = CompiledTagExpr::compile_schema(&crel.schema, predicate)?;
-    let kernels = compile_kernels(&compiled);
-    run_selection(crel, None, &kernels, &compiled, batch_size)
+    let pred = predicate.to_predicate(&crel.schema, &crel.dict)?;
+    run_selection(crel, None, Some(&pred), batch_size)
 }
 
 /// Columnar σ — `to_tagged()`-identical to [`crate::algebra::select`]
 /// and [`crate::select_vectorized`], reading contiguous column arrays.
 pub fn select_columnar(
     crel: &ColumnarRelation,
-    predicate: &Expr,
+    predicate: &impl ToPredicate,
     batch_size: usize,
 ) -> DbResult<(ColumnarRelation, BatchStats)> {
     let (sel, stats) = selection_columnar(crel, predicate, batch_size)?;
@@ -971,42 +888,34 @@ pub fn select_columnar(
 pub fn selection_indexed_columnar(
     crel: &ColumnarRelation,
     index: &QualityIndex,
-    predicate: &Expr,
+    predicate: &impl ToPredicate,
     batch_size: usize,
 ) -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
-    let compiled = CompiledTagExpr::compile_schema(&crel.schema, predicate)?;
+    let pred = predicate.to_predicate(&crel.schema, &crel.dict)?;
     let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
-    let scan = |compiled: &CompiledTagExpr| -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
+    let scan = || -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
         dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
-        let kernels = compile_kernels(compiled);
-        let (sel, stats) = run_selection(crel, None, &kernels, compiled, batch_size)?;
+        let (sel, stats) = run_selection(crel, None, Some(&pred), batch_size)?;
         Ok((sel, TagAccessPath::Scan, stats))
     };
-    if index.rows() != crel.len {
-        return scan(&compiled); // stale index — never trust it
+    let atoms = pred.atoms();
+    if index.rows() != crel.len || atoms.is_empty() {
+        return scan(); // stale index — never trust it — or nothing to ask
     }
-    let (atoms, residual) = extract_atoms_schema(&crel.schema, predicate);
-    if atoms.is_empty() {
-        return scan(&compiled);
-    }
-    let Some(bs) = index.candidates(&atoms) else {
-        return scan(&compiled);
+    let Some(bs) = index.candidates(atoms) else {
+        return scan();
     };
     dq_obs::counter!("tagstore.bitmap.intersections").add(atoms.len() as u64);
     // Re-check the *full* predicate when any residual conjunct exists —
-    // same policy as the vectorized row path.
-    let kernels = if residual.is_empty() {
-        Vec::new()
-    } else {
-        compile_kernels(&compiled)
-    };
-    let (sel, stats) = run_selection(crel, Some(&bs), &kernels, &compiled, batch_size)?;
+    // same policy as the row path.
+    let recheck = pred.has_residual().then_some(&*pred);
+    let (sel, stats) = run_selection(crel, Some(&bs), recheck, batch_size)?;
     dq_obs::counter!("tagstore.bitmap.candidate_rows").add(stats.rows_in as u64);
     dq_obs::counter!("tagstore.bitmap.gathered_rows").add(stats.rows_out as u64);
     let path = TagAccessPath::Bitmap {
         atoms: atoms.iter().map(|a| a.to_string()).collect(),
         candidates: stats.rows_in,
-        residual: !residual.is_empty(),
+        residual: pred.has_residual(),
     };
     Ok((sel, path, stats))
 }
@@ -1017,7 +926,7 @@ pub fn selection_indexed_columnar(
 pub fn select_indexed_columnar(
     crel: &ColumnarRelation,
     index: &QualityIndex,
-    predicate: &Expr,
+    predicate: &impl ToPredicate,
     batch_size: usize,
 ) -> DbResult<(ColumnarRelation, TagAccessPath, BatchStats)> {
     let (sel, path, stats) = selection_indexed_columnar(crel, index, predicate, batch_size)?;
@@ -1277,7 +1186,7 @@ mod tests {
     use super::*;
     use crate::algebra;
     use crate::vector::{hash_join_probe_vectorized, select_vectorized};
-    use relstore::{DataType, Schema};
+    use relstore::{DataType, Expr, Schema};
 
     /// Mixed fixture: bulk-tagged column (shared Arcs → long runs),
     /// per-cell tags, untagged rows, NULL values.
@@ -1351,9 +1260,13 @@ mod tests {
                 .or(Expr::col("v@age").le(Expr::lit(2i64))),
             Expr::col("v@source").eq(Expr::lit("zzz")),
             Expr::col("k").ge(Expr::lit(0i64)),
-            // cross-class equality: Int column vs Text literal
-            Expr::col("v").eq(Expr::lit("nope")),
-            Expr::col("v").ne(Expr::lit("nope")),
+            // BETWEEN is not type-checked: bounds of another class take
+            // the evaluator, on the total order
+            Expr::Between(
+                Box::new(Expr::col("v")),
+                Box::new(Expr::lit(10i64)),
+                Box::new(Expr::lit("z")),
+            ),
         ]
     }
 
@@ -1573,10 +1486,43 @@ mod tests {
             Expr::col("v").lt(Expr::lit("text")),
             Expr::col("name").ge(Expr::lit(3i64)),
             Expr::col("k").add(Expr::lit(1i64)),
+            // equality across classes fails like `<`, on every path
+            Expr::col("v").eq(Expr::lit("nope")),
+            Expr::col("v").ne(Expr::lit("nope")),
+            Expr::col("v@source").eq(Expr::lit(3i64)),
         ] {
             assert!(algebra::select(&rel, &p).is_err(), "{p:?}");
             for batch_size in [1usize, 7, 1024] {
                 assert!(select_columnar(&crel, &p, batch_size).is_err(), "{p:?}");
+            }
+        }
+    }
+
+    /// An `Any`-typed column keeps the `Mixed` layout and its conjuncts
+    /// take the evaluator: `=` compares on the total order, and `<`
+    /// against a value of another class is the evaluator's row error.
+    #[test]
+    fn any_typed_columns_take_the_evaluator() {
+        let schema = Schema::of(&[("k", DataType::Int), ("x", DataType::Any)]);
+        let xs = [Value::Int(3), Value::text("a"), Value::Null, Value::Float(3.0)];
+        let rows = (0i64..)
+            .zip(xs)
+            .map(|(k, x)| vec![QualityCell::bare(k), QualityCell::bare(x)])
+            .collect();
+        let rel = TaggedRelation::new(schema, IndicatorDictionary::new(), rows).unwrap();
+        let crel = ColumnarRelation::from_tagged(&rel);
+        for (p, answers) in [
+            (Expr::col("x").eq(Expr::lit(3i64)), true),
+            (Expr::col("x").ne(Expr::lit("a")), true),
+            (Expr::col("x").lt(Expr::lit(5i64)), false),
+        ] {
+            let want = algebra::select(&rel, &p).map_err(|e| e.to_string());
+            assert_eq!(want.is_ok(), answers, "{p}");
+            for batch_size in [1usize, 7, 1024] {
+                let got = select_columnar(&crel, &p, batch_size).map(|(c, _)| c.to_tagged());
+                assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
+                let got = select_vectorized(&rel, &p, batch_size).map(|(r, _)| r);
+                assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
             }
         }
     }

@@ -35,14 +35,13 @@ pub mod columnar;
 pub mod epoch;
 mod fold;
 pub mod indicator;
+pub mod predicate;
 pub mod relation;
 pub mod store;
 pub mod symbol;
 pub mod vector;
 
-pub use bitmap::{
-    extract_atoms, extract_atoms_schema, Bitset, IndexedTaggedRelation, QualityAtom, QualityIndex,
-};
+pub use bitmap::{Bitset, IndexedTaggedRelation, QualityAtom, QualityIndex};
 pub use columnar::{
     hash_join_probe_columnar, project_columnar, select_columnar, select_indexed_columnar,
     selection_columnar, selection_indexed_columnar, ColumnarRelation,
@@ -53,6 +52,7 @@ pub use vector::{
 pub use cell::QualityCell;
 pub use epoch::{EpochCell, Stamped};
 pub use indicator::{IndicatorDef, IndicatorDictionary, IndicatorValue};
+pub use predicate::{Predicate, ToPredicate};
 pub use symbol::Symbol;
 pub use relation::{TaggedRelation, TaggedRow, TAG_SEP};
 pub use store::{from_quality_store, to_quality_store, QualityStore, QKEY_SUFFIX};
@@ -448,10 +448,12 @@ mod proptests {
                 }
                 // Both indexes agree on estimates, which stay finite in
                 // [0, 1] after arbitrary mutation.
-                let (atoms, _rest) = crate::bitmap::extract_atoms(ir.relation(), p);
+                let bound = crate::Predicate::bind(
+                    ir.relation().schema(), ir.relation().dictionary(), p).unwrap();
+                let atoms = bound.atoms();
                 if !atoms.is_empty() {
-                    let ei = ir.index().estimate(&atoms);
-                    let er = rebuilt.estimate(&atoms);
+                    let ei = ir.index().estimate(atoms);
+                    let er = rebuilt.estimate(atoms);
                     prop_assert_eq!(ei, er);
                     if let Some(e) = ei {
                         prop_assert!(e.is_finite() && (0.0..=1.0).contains(&e),
@@ -509,14 +511,16 @@ mod proptests {
                     crate::bitmap::QualityIndex::build(&mutated)
                 });
                 for p in &preds {
-                    let (atoms, _) = crate::bitmap::extract_atoms(&mutated, p);
+                    let bound = crate::Predicate::bind(
+                        mutated.schema(), mutated.dictionary(), p).unwrap();
+                    let atoms = bound.atoms();
                     // same rows; a bitset's universe may end at a bit
                     // that has since been cleared
                     let ones = |idx: &crate::bitmap::QualityIndex| {
-                        idx.candidates(&atoms).map(|b| b.iter_ones().collect::<Vec<_>>())
+                        idx.candidates(atoms).map(|b| b.iter_ones().collect::<Vec<_>>())
                     };
                     prop_assert_eq!(ones(&successor), ones(&fresh));
-                    prop_assert_eq!(successor.estimate(&atoms), fresh.estimate(&atoms));
+                    prop_assert_eq!(successor.estimate(atoms), fresh.estimate(atoms));
                     // and the original still answers for the old relation
                     let (before, _) = relstore::par::with_thread_count(threads, || {
                         select_indexed(&rel, &original, p).unwrap()

@@ -8,10 +8,9 @@
 //! input relation (`start .. start + len`) plus a [`Bitset`] selection
 //! vector over `0..len`: bit `i` set means row `start + i` is still
 //! live. The selection vector reuses the bitmap index's `u64` words
-//! directly; the columnar kernels (`crate::columnar`, which import this
-//! module's kernel compiler) seed it from an IndexScan's candidate
-//! bitset via [`Bitset::extract_range`] — word-at-a-time, with no
-//! intermediate `Vec<usize>` of row ids.
+//! directly; the columnar kernels (`crate::columnar`) seed it from an
+//! IndexScan's candidate bitset via [`Bitset::extract_range`] —
+//! word-at-a-time, with no intermediate `Vec<usize>` of row ids.
 //!
 //! ## Selection-vector invariants
 //!
@@ -27,25 +26,23 @@
 //!
 //! ## Semantics parity
 //!
-//! Kernel evaluation reproduces the scalar evaluator exactly on the rows
-//! it examines: NULL operands drop the row before any type check,
-//! equality uses the storage total order (`Int(2) == Float(2.0)`), and
-//! `<`-family kernels reproduce `TypeMismatch` via
-//! [`relstore::expr::cmp_check`]. One caveat is inherited from index
+//! The kernels are the bound [`Predicate`]'s conjuncts, classified once
+//! when it was bound; this module analyses no predicate of its own. A
+//! typed kernel reproduces the scalar evaluator exactly on the rows it
+//! examines: NULL operands drop the row, equality uses the storage total
+//! order (`Int(2) == Float(2.0)`), and no comparison type-errors per row,
+//! because binding already rejected a literal of another class. Generic
+//! conjuncts run the evaluator itself. One caveat is inherited from index
 //! narrowing (see `tagstore::bitmap`): conjuncts run batch-at-a-time in
-//! order, so when a predicate *does* type-error, the vectorized path may
-//! report the error from a different row of the batch than the
-//! row-at-a-time path — well-typed predicates (the only kind the query
-//! layer produces against declared schemas) are bit-for-bit identical,
-//! which the property tests pin at batch sizes 1/7/1024 and 1/2/8
-//! threads.
+//! order, so when a conjunct raises a runtime error (division by zero,
+//! overflow, a type error over an `Any` operand) the vectorized path may
+//! report it from a different row of the batch than the row-at-a-time
+//! path. Results are otherwise bit-for-bit identical, which the property
+//! tests pin at batch sizes 1/7/1024 and 1/2/8 threads.
 
-use crate::algebra::CompiledTagExpr;
 use crate::bitmap::Bitset;
-use crate::cell::QualityCell;
+use crate::predicate::{Predicate, ToPredicate};
 use crate::relation::{TaggedRelation, TaggedRow};
-use crate::symbol::Symbol;
-use relstore::expr::{cmp_check, BinOp, CompiledExpr};
 use relstore::index::HashIndex;
 use relstore::{par, DbError, DbResult, Value};
 
@@ -90,219 +87,56 @@ impl BatchStats {
     }
 }
 
-/// Missing tags evaluate to NULL, borrowed from this sentinel.
-static NULL_SENTINEL: Value = Value::Null;
-
-/// How a kernel reads its column: an application cell value or a tag
-/// value down an interned indicator path.
-pub(crate) enum Access {
-    App(usize),
-    Tag(usize, Vec<Symbol>),
-}
-
-impl Access {
-    pub(crate) fn from_col(idx: usize, compiled: &CompiledTagExpr) -> Access {
-        if idx < compiled.base() {
-            Access::App(idx)
-        } else {
-            let (ci, path) = &compiled.plan()[idx - compiled.base()];
-            Access::Tag(*ci, path.clone())
-        }
-    }
-
-    #[inline]
-    fn value<'a>(&self, row: &'a [QualityCell]) -> &'a Value {
-        match self {
-            Access::App(i) => &row[*i].value,
-            Access::Tag(ci, path) => match row[*ci].tag_path_syms(path) {
-                Some(tag) => &tag.value,
-                None => &NULL_SENTINEL,
-            },
-        }
-    }
-
-}
-
-/// One conjunct of the predicate, compiled to its cheapest batch form.
-pub(crate) enum Kernel<'e> {
-    /// `col OP literal` — direct cell/tag access, no expression-tree
-    /// walk, no `Cow` allocation per row.
-    Cmp {
-        access: Access,
-        op: BinOp,
-        lit: &'e Value,
-    },
-    /// `col BETWEEN lit AND lit` — total-order, never type-errors.
-    Between {
-        access: Access,
-        lo: &'e Value,
-        hi: &'e Value,
-    },
-    /// Anything else: full scalar evaluation, restricted to live rows.
-    Generic(&'e CompiledExpr),
-}
-
-impl Kernel<'_> {
-    /// Scalar comparison against an already-extracted column value.
-    #[inline]
-    pub(crate) fn test_value(&self, v: &Value) -> DbResult<bool> {
-        if v.is_null() {
-            return Ok(false); // 3VL: NULL comparison never holds
-        }
-        match self {
-            Kernel::Cmp { op, lit, .. } => match op {
-                BinOp::Eq => Ok(v == *lit),
-                BinOp::Ne => Ok(v != *lit),
-                BinOp::Lt => cmp_check(v, lit).map(|_| v < *lit),
-                BinOp::Le => cmp_check(v, lit).map(|_| v <= *lit),
-                BinOp::Gt => cmp_check(v, lit).map(|_| v > *lit),
-                BinOp::Ge => cmp_check(v, lit).map(|_| v >= *lit),
-                _ => unreachable!("non-comparison op in Cmp kernel"),
-            },
-            Kernel::Between { lo, hi, .. } => Ok(v >= *lo && v <= *hi),
-            Kernel::Generic(_) => unreachable!("Generic kernel has no column access"),
-        }
-    }
-}
-
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
-fn split_and<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e CompiledExpr>) {
-    if let CompiledExpr::Bin(l, BinOp::And, r) = e {
-        split_and(l, out);
-        split_and(r, out);
-    } else {
-        out.push(e);
-    }
-}
-
-/// Decomposes the compiled predicate into top-level AND conjuncts and
-/// compiles each to its cheapest kernel.
-pub(crate) fn compile_kernels(compiled: &CompiledTagExpr) -> Vec<Kernel<'_>> {
-    let mut conjuncts = Vec::new();
-    split_and(compiled.expr(), &mut conjuncts);
-    conjuncts
-        .into_iter()
-        .map(|c| kernel_for(c, compiled))
-        .collect()
-}
-
-fn kernel_for<'e>(c: &'e CompiledExpr, compiled: &CompiledTagExpr) -> Kernel<'e> {
-    match c {
-        CompiledExpr::Bin(l, op, r)
-            if matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) =>
-        {
-            // NULL literals stay generic: the evaluator folds them to
-            // NULL without any type check, which Generic reproduces.
-            match (&**l, &**r) {
-                (CompiledExpr::Col(i), CompiledExpr::Lit(v)) if !v.is_null() => Kernel::Cmp {
-                    access: Access::from_col(*i, compiled),
-                    op: *op,
-                    lit: v,
-                },
-                (CompiledExpr::Lit(v), CompiledExpr::Col(i)) if !v.is_null() => Kernel::Cmp {
-                    access: Access::from_col(*i, compiled),
-                    op: flip(*op),
-                    lit: v,
-                },
-                _ => Kernel::Generic(c),
-            }
-        }
-        CompiledExpr::Between(e, lo, hi) => match (&**e, &**lo, &**hi) {
-            (CompiledExpr::Col(i), CompiledExpr::Lit(a), CompiledExpr::Lit(b))
-                if !a.is_null() && !b.is_null() =>
-            {
-                Kernel::Between {
-                    access: Access::from_col(*i, compiled),
-                    lo: a,
-                    hi: b,
-                }
-            }
-            _ => Kernel::Generic(c),
-        },
-        other => Kernel::Generic(other),
-    }
-}
-
-/// Runs every kernel over one batch, clearing selection bits in place.
-/// Word-at-a-time: dead words are skipped, and a batch whose selection
-/// empties short-circuits the remaining conjuncts.
+/// Runs every conjunct over one batch, clearing selection bits in place;
+/// a batch whose selection empties skips the remaining conjuncts.
 ///
-/// `Cmp`/`Between` kernels run in two passes over the live rows: an
-/// extraction pass that chases each row's cell/tag pointers into a
-/// scratch column of `&Value`s (a tiny loop body, so the out-of-order
-/// core keeps many independent cache misses in flight), then a compare
-/// pass over the dense column that clears bits branchlessly. Both
-/// passes visit rows in bit order, so error reporting is identical to
-/// testing each row in place.
+/// Typed kernels run in two passes over the live rows: an extraction
+/// pass that chases each row's cell/tag pointers into a scratch column
+/// of `&Value`s (a tiny loop body, so the out-of-order core keeps many
+/// independent cache misses in flight), then a compare pass over the
+/// dense column. Generic conjuncts run the scalar evaluator row by row.
 fn filter_batch<'r>(
     rows: &'r [TaggedRow],
     start: usize,
     sel: &mut Bitset,
-    kernels: &[Kernel],
-    compiled: &CompiledTagExpr,
+    pred: &Predicate,
     scratch: &mut Vec<&'r Value>,
 ) -> DbResult<()> {
-    for kernel in kernels {
-        let access = match kernel {
-            Kernel::Cmp { access, .. } | Kernel::Between { access, .. } => Some(access),
-            Kernel::Generic(_) => None,
-        };
-        let mut live = 0u64;
-        if let Some(access) = access {
-            scratch.clear();
-            for i in sel.iter_ones() {
-                scratch.push(access.value(&rows[start + i]));
+    for conjunct in pred.conjuncts() {
+        let kernel = &conjunct.kernel;
+        match kernel.access() {
+            Some(access) => {
+                scratch.clear();
+                scratch.extend(sel.iter_ones().map(|i| access.value(&rows[start + i])));
+                let mut column = scratch.iter();
+                retain(sel, |_| Ok(column.next().is_some_and(|v| kernel.test_value(v))))?;
             }
-            let mut cursor = 0;
-            for word in sel.words_mut().iter_mut() {
-                let mut bits = *word;
-                let mut keep = bits;
-                while bits != 0 {
-                    let tz = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let ok = kernel.test_value(scratch[cursor])?;
-                    cursor += 1;
-                    keep &= !((u64::from(!ok)) << tz);
-                }
-                *word = keep;
-                live |= keep;
-            }
-        } else {
-            let Kernel::Generic(e) = kernel else {
-                unreachable!()
-            };
-            for (wi, word) in sel.words_mut().iter_mut().enumerate() {
-                let mut bits = *word;
-                if bits == 0 {
-                    continue;
-                }
-                let mut keep = bits;
-                while bits != 0 {
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if !compiled.matches_sub(e, &rows[start + wi * 64 + tz])? {
-                        keep &= !(1u64 << tz);
-                    }
-                }
-                *word = keep;
-                live |= keep;
-            }
+            None => retain(sel, |i| pred.holds(conjunct, &rows[start + i]))?,
         }
-        if live == 0 {
+        if sel.none() {
             break;
         }
+    }
+    Ok(())
+}
+
+/// Clears the bit of every live row `test` rejects — word-at-a-time,
+/// branch-free per bit, rows visited in ascending order so the first
+/// error is the first failing row's.
+pub(crate) fn retain(
+    sel: &mut Bitset,
+    mut test: impl FnMut(usize) -> DbResult<bool>,
+) -> DbResult<()> {
+    for (wi, word) in sel.words_mut().iter_mut().enumerate() {
+        let mut bits = *word;
+        let mut keep = bits;
+        while bits != 0 {
+            let tz = bits.trailing_zeros();
+            bits &= bits - 1;
+            let ok = test(wi * 64 + tz as usize)?;
+            keep &= !(u64::from(!ok) << tz);
+        }
+        *word = keep;
     }
     Ok(())
 }
@@ -338,13 +172,12 @@ fn gather(rows: &[TaggedRow], start: usize, sel: &Bitset, out: &mut Vec<TaggedRo
 }
 
 /// The σ pipeline: windows of `batch_size` rows, a full selection
-/// refined by `kernels`, gathered once. Batches run in parallel ranges
-/// per [`par::plan`]'s cost model, merged in batch order —
-/// byte-identical to the serial pass.
+/// refined by the predicate's conjuncts, gathered once. Batches run in
+/// parallel ranges per [`par::plan`]'s cost model, merged in batch order
+/// — byte-identical to the serial pass.
 fn run_pipeline(
     rel: &TaggedRelation,
-    kernels: &[Kernel],
-    compiled: &CompiledTagExpr,
+    pred: &Predicate,
     batch_size: usize,
 ) -> DbResult<(Vec<TaggedRow>, BatchStats)> {
     let rows = rel.rows();
@@ -361,7 +194,7 @@ fn run_pipeline(
             let _t = dq_obs::histogram!("vector.batch_us").start();
             stats.batches += 1;
             stats.rows_in += len;
-            filter_batch(rows, start, &mut sel, kernels, compiled, &mut scratch)?;
+            filter_batch(rows, start, &mut sel, pred, &mut scratch)?;
             stats.rows_out += gather(rows, start, &sel, &mut out);
         }
         Ok((out, stats))
@@ -384,17 +217,16 @@ fn run_pipeline(
     Ok((out, stats))
 }
 
-/// Vectorized σ — identical rows and tags to [`algebra::select`], with
-/// the predicate decomposed into per-conjunct kernels evaluated batch
-/// by batch over a selection vector.
+/// Vectorized σ — identical rows and tags to [`crate::algebra::select`],
+/// with the bound predicate's conjuncts evaluated batch by batch over a
+/// selection vector.
 pub fn select_vectorized(
     rel: &TaggedRelation,
-    predicate: &relstore::Expr,
+    predicate: &impl ToPredicate,
     batch_size: usize,
 ) -> DbResult<(TaggedRelation, BatchStats)> {
-    let compiled = CompiledTagExpr::compile(rel, predicate)?;
-    let kernels = compile_kernels(&compiled);
-    let (rows, stats) = run_pipeline(rel, &kernels, &compiled, batch_size)?;
+    let pred = predicate.to_predicate(rel.schema(), rel.dictionary())?;
+    let (rows, stats) = run_pipeline(rel, &pred, batch_size)?;
     Ok((
         TaggedRelation::from_parts_unchecked(rel.schema().clone(), rel.dictionary().clone(), rows),
         stats,
@@ -402,7 +234,7 @@ pub fn select_vectorized(
 }
 
 /// Vectorized ⋈ probe — identical output to
-/// [`algebra::hash_join_probe`]. Left rows stream through batches whose
+/// [`crate::algebra::hash_join_probe`]. Left rows stream through batches whose
 /// selection vector first drops NULL keys word-at-a-time; surviving
 /// rows probe the prebuilt index. Join fan-out can exceed the batch
 /// width, so this operator reports under `vector.join.*` (the
@@ -484,6 +316,7 @@ pub fn hash_join_probe_vectorized(
 mod tests {
     use super::*;
     use crate::algebra;
+    use crate::cell::QualityCell;
     use crate::indicator::{IndicatorDictionary, IndicatorValue};
     use relstore::{DataType, Expr, Schema};
 

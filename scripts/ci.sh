@@ -7,20 +7,34 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# `filtered <cargo test args…> <filter>` runs the filtered tests at a
+# higher case count, and fails first when the filter selects no test:
+# tests that move or are renamed must not leave a gate running nothing.
+filtered() {
+    local listed
+    listed=$(cargo test -q --offline "$@" -- --list 2>/dev/null | grep -c ': test$' || true)
+    if [ "$listed" -eq 0 ]; then
+        echo "ci: \`cargo test $*\` selects no test" >&2
+        exit 1
+    fi
+    PROPTEST_CASES=128 cargo test -q --offline "$@"
+}
+
 # Access-path parity: the bitmap-index property tests at a higher case
 # count than the default test run (clone-then-retag copy-on-write
 # parity among them).
-PROPTEST_CASES=128 cargo test -q --offline -p tagstore bitmap_
-PROPTEST_CASES=128 cargo test -q --offline -p dq-query index_planner
+filtered -p tagstore bitmap_
+filtered -p dq-query index_planner
 
 # Vectorized-execution parity: batched σ/⋈ and the parallel index
-# build against their row-at-a-time twins, at a higher case count.
-PROPTEST_CASES=128 cargo test -q --offline -p tagstore vector
+# build against the row-at-a-time reference (`algebra::select`, which
+# evaluates the whole bound predicate per row), at a higher case count.
+filtered -p tagstore vector
 
 # Columnar-layout parity: row↔columnar round-trip (values, nulls,
 # per-cell tags), columnar σ/π/⋈ vs row-at-a-time, and the columnar
 # index build vs the serial fold, at a higher case count.
-PROPTEST_CASES=128 cargo test -q --offline -p tagstore columnar
+filtered -p tagstore columnar
 
 # Aggregation over a selection: the one-pass tagged γ, fed by columnar
 # selections, keyed lookups and join rows, against the three-pass
@@ -64,12 +78,12 @@ cargo run -q --offline --release --example server_roundtrip >/dev/null
 
 # Concurrent-session parity at a higher case count: N phase-shifted
 # clients vs the embedded serial rendering at 1/2/8 worker threads.
-PROPTEST_CASES=128 cargo test -q --offline -p dq-server concurrent_sessions
+filtered -p dq-server concurrent_sessions
 
 # MVCC live-prefix property at a higher case count: every read during a
 # random TAG burst renders some committed epoch prefix (no torn tags),
 # and each reader only moves forward, at 1/2/8 worker threads.
-PROPTEST_CASES=128 cargo test -q --offline -p dq-server readers_observe
+filtered -p dq-server readers_observe
 
 # O(delta) TAG, by the counters, in a process of its own (the registry
 # is process-wide): 50 durable TAG/SELECT/SELECT rounds over the wire
@@ -108,7 +122,7 @@ scripts/paged_index_gate.sh --warn-only /tmp/ci_bench_paged_index.json
 # every prefix must recover to exactly the committed state (including
 # the paged-relation crash-prefix, torn dirty-page flush, and torn
 # manifest-publish properties).
-PROPTEST_CASES=128 cargo test -q --offline -p dq-storage proptests
+filtered -p dq-storage proptests
 
 # Recovery gate: write through the WAL into a temp directory, crash with
 # a pending group commit, recover, and check lineage + metrics survive.

@@ -8,10 +8,14 @@
 //! for line. Then the pinned cases for the one-walker executor: the
 //! traced run of a `col = literal` query takes (and reports) the
 //! key-hash point lookup the lean run takes, and both tick the same
-//! counters. Last, the same generator with a misspelled indicator in
+//! counters. Then the same generator with a misspelled indicator in
 //! every `col@indicator` it writes: each such statement fails, through
 //! either planner and under either `EXPLAIN`, with the error `TAG`
-//! gives for that indicator.
+//! gives for that indicator. Last, the generator spoils each statement
+//! with one bad conjunct: a comparison against a literal of another
+//! type fails when it is bound, with one text everywhere and no rows;
+//! Int arithmetic on extreme literals answers alike through both
+//! planners, rows or error text.
 
 use dq_query::{
     execute, execute_traced, parse, run_mut, run_with, Planner, QueryCatalog, QueryResult,
@@ -66,10 +70,25 @@ fn catalog() -> QueryCatalog {
 }
 
 /// Seeded generator of well-typed QQL over the two tables. With a
-/// `typo`, every indicator path it writes is that path instead.
+/// `typo`, every indicator path it writes is that path instead. With a
+/// `spoil`, every statement carries one conjunct of that kind.
 struct Gen {
     rng: StdRng,
     typo: Option<&'static str>,
+    spoil: Option<Spoil>,
+    /// The statement being generated has not placed its bad conjunct yet.
+    pending: bool,
+}
+
+/// The one bad conjunct a spoiled statement carries.
+#[derive(Clone, Copy, PartialEq)]
+enum Spoil {
+    /// `=`, `<>` or `<` against a literal of another type, on a base or
+    /// pseudo-column, either way round, in WHERE or WITH QUALITY.
+    IllTyped,
+    /// Int arithmetic on `i64::MAX`, `i64::MIN`, `-1` or `0`, as the
+    /// last conjunct (so the rows it reads do not depend on the plan).
+    Extreme,
 }
 
 impl Gen {
@@ -77,7 +96,73 @@ impl Gen {
         Gen {
             rng: StdRng::seed_from_u64(seed),
             typo: None,
+            spoil: None,
+            pending: false,
         }
+    }
+
+    fn spoiled(seed: u64, spoil: Spoil) -> Self {
+        Gen {
+            spoil: Some(spoil),
+            ..Gen::new(seed)
+        }
+    }
+
+    /// One conjunct of the statement's spoil kind over `tables`.
+    fn bad_conjunct(&mut self, tables: &[&str]) -> String {
+        let table = self.pick(tables);
+        let stocks = table == "stocks";
+        if self.spoil == Some(Spoil::IllTyped) {
+            let op = self.pick(&["=", "<>", "<"]);
+            let (col, lit) = match (stocks, self.below(4)) {
+                (true, 0) => ("price", "'cheap'"),
+                (true, 1) => ("ticker", "7"),
+                (true, 2) => ("price@source", "3"),
+                (true, _) => ("price@age", "'old'"),
+                (false, 0) => ("qty", "'many'"),
+                (false, 1) => ("tkr", "DATE '1991-10-24'"),
+                (false, 2) => ("qty@inspection", "1.5"),
+                (false, _) => ("acct", "'x'"),
+            };
+            return if self.chance(0.5) {
+                format!("{col} {op} {lit}")
+            } else {
+                format!("{lit} {op} {col}")
+            };
+        }
+        let col = if stocks { "price@age" } else { self.pick(&["qty", "acct"]) };
+        let big = self.pick(&["9223372036854775807", "(0 - 9223372036854775807 - 1)"]);
+        let divisor = self.pick(&["-1", "0", "(0 - 1)", "1"]);
+        match self.below(5) {
+            0 => format!("{col} + {big} < 0"),
+            1 => format!("{col} - {big} > 0"),
+            2 => format!("{col} * {big} >= {col}"),
+            3 => format!("{big} / {divisor} = {col}"),
+            _ => format!("{col} % {divisor} = 0"),
+        }
+    }
+
+    /// `parts` with the statement's bad conjunct, if this clause is the
+    /// one to take it: an ill-typed one lands anywhere in WHERE or in WITH
+    /// QUALITY; an extreme one last in the last clause (`last`).
+    fn spoil_clause(&mut self, mut parts: Vec<String>, tables: &[&str], last: bool) -> Vec<String> {
+        let Some(spoil) = self.spoil else {
+            return parts;
+        };
+        let here = match spoil {
+            Spoil::IllTyped => last || self.chance(0.5),
+            Spoil::Extreme => last,
+        };
+        if self.pending && here {
+            self.pending = false;
+            let bad = self.bad_conjunct(tables);
+            let at = match spoil {
+                Spoil::IllTyped => self.below(parts.len() + 1),
+                Spoil::Extreme => parts.len(),
+            };
+            parts.insert(at, bad);
+        }
+        parts
     }
 
     fn below(&mut self, n: usize) -> usize {
@@ -158,10 +243,13 @@ impl Gen {
         }
     }
 
-    fn where_clause(&mut self, tables: &[&str]) -> String {
-        let parts: Vec<String> = (0..self.below(4))
+    fn where_parts(&mut self, tables: &[&str]) -> Vec<String> {
+        (0..self.below(4))
             .map(|_| self.where_conjunct(tables))
-            .collect();
+            .collect()
+    }
+
+    fn where_clause(parts: Vec<String>) -> String {
         if parts.is_empty() {
             String::new()
         } else {
@@ -170,11 +258,17 @@ impl Gen {
     }
 
     fn statement(&mut self) -> String {
+        self.pending = self.spoil.is_some();
         let base = self.pick(&["stocks", "trades"]);
         if self.chance(0.15) {
-            return format!("INSPECT FROM {base}{}", self.where_clause(&[base]));
+            let parts = self.where_parts(&[base]);
+            let parts = self.spoil_clause(parts, &[base], true);
+            return format!("INSPECT FROM {base}{}", Self::where_clause(parts));
         }
-        let (tables, from) = match (self.chance(0.35), base) {
+        // an extreme conjunct reads no join's rows: pushed below it, it
+        // would read rows the join drops
+        let join = self.chance(0.35) && self.spoil != Some(Spoil::Extreme);
+        let (tables, from) = match (join, base) {
             (false, _) => (vec![base], base),
             (true, "stocks") => (vec!["stocks", "trades"], "stocks JOIN trades ON ticker = tkr"),
             (true, _) => (vec!["trades", "stocks"], "trades JOIN stocks ON tkr = ticker"),
@@ -231,13 +325,16 @@ impl Gen {
         let outputs: Vec<&str> = list.iter().map(|(_, name)| name.as_str()).collect();
 
         let mut sql = format!("SELECT {distinct}{items} FROM {from}");
-        sql.push_str(&self.where_clause(&tables));
+        let where_parts = self.where_parts(&tables);
         let quality: Vec<String> = (0..self.below(3))
             .map(|_| {
                 let t = self.pick(&tables);
                 self.quality_conjunct(t)
             })
             .collect();
+        let where_parts = self.spoil_clause(where_parts, &tables, quality.is_empty());
+        let quality = self.spoil_clause(quality, &tables, true);
+        sql.push_str(&Self::where_clause(where_parts));
         if !quality.is_empty() {
             sql.push_str(&format!(" WITH QUALITY ({})", quality.join(", ")));
         }
@@ -426,4 +523,76 @@ fn undeclared_indicators_fail_like_tag() {
         rejected >= 90,
         "only {rejected} statements named an indicator"
     );
+}
+
+#[test]
+fn ill_typed_comparisons_fail_when_bound() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = catalog();
+    let naive = Planner {
+        pushdown: false,
+        use_indexes: false,
+    };
+    let mut gen = Gen::spoiled(32, Spoil::IllTyped);
+    let (mut inspects, mut qualities, mut joins) = (0, 0, 0);
+    for case in 0..200 {
+        let sql = gen.statement();
+        let ctx = format!("case {case}: {sql}");
+        let mut texts: Vec<String> = [
+            (sql.clone(), &Planner::default()),
+            (sql.clone(), &naive),
+            (format!("EXPLAIN {sql}"), &Planner::default()),
+            (format!("EXPLAIN ANALYZE {sql}"), &Planner::default()),
+        ]
+        .iter()
+        .map(|(stmt, planner)| match run_with(&catalog, stmt, planner) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("{ctx}: `{stmt}` answered"),
+        })
+        .collect();
+        texts.dedup();
+        assert_eq!(texts.len(), 1, "{ctx}: {texts:?}");
+        assert!(
+            texts[0].starts_with("type mismatch: expected comparable values of the same type"),
+            "{ctx}: {}",
+            texts[0]
+        );
+        inspects += sql.starts_with("INSPECT") as usize;
+        qualities += sql.contains("WITH QUALITY") as usize;
+        joins += sql.contains("JOIN") as usize;
+    }
+    assert!(inspects >= 15 && qualities >= 60 && joins >= 40, "{inspects} {qualities} {joins}");
+}
+
+#[test]
+fn extreme_int_arithmetic_agrees_across_planners() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = catalog();
+    let naive = Planner {
+        pushdown: false,
+        use_indexes: false,
+    };
+    let outcome = |sql: &str, planner: &Planner| match run_with(&catalog, sql, planner) {
+        Ok(r) => Ok(render_result(&r)),
+        Err(e) => Err(e.to_string()),
+    };
+    let mut gen = Gen::spoiled(40, Spoil::Extreme);
+    let (mut errors, mut answers) = (0, 0);
+    for case in 0..300 {
+        let sql = gen.statement();
+        let ctx = format!("case {case}: {sql}");
+        let plain = outcome(&sql, &Planner::default());
+        assert_eq!(plain, outcome(&sql, &naive), "{ctx}");
+        let analyzed = outcome(&format!("EXPLAIN ANALYZE {sql}"), &Planner::default());
+        match (&plain, &analyzed) {
+            (Err(e), Err(a)) => {
+                assert_eq!(a, e, "{ctx}");
+                assert!(e.starts_with("arithmetic error: "), "{ctx}: {e}");
+                errors += 1;
+            }
+            (Ok(_), Ok(_)) => answers += 1,
+            _ => panic!("{ctx}: {plain:?} vs EXPLAIN ANALYZE {analyzed:?}"),
+        }
+    }
+    assert!(errors >= 60 && answers >= 60, "{errors} errors, {answers} answers");
 }
