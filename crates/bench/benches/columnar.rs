@@ -1,13 +1,11 @@
 //! B10 — columnar tagged storage vs. the row layout.
 //!
-//! Four series over the shared customer fixture:
+//! Three series over the shared customer fixture:
 //!
 //! * `B10/scan_sigma/{rows}` — unindexed σ at ~50% selectivity:
-//!   row-at-a-time `select` vs. `select_columnar` over contiguous
-//!   column arrays (conversion outside the timed region, modeling the
-//!   catalog's cached layout).
-//! * `B10/project/{rows}` — π onto two columns: per-row cell clones vs.
-//!   whole-column clones (typed-array memcpy + tag-run `Arc` bumps).
+//!   row-at-a-time `select` vs. `selection_columnar` + `gather` over
+//!   contiguous column arrays (conversion outside the timed region,
+//!   modeling the catalog's cached layout).
 //! * `B10/index_build/{rows}` — serial row-at-a-time `QualityIndex::build`
 //!   vs. the columnar run-at-a-time build (one posting probe +
 //!   `set_range` per (run, tag) instead of per (row, tag)).
@@ -24,7 +22,7 @@ use relstore::{par, Expr};
 use tagstore::algebra as ta;
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
-use tagstore::{project_columnar, select_columnar, DEFAULT_BATCH_SIZE};
+use tagstore::{selection_columnar, DEFAULT_BATCH_SIZE};
 
 /// Row-count tiers, overridable for smoke runs (`DQ_BENCH_TIERS=10000`).
 fn tiers() -> Vec<usize> {
@@ -55,34 +53,18 @@ fn bench_scan_sigma(c: &mut Criterion) {
         let crel = ColumnarRelation::from_tagged(&rel);
         let pred = sigma_pred();
         let reference = ta::select(&rel, &pred).unwrap();
-        let (out, stats) = select_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap();
-        assert_eq!(reference, out.to_tagged(), "σ parity at {rows} rows");
+        let (sel, stats) = selection_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap();
+        assert_eq!(reference, crel.gather(&sel).to_tagged(), "σ parity at {rows} rows");
         assert!(stats.batches * stats.batch_size >= stats.rows_out);
         let mut g = c.benchmark_group(format!("B10/scan_sigma/{rows}"));
         g.sample_size(10);
         g.throughput(Throughput::Elements(rows as u64));
         g.bench_function("row", |b| b.iter(|| ta::select(&rel, &pred).unwrap()));
         g.bench_function("columnar", |b| {
-            b.iter(|| select_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap())
-        });
-        g.finish();
-    }
-}
-
-fn bench_project(c: &mut Criterion) {
-    for rows in tiers() {
-        let rel = aged(rows);
-        let crel = ColumnarRelation::from_tagged(&rel);
-        let cols = ["co_name", "employees"];
-        let reference = ta::project(&rel, &cols).unwrap();
-        let out = project_columnar(&crel, &cols).unwrap();
-        assert_eq!(reference, out.to_tagged(), "π parity at {rows} rows");
-        let mut g = c.benchmark_group(format!("B10/project/{rows}"));
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(rows as u64));
-        g.bench_function("row", |b| b.iter(|| ta::project(&rel, &cols).unwrap()));
-        g.bench_function("columnar", |b| {
-            b.iter(|| project_columnar(&crel, &cols).unwrap())
+            b.iter(|| {
+                let (sel, _) = selection_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap();
+                crel.gather(&sel)
+            })
         });
         g.finish();
     }
@@ -127,7 +109,6 @@ fn bench_convert(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_scan_sigma,
-    bench_project,
     bench_index_build,
     bench_convert
 );

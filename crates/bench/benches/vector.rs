@@ -1,42 +1,30 @@
-//! B9 — vectorized batch execution vs. row-at-a-time.
+//! B9 — parallel index build and the ⋈ probe.
 //!
-//! Four series over the shared customer fixture:
+//! Two series over the shared customer fixture:
 //!
-//! * `B9/sigma/{rows}/sel{pct}` — compiled row-at-a-time σ (`select`)
-//!   vs. the batched pipeline (`select_vectorized`, 1024-row batches
-//!   with a selection vector), at ~10% and ~50% selectivity. The two
-//!   regimes separate what vectorization speeds up (per-row predicate
-//!   evaluation) from what it cannot (materializing surviving rows,
-//!   a cost both paths share that dominates at high selectivity).
-//! * `B9/indexed_sigma/{rows}` — `select_indexed` (bitmap candidates →
-//!   row-id gather) vs. `select_indexed_columnar` (candidate words feed
-//!   per-batch selection vectors over contiguous column arrays; the
-//!   relation is converted to columnar **outside** the timed region,
-//!   modeling the catalog's cached layout, and parity is asserted via
-//!   `to_tagged()` before timing).
 //! * `B9/index_build/{rows}` — serial vs. forced-8-thread
 //!   `QualityIndex::build` (word-aligned disjoint ranges, range-local
-//!   row ids, `or_words_at` merge).
-//! * `B9/join` (all tiers ≤ 100k) and `B9/small/1000` — columnar
-//!   hash-join probe vs. the row probe, and the small-input guard
-//!   (vectorization must not tax tiny relations).
+//!   row ids, `or_words_at` merge). `scripts/index_build_gate.sh` reads
+//!   these records.
+//! * `B9/join/{rows}` (tiers ≤ 100k) — the row probe
+//!   (`algebra::hash_join_probe`, what an `IndexJoin` over an
+//!   operator's output runs) vs. the columnar probe over cached layouts
+//!   (`hash_join_probe_columnar`, what an `IndexJoin` over a base-table
+//!   scan runs).
 //!
-//! Every series asserts vectorized == row-at-a-time on the actual
-//! fixture before timing anything, so a parity break fails the bench
-//! run rather than silently timing wrong answers. Thread counts are
-//! forced via `with_thread_count` because CI containers may report a
-//! single core.
+//! Every series asserts parity on the actual fixture before timing
+//! anything, so a parity break fails the bench run rather than silently
+//! timing wrong answers. Thread counts are forced via
+//! `with_thread_count` because CI containers may report a single core.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dq_bench::{tagged_customers, tagged_join_partner, today};
 use relstore::index::HashIndex;
-use relstore::{par, Expr};
+use relstore::par;
 use tagstore::algebra as ta;
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
-use tagstore::{
-    hash_join_probe_columnar, select_indexed_columnar, select_vectorized, DEFAULT_BATCH_SIZE,
-};
+use tagstore::{hash_join_probe_columnar, DEFAULT_BATCH_SIZE};
 
 /// Row-count tiers, overridable for smoke runs (`DQ_BENCH_TIERS=10000`).
 fn tiers() -> Vec<usize> {
@@ -51,78 +39,6 @@ fn aged(rows: usize) -> tagstore::TaggedRelation {
     let mut rel = tagged_customers(rows, 4);
     ta::derive_age(&mut rel, "employees", today()).unwrap();
     rel
-}
-
-/// The B2 headline predicate: one range + one inequality conjunct,
-/// keeping roughly half the rows. Output materialization dominates.
-fn sigma_pred() -> Expr {
-    Expr::col("employees@age")
-        .le(Expr::lit(700i64))
-        .and(Expr::col("employees@source").ne(Expr::lit("estimate")))
-}
-
-/// Same shape at ~10% selectivity: predicate evaluation dominates, so
-/// this regime isolates the kernel-vs-expression-tree difference.
-fn sigma_pred_selective() -> Expr {
-    Expr::col("employees@age")
-        .le(Expr::lit(139i64))
-        .and(Expr::col("employees@source").ne(Expr::lit("estimate")))
-}
-
-fn bench_sigma(c: &mut Criterion) {
-    for rows in tiers() {
-        let rel = aged(rows);
-        for (tag, pred) in [("sel10", sigma_pred_selective()), ("sel50", sigma_pred())] {
-            let reference = ta::select(&rel, &pred).unwrap();
-            let (batched, stats) = select_vectorized(&rel, &pred, DEFAULT_BATCH_SIZE).unwrap();
-            assert_eq!(reference, batched, "σ parity at {rows} rows ({tag})");
-            assert!(stats.batches * stats.batch_size >= stats.rows_out);
-            let mut g = c.benchmark_group(format!("B9/sigma/{rows}/{tag}"));
-            g.sample_size(10);
-            g.throughput(Throughput::Elements(rows as u64));
-            g.bench_function("row_at_a_time", |b| {
-                b.iter(|| ta::select(&rel, &pred).unwrap())
-            });
-            g.bench_function("vectorized", |b| {
-                b.iter(|| select_vectorized(&rel, &pred, DEFAULT_BATCH_SIZE).unwrap())
-            });
-            g.finish();
-        }
-    }
-}
-
-fn bench_indexed_sigma(c: &mut Criterion) {
-    for rows in tiers() {
-        let rel = aged(rows);
-        let index = QualityIndex::build(&rel);
-        // Conversion happens once, outside the timed region — queries
-        // run against the catalog's cached columnar layout.
-        let crel = ColumnarRelation::from_tagged(&rel);
-        // ~10% selectivity: the regime where gather strategy dominates
-        let pred = Expr::col("employees@age").le(Expr::lit(139i64));
-        let (reference, _) = ta::select_indexed(&rel, &index, &pred).unwrap();
-        let (batched, path, _) =
-            select_indexed_columnar(&crel, &index, &pred, DEFAULT_BATCH_SIZE).unwrap();
-        assert_eq!(
-            reference,
-            batched.to_tagged(),
-            "indexed σ parity at {rows} rows"
-        );
-        assert!(
-            matches!(path, ta::TagAccessPath::Bitmap { .. }),
-            "expected bitmap path, got {path}"
-        );
-        let mut g = c.benchmark_group(format!("B9/indexed_sigma/{rows}"));
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(rows as u64));
-        g.bench_function("row_gather", |b| {
-            b.iter(|| ta::select_indexed(&rel, &index, &pred).unwrap())
-        });
-        g.bench_function("vectorized", |b| {
-            b.iter(|| select_indexed_columnar(&crel, &index, &pred, DEFAULT_BATCH_SIZE).unwrap())
-        });
-        g.finish();
-    }
 }
 
 fn bench_index_build(c: &mut Criterion) {
@@ -184,34 +100,5 @@ fn bench_join_probe(c: &mut Criterion) {
     }
 }
 
-/// Small-input guard: at ≤1k rows the batched path must stay within
-/// noise of the row-at-a-time path (no fixed vectorization tax).
-fn bench_small(c: &mut Criterion) {
-    let rel = aged(1_000);
-    let pred = sigma_pred();
-    assert_eq!(
-        ta::select(&rel, &pred).unwrap(),
-        select_vectorized(&rel, &pred, DEFAULT_BATCH_SIZE).unwrap().0,
-        "σ parity at 1k rows"
-    );
-    let mut g = c.benchmark_group("B9/small/1000");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(rel.len() as u64));
-    g.bench_function("row_at_a_time", |b| {
-        b.iter(|| ta::select(&rel, &pred).unwrap())
-    });
-    g.bench_function("vectorized", |b| {
-        b.iter(|| select_vectorized(&rel, &pred, DEFAULT_BATCH_SIZE).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sigma,
-    bench_indexed_sigma,
-    bench_index_build,
-    bench_join_probe,
-    bench_small
-);
+criterion_group!(benches, bench_index_build, bench_join_probe);
 criterion_main!(benches);

@@ -13,9 +13,8 @@ use tagstore::algebra::{self, TagPolicy, TagRule};
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
-    hash_join_probe_columnar, hash_join_probe_vectorized, select_vectorized, selection_columnar,
-    selection_indexed_columnar, BatchStats, Bitset, IndicatorDictionary, Predicate, QualityCell,
-    TaggedRelation, DEFAULT_BATCH_SIZE,
+    hash_join_probe_columnar, selection_columnar, selection_indexed_columnar, BatchStats, Bitset,
+    IndicatorDictionary, Predicate, QualityCell, TaggedRelation, DEFAULT_BATCH_SIZE,
 };
 
 /// Page-level I/O counters a [`PagedProvider`] reports for one indexed
@@ -416,16 +415,16 @@ pub struct OpTrace {
     /// Observed matching fraction `rows_out / rows_in` (filtering and
     /// joining operators; `0.0` when no rows entered).
     pub actual_selectivity: Option<f64>,
-    /// Number of row batches this operator processed (vectorized
+    /// Number of row batches this operator processed (columnar
     /// operators only; `None` for row-at-a-time operators).
     pub batches: Option<usize>,
-    /// Batch width the vectorized operator ran with (`None` when
+    /// Batch width the columnar operator ran with (`None` when
     /// `batches` is `None`).
     pub batch_size: Option<usize>,
     /// Physical layout the operator executed over: `Some("columnar")`
     /// for operators that ran the columnar kernels (contiguous typed
-    /// column arrays + tag runs), `None` for row-at-a-time and
-    /// row-gather vectorized operators.
+    /// column arrays + tag runs), `Some("paged")` for paged tables,
+    /// `None` for row-at-a-time operators.
     pub layout: Option<&'static str>,
     /// Pages fetched through the buffer pool (paged operators only;
     /// `None` for resident tables).
@@ -745,7 +744,7 @@ impl<'c> Selection<'c> {
     fn gather(self) -> DbResult<TaggedRelation> {
         match self {
             Selection::Rows(rel, None) => Ok(rel.clone()),
-            Selection::Rows(rel, Some(at)) => algebra::select_at(rel, &at, None),
+            Selection::Rows(rel, Some(at)) => algebra::select_at(rel, &at),
             Selection::Columnar(crel, sel) => Ok(crel.gather(&sel).to_tagged()),
         }
     }
@@ -991,14 +990,12 @@ fn walk<'c, T: Tracer>(
                 };
                 (out, stats)
             }
+            // σ over an operator's output (`HAVING`, a join residual):
+            // the row σ, one verdict per row.
             _ => {
                 let input_rel = run_input(input)?;
-                let (rel, batch) = select_vectorized(&input_rel, predicate, DEFAULT_BATCH_SIZE)?;
-                let stats = NodeStats {
-                    batch: Some(batch),
-                    ..NodeStats::selective(input_rel.len())
-                };
-                (Output::Rows(rel), stats)
+                let rel = algebra::select(&input_rel, predicate)?;
+                (Output::Rows(rel), NodeStats::selective(input_rel.len()))
             }
         },
         Plan::Join {
@@ -1114,11 +1111,9 @@ fn walk<'c, T: Tracer>(
                 _ => {
                     let l = run_input(left)?;
                     let r = &right.rel;
-                    let (rel, batch) =
-                        hash_join_probe_vectorized(&l, r, lk, rk, &idx, DEFAULT_BATCH_SIZE)?;
+                    let rel = algebra::hash_join_probe(&l, r, lk, rk, &idx)?;
                     let stats = NodeStats {
                         est_selectivity: uniform(&idx),
-                        batch: Some(batch),
                         ..NodeStats::selective(l.len() + r.len())
                     };
                     (Output::Rows(rel), stats)
@@ -1181,10 +1176,10 @@ fn select_base<'c, 'p>(
 /// the key column — `None` when the bound predicate has no key-equality
 /// conjunct ([`Predicate::key`]: a `col = literal` on an application
 /// column, reached through top-level ANDs only). The table's per-key
-/// hash index gives the candidate positions and the **whole** predicate
-/// re-runs over them in ascending row order, so the kept rows — and
-/// their order — match a scan exactly. `SELECT` gathers these rows,
-/// `TAG` tags them.
+/// hash index gives the candidate positions and the predicate's verdict
+/// ([`Predicate::matches`], the key conjunct included) re-runs over them
+/// in ascending row order, so the kept rows — and their order — match a
+/// scan exactly. `SELECT` gathers these rows, `TAG` tags them.
 fn keyed_rows<'p>(
     entry: &TableEntry,
     predicate: &'p Predicate,

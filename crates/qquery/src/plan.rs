@@ -295,8 +295,8 @@ pub trait AccessPathStats {
 /// At or above this estimated matching fraction an index scan stops
 /// paying for itself and the planner keeps the scan.
 ///
-/// Retuned from 0.5 after the vectorized executor landed: the indexed
-/// path now feeds candidate words straight into the batch pipeline (no
+/// Retuned from 0.5 after the batch kernels landed: the indexed path
+/// feeds candidate words straight into the columnar batch loop (no
 /// row-id materialization), so gather cost stays below scan cost until
 /// almost all rows survive. B7 measurements show the bitmap path still
 /// winning at 50% selectivity; only near-total matches (≥ 90%) pay more
@@ -1019,7 +1019,7 @@ mod tests {
     fn optimize_keeps_scan_when_unselective_or_disabled() {
         let cat = tagged_catalog();
         // 2 of 3 rows match → est 0.667, below the 0.9 cutoff → the
-        // vectorized indexed path still wins and the planner takes it.
+        // columnar indexed path still wins and the planner takes it.
         let stmt =
             parse("SELECT * FROM stocks WITH QUALITY (price@source = 'NYSE feed')").unwrap();
         let planner = Planner::default();

@@ -165,7 +165,7 @@ impl SharedCatalog {
         let mut catalog = QueryCatalog::new();
         let names: Vec<String> = db.tagged_names().iter().map(|n| n.to_string()).collect();
         for name in names {
-            let rel = db.tagged(&name)?.relation().clone();
+            let rel = db.tagged(&name)?.clone();
             catalog.register(name, rel);
         }
         let epoch = db.epoch();
@@ -249,7 +249,7 @@ impl SharedCatalog {
                 let staged = write.apply(&mut next);
                 let logged = staged.and_then(|res| {
                     let mut db = lock(&db)?;
-                    let len = db.tagged(&table)?.relation().len();
+                    let len = db.tagged(&table)?.len();
                     for (row, column, tag) in tags {
                         // Rows past the end were skipped by the
                         // catalog-side conflict re-apply too.

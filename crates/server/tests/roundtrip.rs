@@ -308,6 +308,58 @@ fn integer_overflow_is_an_error_on_every_access_path() {
     server.shutdown();
 }
 
+/// One verdict per row: a `WHERE`'s conjuncts run in written order and
+/// the first that is not true drops the row, so a division by zero
+/// behind a guard no row passes never runs — whether the σ is keyed, a
+/// columnar scan, a `TAG`'s mask or a `HAVING` over groups. Each pair
+/// answers alike, byte-equal embedded and over the wire; the same
+/// fault with a guard some row passes fails alike everywhere.
+#[test]
+fn guarded_faults_answer_alike_on_every_access_path() {
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let rows = (0..10i64)
+        .map(|k| vec![QualityCell::bare(k), QualityCell::bare(k * 3)])
+        .collect();
+    let rel = TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap();
+    let mut embedded = QueryCatalog::new();
+    embedded.register("t", rel);
+    let server = start(test_config(), embedded.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut both = |sql: &str| -> Result<String, String> {
+        let here = run_mut(&mut embedded, sql).map(|r| render_result(&r)).map_err(|e| e.to_string());
+        let wire = client.query(sql).map_err(|e| match e {
+            ClientError::Server(msg) => msg,
+            other => panic!("{sql}: {other:?}"),
+        });
+        assert_eq!(wire, here, "{sql}");
+        here
+    };
+    let fault = "v / 0 = 1";
+    let no_rows = Ok("+---+---+\n| k | v |\n+---+---+\n+---+---+\n".to_owned());
+    // keyed lookup vs columnar range scan
+    assert_eq!(both(&format!("SELECT * FROM t WHERE k = 5 AND v > 100 AND {fault}")), no_rows);
+    let range = format!("SELECT * FROM t WHERE k >= 5 AND k <= 5 AND v > 100 AND {fault}");
+    assert_eq!(both(&range), no_rows);
+    // the SELECT and the TAG that filter alike
+    assert_eq!(both(&format!("SELECT * FROM t WHERE k > 100 AND {fault}")), no_rows);
+    let tag = both(&format!("TAG t SET v@source = 'x' WHERE k > 100 AND {fault}"));
+    assert!(tag.unwrap().contains("| 0            |"), "cells_tagged 0");
+    let having = "SELECT k, COUNT(*) AS n FROM t GROUP BY k HAVING k > 100 AND n / 0 = 1";
+    assert_eq!(both(having), both("SELECT k, COUNT(*) AS n FROM t WHERE k > 100 GROUP BY k"));
+    for unguarded in [
+        format!("SELECT * FROM t WHERE k = 5 AND {fault}"),
+        format!("SELECT * FROM t WHERE k >= 5 AND k <= 5 AND {fault}"),
+        format!("TAG t SET v@source = 'x' WHERE k > 1 AND {fault}"),
+        "SELECT k, COUNT(*) AS n FROM t GROUP BY k HAVING k > 1 AND n / 0 = 1".to_owned(),
+    ] {
+        assert_eq!(both(&unguarded), Err("arithmetic error: division by zero".into()));
+    }
+    // nothing was tagged, and the session still answers
+    let probe = "SELECT k FROM t WITH QUALITY (v@source = 'x')";
+    assert_eq!(both(probe), both("SELECT k FROM t WHERE k > 100"));
+    server.shutdown();
+}
+
 /// A profile standard over an indicator a table's dictionary does not
 /// declare is skipped for that table, not injected and then refused:
 /// the table answers as if the profile said nothing about it.

@@ -2,7 +2,7 @@
 //!
 //! One database directory holds WAL segments plus checkpoints covering
 //! three kinds of state: plain `relstore` tables, `tagstore` tagged
-//! relations (kept behind their quality bitmap indexes), and the
+//! relations (resident rows, or pages behind the buffer pool), and the
 //! `dq-admin` audit trail. Every mutation is **applied first, logged
 //! second**: the in-memory engine validates and performs the operation,
 //! and only a successful operation is appended to the WAL — so every
@@ -11,13 +11,12 @@
 //!
 //! ## Recovery
 //!
-//! [`DurableDb::open`] loads the newest intact checkpoint, replays the
+//! [`DurableDb::open`] loads the newest intact checkpoint and replays the
 //! WAL records beyond its LSN (the log's torn tail, if any, was already
-//! truncated by the scan), and only then builds the quality bitmap
-//! indexes — one bulk [`QualityIndex::build`] per tagged relation
-//! instead of per-record incremental upkeep.
-//!
-//! [`QualityIndex::build`]: tagstore::QualityIndex::build
+//! truncated by the scan). No index is persisted or rebuilt here: a
+//! resident relation's readers (the query catalog) build their own
+//! access paths, and a paged relation's index is built on its first
+//! indexed read.
 
 use crate::buffer_pool::{BufferPool, LogGate, NoGate};
 use crate::checkpoint::{self, CheckpointData, TaggedSnapshot};
@@ -30,8 +29,8 @@ use relstore::{Database, Date, DbError, DbResult, Expr, Row, Schema, Table, Valu
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tagstore::{
-    IndexedTaggedRelation, IndicatorDef, IndicatorDictionary, IndicatorValue, Predicate,
-    QualityIndex, TaggedRelation, TaggedRow, ToPredicate,
+    IndicatorDef, IndicatorDictionary, IndicatorValue, Predicate, QualityIndex, TaggedRelation,
+    TaggedRow, ToPredicate,
 };
 
 /// Tuning knobs for a durable database.
@@ -109,8 +108,6 @@ pub struct RecoveryReport {
     pub replayed_records: u64,
     /// Bytes of torn WAL tail truncated during the scan.
     pub truncated_bytes: u64,
-    /// Quality bitmap indexes rebuilt (one per tagged relation).
-    pub indexes_rebuilt: usize,
     /// MVCC epoch of the last committed record (checkpoint or WAL) —
     /// the epoch counter the recovered database resumes from.
     pub epoch: u64,
@@ -139,7 +136,7 @@ pub struct DurableDb {
     /// stamped `epoch + 1`; a successful commit advances this.
     epoch: u64,
     db: Database,
-    tagged: BTreeMap<String, IndexedTaggedRelation>,
+    tagged: BTreeMap<String, TaggedRelation>,
     audit: AuditTrail,
     pool: BufferPool,
     paged: BTreeMap<String, PagedRelation>,
@@ -187,8 +184,7 @@ fn remove_key_pos(hash: &mut HashMap<Value, Vec<u64>>, v: &Value, pos: u64) {
     }
 }
 
-/// Mutable state recovery applies records onto: tagged relations stay
-/// *unindexed* until the very end.
+/// Mutable state recovery applies records onto.
 struct Recovering {
     fs: Arc<dyn Fs>,
     db: Database,
@@ -373,17 +369,6 @@ impl DurableDb {
         dq_obs::counter!("recovery.replay").add(replayed);
         dq_obs::counter!("recovery.truncated_bytes").add(scan.truncated_bytes);
 
-        // Index build happens exactly once, after the full redo pass.
-        let indexes_rebuilt = state.tagged.len();
-        let tagged = {
-            let _t = dq_obs::histogram!("recovery.index_rebuild_us").start();
-            state
-                .tagged
-                .into_iter()
-                .map(|(n, rel)| (n, IndexedTaggedRelation::from_relation(rel)))
-                .collect()
-        };
-
         let next_lsn = scan.next_lsn.max(checkpoint_lsn + 1);
         // the committed epoch is whichever authority saw it last: the
         // checkpoint (WAL pruned since) or the replayed log tail
@@ -393,7 +378,6 @@ impl DurableDb {
             checkpoint: ckpt_name,
             replayed_records: replayed,
             truncated_bytes: scan.truncated_bytes,
-            indexes_rebuilt,
             epoch,
         };
         Ok((
@@ -403,7 +387,7 @@ impl DurableDb {
                 group_commit: opts.group_commit,
                 epoch,
                 db: state.db,
-                tagged,
+                tagged: state.tagged,
                 audit: state.audit,
                 pool: state.pool,
                 paged: state.paged,
@@ -504,8 +488,7 @@ impl DurableDb {
         }
         let defs = flatten_dict(&dict);
         let rel = TaggedRelation::empty(schema.clone(), dict);
-        self.tagged
-            .insert(name.to_owned(), IndexedTaggedRelation::from_relation(rel));
+        self.tagged.insert(name.to_owned(), rel);
         self.log(WalRecord::CreateTagged {
             name: name.to_owned(),
             schema,
@@ -513,13 +496,13 @@ impl DurableDb {
         })
     }
 
-    fn tagged_mut(&mut self, name: &str) -> DbResult<&mut IndexedTaggedRelation> {
+    fn tagged_mut(&mut self, name: &str) -> DbResult<&mut TaggedRelation> {
         self.tagged
             .get_mut(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
     }
 
-    /// Appends a tagged row (validated, incrementally indexed).
+    /// Appends a tagged row (validated).
     pub fn push(&mut self, name: &str, row: TaggedRow) -> DbResult<()> {
         self.tagged_mut(name)?.push(row.clone())?;
         self.log(WalRecord::TagPush {
@@ -1044,8 +1027,7 @@ impl DurableDb {
         let tagged = self
             .tagged
             .iter()
-            .map(|(name, itr)| {
-                let rel = itr.relation();
+            .map(|(name, rel)| {
                 TaggedSnapshot {
                     name: name.clone(),
                     schema: rel.schema().clone(),
@@ -1078,8 +1060,8 @@ impl DurableDb {
         self.db.table(name)
     }
 
-    /// One tagged relation with its quality bitmap index.
-    pub fn tagged(&self, name: &str) -> DbResult<&IndexedTaggedRelation> {
+    /// One tagged relation.
+    pub fn tagged(&self, name: &str) -> DbResult<&TaggedRelation> {
         self.tagged
             .get(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
@@ -1186,7 +1168,7 @@ mod tests {
         let stock = db.tagged("stock").unwrap();
         assert_eq!(stock.len(), 1);
         assert_eq!(
-            stock.relation().cell(0, "employees").unwrap().tag_value("source"),
+            stock.cell(0, "employees").unwrap().tag_value("source"),
             Value::text("Nexis")
         );
         assert_eq!(
@@ -1248,7 +1230,6 @@ mod tests {
         assert_eq!(
             db.tagged("stock")
                 .unwrap()
-                .relation()
                 .cell(0, "name")
                 .unwrap()
                 .tag_value("source"),
@@ -1279,29 +1260,6 @@ mod tests {
         assert_eq!(db.last_lsn(), checkpoint_lsn);
         // with the WAL pruned, the checkpoint is the epoch authority
         assert_eq!(db.epoch(), 7);
-    }
-
-    #[test]
-    fn rebuilt_index_matches_scratch_build() {
-        let fs = MemFs::new();
-        let (mut db, _) = open(&fs, false);
-        seed(&mut db);
-        db.push(
-            "stock",
-            vec![
-                QualityCell::bare("Nut Co"),
-                QualityCell::bare(700i64).with_tag(IndicatorValue::new("source", "estimate")),
-            ],
-        )
-        .unwrap();
-        db.swap_remove("stock", 0).unwrap();
-        drop(db);
-        fs.crash();
-        let (db, report) = open(&fs, false);
-        assert_eq!(report.indexes_rebuilt, 1);
-        let recovered = db.tagged("stock").unwrap();
-        let scratch = IndexedTaggedRelation::from_relation(recovered.relation().clone());
-        assert_eq!(recovered, &scratch);
     }
 
     // ---- paged relations ------------------------------------------------

@@ -82,9 +82,17 @@ mod proptests {
     use relstore::{DataType, Date, Expr, Row, Schema, Value};
     use std::sync::Arc;
     use tagstore::{
-        ColumnarRelation, IndexedTaggedRelation, IndicatorDictionary, IndicatorValue, QualityCell,
+        ColumnarRelation, IndicatorDictionary, IndicatorValue, QualityCell, QualityIndex,
         TaggedRelation,
     };
+
+    /// The resident indexed σ, as an `IndexScan` runs it: `rel`'s
+    /// columnar layout behind `index`, selected, then gathered.
+    fn indexed_select(rel: &TaggedRelation, index: &QualityIndex, pred: &Expr) -> TaggedRelation {
+        let crel = ColumnarRelation::from_tagged(rel);
+        let (sel, ..) = tagstore::selection_indexed_columnar(&crel, index, pred, 1024).unwrap();
+        crel.gather(&sel).to_tagged()
+    }
 
     /// One generated operation. Parameters are interpreted mod the
     /// current state so every op always succeeds (the log only ever
@@ -298,19 +306,18 @@ mod proptests {
                 &expect.rows[..]
             );
             if k >= 2 {
-                prop_assert_eq!(db.tagged("q").unwrap().relation(), &expect.q);
+                prop_assert_eq!(db.tagged("q").unwrap(), &expect.q);
             }
             prop_assert_eq!(db.audit_trail().events(), &expect.audit[..]);
         }
 
         /// With autocommit, a [`MemFs::crash`] (drop everything not yet
-        /// fsynced) loses nothing: recovery equals the full replay, the
-        /// rebuilt bitmap index agrees with a from-scratch build, and
-        /// index-accelerated quality selection matches the unindexed
-        /// algebra at 1, 2, and 8 threads. The columnar layout rebuilt
-        /// from the recovered relation must round-trip losslessly, build
-        /// a bit-for-bit identical bitmap index, and answer indexed
-        /// selections identically to the row layout.
+        /// fsynced) loses nothing: recovery equals the full replay. The
+        /// columnar layout rebuilt from the recovered relation must
+        /// round-trip losslessly, build a bitmap index bit-for-bit
+        /// identical to the row build (serial and forced-parallel), and
+        /// answer indexed quality selections identically to the
+        /// unindexed algebra at 1, 2, and 8 threads.
         #[test]
         fn crash_after_commit_loses_nothing_and_indexes_agree(
             ops in prop::collection::vec(arb_op(), 1..24),
@@ -323,37 +330,22 @@ mod proptests {
             prop_assert_eq!(db.audit_trail().events(), &expect.audit[..]);
 
             let recovered = db.tagged("q").unwrap();
-            prop_assert_eq!(recovered.relation(), &expect.q);
-            // bitmap-index parity: recovery's rebuild == scratch build
-            let scratch = IndexedTaggedRelation::from_relation(expect.q.clone());
-            prop_assert_eq!(recovered, &scratch);
-            // and the index answers selections identically at 1/2/8 threads
+            prop_assert_eq!(recovered, &expect.q);
+            let crel = ColumnarRelation::from_tagged(recovered);
+            prop_assert_eq!(&crel.to_tagged(), recovered);
+            let index = QualityIndex::build(recovered);
+            for threads in [1usize, 8] {
+                let built = relstore::par::with_thread_count(threads, || crel.build_index());
+                prop_assert!(built == index, "columnar index build diverged at {threads} threads");
+            }
             let pred = Expr::col("v@source").eq(Expr::lit("a"));
             let reference = tagstore::algebra::select(&expect.q, &pred).unwrap();
             for threads in [1usize, 2, 8] {
                 let got = relstore::par::with_thread_count(threads, || {
-                    recovered.select(&pred).unwrap().0
+                    indexed_select(recovered, &index, &pred)
                 });
                 prop_assert!(got == reference, "select mismatch at {threads} threads");
             }
-
-            // columnar parity after recovery: the layout rebuilt from the
-            // recovered rows is lossless, its index matches the row-built
-            // one bit for bit (serial and forced-parallel), and indexed
-            // columnar selection agrees with the row-at-a-time algebra
-            let crel = ColumnarRelation::from_tagged(recovered.relation());
-            prop_assert_eq!(&crel.to_tagged(), recovered.relation());
-            for threads in [1usize, 8] {
-                let built = relstore::par::with_thread_count(threads, || crel.build_index());
-                prop_assert!(
-                    &built == recovered.index(),
-                    "columnar index build diverged at {threads} threads"
-                );
-            }
-            let (got, _, _) = tagstore::select_indexed_columnar(
-                &crel, recovered.index(), &pred, 1024,
-            ).unwrap();
-            prop_assert_eq!(got.to_tagged(), reference);
         }
     }
 
@@ -514,10 +506,10 @@ mod proptests {
             let pred = Expr::col("v@source").eq(Expr::lit("a"));
             let reference = tagstore::algebra::select(&twin, &pred).unwrap();
             prop_assert_eq!(&db.paged_select("q", &pred).unwrap(), &reference);
-            let indexed = IndexedTaggedRelation::from_relation(recovered);
+            let index = QualityIndex::build(&recovered);
             for threads in [1usize, 2, 8] {
                 let got = relstore::par::with_thread_count(threads, || {
-                    indexed.select(&pred).unwrap().0
+                    indexed_select(&recovered, &index, &pred)
                 });
                 prop_assert!(got == reference, "select mismatch at {threads} threads");
             }
@@ -553,7 +545,7 @@ mod proptests {
                 .iter()
                 .map(|p| tagstore::algebra::select(full, p).unwrap())
                 .collect();
-            let memory = IndexedTaggedRelation::from_relation(full.clone());
+            let memory = QualityIndex::build(full);
 
             let total_pages = {
                 let (mut db, _) = DurableDb::open(
@@ -584,7 +576,7 @@ mod proptests {
                 }
                 for (pred, reference) in preds.iter().zip(&references) {
                     prop_assert_eq!(&db.paged_select("q", pred).unwrap(), reference);
-                    prop_assert_eq!(&memory.select(pred).unwrap().0, reference);
+                    prop_assert_eq!(&indexed_select(full, &memory, pred), reference);
                     for threads in [1usize, 2, 8] {
                         let got = relstore::par::with_thread_count(threads, || {
                             db.paged_select_indexed("q", pred).unwrap().0

@@ -12,17 +12,15 @@
 //! * predicates may reference pseudo-columns `col@indicator`, which is the
 //!   paper's query-time quality filtering.
 
-use crate::bitmap::QualityIndex;
 use crate::fold::Fold;
 use crate::indicator::IndicatorValue;
-use crate::predicate::{Predicate, ToPredicate};
+use crate::predicate::ToPredicate;
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
 use relstore::algebra::AggCall;
 use relstore::index::HashIndex;
 use relstore::{par, Date, DbError, DbResult, Row, Value};
 use std::collections::HashMap;
-use std::fmt;
 
 /// Evaluates an expression (which may reference `col@indicator` and
 /// nested `col@ind@meta` pseudo-columns) on the rows at `ids`, returning
@@ -74,8 +72,9 @@ pub fn evaluate_mask(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbRe
 /// missing evaluate to NULL and are dropped, so *untagged data never
 /// satisfies a quality constraint*.
 ///
-/// The whole bound tree is evaluated row by row, never through the
-/// conjunct kernels: this is the reference the batch, columnar, bitmap
+/// Each row gets [`crate::Predicate::matches`]'s verdict, row by row
+/// through the scalar evaluator. This is σ over an operator's output
+/// (`HAVING`, a join residual) and the reference the columnar, bitmap
 /// and paged σ are tested against. Surviving rows are cloned — a
 /// refcount bump per tagged cell, not a deep copy of its tags. Large
 /// inputs filter in parallel chunks with input order preserved.
@@ -103,26 +102,14 @@ pub fn select(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbResult<Ta
     ))
 }
 
-/// σ over an explicit ascending candidate row-id list: gathers the rows
-/// at `ids`, optionally re-checking `predicate` on each (the residual
-/// pass of index-assisted selection). Chunks over the id list itself, so
+/// σ over an explicit ascending row-id list: gathers the rows at `ids`,
+/// e.g. those a keyed lookup kept. Chunks over the id list itself, so
 /// the parallel win scales with the *surviving* rows, not the relation —
 /// and chunk-order merging keeps the output byte-identical to a serial
 /// gather.
-pub fn select_at(
-    rel: &TaggedRelation,
-    ids: &[usize],
-    predicate: Option<&Predicate>,
-) -> DbResult<TaggedRelation> {
+pub fn select_at(rel: &TaggedRelation, ids: &[usize]) -> DbResult<TaggedRelation> {
     let gather_chunk = |chunk: &[usize]| -> DbResult<Vec<TaggedRow>> {
-        let mut out = Vec::with_capacity(chunk.len());
-        for &id in chunk {
-            let row = row_at(rel, id)?;
-            if predicate.map_or(Ok(true), |p| p.matches(row))? {
-                out.push(row.clone());
-            }
-        }
-        Ok(out)
+        chunk.iter().map(|&id| row_at(rel, id).cloned()).collect()
     };
     let rows = match par::plan(ids.len()) {
         Some(threads) => {
@@ -135,84 +122,6 @@ pub fn select_at(
         rel.dictionary().clone(),
         rows,
     ))
-}
-
-/// How an index-aware σ actually ran — surfaced so tests (and EXPLAIN
-/// output) can assert which path executed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TagAccessPath {
-    /// Full scan: no index-answerable atoms, or an atom the index had to
-    /// refuse (type-error parity), or a stale index.
-    Scan,
-    /// Bitmap-assisted: the atom conjunction resolved to a candidate
-    /// bitset; `residual` says whether a per-row pass still ran.
-    Bitmap {
-        /// Rendered atoms the bitmaps answered.
-        atoms: Vec<String>,
-        /// Candidate rows surviving the bitmap intersection.
-        candidates: usize,
-        /// Whether non-atomic conjuncts forced a residual per-row pass.
-        residual: bool,
-    },
-}
-
-impl fmt::Display for TagAccessPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TagAccessPath::Scan => write!(f, "scan"),
-            TagAccessPath::Bitmap {
-                atoms,
-                candidates,
-                residual,
-            } => {
-                write!(f, "bitmap[{}] candidates={candidates}", atoms.join(" AND "))?;
-                if *residual {
-                    write!(f, " +residual")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Index-assisted σ: resolves the predicate's quality atoms against the
-/// bitmap `index`, then gathers (and residual-filters) only the
-/// surviving candidates via [`select_at`]. Falls back to the full
-/// [`select`] scan whenever the index cannot answer *exactly* — so the
-/// result (rows, order, and errors on answerable predicates) is
-/// byte-identical to the scan, just cheaper.
-pub fn select_indexed(
-    rel: &TaggedRelation,
-    index: &QualityIndex,
-    predicate: &impl ToPredicate,
-) -> DbResult<(TaggedRelation, TagAccessPath)> {
-    let bound = predicate.to_predicate(rel.schema(), rel.dictionary())?;
-    let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
-    let scan = || {
-        dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
-        Ok((select(rel, &*bound)?, TagAccessPath::Scan))
-    };
-    let atoms = bound.atoms();
-    if index.rows() != rel.len() || atoms.is_empty() {
-        return scan(); // stale index — never trust it — or nothing to ask
-    }
-    let Some(bs) = index.candidates(atoms) else {
-        return scan();
-    };
-    let ids: Vec<usize> = bs.iter_ones().collect();
-    dq_obs::counter!("tagstore.bitmap.intersections").add(atoms.len() as u64);
-    dq_obs::counter!("tagstore.bitmap.candidate_rows").add(ids.len() as u64);
-    let path = TagAccessPath::Bitmap {
-        atoms: atoms.iter().map(|a| a.to_string()).collect(),
-        candidates: ids.len(),
-        residual: bound.has_residual(),
-    };
-    // Re-check the *full* predicate when any residual exists: correct
-    // regardless of how it interleaves with atoms, and atom re-checks
-    // are cheap.
-    let filtered = select_at(rel, &ids, bound.has_residual().then_some(&*bound))?;
-    dq_obs::counter!("tagstore.bitmap.gathered_rows").add(filtered.len() as u64);
-    Ok((filtered, path))
 }
 
 /// π — projects onto named columns; tags travel with cells (shared, not
@@ -624,59 +533,14 @@ mod tests {
     }
 
     #[test]
-    fn select_indexed_matches_scan_and_reports_path() {
-        let rel = prices();
-        let idx = QualityIndex::build(&rel);
-        // pure quality atom → bitmap path, no residual
-        let p = Expr::col("price@source").eq(Expr::lit("NYSE feed"));
-        let (r, path) = select_indexed(&rel, &idx, &p).unwrap();
-        assert_eq!(r, select(&rel, &p).unwrap());
-        assert_eq!(
-            path,
-            TagAccessPath::Bitmap {
-                atoms: vec!["price@source=NYSE feed".into()],
-                candidates: 2,
-                residual: false,
-            }
-        );
-        assert_eq!(path.to_string(), "bitmap[price@source=NYSE feed] candidates=2");
-        // mixed quality + value predicate → bitmap with residual
-        let p = Expr::col("price@source")
-            .ne(Expr::lit("manual entry"))
-            .and(Expr::col("price").gt(Expr::lit(15.0)));
-        let (r, path) = select_indexed(&rel, &idx, &p).unwrap();
-        assert_eq!(r, select(&rel, &p).unwrap());
-        assert!(matches!(path, TagAccessPath::Bitmap { residual: true, .. }));
-        // value-only predicate → scan
-        let p = Expr::col("price").gt(Expr::lit(15.0));
-        let (r, path) = select_indexed(&rel, &idx, &p).unwrap();
-        assert_eq!(r, select(&rel, &p).unwrap());
-        assert_eq!(path, TagAccessPath::Scan);
-        // stale index (built before a push) → scan, still correct
-        let mut grown = rel.clone();
-        grown
-            .push(vec![QualityCell::bare("ZZZ"), QualityCell::bare(5.0)])
-            .unwrap();
-        let p = Expr::col("price@source").eq(Expr::lit("NYSE feed"));
-        let (r, path) = select_indexed(&grown, &idx, &p).unwrap();
-        assert_eq!(r, select(&grown, &p).unwrap());
-        assert_eq!(path, TagAccessPath::Scan);
-        // malformed predicate errors exactly like the scan would
-        let bad = Expr::col("ghost@source").eq(Expr::lit("x"));
-        assert!(select_indexed(&rel, &idx, &bad).is_err());
-    }
-
-    #[test]
     fn select_at_gathers_and_filters() {
         let rel = prices();
-        let r = select_at(&rel, &[0, 2], None).unwrap();
+        let r = select_at(&rel, &[0, 2]).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.cell(1, "ticker").unwrap().value, Value::text("BLT"));
-        let p = Expr::col("price").gt(Expr::lit(15.0));
-        let p = Predicate::bind(rel.schema(), rel.dictionary(), &p).unwrap();
-        let r = select_at(&rel, &[0, 2], Some(&p)).unwrap();
-        assert_eq!(r.len(), 1);
-        assert!(select_at(&rel, &[99], None).is_err());
+        assert_eq!(r.rows(), [rel.rows()[0].clone(), rel.rows()[2].clone()]);
+        assert!(select_at(&rel, &[]).unwrap().is_empty());
+        assert!(select_at(&rel, &[99]).is_err());
     }
 
     #[test]

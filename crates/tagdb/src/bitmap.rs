@@ -34,13 +34,14 @@
 //! * `BETWEEN` evaluates on the raw total order (the evaluator skips the
 //!   comparability check for it), so it is always answerable.
 //!
-//! One caveat is inherent to index narrowing: when a *residual* conjunct
-//! raises a runtime error (division by zero, overflow, or a type error
-//! over an `Any` operand) on a row the index already excluded, the
-//! indexed path cannot observe that error.
+//! One caveat is inherent to index narrowing. A row's verdict runs its
+//! conjuncts in written order ([`crate::Predicate::matches`]), so a
+//! conjunct that raises a runtime error (division by zero, overflow, or
+//! a type error over an `Any` operand) behind an atom never runs on the
+//! rows that atom rejects, on any path. Written *before* an atom, it
+//! runs on every row under a scan, while the indexed path re-checks only
+//! the atoms' candidates and cannot observe the error on the others.
 
-use crate::cell::QualityCell;
-use crate::predicate::ToPredicate;
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
 use relstore::Value;
@@ -204,7 +205,7 @@ impl Bitset {
     }
 
     /// Mutable access to the backing words, for word-at-a-time kernels
-    /// (the vectorized executor's selection vectors). Clearing bits is
+    /// (the columnar kernels' selection vectors). Clearing bits is
     /// always safe; callers must not *set* bits at positions `>= len()`
     /// (the tail invariant every other operation relies on).
     pub fn words_mut(&mut self) -> &mut [u64] {
@@ -222,7 +223,7 @@ impl Bitset {
     }
 
     /// Copies bits `start..start + len` into a fresh `len`-bit bitset —
-    /// the word-at-a-time batch slice used by the vectorized executor.
+    /// the word-at-a-time batch slice used by the columnar kernels.
     /// Bits beyond `self.len()` read as zero. Word-aligned starts copy
     /// whole words; unaligned starts stitch adjacent words with shifts.
     pub fn extract_range(&self, start: usize, len: usize) -> Bitset {
@@ -572,9 +573,8 @@ impl QualityIndex {
     /// are dropped, so a drained index compares equal to a fresh one.
     ///
     /// # Panics
-    /// When `row` is out of range — callers delete through
-    /// [`IndexedTaggedRelation::swap_remove`], which validates against
-    /// the relation first.
+    /// When `row` is out of range — callers validate it against the
+    /// relation first.
     pub fn delete_row(&mut self, row: usize) {
         assert!(row < self.rows, "delete_row: row {row} >= {}", self.rows);
         dq_obs::counter!("tagstore.index.deletes").incr();
@@ -669,103 +669,58 @@ fn as_ref(b: &Bound<Value>) -> Bound<&Value> {
     }
 }
 
-/// A tagged relation bundled with its incrementally-maintained quality
-/// bitmap index — the storage form for index-accelerated quality
-/// selection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexedTaggedRelation {
-    rel: TaggedRelation,
-    index: QualityIndex,
-}
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::cell::QualityCell;
+    use crate::indicator::{IndicatorDictionary, IndicatorValue};
+    use crate::predicate::Predicate;
+    use relstore::{DataType, DbResult, Expr, Schema};
 
-impl IndexedTaggedRelation {
-    /// Wraps a relation, building its index (bulk-load rebuild).
-    pub fn from_relation(rel: TaggedRelation) -> Self {
-        let index = QualityIndex::build(&rel);
-        IndexedTaggedRelation { rel, index }
+    // A relation and its index kept in step by hand, as the paged heap
+    // and a `TAG`'s successor table entry keep theirs.
+
+    /// Appends `row`, indexing it incrementally.
+    pub(crate) fn push(rel: &mut TaggedRelation, idx: &mut QualityIndex, row: TaggedRow) {
+        rel.push(row).unwrap();
+        idx.note_row(rel.rows().last().expect("just pushed"));
     }
 
-    /// The underlying relation.
-    pub fn relation(&self) -> &TaggedRelation {
-        &self.rel
+    /// Tags one cell, retagging the index incrementally.
+    pub(crate) fn retag(
+        rel: &mut TaggedRelation,
+        idx: &mut QualityIndex,
+        row: usize,
+        column: &str,
+        tag: IndicatorValue,
+    ) {
+        let ci = rel.schema().resolve(column).unwrap();
+        let old = rel.rows()[row][ci].tag_sym(&tag.indicator).map(|t| t.value.clone());
+        idx.retag(row, ci, old.as_ref(), &tag.indicator, &tag.value);
+        rel.tag_cell(row, column, tag).unwrap();
     }
 
-    /// The maintained index.
-    pub fn index(&self) -> &QualityIndex {
-        &self.index
-    }
-
-    /// Row count.
-    pub fn len(&self) -> usize {
-        self.rel.len()
-    }
-
-    /// True iff no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rel.is_empty()
-    }
-
-    /// Validates and appends a row, indexing its tags incrementally.
-    pub fn push(&mut self, row: TaggedRow) -> relstore::DbResult<()> {
-        self.rel.push(row)?;
-        dq_obs::counter!("tagstore.index.note_rows").incr();
-        self.index
-            .note_row(self.rel.rows().last().expect("just pushed"));
-        Ok(())
-    }
-
-    /// Deletes row `row` by swap-remove (O(1) in the relation, one
-    /// positional fix-up pass over the index postings), returning the
-    /// removed row. Incremental: the index is never rebuilt.
-    pub fn swap_remove(&mut self, row: usize) -> relstore::DbResult<TaggedRow> {
-        let removed = self.rel.swap_remove(row)?;
-        self.index.delete_row(row);
+    /// Swap-removes `row`, re-homing the moved row's bits.
+    pub(crate) fn swap_remove(
+        rel: &mut TaggedRelation,
+        idx: &mut QualityIndex,
+        row: usize,
+    ) -> DbResult<TaggedRow> {
+        let removed = rel.swap_remove(row)?;
+        idx.delete_row(row);
         Ok(removed)
     }
 
-    /// Tags one cell (validated against the dictionary), updating the
-    /// index incrementally.
-    pub fn tag_cell(
-        &mut self,
-        row: usize,
-        column: &str,
-        tag: crate::indicator::IndicatorValue,
-    ) -> relstore::DbResult<()> {
-        let ci = self.rel.schema().resolve(column)?;
-        let old = self
-            .rel
-            .rows()
-            .get(row)
-            .and_then(|r| cell_tag_value(r, ci, &tag.indicator));
-        let indicator = tag.indicator.clone();
-        let new = tag.value.clone();
-        self.rel.tag_cell(row, column, tag)?;
-        dq_obs::counter!("tagstore.index.retags").incr();
-        self.index.retag(row, ci, old.as_ref(), &indicator, &new);
-        Ok(())
+    /// The columnar indexed σ, gathered — what an `IndexScan` runs.
+    pub(crate) fn index_scan(
+        rel: &TaggedRelation,
+        idx: &QualityIndex,
+        p: &Expr,
+    ) -> TaggedRelation {
+        let crel = crate::ColumnarRelation::from_tagged(rel);
+        let (sel, ..) = crate::selection_indexed_columnar(&crel, idx, p, 7).unwrap();
+        crel.gather(&sel).to_tagged()
     }
-
-    /// Index-accelerated σ: see [`crate::algebra::select_indexed`].
-    pub fn select(
-        &self,
-        predicate: &impl ToPredicate,
-    ) -> relstore::DbResult<(TaggedRelation, crate::algebra::TagAccessPath)> {
-        crate::algebra::select_indexed(&self.rel, &self.index, predicate)
-    }
-}
-
-fn cell_tag_value(row: &[QualityCell], ci: usize, indicator: &Symbol) -> Option<Value> {
-    row.get(ci)
-        .and_then(|c| c.tag_sym(indicator))
-        .map(|t| t.value.clone())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::indicator::{IndicatorDictionary, IndicatorValue};
-    use crate::predicate::Predicate;
-    use relstore::{DataType, Expr, Schema};
 
     #[test]
     fn bitset_ops() {
@@ -1048,50 +1003,49 @@ mod tests {
     #[test]
     fn incremental_equals_rebuild_on_push() {
         let r = rel();
-        let mut inc = IndexedTaggedRelation::from_relation(TaggedRelation::empty(
-            r.schema().clone(),
-            r.dictionary().clone(),
-        ));
+        let mut inc = TaggedRelation::empty(r.schema().clone(), r.dictionary().clone());
+        let mut idx = QualityIndex::new();
         for row in r.iter() {
-            inc.push(row.clone()).unwrap();
+            push(&mut inc, &mut idx, row.clone());
         }
-        assert_eq!(inc.index(), &QualityIndex::build(&r));
+        assert_eq!(idx, QualityIndex::build(&r));
     }
 
     #[test]
     fn retag_tracks_mutation() {
-        let r = rel();
-        let mut ir = IndexedTaggedRelation::from_relation(r);
+        let mut r = rel();
+        let mut idx = QualityIndex::build(&r);
         // row 1: source b → a
-        ir.tag_cell(1, "v", IndicatorValue::new("source", "a")).unwrap();
-        let a = atom(ir.relation(), &Expr::col("v@source").eq(Expr::lit("a")));
+        retag(&mut r, &mut idx, 1, "v", IndicatorValue::new("source", "a"));
+        let a = atom(&r, &Expr::col("v@source").eq(Expr::lit("a")));
         assert_eq!(
-            ir.index().lookup(&a).unwrap().iter_ones().collect::<Vec<_>>(),
+            idx.lookup(&a).unwrap().iter_ones().collect::<Vec<_>>(),
             vec![0, 1, 3]
         );
-        let b = atom(ir.relation(), &Expr::col("v@source").eq(Expr::lit("b")));
-        assert_eq!(ir.index().lookup(&b).unwrap().count(), 0);
+        let b = atom(&r, &Expr::col("v@source").eq(Expr::lit("b")));
+        assert_eq!(idx.lookup(&b).unwrap().count(), 0);
         // fresh tag on a previously untagged cell
-        ir.tag_cell(4, "v", IndicatorValue::new("age", 7i64)).unwrap();
-        let c = atom(ir.relation(), &Expr::col("v@age").le(Expr::lit(7i64)));
+        retag(&mut r, &mut idx, 4, "v", IndicatorValue::new("age", 7i64));
+        let c = atom(&r, &Expr::col("v@age").le(Expr::lit(7i64)));
         assert_eq!(
-            ir.index().lookup(&c).unwrap().iter_ones().collect::<Vec<_>>(),
+            idx.lookup(&c).unwrap().iter_ones().collect::<Vec<_>>(),
             vec![0, 4]
         );
     }
 
     #[test]
     fn retag_drops_values_no_row_carries() {
-        let mut ir = IndexedTaggedRelation::from_relation(rel());
+        let mut r = rel();
+        let mut idx = QualityIndex::build(&r);
         let age = Symbol::intern("age");
         // rows 0, 2, 3 carry ages 5, 20, 10; cycle row 0 through 50 more
         for a in 100..150i64 {
-            ir.tag_cell(0, "v", IndicatorValue::new("age", a)).unwrap();
-            assert_eq!(ir.index().posting(1, &age).unwrap().distinct_values(), 3);
+            retag(&mut r, &mut idx, 0, "v", IndicatorValue::new("age", a));
+            assert_eq!(idx.posting(1, &age).unwrap().distinct_values(), 3);
         }
         // a NULL retag untags the cell and drops its value too
-        ir.tag_cell(0, "v", IndicatorValue::new("age", Value::Null)).unwrap();
-        let posting = ir.index().posting(1, &age).unwrap();
+        retag(&mut r, &mut idx, 0, "v", IndicatorValue::new("age", Value::Null));
+        let posting = idx.posting(1, &age).unwrap();
         assert_eq!((posting.distinct_values(), posting.tagged.count()), (2, 2));
     }
 
@@ -1113,40 +1067,41 @@ mod tests {
 
     #[test]
     fn swap_delete_rehomes_moved_row() {
-        let r = rel();
-        let mut ir = IndexedTaggedRelation::from_relation(r);
+        let mut r = rel();
+        let mut idx = QualityIndex::build(&r);
         // remove row 1 (source=b); row 4 (untagged) moves into its place
-        let removed = ir.swap_remove(1).unwrap();
+        let removed = swap_remove(&mut r, &mut idx, 1).unwrap();
         assert_eq!(removed[0].value, Value::Int(1));
-        assert_eq!(ir.len(), 4);
-        assert_eq!(ir.index().rows(), 4);
+        assert_eq!(r.len(), 4);
+        assert_eq!(idx.rows(), 4);
         // source=b is gone entirely — pruned, not a lingering empty bitset
-        let b = atom(ir.relation(), &Expr::col("v@source").eq(Expr::lit("b")));
-        assert_eq!(ir.index().lookup(&b).unwrap().count(), 0);
+        let b = atom(&r, &Expr::col("v@source").eq(Expr::lit("b")));
+        assert_eq!(idx.lookup(&b).unwrap().count(), 0);
         // every selection still matches a scan of the mutated relation
         for p in [
             Expr::col("v@source").eq(Expr::lit("a")),
             Expr::col("v@source").ne(Expr::lit("a")),
             Expr::col("v@age").le(Expr::lit(10i64)),
         ] {
-            let (fast, _) = ir.select(&p).unwrap();
-            assert_eq!(fast, crate::algebra::select(ir.relation(), &p).unwrap(), "{p:?}");
+            let fast = index_scan(&r, &idx, &p);
+            assert_eq!(fast, crate::algebra::select(&r, &p).unwrap(), "{p:?}");
         }
     }
 
     #[test]
     fn drained_index_equals_fresh() {
-        let mut ir = IndexedTaggedRelation::from_relation(rel());
-        assert!(ir.swap_remove(99).is_err()); // out of range: relation rejects
-        while !ir.is_empty() {
-            ir.swap_remove(0).unwrap();
+        let mut r = rel();
+        let mut idx = QualityIndex::build(&r);
+        assert!(swap_remove(&mut r, &mut idx, 99).is_err()); // out of range: relation rejects
+        while !r.is_empty() {
+            swap_remove(&mut r, &mut idx, 0).unwrap();
         }
         // pruning leaves no posting garbage behind
-        assert_eq!(ir.index(), &QualityIndex::new());
+        assert_eq!(idx, QualityIndex::new());
         // estimates on the empty index are defined (0.0), never NaN
         let probe = rel();
         let (atoms, _) = bound_atoms(&probe, &Expr::col("v@source").eq(Expr::lit("a")));
-        let est = ir.index().estimate(&atoms).unwrap();
+        let est = idx.estimate(&atoms).unwrap();
         assert_eq!(est, 0.0);
         assert!(est.is_finite());
     }

@@ -1,6 +1,8 @@
 //! Columnar tagged storage: per-column typed arrays + run-length-encoded
-//! tag runs, so vectorized kernels read contiguous memory instead of
-//! chasing `Vec<QualityCell>` row pointers.
+//! tag runs, so the batch kernels read contiguous memory instead of
+//! chasing `Vec<QualityCell>` row pointers. This is the σ and ⋈-probe
+//! path over resident base tables; σ over an operator's output is the
+//! row algebra's ([`crate::algebra::select`]).
 //!
 //! ## Layout
 //!
@@ -26,17 +28,20 @@
 //! is an exact round trip: values, null validity, relation tags, and
 //! per-cell tag sets — including `Arc` identity, so cells that shared a
 //! tag allocation still share it after the round trip. Every columnar
-//! operator (σ, indexed σ, π, ⋈ probe, index build) produces output
-//! `to_tagged()`-equal to the row-at-a-time reference; the property
-//! tests pin this at batch sizes 1/7/1024 and 1/2/8 threads. The kernels
-//! are the bound [`Predicate`]'s conjuncts, as in `tagstore::vector`:
-//! NULLs drop first, `=`/`≠` use the storage total order, a typed kernel
-//! runs no type check per row (binding made its literal comparable), and
-//! a generic conjunct — including one over an `Any`-typed, `Mixed`
-//! column — is the scalar evaluator over materialized rows, with the
-//! same batch-granular error-row caveat.
+//! operator (σ and indexed σ with [`ColumnarRelation::gather`], ⋈ probe,
+//! index build) produces output `to_tagged()`-equal to the row-at-a-time
+//! reference; the property tests pin this at batch sizes 1/7/1024 and
+//! 1/2/8 threads. The kernels are the bound [`Predicate`]'s conjuncts,
+//! run in written order over a batch's selection vector, so each row
+//! gets [`Predicate::matches`]'s verdict: NULLs drop first, `=`/`≠` use
+//! the storage total order, a typed kernel runs no type check per row
+//! (binding made its literal comparable), and a generic conjunct —
+//! including one over an `Any`-typed, `Mixed` column — is the scalar
+//! evaluator over materialized rows. Conjuncts run batch-at-a-time, so
+//! when two rows would raise different runtime errors, the one reported
+//! may come from a different row than the row σ's.
 
-use crate::algebra::{TagAccessPath, TagPolicy};
+use crate::algebra::TagPolicy;
 use crate::bitmap::{Bitset, QualityIndex};
 use crate::cell::QualityCell;
 use crate::fold::{Cells, Fold};
@@ -44,7 +49,6 @@ use crate::indicator::{IndicatorDictionary, IndicatorValue};
 use crate::predicate::{Access, Kernel, Predicate, ToPredicate};
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
-use crate::vector::{for_each_run, retain, BatchStats};
 use relstore::algebra::AggCall;
 use relstore::expr::BinOp;
 use relstore::index::HashIndex;
@@ -610,6 +614,78 @@ impl ColumnarBuilder {
 // Kernel evaluation over columns
 // ---------------------------------------------------------------------
 
+/// Default rows per batch — large enough to amortize per-batch
+/// bookkeeping, small enough that a batch's cells stay cache-resident.
+pub const DEFAULT_BATCH_SIZE: usize = 1024;
+
+/// Per-operator batch accounting, surfaced through EXPLAIN ANALYZE and
+/// the `columnar.*` metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchStats {
+    /// Batches actually processed (all-dead windows are skipped).
+    pub batches: usize,
+    /// Configured rows per batch.
+    pub batch_size: usize,
+    /// Rows entering the operator (selected candidates, not the window).
+    pub rows_in: usize,
+    /// Rows surviving the operator.
+    pub rows_out: usize,
+}
+
+impl BatchStats {
+    fn new(batch_size: usize) -> Self {
+        BatchStats {
+            batches: 0,
+            batch_size,
+            rows_in: 0,
+            rows_out: 0,
+        }
+    }
+
+    fn absorb(&mut self, other: BatchStats) {
+        self.batches += other.batches;
+        self.rows_in += other.rows_in;
+        self.rows_out += other.rows_out;
+    }
+}
+
+/// Clears the bit of every live row `test` rejects — word-at-a-time,
+/// branch-free per bit, rows visited in ascending order so the first
+/// error is the first failing row's.
+fn retain(sel: &mut Bitset, mut test: impl FnMut(usize) -> DbResult<bool>) -> DbResult<()> {
+    for (wi, word) in sel.words_mut().iter_mut().enumerate() {
+        let mut bits = *word;
+        let mut keep = bits;
+        while bits != 0 {
+            let tz = bits.trailing_zeros();
+            bits &= bits - 1;
+            let ok = test(wi * 64 + tz as usize)?;
+            keep &= !(u64::from(!ok) << tz);
+        }
+        *word = keep;
+    }
+    Ok(())
+}
+
+/// Calls `f(run_start, run_len)` for each maximal run of consecutive set
+/// bits — the "surviving batch slice" unit of tag propagation.
+fn for_each_run(sel: &Bitset, mut f: impl FnMut(usize, usize)) {
+    let mut run: Option<(usize, usize)> = None;
+    for i in sel.iter_ones() {
+        run = match run {
+            Some((s, e)) if i == e => Some((s, e + 1)),
+            Some((s, e)) => {
+                f(s, e - s);
+                Some((i, i + 1))
+            }
+            None => Some((i, i + 1)),
+        };
+    }
+    if let Some((s, e)) = run {
+        f(s, e - s);
+    }
+}
+
 /// Word mask of bit positions `start..end` within word `wi`.
 fn range_mask(wi: usize, start: usize, end: usize) -> u64 {
     let lo = start.max(wi * 64);
@@ -738,8 +814,7 @@ fn tag_path_value<'a>(tags: Option<&'a SharedTags>, path: &[Symbol]) -> &'a Valu
 /// Tag-access kernels evaluate **once per run segment**: every row of a
 /// run shares one tag vector, so the verdict applies to the whole
 /// segment (cleared word-at-a-time when it fails). This is where run
-/// encoding beats both the row path and the row-gather vectorized path
-/// on bulk-tagged columns.
+/// encoding beats the row path on bulk-tagged columns.
 fn apply_tag_kernel(
     col: &Column,
     path: &[Symbol],
@@ -861,7 +936,9 @@ fn run_selection(
 }
 
 /// Columnar σ's selection: the rows of `crel` that satisfy `predicate`,
-/// as a bitset over its rows, not yet gathered.
+/// as a bitset over its rows, not yet gathered. Gathered
+/// ([`ColumnarRelation::gather`]), it is `to_tagged()`-identical to
+/// [`crate::algebra::select`].
 pub fn selection_columnar(
     crel: &ColumnarRelation,
     predicate: &impl ToPredicate,
@@ -871,20 +948,32 @@ pub fn selection_columnar(
     run_selection(crel, None, Some(&pred), batch_size)
 }
 
-/// Columnar σ — `to_tagged()`-identical to [`crate::algebra::select`]
-/// and [`crate::select_vectorized`], reading contiguous column arrays.
-pub fn select_columnar(
-    crel: &ColumnarRelation,
-    predicate: &impl ToPredicate,
-    batch_size: usize,
-) -> DbResult<(ColumnarRelation, BatchStats)> {
-    let (sel, stats) = selection_columnar(crel, predicate, batch_size)?;
-    Ok((crel.gather(&sel), stats))
+/// How an index-assisted σ actually ran — surfaced so tests (and
+/// benchmarks) can assert which path executed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TagAccessPath {
+    /// Full scan: no index-answerable atoms, or an atom the index had to
+    /// refuse (type-error parity), or a stale index.
+    Scan,
+    /// Bitmap-assisted: the atom conjunction resolved to a candidate
+    /// bitset; `residual` says whether a per-row pass still ran.
+    Bitmap {
+        /// Rendered atoms the bitmaps answered.
+        atoms: Vec<String>,
+        /// Candidate rows surviving the bitmap intersection.
+        candidates: usize,
+        /// Whether non-atomic conjuncts forced a residual per-row pass.
+        residual: bool,
+    },
 }
 
-/// [`select_indexed_columnar`]'s selection, not yet gathered: the bitmap
+/// Index-assisted columnar σ's selection, not yet gathered: the bitmap
 /// index's candidate words flow straight into per-batch selection
-/// vectors, and only the residual (if any) is re-checked.
+/// vectors, and the predicate is re-checked on the candidates only when
+/// some conjunct is not an atom. Falls back to [`selection_columnar`]'s
+/// scan whenever the index cannot answer exactly (a stale index, no
+/// atoms, an atom refused for type-error parity); the returned
+/// [`TagAccessPath`] says which ran.
 pub fn selection_indexed_columnar(
     crel: &ColumnarRelation,
     index: &QualityIndex,
@@ -906,8 +995,9 @@ pub fn selection_indexed_columnar(
         return scan();
     };
     dq_obs::counter!("tagstore.bitmap.intersections").add(atoms.len() as u64);
-    // Re-check the *full* predicate when any residual conjunct exists —
-    // same policy as the row path.
+    // Re-check the *full* predicate when any residual conjunct exists:
+    // correct however residuals interleave with atoms, and atom
+    // re-checks are cheap.
     let recheck = pred.has_residual().then_some(&*pred);
     let (sel, stats) = run_selection(crel, Some(&bs), recheck, batch_size)?;
     dq_obs::counter!("tagstore.bitmap.candidate_rows").add(stats.rows_in as u64);
@@ -918,38 +1008,6 @@ pub fn selection_indexed_columnar(
         residual: pred.has_residual(),
     };
     Ok((sel, path, stats))
-}
-
-/// Columnar index-assisted σ — identical rows, tags, and access-path
-/// reporting to [`crate::algebra::select_indexed`], with only surviving
-/// runs gathered into output columns.
-pub fn select_indexed_columnar(
-    crel: &ColumnarRelation,
-    index: &QualityIndex,
-    predicate: &impl ToPredicate,
-    batch_size: usize,
-) -> DbResult<(ColumnarRelation, TagAccessPath, BatchStats)> {
-    let (sel, path, stats) = selection_indexed_columnar(crel, index, predicate, batch_size)?;
-    Ok((crel.gather(&sel), path, stats))
-}
-
-/// Columnar π — whole-column clones (typed-array `memcpy` + tag-run
-/// `Arc` bumps), no per-row work at all. `to_tagged()`-identical to
-/// [`crate::algebra::project`].
-pub fn project_columnar(crel: &ColumnarRelation, columns: &[&str]) -> DbResult<ColumnarRelation> {
-    let indices: Vec<usize> = columns
-        .iter()
-        .map(|c| crel.schema.resolve(c))
-        .collect::<DbResult<_>>()?;
-    let schema = crel.schema.project(&indices)?;
-    dq_obs::counter!("columnar.projections").incr();
-    Ok(ColumnarRelation {
-        schema,
-        dict: crel.dict.clone(),
-        columns: indices.iter().map(|&i| crel.columns[i].clone()).collect(),
-        len: crel.len,
-        relation_tags: Vec::new(),
-    })
 }
 
 /// Columnar ⋈ probe — `to_tagged()`-identical to
@@ -1185,8 +1243,17 @@ impl Cells for FoldRow<'_> {
 mod tests {
     use super::*;
     use crate::algebra;
-    use crate::vector::{hash_join_probe_vectorized, select_vectorized};
     use relstore::{DataType, Expr, Schema};
+
+    /// The columnar σ as a base-table σ runs it: select, then gather.
+    fn select(
+        crel: &ColumnarRelation,
+        p: &Expr,
+        batch_size: usize,
+    ) -> DbResult<(TaggedRelation, BatchStats)> {
+        let (sel, stats) = selection_columnar(crel, p, batch_size)?;
+        Ok((crel.gather(&sel).to_tagged(), stats))
+    }
 
     /// Mixed fixture: bulk-tagged column (shared Arcs → long runs),
     /// per-cell tags, untagged rows, NULL values.
@@ -1303,18 +1370,16 @@ mod tests {
     }
 
     #[test]
-    fn select_columnar_matches_row_and_vectorized() {
+    fn selection_columnar_matches_row_at_a_time() {
         for n in [0i64, 1, 5, 63, 64, 65, 150] {
             let rel = mixed(n);
             let crel = ColumnarRelation::from_tagged(&rel);
             for p in predicates() {
                 let expect = algebra::select(&rel, &p).unwrap();
                 for batch_size in [1usize, 7, 64, 1024] {
-                    let (got, stats) = select_columnar(&crel, &p, batch_size).unwrap();
-                    assert_eq!(got.to_tagged(), expect, "n={n} batch={batch_size} p={p:?}");
+                    let (got, stats) = select(&crel, &p, batch_size).unwrap();
+                    assert_eq!(got, expect, "n={n} batch={batch_size} p={p:?}");
                     assert_eq!(stats.rows_out, expect.len());
-                    let (gotv, _) = select_vectorized(&rel, &p, batch_size).unwrap();
-                    assert_eq!(got.to_tagged(), gotv, "vs vectorized n={n} p={p:?}");
                 }
             }
         }
@@ -1328,8 +1393,8 @@ mod tests {
             let expect = algebra::select(&rel, &p).unwrap();
             for threads in [1usize, 2, 8] {
                 let (got, stats) =
-                    par::with_thread_count(threads, || select_columnar(&crel, &p, 7).unwrap());
-                assert_eq!(got.to_tagged(), expect, "threads={threads} p={p:?}");
+                    par::with_thread_count(threads, || select(&crel, &p, 7).unwrap());
+                assert_eq!(got, expect, "threads={threads} p={p:?}");
                 assert!(
                     stats.batches * stats.batch_size >= stats.rows_out,
                     "threads={threads}"
@@ -1343,36 +1408,82 @@ mod tests {
         let rel = mixed(120);
         let crel = ColumnarRelation::from_tagged(&rel);
         let idx = QualityIndex::build(&rel);
+        let indexed = |idx: &QualityIndex, p: &Expr| {
+            selection_indexed_columnar(&crel, idx, p, 64)
+                .map(|(sel, path, _)| (crel.gather(&sel).to_tagged(), path))
+        };
         for p in predicates() {
-            let expect = algebra::select_indexed(&rel, &idx, &p);
-            let got = select_indexed_columnar(&crel, &idx, &p, 64);
-            match (expect, got) {
-                (Ok((er, epath)), Ok((gr, gpath, _))) => {
-                    assert_eq!(gr.to_tagged(), er, "p={p:?}");
-                    assert_eq!(gpath, epath, "p={p:?}");
-                }
-                (Err(_), Err(_)) => {}
-                (e, g) => panic!("path divergence p={p:?}: {e:?} vs {g:?}"),
+            match (algebra::select(&rel, &p), indexed(&idx, &p)) {
+                (Ok(want), Ok((got, _))) => assert_eq!(got, want, "p={p:?}"),
+                (Err(w), Err(g)) => assert_eq!(g.to_string(), w.to_string(), "p={p:?}"),
+                (w, g) => panic!("path divergence p={p:?}: {w:?} vs {g:?}"),
             }
         }
+        // a pure quality atom: bitmap, no residual
+        let atom = Expr::col("v@source").eq(Expr::lit("a"));
+        let bitmap = |residual| TagAccessPath::Bitmap {
+            atoms: vec!["v@source=a".into()],
+            candidates: 40,
+            residual,
+        };
+        assert_eq!(indexed(&idx, &atom).unwrap().1, bitmap(false));
+        // atom + value conjunct: bitmap candidates, then a residual pass
+        let mixed_p = atom.clone().and(Expr::col("k").ge(Expr::lit(3i64)));
+        let (got, path) = indexed(&idx, &mixed_p).unwrap();
+        assert_eq!(got, algebra::select(&rel, &mixed_p).unwrap());
+        assert_eq!(path, bitmap(true));
+        // value-only predicate → scan
+        let value = Expr::col("k").ge(Expr::lit(3i64));
+        assert_eq!(indexed(&idx, &value).unwrap().1, TagAccessPath::Scan);
         // stale index → scan fallback, still correct
-        let short = QualityIndex::new();
-        let p = Expr::col("v@source").eq(Expr::lit("a"));
-        let (r, path, _) = select_indexed_columnar(&crel, &short, &p, 64).unwrap();
-        assert_eq!(r.to_tagged(), algebra::select(&rel, &p).unwrap());
+        let (got, path) = indexed(&QualityIndex::new(), &atom).unwrap();
+        assert_eq!(got, algebra::select(&rel, &atom).unwrap());
         assert_eq!(path, TagAccessPath::Scan);
+        // a malformed predicate errors like the scan
+        let bad = Expr::col("ghost@source").eq(Expr::lit("x"));
+        assert!(indexed(&idx, &bad).is_err());
     }
 
+    /// A faulting conjunct behind a typed or quality conjunct runs only
+    /// on rows every earlier conjunct kept — on the row σ, the columnar
+    /// σ, the indexed σ and `TAG`'s mask alike.
     #[test]
-    fn project_columnar_matches() {
-        for n in [0i64, 1, 150] {
-            let rel = mixed(n);
-            let crel = ColumnarRelation::from_tagged(&rel);
-            let expect = algebra::project(&rel, &["v", "name"]).unwrap();
-            let got = project_columnar(&crel, &["v", "name"]).unwrap();
-            assert_eq!(got.to_tagged(), expect, "n={n}");
+    fn guarded_faults_follow_the_one_verdict() {
+        let rel = mixed(120);
+        let crel = ColumnarRelation::from_tagged(&rel);
+        let idx = QualityIndex::build(&rel);
+        let fault = || {
+            let quotient = Expr::Bin(
+                Box::new(Expr::col("v")),
+                BinOp::Div,
+                Box::new(Expr::lit(0i64)),
+            );
+            quotient.eq(Expr::lit(1i64))
+        };
+        let guarded = [
+            Expr::col("k").gt(Expr::lit(1000i64)).and(fault()),
+            Expr::col("v@source").eq(Expr::lit("zzz")).and(fault()),
+            Expr::col("k")
+                .ge(Expr::lit(5i64))
+                .and(Expr::col("k").le(Expr::lit(5i64)))
+                .and(Expr::col("v").gt(Expr::lit(1000i64)))
+                .and(fault()),
+        ];
+        let unguarded = Expr::col("v@source").eq(Expr::lit("a")).and(fault());
+        for (p, faults) in guarded.iter().map(|p| (p, false)).chain([(&unguarded, true)]) {
+            let want = algebra::select(&rel, p).map_err(|e| e.to_string());
+            assert_eq!(want.is_err(), faults, "{p}");
+            assert_eq!(want.as_ref().map(|r| r.len()).unwrap_or(0), 0, "{p}");
+            let mask = algebra::evaluate_mask(&rel, p).map(|m| m.iter().filter(|b| **b).count());
+            assert_eq!(mask.map_err(|e| e.to_string()), want.clone().map(|r| r.len()), "{p}");
+            for batch_size in [1usize, 7, 1024] {
+                let got = select(&crel, p, batch_size).map(|(r, _)| r);
+                assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
+                let got = selection_indexed_columnar(&crel, &idx, p, batch_size)
+                    .map(|(sel, ..)| crel.gather(&sel).to_tagged());
+                assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
+            }
         }
-        assert!(project_columnar(&ColumnarRelation::from_tagged(&mixed(3)), &["ghost"]).is_err());
     }
 
     #[test]
@@ -1430,10 +1541,6 @@ mod tests {
         let crt = ColumnarRelation::from_tagged(&rt_rel);
         let (got, _) = hash_join_probe_columnar(&lt, &crt, "name", "name", &tidx, 16).unwrap();
         assert_eq!(got.to_tagged(), expect);
-        // and matches the row-gather vectorized probe
-        let (gotv, _) =
-            hash_join_probe_vectorized(&lrow, &rt_rel, "name", "name", &tidx, 16).unwrap();
-        assert_eq!(got.to_tagged(), gotv);
     }
 
     #[test]
@@ -1470,11 +1577,11 @@ mod tests {
         let c = ColumnarRelation::from_tagged(&rel);
         assert_eq!(c.to_tagged(), rel);
         let p = Expr::col("a").gt(Expr::lit(0i64));
-        let (got, _) = select_columnar(&c, &p, 16).unwrap();
+        let (got, _) = select(&c, &p, 16).unwrap();
         assert!(got.is_empty(), "NULLs never satisfy predicates");
         let p = Expr::col("b@source").eq(Expr::lit("x"));
-        let (got, _) = select_columnar(&c, &p, 16).unwrap();
-        assert_eq!(got.to_tagged(), algebra::select(&rel, &p).unwrap());
+        let (got, _) = select(&c, &p, 16).unwrap();
+        assert_eq!(got, algebra::select(&rel, &p).unwrap());
     }
 
     #[test]
@@ -1493,7 +1600,7 @@ mod tests {
         ] {
             assert!(algebra::select(&rel, &p).is_err(), "{p:?}");
             for batch_size in [1usize, 7, 1024] {
-                assert!(select_columnar(&crel, &p, batch_size).is_err(), "{p:?}");
+                assert!(select(&crel, &p, batch_size).is_err(), "{p:?}");
             }
         }
     }
@@ -1519,9 +1626,7 @@ mod tests {
             let want = algebra::select(&rel, &p).map_err(|e| e.to_string());
             assert_eq!(want.is_ok(), answers, "{p}");
             for batch_size in [1usize, 7, 1024] {
-                let got = select_columnar(&crel, &p, batch_size).map(|(c, _)| c.to_tagged());
-                assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
-                let got = select_vectorized(&rel, &p, batch_size).map(|(r, _)| r);
+                let got = select(&crel, &p, batch_size).map(|(r, _)| r);
                 assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
             }
         }
@@ -1552,7 +1657,7 @@ mod tests {
         let rel = mixed(300);
         let crel = ColumnarRelation::from_tagged(&rel);
         let p = Expr::col("v@age").le(Expr::lit(10i64));
-        let (_, stats) = select_columnar(&crel, &p, 64).unwrap();
+        let (_, stats) = select(&crel, &p, 64).unwrap();
         let after = dq_obs::registry().snapshot();
         assert!(after.counter("columnar.conversions") > before.counter("columnar.conversions"));
         assert!(after.counter("columnar.batches") >= before.counter("columnar.batches") + 5);
@@ -1566,7 +1671,7 @@ mod tests {
             after.counter("columnar.rows_out"),
         );
         assert!(rows_out <= after.counter("columnar.rows_in"));
-        assert!(batches * crate::DEFAULT_BATCH_SIZE as u64 >= rows_out);
+        assert!(batches * DEFAULT_BATCH_SIZE as u64 >= rows_out);
     }
 
     #[test]

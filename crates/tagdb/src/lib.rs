@@ -39,15 +39,11 @@ pub mod predicate;
 pub mod relation;
 pub mod store;
 pub mod symbol;
-pub mod vector;
 
-pub use bitmap::{Bitset, IndexedTaggedRelation, QualityAtom, QualityIndex};
+pub use bitmap::{Bitset, QualityAtom, QualityIndex};
 pub use columnar::{
-    hash_join_probe_columnar, project_columnar, select_columnar, select_indexed_columnar,
-    selection_columnar, selection_indexed_columnar, ColumnarRelation,
-};
-pub use vector::{
-    hash_join_probe_vectorized, select_vectorized, BatchStats, DEFAULT_BATCH_SIZE,
+    hash_join_probe_columnar, selection_columnar, selection_indexed_columnar, BatchStats,
+    ColumnarRelation, DEFAULT_BATCH_SIZE,
 };
 pub use cell::QualityCell;
 pub use epoch::{EpochCell, Stamped};
@@ -61,6 +57,7 @@ pub use store::{from_quality_store, to_quality_store, QualityStore, QKEY_SUFFIX}
 mod proptests {
     //! Algebra laws under tagging.
     use crate::algebra::*;
+    use crate::bitmap::tests::{index_scan, push, retag, swap_remove};
     use crate::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
     use proptest::prelude::*;
     use relstore::{DataType, Expr, Schema, Value};
@@ -246,49 +243,6 @@ mod proptests {
             }
         }
 
-        /// Vectorized batch execution is invisible: σ (value, quality,
-        /// and mixed predicates) and the ⋈ probe produce rows, order,
-        /// and cell-level tags identical to the row-at-a-time path at
-        /// batch sizes 1, 7, and 1024 and at thread counts 1, 2, and 8.
-        #[test]
-        fn vectorized_equals_row_at_a_time(
-            a in arb_tagged(),
-            b in arb_tagged(),
-            c in 0i64..30,
-            s in "[a-c]",
-        ) {
-            let vp = Expr::col("v").lt(Expr::lit(c));
-            let qp = Expr::col("v@age")
-                .le(Expr::lit(c))
-                .and(Expr::col("v@source").ne(Expr::lit(s)));
-            let sel_v = select(&a, &vp).unwrap();
-            let sel_q = select(&a, &qp).unwrap();
-            let join = hash_join(&a, &b, "k", "k").unwrap();
-            let ri = b.schema().resolve("k").unwrap();
-            let mut hidx = relstore::index::HashIndex::new(vec![ri]);
-            for (pos, row) in b.iter().enumerate() {
-                hidx.insert(&vec![row[ri].value.clone()], pos);
-            }
-            for threads in [1usize, 2, 8] {
-                for bs in [1usize, 7, 1024] {
-                    let (v, q, j) = relstore::par::with_thread_count(threads, || {
-                        (
-                            crate::vector::select_vectorized(&a, &vp, bs).unwrap().0,
-                            crate::vector::select_vectorized(&a, &qp, bs).unwrap().0,
-                            crate::vector::hash_join_probe_vectorized(
-                                &a, &b, "k", "k", &hidx, bs,
-                            )
-                            .unwrap()
-                            .0,
-                        )
-                    });
-                    prop_assert_eq!(&v, &sel_v);
-                    prop_assert_eq!(&q, &sel_q);
-                    prop_assert_eq!(&j, &join);
-                }
-            }
-        }
-
         /// The parallel bulk index build is bit-for-bit identical to the
         /// serial fold at 1, 2, and 8 threads.
         #[test]
@@ -327,8 +281,8 @@ mod proptests {
             for p in &preds {
                 let scan = select(&rel, p).unwrap();
                 for threads in [1usize, 2, 8] {
-                    let (fast, _path) = relstore::par::with_thread_count(threads, || {
-                        select_indexed(&rel, &idx, p).unwrap()
+                    let fast = relstore::par::with_thread_count(threads, || {
+                        index_scan(&rel, &idx, p)
                     });
                     prop_assert_eq!(&fast, &scan);
                 }
@@ -346,24 +300,23 @@ mod proptests {
             prop_assert_eq!(inc, crate::bitmap::QualityIndex::build(&rel));
         }
 
-        /// After arbitrary retagging through IndexedTaggedRelation, the
-        /// maintained index still answers selections identically to a
-        /// scan of the mutated relation.
+        /// After arbitrary retagging, with the index retagged beside the
+        /// relation, the maintained index still answers selections
+        /// identically to a scan of the mutated relation.
         #[test]
         fn bitmap_retag_stays_consistent(
-            rel in arb_tagged(),
+            mut rel in arb_tagged(),
             row in 0usize..30,
             a in 0i64..30,
             c in 0i64..30,
         ) {
-            let mut ir = crate::bitmap::IndexedTaggedRelation::from_relation(rel);
-            if !ir.is_empty() {
-                let row = row % ir.len();
-                ir.tag_cell(row, "v", IndicatorValue::new("age", a)).unwrap();
+            let mut idx = crate::bitmap::QualityIndex::build(&rel);
+            if !rel.is_empty() {
+                let row = row % rel.len();
+                retag(&mut rel, &mut idx, row, "v", IndicatorValue::new("age", a));
             }
             let p = Expr::col("v@age").le(Expr::lit(c));
-            let (fast, _) = ir.select(&p).unwrap();
-            prop_assert_eq!(fast, select(ir.relation(), &p).unwrap());
+            prop_assert_eq!(index_scan(&rel, &idx, &p), select(&rel, &p).unwrap());
         }
 
         /// Arc-shared tags are an invisible storage optimization: a
@@ -400,31 +353,33 @@ mod proptests {
             c in 0i64..30,
             s in "[a-c]",
         ) {
-            let mut ir = crate::bitmap::IndexedTaggedRelation::from_relation(rel);
+            let mut rel = rel;
+            let mut idx = crate::bitmap::QualityIndex::build(&rel);
             for (op, k, a, src, at) in ops {
                 match op {
                     0 => {
                         let mut cell = QualityCell::bare(k + a);
                         cell.set_tag(IndicatorValue::new("source", src));
                         cell.set_tag(IndicatorValue::new("age", a));
-                        ir.push(vec![QualityCell::bare(k), cell]).unwrap();
+                        push(&mut rel, &mut idx, vec![QualityCell::bare(k), cell]);
                     }
-                    1 if !ir.is_empty() => {
-                        ir.swap_remove(at % ir.len()).unwrap();
+                    1 if !rel.is_empty() => {
+                        let at = at % rel.len();
+                        swap_remove(&mut rel, &mut idx, at).unwrap();
                     }
-                    2 if !ir.is_empty() => {
-                        let at = at % ir.len();
-                        ir.tag_cell(at, "v", IndicatorValue::new("age", a)).unwrap();
+                    2 if !rel.is_empty() => {
+                        let at = at % rel.len();
+                        retag(&mut rel, &mut idx, at, "v", IndicatorValue::new("age", a));
                     }
-                    3 if !ir.is_empty() => {
-                        let at = at % ir.len();
-                        ir.tag_cell(at, "v", IndicatorValue::new("source", src)).unwrap();
+                    3 if !rel.is_empty() => {
+                        let at = at % rel.len();
+                        retag(&mut rel, &mut idx, at, "v", IndicatorValue::new("source", src));
                     }
                     _ => {}
                 }
             }
-            prop_assert_eq!(ir.index().rows(), ir.len());
-            let rebuilt = crate::bitmap::QualityIndex::build(ir.relation());
+            prop_assert_eq!(idx.rows(), rel.len());
+            let rebuilt = crate::bitmap::QualityIndex::build(&rel);
             let preds = vec![
                 Expr::col("v@source").eq(Expr::lit(s.clone())),
                 Expr::col("v@source").ne(Expr::lit(s)),
@@ -435,24 +390,23 @@ mod proptests {
                     .and(Expr::col("k").lt(Expr::lit(10i64))),
             ];
             for p in &preds {
-                let scan = select(ir.relation(), p).unwrap();
+                let scan = select(&rel, p).unwrap();
                 for threads in [1usize, 2, 8] {
-                    let (inc, _) = relstore::par::with_thread_count(threads, || {
-                        select_indexed(ir.relation(), ir.index(), p).unwrap()
+                    let inc = relstore::par::with_thread_count(threads, || {
+                        index_scan(&rel, &idx, p)
                     });
-                    let (reb, _) = relstore::par::with_thread_count(threads, || {
-                        select_indexed(ir.relation(), &rebuilt, p).unwrap()
+                    let reb = relstore::par::with_thread_count(threads, || {
+                        index_scan(&rel, &rebuilt, p)
                     });
                     prop_assert_eq!(&inc, &scan);
                     prop_assert_eq!(&reb, &scan);
                 }
                 // Both indexes agree on estimates, which stay finite in
                 // [0, 1] after arbitrary mutation.
-                let bound = crate::Predicate::bind(
-                    ir.relation().schema(), ir.relation().dictionary(), p).unwrap();
+                let bound = crate::Predicate::bind(rel.schema(), rel.dictionary(), p).unwrap();
                 let atoms = bound.atoms();
                 if !atoms.is_empty() {
-                    let ei = ir.index().estimate(atoms);
+                    let ei = idx.estimate(atoms);
                     let er = rebuilt.estimate(atoms);
                     prop_assert_eq!(ei, er);
                     if let Some(e) = ei {
@@ -522,8 +476,8 @@ mod proptests {
                     prop_assert_eq!(ones(&successor), ones(&fresh));
                     prop_assert_eq!(successor.estimate(atoms), fresh.estimate(atoms));
                     // and the original still answers for the old relation
-                    let (before, _) = relstore::par::with_thread_count(threads, || {
-                        select_indexed(&rel, &original, p).unwrap()
+                    let before = relstore::par::with_thread_count(threads, || {
+                        index_scan(&rel, &original, p)
                     });
                     prop_assert_eq!(&before, &select(&rel, p).unwrap());
                 }
@@ -553,10 +507,12 @@ mod proptests {
         }
 
         /// Columnar execution is invisible: σ (value, quality, and mixed
-        /// predicates, indexed and unindexed), π, and the ⋈ probe over
-        /// the columnar layout produce relations `to_tagged()`-equal to
-        /// the row-at-a-time path at batch sizes 1, 7, and 1024 and at
-        /// thread counts 1, 2, and 8 — over nullable columns.
+        /// predicates, indexed and unindexed) and the ⋈ probe over the
+        /// columnar layout produce relations `to_tagged()`-equal to the
+        /// row-at-a-time path at batch sizes 1, 7, and 1024 and at
+        /// thread counts 1, 2, and 8 — over nullable columns. The row
+        /// probe a join over an operator's output runs (`IndexJoin` off
+        /// a non-scan input) equals the hash join at each thread count.
         #[test]
         fn columnar_equals_row_at_a_time(
             a in arb_nullable(),
@@ -565,6 +521,7 @@ mod proptests {
             s in "[a-c]",
         ) {
             use crate::columnar::*;
+            use crate::Bitset;
             let vp = Expr::col("v").lt(Expr::lit(c));
             let qp = Expr::col("v@age")
                 .le(Expr::lit(c))
@@ -576,32 +533,34 @@ mod proptests {
             let sel_v = select(&a, &vp).unwrap();
             let sel_q = select(&a, &qp).unwrap();
             let sel_t = select(&a, &tp).unwrap();
-            let proj = project(&a, &["v", "k"]).unwrap();
             let join = hash_join(&a, &b, "k", "k").unwrap();
             let ri = b.schema().resolve("k").unwrap();
             let mut hidx = relstore::index::HashIndex::new(vec![ri]);
             for (pos, row) in b.iter().enumerate() {
                 hidx.insert(&vec![row[ri].value.clone()], pos);
             }
-            let pj = project_columnar(&ca, &["v", "k"]).unwrap();
-            prop_assert_eq!(&pj.to_tagged(), &proj);
+            let gathered = |sel: Bitset| ca.gather(&sel).to_tagged();
             for threads in [1usize, 2, 8] {
+                let probe = relstore::par::with_thread_count(threads, || {
+                    hash_join_probe(&a, &b, "k", "k", &hidx).unwrap()
+                });
+                prop_assert_eq!(&probe, &join);
                 for bs in [1usize, 7, 1024] {
                     let (v, q, qi, t, j) = relstore::par::with_thread_count(threads, || {
                         (
-                            select_columnar(&ca, &vp, bs).unwrap().0,
-                            select_columnar(&ca, &qp, bs).unwrap().0,
-                            select_indexed_columnar(&ca, &idx, &qp, bs).unwrap().0,
-                            select_columnar(&ca, &tp, bs).unwrap().0,
+                            selection_columnar(&ca, &vp, bs).unwrap().0,
+                            selection_columnar(&ca, &qp, bs).unwrap().0,
+                            selection_indexed_columnar(&ca, &idx, &qp, bs).unwrap().0,
+                            selection_columnar(&ca, &tp, bs).unwrap().0,
                             hash_join_probe_columnar(&ca, &cb, "k", "k", &hidx, bs)
                                 .unwrap()
                                 .0,
                         )
                     });
-                    prop_assert_eq!(&v.to_tagged(), &sel_v);
-                    prop_assert_eq!(&q.to_tagged(), &sel_q);
-                    prop_assert_eq!(&qi.to_tagged(), &sel_q);
-                    prop_assert_eq!(&t.to_tagged(), &sel_t);
+                    prop_assert_eq!(&gathered(v), &sel_v);
+                    prop_assert_eq!(&gathered(q), &sel_q);
+                    prop_assert_eq!(&gathered(qi), &sel_q);
+                    prop_assert_eq!(&gathered(t), &sel_t);
                     prop_assert_eq!(&j.to_tagged(), &join);
                 }
             }

@@ -15,9 +15,9 @@
 //!   BETWEEN lit AND lit`, which the quality bitmap index answers
 //!   ([`Predicate::atoms`]);
 //! * **typed kernel**: `col OP literal` or `col BETWEEN lit AND lit` over
-//!   a column or tag of declared type, which the batch kernels
-//!   (`tagstore::vector`, `tagstore::columnar`) test with no type check
-//!   per row, since binding made the literal comparable;
+//!   a column or tag of declared type, which the columnar kernels
+//!   (`tagstore::columnar`) test with no type check per row, since
+//!   binding made the literal comparable;
 //! * **generic**: anything else, including any operand of undeclared
 //!   (`Any`) type, evaluated by the scalar evaluator with its per-row
 //!   checks.
@@ -27,6 +27,11 @@
 //! a cached plan binds nothing. Functions that take a predicate accept a
 //! [`Predicate`] or an [`Expr`] ([`ToPredicate`]); an `Expr` is bound on
 //! the spot.
+//!
+//! A predicate has one verdict per row ([`Predicate::matches`]): its
+//! conjuncts in written order, the first that is not true dropping the
+//! row. A conjunct that faults (`v / 0 = 1`) therefore faults only on
+//! rows every earlier conjunct kept, whichever kernel runs the σ.
 
 use crate::bitmap::{AtomOp, QualityAtom};
 use crate::cell::QualityCell;
@@ -48,7 +53,7 @@ static NULL: Value = Value::Null;
 pub struct Predicate {
     /// As written, for EXPLAIN and for storage calls that bind their own.
     source: Expr,
-    /// The whole bound tree: what [`Predicate::matches`] evaluates.
+    /// The whole bound tree: what [`Predicate::eval`] evaluates.
     expr: CompiledExpr,
     /// Pseudo-column slots: position `base + i` reads the tag down path
     /// `tags[i].1` of cell `tags[i].0`.
@@ -72,16 +77,6 @@ pub(crate) struct Conjunct {
 pub(crate) enum Access {
     App(usize),
     Tag(usize, Vec<Symbol>),
-}
-
-impl Access {
-    #[inline]
-    pub(crate) fn value<'a>(&self, row: &'a [QualityCell]) -> &'a Value {
-        match self {
-            Access::App(i) => &row[*i].value,
-            Access::Tag(ci, path) => row[*ci].tag_path_syms(path).map_or(&NULL, |t| &t.value),
-        }
-    }
 }
 
 /// The batch form of a conjunct.
@@ -387,11 +382,19 @@ impl Predicate {
         self.expr.eval_value(&Cells { row, pred: self })
     }
 
-    /// Predicate semantics over the whole bound tree: `true` keeps the
-    /// row, `false`/NULL drops it. The row algebra's σ, the keyed
-    /// lookup's re-check and `TAG`'s mask all come here.
+    /// The verdict on one row: the top-level conjuncts run in written
+    /// order through the scalar evaluator, and the first that is not
+    /// true (false or NULL) drops the row, so later conjuncts never run
+    /// on it. Every σ kernel applies this verdict: the row algebra's σ,
+    /// the keyed lookup's re-check, `TAG`'s mask, and the columnar
+    /// kernels, which test conjunct by conjunct over their selection.
     pub fn matches(&self, row: &[QualityCell]) -> DbResult<bool> {
-        self.expr.eval_predicate(&Cells { row, pred: self })
+        for conjunct in &self.conjuncts {
+            if !self.holds(conjunct, row)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// The key-equality conjunct, as (column ordinal, column name,

@@ -91,14 +91,14 @@ fn run(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     // ---- phase 2: recover and audit the survivors ----
     let (mut db, report) = DurableDb::open_dir(dir, opts())?;
     println!(
-        "recovered: checkpoint={:?} replayed={} truncated_bytes={} indexes_rebuilt={}",
-        report.checkpoint, report.replayed_records, report.truncated_bytes, report.indexes_rebuilt
+        "recovered: checkpoint={:?} replayed={} truncated_bytes={}",
+        report.checkpoint, report.replayed_records, report.truncated_bytes
     );
     assert_eq!(report.replayed_records, 6, "the committed group is 6 records");
     assert_eq!(db.table("company")?.len(), 1, "uncommitted insert must be gone");
     let stock = db.tagged("stock")?;
     assert_eq!(
-        stock.relation().cell(0, "employees")?.tag_value("source"),
+        stock.cell(0, "employees")?.tag_value("source"),
         Value::text("Nexis"),
         "cell tags survive recovery"
     );

@@ -4,7 +4,7 @@
 # time budget, and record one JSON line per benchmark in BENCH_tagprop.json.
 # Then run the B7 scan-vs-bitmap index series into BENCH_index.json, the
 # B8 WAL/recovery durability series into BENCH_wal.json, the B9
-# vectorized-execution series into BENCH_vector.json, the B10
+# index-build and join-probe series into BENCH_vector.json, the B10
 # columnar-vs-row series into BENCH_columnar.json, and the B12 MVCC
 # reader-throughput burst into BENCH_mvcc.json.
 # Finishes with the parallel index-build regression gate over the fresh
@@ -57,15 +57,14 @@ DQ_BENCH_JSON="$DQ_BENCH_WAL_JSON" cargo bench --offline -p dq-bench --bench dur
 
 echo "wrote $(wc -l < "$DQ_BENCH_WAL_JSON") records to $DQ_BENCH_WAL_JSON"
 
-# B9: vectorized batch execution vs. row-at-a-time (σ, indexed σ,
-# parallel index build, join probe, small-input guard)
+# B9: serial vs. parallel index build, row vs. columnar join probe
 DQ_BENCH_VECTOR_JSON="${DQ_BENCH_VECTOR_JSON:-$PWD/BENCH_vector.json}"
 : > "$DQ_BENCH_VECTOR_JSON"
 DQ_BENCH_JSON="$DQ_BENCH_VECTOR_JSON" cargo bench --offline -p dq-bench --bench vector
 
 echo "wrote $(wc -l < "$DQ_BENCH_VECTOR_JSON") records to $DQ_BENCH_VECTOR_JSON"
 
-# B10: columnar tagged storage vs. the row layout (σ, π, index build,
+# B10: columnar tagged storage vs. the row layout (σ, index build,
 # conversion costs)
 DQ_BENCH_COLUMNAR_JSON="${DQ_BENCH_COLUMNAR_JSON:-$PWD/BENCH_columnar.json}"
 : > "$DQ_BENCH_COLUMNAR_JSON"

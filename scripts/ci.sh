@@ -26,14 +26,11 @@ filtered() {
 filtered -p tagstore bitmap_
 filtered -p dq-query index_planner
 
-# Vectorized-execution parity: batched σ/⋈ and the parallel index
-# build against the row-at-a-time reference (`algebra::select`, which
-# evaluates the whole bound predicate per row), at a higher case count.
-filtered -p tagstore vector
-
 # Columnar-layout parity: row↔columnar round-trip (values, nulls,
-# per-cell tags), columnar σ/π/⋈ vs row-at-a-time, and the columnar
-# index build vs the serial fold, at a higher case count.
+# per-cell tags), columnar σ and ⋈ probe vs the row-at-a-time reference
+# (`algebra::select`, one verdict per row), the row probe vs the hash
+# join, and the columnar index build vs the serial fold, at a higher
+# case count.
 filtered -p tagstore columnar
 
 # Aggregation over a selection: the one-pass tagged γ, fed by columnar
@@ -47,8 +44,8 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_index.json \
     cargo bench --offline -p dq-bench --bench index_scan >/dev/null
 
-# B9 smoke at the 10k tier: asserts vectorized==row-at-a-time parity
-# (σ, indexed σ, join probe, parallel index build) before timing.
+# B9 smoke at the 10k tier: asserts parity (row vs columnar join
+# probe, serial vs parallel index build) before timing.
 DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_vector.json \
     cargo bench --offline -p dq-bench --bench vector >/dev/null
@@ -59,7 +56,7 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
 # version of this gate runs in scripts/bench_smoke.sh at full tiers.
 scripts/index_build_gate.sh --warn-only /tmp/ci_bench_vector.json
 
-# B10 smoke at the 10k tier: asserts columnar==row parity (σ, π, index
+# B10 smoke at the 10k tier: asserts columnar==row parity (σ, index
 # build, round-trip) before timing.
 DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_columnar.json \
@@ -133,4 +130,4 @@ cargo run -q --offline --release --example crash_recovery >/dev/null
 # every workload against the crates as they are now.
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 
-echo "ci: build + test + clippy + index parity + vector parity + columnar parity + observability + mvcc + recovery + e2e all green"
+echo "ci: build + test + clippy + index parity + columnar parity + observability + mvcc + recovery + e2e all green"

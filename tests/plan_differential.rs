@@ -15,10 +15,14 @@
 //! with one bad conjunct: a comparison against a literal of another
 //! type fails when it is bound, with one text everywhere and no rows;
 //! Int arithmetic on extreme literals answers alike through both
-//! planners, rows or error text.
+//! planners, rows or error text; and a division by zero written last,
+//! behind the statement's other conjuncts, runs only on the rows they
+//! keep — through both planners, the row algebra's σ and `TAG`'s
+//! `WHERE` alike.
 
 use dq_query::{
-    execute, execute_traced, parse, run_mut, run_with, Planner, QueryCatalog, QueryResult,
+    execute, execute_traced, parse, prepare_write, run_mut, run_with, Planner, QueryCatalog,
+    QueryResult, Statement,
 };
 use dq_server::render_result;
 use rand::rngs::StdRng;
@@ -78,6 +82,9 @@ struct Gen {
     spoil: Option<Spoil>,
     /// The statement being generated has not placed its bad conjunct yet.
     pending: bool,
+    /// A `Guarded` statement's table and its WHERE / WITH QUALITY
+    /// conjuncts joined by AND, when it has any.
+    filter: Option<(&'static str, String)>,
 }
 
 /// The one bad conjunct a spoiled statement carries.
@@ -89,6 +96,10 @@ enum Spoil {
     /// Int arithmetic on `i64::MAX`, `i64::MIN`, `-1` or `0`, as the
     /// last conjunct (so the rows it reads do not depend on the plan).
     Extreme,
+    /// `col / 0 = 1`, the last conjunct of WHERE / WITH QUALITY or of a
+    /// `HAVING`, behind the typed and quality conjuncts written before
+    /// it: it faults on a non-NULL row they keep, and only there.
+    Guarded,
 }
 
 impl Gen {
@@ -98,6 +109,7 @@ impl Gen {
             typo: None,
             spoil: None,
             pending: false,
+            filter: None,
         }
     }
 
@@ -130,6 +142,10 @@ impl Gen {
                 format!("{lit} {op} {col}")
             };
         }
+        if self.spoil == Some(Spoil::Guarded) {
+            let col = self.pick(if stocks { &["price", "price@age"] } else { &["qty", "acct"] });
+            return format!("{col} / 0 = 1");
+        }
         let col = if stocks { "price@age" } else { self.pick(&["qty", "acct"]) };
         let big = self.pick(&["9223372036854775807", "(0 - 9223372036854775807 - 1)"]);
         let divisor = self.pick(&["-1", "0", "(0 - 1)", "1"]);
@@ -144,21 +160,22 @@ impl Gen {
 
     /// `parts` with the statement's bad conjunct, if this clause is the
     /// one to take it: an ill-typed one lands anywhere in WHERE or in WITH
-    /// QUALITY; an extreme one last in the last clause (`last`).
+    /// QUALITY; an extreme or guarded one last in the last clause
+    /// (`last`).
     fn spoil_clause(&mut self, mut parts: Vec<String>, tables: &[&str], last: bool) -> Vec<String> {
         let Some(spoil) = self.spoil else {
             return parts;
         };
         let here = match spoil {
             Spoil::IllTyped => last || self.chance(0.5),
-            Spoil::Extreme => last,
+            Spoil::Extreme | Spoil::Guarded => last,
         };
         if self.pending && here {
             self.pending = false;
             let bad = self.bad_conjunct(tables);
             let at = match spoil {
                 Spoil::IllTyped => self.below(parts.len() + 1),
-                Spoil::Extreme => parts.len(),
+                Spoil::Extreme | Spoil::Guarded => parts.len(),
             };
             parts.insert(at, bad);
         }
@@ -257,17 +274,27 @@ impl Gen {
         }
     }
 
+    /// Records a `Guarded` statement's filter over `table`.
+    fn note_filter(&mut self, table: &'static str, parts: &[String]) {
+        if self.spoil == Some(Spoil::Guarded) && !parts.is_empty() {
+            self.filter = Some((table, parts.join(" AND ")));
+        }
+    }
+
     fn statement(&mut self) -> String {
         self.pending = self.spoil.is_some();
+        self.filter = None;
         let base = self.pick(&["stocks", "trades"]);
         if self.chance(0.15) {
             let parts = self.where_parts(&[base]);
             let parts = self.spoil_clause(parts, &[base], true);
+            self.note_filter(base, &parts);
             return format!("INSPECT FROM {base}{}", Self::where_clause(parts));
         }
-        // an extreme conjunct reads no join's rows: pushed below it, it
-        // would read rows the join drops
-        let join = self.chance(0.35) && self.spoil != Some(Spoil::Extreme);
+        // an extreme or guarded conjunct reads no join's rows: pushed
+        // below it, it would read rows the join drops
+        let join = self.chance(0.35)
+            && !matches!(self.spoil, Some(Spoil::Extreme | Spoil::Guarded));
         let (tables, from) = match (join, base) {
             (false, _) => (vec![base], base),
             (true, "stocks") => (vec!["stocks", "trades"], "stocks JOIN trades ON ticker = tkr"),
@@ -298,6 +325,10 @@ impl Gen {
             tail = format!(" GROUP BY {key}");
             if self.chance(0.3) {
                 tail.push_str(&format!(" HAVING n >= {}", self.below(3) + 1));
+                if self.spoil == Some(Spoil::Guarded) && self.chance(0.5) {
+                    self.pending = false;
+                    tail.push_str(" AND n / 0 = 1");
+                }
             }
             list
         } else if self.chance(0.4) {
@@ -334,6 +365,7 @@ impl Gen {
             .collect();
         let where_parts = self.spoil_clause(where_parts, &tables, quality.is_empty());
         let quality = self.spoil_clause(quality, &tables, true);
+        self.note_filter(base, &[where_parts.clone(), quality.clone()].concat());
         sql.push_str(&Self::where_clause(where_parts));
         if !quality.is_empty() {
             sql.push_str(&format!(" WITH QUALITY ({})", quality.join(", ")));
@@ -595,4 +627,76 @@ fn extreme_int_arithmetic_agrees_across_planners() {
         }
     }
     assert!(errors >= 60 && answers >= 60, "{errors} errors, {answers} answers");
+}
+
+#[test]
+fn guarded_faults_agree_across_planners_select_and_tag() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = catalog();
+    let naive = Planner {
+        pushdown: false,
+        use_indexes: false,
+    };
+    let outcome = |sql: &str, planner: &Planner| match run_with(&catalog, sql, planner) {
+        Ok(r) => Ok(render_result(&r)),
+        Err(e) => Err(e.to_string()),
+    };
+    let text = |e: relstore::DbError| e.to_string();
+    let fault = "arithmetic error: division by zero";
+    let mut gen = Gen::spoiled(48, Spoil::Guarded);
+    let (mut faults, mut shielded, mut havings, mut guarded_rows) = (0, 0, 0, 0);
+    for case in 0..240 {
+        let sql = gen.statement();
+        let ctx = format!("case {case}: {sql}");
+        let plain = outcome(&sql, &Planner::default());
+        assert_eq!(plain, outcome(&sql, &naive), "{ctx}");
+        if let Err(e) = &plain {
+            assert_eq!(e, fault, "{ctx}");
+        }
+        faults += plain.is_err() as usize;
+        havings += sql.contains("n / 0") as usize;
+
+        // the filter alone: the statement's σ, the row algebra's σ over
+        // the base relation, and the rows TAG's WHERE selects
+        let Some((table, filter)) = gen.filter.take() else {
+            continue;
+        };
+        let star = format!("SELECT * FROM {table} WHERE {filter}");
+        let via_sql = run_with(&catalog, &star, &Planner::default())
+            .map(|r| r.relation().clone())
+            .map_err(text);
+        let Statement::Select(q) = parse(&star).unwrap() else {
+            unreachable!("a SELECT parses as one")
+        };
+        let base = catalog.get(table).unwrap();
+        let predicate = q.where_clause.as_ref().unwrap();
+        let via_algebra = tagstore::algebra::select(base, predicate).map_err(text);
+        let target = if table == "stocks" { "price@source" } else { "qty@inspection" };
+        let tag = format!("TAG {table} SET {target} = 'guarded' WHERE {filter}");
+        let via_tag = prepare_write(&catalog, &tag)
+            .map(|w| {
+                let rows = w.tags().iter().map(|(row, ..)| base.rows()[*row].clone());
+                TaggedRelation::new(base.schema().clone(), base.dictionary().clone(), rows.collect())
+                    .unwrap()
+            })
+            .map_err(text);
+        assert_eq!(via_sql, via_algebra, "{ctx}");
+        assert_eq!(via_tag, via_algebra, "{ctx}");
+        if filter.contains(" / 0 = 1") {
+            // the fault is the filter's: it fails the statement alike
+            match &via_algebra {
+                Err(e) => assert_eq!(Err(e), plain.as_ref(), "{ctx}"),
+                Ok(rows) => {
+                    assert!(rows.is_empty(), "{ctx}: a row reached the fault");
+                    shielded += 1;
+                }
+            }
+        } else {
+            guarded_rows += via_algebra.as_ref().map_or(0, |r| r.len());
+        }
+    }
+    // the generator reaches faults, faults its guards shield, HAVING
+    // faults, and filters whose rows the three paths agree on
+    assert!(faults >= 60 && shielded >= 60, "{faults} faults, {shielded} shielded");
+    assert!(havings >= 5 && guarded_rows >= 10, "{havings} HAVING faults, {guarded_rows} rows");
 }
