@@ -3,8 +3,8 @@
 //! Two series over an in-memory `Fs` (so disk hardware drops out and the
 //! numbers isolate the logging protocol itself):
 //!
-//! * `B8/wal/append` — rows/s through `DurableDb::insert`, with group
-//!   commit (one fsync per batch) vs. autocommit (one fsync per row).
+//! * `B8/wal/append` — rows/s through `DurableDb::push` (bare cells), with
+//!   group commit (one fsync per batch) vs. autocommit (one fsync per row).
 //!   The gap between the two curves is the fsync amplification the group
 //!   commit buffer removes.
 //! * `B8/wal/recover` — `DurableDb::open` against a log of
@@ -16,8 +16,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dq_storage::{DurableDb, DurableOptions, MemFs};
-use relstore::{DataType, Schema, Value};
+use relstore::{DataType, Schema};
 use std::sync::Arc;
+use tagstore::{IndicatorDictionary, QualityCell, TaggedRow};
 
 /// Rows appended per measured batch.
 const BATCH: usize = 256;
@@ -41,24 +42,26 @@ fn open_empty(group_commit: bool) -> DurableDb {
         ..Default::default()
     };
     let (mut db, _) = DurableDb::open(Arc::new(MemFs::new()), opts).expect("open empty fs");
-    db.create_table("t", schema()).expect("create table");
+    db.create_tagged("t", schema(), IndicatorDictionary::with_paper_defaults())
+        .expect("create relation");
     db.commit().expect("commit ddl");
     db
 }
 
-fn row(i: usize) -> Vec<Value> {
-    vec![Value::Int(i as i64), Value::text("payload-0123456789")]
+fn row(i: usize) -> TaggedRow {
+    vec![QualityCell::bare(i as i64), QualityCell::bare("payload-0123456789")]
 }
 
-/// A MemFs holding a clean log of `records` committed inserts,
+/// A MemFs holding a clean log of `records` committed pushes,
 /// checkpointed first when `checkpointed`.
 fn logged_fs(records: usize, checkpointed: bool) -> Arc<MemFs> {
     let fs = Arc::new(MemFs::new());
     let (mut db, _) =
         DurableDb::open(fs.clone(), DurableOptions::default()).expect("open empty fs");
-    db.create_table("t", schema()).expect("create table");
+    db.create_tagged("t", schema(), IndicatorDictionary::with_paper_defaults())
+        .expect("create relation");
     for i in 0..records {
-        db.insert("t", row(i)).expect("insert");
+        db.push("t", row(i)).expect("push");
     }
     db.commit().expect("commit");
     if checkpointed {
@@ -77,7 +80,7 @@ fn bench_append(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new(label, BATCH), |b| {
             b.iter(|| {
                 for _ in 0..BATCH {
-                    db.insert("t", row(next)).expect("insert");
+                    db.push("t", row(next)).expect("push");
                     next += 1;
                 }
                 db.commit().expect("commit");
@@ -100,14 +103,14 @@ fn bench_recover(c: &mut Criterion) {
             if checkpointed {
                 assert_eq!(report.replayed_records, 0, "checkpoint should swallow the log");
             } else {
-                // +1 for the create-table record
+                // +1 for the create record
                 assert_eq!(report.replayed_records, records as u64 + 1);
             }
             g.bench_function(BenchmarkId::new(label, records), |b| {
                 b.iter(|| {
                     let (db, report) = DurableDb::open(fs.clone(), DurableOptions::default())
                         .expect("recover");
-                    assert_eq!(db.table("t").expect("table t").len(), records);
+                    assert_eq!(db.tagged("t").expect("relation t").len(), records);
                     report
                 })
             });

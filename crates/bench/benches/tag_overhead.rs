@@ -1,20 +1,21 @@
 //! B1 — the cost of cell-level quality tagging.
 //!
 //! §4: "Cost-benefit tradeoffs in tagging and tracking data quality must
-//! be considered." This bench measures the tagging side of that tradeoff:
-//! scan-filter and hash-join over plain relations vs. tagged relations
-//! with 1–4 indicators per cell vs. polygen relations.
+//! be considered." This bench measures the tagging side of that tradeoff
+//! on the one engine: scan-filter and hash-join over tagged relations
+//! with 0 (`tagged_k0`, an untagged relation: every tag set empty) to 4
+//! indicators per cell vs. polygen relations.
 //!
-//! Expected shape: tagged operators cost a constant factor over plain
-//! (cells are fatter, cloning dominates), growing roughly linearly in
-//! tags-per-cell; polygen sits between plain and heavily-tagged.
+//! Expected shape: tagged operators cost a constant factor over
+//! `tagged_k0` (cells are fatter, cloning dominates), growing roughly
+//! linearly in tags-per-cell; polygen sits between the two ends.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dq_bench::{join_partner, plain_customers, tagged_customers, tagged_join_partner};
 use polygen::{PolyRelation, SourceId};
-use relstore::algebra as ra;
 use relstore::Expr;
 use tagstore::algebra as ta;
+use tagstore::{IndicatorDictionary, TaggedRelation};
 
 fn filter_pred() -> Expr {
     Expr::col("employees").gt(Expr::lit(25_000i64))
@@ -26,8 +27,9 @@ fn bench_scan_filter(c: &mut Criterion) {
     for &rows in &[1_000usize, 10_000] {
         g.throughput(Throughput::Elements(rows as u64));
         let plain = plain_customers(rows);
-        g.bench_with_input(BenchmarkId::new("plain", rows), &plain, |b, rel| {
-            b.iter(|| ra::select(rel, &filter_pred()).unwrap())
+        let bare = TaggedRelation::from_relation(&plain, IndicatorDictionary::with_paper_defaults());
+        g.bench_with_input(BenchmarkId::new("tagged_k0", rows), &bare, |b, rel| {
+            b.iter(|| ta::select(rel, &filter_pred()).unwrap())
         });
         let poly = PolyRelation::retrieve(&plain, SourceId::new("src"));
         g.bench_with_input(BenchmarkId::new("polygen", rows), &poly, |b, rel| {
@@ -52,18 +54,16 @@ fn bench_hash_join(c: &mut Criterion) {
         g.throughput(Throughput::Elements(rows as u64));
         let plain = plain_customers(rows);
         let partner = join_partner(rows);
-        g.bench_function(BenchmarkId::new("plain", rows), |b| {
-            b.iter(|| {
-                ra::hash_join(&plain, &partner, "co_name", "co_name", ra::JoinType::Inner)
-                    .unwrap()
-            })
+        let tagged_partner = tagged_join_partner(rows);
+        let bare = TaggedRelation::from_relation(&plain, IndicatorDictionary::with_paper_defaults());
+        g.bench_function(BenchmarkId::new("tagged_k0", rows), |b| {
+            b.iter(|| ta::hash_join(&bare, &tagged_partner, "co_name", "co_name").unwrap())
         });
         let poly_l = PolyRelation::retrieve(&plain, SourceId::new("L"));
         let poly_r = PolyRelation::retrieve(&partner, SourceId::new("R"));
         g.bench_function(BenchmarkId::new("polygen", rows), |b| {
             b.iter(|| poly_l.join(&poly_r, "co_name", "co_name").unwrap())
         });
-        let tagged_partner = tagged_join_partner(rows);
         for k in [1usize, 2, 4] {
             let tagged = tagged_customers(rows, k);
             g.bench_function(BenchmarkId::new(format!("tagged_k{k}"), rows), |b| {

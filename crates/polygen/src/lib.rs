@@ -64,12 +64,13 @@ mod proptests {
             }
         }
 
-        /// strip ∘ restrict = select ∘ strip.
+        /// strip ∘ restrict is the longhand filter of strip.
         #[test]
         fn strip_commutes_with_restrict(rel in arb_poly("A"), c in 0i64..15) {
             let p = Expr::col("v").ge(Expr::lit(c));
-            let lhs = rel.restrict(&p).unwrap().strip();
-            let rhs = relstore::algebra::select(&rel.strip(), &p).unwrap();
+            let lhs = rel.restrict(&p).unwrap().strip().into_rows();
+            let rhs: Vec<_> =
+                rel.strip().into_rows().into_iter().filter(|r| r[1] >= Value::Int(c)).collect();
             prop_assert_eq!(lhs, rhs);
         }
 

@@ -1,15 +1,11 @@
-//! Grouping and aggregation (γ).
-//!
-//! `aggregate(input, group_by, aggs)` groups rows by the named columns and
-//! computes aggregate calls per group. With an empty `group_by` the whole
-//! input forms one group (global aggregation), which yields one row even
-//! for empty input (COUNT = 0, others NULL) — matching SQL.
+//! Aggregate calls and their per-group state. A γ groups rows by its key
+//! columns and folds one [`Acc`] per call over each group; with no key
+//! the whole input is one group (global aggregation), which yields one
+//! row even for empty input (COUNT = 0, others NULL) — matching SQL.
 
 use crate::error::{DbError, DbResult};
-use crate::relation::{Relation, Row};
 use crate::schema::{ColumnDef, Schema};
 use crate::value::{DataType, Value};
-use std::collections::HashMap;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +56,9 @@ impl AggCall {
 }
 
 /// Running state of one aggregate call within one group — the one place
-/// COUNT/SUM/AVG/MIN/MAX/COUNT(DISTINCT) semantics live. [`aggregate`]
-/// drives it over plain rows and `tagstore`'s one-pass tagged γ over
-/// tagged rows and columnar selections, so every path answers alike.
+/// COUNT/SUM/AVG/MIN/MAX/COUNT(DISTINCT) semantics live. `tagstore`'s
+/// one-pass tagged γ drives it over tagged rows and columnar selections,
+/// so every path answers alike.
 #[derive(Debug, Clone)]
 pub struct Acc(State);
 
@@ -254,45 +250,39 @@ pub fn aggregate_schema(schema: &Schema, key_idx: &[usize], aggs: &[AggCall]) ->
     Schema::new(cols)
 }
 
-/// γ — group by `group_by` columns and evaluate `aggs` per group.
-pub fn aggregate(input: &Relation, group_by: &[&str], aggs: &[AggCall]) -> DbResult<Relation> {
-    let (key_idx, agg_idx) = resolve_aggregate(input.schema(), group_by, aggs)?;
-
-    // Group rows. Vec<Value> keys are hashable because Value is.
-    let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for row in input.iter() {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            aggs.iter().map(|a| Acc::new(a.func)).collect()
-        });
-        for (acc, idx) in accs.iter_mut().zip(agg_idx.iter()) {
-            acc.update(idx.map(|i| &row[i]))?;
-        }
-    }
-    // Global aggregation over empty input still yields one row.
-    if group_by.is_empty() && groups.is_empty() {
-        order.push(Vec::new());
-        groups.insert(Vec::new(), aggs.iter().map(|a| Acc::new(a.func)).collect());
-    }
-
-    // Output schema: group columns then aggregate outputs.
-    let schema = aggregate_schema(input.schema(), &key_idx, aggs)?;
-
-    let mut rows: Vec<Row> = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = groups.remove(&key).expect("group recorded in order");
-        let mut row = key;
-        row.extend(accs.into_iter().map(Acc::finish));
-        rows.push(row);
-    }
-    Ok(Relation::from_parts_unchecked(schema, rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::{Relation, Row};
+    use std::collections::HashMap;
+
+    /// A γ over plain rows the way the tagged fold drives the pieces
+    /// above: resolve, group in first-seen order, one [`Acc`] per call.
+    fn aggregate(input: &Relation, group_by: &[&str], aggs: &[AggCall]) -> DbResult<Relation> {
+        let (key_idx, agg_idx) = resolve_aggregate(input.schema(), group_by, aggs)?;
+        let mut groups: HashMap<Row, Vec<Acc>> = HashMap::new();
+        let mut order: Vec<Row> = Vec::new();
+        for row in input.iter() {
+            let key: Row = key_idx.iter().map(|&i| row[i].clone()).collect();
+            let accs = groups.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                aggs.iter().map(|a| Acc::new(a.func)).collect()
+            });
+            for (acc, idx) in accs.iter_mut().zip(&agg_idx) {
+                acc.update(idx.map(|i| &row[i]))?;
+            }
+        }
+        if group_by.is_empty() && order.is_empty() {
+            order.push(Vec::new());
+            groups.insert(Vec::new(), aggs.iter().map(|a| Acc::new(a.func)).collect());
+        }
+        let rows = order.into_iter().map(|key| {
+            let accs = groups.remove(&key).expect("group recorded in order");
+            key.into_iter().chain(accs.into_iter().map(Acc::finish)).collect()
+        });
+        let schema = aggregate_schema(input.schema(), &key_idx, aggs)?;
+        Relation::new(schema, rows.collect())
+    }
 
     fn trades() -> Relation {
         let schema = Schema::of(&[

@@ -34,12 +34,6 @@ impl Relation {
         Ok(Relation { schema, rows })
     }
 
-    /// Builds a relation without validating rows. For operator internals
-    /// that construct rows already known to conform.
-    pub(crate) fn from_parts_unchecked(schema: Schema, rows: Vec<Row>) -> Self {
-        Relation { schema, rows }
-    }
-
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -313,17 +313,33 @@ fn integer_overflow_is_an_error_on_every_access_path() {
 /// behind a guard no row passes never runs — whether the σ is keyed, a
 /// columnar scan, a `TAG`'s mask or a `HAVING` over groups. Each pair
 /// answers alike, byte-equal embedded and over the wire; the same
-/// fault with a guard some row passes fails alike everywhere.
+/// fault with a guard some row passes fails alike everywhere. A fault
+/// written first runs on every row: no bitmap atom or key after it
+/// narrows the rows it reads, resident or paged.
 #[test]
 fn guarded_faults_answer_alike_on_every_access_path() {
     let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
-    let rows = (0..10i64)
+    let dict = IndicatorDictionary::with_paper_defaults();
+    let rows: Vec<Vec<QualityCell>> = (0..10i64)
         .map(|k| vec![QualityCell::bare(k), QualityCell::bare(k * 3)])
         .collect();
-    let rel = TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap();
+    let opts = DurableOptions {
+        page_size: 512,
+        pool_pages: 8,
+        ..Default::default()
+    };
+    let (mut db, _) = DurableDb::open(Arc::new(MemFs::default()), opts).unwrap();
+    db.create_tagged("t", schema.clone(), dict.clone()).unwrap();
+    db.create_paged("p", schema.clone(), dict.clone()).unwrap();
+    for row in &rows {
+        db.push("t", row.clone()).unwrap();
+        db.paged_push("p", row.clone()).unwrap();
+    }
+    let rel = TaggedRelation::new(schema, dict, rows).unwrap();
     let mut embedded = QueryCatalog::new();
-    embedded.register("t", rel);
-    let server = start(test_config(), embedded.clone()).unwrap();
+    embedded.register("t", rel.clone());
+    embedded.register("p", rel);
+    let server = start_durable(test_config(), db).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let mut both = |sql: &str| -> Result<String, String> {
         let here = run_mut(&mut embedded, sql).map(|r| render_result(&r)).map_err(|e| e.to_string());
@@ -353,6 +369,17 @@ fn guarded_faults_answer_alike_on_every_access_path() {
         "SELECT k, COUNT(*) AS n FROM t GROUP BY k HAVING k > 1 AND n / 0 = 1".to_owned(),
     ] {
         assert_eq!(both(&unguarded), Err("arithmetic error: division by zero".into()));
+    }
+    // the fault first: k = 3 divides by zero whatever follows
+    let first = "v / (k - 3) = 1";
+    for leading in [
+        format!("SELECT * FROM t WHERE {first} AND v@source = 'x'"),
+        format!("SELECT * FROM t WHERE {first} AND k = 7"),
+        format!("TAG t SET v@source = 'x' WHERE {first} AND k = 7"),
+        format!("SELECT * FROM p WHERE {first} AND v@source = 'x'"),
+        format!("SELECT * FROM p WHERE {first} AND k = 7"),
+    ] {
+        assert_eq!(both(&leading), Err("arithmetic error: division by zero".into()));
     }
     // nothing was tagged, and the session still answers
     let probe = "SELECT k FROM t WITH QUALITY (v@source = 'x')";

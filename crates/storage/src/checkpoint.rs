@@ -1,11 +1,11 @@
-//! Checkpoints: full snapshots of the durable state, written atomically.
+//! Checkpoints: snapshots of the durable state, written atomically.
 //!
-//! A checkpoint serializes everything the WAL's records mutate — plain
-//! `relstore` tables, `tagstore` tagged relations (schema, indicator
-//! dictionary, relation-level tags, rows with cell tags), and the
-//! `dq-admin` audit trail — plus the LSN of the last record it covers.
-//! Recovery loads the newest intact checkpoint and replays only WAL
-//! records beyond its LSN.
+//! A checkpoint serializes everything the WAL's records mutate — resident
+//! `tagstore` tagged relations (schema, indicator dictionary,
+//! relation-level tags, rows with cell tags), paged relations' page
+//! manifests, and the `dq-admin` audit trail — plus the LSN of the last
+//! record it covers. Recovery loads the newest intact checkpoint and
+//! replays only WAL records beyond its LSN.
 //!
 //! ## Atomicity
 //!
@@ -17,18 +17,21 @@
 //! leaves at worst a stale `.tmp` plus the previous checkpoint. The
 //! file carries a magic header and a trailing CRC32 over everything
 //! before it; [`load_latest`] falls back to the next-older checkpoint
-//! when the newest fails either check.
+//! when the newest is torn or corrupt. An intact checkpoint of another
+//! format (an older build's `DQCKPT1`–`3`) is an error instead: no older
+//! file may stand in for it, since the log it covers is already pruned.
 
 use crate::codec::{Decoder, Encoder};
 use crate::crc::crc32;
 use crate::fs::Fs;
 use dq_admin::AuditEvent;
-use relstore::{DbError, DbResult, Row, Schema};
+use relstore::{DbError, DbResult, Schema};
 use tagstore::{IndicatorDef, IndicatorValue, TaggedRow};
 
 /// First bytes of every checkpoint file (version-bearing; v2 added the
-/// MVCC epoch counter, v3 the paged-relation manifests).
-pub const MAGIC: &[u8; 8] = b"DQCKPT3\n";
+/// MVCC epoch counter, v3 the paged-relation manifests, v4 dropped the
+/// untagged tables).
+pub const MAGIC: &[u8; 8] = b"DQCKPT4\n";
 /// File-name prefix of published checkpoints.
 pub const CKPT_PREFIX: &str = "ckpt-";
 /// File-name suffix of published checkpoints.
@@ -81,8 +84,6 @@ pub struct CheckpointData {
     /// MVCC epoch of the last commit reflected in this snapshot;
     /// recovery resumes the epoch counter from here.
     pub epoch: u64,
-    /// Plain tables: `(name, schema, rows)`, sorted by name.
-    pub tables: Vec<(String, Schema, Vec<Row>)>,
     /// Tagged relations, sorted by name.
     pub tagged: Vec<TaggedSnapshot>,
     /// Paged relations (manifests only — no row data), sorted by name.
@@ -105,15 +106,6 @@ fn encode(data: &CheckpointData) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u64(data.last_lsn);
     enc.put_u64(data.epoch);
-    enc.put_u32(data.tables.len() as u32);
-    for (name, schema, rows) in &data.tables {
-        enc.put_str(name);
-        enc.put_schema(schema);
-        enc.put_u32(rows.len() as u32);
-        for r in rows {
-            enc.put_row(r);
-        }
-    }
     enc.put_u32(data.tagged.len() as u32);
     for t in &data.tagged {
         enc.put_str(&t.name);
@@ -161,18 +153,6 @@ fn decode(payload: &[u8]) -> DbResult<CheckpointData> {
     let mut dec = Decoder::new(payload);
     let last_lsn = dec.get_u64()?;
     let epoch = dec.get_u64()?;
-    let ntables = dec.get_u32()? as usize;
-    let mut tables = Vec::with_capacity(ntables.min(1024));
-    for _ in 0..ntables {
-        let name = dec.get_str()?;
-        let schema = dec.get_schema()?;
-        let nrows = dec.get_u32()? as usize;
-        let mut rows = Vec::with_capacity(nrows.min(1024));
-        for _ in 0..nrows {
-            rows.push(dec.get_row()?);
-        }
-        tables.push((name, schema, rows));
-    }
     let ntagged = dec.get_u32()? as usize;
     let mut tagged = Vec::with_capacity(ntagged.min(1024));
     for _ in 0..ntagged {
@@ -243,7 +223,6 @@ fn decode(payload: &[u8]) -> DbResult<CheckpointData> {
     Ok(CheckpointData {
         last_lsn,
         epoch,
-        tables,
         tagged,
         paged,
         audit_next_seq,
@@ -275,20 +254,29 @@ pub fn write(fs: &dyn Fs, data: &CheckpointData) -> DbResult<String> {
     Ok(name)
 }
 
-fn read_one(fs: &dyn Fs, name: &str) -> DbResult<CheckpointData> {
-    let bytes = fs.read(name)?;
+/// Reads one checkpoint: `Ok(None)` when it is torn or corrupt (an older
+/// one may stand in), an error when it is intact but of another format.
+fn read_one(fs: &dyn Fs, name: &str) -> DbResult<Option<CheckpointData>> {
+    let Ok(bytes) = fs.read(name) else {
+        return Ok(None);
+    };
     if bytes.len() < MAGIC.len() + 4 {
-        return Err(DbError::Storage(format!("checkpoint `{name}` too short")));
+        return Ok(None);
     }
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
     let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
     if crc32(body) != stored {
-        return Err(DbError::Storage(format!("checkpoint `{name}` CRC mismatch")));
+        return Ok(None);
     }
-    if &body[..MAGIC.len()] != MAGIC {
-        return Err(DbError::Storage(format!("checkpoint `{name}` bad magic")));
+    let magic = &body[..MAGIC.len()];
+    if magic != MAGIC {
+        let found = String::from_utf8_lossy(magic.strip_suffix(b"\n").unwrap_or(magic));
+        return Err(DbError::Storage(format!(
+            "checkpoint `{name}` has format {found}; this build reads only {}",
+            String::from_utf8_lossy(&MAGIC[..MAGIC.len() - 1])
+        )));
     }
-    decode(&body[MAGIC.len()..])
+    Ok(decode(&body[MAGIC.len()..]).ok())
 }
 
 /// Sorted list of published checkpoint file names (oldest first).
@@ -305,14 +293,13 @@ pub fn list(fs: &dyn Fs) -> DbResult<Vec<String>> {
 /// Loads the newest intact checkpoint, falling back to older ones when
 /// the newest is corrupt (a crash can never corrupt a *published*
 /// checkpoint, but a dishonest disk can). Returns the file name too so
-/// callers can prune older files. `Ok(None)` on a fresh directory.
+/// callers can prune older files. `Ok(None)` on a fresh directory; an
+/// error when the newest intact checkpoint is of another format.
 pub fn load_latest(fs: &dyn Fs) -> DbResult<Option<(String, CheckpointData)>> {
     for name in list(fs)?.into_iter().rev() {
-        match read_one(fs, &name) {
-            Ok(data) => return Ok(Some((name, data))),
-            Err(_) => {
-                dq_obs::counter!("checkpoint.corrupt").incr();
-            }
+        match read_one(fs, &name)? {
+            Some(data) => return Ok(Some((name, data))),
+            None => dq_obs::counter!("checkpoint.corrupt").incr(),
         }
     }
     Ok(None)
@@ -350,14 +337,6 @@ mod tests {
         CheckpointData {
             last_lsn: 42,
             epoch: 7,
-            tables: vec![(
-                "company".into(),
-                Schema::of(&[("ticker", DataType::Text), ("price", DataType::Float)]),
-                vec![
-                    vec![Value::text("FRT"), Value::Float(10.5)],
-                    vec![Value::text("NUT"), Value::Null],
-                ],
-            )],
             tagged: vec![TaggedSnapshot {
                 name: "stock".into(),
                 schema: Schema::of(&[("name", DataType::Text)]),
@@ -487,6 +466,33 @@ mod tests {
         fs.crash();
         assert_eq!(list(&fs).unwrap(), vec![file_name(15)]);
         assert_eq!(load_latest(&fs).unwrap().unwrap().1.last_lsn, 15);
+    }
+
+    #[test]
+    fn retired_format_is_an_error_not_a_fallback() {
+        let fs = MemFs::new();
+        let mut old = sample();
+        old.last_lsn = 10;
+        write(&fs, &old).unwrap();
+        // a newer file in DQCKPT3, the format that still held untagged
+        // tables: intact, so its CRC is re-sealed over the old magic
+        let name = write(&fs, &sample()).unwrap();
+        let mut bytes = fs.read(&name).unwrap();
+        bytes.truncate(bytes.len() - 4);
+        bytes[..MAGIC.len()].copy_from_slice(b"DQCKPT3\n");
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        fs.write_file(&name, &bytes).unwrap();
+        match load_latest(&fs) {
+            Err(DbError::Storage(m)) => {
+                assert!(m.contains("has format DQCKPT3") && m.contains("DQCKPT4"), "{m}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        // and opening the directory fails with it rather than starting
+        // from the older checkpoint
+        let opened = crate::DurableDb::open(std::sync::Arc::new(fs), Default::default());
+        assert!(matches!(opened, Err(DbError::Storage(_))));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! [`DurableDb`]: the durable facade over the whole quality stack.
 //!
 //! One database directory holds WAL segments plus checkpoints covering
-//! three kinds of state: plain `relstore` tables, `tagstore` tagged
-//! relations (resident rows, or pages behind the buffer pool), and the
-//! `dq-admin` audit trail. Every mutation is **applied first, logged
-//! second**: the in-memory engine validates and performs the operation,
-//! and only a successful operation is appended to the WAL — so every
-//! logged record is one that once succeeded, and replaying the committed
-//! prefix through the same code paths is deterministic redo.
+//! two kinds of state: `tagstore` tagged relations (resident rows, or
+//! pages behind the buffer pool) and the `dq-admin` audit trail. A
+//! resident mutation is **applied first, logged second**: the in-memory
+//! engine validates and performs the operation, and only a successful
+//! operation is appended to the WAL — so every logged record is one that
+//! once succeeded, and replaying the committed prefix through the same
+//! code paths is deterministic redo. (Paged mutations validate, log, then
+//! apply; see [`DurableDb::create_paged`].)
 //!
 //! ## Recovery
 //!
@@ -25,7 +26,7 @@ use crate::paged::{PagedReadStats, PagedRelation};
 use crate::record::WalRecord;
 use crate::wal::{self, Wal, WalOptions};
 use dq_admin::{AuditAction, AuditTrail};
-use relstore::{Database, Date, DbError, DbResult, Expr, Row, Schema, Table, Value};
+use relstore::{Date, DbError, DbResult, Expr, Schema, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tagstore::{
@@ -126,8 +127,8 @@ struct PagedIndexState {
     keys: HashMap<usize, HashMap<Value, Vec<u64>>>,
 }
 
-/// A durable quality database: tables + tagged relations + audit trail,
-/// all recovered from one directory on [`DurableDb::open`].
+/// A durable quality database: tagged relations (resident and paged) and
+/// the audit trail, all recovered from one directory on [`DurableDb::open`].
 pub struct DurableDb {
     fs: Arc<dyn Fs>,
     wal: Wal,
@@ -135,7 +136,6 @@ pub struct DurableDb {
     /// Committed MVCC epoch: records buffered toward the next commit are
     /// stamped `epoch + 1`; a successful commit advances this.
     epoch: u64,
-    db: Database,
     tagged: BTreeMap<String, TaggedRelation>,
     audit: AuditTrail,
     pool: BufferPool,
@@ -147,7 +147,6 @@ pub struct DurableDb {
 impl std::fmt::Debug for DurableDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableDb")
-            .field("tables", &self.db.table_names())
             .field("tagged", &self.tagged.keys().collect::<Vec<_>>())
             .field("paged", &self.paged.keys().collect::<Vec<_>>())
             .field("audit_events", &self.audit.len())
@@ -187,7 +186,6 @@ fn remove_key_pos(hash: &mut HashMap<Value, Vec<u64>>, v: &Value, pos: u64) {
 /// Mutable state recovery applies records onto.
 struct Recovering {
     fs: Arc<dyn Fs>,
-    db: Database,
     tagged: BTreeMap<String, TaggedRelation>,
     audit: AuditTrail,
     pool: BufferPool,
@@ -200,11 +198,6 @@ impl Recovering {
         opts: &DurableOptions,
         data: CheckpointData,
     ) -> DbResult<Self> {
-        let mut db = Database::new();
-        for (name, schema, rows) in data.tables {
-            db.create_table(&name, schema)?;
-            db.table_mut(&name)?.bulk_load(rows)?;
-        }
         let mut tagged = BTreeMap::new();
         for snap in data.tagged {
             let TaggedSnapshot {
@@ -234,7 +227,6 @@ impl Recovering {
         }
         Ok(Recovering {
             fs,
-            db,
             tagged,
             audit,
             pool,
@@ -254,21 +246,6 @@ impl Recovering {
     /// the same recovery positions as the originals.
     fn apply(&mut self, lsn: u64, rec: WalRecord) -> DbResult<()> {
         match rec {
-            WalRecord::CreateTable { table, schema } => {
-                self.db.create_table(&table, schema)?;
-            }
-            WalRecord::Insert { table, row } => {
-                self.db.table_mut(&table)?.insert(row)?;
-            }
-            WalRecord::Update { table, pos, row } => {
-                self.db.table_mut(&table)?.update(pos as usize, row)?;
-            }
-            WalRecord::Delete { table, pos } => {
-                self.db.table_mut(&table)?.delete(pos as usize)?;
-            }
-            WalRecord::BulkLoad { table, rows } => {
-                self.db.table_mut(&table)?.bulk_load(rows)?;
-            }
             WalRecord::CreateTagged { name, schema, dict } => {
                 if self.tagged.contains_key(&name) {
                     return Err(DbError::DuplicateTable(name));
@@ -340,9 +317,9 @@ impl Recovering {
 impl DurableDb {
     /// Opens (recovering) the database stored under `fs`.
     ///
-    /// Steps: load newest intact checkpoint → scan the WAL (truncating a
-    /// torn tail) → redo records beyond the checkpoint LSN → rebuild
-    /// quality bitmap indexes once.
+    /// Steps: load the newest intact checkpoint → scan the WAL (truncating
+    /// a torn tail) → redo records beyond the checkpoint LSN. No index is
+    /// built: a paged relation's is built on its first indexed read.
     pub fn open(fs: Arc<dyn Fs>, opts: DurableOptions) -> DbResult<(DurableDb, RecoveryReport)> {
         let _t = dq_obs::histogram!("recovery.duration_us").start();
         dq_obs::counter!("recovery.runs").incr();
@@ -386,7 +363,6 @@ impl DurableDb {
                 wal,
                 group_commit: opts.group_commit,
                 epoch,
-                db: state.db,
                 tagged: state.tagged,
                 audit: state.audit,
                 pool: state.pool,
@@ -429,49 +405,6 @@ impl DurableDb {
             dq_obs::counter!("mvcc.epochs_published").incr();
         }
         Ok(())
-    }
-
-    // ---- plain tables ---------------------------------------------------
-
-    /// Creates a plain table.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> DbResult<()> {
-        self.db.create_table(name, schema.clone())?;
-        self.log(WalRecord::CreateTable {
-            table: name.to_owned(),
-            schema,
-        })
-    }
-
-    /// Inserts a row, returning its position.
-    pub fn insert(&mut self, table: &str, row: Row) -> DbResult<usize> {
-        let pos = self.db.insert(table, row.clone())?;
-        self.log(WalRecord::Insert {
-            table: table.to_owned(),
-            row,
-        })?;
-        Ok(pos)
-    }
-
-    /// Replaces the row at `pos`.
-    #[cfg(test)]
-    pub fn update(&mut self, table: &str, pos: usize, row: Row) -> DbResult<()> {
-        self.db.update(table, pos, row.clone())?;
-        self.log(WalRecord::Update {
-            table: table.to_owned(),
-            pos: pos as u64,
-            row,
-        })
-    }
-
-    /// Deletes the row at `pos` (swap-remove), returning it.
-    #[cfg(test)]
-    pub fn delete(&mut self, table: &str, pos: usize) -> DbResult<Row> {
-        let removed = self.db.delete(table, pos)?;
-        self.log(WalRecord::Delete {
-            table: table.to_owned(),
-            pos: pos as u64,
-        })?;
-        Ok(removed)
     }
 
     // ---- tagged relations -----------------------------------------------
@@ -1015,15 +948,6 @@ impl DurableDb {
     }
 
     fn snapshot_data(&self) -> CheckpointData {
-        let tables = self
-            .db
-            .table_names()
-            .into_iter()
-            .map(|name| {
-                let t = self.db.table(name).expect("listed name resolves");
-                (name.to_owned(), t.schema().clone(), t.rows().to_vec())
-            })
-            .collect();
         let tagged = self
             .tagged
             .iter()
@@ -1045,7 +969,6 @@ impl DurableDb {
         CheckpointData {
             last_lsn: self.wal.last_lsn(),
             epoch: self.epoch,
-            tables,
             tagged,
             paged,
             audit_next_seq: self.audit.events().last().map_or(0, |e| e.seq + 1),
@@ -1054,11 +977,6 @@ impl DurableDb {
     }
 
     // ---- accessors ------------------------------------------------------
-
-    /// One plain table.
-    pub fn table(&self, name: &str) -> DbResult<&Table> {
-        self.db.table(name)
-    }
 
     /// One tagged relation.
     pub fn tagged(&self, name: &str) -> DbResult<&TaggedRelation> {
@@ -1114,16 +1032,20 @@ mod tests {
         .unwrap()
     }
 
+    /// A `company` row of bare cells.
+    fn company(ticker: &str, price: f64) -> TaggedRow {
+        vec![QualityCell::bare(ticker), QualityCell::bare(price)]
+    }
+
     fn seed(db: &mut DurableDb) {
-        db.create_table(
+        db.create_tagged(
             "company",
             Schema::of(&[("ticker", DataType::Text), ("price", DataType::Float)]),
+            IndicatorDictionary::with_paper_defaults(),
         )
         .unwrap();
-        db.insert("company", vec![Value::text("FRT"), Value::Float(10.0)])
-            .unwrap();
-        db.insert("company", vec![Value::text("NUT"), Value::Float(20.0)])
-            .unwrap();
+        db.push("company", company("FRT", 10.0)).unwrap();
+        db.push("company", company("NUT", 20.0)).unwrap();
         db.create_tagged(
             "stock",
             Schema::of(&[("name", DataType::Text), ("employees", DataType::Int)]),
@@ -1164,7 +1086,7 @@ mod tests {
         // autocommit: one epoch per record, restored from the log
         assert_eq!(report.epoch, 6);
         assert_eq!(db.epoch(), 6);
-        assert_eq!(db.table("company").unwrap().len(), 2);
+        assert_eq!(db.tagged("company").unwrap().len(), 2);
         let stock = db.tagged("stock").unwrap();
         assert_eq!(stock.len(), 1);
         assert_eq!(
@@ -1187,14 +1109,13 @@ mod tests {
         db.commit().unwrap();
         // one group commit covering the whole seed: one epoch
         assert_eq!(db.epoch(), 1);
-        db.insert("company", vec![Value::text("BLT"), Value::Float(1.0)])
-            .unwrap();
+        db.push("company", company("BLT", 1.0)).unwrap();
         assert_eq!(db.pending_records(), 1);
-        // crash before commit: the last insert must vanish
+        // crash before commit: the last push must vanish
         drop(db);
         fs.crash();
         let (db, report) = open(&fs, true);
-        assert_eq!(db.table("company").unwrap().len(), 2);
+        assert_eq!(db.tagged("company").unwrap().len(), 2);
         assert_eq!(report.epoch, 1);
     }
 
@@ -1205,9 +1126,9 @@ mod tests {
         seed(&mut db);
         db.checkpoint().unwrap();
         // post-checkpoint tail
-        db.update("company", 0, vec![Value::text("FRT"), Value::Float(11.0)])
+        db.tag_cell("company", 0, "price", IndicatorValue::new("source", "NYSE"))
             .unwrap();
-        db.delete("company", 1).unwrap();
+        db.swap_remove("company", 1).unwrap();
         db.tag_cell(
             "stock",
             0,
@@ -1224,9 +1145,9 @@ mod tests {
         // 6 epochs inside the checkpoint + 3 replayed from the tail
         assert_eq!(report.epoch, 9);
         assert_eq!(db.epoch(), 9);
-        let company = db.table("company").unwrap();
+        let company = db.tagged("company").unwrap();
         assert_eq!(company.len(), 1);
-        assert_eq!(company.rows()[0][1], Value::Float(11.0));
+        assert_eq!(company.cell(0, "price").unwrap().tag_value("source"), Value::text("NYSE"));
         assert_eq!(
             db.tagged("stock")
                 .unwrap()
@@ -1243,8 +1164,7 @@ mod tests {
         let (mut db, _) = open(&fs, false);
         seed(&mut db);
         db.checkpoint().unwrap();
-        db.insert("company", vec![Value::text("BLT"), Value::Float(1.0)])
-            .unwrap();
+        db.push("company", company("BLT", 1.0)).unwrap();
         db.checkpoint().unwrap();
         let checkpoint_lsn = db.last_lsn();
         let files = fs.list().unwrap();
@@ -1255,7 +1175,7 @@ mod tests {
         // and the database still opens with zero replay
         let (db, report) = open(&fs, false);
         assert_eq!(report.replayed_records, 0);
-        assert_eq!(db.table("company").unwrap().len(), 3);
+        assert_eq!(db.tagged("company").unwrap().len(), 3);
         // LSNs continue past the checkpoint after a pruned-log reopen
         assert_eq!(db.last_lsn(), checkpoint_lsn);
         // with the WAL pruned, the checkpoint is the epoch authority
@@ -1526,9 +1446,8 @@ mod tests {
         seed(&mut db);
         let lsn = db.last_lsn();
         // type error: rejected by the engine, so nothing may hit the log
-        assert!(db
-            .insert("company", vec![Value::Int(1), Value::Float(1.0)])
-            .is_err());
+        let wrong = vec![QualityCell::bare(1i64), QualityCell::bare(1.0)];
+        assert!(db.push("company", wrong).is_err());
         assert!(db.tag_cell("stock", 0, "name", IndicatorValue::new("ghost", "x")).is_err());
         assert_eq!(db.last_lsn(), lsn);
     }

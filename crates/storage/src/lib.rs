@@ -8,15 +8,19 @@
 //! in-memory engine:
 //!
 //! * [`wal`] — an append-only, CRC32-framed log with segment rotation
-//!   and group commit; every mutation of plain tables, tagged relations,
-//!   and the audit trail becomes one logical redo record,
-//! * [`checkpoint`] — atomic full snapshots (tmp + fsync + rename) so
-//!   recovery replays a bounded tail instead of the whole history,
+//!   and group commit; every mutation of a tagged relation (its creation,
+//!   a pushed row, a cell tag, a removed row) and every audit event
+//!   becomes one logical redo record,
+//! * [`checkpoint`] — atomic snapshots (tmp + fsync + rename; resident
+//!   rows in full, paged relations as page manifests) so recovery replays
+//!   a bounded tail instead of the whole history,
 //! * [`db`] — [`DurableDb`], the facade that applies a mutation in
-//!   memory first and logs it second, recovers on open (loading the
-//!   newest intact checkpoint, replaying the WAL tail, truncating a torn
-//!   final record), and rebuilds the quality bitmap indexes once at the
-//!   end,
+//!   memory first and logs it second, and recovers on open: it loads the
+//!   newest intact checkpoint, truncates a torn final record and replays
+//!   the WAL tail. It builds no index; a paged relation's is built on its
+//!   first indexed read,
+//! * [`buffer_pool`], [`page`] and [`paged`] — slotted pages behind a
+//!   pinning buffer pool, for relations larger than memory,
 //! * [`fs`] — the filesystem abstraction, with a fault-injecting
 //!   in-memory implementation ([`MemFs`]: short writes, torn tails,
 //!   dropped fsyncs) driving the recovery tests,
@@ -31,18 +35,22 @@
 //!
 //! ```
 //! use dq_storage::{DurableDb, DurableOptions, MemFs};
-//! use relstore::{DataType, Schema, Value};
+//! use relstore::{DataType, Schema};
 //! use std::sync::Arc;
+//! use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell};
 //!
 //! let disk = MemFs::new();
 //! let (mut db, _) = DurableDb::open(Arc::new(disk.clone()), DurableOptions::default()).unwrap();
-//! db.create_table("company", Schema::of(&[("ticker", DataType::Text)])).unwrap();
-//! db.insert("company", vec![Value::text("FRT")]).unwrap();
+//! let schema = Schema::of(&[("ticker", DataType::Text)]);
+//! db.create_tagged("company", schema, IndicatorDictionary::with_paper_defaults()).unwrap();
+//! db.push("company", vec![QualityCell::bare("FRT")]).unwrap();
+//! db.tag_cell("company", 0, "ticker", IndicatorValue::new("source", "NYSE")).unwrap();
 //!
 //! disk.crash(); // power failure
 //! let (db, report) = DurableDb::open(Arc::new(disk), DurableOptions::default()).unwrap();
-//! assert_eq!(report.replayed_records, 2);
-//! assert_eq!(db.table("company").unwrap().len(), 1);
+//! assert_eq!(report.replayed_records, 3);
+//! let company = db.tagged("company").unwrap();
+//! assert_eq!(company.cell(0, "ticker").unwrap().tag_value("source"), "NYSE".into());
 //! ```
 
 #![warn(missing_docs)]
@@ -79,7 +87,7 @@ mod proptests {
     use crate::wal::WalOptions;
     use dq_admin::{AuditAction, AuditEvent, AuditTrail};
     use proptest::prelude::*;
-    use relstore::{DataType, Date, Expr, Row, Schema, Value};
+    use relstore::{DataType, Date, Expr, Schema, Value};
     use std::sync::Arc;
     use tagstore::{
         ColumnarRelation, IndicatorDictionary, IndicatorValue, QualityCell, QualityIndex,
@@ -94,13 +102,14 @@ mod proptests {
         crel.gather(&sel).to_tagged()
     }
 
-    /// One generated operation. Parameters are interpreted mod the
-    /// current state so every op always succeeds (the log only ever
+    /// One generated operation over the bare relation `t` (the first
+    /// three) or the tagged relation `q`. Parameters are interpreted mod
+    /// the current state so every op always succeeds (the log only ever
     /// holds operations that succeeded).
     #[derive(Debug, Clone)]
     enum Op {
         Insert(i64, String),
-        Update(usize, i64, String),
+        Retag(usize, String),
         Delete(usize),
         Push(i64, Option<String>),
         TagCell(usize, String),
@@ -111,7 +120,7 @@ mod proptests {
     fn arb_op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0i64..100, "[a-d]{1,3}").prop_map(|(a, s)| Op::Insert(a, s)),
-            (0usize..16, 0i64..100, "[a-d]{1,3}").prop_map(|(p, a, s)| Op::Update(p, a, s)),
+            (0usize..16, "[a-d]{1,3}").prop_map(|(p, s)| Op::Retag(p, s)),
             (0usize..16).prop_map(Op::Delete),
             (0i64..100, prop::option::of("[a-c]")).prop_map(|(v, s)| Op::Push(v, s)),
             (0usize..16, "[a-c]").prop_map(|(p, s)| Op::TagCell(p, s)),
@@ -123,7 +132,7 @@ mod proptests {
     /// In-memory reference state, snapshotted after every WAL record.
     #[derive(Debug, Clone, PartialEq)]
     struct Shadow {
-        rows: Vec<Row>,
+        t: TaggedRelation,
         q: TaggedRelation,
         audit: Vec<AuditEvent>,
     }
@@ -148,18 +157,16 @@ mod proptests {
             ..Default::default()
         };
         let (mut db, _) = DurableDb::open(Arc::new(fs.clone()), opts).unwrap();
+        let dict = IndicatorDictionary::with_paper_defaults;
         let mut shadow = Shadow {
-            rows: Vec::new(),
-            q: TaggedRelation::empty(
-                tagged_schema(),
-                IndicatorDictionary::with_paper_defaults(),
-            ),
+            t: TaggedRelation::empty(table_schema(), dict()),
+            q: TaggedRelation::empty(tagged_schema(), dict()),
             audit: Vec::new(),
         };
         let mut snapshots = vec![shadow.clone()];
 
         // two DDL records seed the log
-        db.create_table("t", table_schema()).unwrap();
+        db.create_tagged("t", table_schema(), dict()).unwrap();
         snapshots.push(shadow.clone());
         db.create_tagged(
             "q",
@@ -174,26 +181,26 @@ mod proptests {
         for op in ops {
             match op.clone() {
                 Op::Insert(a, s) => {
-                    let row = vec![Value::Int(a), Value::text(s)];
-                    db.insert("t", row.clone()).unwrap();
-                    shadow.rows.push(row);
+                    let row = vec![QualityCell::bare(a), QualityCell::bare(s)];
+                    db.push("t", row.clone()).unwrap();
+                    shadow.t.push(row).unwrap();
                 }
-                Op::Update(p, a, s) => {
-                    if shadow.rows.is_empty() {
+                Op::Retag(p, s) => {
+                    if shadow.t.is_empty() {
                         continue;
                     }
-                    let p = p % shadow.rows.len();
-                    let row = vec![Value::Int(a), Value::text(s)];
-                    db.update("t", p, row.clone()).unwrap();
-                    shadow.rows[p] = row;
+                    let p = p % shadow.t.len();
+                    let tag = IndicatorValue::new("source", s);
+                    db.tag_cell("t", p, "name", tag.clone()).unwrap();
+                    shadow.t.tag_cell(p, "name", tag).unwrap();
                 }
                 Op::Delete(p) => {
-                    if shadow.rows.is_empty() {
+                    if shadow.t.is_empty() {
                         continue;
                     }
-                    let p = p % shadow.rows.len();
-                    db.delete("t", p).unwrap();
-                    shadow.rows.swap_remove(p);
+                    let p = p % shadow.t.len();
+                    db.swap_remove("t", p).unwrap();
+                    shadow.t.swap_remove(p).unwrap();
                 }
                 Op::Push(v, src) => {
                     k_counter += 1;
@@ -301,10 +308,9 @@ mod proptests {
             prop_assert_eq!(report.epoch, k as u64);
             prop_assert_eq!(db.epoch(), k as u64);
             let expect = &snapshots[k];
-            prop_assert_eq!(
-                if k >= 1 { db.table("t").unwrap().rows() } else { &[][..] },
-                &expect.rows[..]
-            );
+            if k >= 1 {
+                prop_assert_eq!(db.tagged("t").unwrap(), &expect.t);
+            }
             if k >= 2 {
                 prop_assert_eq!(db.tagged("q").unwrap(), &expect.q);
             }
@@ -326,7 +332,7 @@ mod proptests {
             fs.crash();
             let (db, _) = reopen(&fs);
             let expect = snapshots.last().unwrap();
-            prop_assert_eq!(db.table("t").unwrap().rows(), &expect.rows[..]);
+            prop_assert_eq!(db.tagged("t").unwrap(), &expect.t);
             prop_assert_eq!(db.audit_trail().events(), &expect.audit[..]);
 
             let recovered = db.tagged("q").unwrap();

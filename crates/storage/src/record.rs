@@ -1,56 +1,20 @@
 //! Logical WAL records: one per durable mutation of the paper-level
-//! state — plain-table DML, tagged-relation tagging operations, and
-//! audit-trail ("electronic trail") events.
+//! state — a tagged relation's DDL, row pushes, cell tags and removals
+//! (resident or paged), and audit-trail ("electronic trail") events.
 //!
 //! Records are *logical* redo records: replaying the committed prefix
 //! through the same code paths that produced it reconstructs the exact
-//! in-memory state (the engine's mutations are deterministic).
+//! in-memory state (the engine's mutations are deterministic). Record
+//! tags 0–4 belonged to the retired untagged tables and no longer decode.
 
 use crate::codec::{Decoder, Encoder};
 use dq_admin::AuditEvent;
-use relstore::{DbError, DbResult, Row, Schema};
+use relstore::{DbError, DbResult, Schema};
 use tagstore::{IndicatorDef, IndicatorValue, TaggedRow};
 
 /// One logical operation in the log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// `relstore` DDL: a new table.
-    CreateTable {
-        /// Table name.
-        table: String,
-        /// Its schema.
-        schema: Schema,
-    },
-    /// `relstore::Table::insert`.
-    Insert {
-        /// Target table.
-        table: String,
-        /// The inserted row.
-        row: Row,
-    },
-    /// `relstore::Table::update` (positional).
-    Update {
-        /// Target table.
-        table: String,
-        /// Row position replaced.
-        pos: u64,
-        /// The replacement row.
-        row: Row,
-    },
-    /// `relstore::Table::delete` (positional swap-remove).
-    Delete {
-        /// Target table.
-        table: String,
-        /// Row position removed.
-        pos: u64,
-    },
-    /// `relstore::Table::bulk_load`.
-    BulkLoad {
-        /// Target table.
-        table: String,
-        /// The loaded batch.
-        rows: Vec<Row>,
-    },
     /// `tagstore` DDL: a new tagged relation with its indicator
     /// dictionary.
     CreateTagged {
@@ -133,35 +97,6 @@ impl WalRecord {
     /// Encodes this record (without framing) into `enc`.
     pub fn encode(&self, enc: &mut Encoder) {
         match self {
-            WalRecord::CreateTable { table, schema } => {
-                enc.put_u8(0);
-                enc.put_str(table);
-                enc.put_schema(schema);
-            }
-            WalRecord::Insert { table, row } => {
-                enc.put_u8(1);
-                enc.put_str(table);
-                enc.put_row(row);
-            }
-            WalRecord::Update { table, pos, row } => {
-                enc.put_u8(2);
-                enc.put_str(table);
-                enc.put_u64(*pos);
-                enc.put_row(row);
-            }
-            WalRecord::Delete { table, pos } => {
-                enc.put_u8(3);
-                enc.put_str(table);
-                enc.put_u64(*pos);
-            }
-            WalRecord::BulkLoad { table, rows } => {
-                enc.put_u8(4);
-                enc.put_str(table);
-                enc.put_u32(rows.len() as u32);
-                for r in rows {
-                    enc.put_row(r);
-                }
-            }
             WalRecord::CreateTagged { name, schema, dict } => {
                 enc.put_u8(5);
                 enc.put_str(name);
@@ -234,32 +169,6 @@ impl WalRecord {
     /// Decodes one record from `dec`.
     pub fn decode(dec: &mut Decoder<'_>) -> DbResult<WalRecord> {
         Ok(match dec.get_u8()? {
-            0 => WalRecord::CreateTable {
-                table: dec.get_str()?,
-                schema: dec.get_schema()?,
-            },
-            1 => WalRecord::Insert {
-                table: dec.get_str()?,
-                row: dec.get_row()?,
-            },
-            2 => WalRecord::Update {
-                table: dec.get_str()?,
-                pos: dec.get_u64()?,
-                row: dec.get_row()?,
-            },
-            3 => WalRecord::Delete {
-                table: dec.get_str()?,
-                pos: dec.get_u64()?,
-            },
-            4 => {
-                let table = dec.get_str()?;
-                let n = dec.get_u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rows.push(dec.get_row()?);
-                }
-                WalRecord::BulkLoad { table, rows }
-            }
             5 => {
                 let name = dec.get_str()?;
                 let schema = dec.get_schema()?;
@@ -335,30 +244,6 @@ mod tests {
     #[test]
     fn every_variant_roundtrips() {
         let schema = Schema::of(&[("id", DataType::Int), ("name", DataType::Text)]);
-        roundtrip(WalRecord::CreateTable {
-            table: "customer".into(),
-            schema: schema.clone(),
-        });
-        roundtrip(WalRecord::Insert {
-            table: "customer".into(),
-            row: vec![Value::Int(1), Value::text("Fruit Co")],
-        });
-        roundtrip(WalRecord::Update {
-            table: "customer".into(),
-            pos: 0,
-            row: vec![Value::Int(1), Value::text("Fruit & Nut Co")],
-        });
-        roundtrip(WalRecord::Delete {
-            table: "customer".into(),
-            pos: 3,
-        });
-        roundtrip(WalRecord::BulkLoad {
-            table: "customer".into(),
-            rows: vec![
-                vec![Value::Int(2), Value::Null],
-                vec![Value::Int(3), Value::text("Nut Co")],
-            ],
-        });
         roundtrip(WalRecord::CreateTagged {
             name: "stock".into(),
             schema,
@@ -419,7 +304,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        let mut d = Decoder::new(&[42]);
-        assert!(WalRecord::decode(&mut d).is_err());
+        // 0–4 are the retired untagged-table records
+        for tag in [[0], [1], [2], [3], [4], [42]] {
+            let mut d = Decoder::new(&tag);
+            assert!(WalRecord::decode(&mut d).is_err(), "tag {tag:?}");
+        }
     }
 }

@@ -370,12 +370,12 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::fs::MemFs;
-    use relstore::Value;
+    use tagstore::QualityCell;
 
     fn rec(i: i64) -> WalRecord {
-        WalRecord::Insert {
-            table: "t".into(),
-            row: vec![Value::Int(i)],
+        WalRecord::TagPush {
+            name: "t".into(),
+            row: vec![QualityCell::bare(i)],
         }
     }
 

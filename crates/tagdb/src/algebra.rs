@@ -1,6 +1,7 @@
 //! Tag-propagating relational algebra over [`TaggedRelation`]s.
 //!
-//! Each operator mirrors its `relstore::algebra` counterpart and defines
+//! The engine's relational algebra: every relation is tagged, and an
+//! untagged one is a tagged one with empty tag sets. Each operator defines
 //! how quality tags travel:
 //!
 //! * σ / π / ρ / τ — tags ride along with their cells unchanged;
@@ -20,7 +21,7 @@ use crate::symbol::Symbol;
 use relstore::algebra::AggCall;
 use relstore::index::HashIndex;
 use relstore::{par, Date, DbError, DbResult, Row, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Evaluates an expression (which may reference `col@indicator` and
 /// nested `col@ind@meta` pseudo-columns) on the rows at `ids`, returning
@@ -273,17 +274,30 @@ pub fn hash_join_probe(
 }
 
 /// δ over application values: rows with equal *values* collapse to one row
-/// whose cell tags are the merge of the duplicates' tags (conflicting tags
-/// drop — ambiguous provenance is not invented).
+/// whose cell tags are the merge of the duplicates' tags. A tag two
+/// duplicates disagree on drops for good, whatever a later duplicate
+/// carries: ambiguous provenance is not invented.
 pub fn distinct_merging(rel: &TaggedRelation) -> TaggedRelation {
     let mut index: HashMap<Row, usize> = HashMap::new();
     let mut out: Vec<TaggedRow> = Vec::new();
+    // (output row, column, indicator) some duplicates disagreed on
+    let mut disputed: HashSet<(usize, usize, Symbol)> = HashSet::new();
     for row in rel.iter() {
         let key: Row = row.iter().map(|c| c.value.clone()).collect();
         match index.get(&key) {
             Some(&pos) => {
-                for (mine, theirs) in out[pos].iter_mut().zip(row.iter()) {
+                for (c, (mine, theirs)) in out[pos].iter_mut().zip(row.iter()).enumerate() {
+                    for t in theirs.tags() {
+                        if mine.tag_sym(&t.indicator).is_some_and(|m| m != t) {
+                            disputed.insert((pos, c, t.indicator.clone()));
+                        }
+                    }
                     mine.merge_tags_from(theirs);
+                    for t in theirs.tags() {
+                        if disputed.contains(&(pos, c, t.indicator.clone())) {
+                            mine.remove_tag(&t.indicator);
+                        }
+                    }
                 }
             }
             None => {
@@ -417,6 +431,108 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// A relation of bare cells from plain rows.
+    fn bare(cols: &[(&str, DataType)], rows: Vec<Vec<Value>>) -> TaggedRelation {
+        let rows = rows.into_iter().map(|r| r.into_iter().map(QualityCell::bare).collect());
+        TaggedRelation::new(
+            Schema::of(cols),
+            IndicatorDictionary::with_paper_defaults(),
+            rows.collect(),
+        )
+        .unwrap()
+    }
+
+    fn customers() -> TaggedRelation {
+        let cols = [
+            ("co_name", DataType::Text),
+            ("address", DataType::Text),
+            ("employees", DataType::Int),
+        ];
+        bare(
+            &cols,
+            vec![
+                vec![Value::text("Fruit Co"), Value::text("12 Jay St"), Value::Int(4004)],
+                vec![Value::text("Nut Co"), Value::text("62 Lois Av"), Value::Int(700)],
+                vec![Value::text("Bolt Co"), Value::Null, Value::Int(120)],
+            ],
+        )
+    }
+
+    #[test]
+    fn select_filters() {
+        let r = select(&customers(), &Expr::col("employees").gt(Expr::lit(500i64))).unwrap();
+        assert_eq!(r.len(), 2);
+        // NULL address row: predicate on address drops it (3VL)
+        let r = select(&customers(), &Expr::col("address").eq(Expr::lit("12 Jay St"))).unwrap();
+        assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn select_empty_result() {
+        let r = select(&customers(), &Expr::lit(false)).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(r.schema().arity(), 3);
+    }
+
+    #[test]
+    fn project_reorders() {
+        let r = project(&customers(), &["employees", "co_name"]).unwrap();
+        assert_eq!(r.schema().names(), vec!["employees", "co_name"]);
+        assert_eq!(r.rows()[0][0].value, Value::Int(4004));
+        assert!(project(&customers(), &["bogus"]).is_err());
+    }
+
+    /// `trades(ticker, qty)` with a ticker no stock has and a NULL one.
+    fn trades() -> TaggedRelation {
+        let t = |s: &str| Value::text(s);
+        bare(
+            &[("ticker", DataType::Text), ("qty", DataType::Int)],
+            vec![
+                vec![t("FRT"), Value::Int(100)],
+                vec![t("FRT"), Value::Int(50)],
+                vec![t("NUT"), Value::Int(10)],
+                vec![t("ZZZ"), Value::Int(1)],
+                vec![Value::Null, Value::Int(7)],
+            ],
+        )
+    }
+
+    #[test]
+    fn hash_join_basic() {
+        let j = hash_join(&trades(), &prices(), "ticker", "ticker").unwrap();
+        assert_eq!(j.len(), 3); // FRT×2 + NUT×1; ZZZ and NULL drop
+        assert_eq!(j.schema().names(), vec!["l.ticker", "qty", "r.ticker", "price"]);
+    }
+
+    #[test]
+    fn null_keys_never_match() {
+        let mut stocks = prices();
+        stocks.push(vec![QualityCell::bare(Value::Null), QualityCell::bare(99.0)]).unwrap();
+        let j = hash_join(&stocks, &trades(), "ticker", "ticker").unwrap();
+        assert_eq!(j.len(), 3);
+        assert!(j.iter().all(|r| !r[0].value.is_null()));
+    }
+
+    #[test]
+    fn unknown_key_errors() {
+        assert!(hash_join(&trades(), &prices(), "bogus", "ticker").is_err());
+    }
+
+    #[test]
+    fn distinct_preserves_order() {
+        let ns = [3, 1, 3, 2, 1].map(|n| vec![Value::Int(n)]);
+        let d = distinct_merging(&bare(&[("n", DataType::Int)], ns.to_vec()));
+        let got: Vec<&Value> = d.iter().map(|r| &r[0].value).collect();
+        assert_eq!(got, [&Value::Int(3), &Value::Int(1), &Value::Int(2)]);
+    }
+
+    #[test]
+    fn null_rows_participate() {
+        let a = bare(&[("n", DataType::Int)], vec![vec![Value::Null], vec![Value::Null]]);
+        // whole-row δ treats NULL = NULL (SQL DISTINCT-style grouping)
+        assert_eq!(distinct_merging(&a).len(), 1);
     }
 
     #[test]
@@ -599,6 +715,8 @@ mod tests {
             vec![
                 vec![QualityCell::bare(1i64).with_tag(IndicatorValue::new("source", "a"))],
                 vec![QualityCell::bare(1i64).with_tag(IndicatorValue::new("source", "b"))],
+                // a third duplicate siding with the first does not settle it
+                vec![QualityCell::bare(1i64).with_tag(IndicatorValue::new("source", "a"))],
             ],
         )
         .unwrap();

@@ -33,14 +33,6 @@
 //!   over-approximation that can only force a scan, never a wrong answer.
 //! * `BETWEEN` evaluates on the raw total order (the evaluator skips the
 //!   comparability check for it), so it is always answerable.
-//!
-//! One caveat is inherent to index narrowing. A row's verdict runs its
-//! conjuncts in written order ([`crate::Predicate::matches`]), so a
-//! conjunct that raises a runtime error (division by zero, overflow, or
-//! a type error over an `Any` operand) behind an atom never runs on the
-//! rows that atom rejects, on any path. Written *before* an atom, it
-//! runs on every row under a scan, while the indexed path re-checks only
-//! the atoms' candidates and cannot observe the error on the others.
 
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;

@@ -40,6 +40,7 @@ pub mod relation;
 pub mod store;
 pub mod symbol;
 
+pub use algebra::{TagPolicy, TagRule};
 pub use bitmap::{Bitset, QualityAtom, QualityIndex};
 pub use columnar::{
     hash_join_probe_columnar, selection_columnar, selection_indexed_columnar, BatchStats,
@@ -55,7 +56,8 @@ pub use store::{from_quality_store, to_quality_store, QualityStore, QKEY_SUFFIX}
 
 #[cfg(test)]
 mod proptests {
-    //! Algebra laws under tagging.
+    //! Algebra laws, over tagged relations and over relations whose cells
+    //! carry no tags.
     use crate::algebra::*;
     use crate::bitmap::tests::{index_scan, push, retag, swap_remove};
     use crate::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
@@ -86,6 +88,18 @@ mod proptests {
                 })
                 .collect();
             TaggedRelation::new(schema, dict, rows).unwrap()
+        })
+    }
+
+    /// Arbitrary relation over (k:Int, v:Int) whose cells carry no tags.
+    fn arb_bare() -> impl Strategy<Value = TaggedRelation> {
+        prop::collection::vec((0i64..50, 0i64..50), 0..40).prop_map(|rows| {
+            let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+            let rows = rows
+                .into_iter()
+                .map(|(k, v)| vec![QualityCell::bare(k), QualityCell::bare(v)])
+                .collect();
+            TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap()
         })
     }
 
@@ -143,12 +157,13 @@ mod proptests {
 
     proptest! {
         /// Stripping commutes with selection on application values:
-        /// strip(σ_p(R)) = σ_p(strip(R)).
+        /// strip(σ_p(R)) is the longhand filter of strip(R).
         #[test]
         fn strip_commutes_with_value_select(rel in arb_tagged(), c in 0i64..20) {
             let p = Expr::col("v").lt(Expr::lit(c));
-            let lhs = select(&rel, &p).unwrap().strip();
-            let rhs = relstore::algebra::select(&rel.strip(), &p).unwrap();
+            let lhs = select(&rel, &p).unwrap().strip().into_rows();
+            let rhs: Vec<_> =
+                rel.strip().into_rows().into_iter().filter(|r| r[1] < Value::Int(c)).collect();
             prop_assert_eq!(lhs, rhs);
         }
 
@@ -179,28 +194,126 @@ mod proptests {
             }
         }
 
-        /// distinct_merging collapses to the distinct count of values and
-        /// is idempotent.
+        /// distinct_merging keeps the first of each run of equal values, in
+        /// order (a longhand dedup of strip(R)), and is idempotent.
         #[test]
         fn distinct_merging_laws(rel in arb_tagged()) {
             let d = distinct_merging(&rel);
-            let value_distinct = relstore::algebra::distinct(&rel.strip());
-            prop_assert_eq!(d.len(), value_distinct.len());
-            let dd = distinct_merging(&d);
-            prop_assert_eq!(d.len(), dd.len());
+            let mut seen: Vec<Vec<Value>> = Vec::new();
+            for row in rel.strip().into_rows() {
+                if !seen.contains(&row) {
+                    seen.push(row);
+                }
+            }
+            prop_assert_eq!(d.strip().into_rows(), seen);
+            prop_assert_eq!(distinct_merging(&d).len(), d.len());
         }
 
-        /// Join tag propagation: strip(R ⋈ S) = strip(R) ⋈ strip(S).
+        /// Join tag propagation: strip(R ⋈ S) is the longhand nested-loop
+        /// join of strip(R) and strip(S), row for row.
         #[test]
         fn strip_commutes_with_join(a in arb_tagged(), b in arb_tagged()) {
-            let tagged = hash_join(&a, &b, "k", "k").unwrap().strip();
-            let plain = relstore::algebra::hash_join(
-                &a.strip(), &b.strip(), "k", "k",
-                relstore::algebra::JoinType::Inner).unwrap();
-            let mut x = tagged.into_rows();
-            let mut y = plain.into_rows();
-            x.sort(); y.sort();
-            prop_assert_eq!(x, y);
+            let tagged = hash_join(&a, &b, "k", "k").unwrap().strip().into_rows();
+            let mut plain: Vec<Vec<Value>> = Vec::new();
+            for l in a.strip().rows() {
+                for r in b.strip().rows().iter().filter(|r| r[0] == l[0]) {
+                    plain.push(l.iter().chain(r).cloned().collect());
+                }
+            }
+            prop_assert_eq!(tagged, plain);
+        }
+
+        /// σ_p ∘ σ_p = σ_p (selection idempotence).
+        #[test]
+        fn selection_idempotent(rel in arb_bare(), c in 0i64..50) {
+            let p = Expr::col("k").lt(Expr::lit(c));
+            let once = select(&rel, &p).unwrap();
+            let twice = select(&once, &p).unwrap();
+            prop_assert_eq!(once, twice);
+        }
+
+        /// Selections commute: σ_p(σ_q(R)) = σ_q(σ_p(R)).
+        #[test]
+        fn selections_commute(rel in arb_bare(), a in 0i64..50, b in 0i64..50) {
+            let p = Expr::col("k").lt(Expr::lit(a));
+            let q = Expr::col("v").ge(Expr::lit(b));
+            let pq = select(&select(&rel, &q).unwrap(), &p).unwrap();
+            let qp = select(&select(&rel, &p).unwrap(), &q).unwrap();
+            prop_assert_eq!(pq, qp);
+        }
+
+        /// |σ(R)| ≤ |R| and projection preserves cardinality.
+        #[test]
+        fn cardinality_laws(rel in arb_bare(), c in 0i64..50) {
+            let p = Expr::col("k").eq(Expr::lit(c));
+            prop_assert!(select(&rel, &p).unwrap().len() <= rel.len());
+            prop_assert_eq!(project(&rel, &["v"]).unwrap().len(), rel.len());
+        }
+
+        /// δ is idempotent and never grows the relation.
+        #[test]
+        fn distinct_laws(rel in arb_bare()) {
+            let d = distinct_merging(&rel);
+            prop_assert!(d.len() <= rel.len());
+            prop_assert_eq!(distinct_merging(&d).len(), d.len());
+        }
+
+        /// SUM distributes over concatenation: SUM(A ++ B) = SUM(A) + SUM(B).
+        #[test]
+        fn sum_distributes_over_union(a in arb_bare(), b in arb_bare()) {
+            let sum = |r: &TaggedRelation| -> i64 {
+                let out = aggregate(r, &[], &[Agg::on(AggF::Sum, "v", "s")], &[]).unwrap();
+                match out.rows()[0][0].value {
+                    Value::Int(i) => i,
+                    Value::Null => 0,
+                    _ => unreachable!(),
+                }
+            };
+            let mut both = a.clone();
+            for row in b.rows() {
+                both.push(row.clone()).unwrap();
+            }
+            prop_assert_eq!(sum(&both), sum(&a) + sum(&b));
+        }
+
+        /// Parallel execution is invisible: σ, π, and ⋈ produce identical
+        /// results — same rows, same order — at thread counts 1, 2, and 8
+        /// (the override forces the chunked path even on small inputs).
+        #[test]
+        fn parallel_equals_serial(l in arb_bare(), r in arb_bare(), c in 0i64..50) {
+            let p = Expr::col("k").lt(Expr::lit(c));
+            let run = || {
+                (
+                    select(&l, &p).unwrap(),
+                    project(&l, &["v", "k"]).unwrap(),
+                    hash_join(&l, &r, "k", "k").unwrap(),
+                )
+            };
+            let serial = run();
+            for threads in [1usize, 2, 8] {
+                prop_assert_eq!(&relstore::par::with_thread_count(threads, run), &serial);
+            }
+        }
+
+        /// Errors are deterministic under parallelism: the first failing
+        /// row (modulo by zero) produces the same error at any thread
+        /// count as in serial execution.
+        #[test]
+        fn parallel_error_matches_serial(rel in arb_bare()) {
+            // v % k errors on rows where k == 0, so relations exercise
+            // no-failure, sparse-failure, and first-row-failure cases.
+            let p = Expr::Bin(
+                Box::new(Expr::col("v")),
+                relstore::expr::BinOp::Mod,
+                Box::new(Expr::col("k")),
+            )
+            .eq(Expr::lit(0i64));
+            let serial = select(&rel, &p).map_err(|e| e.to_string());
+            for threads in [2usize, 8] {
+                let par_out = relstore::par::with_thread_count(threads, || select(&rel, &p))
+                    .map_err(|e| e.to_string());
+                prop_assert_eq!(&par_out, &serial);
+            }
         }
 
         /// The quality-key storage form is lossless for arbitrary tagged

@@ -23,8 +23,11 @@
 //!   checks.
 //!
 //! A key or atom conjunct also carries its kernel form: a σ without the
-//! index still runs it. The planner binds each σ it builds, so executing
-//! a cached plan binds nothing. Functions that take a predicate accept a
+//! index still runs it. Key and atoms come only from the conjuncts written
+//! before the first generic one that may fault (arithmetic, a function, an
+//! undeclared operand): a scan runs that conjunct on every row, so no
+//! index may narrow the rows it reads. The planner binds each σ it
+//! builds, so executing a cached plan binds nothing. Functions that take a predicate accept a
 //! [`Predicate`] or an [`Expr`] ([`ToPredicate`]); an `Expr` is bound on
 //! the spot.
 //!
@@ -38,7 +41,7 @@ use crate::cell::QualityCell;
 use crate::indicator::IndicatorDictionary;
 use crate::relation::{TaggedRelation, TAG_SEP};
 use crate::symbol::Symbol;
-use relstore::expr::{BinOp, CompiledExpr, ValueSource};
+use relstore::expr::{BinOp, CompiledExpr, UnOp, ValueSource};
 use relstore::{DataType, DbError, DbResult, Expr, Schema, Value};
 use std::borrow::Cow;
 use std::fmt;
@@ -215,6 +218,32 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
+/// Whether evaluating `e` can fail on some row once binding accepted it:
+/// arithmetic (a zero divisor, an overflow), a function or `CASE`, or an
+/// operand of undeclared type, which keeps its per-row type checks.
+/// Comparisons, AND/OR/NOT, `IS [NOT] NULL`, `BETWEEN`, `IN` and `LIKE`
+/// over declared operands cannot.
+fn may_fault(e: &CompiledExpr, types: &[DataType]) -> bool {
+    let any = |es: &[&CompiledExpr]| es.iter().any(|e| may_fault(e, types));
+    match e {
+        CompiledExpr::Lit(_) => false,
+        CompiledExpr::Col(i) => types[*i] == DataType::Any,
+        CompiledExpr::Bin(_, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod, _)
+        | CompiledExpr::Un(UnOp::Neg, _)
+        | CompiledExpr::Call(..)
+        | CompiledExpr::Case(..) => true,
+        CompiledExpr::Bin(l, _, r) => any(&[l, r]),
+        CompiledExpr::Un(_, x)
+        | CompiledExpr::IsNull(x)
+        | CompiledExpr::IsNotNull(x)
+        | CompiledExpr::Like(x, _) => may_fault(x, types),
+        CompiledExpr::Between(x, lo, hi) => any(&[x, lo, hi]),
+        CompiledExpr::InList(x, list) => {
+            may_fault(x, types) || list.iter().any(|e| may_fault(e, types))
+        }
+    }
+}
+
 fn split_and<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e CompiledExpr>) {
     if let CompiledExpr::Bin(l, BinOp::And, r) = e {
         split_and(l, out);
@@ -322,6 +351,9 @@ impl Predicate {
             Some(slot) => Access::Tag(tags[slot].0, tags[slot].1.clone()),
         };
         let (mut key, mut atoms, mut conjuncts) = (None, Vec::new(), Vec::new());
+        // key and atoms narrow a σ to candidate rows, so they come only
+        // from conjuncts a scan runs before the first that may fault
+        let mut narrows = true;
         for part in parts {
             let shape = Shape::of(part);
             let kernel = match shape {
@@ -339,6 +371,7 @@ impl Predicate {
                 None => Kernel::Generic,
             };
             match shape {
+                _ if !narrows => {}
                 Some(Shape::Cmp(i, BinOp::Eq, lit)) if i < base && key.is_none() => {
                     key = Some((i, schema.columns()[i].name.clone(), lit.clone()));
                 }
@@ -356,6 +389,7 @@ impl Predicate {
                 }
                 _ => {}
             }
+            narrows &= !(matches!(kernel, Kernel::Generic) && may_fault(part, &types));
             conjuncts.push(Conjunct {
                 expr: part.clone(),
                 kernel,

@@ -36,11 +36,12 @@ fn run(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     // ---- phase 1: manufacture data, then crash mid-flight ----
     {
         let (mut db, _) = DurableDb::open_dir(dir, opts())?;
-        db.create_table(
+        db.create_tagged(
             "company",
             Schema::of(&[("ticker", DataType::Text), ("price", DataType::Float)]),
+            IndicatorDictionary::with_paper_defaults(),
         )?;
-        db.insert("company", vec![Value::text("FRT"), Value::Float(10.5)])?;
+        db.push("company", vec![QualityCell::bare("FRT"), QualityCell::bare(10.5)])?;
         db.create_tagged(
             "stock",
             Schema::of(&[("name", DataType::Text), ("employees", DataType::Int)]),
@@ -74,7 +75,7 @@ fn run(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
         db.commit()?; // everything above is durable: one fsync
 
         // ... and a tail the crash must erase: never committed
-        db.insert("company", vec![Value::text("BLT"), Value::Float(1.0)])?;
+        db.push("company", vec![QualityCell::bare("BLT"), QualityCell::bare(1.0)])?;
         db.audit(
             Date::parse("10-26-91")?,
             "sales",
@@ -95,7 +96,7 @@ fn run(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
         report.checkpoint, report.replayed_records, report.truncated_bytes
     );
     assert_eq!(report.replayed_records, 6, "the committed group is 6 records");
-    assert_eq!(db.table("company")?.len(), 1, "uncommitted insert must be gone");
+    assert_eq!(db.tagged("company")?.len(), 1, "uncommitted push must be gone");
     let stock = db.tagged("stock")?;
     assert_eq!(
         stock.cell(0, "employees")?.tag_value("source"),

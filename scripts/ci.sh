@@ -34,9 +34,22 @@ filtered -p dq-query index_planner
 filtered -p tagstore columnar
 
 # Aggregation over a selection: the one-pass tagged γ, fed by columnar
-# selections, keyed lookups and join rows, against the three-pass
-# reference it replaced, at a higher case count.
+# selections, keyed lookups and join rows, against the oracle's γ, at a
+# higher case count.
 PROPTEST_CASES=128 cargo test -q --offline --test aggregate_fold
+
+# The longhand oracle against both planners over generated SELECTs
+# (unspoiled, extreme Int arithmetic, guarded and leading faults): 40
+# statements a case, 5 120 at this case count.
+filtered --test plan_differential oracle
+
+# The oracle shares no kernel with the engine: it may not name the
+# tagged algebra, the columnar layout, the bound predicate or the
+# compiled expression.
+if grep -nE 'tagstore::algebra|columnar|Predicate|CompiledExpr' tests/oracle/*.rs; then
+    echo "ci: tests/oracle/ names an engine kernel" >&2
+    exit 1
+fi
 
 # B7 smoke at the 10k tier: asserts scan==bitmap parity inside the bench
 # before timing anything.
@@ -125,9 +138,20 @@ filtered -p dq-storage proptests
 # a pending group commit, recover, and check lineage + metrics survive.
 cargo run -q --offline --release --example crash_recovery >/dev/null
 
+# Every other example runs too (release, about 40 ms together): each
+# exits nonzero when one of its own asserts fails, e.g.
+# heterogeneous_sources' provenance sanity checks.
+for path in examples/*.rs; do
+    example=$(basename "$path" .rs)
+    case "$example" in
+        observability | server_roundtrip | crash_recovery) continue ;;
+    esac
+    cargo run -q --offline --release --example "$example" >/dev/null
+done
+
 # The benchmark package is a workspace of its own, so nothing above
 # compiles it: build it and run its unit tests and 1-second smoke of
 # every workload against the crates as they are now.
 cargo test -q --offline --manifest-path e2e/Cargo.toml
 
-echo "ci: build + test + clippy + index parity + columnar parity + observability + mvcc + recovery + e2e all green"
+echo "ci: build + test + clippy + index parity + columnar parity + oracle + observability + mvcc + recovery + examples + e2e all green"

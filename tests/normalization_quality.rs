@@ -121,7 +121,8 @@ fn consistency_defects_found_by_linkage_then_fixed_by_synthesis() {
     .unwrap();
     // detect: group by zip, cities must agree — use linkage on the
     // (zip, city) projection to spot the near-duplicate spelling
-    let pairs = relstore::algebra::project(&flat, &["zip", "city"]).unwrap();
+    let tagged = tagstore::TaggedRelation::from_relation(&flat, Default::default());
+    let pairs = tagstore::algebra::project(&tagged, &["zip", "city"]).unwrap().strip();
     let model = dq_admin::FellegiSunter::new(
         vec![dq_admin::FieldSpec::new(
             "city",

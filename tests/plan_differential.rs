@@ -18,13 +18,22 @@
 //! planners, rows or error text; and a division by zero written last,
 //! behind the statement's other conjuncts, runs only on the rows they
 //! keep — through both planners, the row algebra's σ and `TAG`'s
-//! `WHERE` alike.
+//! `WHERE` alike; and one written first, that faults on some rows only,
+//! runs on every row, however the statement is planned: no index or key
+//! lookup narrows the rows it sees. Every `SELECT` that plans is also
+//! answered by the longhand oracle (`oracle/mod.rs`), which shares no
+//! kernel with the engine: rows byte-equal through `render_result`, or
+//! the same error text.
+
+#[rustfmt::skip] // hand-formatted to its 300-line budget
+mod oracle;
 
 use dq_query::{
     execute, execute_traced, parse, prepare_write, run_mut, run_with, Planner, QueryCatalog,
     QueryResult, Statement,
 };
 use dq_server::render_result;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relstore::{DataType, Schema, Value};
@@ -82,7 +91,7 @@ struct Gen {
     spoil: Option<Spoil>,
     /// The statement being generated has not placed its bad conjunct yet.
     pending: bool,
-    /// A `Guarded` statement's table and its WHERE / WITH QUALITY
+    /// A `Guarded` or `Leading` statement's table and its WHERE / WITH QUALITY
     /// conjuncts joined by AND, when it has any.
     filter: Option<(&'static str, String)>,
 }
@@ -100,6 +109,10 @@ enum Spoil {
     /// `HAVING`, behind the typed and quality conjuncts written before
     /// it: it faults on a non-NULL row they keep, and only there.
     Guarded,
+    /// A division, the first conjunct of WHERE, that faults on some rows
+    /// only, or on none: it runs on every row, so no later key or quality
+    /// conjunct may narrow the rows it reads.
+    Leading,
 }
 
 impl Gen {
@@ -146,6 +159,16 @@ impl Gen {
             let col = self.pick(if stocks { &["price", "price@age"] } else { &["qty", "acct"] });
             return format!("{col} / 0 = 1");
         }
+        if self.spoil == Some(Spoil::Leading) {
+            // the first of each pair divides by zero where price@age is 7
+            // (T1) or acct is 2; the second on no row
+            return self.pick(if stocks {
+                &["price@age / (price@age - 7) = 1", "price@age / (price@age + 1) = 0"]
+            } else {
+                &["qty / (acct - 2) = 1", "qty / (acct + 1) >= 0"]
+            })
+            .to_owned();
+        }
         let col = if stocks { "price@age" } else { self.pick(&["qty", "acct"]) };
         let big = self.pick(&["9223372036854775807", "(0 - 9223372036854775807 - 1)"]);
         let divisor = self.pick(&["-1", "0", "(0 - 1)", "1"]);
@@ -161,7 +184,7 @@ impl Gen {
     /// `parts` with the statement's bad conjunct, if this clause is the
     /// one to take it: an ill-typed one lands anywhere in WHERE or in WITH
     /// QUALITY; an extreme or guarded one last in the last clause
-    /// (`last`).
+    /// (`last`); a leading one first in WHERE.
     fn spoil_clause(&mut self, mut parts: Vec<String>, tables: &[&str], last: bool) -> Vec<String> {
         let Some(spoil) = self.spoil else {
             return parts;
@@ -169,6 +192,7 @@ impl Gen {
         let here = match spoil {
             Spoil::IllTyped => last || self.chance(0.5),
             Spoil::Extreme | Spoil::Guarded => last,
+            Spoil::Leading => true,
         };
         if self.pending && here {
             self.pending = false;
@@ -176,6 +200,7 @@ impl Gen {
             let at = match spoil {
                 Spoil::IllTyped => self.below(parts.len() + 1),
                 Spoil::Extreme | Spoil::Guarded => parts.len(),
+                Spoil::Leading => 0,
             };
             parts.insert(at, bad);
         }
@@ -274,9 +299,9 @@ impl Gen {
         }
     }
 
-    /// Records a `Guarded` statement's filter over `table`.
+    /// Records a `Guarded` or `Leading` statement's filter over `table`.
     fn note_filter(&mut self, table: &'static str, parts: &[String]) {
-        if self.spoil == Some(Spoil::Guarded) && !parts.is_empty() {
+        if matches!(self.spoil, Some(Spoil::Guarded | Spoil::Leading)) && !parts.is_empty() {
             self.filter = Some((table, parts.join(" AND ")));
         }
     }
@@ -291,10 +316,10 @@ impl Gen {
             self.note_filter(base, &parts);
             return format!("INSPECT FROM {base}{}", Self::where_clause(parts));
         }
-        // an extreme or guarded conjunct reads no join's rows: pushed
-        // below it, it would read rows the join drops
+        // a faulting conjunct reads no join's rows: pushed below it, it
+        // would read rows the join drops
         let join = self.chance(0.35)
-            && !matches!(self.spoil, Some(Spoil::Extreme | Spoil::Guarded));
+            && !matches!(self.spoil, Some(Spoil::Extreme | Spoil::Guarded | Spoil::Leading));
         let (tables, from) = match (join, base) {
             (false, _) => (vec![base], base),
             (true, "stocks") => (vec!["stocks", "trades"], "stocks JOIN trades ON ticker = tkr"),
@@ -392,15 +417,31 @@ fn operators(report: &str) -> Vec<&str> {
         .collect()
 }
 
+/// A statement's rendering, or its error's text.
+type Outcome = Result<String, String>;
+
+fn outcome(catalog: &QueryCatalog, sql: &str, planner: &Planner) -> Outcome {
+    run_with(catalog, sql, planner)
+        .map(|r| render_result(&r))
+        .map_err(|e| e.to_string())
+}
+
+/// The oracle's answer to a `SELECT`, rendered as the server renders.
+fn oracle_outcome(catalog: &QueryCatalog, sql: &str) -> Outcome {
+    oracle::answer(catalog, sql).map(|r| r.render())
+}
+
+/// The planner with pushdown and index selection off.
+const NAIVE: Planner = Planner {
+    pushdown: false,
+    use_indexes: false,
+};
+
 #[test]
 fn generated_statements_agree_across_planners_and_explain() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = catalog();
     let optimizing = Planner::default();
-    let naive = Planner {
-        pushdown: false,
-        use_indexes: false,
-    };
     let mut gen = Gen::new(16);
     let (mut point_lookups, mut joins, mut nonempty) = (0, 0, 0);
     for case in 0..400 {
@@ -408,9 +449,12 @@ fn generated_statements_agree_across_planners_and_explain() {
         let ctx = format!("case {case}: {sql}");
         let plain = run_with(&catalog, &sql, &optimizing).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 
-        // (a) the optimizer is invisible
-        let reference = run_with(&catalog, &sql, &naive).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        // (a) the optimizer is invisible, and both answer as the oracle
+        let reference = run_with(&catalog, &sql, &NAIVE).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_eq!(render_result(&plain), render_result(&reference), "{ctx}");
+        if sql.starts_with("SELECT") {
+            assert_eq!(Ok(render_result(&plain)), oracle_outcome(&catalog, &sql), "{ctx}: oracle");
+        }
 
         // (b) EXPLAIN ANALYZE returns the statement's rows and counts them
         let analyzed = run_with(&catalog, &format!("EXPLAIN ANALYZE {sql}"), &optimizing)
@@ -513,10 +557,6 @@ fn lean_and_traced_runs_tick_the_same_counters() {
 fn undeclared_indicators_fail_like_tag() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = catalog();
-    let naive = Planner {
-        pushdown: false,
-        use_indexes: false,
-    };
     let mut gen = Gen::new(24);
     let mut rejected = 0;
     // (path written, the indicator no dictionary declares)
@@ -539,7 +579,7 @@ fn undeclared_indicators_fail_like_tag() {
             }
             for (stmt, planner) in [
                 (sql.clone(), &Planner::default()),
-                (sql.clone(), &naive),
+                (sql.clone(), &NAIVE),
                 (format!("EXPLAIN {sql}"), &Planner::default()),
                 (format!("EXPLAIN ANALYZE {sql}"), &Planner::default()),
             ] {
@@ -561,10 +601,6 @@ fn undeclared_indicators_fail_like_tag() {
 fn ill_typed_comparisons_fail_when_bound() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = catalog();
-    let naive = Planner {
-        pushdown: false,
-        use_indexes: false,
-    };
     let mut gen = Gen::spoiled(32, Spoil::IllTyped);
     let (mut inspects, mut qualities, mut joins) = (0, 0, 0);
     for case in 0..200 {
@@ -572,7 +608,7 @@ fn ill_typed_comparisons_fail_when_bound() {
         let ctx = format!("case {case}: {sql}");
         let mut texts: Vec<String> = [
             (sql.clone(), &Planner::default()),
-            (sql.clone(), &naive),
+            (sql.clone(), &NAIVE),
             (format!("EXPLAIN {sql}"), &Planner::default()),
             (format!("EXPLAIN ANALYZE {sql}"), &Planner::default()),
         ]
@@ -600,22 +636,18 @@ fn ill_typed_comparisons_fail_when_bound() {
 fn extreme_int_arithmetic_agrees_across_planners() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = catalog();
-    let naive = Planner {
-        pushdown: false,
-        use_indexes: false,
-    };
-    let outcome = |sql: &str, planner: &Planner| match run_with(&catalog, sql, planner) {
-        Ok(r) => Ok(render_result(&r)),
-        Err(e) => Err(e.to_string()),
-    };
+    let run = |sql: &str, planner: &Planner| outcome(&catalog, sql, planner);
     let mut gen = Gen::spoiled(40, Spoil::Extreme);
     let (mut errors, mut answers) = (0, 0);
     for case in 0..300 {
         let sql = gen.statement();
         let ctx = format!("case {case}: {sql}");
-        let plain = outcome(&sql, &Planner::default());
-        assert_eq!(plain, outcome(&sql, &naive), "{ctx}");
-        let analyzed = outcome(&format!("EXPLAIN ANALYZE {sql}"), &Planner::default());
+        let plain = run(&sql, &Planner::default());
+        assert_eq!(plain, run(&sql, &NAIVE), "{ctx}");
+        if sql.starts_with("SELECT") {
+            assert_eq!(plain, oracle_outcome(&catalog, &sql), "{ctx}: oracle");
+        }
+        let analyzed = run(&format!("EXPLAIN ANALYZE {sql}"), &Planner::default());
         match (&plain, &analyzed) {
             (Err(e), Err(a)) => {
                 assert_eq!(a, e, "{ctx}");
@@ -629,35 +661,48 @@ fn extreme_int_arithmetic_agrees_across_planners() {
     assert!(errors >= 60 && answers >= 60, "{errors} errors, {answers} answers");
 }
 
-#[test]
-fn guarded_faults_agree_across_planners_select_and_tag() {
+/// What [`spoiled_filters_agree`] met.
+#[derive(Default)]
+struct Met {
+    /// Statements that failed (alike everywhere).
+    faults: usize,
+    /// Statements that answered.
+    answers: usize,
+    /// Filters with a division by zero that no row reached.
+    shielded: usize,
+    /// Statements with the fault in `HAVING`.
+    havings: usize,
+    /// Rows the fault-free filters selected.
+    rows: usize,
+}
+
+/// `n` statements spoiled with `spoil`: both planners and the oracle
+/// answer each alike, rows or error text; then each statement's filter
+/// alone — `SELECT *`, the row algebra's σ over the base relation, the
+/// rows `TAG`'s `WHERE` selects and the oracle — agrees on rows or on
+/// the one error text.
+fn spoiled_filters_agree(seed: u64, spoil: Spoil, n: usize) -> Met {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = catalog();
-    let naive = Planner {
-        pushdown: false,
-        use_indexes: false,
-    };
-    let outcome = |sql: &str, planner: &Planner| match run_with(&catalog, sql, planner) {
-        Ok(r) => Ok(render_result(&r)),
-        Err(e) => Err(e.to_string()),
-    };
     let text = |e: relstore::DbError| e.to_string();
     let fault = "arithmetic error: division by zero";
-    let mut gen = Gen::spoiled(48, Spoil::Guarded);
-    let (mut faults, mut shielded, mut havings, mut guarded_rows) = (0, 0, 0, 0);
-    for case in 0..240 {
+    let mut gen = Gen::spoiled(seed, spoil);
+    let mut met = Met::default();
+    for case in 0..n {
         let sql = gen.statement();
         let ctx = format!("case {case}: {sql}");
-        let plain = outcome(&sql, &Planner::default());
-        assert_eq!(plain, outcome(&sql, &naive), "{ctx}");
+        let plain = outcome(&catalog, &sql, &Planner::default());
+        assert_eq!(plain, outcome(&catalog, &sql, &NAIVE), "{ctx}");
+        if sql.starts_with("SELECT") {
+            assert_eq!(plain, oracle_outcome(&catalog, &sql), "{ctx}: oracle");
+        }
         if let Err(e) = &plain {
             assert_eq!(e, fault, "{ctx}");
         }
-        faults += plain.is_err() as usize;
-        havings += sql.contains("n / 0") as usize;
+        met.faults += plain.is_err() as usize;
+        met.answers += plain.is_ok() as usize;
+        met.havings += sql.contains("n / 0") as usize;
 
-        // the filter alone: the statement's σ, the row algebra's σ over
-        // the base relation, and the rows TAG's WHERE selects
         let Some((table, filter)) = gen.filter.take() else {
             continue;
         };
@@ -672,7 +717,7 @@ fn guarded_faults_agree_across_planners_select_and_tag() {
         let predicate = q.where_clause.as_ref().unwrap();
         let via_algebra = tagstore::algebra::select(base, predicate).map_err(text);
         let target = if table == "stocks" { "price@source" } else { "qty@inspection" };
-        let tag = format!("TAG {table} SET {target} = 'guarded' WHERE {filter}");
+        let tag = format!("TAG {table} SET {target} = 'spoiled' WHERE {filter}");
         let via_tag = prepare_write(&catalog, &tag)
             .map(|w| {
                 let rows = w.tags().iter().map(|(row, ..)| base.rows()[*row].clone());
@@ -680,23 +725,75 @@ fn guarded_faults_agree_across_planners_select_and_tag() {
                     .unwrap()
             })
             .map_err(text);
+        let via_oracle = oracle::answer(&catalog, &star).map(|r| r.rows);
         assert_eq!(via_sql, via_algebra, "{ctx}");
         assert_eq!(via_tag, via_algebra, "{ctx}");
-        if filter.contains(" / 0 = 1") {
+        let algebra_rows = via_algebra.as_ref().map(|r| r.rows().to_vec());
+        assert_eq!(via_oracle, algebra_rows.map_err(Clone::clone), "{ctx}: oracle");
+        match &via_algebra {
             // the fault is the filter's: it fails the statement alike
-            match &via_algebra {
-                Err(e) => assert_eq!(Err(e), plain.as_ref(), "{ctx}"),
-                Ok(rows) => {
-                    assert!(rows.is_empty(), "{ctx}: a row reached the fault");
-                    shielded += 1;
-                }
+            Err(e) => assert_eq!(Err(e), plain.as_ref(), "{ctx}"),
+            Ok(rows) if filter.contains(" / 0 = 1") => {
+                assert!(rows.is_empty(), "{ctx}: a row reached the fault");
+                met.shielded += 1;
             }
-        } else {
-            guarded_rows += via_algebra.as_ref().map_or(0, |r| r.len());
+            Ok(rows) => met.rows += rows.len(),
         }
     }
+    met
+}
+
+#[test]
+fn guarded_faults_agree_across_planners_select_and_tag() {
+    let met = spoiled_filters_agree(48, Spoil::Guarded, 240);
     // the generator reaches faults, faults its guards shield, HAVING
-    // faults, and filters whose rows the three paths agree on
+    // faults, and filters whose rows the paths agree on
+    let (faults, shielded) = (met.faults, met.shielded);
     assert!(faults >= 60 && shielded >= 60, "{faults} faults, {shielded} shielded");
-    assert!(havings >= 5 && guarded_rows >= 10, "{havings} HAVING faults, {guarded_rows} rows");
+    assert!(met.havings >= 5 && met.rows >= 10, "{} HAVING faults, {} rows", met.havings, met.rows);
+}
+
+/// A division written first runs on every row, whatever key or quality
+/// conjunct follows it: the point lookup, the `IndexScan` and `TAG`'s
+/// keyed rows take their candidates only from conjuncts before it.
+#[test]
+fn leading_faults_run_on_every_row_through_every_path() {
+    let met = spoiled_filters_agree(56, Spoil::Leading, 240);
+    let (faults, answers) = (met.faults, met.answers);
+    assert!(faults >= 40 && answers >= 40, "{faults} faults, {answers} answers");
+    assert!(met.rows >= 10, "{} rows", met.rows);
+}
+
+/// `per_kind` `SELECT`s of each spoil kind that runs (none, `Extreme`,
+/// `Guarded`, `Leading`) from `seed`, each answered alike by both
+/// planners and the oracle: rows byte-equal, or one error text.
+fn oracle_agrees(seed: u64, per_kind: usize) -> usize {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = catalog();
+    let mut answered = 0;
+    for spoil in [None, Some(Spoil::Extreme), Some(Spoil::Guarded), Some(Spoil::Leading)] {
+        let mut gen = spoil.map_or_else(|| Gen::new(seed), |s| Gen::spoiled(seed, s));
+        let mut selects = 0;
+        while selects < per_kind {
+            let sql = gen.statement();
+            if !sql.starts_with("SELECT") {
+                continue;
+            }
+            let want = oracle_outcome(&catalog, &sql);
+            assert_eq!(outcome(&catalog, &sql, &Planner::default()), want, "seed {seed}: {sql}");
+            assert_eq!(outcome(&catalog, &sql, &NAIVE), want, "seed {seed}: {sql}");
+            selects += 1;
+            answered += want.is_ok() as usize;
+        }
+    }
+    answered
+}
+
+proptest! {
+    /// 40 `SELECT`s a case: 2 560 at the default 64 cases.
+    #[test]
+    fn oracle_agrees_with_both_planners(seed in any::<u64>()) {
+        let answered = oracle_agrees(seed, 10);
+        prop_assert!(answered >= 10, "only {} of 40 statements answered", answered);
+    }
 }
