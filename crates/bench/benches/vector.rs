@@ -6,11 +6,11 @@
 //!   `QualityIndex::build` (word-aligned disjoint ranges, range-local
 //!   row ids, `or_words_at` merge). `scripts/index_build_gate.sh` reads
 //!   these records.
-//! * `B9/join/{rows}` (tiers ≤ 100k) — the row probe
-//!   (`algebra::hash_join_probe`, what an `IndexJoin` over an
-//!   operator's output runs) vs. the columnar probe over cached layouts
-//!   (`hash_join_probe_columnar`, what an `IndexJoin` over a base-table
-//!   scan runs).
+//! * `B9/join/{rows}` (tiers ≤ 100k) — the row hash join
+//!   (`algebra::hash_join`, `hash_join_row`) vs. the pair kernel over
+//!   cached columnar layouts plus the gather a parent that needs rows
+//!   runs (`JoinPairs::probe` + `JoinPairs::gather`, `pairs_gather`;
+//!   what both join operators run).
 //!
 //! Every series asserts parity on the actual fixture before timing
 //! anything, so a parity break fails the bench run rather than silently
@@ -24,7 +24,8 @@ use relstore::par;
 use tagstore::algebra as ta;
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
-use tagstore::{hash_join_probe_columnar, DEFAULT_BATCH_SIZE};
+use std::sync::Arc;
+use tagstore::{Bitset, JoinPairs, DEFAULT_BATCH_SIZE};
 
 /// Row-count tiers, overridable for smoke runs (`DQ_BENCH_TIERS=10000`).
 fn tiers() -> Vec<usize> {
@@ -73,29 +74,29 @@ fn bench_join_probe(c: &mut Criterion) {
             .collect();
         let mut idx = HashIndex::new(vec![0]);
         idx.rebuild(&keys);
-        let cl = ColumnarRelation::from_tagged(&left);
-        let cr = ColumnarRelation::from_tagged(&right);
-        let reference = ta::hash_join_probe(&left, &right, "co_name", "co_name", &idx).unwrap();
-        let (batched, _) =
-            hash_join_probe_columnar(&cl, &cr, "co_name", "co_name", &idx, DEFAULT_BATCH_SIZE)
-                .unwrap();
+        let cl = Arc::new(ColumnarRelation::from_tagged(&left));
+        let cr = Arc::new(ColumnarRelation::from_tagged(&right));
+        let all = Bitset::full(cl.len());
+        let pairs_gather = || {
+            let (l, r) = (Arc::clone(&cl), Arc::clone(&cr));
+            let (pairs, _) =
+                JoinPairs::probe(l, &all, "co_name", r, "co_name", &idx, DEFAULT_BATCH_SIZE)
+                    .unwrap();
+            pairs.gather()
+        };
+        let reference = ta::hash_join(&left, &right, "co_name", "co_name").unwrap();
         assert_eq!(
             reference,
-            batched.to_tagged(),
-            "join probe parity at {rows} rows"
+            pairs_gather().to_tagged(),
+            "join parity at {rows} rows"
         );
         let mut g = c.benchmark_group(format!("B9/join/{rows}"));
         g.sample_size(10);
         g.throughput(Throughput::Elements(rows as u64));
-        g.bench_function("probe_row", |b| {
-            b.iter(|| ta::hash_join_probe(&left, &right, "co_name", "co_name", &idx).unwrap())
+        g.bench_function("hash_join_row", |b| {
+            b.iter(|| ta::hash_join(&left, &right, "co_name", "co_name").unwrap())
         });
-        g.bench_function("probe_vectorized", |b| {
-            b.iter(|| {
-                hash_join_probe_columnar(&cl, &cr, "co_name", "co_name", &idx, DEFAULT_BATCH_SIZE)
-                    .unwrap()
-            })
-        });
+        g.bench_function("pairs_gather", |b| b.iter(pairs_gather));
         g.finish();
     }
 }

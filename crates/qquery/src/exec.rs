@@ -5,7 +5,7 @@ use crate::cache::{NoDefaults, PreparedStatement};
 use crate::plan::{AccessPathStats, Plan, Planner};
 use relstore::algebra::AggCall;
 use relstore::index::HashIndex;
-use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema};
+use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -13,8 +13,8 @@ use tagstore::algebra::{self, TagPolicy, TagRule};
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
-    hash_join_probe_columnar, selection_columnar, selection_indexed_columnar, BatchStats, Bitset,
-    IndicatorDictionary, Predicate, QualityCell, TaggedRelation, DEFAULT_BATCH_SIZE,
+    selection_columnar, selection_indexed_columnar, BatchStats, Bitset, IndicatorDictionary,
+    JoinPairs, Predicate, QualityCell, TaggedRelation, TaggedRow, DEFAULT_BATCH_SIZE,
 };
 
 /// Page-level I/O counters a [`PagedProvider`] reports for one indexed
@@ -145,7 +145,8 @@ impl TableEntry {
     }
 
     /// Hash index over column `ci`'s application values, positions in
-    /// row order (the layout [`algebra::hash_join_probe`] expects).
+    /// row order: a keyed σ's lookup, and the index an `IndexJoin`'s
+    /// [`JoinPairs::probe`] reads.
     fn key_index(&self, ci: usize) -> Arc<HashIndex> {
         if let Some(idx) = self.key_indexes.read().unwrap().get(&ci) {
             return Arc::clone(idx);
@@ -721,36 +722,41 @@ pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRe
     Ok((out.into_rows()?, trace))
 }
 
-/// σ over a resident base table before its rows are gathered — what
-/// [`select_base`] answers. σ's own arms gather it; an aggregate folds
-/// it where it lies.
+/// An operator's answer before its rows are built, where a parent reads
+/// it as it lies: σ over a resident base table ([`select_base`]) or a ⋈
+/// of two inputs. A γ folds it, π reads only its columns, a ⋈ probes
+/// it; any other parent gathers it once.
 enum Selection<'c> {
-    /// Rows of the table's relation: every one (a bare scan), or the
+    /// Rows of a table's relation: every one (a bare scan), or the
     /// positions a keyed predicate kept.
-    Rows(&'c TaggedRelation, Option<Vec<usize>>),
+    Rows(&'c TableEntry, Option<Vec<usize>>),
     /// The σ kernels' selection over the table's columnar layout.
     Columnar(Arc<ColumnarRelation>, Bitset),
+    /// A ⋈'s matched position pairs over its two inputs' layouts.
+    Pairs(JoinPairs),
 }
 
 impl<'c> Selection<'c> {
     fn len(&self) -> usize {
         match self {
-            Selection::Rows(rel, None) => rel.len(),
+            Selection::Rows(entry, None) => entry.rel.len(),
             Selection::Rows(_, Some(at)) => at.len(),
             Selection::Columnar(_, sel) => sel.count(),
+            Selection::Pairs(pairs) => pairs.len(),
         }
     }
 
     fn gather(self) -> DbResult<TaggedRelation> {
         match self {
-            Selection::Rows(rel, None) => Ok(rel.clone()),
-            Selection::Rows(rel, Some(at)) => algebra::select_at(rel, &at),
+            Selection::Rows(entry, None) => Ok(entry.rel.clone()),
+            Selection::Rows(entry, Some(at)) => algebra::select_at(&entry.rel, &at),
             Selection::Columnar(crel, sel) => Ok(crel.gather(&sel).to_tagged()),
+            Selection::Pairs(pairs) => Ok(pairs.gather().to_tagged()),
         }
     }
 
-    /// The operator's output: the selection itself when the parent folds
-    /// it (`lazy`), else its rows.
+    /// The operator's output: the selection itself when the parent reads
+    /// it where it lies (`lazy`), else its rows.
     fn output(self, lazy: bool) -> DbResult<Output<'c>> {
         Ok(if lazy {
             Output::Selected(self)
@@ -760,8 +766,8 @@ impl<'c> Selection<'c> {
     }
 }
 
-/// What an operator hands its parent: rows, or a base-table [`Selection`]
-/// the parent asked for as it stands.
+/// What an operator hands its parent: rows, or a [`Selection`] the
+/// parent asked for as it stands.
 enum Output<'c> {
     Rows(TaggedRelation),
     Selected(Selection<'c>),
@@ -782,23 +788,114 @@ impl Output<'_> {
         }
     }
 
+    /// The rows as a join reads them: a columnar layout and the rows of
+    /// it selected. A columnar σ is used where it lies, a bare resident
+    /// scan reads its table's cached layout, and anything else is
+    /// gathered and lifted once.
+    fn columnar(self) -> DbResult<(Arc<ColumnarRelation>, Bitset)> {
+        let crel = match self {
+            Output::Selected(Selection::Columnar(crel, sel)) => return Ok((crel, sel)),
+            Output::Selected(Selection::Rows(entry, None)) => entry.columnar(),
+            other => Arc::new(ColumnarRelation::from_tagged(&other.into_rows()?)),
+        };
+        let all = Bitset::full(crel.len());
+        Ok((crel, all))
+    }
+
     /// γ over the output, tags derived per [`default_agg_policies`]: one
     /// fold over the rows, or over the selection where it lies.
     fn aggregate(&self, group_by: &[&str], aggs: &[AggCall]) -> DbResult<TaggedRelation> {
         let policies = default_agg_policies();
         match self {
-            Output::Rows(rel) => algebra::aggregate(rel, group_by, aggs, &policies),
-            Output::Selected(Selection::Rows(rel, None)) => {
+            Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, None)) => {
                 algebra::aggregate(rel, group_by, aggs, &policies)
             }
-            Output::Selected(Selection::Rows(rel, Some(at))) => {
-                let rows = at.iter().map(|&i| &rel.rows()[i]);
-                algebra::aggregate_rows(rel, rows, group_by, aggs, &policies)
+            Output::Selected(Selection::Rows(entry, Some(at))) => {
+                let rows = at.iter().map(|&i| &entry.rel.rows()[i]);
+                algebra::aggregate_rows(&entry.rel, rows, group_by, aggs, &policies)
             }
             Output::Selected(Selection::Columnar(crel, sel)) => {
                 crel.aggregate(sel, group_by, aggs, &policies)
             }
+            Output::Selected(Selection::Pairs(pairs)) => {
+                pairs.aggregate(group_by, aggs, &policies)
+            }
         }
+    }
+
+    /// π over the output. Plain columns travel with their tags, and a
+    /// pseudo-column (`price@age`, `price@source@credibility`) becomes
+    /// the tag's value as a bare cell. Rows are projected as they are; a
+    /// selection builds each output row from only the projected columns.
+    fn project(&self, columns: &[(String, String)]) -> DbResult<TaggedRelation> {
+        let (schema, dict) = match self {
+            Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, _)) => {
+                (rel.schema(), rel.dictionary())
+            }
+            Output::Selected(Selection::Columnar(crel, _)) => (crel.schema(), crel.dictionary()),
+            Output::Selected(Selection::Pairs(pairs)) => (pairs.schema(), pairs.dictionary()),
+        };
+        // Each output column: plain, or a tag path read from a column.
+        type Src = (usize, Option<Vec<tagstore::Symbol>>);
+        let mut srcs: Vec<Src> = Vec::new();
+        let mut defs = Vec::with_capacity(columns.len());
+        for (name, out_name) in columns {
+            let (col, path) = match TaggedRelation::split_pseudo(name) {
+                None => (name.as_str(), None),
+                Some((col, path)) => (col, Some(path.split('@').map(tagstore::Symbol::intern))),
+            };
+            let i = schema.resolve(col)?;
+            let path: Option<Vec<_>> = path.map(Iterator::collect);
+            defs.push(match &path {
+                None => ColumnDef {
+                    name: out_name.clone(),
+                    ..schema.column(i).expect("resolved").clone()
+                },
+                Some(path) => {
+                    let leaf = dict.get(path.last().expect("non-empty path"));
+                    ColumnDef::new(out_name.clone(), leaf.map_or(DataType::Any, |d| d.dtype))
+                }
+            });
+            srcs.push((i, path));
+        }
+        // One output row, reading the input row's cells through `cell`.
+        fn cells<'r>(srcs: &[Src], cell: impl Fn(usize) -> Cow<'r, QualityCell>) -> TaggedRow {
+            srcs.iter()
+                .map(|(i, path)| match path {
+                    None => cell(*i).into_owned(),
+                    Some(path) => QualityCell::bare(
+                        cell(*i).tag_path_syms(path).map_or(Value::Null, |t| t.value.clone()),
+                    ),
+                })
+                .collect()
+        }
+        let row = |r: &TaggedRow| cells(&srcs, |c| Cow::Borrowed(&r[c]));
+        let rows = match self {
+            Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, None)) => {
+                match relstore::par::plan(rel.len()) {
+                    Some(threads) => {
+                        relstore::par::run_chunked(rel.rows(), threads, |_, chunk| {
+                            chunk.iter().map(row).collect::<Vec<_>>()
+                        })
+                        .into_iter()
+                        .flatten()
+                        .collect()
+                    }
+                    None => rel.iter().map(row).collect(),
+                }
+            }
+            Output::Selected(Selection::Rows(entry, Some(at))) => {
+                at.iter().map(|&i| row(&entry.rel.rows()[i])).collect()
+            }
+            Output::Selected(Selection::Columnar(crel, sel)) => sel
+                .iter_ones()
+                .map(|i| cells(&srcs, |c| Cow::Owned(crel.cell(c, i))))
+                .collect(),
+            Output::Selected(Selection::Pairs(pairs)) => (0..pairs.len())
+                .map(|at| cells(&srcs, |c| Cow::Owned(pairs.cell(at, c))))
+                .collect(),
+        };
+        TaggedRelation::new(Schema::new(defs)?, dict.clone(), rows)
     }
 }
 
@@ -807,7 +904,9 @@ impl Output<'_> {
 /// copies it into an [`OpTrace`], whose fields these mirror.
 #[derive(Default)]
 struct NodeStats<'p> {
-    rows_in: usize,
+    /// What `rows_out` is a share of: the rows a σ read, the `|L| · |R|`
+    /// pairs a ⋈ considered.
+    rows_in: f64,
     est_selectivity: Option<f64>,
     /// Whether `rows_out / rows_in` is a meaningful selectivity (σ, ⋈).
     selective: bool,
@@ -824,15 +923,24 @@ struct NodeStats<'p> {
 impl NodeStats<'_> {
     fn of(rows_in: usize) -> Self {
         NodeStats {
-            rows_in,
+            rows_in: rows_in as f64,
             ..NodeStats::default()
         }
     }
 
-    /// Stats of a filtering or joining operator.
+    /// Stats of a filtering operator.
     fn selective(rows_in: usize) -> Self {
         NodeStats {
-            rows_in,
+            selective: true,
+            ..NodeStats::of(rows_in)
+        }
+    }
+
+    /// Stats of a join of `left` rows with `right` rows: its selectivity
+    /// is per pair, the share of `left · right` that matched.
+    fn joined(left: usize, right: usize) -> Self {
+        NodeStats {
+            rows_in: left as f64 * right as f64,
             selective: true,
             ..NodeStats::default()
         }
@@ -901,8 +1009,8 @@ impl Tracer for TraceTree {
         }
         // a zero-row input is defined as selectivity 0.0, not NaN
         let actual = match stats.rows_in {
-            0 => 0.0,
-            n => rows_out as f64 / n as f64,
+            n if n > 0.0 => rows_out as f64 / n,
+            _ => 0.0,
         };
         OpTrace {
             label: plan.node_line(),
@@ -924,7 +1032,8 @@ impl Tracer for TraceTree {
 /// The plan walker: the only place operators meet kernels. Each arm
 /// runs its inputs, then its kernel, and reports what the kernel told
 /// it; the tracer decides whether anyone listens. With `lazy`, a σ over
-/// a resident base table hands back its [`Selection`] ungathered.
+/// a resident base table, a bare resident scan and a ⋈ hand back their
+/// [`Selection`] ungathered.
 fn walk<'c, T: Tracer>(
     catalog: &'c QueryCatalog,
     plan: &Plan,
@@ -960,9 +1069,9 @@ fn walk<'c, T: Tracer>(
                 (Output::Rows(rel), stats)
             }
             None => {
-                let rel = catalog.get(name)?;
-                let stats = NodeStats::of(rel.len());
-                (Selection::Rows(rel, None).output(lazy)?, stats)
+                let entry = catalog.entry(name)?;
+                let stats = NodeStats::of(entry.rel.len());
+                (Selection::Rows(entry, None).output(lazy)?, stats)
             }
         },
         Plan::Filter { input, predicate } => match &**input {
@@ -985,7 +1094,7 @@ fn walk<'c, T: Tracer>(
                     }
                 };
                 let stats = NodeStats {
-                    absorbed: Some((&**input, stats.rows_in)),
+                    absorbed: Some((&**input, stats.rows_in as usize)),
                     ..stats
                 };
                 (out, stats)
@@ -1004,14 +1113,23 @@ fn walk<'c, T: Tracer>(
             left_key,
             right_key,
         } => {
-            let (l, r) = (run_input(left)?, run_input(right)?);
-            let rel = algebra::hash_join(&l, &r, left_key, right_key)?;
-            (Output::Rows(rel), NodeStats::selective(l.len() + r.len()))
+            let (l, lsel) = run(left, true)?.columnar()?;
+            let (r, rsel) = run(right, true)?.columnar()?;
+            let index = r.key_index(right_key, &rsel)?;
+            let (pairs, batch) =
+                JoinPairs::probe(l, &lsel, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
+            let stats = NodeStats {
+                batch: Some(batch),
+                layout: Some("columnar"),
+                ..NodeStats::joined(lsel.count(), rsel.count())
+            };
+            (Selection::Pairs(pairs).output(lazy)?, stats)
         }
         Plan::Project { input, columns } => {
-            let input_rel = run_input(input)?;
-            let rel = project_mixed(&input_rel, columns)?;
-            (Output::Rows(rel), NodeStats::of(input_rel.len()))
+            // A selection input is read where it lies, never gathered.
+            let input = run(input, true)?;
+            let rel = input.project(columns)?;
+            (Output::Rows(rel), NodeStats::of(input.len()))
         }
         Plan::Aggregate {
             input,
@@ -1083,42 +1201,21 @@ fn walk<'c, T: Tracer>(
             // The planner takes IndexJoin unconditionally (probing a
             // prebuilt index never loses), so its implied estimate is
             // the uniform-key assumption: 1 / distinct probe keys.
-            let uniform = |idx: &HashIndex| match idx.distinct_keys() {
-                0 => Some(0.0),
-                keys => Some(1.0 / keys as f64),
-            };
-            let (lk, rk) = (left_key, right_key);
             let right = catalog.entry(right_table)?;
-            let idx = right.key_index(right.rel.schema().resolve(rk)?);
-            match &**left {
-                // ⋈ probing straight out of a resident base-table scan
-                // absorbs it: the columnar probe reads only the key
-                // column of the cached layout and gathers output columns
-                // run by run instead of cloning rows.
-                Plan::Scan(lname) if !catalog.is_paged_table(lname) => {
-                    let (cl, cr) = (catalog.entry(lname)?.columnar(), right.columnar());
-                    let (out, batch) =
-                        hash_join_probe_columnar(&cl, &cr, lk, rk, &idx, DEFAULT_BATCH_SIZE)?;
-                    let stats = NodeStats {
-                        est_selectivity: uniform(&idx),
-                        batch: Some(batch),
-                        layout: Some("columnar"),
-                        absorbed: Some((&**left, cl.len())),
-                        ..NodeStats::selective(cl.len() + cr.len())
-                    };
-                    (Output::Rows(out.to_tagged()), stats)
-                }
-                _ => {
-                    let l = run_input(left)?;
-                    let r = &right.rel;
-                    let rel = algebra::hash_join_probe(&l, r, lk, rk, &idx)?;
-                    let stats = NodeStats {
-                        est_selectivity: uniform(&idx),
-                        ..NodeStats::selective(l.len() + r.len())
-                    };
-                    (Output::Rows(rel), stats)
-                }
-            }
+            let index = right.key_index(right.rel.schema().resolve(right_key)?);
+            let ((l, lsel), r) = (run(left, true)?.columnar()?, right.columnar());
+            let (pairs, batch) =
+                JoinPairs::probe(l, &lsel, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
+            let stats = NodeStats {
+                est_selectivity: Some(match index.distinct_keys() {
+                    0 => 0.0,
+                    keys => 1.0 / keys as f64,
+                }),
+                batch: Some(batch),
+                layout: Some("columnar"),
+                ..NodeStats::joined(lsel.count(), right.rel.len())
+            };
+            (Selection::Pairs(pairs).output(lazy)?, stats)
         }
     };
     let rows_out = out.len();
@@ -1153,7 +1250,7 @@ fn select_base<'c, 'p>(
             point_lookup: Some(col),
             ..stats
         };
-        return Ok((Selection::Rows(&entry.rel, Some(rows)), stats));
+        return Ok((Selection::Rows(entry, Some(rows)), stats));
     }
     let crel = entry.columnar();
     let (sel, batch) = if use_index {
@@ -1196,68 +1293,6 @@ fn keyed_rows<'p>(
         }
     }
     Ok(Some((col, kept)))
-}
-
-/// Projection supporting both plain columns (cells travel with tags) and
-/// pseudo-columns (`price@age` materializes the tag value as a bare cell).
-fn project_mixed(rel: &TaggedRelation, columns: &[(String, String)]) -> DbResult<TaggedRelation> {
-    enum Src {
-        Plain(usize),
-        /// Meta-tag paths are supported: `price@source@credibility`.
-        Pseudo(usize, Vec<tagstore::Symbol>),
-    }
-    let mut srcs = Vec::with_capacity(columns.len());
-    let mut defs = Vec::with_capacity(columns.len());
-    for (name, out_name) in columns {
-        match TaggedRelation::split_pseudo(name) {
-            None => {
-                let i = rel.schema().resolve(name)?;
-                let mut cd = rel.schema().column(i).expect("resolved").clone();
-                cd.name = out_name.clone();
-                defs.push(cd);
-                srcs.push(Src::Plain(i));
-            }
-            Some((col, ind_path)) => {
-                let i = rel.schema().resolve(col)?;
-                let path: Vec<tagstore::Symbol> =
-                    ind_path.split('@').map(tagstore::Symbol::intern).collect();
-                let leaf = path.last().expect("non-empty path");
-                let dtype = rel
-                    .dictionary()
-                    .get(leaf)
-                    .map(|d| d.dtype)
-                    .unwrap_or(DataType::Any);
-                defs.push(ColumnDef::new(out_name.clone(), dtype));
-                srcs.push(Src::Pseudo(i, path));
-            }
-        }
-    }
-    let schema = Schema::new(defs)?;
-    let project_row = |row: &tagstore::TaggedRow| -> tagstore::TaggedRow {
-        srcs.iter()
-            .map(|s| match s {
-                Src::Plain(i) => row[*i].clone(),
-                Src::Pseudo(i, path) => QualityCell::bare(
-                    row[*i]
-                        .tag_path_syms(path)
-                        .map(|t| t.value.clone())
-                        .unwrap_or(relstore::Value::Null),
-                ),
-            })
-            .collect()
-    };
-    let rows = match relstore::par::plan(rel.len()) {
-        Some(threads) => {
-            relstore::par::run_chunked(rel.rows(), threads, |_, chunk| {
-                chunk.iter().map(project_row).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        None => rel.iter().map(project_row).collect(),
-    };
-    TaggedRelation::new(schema, rel.dictionary().clone(), rows)
 }
 
 /// Stable multi-key sort on application values.
@@ -1624,6 +1659,45 @@ mod tests {
         for needle in ["rows=3", "est_selectivity=", "actual_selectivity=", "err="] {
             assert!(idx_join.contains(needle), "missing {needle:?} in: {idx_join}");
         }
+    }
+
+    /// A join's actual selectivity is per pair: `rows_out / (|L| · |R|)`.
+    /// `trades ⋈ stocks` on unique tickers matches each trade once, so
+    /// the uniform-key estimate `1 / distinct keys` is exact.
+    #[test]
+    fn join_selectivity_is_per_pair() {
+        let c = catalog();
+        let report = explain_analyze(
+            &c,
+            "SELECT tkr, price FROM trades JOIN stocks ON tkr = ticker",
+            &Planner::default(),
+        )
+        .unwrap();
+        let line = report.lines().find(|l| l.contains("IndexJoin")).unwrap();
+        assert!(
+            line.contains("est_selectivity=0.3333 actual_selectivity=0.3333 err=+0.0000"),
+            "{report}"
+        );
+        // the hash join reads the same share: 1 of 3 pairs (FRT ⋈ FRT)
+        let report = explain_analyze(
+            &c,
+            "SELECT tkr, price FROM trades JOIN stocks ON tkr = ticker \
+             WHERE qty > 60 WITH QUALITY (price@source = 'NYSE feed')",
+            &Planner::default(),
+        )
+        .unwrap();
+        let line = report.lines().find(|l| l.contains("HashJoin")).unwrap();
+        assert!(line.contains("rows=1 "), "{report}");
+        assert!(line.contains("actual_selectivity=0.5000"), "{report}");
+        // an empty side reads 0, not NaN
+        let report = explain_analyze(
+            &c,
+            "SELECT tkr FROM trades JOIN stocks ON tkr = ticker WHERE qty > 1000",
+            &Planner::default(),
+        )
+        .unwrap();
+        let line = report.lines().find(|l| l.contains("IndexJoin")).unwrap();
+        assert!(line.contains("actual_selectivity=0.0000"), "{report}");
     }
 
     #[test]
@@ -2252,6 +2326,31 @@ mod paged_tests {
         )
         .unwrap();
         assert_eq!(r.relation().len(), 2);
+    }
+
+    /// A join with a paged side lifts that side's rows into a columnar
+    /// layout once; every statement answers exactly as the all-resident
+    /// twin does — tags, row order and rendering included.
+    #[test]
+    fn paged_side_joins_like_its_resident_twin() {
+        let paged = paged_catalog(PagedScanStats::default());
+        let mut resident = QueryCatalog::new();
+        resident.register("stocks", stocks());
+        resident.register("trades", trades());
+        for sql in [
+            "SELECT * FROM trades JOIN stocks ON tkr = ticker",
+            "SELECT * FROM stocks JOIN trades ON ticker = tkr",
+            "SELECT ticker, qty, price@source AS src FROM stocks JOIN trades ON ticker = tkr \
+             WITH QUALITY (price@source = 'NYSE feed')",
+            "SELECT tkr, COUNT(*) AS n, MIN(price) AS lo FROM trades JOIN stocks \
+             ON tkr = ticker WHERE qty > 5 GROUP BY tkr ORDER BY tkr",
+            "SELECT * FROM stocks JOIN trades ON ticker = tkr WHERE ticker = 'NUT'",
+        ] {
+            let (a, b) = (run(&paged, sql).unwrap(), run(&resident, sql).unwrap());
+            assert_eq!(a.relation(), b.relation(), "{sql}");
+            assert_eq!(a.relation().to_paper_table(), b.relation().to_paper_table(), "{sql}");
+            assert!(!a.relation().is_empty(), "{sql}");
+        }
     }
 
     #[test]

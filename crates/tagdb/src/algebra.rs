@@ -19,7 +19,6 @@ use crate::predicate::ToPredicate;
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
 use relstore::algebra::AggCall;
-use relstore::index::HashIndex;
 use relstore::{par, Date, DbError, DbResult, Row, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -216,55 +215,6 @@ pub fn hash_join(
             .flatten()
             .collect(),
         None => probe_chunk(left.rows()),
-    };
-    Ok(TaggedRelation::from_parts_unchecked(
-        schema,
-        left.dictionary().clone(),
-        rows,
-    ))
-}
-
-/// ⋈ via a prebuilt [`HashIndex`] over the right relation's key values
-/// (`vec![value] → row positions`, positions in row order): probes the
-/// index instead of building a hash table per join. Output is
-/// byte-identical to [`hash_join`] on the same inputs — same schema, same
-/// row order, same tag sharing. NULL keys never join: left NULLs are
-/// skipped explicitly (NULL = NULL is *true* under the storage total
-/// order, so the probe must not reach the index), and right NULL entries
-/// are unreachable from non-NULL probes.
-pub fn hash_join_probe(
-    left: &TaggedRelation,
-    right: &TaggedRelation,
-    left_key: &str,
-    right_key: &str,
-    index: &HashIndex,
-) -> DbResult<TaggedRelation> {
-    let li = left.schema().resolve(left_key)?;
-    right.schema().resolve(right_key)?;
-    let schema = left.schema().join(right.schema(), "l", "r")?;
-    let probe_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<TaggedRow>> {
-        let mut out = Vec::new();
-        for lr in chunk {
-            if lr[li].value.is_null() {
-                continue;
-            }
-            let key = vec![lr[li].value.clone()];
-            for &pos in index.get(&key) {
-                let rr = right.rows().get(pos).ok_or_else(|| {
-                    DbError::InvalidExpression(format!("join index position {pos} out of range"))
-                })?;
-                let mut combined = lr.clone();
-                combined.extend(rr.iter().cloned());
-                out.push(combined);
-            }
-        }
-        Ok(out)
-    };
-    let rows: Vec<TaggedRow> = match par::plan(left.len()) {
-        Some(threads) => {
-            par::merge_results(par::run_chunked(left.rows(), threads, |_, c| probe_chunk(c)))?
-        }
-        None => probe_chunk(left.rows())?,
     };
     Ok(TaggedRelation::from_parts_unchecked(
         schema,
@@ -657,36 +607,6 @@ mod tests {
         assert_eq!(r.rows(), [rel.rows()[0].clone(), rel.rows()[2].clone()]);
         assert!(select_at(&rel, &[]).unwrap().is_empty());
         assert!(select_at(&rel, &[99]).is_err());
-    }
-
-    #[test]
-    fn hash_join_probe_matches_hash_join() {
-        let schema = Schema::of(&[("ticker", DataType::Text), ("qty", DataType::Int)]);
-        let dict = IndicatorDictionary::with_paper_defaults();
-        let trades = TaggedRelation::new(
-            schema,
-            dict,
-            vec![
-                vec![
-                    QualityCell::bare("FRT")
-                        .with_tag(IndicatorValue::new("source", "order desk")),
-                    QualityCell::bare(100i64),
-                ],
-                vec![QualityCell::bare("NUT"), QualityCell::bare(7i64)],
-                vec![QualityCell::bare(Value::Null), QualityCell::bare(1i64)],
-            ],
-        )
-        .unwrap();
-        let right = prices();
-        let ri = right.schema().resolve("ticker").unwrap();
-        let mut idx = HashIndex::new(vec![0]);
-        for (pos, row) in right.iter().enumerate() {
-            idx.insert(&vec![row[ri].value.clone()], pos);
-        }
-        let probed = hash_join_probe(&trades, &right, "ticker", "ticker", &idx).unwrap();
-        let built = hash_join(&trades, &right, "ticker", "ticker").unwrap();
-        assert_eq!(probed, built);
-        assert_eq!(probed.len(), 2);
     }
 
     #[test]

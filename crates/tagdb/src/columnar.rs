@@ -1,8 +1,9 @@
 //! Columnar tagged storage: per-column typed arrays + run-length-encoded
 //! tag runs, so the batch kernels read contiguous memory instead of
-//! chasing `Vec<QualityCell>` row pointers. This is the σ and ⋈-probe
-//! path over resident base tables; σ over an operator's output is the
-//! row algebra's ([`crate::algebra::select`]).
+//! chasing `Vec<QualityCell>` row pointers. This is the σ path over
+//! resident base tables and every join's path ([`JoinPairs`]); σ over
+//! an operator's output is the row algebra's
+//! ([`crate::algebra::select`]).
 //!
 //! ## Layout
 //!
@@ -28,10 +29,11 @@
 //! is an exact round trip: values, null validity, relation tags, and
 //! per-cell tag sets — including `Arc` identity, so cells that shared a
 //! tag allocation still share it after the round trip. Every columnar
-//! operator (σ and indexed σ with [`ColumnarRelation::gather`], ⋈ probe,
-//! index build) produces output `to_tagged()`-equal to the row-at-a-time
-//! reference; the property tests pin this at batch sizes 1/7/1024 and
-//! 1/2/8 threads. The kernels are the bound [`Predicate`]'s conjuncts,
+//! operator (σ and indexed σ with [`ColumnarRelation::gather`], the ⋈
+//! pair kernel with [`JoinPairs::gather`], index build) produces output
+//! `to_tagged()`-equal to the row-at-a-time reference; the property
+//! tests pin this at batch sizes 1/7/1024 and 1/2/8 threads. The σ
+//! kernels are the bound [`Predicate`]'s conjuncts,
 //! run in written order over a batch's selection vector, so each row
 //! gets [`Predicate::matches`]'s verdict: NULLs drop first, `=`/`≠` use
 //! the storage total order, a typed kernel runs no type check per row
@@ -443,17 +445,28 @@ impl ColumnarRelation {
         }
     }
 
+    /// The schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The indicator dictionary the tags are declared in.
+    pub fn dictionary(&self) -> &IndicatorDictionary {
+        &self.dict
+    }
+
+    /// The cell at `(row, col)` (its tag `Arc` shared).
+    pub fn cell(&self, col: usize, row: usize) -> QualityCell {
+        let mut cell = QualityCell::bare(self.value_at(col, row));
+        if let Some(tags) = self.columns[col].tags.get(row) {
+            cell.set_shared_tags(tags.clone());
+        }
+        cell
+    }
+
     /// Materializes one row as [`QualityCell`]s (tag `Arc`s shared).
     pub fn materialize_row(&self, row: usize) -> TaggedRow {
-        (0..self.columns.len())
-            .map(|ci| {
-                let mut cell = QualityCell::bare(self.value_at(ci, row));
-                if let Some(tags) = self.columns[ci].tags.get(row) {
-                    cell.set_shared_tags(tags.clone());
-                }
-                cell
-            })
-            .collect()
+        (0..self.columns.len()).map(|ci| self.cell(ci, row)).collect()
     }
 
     /// Builds the quality bitmap index with a per-column pass over the
@@ -506,28 +519,13 @@ struct ColumnarBuilder {
 }
 
 impl ColumnarBuilder {
-    fn new(src: &ColumnarRelation) -> Self {
+    /// Builder over the columns of `sources`, in order: one source for a
+    /// σ's output, left then right for a join's.
+    fn new(sources: &[&ColumnarRelation]) -> Self {
         ColumnarBuilder {
-            columns: src
-                .columns
+            columns: sources
                 .iter()
-                .map(|c| Column {
-                    data: c.data.empty_like(),
-                    validity: Bitset::new(0),
-                    tags: TagRuns::default(),
-                })
-                .collect(),
-            len: 0,
-        }
-    }
-
-    /// Builder over `left`'s columns followed by `right`'s (join output).
-    fn new_join(left: &ColumnarRelation, right: &ColumnarRelation) -> Self {
-        ColumnarBuilder {
-            columns: left
-                .columns
-                .iter()
-                .chain(right.columns.iter())
+                .flat_map(|src| &src.columns)
                 .map(|c| Column {
                     data: c.data.empty_like(),
                     validity: Bitset::new(0),
@@ -590,11 +588,7 @@ impl ColumnarBuilder {
         }
     }
 
-    fn finish(
-        mut self,
-        schema: Schema,
-        dict: IndicatorDictionary,
-    ) -> ColumnarRelation {
+    fn finish(mut self, schema: Schema, dict: IndicatorDictionary) -> ColumnarRelation {
         for c in &mut self.columns {
             c.validity.grow(self.len);
         }
@@ -1010,107 +1004,176 @@ pub fn selection_indexed_columnar(
     Ok((sel, path, stats))
 }
 
-/// Columnar ⋈ probe — `to_tagged()`-identical to
-/// [`crate::algebra::hash_join_probe`]. The probe phase runs over key
-/// columns only (batched, parallel per [`par::plan`], Text keys memoized
-/// by pool id so repeated keys never re-allocate); the gather phase then
-/// assembles only the output columns from the match list.
-pub fn hash_join_probe_columnar(
-    left: &ColumnarRelation,
-    right: &ColumnarRelation,
-    left_key: &str,
-    right_key: &str,
-    index: &HashIndex,
-    batch_size: usize,
-) -> DbResult<(ColumnarRelation, BatchStats)> {
-    let li = left.schema.resolve(left_key)?;
-    right.schema.resolve(right_key)?;
-    let schema = left.schema.join(&right.schema, "l", "r")?;
-    let len = left.len;
-    let batch_size = batch_size.max(1);
-    let nbatches = len.div_ceil(batch_size);
-    let key_col = &left.columns[li];
-    type Matches = Vec<(usize, usize)>;
-    let run_range = |brange: std::ops::Range<usize>| -> DbResult<(Matches, BatchStats)> {
-        let mut matches: Matches = Vec::new();
-        let mut stats = BatchStats::new(batch_size);
-        let mut key = vec![Value::Null];
-        // Text keys: memoized positions per pool id — the pool is tiny
-        // relative to the probe side, so each distinct key builds its
-        // owned Value exactly once per worker.
-        let mut memo: HashMap<u32, Vec<usize>> = HashMap::new();
-        for b in brange {
-            let start = b * batch_size;
-            let blen = batch_size.min(len - start);
-            let _t = dq_obs::histogram!("columnar.batch_us").start();
-            stats.batches += 1;
-            stats.rows_in += blen;
-            // NULL keys never join: validity *is* the NULL-key filter.
-            let sel = key_col.validity.extract_range(start, blen);
-            for i in sel.iter_ones() {
-                let row = start + i;
-                let positions: &[usize] = match &key_col.data {
-                    ColumnData::Text { ids, pool } => memo
-                        .entry(ids[row])
-                        .or_insert_with(|| {
-                            key[0] = Value::Text(pool.get(ids[row]).to_owned());
-                            index.get(&key).to_vec()
-                        })
-                        .as_slice(),
-                    _ => {
-                        key[0] = left.value_at(li, row);
-                        index.get(&key)
-                    }
-                };
-                for &pos in positions {
-                    if pos >= right.len {
-                        return Err(DbError::InvalidExpression(format!(
-                            "join index position {pos} out of range"
-                        )));
-                    }
-                    matches.push((row, pos));
-                }
-            }
-            stats.rows_out = matches.len();
-        }
-        Ok((matches, stats))
-    };
-    let (matches, stats) = match par::plan(len) {
-        Some(threads) if nbatches > 1 => {
-            let parts = par::run_ranges(nbatches, threads.min(nbatches), |_, r| run_range(r));
-            let mut matches: Matches = Vec::new();
+/// A ⋈'s answer before any row is built: its two columnar sources and
+/// the `(left row, right row)` positions that matched (`u32`: resident
+/// layouts hold fewer rows), in [`crate::algebra::hash_join`]'s order —
+/// left rows ascending, each row's matches in right-row order.
+/// [`JoinPairs::gather`] builds the rows, [`JoinPairs::aggregate`] folds
+/// them where they lie.
+#[derive(Debug)]
+pub struct JoinPairs {
+    left: Arc<ColumnarRelation>,
+    right: Arc<ColumnarRelation>,
+    schema: Schema,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl JoinPairs {
+    /// The pair kernel, for every join: probes `index` (right key value →
+    /// right rows, ascending) with the key of each row `left_sel` selects.
+    /// The probe reads the key column only — batched, parallel per
+    /// [`par::plan`] over the selected rows; Text keys are memoized by
+    /// pool id, and look up as strings, so two sides' pools need not
+    /// agree. Keys match by [`Value`] equality; NULL keys never join.
+    pub fn probe(
+        left: Arc<ColumnarRelation>,
+        left_sel: &Bitset,
+        left_key: &str,
+        right: Arc<ColumnarRelation>,
+        right_key: &str,
+        index: &HashIndex,
+        batch_size: usize,
+    ) -> DbResult<(JoinPairs, BatchStats)> {
+        let li = left.schema.resolve(left_key)?;
+        right.schema.resolve(right_key)?;
+        let schema = left.schema.join(&right.schema, "l", "r")?;
+        let (len, batch_size) = (left.len, batch_size.max(1));
+        let nbatches = len.div_ceil(batch_size);
+        let key_col = &left.columns[li];
+        type Pairs = Vec<(u32, u32)>;
+        let run_range = |brange: std::ops::Range<usize>| -> DbResult<(Pairs, BatchStats)> {
+            let mut pairs: Pairs = Vec::new();
             let mut stats = BatchStats::new(batch_size);
-            for part in parts {
-                let (mut ms, s) = part?;
-                matches.append(&mut ms);
-                stats.absorb(s);
+            let mut key = vec![Value::Null];
+            let mut memo: HashMap<u32, &[usize]> = HashMap::new();
+            for b in brange {
+                let start = b * batch_size;
+                let blen = batch_size.min(len - start);
+                let mut sel = left_sel.extract_range(start, blen);
+                let picked = sel.count();
+                if picked == 0 {
+                    continue;
+                }
+                let _t = dq_obs::histogram!("columnar.batch_us").start();
+                stats.batches += 1;
+                stats.rows_in += picked;
+                // NULL keys never join: validity *is* the NULL-key filter.
+                sel.and_assign(&key_col.validity.extract_range(start, blen));
+                for row in sel.iter_ones().map(|i| start + i) {
+                    let matches = match &key_col.data {
+                        ColumnData::Text { ids, pool } => *memo.entry(ids[row]).or_insert_with(|| {
+                            key[0] = Value::Text(pool.get(ids[row]).to_owned());
+                            index.get(&key)
+                        }),
+                        _ => {
+                            key[0] = left.value_at(li, row);
+                            index.get(&key)
+                        }
+                    };
+                    for &pos in matches {
+                        if pos >= right.len {
+                            return Err(DbError::InvalidExpression(format!(
+                                "join index position {pos} out of range"
+                            )));
+                        }
+                        pairs.push((row as u32, pos as u32));
+                    }
+                }
+                stats.rows_out = pairs.len();
             }
-            (matches, stats)
-        }
-        _ => run_range(0..nbatches)?,
-    };
-    let mut builder = ColumnarBuilder::new_join(left, right);
-    let left_arity = left.columns.len();
-    for &(lrow, rpos) in &matches {
-        builder.push_row_from(left, lrow, 0);
-        builder.push_row_from(right, rpos, left_arity);
-        builder.len += 1;
+            Ok((pairs, stats))
+        };
+        let (pairs, stats) = match par::plan(left_sel.count()) {
+            Some(threads) if nbatches > 1 => {
+                let parts = par::run_ranges(nbatches, threads.min(nbatches), |_, r| run_range(r));
+                let mut pairs: Pairs = Vec::new();
+                let mut stats = BatchStats::new(batch_size);
+                for part in parts {
+                    let (mut ps, s) = part?;
+                    pairs.append(&mut ps);
+                    stats.absorb(s);
+                }
+                (pairs, stats)
+            }
+            _ => run_range(0..nbatches)?,
+        };
+        dq_obs::counter!("columnar.join.batches").add(stats.batches as u64);
+        dq_obs::counter!("columnar.join.rows_in").add(stats.rows_in as u64);
+        dq_obs::counter!("columnar.join.rows_out").add(stats.rows_out as u64);
+        Ok((JoinPairs { left, right, schema, pairs }, stats))
     }
-    dq_obs::counter!("columnar.join.batches").add(stats.batches as u64);
-    dq_obs::counter!("columnar.join.rows_in").add(stats.rows_in as u64);
-    dq_obs::counter!("columnar.join.rows_out").add(stats.rows_out as u64);
-    Ok((builder.finish(schema, left.dict.clone()), stats))
+
+    /// Number of joined rows.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// True iff nothing joined.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The joined schema (`l.`/`r.` prefixes on shared names).
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The left side's dictionary, the joined rows' one.
+    pub fn dictionary(&self) -> &IndicatorDictionary {
+        &self.left.dict
+    }
+
+    /// Joined row `at`'s cell in column `col` of the joined schema.
+    pub fn cell(&self, at: usize, col: usize) -> QualityCell {
+        let (l, r) = self.pairs[at];
+        match col.checked_sub(self.left.columns.len()) {
+            None => self.left.cell(col, l as usize),
+            Some(rc) => self.right.cell(rc, r as usize),
+        }
+    }
+
+    /// The joined rows, built once: `to_tagged()`-identical to
+    /// [`crate::algebra::hash_join`] over the two sides' selected rows.
+    pub fn gather(&self) -> ColumnarRelation {
+        let (left, right) = (&*self.left, &*self.right);
+        let mut builder = ColumnarBuilder::new(&[left, right]);
+        for &(l, r) in &self.pairs {
+            builder.push_row_from(left, l as usize, 0);
+            builder.push_row_from(right, r as usize, left.columns.len());
+            builder.len += 1;
+        }
+        builder.finish(self.schema.clone(), left.dict.clone())
+    }
+
+    /// γ over the joined rows, folded from the two sources: a left column
+    /// reads the pair's left row, a right column its right row. Equal to
+    /// [`crate::algebra::aggregate`] over `self.gather().to_tagged()`.
+    pub fn aggregate(
+        &self,
+        group_by: &[&str],
+        aggs: &[AggCall],
+        policies: &[TagPolicy],
+    ) -> DbResult<TaggedRelation> {
+        let (left, right) = (&*self.left, &*self.right);
+        let fold = Fold::new(&self.schema, group_by, aggs, policies)?;
+        // Left rows ascend and their tag runs are walked; right rows
+        // arrive in any order and are searched.
+        let cols = left.columns.iter().map(|c| FoldColumn::new(c, Some(left.len)));
+        let cols = cols.chain(right.columns.iter().map(|c| FoldColumn::new(c, None)));
+        let rows = self.pairs.iter().map(|&(l, r)| (l as usize, r as usize));
+        fold_rows(fold, cols.collect(), left.columns.len(), rows)?.finish(&self.schema, &left.dict)
+    }
 }
 
 // ---------------------------------------------------------------------
-// What a selection feeds: a gather, or the γ fold
+// What a selection feeds: a gather, a join's build side, or the γ fold
 // ---------------------------------------------------------------------
 
 impl ColumnarRelation {
     /// The rows `sel` selects, assembled run by run (typed-array copies,
     /// tag-run `Arc` bumps) — a σ's output once its selection is known.
     pub fn gather(&self, sel: &Bitset) -> ColumnarRelation {
-        let mut builder = ColumnarBuilder::new(self);
+        let mut builder = ColumnarBuilder::new(&[self]);
         let mut runs = 0u64;
         for_each_run(sel, |s, l| {
             builder.append_range(self, s, l);
@@ -1118,6 +1181,20 @@ impl ColumnarRelation {
         });
         dq_obs::counter!("columnar.gather_runs").add(runs);
         builder.finish(self.schema.clone(), self.dict.clone())
+    }
+
+    /// A hash index over column `key`'s values at the rows `sel` selects
+    /// (`vec![value] → rows`, ascending; NULLs left out) — a hash join's
+    /// build side, in the layout [`JoinPairs::probe`] reads.
+    pub fn key_index(&self, key: &str, sel: &Bitset) -> DbResult<HashIndex> {
+        let ci = self.schema.resolve(key)?;
+        let mut index = HashIndex::new(vec![0]);
+        for row in sel.iter_ones() {
+            if self.columns[ci].validity.contains(row) {
+                index.insert(&vec![self.value_at(ci, row)], row);
+            }
+        }
+        Ok(index)
     }
 
     /// γ over the rows `sel` selects, folded straight from the typed
@@ -1130,31 +1207,42 @@ impl ColumnarRelation {
         aggs: &[AggCall],
         policies: &[TagPolicy],
     ) -> DbResult<TaggedRelation> {
-        let mut fold = Fold::new(&self.schema, group_by, aggs, policies)?;
-        let mut row = FoldRow {
-            cols: self.columns.iter().map(|_| None).collect(),
-        };
-        let read = fold.columns();
-        for &c in &read {
-            row.cols[c] = Some(FoldColumn::new(&self.columns[c], self.len));
-        }
-        for i in sel.iter_ones() {
-            for &c in &read {
-                if let Some(col) = &mut row.cols[c] {
-                    col.load(i);
-                }
-            }
-            fold.add(&row)?;
-        }
-        fold.finish(&self.schema, &self.dict)
+        let fold = Fold::new(&self.schema, group_by, aggs, policies)?;
+        let cols = self.columns.iter().map(|c| FoldColumn::new(c, Some(self.len)));
+        let rows = sel.iter_ones().map(|i| (i, i));
+        fold_rows(fold, cols.collect(), self.columns.len(), rows)?.finish(&self.schema, &self.dict)
     }
 }
 
-/// One column as the γ fold reads it, row by ascending row: the row's
-/// value, and the tag run covering it (walked, not searched).
+/// Folds input rows read straight from columnar sources: input row
+/// `(l, r)` reads column `c` at row `l` when `c < split`, else at row `r`.
+fn fold_rows<'f>(
+    mut fold: Fold<'f>,
+    columns: Vec<FoldColumn<'_>>,
+    split: usize,
+    rows: impl Iterator<Item = (usize, usize)>,
+) -> DbResult<Fold<'f>> {
+    let read = fold.columns();
+    let mut row = FoldRow {
+        cols: columns.into_iter().enumerate().map(|(c, col)| read.contains(&c).then_some(col)).collect(),
+    };
+    for (l, r) in rows {
+        for &c in &read {
+            if let Some(col) = &mut row.cols[c] {
+                col.load(if c < split { l } else { r });
+            }
+        }
+        fold.add(&row)?;
+    }
+    Ok(fold)
+}
+
+/// One column as the γ fold reads it: the row's value, and the tag run
+/// covering it — walked when rows ascend, else searched.
 struct FoldColumn<'a> {
     col: &'a Column,
-    runs: TagRunWindow<'a>,
+    /// The walk over the column's runs (`None`: rows in any order).
+    runs: Option<TagRunWindow<'a>>,
     run_end: usize,
     tags: Option<&'a SharedTags>,
     row: usize,
@@ -1166,10 +1254,12 @@ struct FoldColumn<'a> {
 }
 
 impl<'a> FoldColumn<'a> {
-    fn new(col: &'a Column, len: usize) -> Self {
+    /// Over a column of `len` rows read in ascending order, or (`None`)
+    /// in any order.
+    fn new(col: &'a Column, len: Option<usize>) -> Self {
         FoldColumn {
             col,
-            runs: col.tags.window(0, len),
+            runs: len.map(|len| col.tags.window(0, len)),
             run_end: 0,
             tags: None,
             row: 0,
@@ -1179,14 +1269,19 @@ impl<'a> FoldColumn<'a> {
         }
     }
 
-    /// Moves to `row` (rows ascend from call to call).
+    /// Moves to `row` (for a walked column, rows ascend from call to call).
     fn load(&mut self, row: usize) {
-        while row >= self.run_end {
-            let Some((off, len, tags)) = self.runs.next() else {
-                break;
-            };
-            self.run_end = off + len;
-            self.tags = tags;
+        match &mut self.runs {
+            Some(runs) => {
+                while row >= self.run_end {
+                    let Some((off, len, tags)) = runs.next() else {
+                        break;
+                    };
+                    self.run_end = off + len;
+                    self.tags = tags;
+                }
+            }
+            None => self.tags = self.col.tags.get(row),
         }
         self.row = row;
         self.null = !self.col.validity.contains(row);
@@ -1486,61 +1581,79 @@ mod tests {
         }
     }
 
+    /// The pair kernel and its gather equal the row hash join over the
+    /// two sides' selected rows — Int keys with NULLs and duplicates on
+    /// both sides, a right side hashed from its selection or probed
+    /// through a prebuilt index, and Text keys whose pools differ — and
+    /// the fold over the pairs equals γ over the gathered join.
     #[test]
     fn join_probe_columnar_matches() {
-        let left = mixed(50);
-        let schema = Schema::of(&[("k", DataType::Int), ("label", DataType::Text)]);
+        use relstore::algebra::AggFunc;
+        let left = Arc::new(ColumnarRelation::from_tagged(&mixed(50)));
         let dict = IndicatorDictionary::with_paper_defaults();
+        let schema = Schema::of(&[("v", DataType::Int), ("name", DataType::Text)]);
         let mut rows = Vec::new();
-        for k in 0..10i64 {
+        // right cells tagged row by row, so a fold reading them out of
+        // order would see the wrong tags
+        for (i, k) in [0i64, 4, 4, 8, 30, 31, 60].into_iter().enumerate() {
             rows.push(vec![
                 QualityCell::bare(k).with_tag(IndicatorValue::new("source", "dim")),
-                QualityCell::bare(format!("label{k}")),
+                QualityCell::bare(format!("n{}", k % 13))
+                    .with_tag(IndicatorValue::new("source", ["x", "y", "z"][i % 3])),
             ]);
         }
-        rows.push(vec![
-            QualityCell::bare(Value::Null),
-            QualityCell::bare("nullkey"),
-        ]);
-        let right = TaggedRelation::new(schema, dict, rows).unwrap();
-        let ri = right.schema().resolve("k").unwrap();
-        let mut idx = HashIndex::new(vec![ri]);
-        for (pos, row) in right.iter().enumerate() {
-            idx.insert(&vec![row[ri].value.clone()], pos);
-        }
-        let expect = algebra::hash_join_probe(&left, &right, "k", "k", &idx).unwrap();
-        let cl = ColumnarRelation::from_tagged(&left);
-        let cr = ColumnarRelation::from_tagged(&right);
-        for batch_size in [1usize, 7, 1024] {
-            let (got, stats) =
-                hash_join_probe_columnar(&cl, &cr, "k", "k", &idx, batch_size).unwrap();
-            assert_eq!(got.to_tagged(), expect, "batch={batch_size}");
-            assert_eq!(stats.rows_out, expect.len());
-        }
-        // Text-keyed probe exercises the pool-id memoization
-        let lt = ColumnarRelation::from_tagged(&algebra::project(&left, &["name", "k"]).unwrap());
-        let rt_rel = {
-            let schema = Schema::of(&[("name", DataType::Text), ("extra", DataType::Int)]);
-            let dict = IndicatorDictionary::with_paper_defaults();
-            let mut rows = Vec::new();
-            for k in 0..11i64 {
-                rows.push(vec![
-                    QualityCell::bare(format!("n{k}")),
-                    QualityCell::bare(k),
-                ]);
-            }
-            TaggedRelation::new(schema, dict, rows).unwrap()
+        rows.push(vec![QualityCell::bare(Value::Null), QualityCell::bare("n3")]);
+        let right = Arc::new(ColumnarRelation::from_tagged(
+            &TaggedRelation::new(schema, dict, rows).unwrap(),
+        ));
+        let picks = |crel: &ColumnarRelation, p: Option<Expr>| match p {
+            Some(p) => selection_columnar(crel, &p, 7).unwrap().0,
+            None => Bitset::full(crel.len()),
         };
-        let rti = rt_rel.schema().resolve("name").unwrap();
-        let mut tidx = HashIndex::new(vec![rti]);
-        for (pos, row) in rt_rel.iter().enumerate() {
-            tidx.insert(&vec![row[rti].value.clone()], pos);
+        let policies = [TagPolicy::new("source", crate::algebra::TagRule::MergeText)];
+        let aggs = [
+            AggCall::count_star("n"),
+            AggCall::on(AggFunc::Sum, "k", "s"),
+            AggCall::on(AggFunc::Max, "r.name", "top"),
+        ];
+        for (key, lp, rp) in [
+            ("v", None, None),
+            ("v", Some(Expr::col("v@source").ne(Expr::lit("b"))), Some(Expr::col("v").lt(Expr::lit(40i64)))),
+            ("name", Some(Expr::col("k").ge(Expr::lit(9i64))), None),
+        ] {
+            let (lsel, rsel) = (picks(&left, lp), picks(&right, rp));
+            let expect = algebra::hash_join(
+                &left.gather(&lsel).to_tagged(),
+                &right.gather(&rsel).to_tagged(),
+                key,
+                key,
+            )
+            .unwrap();
+            assert!(!expect.is_empty(), "{key}");
+            let hashed = right.key_index(key, &rsel).unwrap();
+            let prebuilt = right.key_index(key, &Bitset::full(right.len())).unwrap();
+            let indexes = if rsel.count() == right.len() { vec![&hashed, &prebuilt] } else { vec![&hashed] };
+            for index in indexes {
+                for batch_size in [1usize, 7, 1024] {
+                    let (pairs, stats) = JoinPairs::probe(
+                        Arc::clone(&left), &lsel, key, Arc::clone(&right), key, index, batch_size,
+                    )
+                    .unwrap();
+                    assert_eq!(pairs.gather().to_tagged(), expect, "{key} batch={batch_size}");
+                    assert_eq!((stats.rows_in, stats.rows_out), (lsel.count(), expect.len()));
+                    for group_by in [&[][..], &["r.name"], &["l.v", "k"]] {
+                        let group_by = if key == "v" { group_by } else { &["r.name"] };
+                        let want = algebra::aggregate(&expect, group_by, &aggs, &policies);
+                        assert_eq!(pairs.aggregate(group_by, &aggs, &policies).unwrap(), want.unwrap());
+                    }
+                }
+            }
         }
-        let lrow = algebra::project(&left, &["name", "k"]).unwrap();
-        let expect = algebra::hash_join_probe(&lrow, &rt_rel, "name", "name", &tidx).unwrap();
-        let crt = ColumnarRelation::from_tagged(&rt_rel);
-        let (got, _) = hash_join_probe_columnar(&lt, &crt, "name", "name", &tidx, 16).unwrap();
-        assert_eq!(got.to_tagged(), expect);
+        // an index position past the right side is an error, not a panic
+        let mut stale = HashIndex::new(vec![0]);
+        stale.insert(&vec![Value::Int(0)], 99);
+        let all = Bitset::full(left.len());
+        assert!(JoinPairs::probe(left, &all, "v", right, "v", &stale, 64).is_err());
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod symbol;
 pub use algebra::{TagPolicy, TagRule};
 pub use bitmap::{Bitset, QualityAtom, QualityIndex};
 pub use columnar::{
-    hash_join_probe_columnar, selection_columnar, selection_indexed_columnar, BatchStats,
-    ColumnarRelation, DEFAULT_BATCH_SIZE,
+    selection_columnar, selection_indexed_columnar, BatchStats, ColumnarRelation, JoinPairs,
+    DEFAULT_BATCH_SIZE,
 };
 pub use cell::QualityCell;
 pub use epoch::{EpochCell, Stamped};
@@ -620,16 +620,13 @@ mod proptests {
         }
 
         /// Columnar execution is invisible: σ (value, quality, and mixed
-        /// predicates, indexed and unindexed) and the ⋈ probe over the
-        /// columnar layout produce relations `to_tagged()`-equal to the
-        /// row-at-a-time path at batch sizes 1, 7, and 1024 and at
-        /// thread counts 1, 2, and 8 — over nullable columns. The row
-        /// probe a join over an operator's output runs (`IndexJoin` off
-        /// a non-scan input) equals the hash join at each thread count.
+        /// predicates, indexed and unindexed) over the columnar layout
+        /// selects rows `to_tagged()`-equal to the row-at-a-time path at
+        /// batch sizes 1, 7, and 1024 and at thread counts 1, 2, and 8 —
+        /// over nullable columns.
         #[test]
         fn columnar_equals_row_at_a_time(
             a in arb_nullable(),
-            b in arb_nullable(),
             c in 0i64..30,
             s in "[a-c]",
         ) {
@@ -642,39 +639,75 @@ mod proptests {
             let tp = Expr::col("t").ge(Expr::lit("b"));
             let idx = crate::bitmap::QualityIndex::build(&a);
             let ca = ColumnarRelation::from_tagged(&a);
-            let cb = ColumnarRelation::from_tagged(&b);
             let sel_v = select(&a, &vp).unwrap();
             let sel_q = select(&a, &qp).unwrap();
             let sel_t = select(&a, &tp).unwrap();
-            let join = hash_join(&a, &b, "k", "k").unwrap();
-            let ri = b.schema().resolve("k").unwrap();
-            let mut hidx = relstore::index::HashIndex::new(vec![ri]);
-            for (pos, row) in b.iter().enumerate() {
-                hidx.insert(&vec![row[ri].value.clone()], pos);
-            }
             let gathered = |sel: Bitset| ca.gather(&sel).to_tagged();
             for threads in [1usize, 2, 8] {
-                let probe = relstore::par::with_thread_count(threads, || {
-                    hash_join_probe(&a, &b, "k", "k", &hidx).unwrap()
-                });
-                prop_assert_eq!(&probe, &join);
                 for bs in [1usize, 7, 1024] {
-                    let (v, q, qi, t, j) = relstore::par::with_thread_count(threads, || {
+                    let (v, q, qi, t) = relstore::par::with_thread_count(threads, || {
                         (
                             selection_columnar(&ca, &vp, bs).unwrap().0,
                             selection_columnar(&ca, &qp, bs).unwrap().0,
                             selection_indexed_columnar(&ca, &idx, &qp, bs).unwrap().0,
                             selection_columnar(&ca, &tp, bs).unwrap().0,
-                            hash_join_probe_columnar(&ca, &cb, "k", "k", &hidx, bs)
-                                .unwrap()
-                                .0,
                         )
                     });
                     prop_assert_eq!(&gathered(v), &sel_v);
                     prop_assert_eq!(&gathered(q), &sel_q);
                     prop_assert_eq!(&gathered(qi), &sel_q);
                     prop_assert_eq!(&gathered(t), &sel_t);
-                    prop_assert_eq!(&j.to_tagged(), &join);
+                }
+            }
+        }
+
+        /// The pair kernel plus its gather is the row hash join over the
+        /// gathered inputs: on a nullable Int key with duplicates on both
+        /// sides and on a nullable Text key whose two sides' string pools
+        /// differ, each side whole or a σ's selection, the right side
+        /// hashed from its selection or (whole) probed through a prebuilt
+        /// index — at batch sizes 1, 7, and 1024 and 1, 2, and 8 threads.
+        #[test]
+        fn join_pairs_equal_hash_join(
+            a in arb_nullable(),
+            b in arb_nullable(),
+            c in 0i64..30,
+            narrow in prop::bool::ANY,
+        ) {
+            use crate::columnar::*;
+            use crate::Bitset;
+            use std::sync::Arc;
+            let (ca, cb) = (
+                Arc::new(ColumnarRelation::from_tagged(&a)),
+                Arc::new(ColumnarRelation::from_tagged(&b)),
+            );
+            let (lsel, rsel) = if narrow {
+                (
+                    selection_columnar(&ca, &Expr::col("v@age").le(Expr::lit(c)), 7).unwrap().0,
+                    selection_columnar(&cb, &Expr::col("k").ge(Expr::lit(c / 3)), 7).unwrap().0,
+                )
+            } else {
+                (Bitset::full(ca.len()), Bitset::full(cb.len()))
+            };
+            let (l, r) = (ca.gather(&lsel).to_tagged(), cb.gather(&rsel).to_tagged());
+            for key in ["v", "t"] {
+                let join = hash_join(&l, &r, key, key).unwrap();
+                let ri = b.schema().resolve(key).unwrap();
+                let mut prebuilt = relstore::index::HashIndex::new(vec![0]);
+                prebuilt.rebuild(&b.iter().map(|row| vec![row[ri].value.clone()]).collect::<Vec<_>>());
+                let hashed = cb.key_index(key, &rsel).unwrap();
+                let indexes = if narrow { vec![&hashed] } else { vec![&hashed, &prebuilt] };
+                for (index, threads) in indexes.into_iter().flat_map(|i| [(i, 1usize), (i, 2), (i, 8)]) {
+                    for bs in [1usize, 7, 1024] {
+                        let (pairs, stats) = relstore::par::with_thread_count(threads, || {
+                            JoinPairs::probe(
+                                Arc::clone(&ca), &lsel, key, Arc::clone(&cb), key, index, bs,
+                            )
+                            .unwrap()
+                        });
+                        prop_assert_eq!(&pairs.gather().to_tagged(), &join);
+                        prop_assert_eq!(stats.rows_out, join.len());
+                    }
                 }
             }
         }

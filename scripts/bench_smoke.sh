@@ -4,7 +4,7 @@
 # time budget, and record one JSON line per benchmark in BENCH_tagprop.json.
 # Then run the B7 scan-vs-bitmap index series into BENCH_index.json, the
 # B8 WAL/recovery durability series into BENCH_wal.json, the B9
-# index-build and join-probe series into BENCH_vector.json, the B10
+# index-build and join series into BENCH_vector.json, the B10
 # columnar-vs-row series into BENCH_columnar.json, and the B12 MVCC
 # reader-throughput burst into BENCH_mvcc.json.
 # Finishes with the parallel index-build regression gate over the fresh
@@ -57,7 +57,8 @@ DQ_BENCH_JSON="$DQ_BENCH_WAL_JSON" cargo bench --offline -p dq-bench --bench dur
 
 echo "wrote $(wc -l < "$DQ_BENCH_WAL_JSON") records to $DQ_BENCH_WAL_JSON"
 
-# B9: serial vs. parallel index build, row vs. columnar join probe
+# B9: serial vs. parallel index build, row hash join vs. the pair
+# kernel plus its gather
 DQ_BENCH_VECTOR_JSON="${DQ_BENCH_VECTOR_JSON:-$PWD/BENCH_vector.json}"
 : > "$DQ_BENCH_VECTOR_JSON"
 DQ_BENCH_JSON="$DQ_BENCH_VECTOR_JSON" cargo bench --offline -p dq-bench --bench vector

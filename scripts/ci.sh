@@ -27,15 +27,21 @@ filtered -p tagstore bitmap_
 filtered -p dq-query index_planner
 
 # Columnar-layout parity: row↔columnar round-trip (values, nulls,
-# per-cell tags), columnar σ and ⋈ probe vs the row-at-a-time reference
-# (`algebra::select`, one verdict per row), the row probe vs the hash
-# join, and the columnar index build vs the serial fold, at a higher
-# case count.
+# per-cell tags), columnar σ vs the row-at-a-time reference
+# (`algebra::select`, one verdict per row), the pair kernel and its
+# gather and fold vs the row hash join and γ over fixed fixtures, and
+# the columnar index build vs the serial fold, at a higher case count.
 filtered -p tagstore columnar
 
+# Join parity: the pair kernel plus its gather equals `algebra::hash_join`
+# over the gathered inputs — NULL and duplicate keys, Text keys from two
+# string pools, a hashed or prebuilt right side — at every batch size
+# and at 1/2/8 threads, at a higher case count.
+filtered -p tagstore join_pairs
+
 # Aggregation over a selection: the one-pass tagged γ, fed by columnar
-# selections, keyed lookups and join rows, against the oracle's γ, at a
-# higher case count.
+# selections, keyed lookups and a join's position pairs, against the
+# oracle's γ, at a higher case count.
 PROPTEST_CASES=128 cargo test -q --offline --test aggregate_fold
 
 # The longhand oracle against both planners over generated SELECTs
@@ -57,8 +63,9 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_index.json \
     cargo bench --offline -p dq-bench --bench index_scan >/dev/null
 
-# B9 smoke at the 10k tier: asserts parity (row vs columnar join
-# probe, serial vs parallel index build) before timing.
+# B9 smoke at the 10k tier: asserts parity (the row hash join vs the
+# pair kernel plus its gather, serial vs parallel index build) before
+# timing.
 DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_vector.json \
     cargo bench --offline -p dq-bench --bench vector >/dev/null

@@ -1,15 +1,19 @@
 //! Aggregation over a selection, differentially. Every γ the executor
 //! answers — folded from a resident table's columnar selection (no σ,
 //! value σ, bitmap σ, bitmap σ + residual), from a keyed lookup's rows,
-//! or from join output — renders byte-equal (`render_result`) and
+//! or from a join's position pairs (an index join over a filtered or
+//! keyed left, a hash join of two σ selections; NULL keys on both sides,
+//! a duplicated right key, Text keys from two string pools) — renders
+//! byte-equal (`render_result`) and
 //! carries the same cells, tags and all, as the longhand oracle's answer
 //! to the same statement (`oracle/mod.rs`: nested loops, γ deriving its
 //! tags under `default_agg_policies`). Inputs are seeded tagged relations
 //! with NULL keys and values, shared and per-cell tag `Arc`s and
 //! meta-tags, and Int/Text/Date/Float keys; every statement runs at 1, 2
-//! and 8 threads. The fold's tagstore entry points are checked against
-//! the oracle's γ directly, with every `AggFunc` (QQL cannot spell
-//! `COUNT(DISTINCT …)`) and every `TagRule`.
+//! and 8 threads. The fold's tagstore entry points — over a selection
+//! and over a join's pairs — are checked against the oracle's γ
+//! directly, with every `AggFunc` (QQL cannot spell `COUNT(DISTINCT …)`)
+//! and every `TagRule`.
 
 #[rustfmt::skip] // hand-formatted to its 300-line budget
 mod oracle;
@@ -22,9 +26,12 @@ use rand::{Rng, SeedableRng};
 use relstore::algebra::{AggCall, AggFunc};
 use relstore::{par, DataType, Date, DbResult, Expr, Schema, Value};
 use tagstore::algebra::{TagPolicy, TagRule};
+use relstore::index::HashIndex;
+use std::sync::Arc;
 use tagstore::{
-    selection_columnar, selection_indexed_columnar, ColumnarRelation, IndicatorDictionary,
-    IndicatorValue, QualityCell, QualityIndex, TaggedRelation, TaggedRow,
+    selection_columnar, selection_indexed_columnar, Bitset, ColumnarRelation,
+    IndicatorDictionary, IndicatorValue, JoinPairs, QualityCell, QualityIndex, TaggedRelation,
+    TaggedRow,
 };
 
 // ---------------------------------------------------------------------
@@ -132,18 +139,21 @@ fn table(rng: &mut StdRng, rows: usize) -> TaggedRelation {
     rel
 }
 
-/// `u(kt, label)`: the join's other side, one row per `t` text key but
-/// `t4`, plus one no `t` row matches.
+/// `u(kt, label)`: the join's other side, its own string pool — rows for
+/// every `t` text key but `t4`, `t1` twice (tagged apart, key and label
+/// alike), one no `t` row matches, and a NULL key.
 fn dimension() -> TaggedRelation {
     let schema = Schema::of(&[("kt", DataType::Text), ("label", DataType::Text)]);
-    let rows = ["t0", "t1", "t2", "t3", "t9"]
+    let rows = [("t9", "desk"), ("t1", "feed"), ("t0", "desk"), ("t2", "desk"), ("t1", "desk"), ("t3", "desk")]
         .iter()
-        .map(|k| {
+        .map(|(k, source)| {
+            let tag = || IndicatorValue::new("source", *source);
             vec![
-                QualityCell::bare(*k).with_tag(IndicatorValue::new("source", "desk")),
-                QualityCell::bare(format!("label {k}")),
+                QualityCell::bare(*k).with_tag(tag()),
+                QualityCell::bare(format!("label {k}")).with_tag(tag()),
             ]
         })
+        .chain([vec![QualityCell::bare(Value::Null), QualityCell::bare("label none")]])
         .collect();
     TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap()
 }
@@ -175,6 +185,14 @@ const SHAPES: [(&str, &str); 6] = [
 ];
 
 const JOIN: &str = "FROM t JOIN u ON kt = kt WHERE v <> 7";
+
+/// ⋈ shapes, by what the join probes: a filtered left through `u`'s key
+/// index, two columnar σ selections hashed, a keyed left.
+const JOINS: [(&str, &str); 3] = [
+    ("index join", JOIN),
+    ("hash join", "FROM t JOIN u ON kt = kt WHERE v <> 7 AND label <> 'label t2'"),
+    ("keyed join", "FROM t JOIN u ON kt = kt WHERE ki = 2"),
+];
 
 const GROUP_BYS: [&[&str]; 7] = [
     &[],
@@ -279,18 +297,14 @@ fn statements_match_reference(seed: u64) {
         let ctx = format!("seed {seed}, {rows} rows, {shape}");
         check(&c, from, keys, rng.gen_bool(0.15), &ctx);
     }
-    let keys: &[&str] = if rng.gen_bool(0.5) {
-        &["l.kt"]
-    } else {
-        &["l.kt", "ki"]
+    let keys: &[&str] = match rng.gen_range(0..3) {
+        0 => &["l.kt"],
+        1 => &["l.kt", "ki"],
+        _ => &["label", "r.kt"],
     };
-    check(
-        &c,
-        JOIN,
-        keys,
-        false,
-        &format!("seed {seed}, {rows} rows, join"),
-    );
+    for (shape, from) in JOINS {
+        check(&c, from, keys, false, &format!("seed {seed}, {rows} rows, {shape}"));
+    }
 }
 
 /// The fold's entry points against the oracle's γ with every `AggFunc`
@@ -327,7 +341,7 @@ fn entry_points_match_reference(seed: u64) {
             .eq(Expr::lit("scan"))
             .and(Expr::col("w").lt(Expr::lit(0.0f64))),
     ];
-    for p in &predicates {
+    for (p, join_sql) in predicates.iter().zip([Some("v@source = 'feed'"), Some("v > 0"), None]) {
         // the selection is the only parallel step: equal at every width
         let selections: Vec<_> = [1, 2, 8]
             .into_iter()
@@ -346,6 +360,9 @@ fn entry_points_match_reference(seed: u64) {
         assert!(selections.windows(2).all(|w| w[0] == w[1]), "seed {seed}");
         let sel = &selections[0];
         let gathered = crel.gather(sel).to_tagged();
+        if let Some(sql) = join_sql {
+            pairs_match_reference(seed, &rel, sel, sql, &aggs, &policies, &mut rng);
+        }
         for _ in 0..3 {
             let keys = GROUP_BYS[rng.gen_range(0..GROUP_BYS.len())];
             let ctx = format!("seed {seed}, {p:?}, {keys:?}");
@@ -358,6 +375,64 @@ fn entry_points_match_reference(seed: u64) {
             ));
             assert_eq!(rows, want, "{ctx}: row source");
         }
+    }
+}
+
+/// γ over a join's pairs — the selection `sel` over `t`'s columnar
+/// layout (the oracle's `WHERE sql`) joined to `u` on `kt`, two string
+/// pools — against the oracle's γ over its own nested-loop join. The
+/// probe runs at 1, 2 and 8 threads and through both right sides: `u`
+/// hashed, and `u`'s key index.
+fn pairs_match_reference(
+    seed: u64,
+    t: &TaggedRelation,
+    sel: &Bitset,
+    sql: &str,
+    aggs: &[AggCall],
+    policies: &[TagPolicy],
+    rng: &mut StdRng,
+) {
+    let (left, u) = (Arc::new(ColumnarRelation::from_tagged(t)), dimension());
+    let right = Arc::new(ColumnarRelation::from_tagged(&u));
+    let hashed = right.key_index("kt", &Bitset::full(right.len())).unwrap();
+    let mut keyed = HashIndex::new(vec![0]);
+    keyed.rebuild(&u.iter().map(|r| vec![r[0].value.clone()]).collect::<Vec<_>>());
+    let probe = |index: &HashIndex, threads: usize| {
+        par::with_thread_count(threads, || {
+            let (l, r) = (Arc::clone(&left), Arc::clone(&right));
+            JoinPairs::probe(l, sel, "kt", r, "kt", index, 64).unwrap().0
+        })
+    };
+    let pairs = probe(&hashed, 1);
+    let gathered = pairs.gather().to_tagged();
+    for (index, threads) in [(&hashed, 2), (&hashed, 8), (&keyed, 1), (&keyed, 8)] {
+        assert_eq!(probe(index, threads).gather().to_tagged(), gathered, "seed {seed}");
+    }
+    let mut c = catalog(t.clone());
+    c.register("u", u);
+    let joined = oracle::answer(&c, &format!("SELECT * FROM t JOIN u ON kt = kt WHERE {sql}"));
+    let joined = joined.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    assert_eq!(oracle::Rel::of(&gathered).rows, joined.rows, "seed {seed}, {sql}: join");
+    // right columns, tagged per row, are read too: `label`, `r.kt`
+    let mut aggs: Vec<AggCall> = aggs
+        .iter()
+        .map(|a| match a.column.as_deref() {
+            Some("kt") => AggCall::on(a.func, "l.kt", &a.output),
+            _ => a.clone(),
+        })
+        .collect();
+    aggs.push(AggCall::on(AggFunc::Max, "label", "top"));
+    for draw in 0..4 {
+        let keys: Vec<&str> = match draw {
+            3 => vec!["r.kt", "ki"],
+            _ => GROUP_BYS[rng.gen_range(0..GROUP_BYS.len())]
+                .iter()
+                .map(|&k| if k == "kt" { "l.kt" } else { k })
+                .collect(),
+        };
+        let want = oracle_answer(oracle::aggregate(&joined, &keys, &aggs, policies));
+        let folded = answer(pairs.aggregate(&keys, &aggs, policies));
+        assert_eq!(folded, want, "seed {seed}, {sql}, {keys:?}: join pairs");
     }
 }
 
@@ -406,7 +481,8 @@ fn empty_inputs_global_and_grouped() {
 
 /// The shapes reach the operators they are named for: the bitmap ones an
 /// `IndexScan`, the value one a columnar `Filter`, the keyed one a point
-/// lookup — so the differential above covers every fold source.
+/// lookup, the joins an `IndexJoin` or a `HashJoin` over the σ they name
+/// — so the differential above covers every fold source.
 #[test]
 fn shapes_reach_their_operators() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -429,5 +505,15 @@ fn shapes_reach_their_operators() {
         };
         assert!(r.contains(want), "{shape}: no `{want}` in\n{r}");
     }
-    assert!(report(JOIN).contains("Join"));
+    for (shape, from) in JOINS {
+        let r = report(from);
+        let want: &[&str] = match shape {
+            "index join" => &["IndexJoin", "layout=columnar"],
+            "hash join" => &["HashJoin", "Filter predicate=(label"],
+            _ => &["IndexJoin", "point_lookup=ki"],
+        };
+        for want in want {
+            assert!(r.contains(want), "{shape}: no `{want}` in\n{r}");
+        }
+    }
 }

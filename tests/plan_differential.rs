@@ -417,6 +417,46 @@ fn operators(report: &str) -> Vec<&str> {
         .collect()
 }
 
+/// How often an analyzed tree holds each shape the selection paths
+/// serve: a `HashJoin` whose two inputs are columnar σ selections, an
+/// `IndexJoin` over a filtered or keyed left, γ over a join, and π over
+/// a columnar σ.
+#[derive(Debug, Default)]
+struct Shapes {
+    hash_join_over_selections: usize,
+    index_join_over_filtered_left: usize,
+    aggregate_over_join: usize,
+    project_over_columnar: usize,
+}
+
+impl Shapes {
+    fn count(&mut self, trace: &str) {
+        let lines: Vec<(usize, &str)> = trace
+            .lines()
+            .map(|l| (l.len() - l.trim_start().len(), l.trim_start()))
+            .collect();
+        for (i, &(depth, line)) in lines.iter().enumerate() {
+            let children: Vec<&str> = lines[i + 1..]
+                .iter()
+                .take_while(|(d, _)| *d > depth)
+                .filter(|(d, _)| *d == depth + 2)
+                .map(|(_, l)| *l)
+                .collect();
+            let sigma = |l: &&str| l.starts_with("Filter") || l.starts_with("IndexScan");
+            let columnar = |l: &&str| sigma(l) && l.contains("layout=columnar");
+            let join = |l: &&str| l.starts_with("HashJoin") || l.starts_with("IndexJoin");
+            self.hash_join_over_selections +=
+                (line.starts_with("HashJoin") && children.iter().all(columnar)) as usize;
+            self.index_join_over_filtered_left +=
+                (line.starts_with("IndexJoin") && children.iter().any(sigma)) as usize;
+            self.aggregate_over_join +=
+                (line.starts_with("Aggregate") && children.iter().any(join)) as usize;
+            self.project_over_columnar +=
+                (line.starts_with("Project") && children.iter().any(columnar)) as usize;
+        }
+    }
+}
+
 /// A statement's rendering, or its error's text.
 type Outcome = Result<String, String>;
 
@@ -444,6 +484,7 @@ fn generated_statements_agree_across_planners_and_explain() {
     let optimizing = Planner::default();
     let mut gen = Gen::new(16);
     let (mut point_lookups, mut joins, mut nonempty) = (0, 0, 0);
+    let mut shapes = Shapes::default();
     for case in 0..400 {
         let sql = gen.statement();
         let ctx = format!("case {case}: {sql}");
@@ -474,11 +515,19 @@ fn generated_statements_agree_across_planners_and_explain() {
         point_lookups += trace.contains("point_lookup=") as usize;
         joins += trace.contains("Join") as usize;
         nonempty += !plain.relation().is_empty() as usize;
+        shapes.count(trace);
     }
     // the generator reaches the paths this test exists for
     assert!(point_lookups >= 20, "only {point_lookups} point lookups");
     assert!(joins >= 50, "only {joins} joins");
     assert!(nonempty >= 150, "only {nonempty} non-empty results");
+    // ... and each shape a selection path serves (seed 16 writes 31, 17,
+    // 30 and 49 of them)
+    let s = &shapes;
+    assert!(s.hash_join_over_selections >= 20, "{s:?}");
+    assert!(s.index_join_over_filtered_left >= 10, "{s:?}");
+    assert!(s.aggregate_over_join >= 20, "{s:?}");
+    assert!(s.project_over_columnar >= 20, "{s:?}");
 }
 
 #[test]
