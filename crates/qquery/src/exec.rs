@@ -436,6 +436,9 @@ pub struct OpTrace {
     /// lookup (`col = literal`) instead of a scan; `batches`/`layout`
     /// are `None` then — no batch ran and no columnar layout was read.
     pub point_lookup: Option<String>,
+    /// What a γ read — a join's `pairs`, a `columnar` layout as it lies,
+    /// or a `lifted` one built from rows — and how many groups it made.
+    pub aggregate: Option<(&'static str, usize)>,
     /// Child traces in plan order.
     pub children: Vec<OpTrace>,
 }
@@ -488,6 +491,9 @@ impl OpTrace {
         }
         if let Some(key) = &self.point_lookup {
             let _ = write!(out, " point_lookup={key}");
+        }
+        if let Some((source, groups)) = self.aggregate {
+            let _ = write!(out, " source={source} groups={groups}");
         }
         out.push('\n');
         for child in &self.children {
@@ -788,37 +794,40 @@ impl Output<'_> {
         }
     }
 
-    /// The rows as a join reads them: a columnar layout and the rows of
-    /// it selected. A columnar σ is used where it lies, a bare resident
-    /// scan reads its table's cached layout, and anything else is
-    /// gathered and lifted once.
-    fn columnar(self) -> DbResult<(Arc<ColumnarRelation>, Bitset)> {
-        let crel = match self {
-            Output::Selected(Selection::Columnar(crel, sel)) => return Ok((crel, sel)),
-            Output::Selected(Selection::Rows(entry, None)) => entry.columnar(),
-            other => Arc::new(ColumnarRelation::from_tagged(&other.into_rows()?)),
+    /// The rows as a join or γ reads them: a columnar layout, the rows of
+    /// it selected, and whether the layout was lifted. A columnar σ is
+    /// used where it lies, a bare resident scan reads its table's cached
+    /// layout, and anything else is gathered and lifted once.
+    fn columnar(self) -> DbResult<(Arc<ColumnarRelation>, Bitset, bool)> {
+        let (crel, lifted) = match self {
+            Output::Selected(Selection::Columnar(crel, sel)) => return Ok((crel, sel, false)),
+            Output::Selected(Selection::Rows(entry, None)) => (entry.columnar(), false),
+            other => {
+                let rel = other.into_rows()?;
+                (Arc::new(ColumnarRelation::from_tagged(&rel)), true)
+            }
         };
         let all = Bitset::full(crel.len());
-        Ok((crel, all))
+        Ok((crel, all, lifted))
     }
 
-    /// γ over the output, tags derived per [`default_agg_policies`]: one
-    /// fold over the rows, or over the selection where it lies.
-    fn aggregate(&self, group_by: &[&str], aggs: &[AggCall]) -> DbResult<TaggedRelation> {
+    /// γ over the output, tags derived per [`default_agg_policies`], by
+    /// the γ kernel over a join's pairs or over a layout and selection;
+    /// also which of `pairs`, `columnar` or `lifted` it read.
+    fn aggregate(
+        self,
+        group_by: &[&str],
+        aggs: &[AggCall],
+    ) -> DbResult<(TaggedRelation, &'static str)> {
         let policies = default_agg_policies();
         match self {
-            Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, None)) => {
-                algebra::aggregate(rel, group_by, aggs, &policies)
-            }
-            Output::Selected(Selection::Rows(entry, Some(at))) => {
-                let rows = at.iter().map(|&i| &entry.rel.rows()[i]);
-                algebra::aggregate_rows(&entry.rel, rows, group_by, aggs, &policies)
-            }
-            Output::Selected(Selection::Columnar(crel, sel)) => {
-                crel.aggregate(sel, group_by, aggs, &policies)
-            }
             Output::Selected(Selection::Pairs(pairs)) => {
-                pairs.aggregate(group_by, aggs, &policies)
+                Ok((pairs.aggregate(group_by, aggs, &policies)?, "pairs"))
+            }
+            other => {
+                let (crel, sel, lifted) = other.columnar()?;
+                let rel = crel.aggregate(&sel, group_by, aggs, &policies)?;
+                Ok((rel, if lifted { "lifted" } else { "columnar" }))
             }
         }
     }
@@ -914,6 +923,8 @@ struct NodeStats<'p> {
     layout: Option<&'static str>,
     io: Option<PagedScanStats>,
     point_lookup: Option<&'p str>,
+    /// What a γ read (`pairs`, `columnar` or `lifted`) and its groups.
+    aggregate: Option<(&'static str, usize)>,
     /// A base-table scan input this operator absorbed — it read the
     /// catalog's columnar layout, key index, or paged heap directly, so
     /// the scan never ran as an operator — and that table's row count.
@@ -1024,6 +1035,7 @@ impl Tracer for TraceTree {
             pages_read: stats.io.map(|io| io.pages_read),
             pool_hits: stats.io.map(|io| io.pool_hits),
             point_lookup: stats.point_lookup.map(str::to_owned),
+            aggregate: stats.aggregate,
             children,
         }
     }
@@ -1113,8 +1125,8 @@ fn walk<'c, T: Tracer>(
             left_key,
             right_key,
         } => {
-            let (l, lsel) = run(left, true)?.columnar()?;
-            let (r, rsel) = run(right, true)?.columnar()?;
+            let (l, lsel, _) = run(left, true)?.columnar()?;
+            let (r, rsel, _) = run(right, true)?.columnar()?;
             let index = r.key_index(right_key, &rsel)?;
             let (pairs, batch) =
                 JoinPairs::probe(l, &lsel, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
@@ -1136,12 +1148,17 @@ fn walk<'c, T: Tracer>(
             group_by,
             aggs,
         } => {
-            // A base-table σ input is folded where it lies, never
-            // gathered; its own node still reports how it selected.
+            // A selection input is read where it lies, anything else is
+            // lifted once; a σ child still reports how it selected.
             let input = run(input, true)?;
+            let rows_in = input.len();
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            let rel = input.aggregate(&gb, aggs)?;
-            (Output::Rows(rel), NodeStats::of(input.len()))
+            let (rel, source) = input.aggregate(&gb, aggs)?;
+            let stats = NodeStats {
+                aggregate: Some((source, rel.len())),
+                ..NodeStats::of(rows_in)
+            };
+            (Output::Rows(rel), stats)
         }
         Plan::Distinct { input } => {
             let input_rel = run_input(input)?;
@@ -1150,17 +1167,13 @@ fn walk<'c, T: Tracer>(
         }
         Plan::Sort { input, keys } => {
             let input_rel = run_input(input)?;
-            let rel = sort_multi(&input_rel, keys)?;
-            (Output::Rows(rel), NodeStats::of(input_rel.len()))
+            let stats = NodeStats::of(input_rel.len());
+            (Output::Rows(sort_multi(input_rel, keys)?), stats)
         }
         Plan::Limit { input, n } => {
             let input_rel = run_input(input)?;
-            let rel = TaggedRelation::new(
-                input_rel.schema().clone(),
-                input_rel.dictionary().clone(),
-                input_rel.rows().iter().take(*n).cloned().collect(),
-            )?;
-            (Output::Rows(rel), NodeStats::of(input_rel.len()))
+            let stats = NodeStats::of(input_rel.len());
+            (Output::Rows(input_rel.truncated(*n)), stats)
         }
         Plan::IndexScan {
             table,
@@ -1203,7 +1216,7 @@ fn walk<'c, T: Tracer>(
             // the uniform-key assumption: 1 / distinct probe keys.
             let right = catalog.entry(right_table)?;
             let index = right.key_index(right.rel.schema().resolve(right_key)?);
-            let ((l, lsel), r) = (run(left, true)?.columnar()?, right.columnar());
+            let ((l, lsel, _), r) = (run(left, true)?.columnar()?, right.columnar());
             let (pairs, batch) =
                 JoinPairs::probe(l, &lsel, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
             let stats = NodeStats {
@@ -1295,14 +1308,13 @@ fn keyed_rows<'p>(
     Ok(Some((col, kept)))
 }
 
-/// Stable multi-key sort on application values.
-fn sort_multi(rel: &TaggedRelation, keys: &[(String, bool)]) -> DbResult<TaggedRelation> {
+/// Stable multi-key sort on application values, in place.
+fn sort_multi(rel: TaggedRelation, keys: &[(String, bool)]) -> DbResult<TaggedRelation> {
     let idx: Vec<(usize, bool)> = keys
         .iter()
         .map(|(c, asc)| rel.schema().resolve(c).map(|i| (i, *asc)))
         .collect::<DbResult<_>>()?;
-    let mut rows = rel.rows().to_vec();
-    rows.sort_by(|a, b| {
+    Ok(rel.sorted_by(|a, b| {
         for &(i, asc) in &idx {
             let c = a[i].value.cmp(&b[i].value);
             let c = if asc { c } else { c.reverse() };
@@ -1311,8 +1323,7 @@ fn sort_multi(rel: &TaggedRelation, keys: &[(String, bool)]) -> DbResult<TaggedR
             }
         }
         std::cmp::Ordering::Equal
-    });
-    TaggedRelation::new(rel.schema().clone(), rel.dictionary().clone(), rows)
+    }))
 }
 
 #[cfg(test)]

@@ -220,6 +220,43 @@ fn integer_sum_overflow_is_an_error_frame() {
     }
 }
 
+/// When two aggregate calls fail in different groups, the answer is the
+/// first failing call of the first failing group — here group `k = 1`'s
+/// overflowing `SUM(big)`, though `SUM(s)` meets the Text `'x'` (group
+/// `k = 2`) a row before the overflow — embedded and over the wire.
+#[test]
+fn first_failing_group_names_the_aggregate_error() {
+    let schema = Schema::of(&[
+        ("k", DataType::Int),
+        ("big", DataType::Int),
+        ("s", DataType::Text),
+    ]);
+    let rows = [(1, i64::MAX, None), (2, 0, Some("x")), (1, 1, None)]
+        .iter()
+        .map(|&(k, big, s)| {
+            let s = s.map_or(Value::Null, Value::text);
+            vec![
+                QualityCell::bare(k),
+                QualityCell::bare(big),
+                QualityCell::bare(s),
+            ]
+        })
+        .collect();
+    let dict = IndicatorDictionary::with_paper_defaults();
+    let mut embedded = catalog();
+    embedded.register("t", TaggedRelation::new(schema, dict, rows).unwrap());
+    let server = start(test_config(), embedded.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sql = "SELECT k, SUM(big) AS a, SUM(s) AS b FROM t GROUP BY k";
+    let err = run(&embedded, sql).unwrap_err().to_string();
+    assert_eq!(err, "arithmetic error: integer overflow in SUM");
+    match client.query(sql) {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, err),
+        other => panic!("expected the overflow error, got {other:?}"),
+    }
+    client.ping().unwrap();
+}
+
 /// Over an Int column `=`, `<>` and `<` against a Text literal all fail
 /// when the statement is prepared, with one type-mismatch text, embedded
 /// and over the wire — over a table with rows and over one without.

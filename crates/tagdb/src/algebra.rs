@@ -13,7 +13,8 @@
 //! * predicates may reference pseudo-columns `col@indicator`, which is the
 //!   paper's query-time quality filtering.
 
-use crate::fold::Fold;
+use crate::bitmap::Bitset;
+use crate::columnar::ColumnarRelation;
 use crate::indicator::IndicatorValue;
 use crate::predicate::ToPredicate;
 use crate::relation::{TaggedRelation, TaggedRow};
@@ -297,31 +298,17 @@ impl TagPolicy {
 /// γ — group by `group_by` application values and compute `aggs`, deriving
 /// output-cell tags per `policies`. Group-key output cells keep the tags
 /// every group member's key cell carries alike; aggregate output cells get
-/// tags derived from the aggregated column's input cells. One pass over
-/// the rows, no intermediate copy.
+/// tags derived from the aggregated column's input cells. The relation is
+/// lifted to columnar once and run by the one γ kernel
+/// ([`ColumnarRelation::aggregate`]).
 pub fn aggregate(
     rel: &TaggedRelation,
     group_by: &[&str],
     aggs: &[AggCall],
     policies: &[TagPolicy],
 ) -> DbResult<TaggedRelation> {
-    aggregate_rows(rel, rel.iter(), group_by, aggs, policies)
-}
-
-/// [`aggregate`] over some of `rel`'s rows — e.g. the positions a keyed
-/// lookup kept — without gathering them first.
-pub fn aggregate_rows<'r>(
-    rel: &TaggedRelation,
-    rows: impl IntoIterator<Item = &'r TaggedRow>,
-    group_by: &[&str],
-    aggs: &[AggCall],
-    policies: &[TagPolicy],
-) -> DbResult<TaggedRelation> {
-    let mut fold = Fold::new(rel.schema(), group_by, aggs, policies)?;
-    for row in rows {
-        fold.add(row.as_slice())?;
-    }
-    fold.finish(rel.schema(), rel.dictionary())
+    let crel = ColumnarRelation::from_tagged(rel);
+    crel.aggregate(&Bitset::full(crel.len()), group_by, aggs, policies)
 }
 
 /// Derives the `age` indicator (in days) from `creation_time` for every

@@ -1,9 +1,12 @@
 //! Columnar tagged storage: per-column typed arrays + run-length-encoded
 //! tag runs, so the batch kernels read contiguous memory instead of
 //! chasing `Vec<QualityCell>` row pointers. This is the σ path over
-//! resident base tables and every join's path ([`JoinPairs`]); σ over
-//! an operator's output is the row algebra's
-//! ([`crate::algebra::select`]).
+//! resident base tables, every join's path ([`JoinPairs`]) and every
+//! γ's: [`ColumnarRelation::aggregate`] and [`JoinPairs::aggregate`] run
+//! the γ kernel (`fold.rs`) over a selection or a join's pairs, its tag
+//! rules reading [`ColumnarRelation::tag_column`], one indicator's values
+//! as a column built once per layout. σ over an operator's output is the
+//! row algebra's ([`crate::algebra::select`]).
 //!
 //! ## Layout
 //!
@@ -32,7 +35,8 @@
 //! operator (σ and indexed σ with [`ColumnarRelation::gather`], the ⋈
 //! pair kernel with [`JoinPairs::gather`], index build) produces output
 //! `to_tagged()`-equal to the row-at-a-time reference; the property
-//! tests pin this at batch sizes 1/7/1024 and 1/2/8 threads. The σ
+//! tests pin this at batch sizes 1/7/1024 and 1/2/8 threads, and the
+//! `group_ids` proptest pins γ against a γ written longhand. The σ
 //! kernels are the bound [`Predicate`]'s conjuncts,
 //! run in written order over a batch's selection vector, so each row
 //! gets [`Predicate::matches`]'s verdict: NULLs drop first, `=`/`≠` use
@@ -46,7 +50,7 @@
 use crate::algebra::TagPolicy;
 use crate::bitmap::{Bitset, QualityIndex};
 use crate::cell::QualityCell;
-use crate::fold::{Cells, Fold};
+use crate::fold;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
 use crate::predicate::{Access, Kernel, Predicate, ToPredicate};
 use crate::relation::{TaggedRelation, TaggedRow};
@@ -55,16 +59,18 @@ use relstore::algebra::AggCall;
 use relstore::expr::BinOp;
 use relstore::index::HashIndex;
 use relstore::{par, DataType, Date, DbError, DbResult, Schema, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A shared per-cell tag vector (PR 1's CoW representation).
 pub type SharedTags = Arc<Vec<IndicatorValue>>;
 
-/// Deduplicated string storage for one Text column: values are `u32`
-/// ids into this pool, and gathers copy ids while sharing the pool
-/// behind an `Arc`.
+/// Deduplicated, sorted string storage for one Text column: values are
+/// `u32` ids into this pool (equal ids ⇔ equal strings, and ids order as
+/// their strings do), and gathers copy ids while sharing the pool behind
+/// an `Arc`.
 #[derive(Debug, Default, PartialEq)]
 pub struct StrPool {
     strings: Vec<String>,
@@ -83,6 +89,11 @@ impl StrPool {
     /// once per operator, not per row.
     pub fn id_of(&self, s: &str) -> Option<u32> {
         self.strings.iter().position(|p| p == s).map(|i| i as u32)
+    }
+
+    /// Number of pooled strings.
+    pub(crate) fn len(&self) -> usize {
+        self.strings.len()
     }
 }
 
@@ -167,6 +178,26 @@ impl TagRuns {
         }
     }
 
+    /// The tag sets of cells `rows`, in that order: the cursor steps to
+    /// the next run while rows ascend and searches when they jump.
+    pub(crate) fn along<'a>(
+        &'a self,
+        rows: impl Iterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = Option<&'a SharedTags>> + 'a {
+        let end = |ri: usize| self.runs.get(ri + 1).map_or(self.len, |(s, _)| *s);
+        let mut ri = 0;
+        rows.map(move |r| {
+            if r < self.runs[ri].0 || r >= end(ri) {
+                ri = if r >= end(ri) && r < end(ri + 1) {
+                    ri + 1
+                } else {
+                    self.runs.partition_point(|(s, _)| *s <= r) - 1
+                };
+            }
+            self.runs[ri].1.as_ref()
+        })
+    }
+
     /// Appends the segment `start..start + len` of `src` (run merging at
     /// the seam, `Arc` bumps only).
     pub fn append_range(&mut self, src: &TagRuns, start: usize, len: usize) {
@@ -178,6 +209,7 @@ impl TagRuns {
 
 /// Iterator over the run segments intersecting a window — see
 /// [`TagRuns::window`].
+#[derive(Clone)]
 pub struct TagRunWindow<'a> {
     runs: &'a [(usize, Option<SharedTags>)],
     total: usize,
@@ -262,6 +294,24 @@ pub struct Column {
     pub tags: TagRuns,
 }
 
+impl Column {
+    /// The value at `row` as an owned [`Value`] (NULL when the validity
+    /// bit is clear).
+    pub fn value(&self, row: usize) -> Value {
+        if !self.validity.contains(row) {
+            return Value::Null;
+        }
+        match &self.data {
+            ColumnData::Int(v) => Value::Int(v[row]),
+            ColumnData::Float(v) => Value::Float(v[row]),
+            ColumnData::Bool(v) => Value::Bool(v[row]),
+            ColumnData::Date(v) => Value::Date(Date::from_days(v[row])),
+            ColumnData::Text { ids, pool } => Value::Text(pool.get(ids[row]).to_owned()),
+            ColumnData::Mixed(v) => v[row].clone(),
+        }
+    }
+}
+
 /// A relation in columnar layout. Constructed from a [`TaggedRelation`]
 /// via [`ColumnarRelation::from_tagged`] (or as columnar operator
 /// output); converts back losslessly via
@@ -273,84 +323,139 @@ pub struct ColumnarRelation {
     columns: Vec<Column>,
     len: usize,
     relation_tags: Vec<IndicatorValue>,
+    tag_columns: TagColumns,
 }
 
-fn collect_typed(rows: &[TaggedRow], ci: usize, dtype: DataType) -> Option<ColumnData> {
-    match dtype {
-        DataType::Int => {
-            let mut v = Vec::with_capacity(rows.len());
-            for row in rows {
-                match &row[ci].value {
-                    Value::Null => v.push(0),
-                    Value::Int(x) => v.push(*x),
-                    _ => return None,
-                }
-            }
-            Some(ColumnData::Int(v))
+/// `(run length, value)` runs spread over their rows in `dtype`'s dense
+/// layout — a `None` value (NULL, or no tag) holds a placeholder — or
+/// `None` when some value is not of that type. A Text pool is sorted, so
+/// pool ids order as their strings do.
+fn typed_layout<'v>(
+    runs: impl Iterator<Item = (usize, Option<&'v Value>)>,
+    rows: usize,
+    dtype: DataType,
+) -> Option<ColumnData> {
+    fn fill<'v, T: Clone>(
+        runs: impl Iterator<Item = (usize, Option<&'v Value>)>,
+        rows: usize,
+        zero: T,
+        mut get: impl FnMut(&'v Value) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let mut out = Vec::with_capacity(rows);
+        for (len, v) in runs {
+            let x = match v {
+                None => zero.clone(),
+                Some(v) => get(v)?,
+            };
+            out.extend(std::iter::repeat_n(x, len));
         }
-        DataType::Float => {
-            let mut v = Vec::with_capacity(rows.len());
-            for row in rows {
-                match &row[ci].value {
-                    Value::Null => v.push(0.0),
-                    Value::Float(x) => v.push(*x),
-                    _ => return None,
-                }
-            }
-            Some(ColumnData::Float(v))
-        }
-        DataType::Bool => {
-            let mut v = Vec::with_capacity(rows.len());
-            for row in rows {
-                match &row[ci].value {
-                    Value::Null => v.push(false),
-                    Value::Bool(x) => v.push(*x),
-                    _ => return None,
-                }
-            }
-            Some(ColumnData::Bool(v))
-        }
-        DataType::Date => {
-            let mut v = Vec::with_capacity(rows.len());
-            for row in rows {
-                match &row[ci].value {
-                    Value::Null => v.push(0),
-                    Value::Date(d) => v.push(d.days()),
-                    _ => return None,
-                }
-            }
-            Some(ColumnData::Date(v))
-        }
+        Some(out)
+    }
+    Some(match dtype {
+        DataType::Int => ColumnData::Int(fill(runs, rows, 0, |v| match v {
+            Value::Int(x) => Some(*x),
+            _ => None,
+        })?),
+        DataType::Float => ColumnData::Float(fill(runs, rows, 0.0, |v| match v {
+            Value::Float(x) => Some(*x),
+            _ => None,
+        })?),
+        DataType::Bool => ColumnData::Bool(fill(runs, rows, false, |v| match v {
+            Value::Bool(x) => Some(*x),
+            _ => None,
+        })?),
+        DataType::Date => ColumnData::Date(fill(runs, rows, 0, |v| match v {
+            Value::Date(d) => Some(d.days()),
+            _ => None,
+        })?),
         DataType::Text => {
-            let mut ids = Vec::with_capacity(rows.len());
-            let mut pool = StrPool::default();
-            let mut map: HashMap<String, u32> = HashMap::new();
-            for row in rows {
-                match &row[ci].value {
-                    Value::Null => ids.push(0),
-                    Value::Text(s) => match map.get(s.as_str()) {
-                        Some(&id) => ids.push(id),
-                        None => {
-                            let id = pool.strings.len() as u32;
-                            pool.strings.push(s.clone());
-                            map.insert(s.clone(), id);
-                            ids.push(id);
-                        }
-                    },
-                    _ => return None,
-                }
+            // first-seen ids, then renumbered in string order
+            let mut seen: HashMap<&str, u32> = HashMap::new();
+            let mut last: Option<(&str, u32)> = None;
+            let mut ids = fill(runs, rows, 0, |v| match v {
+                Value::Text(s) => Some(match last {
+                    Some((l, id)) if l == s => id,
+                    _ => {
+                        let next = seen.len() as u32;
+                        let id = *seen.entry(s.as_str()).or_insert(next);
+                        last = Some((s.as_str(), id));
+                        id
+                    }
+                }),
+                _ => None,
+            })?;
+            let mut strings: Vec<(&str, u32)> = seen.into_iter().collect();
+            strings.sort_unstable();
+            let mut rank = vec![0u32; strings.len()];
+            for (at, &(_, id)) in strings.iter().enumerate() {
+                rank[id as usize] = at as u32;
             }
-            Some(ColumnData::Text {
+            for id in &mut ids {
+                *id = rank.get(*id as usize).copied().unwrap_or(0);
+            }
+            let strings = strings.into_iter().map(|(s, _)| s.to_owned()).collect();
+            ColumnData::Text {
                 ids,
-                pool: Arc::new(pool),
-            })
+                pool: Arc::new(StrPool { strings }),
+            }
         }
-        DataType::Any => None,
+        DataType::Any => return None,
+    })
+}
+
+/// Indicator `indicator`'s value in each cell of `runs`, as a column of
+/// `dtype`'s layout (`Mixed` when undeclared or heterogeneous), valid
+/// where the cell carries the tag; an empty `Mixed` when no cell does.
+fn tag_column_of(runs: &TagRuns, indicator: &Symbol, dtype: Option<DataType>) -> Column {
+    let spread = runs.window(0, runs.len).map(|(_, len, tags)| {
+        let tag = tags.and_then(|t| t.iter().find(|t| t.indicator == *indicator));
+        (len, tag.map(|t| &t.value))
+    });
+    let mut validity = Bitset::new(runs.len);
+    let mut at = 0;
+    for (len, v) in spread.clone() {
+        if v.is_some() {
+            validity.set_range(at, len);
+        }
+        at += len;
+    }
+    let data = if validity.none() {
+        // no cell carries it: every read stops at the validity bit
+        ColumnData::Mixed(Vec::new())
+    } else {
+        let typed = dtype.and_then(|dtype| typed_layout(spread.clone(), runs.len, dtype));
+        typed.unwrap_or_else(|| {
+            let cells = spread
+                .flat_map(|(len, v)| std::iter::repeat_n(v.cloned().unwrap_or(Value::Null), len));
+            ColumnData::Mixed(cells.collect())
+        })
+    };
+    let mut tags = TagRuns::default();
+    tags.extend_run(None, runs.len);
+    Column {
+        data,
+        validity,
+        tags,
     }
 }
 
-fn collect_mixed(rows: &[TaggedRow], ci: usize) -> ColumnData {
-    ColumnData::Mixed(rows.iter().map(|r| r[ci].value.clone()).collect())
+/// A layout's tag columns ([`ColumnarRelation::tag_column`]): a slot per
+/// (column, declared indicator), each built on first use. They derive
+/// from the tag runs, so they take no part in the layout's equality.
+#[derive(Debug, Clone, Default)]
+struct TagColumns(Vec<OnceLock<Column>>);
+
+impl TagColumns {
+    fn new(columns: usize, dict: &IndicatorDictionary) -> Self {
+        let slots = columns * dict.names().len();
+        TagColumns((0..slots).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl PartialEq for TagColumns {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl ColumnarRelation {
@@ -370,8 +475,12 @@ impl ColumnarRelation {
             .iter()
             .enumerate()
             .map(|(ci, cdef)| {
-                let data = collect_typed(rows, ci, cdef.dtype)
-                    .unwrap_or_else(|| collect_mixed(rows, ci));
+                let values = rows
+                    .iter()
+                    .map(|r| (1, Some(&r[ci].value).filter(|v| !v.is_null())));
+                let data = typed_layout(values, n, cdef.dtype).unwrap_or_else(|| {
+                    ColumnData::Mixed(rows.iter().map(|r| r[ci].value.clone()).collect())
+                });
                 let mut validity = Bitset::new(n);
                 let mut tags = TagRuns::default();
                 for (i, row) in rows.iter().enumerate() {
@@ -388,6 +497,7 @@ impl ColumnarRelation {
             })
             .collect();
         ColumnarRelation {
+            tag_columns: TagColumns::new(rel.schema().columns().len(), rel.dictionary()),
             schema: rel.schema().clone(),
             dict: rel.dictionary().clone(),
             columns,
@@ -412,9 +522,29 @@ impl ColumnarRelation {
     }
 
     /// The columns, in schema order.
-    #[cfg(test)]
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
+    }
+
+    /// Indicator `indicator`'s value at every row of column `col`, as a
+    /// column typed by the indicator's declared type, whose validity bit
+    /// says the cell carries the tag; `Mixed` when the indicator is
+    /// undeclared or its values are heterogeneous, and holding no values
+    /// (every read stops at the validity bit) when no cell carries the
+    /// tag. A declared indicator's is built from the tag runs on first
+    /// use and kept with this layout, which a `TAG` never changes (it
+    /// publishes a new one).
+    pub fn tag_column(&self, col: usize, indicator: &Symbol) -> Cow<'_, Column> {
+        let runs = &self.columns[col].tags;
+        let dtype = self.dict.get(indicator).map(|d| d.dtype);
+        let names = self.dict.names();
+        match names.iter().position(|n| *n == indicator.as_str()) {
+            Some(at) => Cow::Borrowed(
+                self.tag_columns.0[col * names.len() + at]
+                    .get_or_init(|| tag_column_of(runs, indicator, dtype)),
+            ),
+            None => Cow::Owned(tag_column_of(runs, indicator, dtype)),
+        }
     }
 
     /// Number of rows.
@@ -431,18 +561,7 @@ impl ColumnarRelation {
     /// validity bit is clear). Text values allocate; hot paths read the
     /// typed arrays directly instead.
     pub fn value_at(&self, col: usize, row: usize) -> Value {
-        let c = &self.columns[col];
-        if !c.validity.contains(row) {
-            return Value::Null;
-        }
-        match &c.data {
-            ColumnData::Int(v) => Value::Int(v[row]),
-            ColumnData::Float(v) => Value::Float(v[row]),
-            ColumnData::Bool(v) => Value::Bool(v[row]),
-            ColumnData::Date(v) => Value::Date(Date::from_days(v[row])),
-            ColumnData::Text { ids, pool } => Value::Text(pool.get(ids[row]).to_owned()),
-            ColumnData::Mixed(v) => v[row].clone(),
-        }
+        self.columns[col].value(row)
     }
 
     /// The schema.
@@ -593,6 +712,7 @@ impl ColumnarBuilder {
             c.validity.grow(self.len);
         }
         ColumnarRelation {
+            tag_columns: TagColumns::new(self.columns.len(), &dict),
             schema,
             dict,
             columns: self.columns,
@@ -1145,23 +1265,19 @@ impl JoinPairs {
         builder.finish(self.schema.clone(), left.dict.clone())
     }
 
-    /// γ over the joined rows, folded from the two sources: a left column
-    /// reads the pair's left row, a right column its right row. Equal to
-    /// [`crate::algebra::aggregate`] over `self.gather().to_tagged()`.
+    /// γ over the joined rows, run by the γ kernel over the two sources:
+    /// a left column reads the pair's left row, a right column its right
+    /// row. Equal to γ over `self.gather().to_tagged()`.
     pub fn aggregate(
         &self,
         group_by: &[&str],
         aggs: &[AggCall],
         policies: &[TagPolicy],
     ) -> DbResult<TaggedRelation> {
-        let (left, right) = (&*self.left, &*self.right);
-        let fold = Fold::new(&self.schema, group_by, aggs, policies)?;
-        // Left rows ascend and their tag runs are walked; right rows
-        // arrive in any order and are searched.
-        let cols = left.columns.iter().map(|c| FoldColumn::new(c, Some(left.len)));
-        let cols = cols.chain(right.columns.iter().map(|c| FoldColumn::new(c, None)));
-        let rows = self.pairs.iter().map(|&(l, r)| (l as usize, r as usize));
-        fold_rows(fold, cols.collect(), left.columns.len(), rows)?.finish(&self.schema, &left.dict)
+        let pairs = self.pairs.as_slice();
+        let sources = [(&*self.left, (pairs, false)), (&*self.right, (pairs, true))];
+        let (schema, dict) = (&self.schema, &self.left.dict);
+        fold::aggregate(&sources, schema, dict, group_by, aggs, policies)
     }
 }
 
@@ -1197,9 +1313,9 @@ impl ColumnarRelation {
         Ok(index)
     }
 
-    /// γ over the rows `sel` selects, folded straight from the typed
-    /// arrays and tag runs: no row is gathered or materialized. Equal to
-    /// [`crate::algebra::aggregate`] over `self.gather(sel).to_tagged()`.
+    /// γ over the rows `sel` selects, run by the γ kernel straight from
+    /// the typed arrays, tag runs and tag columns: no row is gathered or
+    /// materialized. Equal to γ over `self.gather(sel).to_tagged()`.
     pub fn aggregate(
         &self,
         sel: &Bitset,
@@ -1207,130 +1323,8 @@ impl ColumnarRelation {
         aggs: &[AggCall],
         policies: &[TagPolicy],
     ) -> DbResult<TaggedRelation> {
-        let fold = Fold::new(&self.schema, group_by, aggs, policies)?;
-        let cols = self.columns.iter().map(|c| FoldColumn::new(c, Some(self.len)));
-        let rows = sel.iter_ones().map(|i| (i, i));
-        fold_rows(fold, cols.collect(), self.columns.len(), rows)?.finish(&self.schema, &self.dict)
-    }
-}
-
-/// Folds input rows read straight from columnar sources: input row
-/// `(l, r)` reads column `c` at row `l` when `c < split`, else at row `r`.
-fn fold_rows<'f>(
-    mut fold: Fold<'f>,
-    columns: Vec<FoldColumn<'_>>,
-    split: usize,
-    rows: impl Iterator<Item = (usize, usize)>,
-) -> DbResult<Fold<'f>> {
-    let read = fold.columns();
-    let mut row = FoldRow {
-        cols: columns.into_iter().enumerate().map(|(c, col)| read.contains(&c).then_some(col)).collect(),
-    };
-    for (l, r) in rows {
-        for &c in &read {
-            if let Some(col) = &mut row.cols[c] {
-                col.load(if c < split { l } else { r });
-            }
-        }
-        fold.add(&row)?;
-    }
-    Ok(fold)
-}
-
-/// One column as the γ fold reads it: the row's value, and the tag run
-/// covering it — walked when rows ascend, else searched.
-struct FoldColumn<'a> {
-    col: &'a Column,
-    /// The walk over the column's runs (`None`: rows in any order).
-    runs: Option<TagRunWindow<'a>>,
-    run_end: usize,
-    tags: Option<&'a SharedTags>,
-    row: usize,
-    null: bool,
-    /// The row's value, for the fixed-width layouts.
-    value: Value,
-    /// Text layout: each pool string as a [`Value`], built on first use.
-    texts: Vec<Option<Value>>,
-}
-
-impl<'a> FoldColumn<'a> {
-    /// Over a column of `len` rows read in ascending order, or (`None`)
-    /// in any order.
-    fn new(col: &'a Column, len: Option<usize>) -> Self {
-        FoldColumn {
-            col,
-            runs: len.map(|len| col.tags.window(0, len)),
-            run_end: 0,
-            tags: None,
-            row: 0,
-            null: true,
-            value: Value::Null,
-            texts: Vec::new(),
-        }
-    }
-
-    /// Moves to `row` (for a walked column, rows ascend from call to call).
-    fn load(&mut self, row: usize) {
-        match &mut self.runs {
-            Some(runs) => {
-                while row >= self.run_end {
-                    let Some((off, len, tags)) = runs.next() else {
-                        break;
-                    };
-                    self.run_end = off + len;
-                    self.tags = tags;
-                }
-            }
-            None => self.tags = self.col.tags.get(row),
-        }
-        self.row = row;
-        self.null = !self.col.validity.contains(row);
-        if self.null {
-            return;
-        }
-        match &self.col.data {
-            ColumnData::Int(v) => self.value = Value::Int(v[row]),
-            ColumnData::Float(v) => self.value = Value::Float(v[row]),
-            ColumnData::Bool(v) => self.value = Value::Bool(v[row]),
-            ColumnData::Date(v) => self.value = Value::Date(Date::from_days(v[row])),
-            ColumnData::Text { ids, pool } => {
-                let id = ids[row];
-                if self.texts.is_empty() {
-                    self.texts = vec![None; pool.strings.len()];
-                }
-                self.texts[id as usize].get_or_insert_with(|| Value::Text(pool.get(id).to_owned()));
-            }
-            ColumnData::Mixed(_) => {}
-        }
-    }
-
-    fn value(&self) -> &Value {
-        if self.null {
-            return &NULL_SENTINEL;
-        }
-        match &self.col.data {
-            ColumnData::Text { ids, .. } => self.texts[ids[self.row] as usize]
-                .as_ref()
-                .unwrap_or(&NULL_SENTINEL),
-            ColumnData::Mixed(v) => &v[self.row],
-            _ => &self.value,
-        }
-    }
-}
-
-/// The fold's view of the current selected row: a [`FoldColumn`] per
-/// column the γ reads.
-struct FoldRow<'a> {
-    cols: Vec<Option<FoldColumn<'a>>>,
-}
-
-impl Cells for FoldRow<'_> {
-    fn value(&self, col: usize) -> &Value {
-        self.cols[col].as_ref().map_or(&NULL_SENTINEL, FoldColumn::value)
-    }
-
-    fn tags(&self, col: usize) -> Option<&SharedTags> {
-        self.cols[col].as_ref().and_then(|c| c.tags)
+        let (schema, dict) = (&self.schema, &self.dict);
+        fold::aggregate(&[(self, sel)], schema, dict, group_by, aggs, policies)
     }
 }
 
@@ -1338,6 +1332,7 @@ impl Cells for FoldRow<'_> {
 mod tests {
     use super::*;
     use crate::algebra;
+    use crate::fold::tests::longhand;
     use relstore::{DataType, Expr, Schema};
 
     /// The columnar σ as a base-table σ runs it: select, then gather.
@@ -1585,7 +1580,7 @@ mod tests {
     /// two sides' selected rows — Int keys with NULLs and duplicates on
     /// both sides, a right side hashed from its selection or probed
     /// through a prebuilt index, and Text keys whose pools differ — and
-    /// the fold over the pairs equals γ over the gathered join.
+    /// γ over the pairs equals γ written longhand over the gathered join.
     #[test]
     fn join_probe_columnar_matches() {
         use relstore::algebra::AggFunc;
@@ -1643,7 +1638,7 @@ mod tests {
                     assert_eq!((stats.rows_in, stats.rows_out), (lsel.count(), expect.len()));
                     for group_by in [&[][..], &["r.name"], &["l.v", "k"]] {
                         let group_by = if key == "v" { group_by } else { &["r.name"] };
-                        let want = algebra::aggregate(&expect, group_by, &aggs, &policies);
+                        let want = longhand(&expect, group_by, &aggs, &policies);
                         assert_eq!(pairs.aggregate(group_by, &aggs, &policies).unwrap(), want.unwrap());
                     }
                 }
@@ -1816,7 +1811,7 @@ mod tests {
                 let rows = crel.gather(&sel).to_tagged();
                 for group_by in [&[][..], &["name"], &["k", "name"]] {
                     for pol in [&policies[..], &[]] {
-                        let expect = algebra::aggregate(&rows, group_by, &aggs, pol).unwrap();
+                        let expect = longhand(&rows, group_by, &aggs, pol).unwrap();
                         let got = crel.aggregate(&sel, group_by, &aggs, pol).unwrap();
                         assert_eq!(got, expect, "n={n} p={p:?} group_by={group_by:?}");
                     }
@@ -1830,7 +1825,9 @@ mod tests {
         let rows = crel.gather(&sel).to_tagged();
         assert_eq!(
             crel.aggregate(&sel, &[], &sum_text, &policies).unwrap_err().to_string(),
-            algebra::aggregate(&rows, &[], &sum_text, &policies).unwrap_err().to_string(),
+            longhand(&rows, &[], &sum_text, &policies)
+                .unwrap_err()
+                .to_string(),
         );
     }
 }

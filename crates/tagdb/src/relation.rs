@@ -11,6 +11,7 @@ use crate::cell::QualityCell;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
 use relstore::{DbError, DbResult, Relation, Row, Schema};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Separator between column and indicator in a pseudo-column name.
@@ -112,6 +113,21 @@ impl TaggedRelation {
     /// Iterator over rows.
     pub fn iter(&self) -> std::slice::Iter<'_, TaggedRow> {
         self.rows.iter()
+    }
+
+    /// The rows stably sorted by `cmp`, as an operator's output (rows not
+    /// checked again, relation-level tags dropped).
+    pub fn sorted_by(mut self, cmp: impl FnMut(&TaggedRow, &TaggedRow) -> Ordering) -> Self {
+        self.rows.sort_by(cmp);
+        self.relation_tags.clear();
+        self
+    }
+
+    /// The first `n` rows, as an operator's output (as [`Self::sorted_by`]).
+    pub fn truncated(mut self, n: usize) -> Self {
+        self.rows.truncate(n);
+        self.relation_tags.clear();
+        self
     }
 
     /// Validates and appends a row.

@@ -39,9 +39,15 @@ filtered -p tagstore columnar
 # and at 1/2/8 threads, at a higher case count.
 filtered -p tagstore join_pairs
 
-# Aggregation over a selection: the one-pass tagged γ, fed by columnar
-# selections, keyed lookups and a join's position pairs, against the
-# oracle's γ, at a higher case count.
+# γ by group ids: the one γ kernel against γ written longhand over rows
+# (keys of every type, NULL/-0.0/NaN keys, multi-column keys, two string
+# pools through a join's pairs, every AggFunc and TagRule), and each tag
+# column against the cells' tag values, at a higher case count.
+filtered -p tagstore group_ids
+
+# Aggregation over a selection: the γ kernel, fed by columnar
+# selections, bare scans, lifted keyed lookups and a join's position
+# pairs, against the oracle's γ, at a higher case count.
 PROPTEST_CASES=128 cargo test -q --offline --test aggregate_fold
 
 # The longhand oracle against both planners over generated SELECTs

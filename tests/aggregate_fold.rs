@@ -55,11 +55,12 @@ fn day(rng: &mut StdRng, span: i64) -> Value {
     Value::Date(Date::from_days(8_000 + rng.gen_range(0..span)))
 }
 
-/// `t(ki, kt, kd, kf, v, w, m, s)`: four key columns of four types, Int
-/// `v` with per-cell, shared (one `Arc` for many cells) and missing tags
-/// (some with a meta-tag), Float `w` bulk-tagged, `Any`-typed `m` mixing
-/// Int and Float (a SUM over it upgrades), Text `s`; about one value in
-/// ten NULL everywhere.
+/// `t(ki, kt, kd, kf, v, w, m, s, big)`: four key columns of four types,
+/// Int `v` with per-cell, shared (one `Arc` for many cells) and missing
+/// tags (some with a meta-tag), Float `w` bulk-tagged, `Any`-typed `m`
+/// mixing Int and Float (a SUM over it upgrades), Text `s`, and Int `big`,
+/// near `i64::MAX` one time in five (a SUM over it may overflow); about
+/// one value in ten NULL everywhere.
 fn table(rng: &mut StdRng, rows: usize) -> TaggedRelation {
     use DataType::*;
     let schema = Schema::of(&[
@@ -71,6 +72,7 @@ fn table(rng: &mut StdRng, rows: usize) -> TaggedRelation {
         ("w", Float),
         ("m", Any),
         ("s", Text),
+        ("big", Int),
     ]);
     let shared = QualityCell::bare(0i64)
         .with_tag(IndicatorValue::new("source", "feed"))
@@ -92,6 +94,13 @@ fn table(rng: &mut StdRng, rows: usize) -> TaggedRelation {
         });
         let s = null(rng, |r| {
             Value::Text(["x", "y", "z"][r.gen_range(0..3)].to_owned())
+        });
+        let big = null(rng, |r| {
+            Value::Int(if r.gen_bool(0.2) {
+                i64::MAX - r.gen_range(0..4)
+            } else {
+                r.gen_range(-5..5)
+            })
         });
         let mut ki = QualityCell::bare(ki);
         if rng.gen_bool(0.5) {
@@ -126,9 +135,9 @@ fn table(rng: &mut StdRng, rows: usize) -> TaggedRelation {
             2 => QualityCell::bare(v).with_tag(IndicatorValue::new("creation_time", day(rng, 30))),
             _ => QualityCell::bare(v),
         };
-        let bare = [kd, kf, w, m, s].map(QualityCell::bare);
-        let [kd, kf, w, m, s] = bare;
-        out.push(vec![ki, kt, kd, kf, v, w, m, s]);
+        let bare = [kd, kf, w, m, s, big].map(QualityCell::bare);
+        let [kd, kf, w, m, s, big] = bare;
+        out.push(vec![ki, kt, kd, kf, v, w, m, s, big]);
     }
     let mut rel = TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), out)
         .expect("generated rows conform");
@@ -204,8 +213,11 @@ const GROUP_BYS: [&[&str]; 7] = [
     &["kd", "kf"],
 ];
 
-/// The calls every statement makes, as (func, column, alias); `SUM(s)`
-/// (Text) is the one that fails when it meets a value.
+/// The calls every statement makes, as (func, column, alias); with
+/// errors, `SUM(big)` may overflow and `SUM(s)` (Text) fails when it
+/// meets a value, so one statement can fail in two calls and in several
+/// groups: the answer is the first failing call of the first failing
+/// group, as the oracle's.
 fn calls(with_error: bool) -> Vec<(AggFunc, Option<&'static str>, &'static str)> {
     let mut calls = vec![
         (AggFunc::Count, None, "n"),
@@ -218,6 +230,7 @@ fn calls(with_error: bool) -> Vec<(AggFunc, Option<&'static str>, &'static str)>
         (AggFunc::Min, Some("v"), "mv"),
     ];
     if with_error {
+        calls.push((AggFunc::Sum, Some("big"), "sb"));
         calls.push((AggFunc::Sum, Some("s"), "bad"));
     }
     calls

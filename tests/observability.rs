@@ -171,3 +171,44 @@ fn aggregate_over_a_selection_gathers_nothing() {
     assert_eq!(rows.relation().len().to_string(), n);
     assert!(gather_runs.get() > before);
 }
+
+/// EXPLAIN ANALYZE's `Aggregate` line names what γ read — a bare scan's
+/// cached layout or a σ's selection as it lies (`columnar`), a join's
+/// position pairs (`pairs`), a keyed lookup's rows lifted once
+/// (`lifted`) — and how many groups it made; plain EXPLAIN never shows
+/// it.
+#[test]
+fn aggregate_reports_its_source_and_groups() {
+    let _serial = serial();
+    let catalog = setup();
+    for (sql, source) in [
+        (
+            "SELECT ticker_symbol, COUNT(*) AS n FROM trade GROUP BY ticker_symbol",
+            "columnar",
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM trade WHERE quantity > 0",
+            "columnar",
+        ),
+        (
+            "SELECT l.ticker_symbol, SUM(quantity) AS net FROM trade JOIN company_stock \
+             ON ticker_symbol = ticker_symbol GROUP BY l.ticker_symbol",
+            "pairs",
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM trade WHERE account_number = 3",
+            "lifted",
+        ),
+    ] {
+        let groups = run(&catalog, sql).unwrap().relation().len();
+        let report = explain_analyze(&catalog, sql, &Planner::default()).unwrap();
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("Aggregate"))
+            .unwrap_or_else(|| panic!("no Aggregate in:\n{report}"));
+        let annotation = format!(" source={source} groups={groups}");
+        assert!(line.ends_with(&annotation), "{line}");
+        let plain = explain(&catalog, sql, &Planner::default()).unwrap();
+        assert!(!plain.contains("source="), "{plain}");
+    }
+}

@@ -419,14 +419,16 @@ fn operators(report: &str) -> Vec<&str> {
 
 /// How often an analyzed tree holds each shape the selection paths
 /// serve: a `HashJoin` whose two inputs are columnar σ selections, an
-/// `IndexJoin` over a filtered or keyed left, γ over a join, and π over
-/// a columnar σ.
+/// `IndexJoin` over a filtered or keyed left, γ over a join, π over a
+/// columnar σ, and γ over a bare scan reading the table's cached layout
+/// (`source=columnar`).
 #[derive(Debug, Default)]
 struct Shapes {
     hash_join_over_selections: usize,
     index_join_over_filtered_left: usize,
     aggregate_over_join: usize,
     project_over_columnar: usize,
+    aggregate_over_scan_reads_columnar: usize,
 }
 
 impl Shapes {
@@ -453,6 +455,11 @@ impl Shapes {
                 (line.starts_with("Aggregate") && children.iter().any(join)) as usize;
             self.project_over_columnar +=
                 (line.starts_with("Project") && children.iter().any(columnar)) as usize;
+            let scan = |l: &&str| l.starts_with("TableScan");
+            self.aggregate_over_scan_reads_columnar += (line.starts_with("Aggregate")
+                && children.iter().any(scan)
+                && line.contains(" source=columnar "))
+                as usize;
         }
     }
 }
@@ -522,12 +529,13 @@ fn generated_statements_agree_across_planners_and_explain() {
     assert!(joins >= 50, "only {joins} joins");
     assert!(nonempty >= 150, "only {nonempty} non-empty results");
     // ... and each shape a selection path serves (seed 16 writes 31, 17,
-    // 30 and 49 of them)
+    // 30, 49 and 7 of them)
     let s = &shapes;
     assert!(s.hash_join_over_selections >= 20, "{s:?}");
     assert!(s.index_join_over_filtered_left >= 10, "{s:?}");
     assert!(s.aggregate_over_join >= 20, "{s:?}");
     assert!(s.project_over_columnar >= 20, "{s:?}");
+    assert!(s.aggregate_over_scan_reads_columnar >= 5, "{s:?}");
 }
 
 #[test]
