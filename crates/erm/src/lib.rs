@@ -7,8 +7,8 @@
 //!
 //! * [`model`] — entities, attributes, binary relationships with
 //!   cardinalities, schema validation;
-//! * [`mapping`] — ER → relational mapping (Teorey), emitting DDL into a
-//!   [`relstore::Database`] with PKs and FKs;
+//! * [`mapping`] — ER → relational mapping (Teorey) to tables, primary
+//!   and foreign keys as data, and a check of relations against them;
 //! * [`mod@integrate`] — view/schema integration (Batini) with synonym
 //!   correspondences and conflict detection;
 //! * [`render`] — Graphviz DOT and ASCII output, including the paper's
@@ -23,7 +23,7 @@ pub mod normalize;
 pub mod render;
 
 pub use integrate::{integrate, Conflict, Correspondences, IntegrationResult};
-pub use mapping::to_database;
+pub use mapping::{to_relational, ForeignKey, MappedTable, RelationalSchema};
 pub use normalize::{
     attrs, bcnf_violations, candidate_keys, closure, is_superkey, minimal_cover,
     synthesize_3nf, AttrSet, BcnfViolation, Fd, SynthesizedRelation,

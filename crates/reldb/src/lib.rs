@@ -1,19 +1,16 @@
-//! `relstore` — the in-memory relational engine substrate for the
-//! ICDE'93 data-quality reproduction.
-//!
-//! The paper assumes a relational database over which quality tagging and
-//! quality-constrained querying can be built; this crate is that database,
-//! built from scratch:
+//! `relstore` — the relational substrate of the ICDE'93 data-quality
+//! reproduction: the types and scalar semantics the tagged engine is
+//! built on.
 //!
 //! * typed [`value::Value`]s with a total order (including calendar
 //!   [`date::Date`]s, the carrier of *creation time* / *age* indicators),
-//! * [`schema::Schema`]-validated [`relation::Relation`]s,
+//! * [`schema::Schema`]-validated [`relation::Relation`]s (a NOT NULL
+//!   column rejects a NULL when the row is built),
 //! * a scalar [`expr::Expr`] language with SQL three-valued logic,
 //! * the aggregate semantics every γ shares ([`algebra`]: the calls, their
 //!   output schema and the per-group [`algebra::Acc`]),
-//! * [`table::Table`]s with [`constraint::Constraint`]s, and a hash
-//!   [`index`] for point lookups and join probes,
-//! * a [`catalog::Database`] with foreign keys,
+//! * a hash [`index`] for point lookups, join probes and key checks,
+//! * [`par`], chunked parallel execution on scoped threads,
 //! * [`csv`] import/export.
 //!
 //! Queries run over tagged relations: the `tagstore` crate's σ, π, ⋈, δ
@@ -24,8 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod algebra;
-pub mod catalog;
-pub mod constraint;
 pub mod csv;
 pub mod date;
 pub mod error;
@@ -34,17 +29,14 @@ pub mod index;
 pub mod par;
 pub mod relation;
 pub mod schema;
-pub mod table;
 pub mod value;
 
-pub use catalog::Database;
 pub use date::Date;
 pub use error::{DbError, DbResult};
 pub use expr::{Expr, Func};
 pub use index::HashIndex;
 pub use relation::{Relation, Row};
 pub use schema::{ColumnDef, Schema};
-pub use table::Table;
 pub use value::{DataType, Value};
 
 #[cfg(test)]

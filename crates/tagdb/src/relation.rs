@@ -144,9 +144,8 @@ impl TaggedRelation {
     }
 
     /// Removes and returns row `row` in O(1) by swapping the last row
-    /// into its place — the same positional-delete contract as
-    /// `relstore::Table::delete`, so positional indexes fix themselves
-    /// up by re-homing the moved last row.
+    /// into its place, so positional indexes fix themselves up by
+    /// re-homing the moved last row.
     pub fn swap_remove(&mut self, row: usize) -> DbResult<TaggedRow> {
         if row >= self.rows.len() {
             return Err(DbError::IndexError(format!(

@@ -45,6 +45,12 @@ filtered -p tagstore join_pairs
 # column against the cells' tag values, at a higher case count.
 filtered -p tagstore group_ids
 
+# Declared integrity: the ER mapping's key and reference check against
+# the same check written row at a time (Int/Text keys of one or two
+# columns, NULL components, repeated keys, orphans), at a higher case
+# count.
+filtered -p er-model integrity
+
 # Aggregation over a selection: the γ kernel, fed by columnar
 # selections, bare scans, lifted keyed lookups and a join's position
 # pairs, against the oracle's γ, at a higher case count.

@@ -143,10 +143,10 @@ fn csv_roundtrip_of_workload_data() {
 
 #[test]
 fn er_mapping_accepts_generated_rows() {
-    // map Figure 3 to a database and load (stripped) generated rows
-    // through full constraint enforcement.
+    // map Figure 3 and check (stripped) generated rows against the keys
+    // and references it declares.
     let er = dq_workloads::figure3_schema();
-    let mut db = er_model::to_database(&er).unwrap();
+    let mapped = er_model::to_relational(&er).unwrap();
     let w = dq_workloads::generate_trading(&dq_workloads::TradingGenConfig {
         clients: 10,
         stocks: 5,
@@ -154,15 +154,29 @@ fn er_mapping_accepts_generated_rows() {
         ..Default::default()
     })
     .unwrap();
-    for row in w.clients.strip().rows() {
-        db.insert("client", row.clone()).unwrap();
-    }
-    for row in w.stocks.strip().rows() {
-        db.insert("company_stock", row.clone()).unwrap();
-    }
-    assert_eq!(db.table("client").unwrap().len(), 10);
-    assert_eq!(db.table("company_stock").unwrap().len(), 5);
-    // PK enforcement still active after bulk load
-    let first = w.clients.strip().rows()[0].clone();
-    assert!(db.insert("client", first).is_err());
+    let (clients, stocks) = (w.clients.strip(), w.stocks.strip());
+    let trade = mapped.tables.iter().find(|t| t.name == "trade").unwrap();
+    let trades = Relation::empty(trade.schema.clone());
+    assert_eq!((clients.len(), stocks.len()), (10, 5));
+    mapped
+        .check(&[
+            ("client", &clients),
+            ("company_stock", &stocks),
+            ("trade", &trades),
+        ])
+        .unwrap();
+    // the first client appended again repeats its key
+    let mut again = clients.clone();
+    again.push(clients.rows()[0].clone()).unwrap();
+    assert_eq!(
+        mapped.check(&[
+            ("client", &again),
+            ("company_stock", &stocks),
+            ("trade", &trades)
+        ]),
+        Err(relstore::DbError::ConstraintViolation {
+            constraint: "pk_client".into(),
+            detail: "duplicate key (0)".into(),
+        })
+    );
 }

@@ -170,36 +170,48 @@ fn two_department_views_integrate_into_one_quality_schema() {
 
 #[test]
 fn er_schema_maps_to_enforcing_database() {
-    // Step-1 output is a real database schema: map it and verify the
-    // constraints hold at the storage layer.
-    let db = er_model::to_database(&trading_er()).unwrap();
-    assert_eq!(
-        db.table_names(),
-        vec!["client", "company_stock", "trade"]
-    );
-    let mut db = db;
-    db.insert(
-        "client",
-        vec![relstore::Value::Int(1), relstore::Value::text("555-0100")],
-    )
-    .unwrap();
-    db.insert(
+    // Step-1 output is a real database schema: map it and check relations
+    // against the keys it declares.
+    use relstore::{DbError, Relation, Value};
+    let mapped = er_model::to_relational(&trading_er()).unwrap();
+    let names: Vec<&str> = mapped.tables.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, vec!["client", "company_stock", "trade"]);
+    let relation = |table: &str, rows: Vec<Vec<Value>>| {
+        let t = mapped.tables.iter().find(|t| t.name == table).unwrap();
+        Relation::new(t.schema.clone(), rows).unwrap()
+    };
+    let client = relation("client", vec![vec![Value::Int(1), Value::text("555-0100")]]);
+    let stock = relation(
         "company_stock",
-        vec![relstore::Value::text("FRT"), relstore::Value::Float(10.0)],
-    )
-    .unwrap();
-    db.insert(
-        "trade",
-        vec![relstore::Value::Int(1), relstore::Value::text("FRT")],
-    )
-    .unwrap();
+        vec![vec![Value::text("FRT"), Value::Float(10.0)]],
+    );
+    let trade = relation("trade", vec![vec![Value::Int(1), Value::text("FRT")]]);
+    mapped
+        .check(&[
+            ("client", &client),
+            ("company_stock", &stock),
+            ("trade", &trade),
+        ])
+        .unwrap();
     // orphan trade rejected by the FK the mapping created
-    assert!(db
-        .insert(
-            "trade",
-            vec![relstore::Value::Int(9), relstore::Value::text("FRT")]
-        )
-        .is_err());
+    let orphan = relation(
+        "trade",
+        vec![
+            vec![Value::Int(1), Value::text("FRT")],
+            vec![Value::Int(9), Value::text("FRT")],
+        ],
+    );
+    assert_eq!(
+        mapped.check(&[
+            ("client", &client),
+            ("company_stock", &stock),
+            ("trade", &orphan)
+        ]),
+        Err(DbError::ConstraintViolation {
+            constraint: "fk_trade_client".into(),
+            detail: "no row in `client` matches key (9)".into(),
+        })
+    );
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Integration: normalization theory in the quality workflow — a
 //! denormalized schema is a consistency risk; FD analysis finds it, 3NF
-//! synthesis remediates it, and the synthesized schema maps onto real
-//! enforcing tables.
+//! synthesis remediates it, and the synthesized schema's keys are
+//! declared and checked.
 
 use er_model::normalize::{
     attrs, bcnf_violations, candidate_keys, closure, synthesize_3nf, Fd,
 };
-use relstore::{DataType, Database, Schema, Value};
+use er_model::{MappedTable, RelationalSchema};
+use relstore::{DataType, DbError, Relation, Schema, Value};
 
 /// The paper's customer table, denormalized with an added `zip → city`
 /// dependency (the classic address smell).
@@ -48,57 +49,83 @@ fn denormalized_customer_schema_diagnosed_and_synthesized() {
 fn synthesized_relations_map_to_enforcing_tables() {
     let (all, fds) = customer_fds();
     let rels = synthesize_3nf(&all, &fds).unwrap();
-    // build real tables from the decomposition, with each group's LHS as
+    // declare a table per synthesized relation, with its group's LHS as
     // the primary key
-    let mut db = Database::new();
-    for (i, r) in rels.iter().enumerate() {
-        let cols: Vec<(&str, DataType)> = r
-            .attributes
-            .iter()
-            .map(|a| {
-                (
-                    a.as_str(),
-                    if a == "employees" {
+    let tables: Vec<MappedTable> = rels
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let cols: Vec<(&str, DataType)> = r
+                .attributes
+                .iter()
+                .map(|a| {
+                    let ty = if a == "employees" {
                         DataType::Int
                     } else {
                         DataType::Text
-                    },
-                )
-            })
-            .collect();
-        let name = format!("r{i}");
-        let table = db.create_table(&name, Schema::of(&cols)).unwrap();
-        if let Some(fd) = r.fds.first() {
-            table
-                .add_constraint(relstore::constraint::Constraint::PrimaryKey {
-                    name: format!("pk_{name}"),
-                    columns: fd.lhs.iter().cloned().collect(),
+                    };
+                    (a.as_str(), ty)
                 })
-                .unwrap();
-        }
-    }
+                .collect();
+            MappedTable {
+                name: format!("r{i}"),
+                schema: Schema::of(&cols),
+                // both relations here are FD groups (no key relation added)
+                primary_key: r.fds[0].lhs.iter().cloned().collect(),
+            }
+        })
+        .collect();
+    let declared = RelationalSchema {
+        tables,
+        foreign_keys: vec![],
+    };
     // the zip→city table now *enforces* the dependency the flat table
     // silently violated: the same zip cannot map to two cities
-    let zip_table = db
-        .table_names()
-        .into_iter()
-        .map(String::from)
-        .find(|n| {
-            db.table(n).unwrap().schema().index_of("zip").is_some()
-                && db.table(n).unwrap().schema().arity() == 2
-        })
+    let zip_table = declared
+        .tables
+        .iter()
+        .find(|t| t.schema.index_of("zip").is_some() && t.schema.arity() == 2)
         .expect("zip/city relation exists");
+    assert_eq!(zip_table.primary_key, vec!["zip".to_string()]);
     // attribute sets are sorted, so the schema order is (city, zip)
-    let schema = db.table(&zip_table).unwrap().schema().clone();
+    let schema = zip_table.schema.clone();
     let row = |city: &str, zip: &str| -> Vec<Value> {
         let mut r = vec![Value::Null; 2];
         r[schema.index_of("city").unwrap()] = Value::text(city);
         r[schema.index_of("zip").unwrap()] = Value::text(zip);
         r
     };
-    db.insert(&zip_table, row("Cambridge", "02139")).unwrap();
-    let dup = db.insert(&zip_table, row("Boston", "02139"));
-    assert!(dup.is_err(), "FD now enforced as a key constraint");
+    let check = |zip_rows: Vec<Vec<Value>>| {
+        let relations: Vec<Relation> = declared
+            .tables
+            .iter()
+            .map(|t| {
+                let rows = if t.name == zip_table.name {
+                    zip_rows.clone()
+                } else {
+                    vec![]
+                };
+                Relation::new(t.schema.clone(), rows).unwrap()
+            })
+            .collect();
+        let data: Vec<(&str, &Relation)> = declared
+            .tables
+            .iter()
+            .map(|t| t.name.as_str())
+            .zip(&relations)
+            .collect();
+        declared.check(&data)
+    };
+    check(vec![row("Cambridge", "02139")]).unwrap();
+    let dup = check(vec![row("Cambridge", "02139"), row("Boston", "02139")]);
+    assert_eq!(
+        dup,
+        Err(DbError::ConstraintViolation {
+            constraint: format!("pk_{}", zip_table.name),
+            detail: "duplicate key (02139)".into(),
+        }),
+        "FD now enforced as a key constraint"
+    );
 }
 
 #[test]
