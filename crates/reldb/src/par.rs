@@ -28,17 +28,23 @@ use std::cell::Cell;
 /// the per-row work below a couple thousand rows.
 pub const PAR_THRESHOLD: usize = 2048;
 
-/// Minimum rows each worker must receive before an extra thread pays for
-/// itself. Derived from the B2 bench: at 10k rows the parallel σ/mask
-/// path was *slower* than serial (spawn + merge overhead ≈ the per-chunk
-/// work), while at 100k rows 8 threads win ~3.5×. `100_000 / 8 = 12_500`
-/// rows per thread is comfortably profitable and `10_000 / 8 = 1_250` is
-/// not, so the break-even sits between — 8192 keeps 10k-row inputs
-/// serial and lets 2 threads engage from 16 384 rows up.
+/// Minimum rows each worker of a [`plan`]ned operator must receive before
+/// an extra thread pays for itself: the row algebra's σ/π/⋈/mask kernels
+/// (`tagstore::algebra`), the join probe (`JoinPairs::probe`) and π over
+/// rows (`dq-query`'s `Output::project`), each doing a row's worth of
+/// per-row work. It
+/// was derived from the B2 bench of the row σ/mask kernels at the time:
+/// at 10k rows the parallel path was *slower* than serial (spawn + merge
+/// overhead ≈ the per-chunk work), while at 100k rows 8 threads won
+/// ~3.5×. 8192 keeps 10k-row inputs serial and lets 2 threads engage from
+/// 16 384 rows up. The columnar σ, whose typed kernels do far less per
+/// row, plans with [`plan_index`] instead.
 pub const MIN_ROWS_PER_THREAD: usize = 8192;
 
-/// Minimum rows each *index-build* worker must receive before an extra
-/// thread pays for itself. Index construction is heavier per row than a
+/// Minimum rows each worker of a whole-layout scan into a bitset must
+/// receive before an extra thread pays for itself: the quality index
+/// build (row and columnar) and the columnar σ both plan with
+/// [`plan_index`]. Index construction is heavier per row than a
 /// σ/mask kernel (hash lookups into the posting map plus bitset growth),
 /// but each worker also allocates a full partial index that the merge
 /// pass must traverse — so the break-even sits *higher* than
@@ -46,7 +52,11 @@ pub const MIN_ROWS_PER_THREAD: usize = 8192;
 /// rows an 8-way build lost to serial outright, and even 2 workers only
 /// clear their merge cost once each owns a few tens of thousands of
 /// rows. 32 768 keeps 10k-row builds serial (the PR-5 bug spawned
-/// threads there) and lets 2 threads engage from 65 536 rows up.
+/// threads there) and lets 2 threads engage from 65 536 rows up. The
+/// columnar σ's typed kernels are cheap enough per row that a 20 000-row
+/// σ lost to its own 2-thread spawn (in-process, 2 vCPUs: a typed σ 100
+/// µs on 1 thread, 135 µs on 2; an index-only σ 8 µs against 75 µs), so
+/// it shares this model rather than [`MIN_ROWS_PER_THREAD`]'s.
 pub const MIN_ROWS_PER_INDEX_THREAD: usize = 32_768;
 
 /// Hard upper bound on the thread count accepted from the environment.
@@ -149,9 +159,10 @@ pub fn plan(len: usize) -> Option<usize> {
     plan_with_min(len, MIN_ROWS_PER_THREAD)
 }
 
-/// Like [`plan`], but with the index-build cost model: workers must each
-/// own at least [`MIN_ROWS_PER_INDEX_THREAD`] rows before the partial
-/// indexes they allocate (and the merge pass over them) pay for
+/// Like [`plan`], but with the whole-layout scan's cost model — the
+/// index build's and the columnar σ's: workers must each own at least
+/// [`MIN_ROWS_PER_INDEX_THREAD`] rows before the partial indexes or
+/// selections they allocate (and the merge pass over them) pay for
 /// themselves. This is the fix for the PR-5 regression where
 /// `QualityIndex::build` consulted [`plan`] and spawned threads at 10k
 /// rows — a size where serial wins per B9.

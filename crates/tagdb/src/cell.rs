@@ -187,16 +187,21 @@ impl QualityCell {
     /// `62 Lois Av (10-24-91, acct'g)` — tag values in indicator-name
     /// order, parenthesized after the value. Untagged cells render bare.
     pub fn to_paper_string(&self) -> String {
-        let tags = self.tags();
-        if tags.is_empty() {
-            return self.value.to_string();
+        let mut out = String::new();
+        self.write_paper(&mut out);
+        out
+    }
+
+    /// Appends [`QualityCell::to_paper_string`]'s text to `out`.
+    pub(crate) fn write_paper(&self, out: &mut String) {
+        use fmt::Write;
+        let _ = write!(out, "{}", self.value);
+        for (i, t) in self.tags().iter().enumerate() {
+            let _ = write!(out, "{}{}", if i == 0 { " (" } else { ", " }, t.value);
         }
-        let tags = tags
-            .iter()
-            .map(|t| t.value.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!("{} ({tags})", self.value)
+        if self.tag_count() > 0 {
+            out.push(')');
+        }
     }
 }
 

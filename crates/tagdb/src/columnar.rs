@@ -5,8 +5,10 @@
 //! γ's: [`ColumnarRelation::aggregate`] and [`JoinPairs::aggregate`] run
 //! the γ kernel (`fold.rs`) over a selection or a join's pairs, its tag
 //! rules reading [`ColumnarRelation::tag_column`], one indicator's values
-//! as a column built once per layout. σ over an operator's output is the
-//! row algebra's ([`crate::algebra::select`]).
+//! as a column built once per layout. σ's quality conjuncts read the same
+//! tag columns, so the first σ on a snapshot builds the ones it names. σ
+//! over an operator's output is the row algebra's
+//! ([`crate::algebra::select`]).
 //!
 //! ## Layout
 //!
@@ -24,7 +26,9 @@
 //!   `Arc<Vec<IndicatorValue>>` (PR 1's bulk-tagging representation)
 //!   collapse into one run, so tag propagation through σ/π/⋈ is a
 //!   refcount bump per surviving run slice, and the columnar index build
-//!   indexes whole runs at a time.
+//!   indexes whole runs at a time. A quality predicate or a γ tag rule
+//!   reads a tag column derived from the runs instead
+//!   ([`ColumnarRelation::tag_column`]).
 //!
 //! ## Parity contract
 //!
@@ -39,11 +43,15 @@
 //! `group_ids` proptest pins γ against a γ written longhand. The σ
 //! kernels are the bound [`Predicate`]'s conjuncts,
 //! run in written order over a batch's selection vector, so each row
-//! gets [`Predicate::matches`]'s verdict: NULLs drop first, `=`/`≠` use
-//! the storage total order, a typed kernel runs no type check per row
+//! gets [`Predicate::matches`]'s verdict: NULLs (and absent tags) drop
+//! first, `=`/`≠` use the storage total order, a typed kernel — over an
+//! application column or a tag column alike — runs no type check per row
 //! (binding made its literal comparable), and a generic conjunct —
 //! including one over an `Any`-typed, `Mixed` column — is the scalar
-//! evaluator over materialized rows. Conjuncts run batch-at-a-time, so
+//! evaluator over materialized rows. Given the bitmap index's candidates,
+//! the atoms it answered are not re-run; the
+//! `tag_columns_match_the_row_verdict` proptest pins both paths against
+//! [`Predicate::matches`]. Conjuncts run batch-at-a-time, so
 //! when two rows would raise different runtime errors, the one reported
 //! may come from a different row than the row σ's.
 
@@ -52,7 +60,7 @@ use crate::bitmap::{Bitset, QualityIndex};
 use crate::cell::QualityCell;
 use crate::fold;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
-use crate::predicate::{Access, Kernel, Predicate, ToPredicate};
+use crate::predicate::{Access, Conjunct, Kernel, Predicate, ToPredicate};
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
 use relstore::algebra::AggCall;
@@ -85,10 +93,10 @@ impl StrPool {
         &self.strings[id as usize]
     }
 
-    /// The id of `s`, if pooled. Linear scan — callers resolve literals
-    /// once per operator, not per row.
+    /// The id of `s`, if pooled (a binary search: the pool is sorted).
     pub fn id_of(&self, s: &str) -> Option<u32> {
-        self.strings.iter().position(|p| p == s).map(|i| i as u32)
+        let at = self.strings.binary_search_by(|p| p.as_str().cmp(s));
+        at.ok().map(|i| i as u32)
     }
 
     /// Number of pooled strings.
@@ -403,12 +411,15 @@ fn typed_layout<'v>(
     })
 }
 
-/// Indicator `indicator`'s value in each cell of `runs`, as a column of
-/// `dtype`'s layout (`Mixed` when undeclared or heterogeneous), valid
-/// where the cell carries the tag; an empty `Mixed` when no cell does.
-fn tag_column_of(runs: &TagRuns, indicator: &Symbol, dtype: Option<DataType>) -> Column {
+/// The tag value down indicator `path` in each cell of `runs`, as a
+/// column of `dtype`'s layout (`Mixed` when undeclared or heterogeneous),
+/// valid where the cell carries the tag; an empty `Mixed` when no cell
+/// does.
+fn tag_column_of(runs: &TagRuns, path: &[Symbol], dtype: Option<DataType>) -> Column {
+    let (first, rest) = path.split_first().expect("a tag path names an indicator");
     let spread = runs.window(0, runs.len).map(|(_, len, tags)| {
-        let tag = tags.and_then(|t| t.iter().find(|t| t.indicator == *indicator));
+        let tag = (tags.and_then(|t| t.iter().find(|t| t.indicator == *first)))
+            .and_then(|t| rest.iter().try_fold(t, |t, m| t.meta_tag_sym(m)));
         (len, tag.map(|t| &t.value))
     });
     let mut validity = Bitset::new(runs.len);
@@ -526,24 +537,30 @@ impl ColumnarRelation {
         &self.columns
     }
 
-    /// Indicator `indicator`'s value at every row of column `col`, as a
-    /// column typed by the indicator's declared type, whose validity bit
-    /// says the cell carries the tag; `Mixed` when the indicator is
-    /// undeclared or its values are heterogeneous, and holding no values
-    /// (every read stops at the validity bit) when no cell carries the
-    /// tag. A declared indicator's is built from the tag runs on first
-    /// use and kept with this layout, which a `TAG` never changes (it
-    /// publishes a new one).
-    pub fn tag_column(&self, col: usize, indicator: &Symbol) -> Cow<'_, Column> {
+    /// The tag value down indicator `path` (one indicator, or a
+    /// meta-tag path, Premise 1.4) at every row of column `col`, as a
+    /// column typed by the path's last indicator's declared type, whose
+    /// validity bit says the cell carries the tag; `Mixed` when that
+    /// indicator is undeclared or its values are heterogeneous, and
+    /// holding no values (every read stops at the validity bit) when no
+    /// cell carries the tag. A declared indicator's is built from the tag
+    /// runs on first use and kept with this layout, which a `TAG` never
+    /// changes (it publishes a new one); a meta-tag path's is built per
+    /// call.
+    pub fn tag_column(&self, col: usize, path: &[Symbol]) -> Cow<'_, Column> {
         let runs = &self.columns[col].tags;
-        let dtype = self.dict.get(indicator).map(|d| d.dtype);
+        let dtype = path.last().and_then(|i| self.dict.get(i)).map(|d| d.dtype);
         let names = self.dict.names();
-        match names.iter().position(|n| *n == indicator.as_str()) {
+        let slot = match path {
+            [indicator] => names.iter().position(|n| *n == indicator.as_str()),
+            _ => None,
+        };
+        match slot {
             Some(at) => Cow::Borrowed(
                 self.tag_columns.0[col * names.len() + at]
-                    .get_or_init(|| tag_column_of(runs, indicator, dtype)),
+                    .get_or_init(|| tag_column_of(runs, path, dtype)),
             ),
-            None => Cow::Owned(tag_column_of(runs, indicator, dtype)),
+            None => Cow::Owned(tag_column_of(runs, path, dtype)),
         }
     }
 
@@ -800,41 +817,6 @@ fn for_each_run(sel: &Bitset, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-/// Word mask of bit positions `start..end` within word `wi`.
-fn range_mask(wi: usize, start: usize, end: usize) -> u64 {
-    let lo = start.max(wi * 64);
-    let hi = end.min((wi + 1) * 64);
-    if lo >= hi {
-        return 0;
-    }
-    let lo_mask = !0u64 << (lo % 64);
-    let hi_mask = !0u64 >> (63 - (hi - 1) % 64);
-    lo_mask & hi_mask
-}
-
-fn any_in_range(sel: &Bitset, start: usize, len: usize) -> bool {
-    if len == 0 {
-        return false;
-    }
-    let end = start + len;
-    let words = sel.words();
-    (start / 64..=(end - 1) / 64)
-        .any(|wi| words.get(wi).copied().unwrap_or(0) & range_mask(wi, start, end) != 0)
-}
-
-fn clear_range(sel: &mut Bitset, start: usize, len: usize) {
-    if len == 0 {
-        return;
-    }
-    let end = start + len;
-    let words = sel.words_mut();
-    for wi in start / 64..=(end - 1) / 64 {
-        if let Some(w) = words.get_mut(wi) {
-            *w &= !range_mask(wi, start, end);
-        }
-    }
-}
-
 /// Clears selection bits whose row fails `op` against the per-row
 /// [`Ordering`] produced by `ord` (indices are window-relative).
 fn retain_by_ord(sel: &mut Bitset, op: BinOp, mut ord: impl FnMut(usize) -> Ordering) {
@@ -885,90 +867,59 @@ fn retain_cmp(col: &Column, start: usize, sel: &mut Bitset, op: BinOp, lit: &Val
             let days = d.days();
             retain_by_ord(sel, op, |i| v[start + i].cmp(&days))
         }
-        (ColumnData::Text { ids, pool }, Value::Text(s)) => match op {
-            // Equality resolves the literal to a pool id once; rows then
-            // compare by id, no string compare per row.
-            BinOp::Eq | BinOp::Ne => {
-                let lit_id = pool.id_of(s);
-                retain_by_ord(sel, op, |i| match lit_id {
-                    Some(id) => ids[start + i].cmp(&id).then(Ordering::Equal),
-                    None => Ordering::Less, // never Equal
-                })
-            }
-            _ => retain_by_ord(sel, op, |i| pool.get(ids[start + i]).cmp(s.as_str())),
-        },
+        (ColumnData::Text { ids, pool }, Value::Text(s)) => {
+            // The sorted pool places the literal once: ids below `at` are
+            // the strings before it, `at` is the literal itself when
+            // pooled; rows then compare ids, no string compare per row.
+            let at = pool.strings.partition_point(|p| p < s) as u32;
+            let pooled = pool.strings.get(at as usize) == Some(s);
+            retain_by_ord(sel, op, |i| match ids[start + i].cmp(&at) {
+                Ordering::Equal if !pooled => Ordering::Greater,
+                o => o,
+            })
+        }
         _ => return false,
     }
     true
 }
 
-/// Missing tags evaluate to NULL, borrowed from this sentinel.
-static NULL_SENTINEL: Value = Value::Null;
+/// A σ's conjuncts to run, in written order, each with the column its
+/// typed kernel reads — an application column or a tag column, resolved
+/// once per σ — or `None` for a generic conjunct.
+type Steps<'a> = Vec<(&'a Conjunct, Option<Cow<'a, Column>>)>;
 
-/// The tag value down `path`, from a run's shared tag vector.
-fn tag_path_value<'a>(tags: Option<&'a SharedTags>, path: &[Symbol]) -> &'a Value {
-    let Some(tags) = tags else {
-        return &NULL_SENTINEL;
-    };
-    let Some((first, rest)) = path.split_first() else {
-        return &NULL_SENTINEL;
-    };
-    let Some(mut node) = tags.iter().find(|t| t.indicator == *first) else {
-        return &NULL_SENTINEL;
-    };
-    for seg in rest {
-        match node.meta_tag_sym(seg) {
-            Some(n) => node = n,
-            None => return &NULL_SENTINEL,
-        }
-    }
-    &node.value
-}
-
-/// Tag-access kernels evaluate **once per run segment**: every row of a
-/// run shares one tag vector, so the verdict applies to the whole
-/// segment (cleared word-at-a-time when it fails). This is where run
-/// encoding beats the row path on bulk-tagged columns.
-fn apply_tag_kernel(
-    col: &Column,
-    path: &[Symbol],
-    kernel: &Kernel,
-    start: usize,
-    sel: &mut Bitset,
-) {
-    let len = sel.len();
-    for (off, seg_len, tags) in col.tags.window(start, len) {
-        if any_in_range(sel, off, seg_len) && !kernel.test_value(tag_path_value(tags, path)) {
-            clear_range(sel, off, seg_len);
-        }
-    }
-}
-
-/// Runs the bound predicate's conjuncts over one batch window.
+/// Runs a σ's steps over one batch window. A typed step ANDs in its
+/// column's validity (a NULL value or an absent tag drops the row) and
+/// compares on the typed array; a generic one, or one over an application
+/// column that fell back to `Mixed`, runs the scalar evaluator.
 fn filter_batch_columnar(
     crel: &ColumnarRelation,
     start: usize,
     sel: &mut Bitset,
     pred: &Predicate,
+    steps: &Steps<'_>,
 ) -> DbResult<()> {
-    for conjunct in pred.conjuncts() {
-        let kernel = &conjunct.kernel;
-        let typed = match kernel.access() {
-            Some(Access::App(ci)) => {
-                let col = &crel.columns[*ci];
+    for (conjunct, col) in steps {
+        let typed = match col {
+            Some(col) => {
                 sel.and_assign(&col.validity.extract_range(start, sel.len()));
-                match kernel {
-                    Kernel::Cmp { op, lit, .. } => retain_cmp(col, start, sel, *op, lit),
-                    Kernel::Between { lo, hi, .. } => {
+                match (&conjunct.kernel, &col.data) {
+                    // NULL-valued tags leave a tag column `Mixed`; its other
+                    // values have the indicator's declared type, so the
+                    // kernel's verdict on each value is the evaluator's
+                    (kernel, ColumnData::Mixed(v))
+                        if matches!(kernel.access(), Some(Access::Tag(..))) =>
+                    {
+                        retain(sel, |i| Ok(kernel.test_value(&v[start + i])))?;
+                        true
+                    }
+                    (Kernel::Cmp { op, lit, .. }, _) => retain_cmp(col, start, sel, *op, lit),
+                    (Kernel::Between { lo, hi, .. }, _) => {
                         retain_cmp(col, start, sel, BinOp::Ge, lo)
                             && retain_cmp(col, start, sel, BinOp::Le, hi)
                     }
-                    Kernel::Generic => unreachable!("a generic conjunct has no access"),
+                    (Kernel::Generic, _) => unreachable!("a generic conjunct has no access"),
                 }
-            }
-            Some(Access::Tag(ci, path)) => {
-                apply_tag_kernel(&crel.columns[*ci], path, kernel, start, sel);
-                true
             }
             None => false,
         };
@@ -989,16 +940,28 @@ fn publish_columnar(stats: &BatchStats) {
 }
 
 /// The shared columnar σ: batch windows filter to a selection —
-/// parallel per [`par::plan`]; batches own disjoint rows, so the
-/// workers' bitsets merge by OR. Which rows survive, not the rows:
-/// [`ColumnarRelation::gather`] assembles them, an aggregate folds them
-/// where they lie ([`ColumnarRelation::aggregate`]).
+/// parallel per [`par::plan_index`], the whole-layout scan's cost model;
+/// batches own disjoint rows, so the workers' bitsets merge by OR. Given
+/// the index's `candidates`, the atoms it answered are not re-checked.
+/// Which rows survive, not the rows: [`ColumnarRelation::gather`]
+/// assembles them, an aggregate folds them where they lie
+/// ([`ColumnarRelation::aggregate`]).
 fn run_selection(
     crel: &ColumnarRelation,
     candidates: Option<&Bitset>,
-    pred: Option<&Predicate>,
+    pred: &Predicate,
     batch_size: usize,
 ) -> DbResult<(Bitset, BatchStats)> {
+    let steps: Steps<'_> = (pred.conjuncts().iter())
+        .filter(|c| !(candidates.is_some() && c.atom))
+        .map(|c| {
+            let col = c.kernel.access().map(|access| match access {
+                Access::App(ci) => Cow::Borrowed(&crel.columns[*ci]),
+                Access::Tag(ci, path) => crel.tag_column(*ci, path),
+            });
+            (c, col)
+        })
+        .collect();
     let len = crel.len;
     let batch_size = batch_size.max(1);
     let nbatches = len.div_ceil(batch_size);
@@ -1019,9 +982,7 @@ fn run_selection(
             let _t = dq_obs::histogram!("columnar.batch_us").start();
             stats.batches += 1;
             stats.rows_in += picked;
-            if let Some(pred) = pred {
-                filter_batch_columnar(crel, start, &mut sel, pred)?;
-            }
+            filter_batch_columnar(crel, start, &mut sel, pred, &steps)?;
             stats.rows_out += sel.count();
             if start.is_multiple_of(64) {
                 out.or_words_at(start / 64, &sel);
@@ -1031,7 +992,7 @@ fn run_selection(
         }
         Ok((out, stats))
     };
-    let (sel, stats) = match par::plan(len) {
+    let (sel, stats) = match par::plan_index(len) {
         Some(threads) if nbatches > 1 => {
             let parts = par::run_ranges(nbatches, threads.min(nbatches), |_, r| run_range(r));
             let mut sel = Bitset::new(len);
@@ -1059,7 +1020,7 @@ pub fn selection_columnar(
     batch_size: usize,
 ) -> DbResult<(Bitset, BatchStats)> {
     let pred = predicate.to_predicate(&crel.schema, &crel.dict)?;
-    run_selection(crel, None, Some(&pred), batch_size)
+    run_selection(crel, None, &pred, batch_size)
 }
 
 /// How an index-assisted σ actually ran — surfaced so tests (and
@@ -1083,11 +1044,10 @@ pub enum TagAccessPath {
 
 /// Index-assisted columnar σ's selection, not yet gathered: the bitmap
 /// index's candidate words flow straight into per-batch selection
-/// vectors, and the predicate is re-checked on the candidates only when
-/// some conjunct is not an atom. Falls back to [`selection_columnar`]'s
-/// scan whenever the index cannot answer exactly (a stale index, no
-/// atoms, an atom refused for type-error parity); the returned
-/// [`TagAccessPath`] says which ran.
+/// vectors, and only the conjuncts that are not atoms run on them. Falls
+/// back to [`selection_columnar`]'s scan whenever the index cannot answer
+/// exactly (a stale index, no atoms, an atom refused for type-error
+/// parity); the returned [`TagAccessPath`] says which ran.
 pub fn selection_indexed_columnar(
     crel: &ColumnarRelation,
     index: &QualityIndex,
@@ -1098,7 +1058,7 @@ pub fn selection_indexed_columnar(
     let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
     let scan = || -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
         dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
-        let (sel, stats) = run_selection(crel, None, Some(&pred), batch_size)?;
+        let (sel, stats) = run_selection(crel, None, &pred, batch_size)?;
         Ok((sel, TagAccessPath::Scan, stats))
     };
     let atoms = pred.atoms();
@@ -1109,11 +1069,10 @@ pub fn selection_indexed_columnar(
         return scan();
     };
     dq_obs::counter!("tagstore.bitmap.intersections").add(atoms.len() as u64);
-    // Re-check the *full* predicate when any residual conjunct exists:
-    // correct however residuals interleave with atoms, and atom
-    // re-checks are cheap.
-    let recheck = pred.has_residual().then_some(&*pred);
-    let (sel, stats) = run_selection(crel, Some(&bs), recheck, batch_size)?;
+    // The candidates satisfy every atom, which all come before the first
+    // conjunct that may fault: the residual conjuncts alone, in written
+    // order, give each candidate its verdict.
+    let (sel, stats) = run_selection(crel, Some(&bs), &pred, batch_size)?;
     dq_obs::counter!("tagstore.bitmap.candidate_rows").add(stats.rows_in as u64);
     dq_obs::counter!("tagstore.bitmap.gathered_rows").add(stats.rows_out as u64);
     let path = TagAccessPath::Bitmap {

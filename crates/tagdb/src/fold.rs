@@ -171,7 +171,7 @@ pub(crate) fn aggregate<R: Rows>(
             let (_, crel, rows, ci) = input_column(sources, c);
             let mut carriers = vec![QualityCell::bare(Value::Null); groups];
             for p in policies {
-                let column = crel.tag_column(ci, &p.indicator);
+                let column = crel.tag_column(ci, std::slice::from_ref(&p.indicator));
                 let tags = derive(&column, p.rule, rows, &gids, groups);
                 for (carrier, v) in carriers.iter_mut().zip(tags) {
                     if let Some(v) = v {
@@ -905,7 +905,7 @@ pub(crate) mod tests {
             let crel = ColumnarRelation::from_tagged(&t);
             for ind in ["source", "creation_time", "age", "score", "note", "analyst", "ghost"] {
                 for c in 0..t.schema().columns().len() {
-                    let column = crel.tag_column(c, &Symbol::intern(ind));
+                    let column = crel.tag_column(c, &[Symbol::intern(ind)]);
                     for (r, row) in t.iter().enumerate() {
                         let want = row[c].tag(ind).map(|t| &t.value);
                         prop_assert_eq!(column.validity.contains(r), want.is_some());

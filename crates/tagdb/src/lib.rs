@@ -155,6 +155,78 @@ mod proptests {
             })
     }
 
+
+    /// Text literals for range predicates over `t` (`[a-d]{1,2}`) and
+    /// `v@source` (`[a-c]`): below every pooled string, equal to one,
+    /// between two, and above them all.
+    const TEXT_LITS: [&str; 8] = ["", "a", "ab", "b", "bz", "c", "d", "e"];
+
+    fn lit(i: usize) -> Expr {
+        Expr::lit(TEXT_LITS[i % TEXT_LITS.len()])
+    }
+
+    fn between(e: Expr, lo: Expr, hi: Expr) -> Expr {
+        Expr::Between(Box::new(e), Box::new(lo), Box::new(hi))
+    }
+
+    /// Arbitrary relation over (k:Int, v:Int, t:Text), v and t nullable,
+    /// in the trading shape: every tagged cell of v has its own tag set
+    /// (a `creation_time` Date tag, a `source` tag carrying an
+    /// `inspection` meta-tag, an `age` tag), so no tag run spans two
+    /// rows. Any tag may be absent; with `nulls`, every fourth row's
+    /// `age` tag holds NULL, which makes `age`'s tag column `Mixed`.
+    fn arb_tag_sets() -> impl Strategy<Value = TaggedRelation> {
+        (
+            prop::collection::vec(
+                (
+                    prop::option::of(0i64..20),
+                    prop::option::of(0i64..40),
+                    prop::option::of(("[a-c]", prop::option::of("[x-z]"))),
+                    prop::option::of(0i64..30),
+                    prop::option::of("[a-d]{1,2}"),
+                ),
+                0..30,
+            ),
+            prop::bool::ANY,
+        )
+            .prop_map(|(rows, nulls)| {
+                let schema = Schema::of(&[
+                    ("k", DataType::Int),
+                    ("v", DataType::Int),
+                    ("t", DataType::Text),
+                ]);
+                let rows = rows
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, (v, day, src, age, t))| {
+                        let mut cell = QualityCell::bare(v.map(Value::Int).unwrap_or(Value::Null));
+                        if let Some(d) = day {
+                            let day = relstore::Date::from_days(d);
+                            cell.set_tag(IndicatorValue::new("creation_time", day));
+                        }
+                        if let Some((s, meta)) = src {
+                            let mut tag = IndicatorValue::new("source", s);
+                            if let Some(m) = meta {
+                                tag = tag.with_meta(IndicatorValue::new("inspection", m));
+                            }
+                            cell.set_tag(tag);
+                        }
+                        match age {
+                            _ if nulls && k % 4 == 0 => {
+                                cell.set_tag(IndicatorValue::new("age", Value::Null))
+                            }
+                            Some(a) => cell.set_tag(IndicatorValue::new("age", a)),
+                            None => {}
+                        }
+                        let t = QualityCell::bare(t.map(Value::Text).unwrap_or(Value::Null));
+                        vec![QualityCell::bare(k as i64), cell, t]
+                    })
+                    .collect();
+                TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows)
+                    .unwrap()
+            })
+    }
+
     proptest! {
         /// Stripping commutes with selection on application values:
         /// strip(σ_p(R)) is the longhand filter of strip(R).
@@ -629,6 +701,7 @@ mod proptests {
             a in arb_nullable(),
             c in 0i64..30,
             s in "[a-c]",
+            l in 0usize..8,
         ) {
             use crate::columnar::*;
             use crate::Bitset;
@@ -657,6 +730,109 @@ mod proptests {
                     prop_assert_eq!(&gathered(q), &sel_q);
                     prop_assert_eq!(&gathered(qi), &sel_q);
                     prop_assert_eq!(&gathered(t), &sel_t);
+                }
+            }
+            // Text ranges on a column and on a tag, the literal below,
+            // equal to, between or above the pooled strings
+            let ranges = [
+                Expr::col("t").lt(lit(l)),
+                Expr::col("t").le(lit(l)),
+                Expr::col("t").gt(lit(l)),
+                between(Expr::col("t"), lit(l), lit(l + 3)),
+                Expr::col("v@source").ge(lit(l)),
+                Expr::col("v@source").lt(lit(l)),
+                between(Expr::col("v@source"), lit(l), lit(l + 2)),
+            ];
+            for p in &ranges {
+                let want = select(&a, p).unwrap();
+                for threads in [1usize, 2, 8] {
+                    for bs in [1usize, 7, 1024] {
+                        let (scan, indexed) = relstore::par::with_thread_count(threads, || {
+                            (
+                                selection_columnar(&ca, p, bs).unwrap().0,
+                                selection_indexed_columnar(&ca, &idx, p, bs).unwrap().0,
+                            )
+                        });
+                        prop_assert_eq!(&gathered(scan), &want);
+                        prop_assert_eq!(&gathered(indexed), &want);
+                    }
+                }
+            }
+        }
+
+        /// σ over tag columns is the row verdict: on the trading shape
+        /// (one tag set per row), with absent and NULL-valued tags, a
+        /// meta-tag path, `BETWEEN` on a Date tag, Text ranges on a tag
+        /// and on a column, and an atom, then a residual, then a faulting
+        /// `v / 0 = 1` — the columnar σ indexed and unindexed selects the
+        /// rows [`crate::Predicate::matches`] keeps, or fails with its
+        /// error, at 1, 2, and 8 threads and batch sizes 1, 7, and 1024.
+        #[test]
+        fn tag_columns_match_the_row_verdict(
+            a in arb_tag_sets(),
+            c in 0i64..30,
+            s in "[a-c]",
+            m in "[x-z]",
+            d in 0i64..40,
+            l in 0usize..8,
+        ) {
+            use crate::columnar::*;
+            use crate::Predicate;
+            let date = |d: i64| Expr::Lit(Value::Date(relstore::Date::from_days(d)));
+            let fault = Expr::Bin(
+                Box::new(Expr::col("v")),
+                relstore::expr::BinOp::Div,
+                Box::new(Expr::lit(0i64)),
+            )
+            .eq(Expr::lit(1i64));
+            let preds = [
+                Expr::col("v@age").le(Expr::lit(c)),
+                Expr::col("v@source@inspection").eq(Expr::lit(m.as_str())),
+                Expr::col("v@source@inspection").ne(Expr::lit(m.as_str())),
+                between(Expr::col("v@creation_time"), date(d), date(d + 10)),
+                Expr::col("v@creation_time").gt(date(d)),
+                Expr::col("v@source").ge(lit(l)),
+                between(Expr::col("v@source"), lit(l), lit(l + 3)),
+                Expr::col("t").lt(lit(l)),
+                between(Expr::col("t"), lit(l), lit(l + 2)),
+                Expr::col("v@age")
+                    .le(Expr::lit(c))
+                    .and(Expr::col("v@source@inspection").eq(Expr::lit(m.as_str())))
+                    .and(fault.clone()),
+                Expr::col("v@source")
+                    .eq(Expr::lit(s.as_str()))
+                    .and(Expr::col("t").ge(lit(l)))
+                    .and(Expr::col("v@age").ge(Expr::lit(c)))
+                    .and(Expr::col("v@creation_time").le(date(d))),
+                fault.clone().and(Expr::col("v@age").le(Expr::lit(c))),
+            ];
+            let idx = crate::bitmap::QualityIndex::build(&a);
+            let ca = ColumnarRelation::from_tagged(&a);
+            for e in &preds {
+                let p = Predicate::bind(a.schema(), a.dictionary(), e).unwrap();
+                let verdict: Result<Vec<_>, String> = a
+                    .iter()
+                    .filter_map(|row| match p.matches(row) {
+                        Ok(keep) => keep.then(|| Ok(row.clone())),
+                        Err(err) => Some(Err(err.to_string())),
+                    })
+                    .collect();
+                let gathered = |r: relstore::DbResult<crate::Bitset>| -> Result<Vec<_>, String> {
+                    r.map(|sel| ca.gather(&sel).to_tagged().rows().to_vec())
+                        .map_err(|err| err.to_string())
+                };
+                for threads in [1usize, 2, 8] {
+                    for bs in [1usize, 7, 1024] {
+                        let (scan, indexed) = relstore::par::with_thread_count(threads, || {
+                            (
+                                gathered(selection_columnar(&ca, &p, bs).map(|r| r.0)),
+                                gathered(selection_indexed_columnar(&ca, &idx, &p, bs).map(|r| r.0)),
+                            )
+                        });
+                        let at = format!("{e} at {threads} threads, batch {bs}");
+                        prop_assert!(scan == verdict, "scan {scan:?} != {verdict:?}: {at}");
+                        prop_assert!(indexed == verdict, "indexed {indexed:?} != {verdict:?}: {at}");
+                    }
                 }
             }
         }

@@ -23,10 +23,11 @@
 //!   checks.
 //!
 //! A key or atom conjunct also carries its kernel form: a σ without the
-//! index still runs it. Key and atoms come only from the conjuncts written
-//! before the first generic one that may fault (arithmetic, a function, an
-//! undeclared operand): a scan runs that conjunct on every row, so no
-//! index may narrow the rows it reads. The planner binds each σ it
+//! index still runs it, and one given the bitmap's candidates skips the
+//! atoms, which binding marks. Key and atoms come only from the conjuncts
+//! written before the first generic one that may fault (arithmetic, a
+//! function, an undeclared operand): a scan runs that conjunct on every
+//! row, so no index may narrow the rows it reads. The planner binds each σ it
 //! builds, so executing a cached plan binds nothing. Functions that take a predicate accept a
 //! [`Predicate`] or an [`Expr`] ([`ToPredicate`]); an `Expr` is bound on
 //! the spot.
@@ -67,11 +68,14 @@ pub struct Predicate {
     atoms: Vec<QualityAtom>,
 }
 
-/// One top-level AND conjunct: its bound subtree and its batch form.
+/// One top-level AND conjunct: its bound subtree, its batch form, and
+/// whether it is one of the [`Predicate::atoms`], which a σ given the
+/// index's candidates need not re-check.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Conjunct {
     pub(crate) expr: CompiledExpr,
     pub(crate) kernel: Kernel,
+    pub(crate) atom: bool,
 }
 
 /// How a kernel reads its column: an application cell value or a tag
@@ -370,6 +374,7 @@ impl Predicate {
                 },
                 None => Kernel::Generic,
             };
+            let mut atom = false;
             match shape {
                 _ if !narrows => {}
                 Some(Shape::Cmp(i, BinOp::Eq, lit)) if i < base && key.is_none() => {
@@ -385,6 +390,7 @@ impl Predicate {
                             pseudo: format!("{}@{indicator}", schema.columns()[*ci].name),
                             op: s.atom_op(),
                         });
+                        atom = true;
                     }
                 }
                 _ => {}
@@ -393,6 +399,7 @@ impl Predicate {
             conjuncts.push(Conjunct {
                 expr: part.clone(),
                 kernel,
+                atom,
             });
         }
         Ok(Predicate {
@@ -442,8 +449,8 @@ impl Predicate {
         &self.atoms
     }
 
-    /// True when some conjunct is not a bitmap atom, so rows the index
-    /// selects must be re-checked.
+    /// True when some conjunct is not a bitmap atom, so those conjuncts
+    /// must still run on the rows the index selects.
     pub fn has_residual(&self) -> bool {
         self.atoms.len() < self.conjuncts.len()
     }

@@ -241,37 +241,49 @@ impl TaggedRelation {
     /// `value (tag, tag)`.
     pub fn to_paper_table(&self) -> String {
         let names = self.schema.names();
-        let rendered: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|c| c.to_paper_string()).collect())
-            .collect();
+        // every cell written once into one buffer; `ends` marks where
+        // each stops, and the widths are byte lengths
+        let mut cells = String::new();
+        let mut ends = Vec::with_capacity(self.rows.len() * names.len());
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+        for row in &self.rows {
+            for (w, c) in widths.iter_mut().zip(row) {
+                let at = cells.len();
+                c.write_paper(&mut cells);
+                *w = (*w).max(cells.len() - at);
+                ends.push(cells.len());
             }
         }
-        let mut out = String::new();
+        let mut out = String::with_capacity(cells.len() + 4 * ends.len());
         let sep = |out: &mut String| {
             out.push('+');
             for w in &widths {
-                out.push_str(&"-".repeat(w + 2));
+                out.extend(std::iter::repeat_n('-', w + 2));
                 out.push('+');
             }
             out.push('\n');
         };
+        // a cell left-aligned in `w` chars, as `format!("{:<w$}")` pads
+        let pad = |out: &mut String, cell: &str, w: usize| {
+            out.push(' ');
+            out.push_str(cell);
+            let fill = w.saturating_sub(cell.chars().count());
+            out.extend(std::iter::repeat_n(' ', fill));
+            out.push_str(" |");
+        };
         sep(&mut out);
         out.push('|');
         for (n, w) in names.iter().zip(&widths) {
-            out.push_str(&format!(" {n:<w$} |"));
+            pad(&mut out, n, *w);
         }
         out.push('\n');
         sep(&mut out);
-        for row in &rendered {
+        let (mut ends, mut at) = (ends.into_iter(), 0);
+        for _ in &self.rows {
             out.push('|');
-            for (cell, w) in row.iter().zip(&widths) {
-                out.push_str(&format!(" {cell:<w$} |"));
+            for (w, end) in widths.iter().zip(ends.by_ref()) {
+                pad(&mut out, &cells[at..end], *w);
+                at = end;
             }
             out.push('\n');
         }

@@ -45,6 +45,13 @@ filtered -p tagstore join_pairs
 # column against the cells' tag values, at a higher case count.
 filtered -p tagstore group_ids
 
+# σ over tag columns: each conjunct on its typed tag or value column
+# (one tag set per row, absent and NULL-valued tags, a meta-tag path,
+# Date and Text ranges, an atom then a residual then a fault), indexed
+# and unindexed, against `Predicate::matches` with its errors, at 1/2/8
+# threads and every batch size, at a higher case count.
+filtered -p tagstore tag_columns_match_the_row_verdict
+
 # Declared integrity: the ER mapping's key and reference check against
 # the same check written row at a time (Int/Text keys of one or two
 # columns, NULL components, repeated keys, orphans), at a higher case
