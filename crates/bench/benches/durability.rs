@@ -49,7 +49,7 @@ fn open_empty(group_commit: bool) -> DurableDb {
 }
 
 fn row(i: usize) -> TaggedRow {
-    vec![QualityCell::bare(i as i64), QualityCell::bare("payload-0123456789")]
+    TaggedRow::from([QualityCell::bare(i as i64), QualityCell::bare("payload-0123456789")])
 }
 
 /// A MemFs holding a clean log of `records` committed pushes,

@@ -879,7 +879,7 @@ impl Output<'_> {
                 .collect()
         }
         let row = |r: &TaggedRow| cells(&srcs, |c| Cow::Borrowed(&r[c]));
-        let rows = match self {
+        let rows: Vec<TaggedRow> = match self {
             Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, None)) => {
                 match relstore::par::plan(rel.len()) {
                     Some(threads) => {
@@ -1925,6 +1925,41 @@ mod tests {
         for sql in [by_key, by_tag] {
             assert_eq!(run(&master, sql).unwrap().relation().len(), 1, "{sql}");
             assert_eq!(run(&pinned, sql).unwrap().relation().len(), 0, "{sql}");
+        }
+    }
+
+    /// A `TAG`'s successor shares every row it did not tag with its
+    /// predecessor, whose rows stay as they were, on the fast path and on
+    /// the conflict path alike.
+    #[test]
+    fn tag_successor_shares_untagged_rows() {
+        let deep = |rel: &TaggedRelation| -> Vec<Vec<QualityCell>> {
+            rel.iter().map(|r| r.to_vec()).collect()
+        };
+        let mut master = catalog();
+        let snap = master.snapshot();
+        let w1 = prepare_write(
+            &snap,
+            "TAG stocks SET price@inspection = 'A' WHERE ticker = 'FRT'",
+        )
+        .unwrap();
+        let w2 = prepare_write(
+            &snap,
+            "TAG stocks SET price@inspection = 'B' WHERE price >= 20.0",
+        )
+        .unwrap();
+        // w2 was prepared before w1 landed: it takes the conflict path
+        for w in [w1, w2] {
+            let pinned = master.snapshot();
+            let old = pinned.get("stocks").unwrap();
+            let copy = deep(old);
+            let rows: Vec<usize> = w.tags().iter().map(|(row, ..)| *row).collect();
+            w.apply(&mut master).unwrap();
+            assert_eq!(deep(old), copy);
+            let new = master.get("stocks").unwrap();
+            for (i, (a, b)) in old.iter().zip(new.iter()).enumerate() {
+                assert_eq!(Arc::ptr_eq(a, b), !rows.contains(&i), "row {i}");
+            }
         }
     }
 

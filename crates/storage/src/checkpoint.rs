@@ -342,9 +342,9 @@ mod tests {
                 schema: Schema::of(&[("name", DataType::Text)]),
                 dict: vec![IndicatorDef::new("source", DataType::Text, "origin")],
                 relation_tags: vec![IndicatorValue::new("source", "bulk import")],
-                rows: vec![vec![
+                rows: vec![TaggedRow::from([
                     QualityCell::bare("Fruit Co").with_tag(IndicatorValue::new("source", "Nexis")),
-                ]],
+                ])],
             }],
             paged: vec![PagedSnapshot {
                 name: "trades".into(),

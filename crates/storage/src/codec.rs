@@ -134,7 +134,7 @@ impl Encoder {
     /// A tagged row.
     pub fn put_tagged_row(&mut self, row: &TaggedRow) {
         self.put_u32(row.len() as u32);
-        for c in row {
+        for c in row.iter() {
             self.put_cell(c);
         }
     }
@@ -316,7 +316,7 @@ impl<'a> Decoder<'a> {
         for _ in 0..n {
             row.push(self.get_cell()?);
         }
-        Ok(row)
+        Ok(row.into())
     }
 
     /// An [`IndicatorDef`].

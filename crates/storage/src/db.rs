@@ -436,7 +436,8 @@ impl DurableDb {
     }
 
     /// Appends a tagged row (validated).
-    pub fn push(&mut self, name: &str, row: TaggedRow) -> DbResult<()> {
+    pub fn push(&mut self, name: &str, row: impl Into<TaggedRow>) -> DbResult<()> {
+        let row = row.into();
         self.tagged_mut(name)?.push(row.clone())?;
         self.log(WalRecord::TagPush {
             name: name.to_owned(),
@@ -514,7 +515,8 @@ impl DurableDb {
     }
 
     /// Appends a row to a paged relation.
-    pub fn paged_push(&mut self, name: &str, row: TaggedRow) -> DbResult<()> {
+    pub fn paged_push(&mut self, name: &str, row: impl Into<TaggedRow>) -> DbResult<()> {
+        let row = row.into();
         let rel = self
             .paged
             .get_mut(name)
@@ -1034,7 +1036,7 @@ mod tests {
 
     /// A `company` row of bare cells.
     fn company(ticker: &str, price: f64) -> TaggedRow {
-        vec![QualityCell::bare(ticker), QualityCell::bare(price)]
+        TaggedRow::from([QualityCell::bare(ticker), QualityCell::bare(price)])
     }
 
     fn seed(db: &mut DurableDb) {
@@ -1207,7 +1209,7 @@ mod tests {
         if i % 3 == 0 {
             cell.set_tag(IndicatorValue::new("source", "feed"));
         }
-        vec![QualityCell::bare(i), cell]
+        TaggedRow::from([QualityCell::bare(i), cell])
     }
 
     fn open_paged(fs: &MemFs, group_commit: bool) -> DurableDb {

@@ -215,7 +215,7 @@ impl PagedRelation {
     pub fn validate_push(&self, pool: &BufferPool, row: &TaggedRow) -> DbResult<()> {
         let values: relstore::Row = row.iter().map(|c| c.value.clone()).collect();
         self.schema.check_row(&values)?;
-        for cell in row {
+        for cell in row.iter() {
             for tag in cell.tags() {
                 self.dict.check(tag)?;
             }
@@ -281,7 +281,7 @@ impl PagedRelation {
         let ci = self.schema.resolve(column)?;
         let (hp, hs) = self.read_rid(pool, gate, row)?;
         let mut trow = self.read_record(pool, gate, hp, hs)?;
-        trow[ci].set_tag(tag);
+        Arc::make_mut(&mut trow)[ci].set_tag(tag);
         let bytes = encode_row(&trow);
         let max = Page::max_record(pool.page_size());
         if bytes.len() > max {
@@ -646,7 +646,7 @@ mod tests {
         if let Some(s) = src {
             cell.set_tag(IndicatorValue::new("source", s));
         }
-        vec![QualityCell::bare(k), cell]
+        TaggedRow::from([QualityCell::bare(k), cell])
     }
 
     fn push(pool: &mut BufferPool, rel: &mut PagedRelation, r: TaggedRow) {
@@ -786,13 +786,13 @@ mod tests {
         push(&mut pool, &mut rel, row(1, "ok", None));
         // wrong arity
         assert!(rel
-            .validate_push(&pool, &vec![QualityCell::bare(1i64)])
+            .validate_push(&pool, &TaggedRow::from([QualityCell::bare(1i64)]))
             .is_err());
         // wrong type
         assert!(rel
             .validate_push(
                 &pool,
-                &vec![QualityCell::bare("str"), QualityCell::bare("v")]
+                &TaggedRow::from([QualityCell::bare("str"), QualityCell::bare("v")])
             )
             .is_err());
         // undeclared indicator

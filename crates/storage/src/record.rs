@@ -251,10 +251,10 @@ mod tests {
         });
         roundtrip(WalRecord::TagPush {
             name: "stock".into(),
-            row: vec![
+            row: TaggedRow::from([
                 QualityCell::bare(9i64),
                 QualityCell::bare("NYSE").with_tag(IndicatorValue::new("source", "feed")),
-            ],
+            ]),
         });
         roundtrip(WalRecord::TagCell {
             name: "stock".into(),
@@ -286,9 +286,9 @@ mod tests {
         });
         roundtrip(WalRecord::PagedPush {
             name: "trades".into(),
-            row: vec![
+            row: TaggedRow::from([
                 QualityCell::bare(500i64).with_tag(IndicatorValue::new("source", "feed")),
-            ],
+            ]),
         });
         roundtrip(WalRecord::PagedTagCell {
             name: "trades".into(),

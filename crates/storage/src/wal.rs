@@ -375,7 +375,7 @@ mod tests {
     fn rec(i: i64) -> WalRecord {
         WalRecord::TagPush {
             name: "t".into(),
-            row: vec![QualityCell::bare(i)],
+            row: vec![QualityCell::bare(i)].into(),
         }
     }
 

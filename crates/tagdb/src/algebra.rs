@@ -22,6 +22,7 @@ use crate::symbol::Symbol;
 use relstore::algebra::AggCall;
 use relstore::{par, Date, DbError, DbResult, Row, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Evaluates an expression (which may reference `col@indicator` and
 /// nested `col@ind@meta` pseudo-columns) on the rows at `ids`, returning
@@ -76,9 +77,9 @@ pub fn evaluate_mask(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbRe
 /// Each row gets [`crate::Predicate::matches`]'s verdict, row by row
 /// through the scalar evaluator. This is σ over an operator's output
 /// (`HAVING`, a join residual) and the reference the columnar, bitmap
-/// and paged σ are tested against. Surviving rows are cloned — a
-/// refcount bump per tagged cell, not a deep copy of its tags. Large
-/// inputs filter in parallel chunks with input order preserved.
+/// and paged σ are tested against. Surviving rows are shared — a
+/// refcount bump per row, not a copy of its cells. Large inputs filter
+/// in parallel chunks with input order preserved.
 pub fn select(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbResult<TaggedRelation> {
     let bound = predicate.to_predicate(rel.schema(), rel.dictionary())?;
     let filter_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<TaggedRow>> {
@@ -202,9 +203,7 @@ pub fn hash_join(
             }
             if let Some(matches) = table.get(&lr[li].value) {
                 for rr in matches {
-                    let mut combined = lr.clone();
-                    combined.extend(rr.iter().cloned());
-                    out.push(combined);
+                    out.push(lr.iter().chain(rr.iter()).cloned().collect());
                 }
             }
         }
@@ -237,7 +236,8 @@ pub fn distinct_merging(rel: &TaggedRelation) -> TaggedRelation {
         let key: Row = row.iter().map(|c| c.value.clone()).collect();
         match index.get(&key) {
             Some(&pos) => {
-                for (c, (mine, theirs)) in out[pos].iter_mut().zip(row.iter()).enumerate() {
+                let merged = Arc::make_mut(&mut out[pos]).iter_mut();
+                for (c, (mine, theirs)) in merged.zip(row.iter()).enumerate() {
                     for t in theirs.tags() {
                         if mine.tag_sym(&t.indicator).is_some_and(|m| m != t) {
                             disputed.insert((pos, c, t.indicator.clone()));
@@ -372,7 +372,8 @@ mod tests {
 
     /// A relation of bare cells from plain rows.
     fn bare(cols: &[(&str, DataType)], rows: Vec<Vec<Value>>) -> TaggedRelation {
-        let rows = rows.into_iter().map(|r| r.into_iter().map(QualityCell::bare).collect());
+        let row = |r: Vec<Value>| r.into_iter().map(QualityCell::bare).collect::<TaggedRow>();
+        let rows = rows.into_iter().map(row);
         TaggedRelation::new(
             Schema::of(cols),
             IndicatorDictionary::with_paper_defaults(),

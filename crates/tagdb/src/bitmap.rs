@@ -673,7 +673,7 @@ pub(crate) mod tests {
     // and a `TAG`'s successor table entry keep theirs.
 
     /// Appends `row`, indexing it incrementally.
-    pub(crate) fn push(rel: &mut TaggedRelation, idx: &mut QualityIndex, row: TaggedRow) {
+    pub(crate) fn push(rel: &mut TaggedRelation, idx: &mut QualityIndex, row: Vec<QualityCell>) {
         rel.push(row).unwrap();
         idx.note_row(rel.rows().last().expect("just pushed"));
     }
@@ -998,7 +998,7 @@ pub(crate) mod tests {
         let mut inc = TaggedRelation::empty(r.schema().clone(), r.dictionary().clone());
         let mut idx = QualityIndex::new();
         for row in r.iter() {
-            push(&mut inc, &mut idx, row.clone());
+            push(&mut inc, &mut idx, row.to_vec());
         }
         assert_eq!(idx, QualityIndex::build(&r));
     }

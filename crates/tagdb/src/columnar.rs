@@ -414,32 +414,38 @@ fn typed_layout<'v>(
 /// The tag value down indicator `path` in each cell of `runs`, as a
 /// column of `dtype`'s layout (`Mixed` when undeclared or heterogeneous),
 /// valid where the cell carries the tag; an empty `Mixed` when no cell
-/// does.
-fn tag_column_of(runs: &TagRuns, path: &[Symbol], dtype: Option<DataType>) -> Column {
+/// does. One pass over the runs reads each tag set and fills the typed
+/// layout; only a `Mixed` column reads them again.
+fn tag_column_of<'r>(runs: &'r TagRuns, path: &[Symbol], dtype: Option<DataType>) -> Column {
     let (first, rest) = path.split_first().expect("a tag path names an indicator");
-    let spread = runs.window(0, runs.len).map(|(_, len, tags)| {
-        let tag = (tags.and_then(|t| t.iter().find(|t| t.indicator == *first)))
-            .and_then(|t| rest.iter().try_fold(t, |t, m| t.meta_tag_sym(m)));
-        (len, tag.map(|t| &t.value))
-    });
+    let value = |tags: Option<&'r SharedTags>| {
+        (tags.and_then(|t| t.iter().find(|t| t.indicator == *first)))
+            .and_then(|t| rest.iter().try_fold(t, |t, m| t.meta_tag_sym(m)))
+            .map(|t| &t.value)
+    };
     let mut validity = Bitset::new(runs.len);
-    let mut at = 0;
-    for (len, v) in spread.clone() {
+    let mut spread = runs.window(0, runs.len).map(|(at, len, tags)| {
+        let v = value(tags);
         if v.is_some() {
             validity.set_range(at, len);
         }
-        at += len;
-    }
-    let data = if validity.none() {
+        (len, v)
+    });
+    // the typed layout stops at the first value of another type; the
+    // runs after it still mark validity
+    let typed = dtype.and_then(|dtype| typed_layout(&mut spread, runs.len, dtype));
+    spread.for_each(drop);
+    let data = match typed {
         // no cell carries it: every read stops at the validity bit
-        ColumnData::Mixed(Vec::new())
-    } else {
-        let typed = dtype.and_then(|dtype| typed_layout(spread.clone(), runs.len, dtype));
-        typed.unwrap_or_else(|| {
-            let cells = spread
-                .flat_map(|(len, v)| std::iter::repeat_n(v.cloned().unwrap_or(Value::Null), len));
-            ColumnData::Mixed(cells.collect())
-        })
+        _ if validity.none() => ColumnData::Mixed(Vec::new()),
+        Some(data) => data,
+        None => ColumnData::Mixed(
+            (runs.window(0, runs.len))
+                .flat_map(|(_, len, tags)| {
+                    std::iter::repeat_n(value(tags).cloned().unwrap_or(Value::Null), len)
+                })
+                .collect(),
+        ),
     };
     let mut tags = TagRuns::default();
     tags.extend_run(None, runs.len);
@@ -891,13 +897,16 @@ type Steps<'a> = Vec<(&'a Conjunct, Option<Cow<'a, Column>>)>;
 /// Runs a σ's steps over one batch window. A typed step ANDs in its
 /// column's validity (a NULL value or an absent tag drops the row) and
 /// compares on the typed array; a generic one, or one over an application
-/// column that fell back to `Mixed`, runs the scalar evaluator.
+/// column that fell back to `Mixed`, runs the scalar evaluator on
+/// `scratch`, a row of the σ's own where only what the conjunct reads is
+/// filled in: a column's value, or a whole cell for its tags.
 fn filter_batch_columnar(
     crel: &ColumnarRelation,
     start: usize,
     sel: &mut Bitset,
     pred: &Predicate,
     steps: &Steps<'_>,
+    scratch: &mut [QualityCell],
 ) -> DbResult<()> {
     for (conjunct, col) in steps {
         let typed = match col {
@@ -924,7 +933,15 @@ fn filter_batch_columnar(
             None => false,
         };
         if !typed {
-            retain(sel, |i| pred.holds(conjunct, &crel.materialize_row(start + i)))?;
+            retain(sel, |i| {
+                for read in &conjunct.reads {
+                    match *read {
+                        Access::App(ci) => scratch[ci].value = crel.value_at(ci, start + i),
+                        Access::Tag(ci, _) => scratch[ci] = crel.cell(ci, start + i),
+                    }
+                }
+                pred.holds(conjunct, scratch)
+            })?;
         }
         if sel.none() {
             break;
@@ -968,6 +985,7 @@ fn run_selection(
     let run_range = |brange: std::ops::Range<usize>| -> DbResult<(Bitset, BatchStats)> {
         let mut out = Bitset::new(len);
         let mut stats = BatchStats::new(batch_size);
+        let mut scratch = vec![QualityCell::bare(Value::Null); crel.columns.len()];
         for b in brange {
             let start = b * batch_size;
             let blen = batch_size.min(len - start);
@@ -982,7 +1000,7 @@ fn run_selection(
             let _t = dq_obs::histogram!("columnar.batch_us").start();
             stats.batches += 1;
             stats.rows_in += picked;
-            filter_batch_columnar(crel, start, &mut sel, pred, &steps)?;
+            filter_batch_columnar(crel, start, &mut sel, pred, &steps, &mut scratch)?;
             stats.rows_out += sel.count();
             if start.is_multiple_of(64) {
                 out.or_words_at(start / 64, &sel);

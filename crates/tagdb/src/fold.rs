@@ -587,7 +587,7 @@ pub(crate) mod tests {
         }
         let mut out = Vec::new();
         for members in &groups {
-            let mut row: TaggedRow = Vec::new();
+            let mut row = Vec::new();
             for &k in &keys {
                 let mut cell = QualityCell::bare(members[0][k].value.clone());
                 for t in members[0][k].tags() {
@@ -615,7 +615,7 @@ pub(crate) mod tests {
                 }
                 row.push(cell);
             }
-            out.push(row);
+            out.push(TaggedRow::from(row));
         }
         let schema = aggregate_schema(rel.schema(), &keys, aggs)?;
         Ok(TaggedRelation::from_parts_unchecked(

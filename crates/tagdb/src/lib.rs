@@ -837,6 +837,43 @@ mod proptests {
             }
         }
 
+        /// A clone shares every row with its original, and tagging cells
+        /// of the clone deep-copies exactly the rows it tags: the original
+        /// stays equal to a deep copy taken beforehand, the clone equals
+        /// that copy tagged cell by cell, and only tagged rows stop being
+        /// the same allocation. Rows are tagged twice and cells re-tagged.
+        #[test]
+        fn shared_rows_copy_on_write(
+            rel in arb_tagged(),
+            ops in prop::collection::vec(
+                (0usize..64, any::<bool>(), prop::option::of("[a-c]"), 0i64..30),
+                0..12,
+            ),
+        ) {
+            let deep = |r: &TaggedRelation| -> Vec<Vec<QualityCell>> {
+                r.iter().map(|row| row.to_vec()).collect()
+            };
+            let before = deep(&rel);
+            let (mut clone, mut longhand) = (rel.clone(), before.clone());
+            let mut tagged = std::collections::HashSet::new();
+            for (at, on_k, src, age) in ops.into_iter().filter(|_| !rel.is_empty()) {
+                let row = at % rel.len();
+                let (column, ci) = if on_k { ("k", 0) } else { ("v", 1) };
+                let tag = match src {
+                    Some(s) => IndicatorValue::new("source", s),
+                    None => IndicatorValue::new("age", age),
+                };
+                clone.tag_cell(row, column, tag.clone()).unwrap();
+                longhand[row][ci].set_tag(tag);
+                tagged.insert(row);
+            }
+            prop_assert_eq!(deep(&rel), before);
+            prop_assert_eq!(deep(&clone), longhand);
+            for (i, (a, b)) in rel.iter().zip(clone.iter()).enumerate() {
+                prop_assert_eq!((i, std::sync::Arc::ptr_eq(a, b)), (i, !tagged.contains(&i)));
+            }
+        }
+
         /// The pair kernel plus its gather is the row hash join over the
         /// gathered inputs: on a nullable Int key with duplicates on both
         /// sides and on a nullable Text key whose two sides' string pools

@@ -68,14 +68,15 @@ pub struct Predicate {
     atoms: Vec<QualityAtom>,
 }
 
-/// One top-level AND conjunct: its bound subtree, its batch form, and
+/// One top-level AND conjunct: its bound subtree, its batch form,
 /// whether it is one of the [`Predicate::atoms`], which a σ given the
-/// index's candidates need not re-check.
+/// index's candidates need not re-check, and what it reads, once each.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Conjunct {
     pub(crate) expr: CompiledExpr,
     pub(crate) kernel: Kernel,
     pub(crate) atom: bool,
+    pub(crate) reads: Vec<Access>,
 }
 
 /// How a kernel reads its column: an application cell value or a tag
@@ -248,6 +249,30 @@ fn may_fault(e: &CompiledExpr, types: &[DataType]) -> bool {
     }
 }
 
+/// Every source position `e` reads, into `out`.
+fn positions(e: &CompiledExpr, out: &mut Vec<usize>) {
+    match e {
+        CompiledExpr::Lit(_) => {}
+        CompiledExpr::Col(i) => out.push(*i),
+        CompiledExpr::Un(_, x)
+        | CompiledExpr::IsNull(x)
+        | CompiledExpr::IsNotNull(x)
+        | CompiledExpr::Like(x, _) => positions(x, out),
+        CompiledExpr::Bin(x, _, y) => [x, y].into_iter().for_each(|x| positions(x, out)),
+        CompiledExpr::Between(x, lo, hi) => [x, lo, hi].into_iter().for_each(|x| positions(x, out)),
+        CompiledExpr::InList(x, list) => {
+            positions(x, out);
+            list.iter().for_each(|x| positions(x, out));
+        }
+        CompiledExpr::Call(_, args) => args.iter().for_each(|x| positions(x, out)),
+        CompiledExpr::Case(arms, els) => {
+            for x in arms.iter().flat_map(|(c, v)| [c, v]).chain(els.as_deref()) {
+                positions(x, out);
+            }
+        }
+    }
+}
+
 fn split_and<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e CompiledExpr>) {
     if let CompiledExpr::Bin(l, BinOp::And, r) = e {
         split_and(l, out);
@@ -396,10 +421,15 @@ impl Predicate {
                 _ => {}
             }
             narrows &= !(matches!(kernel, Kernel::Generic) && may_fault(part, &types));
+            let mut at = Vec::new();
+            positions(part, &mut at);
+            at.sort_unstable();
+            at.dedup();
             conjuncts.push(Conjunct {
                 expr: part.clone(),
                 kernel,
                 atom,
+                reads: at.into_iter().map(access).collect(),
             });
         }
         Ok(Predicate {

@@ -10,18 +10,20 @@
 use crate::cell::QualityCell;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
 use relstore::{DbError, DbResult, Relation, Row, Schema};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Separator between column and indicator in a pseudo-column name.
 pub const TAG_SEP: char = '@';
 
-/// A row of quality cells.
-pub type TaggedRow = Vec<QualityCell>;
+/// A row of quality cells, shared: a relation's clone copies one
+/// pointer per row, and tagging a cell deep-copies its row only while
+/// another relation still holds it ([`Arc::make_mut`]).
+pub type TaggedRow = Arc<[QualityCell]>;
 
 /// A relation whose cells are quality-tagged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaggedRelation {
     schema: Schema,
     dict: IndicatorDictionary,
@@ -48,7 +50,7 @@ impl TaggedRelation {
     pub fn new(
         schema: Schema,
         dict: IndicatorDictionary,
-        rows: Vec<TaggedRow>,
+        rows: Vec<impl Into<TaggedRow>>,
     ) -> DbResult<Self> {
         let mut rel = TaggedRelation::empty(schema, dict);
         for r in rows {
@@ -131,10 +133,11 @@ impl TaggedRelation {
     }
 
     /// Validates and appends a row.
-    pub fn push(&mut self, row: TaggedRow) -> DbResult<()> {
+    pub fn push(&mut self, row: impl Into<TaggedRow>) -> DbResult<()> {
+        let row = row.into();
         let values: Row = row.iter().map(|c| c.value.clone()).collect();
         self.schema.check_row(&values)?;
-        for cell in &row {
+        for cell in row.iter() {
             for tag in cell.tags() {
                 self.dict.check(tag)?;
             }
@@ -170,7 +173,7 @@ impl TaggedRelation {
         let c = self.schema.resolve(column)?;
         self.rows
             .get_mut(row)
-            .map(|r| &mut r[c])
+            .map(|r| &mut Arc::make_mut(r)[c])
             .ok_or_else(|| DbError::InvalidExpression(format!("row index {row} out of range")))
     }
 
@@ -210,12 +213,13 @@ impl TaggedRelation {
     pub fn tag_column(&mut self, column: &str, tag: IndicatorValue) -> DbResult<()> {
         self.dict.check(&tag)?;
         let c = self.schema.resolve(column)?;
-        let shared = std::sync::Arc::new(vec![tag.clone()]);
+        let shared = Arc::new(vec![tag.clone()]);
         for row in &mut self.rows {
-            if row[c].tag_count() == 0 {
-                row[c].set_shared_tags(std::sync::Arc::clone(&shared));
+            let cell = &mut Arc::make_mut(row)[c];
+            if cell.tag_count() == 0 {
+                cell.set_shared_tags(Arc::clone(&shared));
             } else {
-                row[c].set_tag(tag.clone());
+                cell.set_tag(tag.clone());
             }
         }
         Ok(())
@@ -247,7 +251,7 @@ impl TaggedRelation {
         let mut ends = Vec::with_capacity(self.rows.len() * names.len());
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
         for row in &self.rows {
-            for (w, c) in widths.iter_mut().zip(row) {
+            for (w, c) in widths.iter_mut().zip(row.iter()) {
                 let at = cells.len();
                 c.write_paper(&mut cells);
                 *w = (*w).max(cells.len() - at);

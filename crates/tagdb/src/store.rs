@@ -13,7 +13,7 @@
 
 use crate::cell::QualityCell;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
-use crate::relation::{TaggedRelation, TaggedRow};
+use crate::relation::TaggedRelation;
 use relstore::{ColumnDef, DataType, Date, DbError, DbResult, Relation, Row, Schema, Value};
 
 /// Suffix appended to each application column's quality-key column.
@@ -123,7 +123,7 @@ pub fn to_quality_store(rel: &TaggedRelation) -> DbResult<QualityStore> {
     let mut next_key: i64 = 1;
     for row in rel.iter() {
         let mut out = Vec::with_capacity(row.len() * 2);
-        for cell in row {
+        for cell in row.iter() {
             out.push(cell.value.clone());
             if cell.tags().is_empty() {
                 out.push(Value::Null);
@@ -188,7 +188,7 @@ pub fn from_quality_store(
     let mut q_pos = 0usize; // cursor into quality rows
 
     for drow in store.data.iter() {
-        let mut row: TaggedRow = Vec::with_capacity(arity);
+        let mut row = Vec::with_capacity(arity);
         for a in 0..arity {
             let value = drow[a * 2].clone();
             let qkey = &drow[a * 2 + 1];

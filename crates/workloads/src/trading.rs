@@ -363,13 +363,13 @@ fn gen_trade_row(rng: &mut StdRng, cfg: &TradingGenConfig) -> TaggedRow {
     if inspected {
         qty_cell.set_tag(IndicatorValue::new("inspection", "double entry"));
     }
-    vec![
+    TaggedRow::from([
         QualityCell::bare(acct),
         QualityCell::bare(tkr),
         QualityCell::bare(Value::Date(date)),
         qty_cell,
         QualityCell::bare(price),
-    ]
+    ])
 }
 
 /// A seeded *streaming* generator of `cfg.trades` trade rows: identical

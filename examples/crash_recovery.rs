@@ -176,7 +176,11 @@ fn run(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             want[1].set_tag(IndicatorValue::new("inspection", "audited"));
         }
         let got = db.paged_row("trades", i as u64)?;
-        assert_eq!(got, want, "paged row {i} must survive crash byte-for-byte");
+        assert_eq!(
+            got[..],
+            want[..],
+            "paged row {i} must survive crash byte-for-byte"
+        );
     }
     assert_eq!(
         db.paged_row("trades", 17)?[1].tag_value("inspection"),

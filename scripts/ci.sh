@@ -52,6 +52,12 @@ filtered -p tagstore group_ids
 # threads and every batch size, at a higher case count.
 filtered -p tagstore tag_columns_match_the_row_verdict
 
+# Shared rows: a relation's clone shares its rows, and tagging cells of
+# the clone deep-copies only the rows it tags (the original unchanged,
+# the clone equal to a longhand copy tagged cell by cell), at a higher
+# case count.
+filtered -p tagstore shared_rows_copy_on_write
+
 # Declared integrity: the ER mapping's key and reference check against
 # the same check written row at a time (Int/Text keys of one or two
 # columns, NULL components, repeated keys, orphans), at a higher case

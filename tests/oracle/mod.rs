@@ -71,7 +71,7 @@ pub fn answer(catalog: &QueryCatalog, sql: &str) -> Answer<Rel> {
     }
     let every: Vec<usize> = (0..rel.names.len()).collect();
     if q.distinct {
-        rel.rows = groups(&rel.rows, &every).iter().map(|g| merge(g, &every, false)).collect();
+        rel.rows = groups(&rel.rows, &every).iter().map(|g| merge(g, &every, false).into()).collect();
     }
     let keys: Vec<_> = q.order_by.iter().map(|o| (col(&rel.names, &o.column), o.ascending)).collect();
     rel.rows.sort_by(|a, b| {
@@ -195,7 +195,7 @@ fn join(left: Rel, right: Rel, left_key: &str, right_key: &str) -> Rel {
     let mut rows = Vec::new();
     for l in left.rows.iter().filter(|l| !l[li].value.is_null()) {
         for r in right.rows.iter().filter(|r| r[ri].value == l[li].value) {
-            rows.push(l.iter().chain(r).cloned().collect());
+            rows.push(l.iter().chain(r.iter()).cloned().collect());
         }
     }
     Rel { names: [named(&left, &right, "l"), named(&right, &left, "r")].concat(), rows, ..left }
@@ -215,7 +215,7 @@ fn groups<'r>(rows: &'r [TaggedRow], cols: &[usize]) -> Vec<Vec<&'r TaggedRow>> 
 
 /// A group's first row at `cols`, each cell with the group's tags no two
 /// members disagree on, or, when `alike`, that every member carries.
-fn merge(group: &[&TaggedRow], cols: &[usize], alike: bool) -> TaggedRow {
+fn merge(group: &[&TaggedRow], cols: &[usize], alike: bool) -> Vec<QualityCell> {
     let cell = |&c: &usize| {
         let mut cell = QualityCell::bare(group[0][c].value.clone());
         for t in group.iter().flat_map(|m| m[c].tags()) {
@@ -246,7 +246,7 @@ pub fn aggregate(rel: &Rel, keys: &[&str], calls: &[AggCall], policies: &[TagPol
             let tags = policies.iter().filter_map(|p| derive(p, &inputs)).collect();
             out.push(QualityCell::tagged(fold(call.func, &inputs)?, tags));
         }
-        rows.push(out);
+        rows.push(out.into());
     }
     let names = keys.iter().map(|k| k.to_string()).chain(calls.iter().map(|c| c.output.clone()));
     Ok(Rel { names: names.collect(), rows, dict: rel.dict.clone() })
