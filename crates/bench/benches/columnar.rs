@@ -54,7 +54,7 @@ fn bench_scan_sigma(c: &mut Criterion) {
         let pred = sigma_pred();
         let reference = ta::select(&rel, &pred).unwrap();
         let (sel, stats) = selection_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap();
-        assert_eq!(reference, crel.gather(&sel).to_tagged(), "σ parity at {rows} rows");
+        assert_eq!(reference, crel.gather(&sel), "σ parity at {rows} rows");
         assert!(stats.batches * stats.batch_size >= stats.rows_out);
         let mut g = c.benchmark_group(format!("B10/scan_sigma/{rows}"));
         g.sample_size(10);

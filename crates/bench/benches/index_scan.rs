@@ -48,7 +48,7 @@ fn bench_index(c: &mut Criterion) {
         ta::derive_age(&mut rel, "employees", today()).unwrap();
         let index = QualityIndex::build(&rel);
         let crel = ColumnarRelation::from_tagged(&rel);
-        let gathered = |sel: Bitset| -> TaggedRelation { crel.gather(&sel).to_tagged() };
+        let gathered = |sel: Bitset| -> TaggedRelation { crel.gather(&sel) };
         let scan = |p: &Expr| gathered(selection_columnar(&crel, p, DEFAULT_BATCH_SIZE).unwrap().0);
         let bitmap = |p: &Expr| {
             let (sel, path, _) =

@@ -87,7 +87,7 @@ fn bench_join_probe(c: &mut Criterion) {
         let reference = ta::hash_join(&left, &right, "co_name", "co_name").unwrap();
         assert_eq!(
             reference,
-            pairs_gather().to_tagged(),
+            pairs_gather(),
             "join parity at {rows} rows"
         );
         let mut g = c.benchmark_group(format!("B9/join/{rows}"));

@@ -5,16 +5,18 @@ use crate::cache::{NoDefaults, PreparedStatement};
 use crate::plan::{AccessPathStats, Plan, Planner};
 use relstore::algebra::AggCall;
 use relstore::index::HashIndex;
-use relstore::{ColumnDef, DataType, DbError, DbResult, Expr, Schema, Value};
+use relstore::{DataType, DbError, DbResult, Expr, Schema, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock, RwLock};
 use tagstore::algebra::{self, TagPolicy, TagRule};
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
-    selection_columnar, selection_indexed_columnar, BatchStats, Bitset, IndicatorDictionary,
-    JoinPairs, Predicate, QualityCell, TaggedRelation, TaggedRow, DEFAULT_BATCH_SIZE,
+    selection_columnar, selection_indexed_columnar, BatchStats, Bitset, ColumnarView,
+    IndicatorDictionary, JoinPairs, Predicate, QualityCell, TaggedRelation, TaggedRow, ViewSource,
+    DEFAULT_BATCH_SIZE,
 };
 
 /// Page-level I/O counters a [`PagedProvider`] reports for one indexed
@@ -348,17 +350,66 @@ impl AccessPathStats for QueryCatalog {
     }
 }
 
+/// A statement's tabular answer: rows, or — for a σ or ⋈ over resident
+/// tables, and a π over either — a [`ColumnarView`] of the layouts they
+/// read. [`Answer::to_paper_table`] renders a view from the layouts; its
+/// rows are built once, when a caller first derefs the answer to a
+/// [`TaggedRelation`].
+#[derive(Debug, Clone)]
+pub struct Answer {
+    view: Option<ColumnarView>,
+    rows: OnceLock<TaggedRelation>,
+}
+
+impl Answer {
+    /// The answer's paper-table rendering (see
+    /// [`TaggedRelation::to_paper_table`]), from the view when there is one.
+    pub fn to_paper_table(&self) -> String {
+        match &self.view {
+            Some(view) => view.to_paper_table(),
+            None => self.deref().to_paper_table(),
+        }
+    }
+}
+
+impl From<TaggedRelation> for Answer {
+    fn from(rel: TaggedRelation) -> Self {
+        Answer { view: None, rows: OnceLock::from(rel) }
+    }
+}
+
+impl From<ColumnarView> for Answer {
+    fn from(view: ColumnarView) -> Self {
+        Answer { view: Some(view), rows: OnceLock::new() }
+    }
+}
+
+impl Deref for Answer {
+    type Target = TaggedRelation;
+
+    fn deref(&self) -> &TaggedRelation {
+        let gather = || self.view.as_ref().expect("an answer holds rows or a view").gather();
+        self.rows.get_or_init(gather)
+    }
+}
+
+impl PartialEq for Answer {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// Result of executing a statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
     /// A tagged relation (SELECT).
-    Table(TaggedRelation),
+    Table(Answer),
     /// A rendered inspection report (INSPECT) plus the underlying rows.
     Inspection {
         /// Paper-style rendering with tags in parentheses.
         report: String,
         /// The inspected rows.
-        rows: TaggedRelation,
+        rows: Answer,
     },
     /// EXPLAIN output: the rendered plan, or — for `EXPLAIN ANALYZE` —
     /// the execution trace annotated with actual rows, timings, and
@@ -367,7 +418,7 @@ pub enum QueryResult {
         /// Rendered plan (EXPLAIN) or annotated trace (EXPLAIN ANALYZE).
         report: String,
         /// Result rows; `Some` only for ANALYZE (the plan was executed).
-        rows: Option<TaggedRelation>,
+        rows: Option<Answer>,
     },
 }
 
@@ -635,7 +686,7 @@ impl TagWrite {
         )?;
         let next = current.successor(self.updated, &self.tags)?;
         master.install(self.table, next);
-        Ok(QueryResult::Table(result))
+        Ok(QueryResult::Table(result.into()))
     }
 }
 
@@ -716,30 +767,29 @@ fn prepare_tag(catalog: &QueryCatalog, stmt: Statement) -> DbResult<TagWrite> {
 /// a few microseconds and the scaffolding would cost more than the
 /// query. `query.ops` / `query.rows_out` still tick per operator; the
 /// `query.op_us` histogram only gets samples from traced runs.
-pub fn execute(catalog: &QueryCatalog, plan: &Plan) -> DbResult<TaggedRelation> {
-    walk::<NoTrace>(catalog, plan, false)?.0.into_rows()
+pub fn execute(catalog: &QueryCatalog, plan: &Plan) -> DbResult<Answer> {
+    walk::<NoTrace>(catalog, plan)?.0.into_answer()
 }
 
 /// Executes a logical plan through the same walker as [`execute`],
 /// returning the result alongside the per-operator [`OpTrace`] that
 /// `EXPLAIN ANALYZE` renders.
-pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(TaggedRelation, OpTrace)> {
-    let (out, trace) = walk::<TraceTree>(catalog, plan, false)?;
-    Ok((out.into_rows()?, trace))
+pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(Answer, OpTrace)> {
+    let (out, trace) = walk::<TraceTree>(catalog, plan)?;
+    Ok((out.into_answer()?, trace))
 }
 
 /// An operator's answer before its rows are built, where a parent reads
 /// it as it lies: σ over a resident base table ([`select_base`]) or a ⋈
 /// of two inputs. A γ folds it, π reads only its columns, a ⋈ probes
-/// it; any other parent gathers it once.
+/// it, the statement answers with it; any other parent gathers it once.
 enum Selection<'c> {
     /// Rows of a table's relation: every one (a bare scan), or the
     /// positions a keyed predicate kept.
     Rows(&'c TableEntry, Option<Vec<usize>>),
-    /// The σ kernels' selection over the table's columnar layout.
-    Columnar(Arc<ColumnarRelation>, Bitset),
-    /// A ⋈'s matched position pairs over its two inputs' layouts.
-    Pairs(JoinPairs),
+    /// The σ kernels' selection over the table's columnar layout, or a
+    /// ⋈'s matched position pairs over its two inputs' layouts.
+    Columnar(ViewSource),
 }
 
 impl<'c> Selection<'c> {
@@ -747,8 +797,7 @@ impl<'c> Selection<'c> {
         match self {
             Selection::Rows(entry, None) => entry.rel.len(),
             Selection::Rows(_, Some(at)) => at.len(),
-            Selection::Columnar(_, sel) => sel.count(),
-            Selection::Pairs(pairs) => pairs.len(),
+            Selection::Columnar(source) => source.len(),
         }
     }
 
@@ -756,34 +805,25 @@ impl<'c> Selection<'c> {
         match self {
             Selection::Rows(entry, None) => Ok(entry.rel.clone()),
             Selection::Rows(entry, Some(at)) => algebra::select_at(&entry.rel, &at),
-            Selection::Columnar(crel, sel) => Ok(crel.gather(&sel).to_tagged()),
-            Selection::Pairs(pairs) => Ok(pairs.gather().to_tagged()),
+            Selection::Columnar(source) => Ok(ColumnarView::whole(source).gather()),
         }
-    }
-
-    /// The operator's output: the selection itself when the parent reads
-    /// it where it lies (`lazy`), else its rows.
-    fn output(self, lazy: bool) -> DbResult<Output<'c>> {
-        Ok(if lazy {
-            Output::Selected(self)
-        } else {
-            Output::Rows(self.gather()?)
-        })
     }
 }
 
-/// What an operator hands its parent: rows, or a [`Selection`] the
-/// parent asked for as it stands.
+/// What an operator hands its parent: rows, a [`Selection`] as it
+/// stands, or π's view of a columnar selection.
 enum Output<'c> {
     Rows(TaggedRelation),
     Selected(Selection<'c>),
+    View(ColumnarView),
 }
 
-impl Output<'_> {
+impl<'c> Output<'c> {
     fn len(&self) -> usize {
         match self {
             Output::Rows(rel) => rel.len(),
             Output::Selected(sel) => sel.len(),
+            Output::View(view) => view.len(),
         }
     }
 
@@ -791,7 +831,18 @@ impl Output<'_> {
         match self {
             Output::Rows(rel) => Ok(rel),
             Output::Selected(sel) => sel.gather(),
+            Output::View(view) => Ok(view.gather()),
         }
+    }
+
+    /// The statement's answer: a columnar selection, a join's pairs and
+    /// π's view of either stay views; anything else is rows.
+    fn into_answer(self) -> DbResult<Answer> {
+        Ok(match self {
+            Output::View(view) => view.into(),
+            Output::Selected(Selection::Columnar(source)) => ColumnarView::whole(source).into(),
+            rows => rows.into_rows()?.into(),
+        })
     }
 
     /// The rows as a join or γ reads them: a columnar layout, the rows of
@@ -800,7 +851,9 @@ impl Output<'_> {
     /// layout, and anything else is gathered and lifted once.
     fn columnar(self) -> DbResult<(Arc<ColumnarRelation>, Bitset, bool)> {
         let (crel, lifted) = match self {
-            Output::Selected(Selection::Columnar(crel, sel)) => return Ok((crel, sel, false)),
+            Output::Selected(Selection::Columnar(ViewSource::Selected(crel, sel))) => {
+                return Ok((crel, sel, false))
+            }
             Output::Selected(Selection::Rows(entry, None)) => (entry.columnar(), false),
             other => {
                 let rel = other.into_rows()?;
@@ -821,7 +874,7 @@ impl Output<'_> {
     ) -> DbResult<(TaggedRelation, &'static str)> {
         let policies = default_agg_policies();
         match self {
-            Output::Selected(Selection::Pairs(pairs)) => {
+            Output::Selected(Selection::Columnar(ViewSource::Paired(pairs))) => {
                 Ok((pairs.aggregate(group_by, aggs, &policies)?, "pairs"))
             }
             other => {
@@ -834,77 +887,42 @@ impl Output<'_> {
 
     /// π over the output. Plain columns travel with their tags, and a
     /// pseudo-column (`price@age`, `price@source@credibility`) becomes
-    /// the tag's value as a bare cell. Rows are projected as they are; a
-    /// selection builds each output row from only the projected columns.
-    fn project(&self, columns: &[(String, String)]) -> DbResult<TaggedRelation> {
-        let (schema, dict) = match self {
-            Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, _)) => {
-                (rel.schema(), rel.dictionary())
+    /// the tag's value as a bare cell. A columnar selection or a join's
+    /// pairs answer with a view of them; rows are projected as they are.
+    fn project(self, columns: &[(String, String)]) -> DbResult<Output<'c>> {
+        let (rel, at) = match self {
+            Output::Selected(Selection::Columnar(source)) => {
+                return Ok(Output::View(ColumnarView::project(source, columns)?));
             }
-            Output::Selected(Selection::Columnar(crel, _)) => (crel.schema(), crel.dictionary()),
-            Output::Selected(Selection::Pairs(pairs)) => (pairs.schema(), pairs.dictionary()),
+            Output::View(view) => (Cow::Owned(view.gather()), None),
+            Output::Rows(rel) => (Cow::Owned(rel), None),
+            Output::Selected(Selection::Rows(entry, at)) => (Cow::Borrowed(&entry.rel), at),
         };
-        // Each output column: plain, or a tag path read from a column.
-        type Src = (usize, Option<Vec<tagstore::Symbol>>);
-        let mut srcs: Vec<Src> = Vec::new();
-        let mut defs = Vec::with_capacity(columns.len());
-        for (name, out_name) in columns {
-            let (col, path) = match TaggedRelation::split_pseudo(name) {
-                None => (name.as_str(), None),
-                Some((col, path)) => (col, Some(path.split('@').map(tagstore::Symbol::intern))),
-            };
-            let i = schema.resolve(col)?;
-            let path: Option<Vec<_>> = path.map(Iterator::collect);
-            defs.push(match &path {
-                None => ColumnDef {
-                    name: out_name.clone(),
-                    ..schema.column(i).expect("resolved").clone()
-                },
-                Some(path) => {
-                    let leaf = dict.get(path.last().expect("non-empty path"));
-                    ColumnDef::new(out_name.clone(), leaf.map_or(DataType::Any, |d| d.dtype))
-                }
-            });
-            srcs.push((i, path));
-        }
-        // One output row, reading the input row's cells through `cell`.
-        fn cells<'r>(srcs: &[Src], cell: impl Fn(usize) -> Cow<'r, QualityCell>) -> TaggedRow {
+        let (schema, srcs) = tagstore::view::projection(rel.schema(), rel.dictionary(), columns)?;
+        // One output row from one input row.
+        let row = |r: &TaggedRow| -> TaggedRow {
             srcs.iter()
                 .map(|(i, path)| match path {
-                    None => cell(*i).into_owned(),
+                    None => r[*i].clone(),
                     Some(path) => QualityCell::bare(
-                        cell(*i).tag_path_syms(path).map_or(Value::Null, |t| t.value.clone()),
+                        r[*i].tag_path_syms(path).map_or(Value::Null, |t| t.value.clone()),
                     ),
                 })
                 .collect()
-        }
-        let row = |r: &TaggedRow| cells(&srcs, |c| Cow::Borrowed(&r[c]));
-        let rows: Vec<TaggedRow> = match self {
-            Output::Rows(rel) | Output::Selected(Selection::Rows(TableEntry { rel, .. }, None)) => {
-                match relstore::par::plan(rel.len()) {
-                    Some(threads) => {
-                        relstore::par::run_chunked(rel.rows(), threads, |_, chunk| {
-                            chunk.iter().map(row).collect::<Vec<_>>()
-                        })
-                        .into_iter()
-                        .flatten()
-                        .collect()
-                    }
-                    None => rel.iter().map(row).collect(),
-                }
-            }
-            Output::Selected(Selection::Rows(entry, Some(at))) => {
-                at.iter().map(|&i| row(&entry.rel.rows()[i])).collect()
-            }
-            Output::Selected(Selection::Columnar(crel, sel)) => sel
-                .iter_ones()
-                .map(|i| cells(&srcs, |c| Cow::Owned(crel.cell(c, i))))
-                .collect(),
-            Output::Selected(Selection::Pairs(pairs)) => (0..pairs.len())
-                .map(|at| cells(&srcs, |c| Cow::Owned(pairs.cell(at, c))))
-                .collect(),
         };
-        TaggedRelation::new(Schema::new(defs)?, dict.clone(), rows)
+        let rows: Vec<TaggedRow> = match at {
+            Some(at) => at.iter().map(|&i| row(&rel.rows()[i])).collect(),
+            None => match relstore::par::plan(rel.len()) {
+                Some(threads) => relstore::par::run_chunked(rel.rows(), threads, |_, chunk| {
+                    chunk.iter().map(row).collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect(),
+                None => rel.iter().map(row).collect(),
+            },
+        };
+        Ok(Output::Rows(TaggedRelation::new(schema, rel.dictionary().clone(), rows)?))
     }
 }
 
@@ -1043,25 +1061,21 @@ impl Tracer for TraceTree {
 
 /// The plan walker: the only place operators meet kernels. Each arm
 /// runs its inputs, then its kernel, and reports what the kernel told
-/// it; the tracer decides whether anyone listens. With `lazy`, a σ over
-/// a resident base table, a bare resident scan and a ⋈ hand back their
-/// [`Selection`] ungathered.
-fn walk<'c, T: Tracer>(
-    catalog: &'c QueryCatalog,
-    plan: &Plan,
-    lazy: bool,
-) -> DbResult<(Output<'c>, T::Node)> {
+/// it; the tracer decides whether anyone listens. A σ over a resident
+/// base table, a bare resident scan and a ⋈ hand back their
+/// [`Selection`] ungathered: a parent that needs rows gathers it.
+fn walk<'c, T: Tracer>(catalog: &'c QueryCatalog, plan: &Plan) -> DbResult<(Output<'c>, T::Node)> {
     let mut since = T::now();
     let mut children = Vec::new();
     // Runs an input subtree and files its record under this operator;
     // the operator's own clock restarts when its last input returns.
-    let mut run = |p: &Plan, lazy: bool| -> DbResult<Output<'c>> {
-        let (out, node) = walk::<T>(catalog, p, lazy)?;
+    let mut run = |p: &Plan| -> DbResult<Output<'c>> {
+        let (out, node) = walk::<T>(catalog, p)?;
         children.push(node);
         since = T::now();
         Ok(out)
     };
-    let mut run_input = |p: &Plan| run(p, false)?.into_rows();
+    let mut run_input = |p: &Plan| run(p)?.into_rows();
     // A paged table's cardinality, for `rows_in`.
     let paged_rows = |p: &Arc<dyn PagedProvider>| -> DbResult<usize> {
         if T::TRACING {
@@ -1083,7 +1097,7 @@ fn walk<'c, T: Tracer>(
             None => {
                 let entry = catalog.entry(name)?;
                 let stats = NodeStats::of(entry.rel.len());
-                (Selection::Rows(entry, None).output(lazy)?, stats)
+                (Output::Selected(Selection::Rows(entry, None)), stats)
             }
         },
         Plan::Filter { input, predicate } => match &**input {
@@ -1102,7 +1116,7 @@ fn walk<'c, T: Tracer>(
                     }
                     None => {
                         let (sel, stats) = select_base(catalog, name, predicate, false)?;
-                        (sel.output(lazy)?, stats)
+                        (Output::Selected(sel), stats)
                     }
                 };
                 let stats = NodeStats {
@@ -1125,8 +1139,8 @@ fn walk<'c, T: Tracer>(
             left_key,
             right_key,
         } => {
-            let (l, lsel, _) = run(left, true)?.columnar()?;
-            let (r, rsel, _) = run(right, true)?.columnar()?;
+            let (l, lsel, _) = run(left)?.columnar()?;
+            let (r, rsel, _) = run(right)?.columnar()?;
             let index = r.key_index(right_key, &rsel)?;
             let (pairs, batch) =
                 JoinPairs::probe(l, &lsel, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
@@ -1135,13 +1149,13 @@ fn walk<'c, T: Tracer>(
                 layout: Some("columnar"),
                 ..NodeStats::joined(lsel.count(), rsel.count())
             };
-            (Selection::Pairs(pairs).output(lazy)?, stats)
+            (Output::Selected(Selection::Columnar(ViewSource::Paired(pairs))), stats)
         }
         Plan::Project { input, columns } => {
             // A selection input is read where it lies, never gathered.
-            let input = run(input, true)?;
-            let rel = input.project(columns)?;
-            (Output::Rows(rel), NodeStats::of(input.len()))
+            let input = run(input)?;
+            let rows_in = input.len();
+            (input.project(columns)?, NodeStats::of(rows_in))
         }
         Plan::Aggregate {
             input,
@@ -1150,7 +1164,7 @@ fn walk<'c, T: Tracer>(
         } => {
             // A selection input is read where it lies, anything else is
             // lifted once; a σ child still reports how it selected.
-            let input = run(input, true)?;
+            let input = run(input)?;
             let rows_in = input.len();
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
             let (rel, source) = input.aggregate(&gb, aggs)?;
@@ -1186,7 +1200,7 @@ fn walk<'c, T: Tracer>(
                 est_selectivity: Some(*est_selectivity),
                 ..stats
             };
-            (sel.output(lazy)?, stats)
+            (Output::Selected(sel), stats)
         }
         Plan::PagedIndexScan {
             table,
@@ -1216,7 +1230,7 @@ fn walk<'c, T: Tracer>(
             // the uniform-key assumption: 1 / distinct probe keys.
             let right = catalog.entry(right_table)?;
             let index = right.key_index(right.rel.schema().resolve(right_key)?);
-            let ((l, lsel, _), r) = (run(left, true)?.columnar()?, right.columnar());
+            let ((l, lsel, _), r) = (run(left)?.columnar()?, right.columnar());
             let (pairs, batch) =
                 JoinPairs::probe(l, &lsel, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
             let stats = NodeStats {
@@ -1228,7 +1242,7 @@ fn walk<'c, T: Tracer>(
                 layout: Some("columnar"),
                 ..NodeStats::joined(lsel.count(), right.rel.len())
             };
-            (Selection::Pairs(pairs).output(lazy)?, stats)
+            (Output::Selected(Selection::Columnar(ViewSource::Paired(pairs))), stats)
         }
     };
     let rows_out = out.len();
@@ -1279,7 +1293,7 @@ fn select_base<'c, 'p>(
         layout: Some("columnar"),
         ..stats
     };
-    Ok((Selection::Columnar(crel, sel), stats))
+    Ok((Selection::Columnar(ViewSource::Selected(crel, sel)), stats))
 }
 
 /// The rows of `entry` a keyed predicate keeps, in ascending order, and

@@ -42,7 +42,7 @@ pub use cache::{
 };
 pub use exec::{
     default_agg_policies, execute, execute_traced, explain, explain_analyze, prepare_write, run,
-    run_mut, run_with, OpTrace, PagedProvider, PagedScanStats, QueryCatalog, QueryResult,
+    run_mut, run_with, Answer, OpTrace, PagedProvider, PagedScanStats, QueryCatalog, QueryResult,
     TagWrite,
 };
 pub use parser::parse;

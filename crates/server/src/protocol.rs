@@ -33,36 +33,8 @@ use std::io::{self, Read, Write};
 /// means a corrupt or hostile stream, not a big result.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Reflected polynomial for CRC-32/ISO-HDLC — the WAL's checksum,
-/// reimplemented here so the protocol crate stays dependency-light.
-const POLY: u32 = 0xEDB8_8320;
-
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static TABLE: [u32; 256] = build_table();
-
-/// CRC32 of `bytes` (single-shot, CRC-32/ISO-HDLC).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+/// CRC32 of `bytes` (single-shot, CRC-32/ISO-HDLC): the WAL's checksum.
+pub use dq_storage::crc32;
 
 /// Protocol-level failure: framing, checksum, or encoding.
 #[derive(Debug)]

@@ -99,7 +99,7 @@ mod proptests {
     fn indexed_select(rel: &TaggedRelation, index: &QualityIndex, pred: &Expr) -> TaggedRelation {
         let crel = ColumnarRelation::from_tagged(rel);
         let (sel, ..) = tagstore::selection_indexed_columnar(&crel, index, pred, 1024).unwrap();
-        crel.gather(&sel).to_tagged()
+        crel.gather(&sel)
     }
 
     /// One generated operation over the bare relation `t` (the first

@@ -711,7 +711,7 @@ pub(crate) mod tests {
     ) -> TaggedRelation {
         let crel = crate::ColumnarRelation::from_tagged(rel);
         let (sel, ..) = crate::selection_indexed_columnar(&crel, idx, p, 7).unwrap();
-        crel.gather(&sel).to_tagged()
+        crel.gather(&sel)
     }
 
     #[test]

@@ -196,12 +196,19 @@ impl QualityCell {
     pub(crate) fn write_paper(&self, out: &mut String) {
         use fmt::Write;
         let _ = write!(out, "{}", self.value);
-        for (i, t) in self.tags().iter().enumerate() {
-            let _ = write!(out, "{}{}", if i == 0 { " (" } else { ", " }, t.value);
-        }
-        if self.tag_count() > 0 {
-            out.push(')');
-        }
+        write_paper_tags(self.tags(), out);
+    }
+}
+
+/// Appends a cell's tag values in the paper's style, ` (v, v)`; nothing
+/// for an untagged cell.
+pub(crate) fn write_paper_tags(tags: &[IndicatorValue], out: &mut String) {
+    use fmt::Write;
+    for (i, t) in tags.iter().enumerate() {
+        let _ = write!(out, "{}{}", if i == 0 { " (" } else { ", " }, t.value);
+    }
+    if !tags.is_empty() {
+        out.push(')');
     }
 }
 

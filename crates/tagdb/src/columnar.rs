@@ -57,12 +57,13 @@
 
 use crate::algebra::TagPolicy;
 use crate::bitmap::{Bitset, QualityIndex};
-use crate::cell::QualityCell;
+use crate::cell::{write_paper_tags, QualityCell};
 use crate::fold;
 use crate::indicator::{IndicatorDictionary, IndicatorValue};
 use crate::predicate::{Access, Conjunct, Kernel, Predicate, ToPredicate};
-use crate::relation::{TaggedRelation, TaggedRow};
+use crate::relation::{PaperCells, TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
+use crate::view::{ColumnarView, ViewSource};
 use relstore::algebra::AggCall;
 use relstore::expr::BinOp;
 use relstore::index::HashIndex;
@@ -186,32 +187,32 @@ impl TagRuns {
         }
     }
 
-    /// The tag sets of cells `rows`, in that order: the cursor steps to
-    /// the next run while rows ascend and searches when they jump.
+    /// Each of cells `rows`, in that order, with its tag set: while rows
+    /// ascend the cursor gallops forward from the run it is in, so a
+    /// sparse selection over one run per row reads the runs near it, not
+    /// a binary search over all of them; a row behind it is searched.
     pub(crate) fn along<'a>(
         &'a self,
         rows: impl Iterator<Item = usize> + 'a,
-    ) -> impl Iterator<Item = Option<&'a SharedTags>> + 'a {
+    ) -> impl Iterator<Item = (usize, Option<&'a SharedTags>)> + 'a {
         let end = |ri: usize| self.runs.get(ri + 1).map_or(self.len, |(s, _)| *s);
-        let mut ri = 0;
+        let (mut ri, mut stop) = (0, end(0));
         rows.map(move |r| {
-            if r < self.runs[ri].0 || r >= end(ri) {
-                ri = if r >= end(ri) && r < end(ri + 1) {
-                    ri + 1
-                } else {
-                    self.runs.partition_point(|(s, _)| *s <= r) - 1
-                };
+            if r < self.runs[ri].0 {
+                ri = self.runs.partition_point(|(s, _)| *s <= r) - 1;
+                stop = end(ri);
+            } else if r >= stop {
+                let mut step = 1;
+                while self.runs.get(ri + step).is_some_and(|(s, _)| *s <= r) {
+                    ri += step;
+                    step *= 2;
+                }
+                let ahead = &self.runs[ri..self.runs.len().min(ri + step)];
+                ri += ahead.partition_point(|(s, _)| *s <= r) - 1;
+                stop = end(ri);
             }
-            self.runs[ri].1.as_ref()
+            (r, self.runs[ri].1.as_ref())
         })
-    }
-
-    /// Appends the segment `start..start + len` of `src` (run merging at
-    /// the seam, `Arc` bumps only).
-    pub fn append_range(&mut self, src: &TagRuns, start: usize, len: usize) {
-        for (_, seg_len, tags) in src.window(start, len) {
-            self.extend_run(tags, seg_len);
-        }
     }
 }
 
@@ -275,22 +276,6 @@ pub enum ColumnData {
     Mixed(Vec<Value>),
 }
 
-impl ColumnData {
-    fn empty_like(&self) -> ColumnData {
-        match self {
-            ColumnData::Int(_) => ColumnData::Int(Vec::new()),
-            ColumnData::Float(_) => ColumnData::Float(Vec::new()),
-            ColumnData::Bool(_) => ColumnData::Bool(Vec::new()),
-            ColumnData::Date(_) => ColumnData::Date(Vec::new()),
-            ColumnData::Text { pool, .. } => ColumnData::Text {
-                ids: Vec::new(),
-                pool: pool.clone(),
-            },
-            ColumnData::Mixed(_) => ColumnData::Mixed(Vec::new()),
-        }
-    }
-}
-
 /// One column: typed values + null validity + tag runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {
@@ -317,6 +302,23 @@ impl Column {
             ColumnData::Text { ids, pool } => Value::Text(pool.get(ids[row]).to_owned()),
             ColumnData::Mixed(v) => v[row].clone(),
         }
+    }
+
+    /// Writes the value at `row` as [`Value`]'s `Display` writes it,
+    /// building no [`Value`].
+    fn write_value(&self, row: usize, out: &mut String) {
+        use std::fmt::Write;
+        if !self.validity.contains(row) {
+            return out.push_str("NULL");
+        }
+        let _ = match &self.data {
+            ColumnData::Int(v) => write!(out, "{}", v[row]),
+            ColumnData::Float(v) => write!(out, "{}", v[row]),
+            ColumnData::Bool(v) => write!(out, "{}", v[row]),
+            ColumnData::Date(v) => write!(out, "{}", Date::from_days(v[row])),
+            ColumnData::Text { ids, pool } => out.write_str(pool.get(ids[row])),
+            ColumnData::Mixed(v) => write!(out, "{}", v[row]),
+        };
     }
 }
 
@@ -417,12 +419,7 @@ fn typed_layout<'v>(
 /// does. One pass over the runs reads each tag set and fills the typed
 /// layout; only a `Mixed` column reads them again.
 fn tag_column_of<'r>(runs: &'r TagRuns, path: &[Symbol], dtype: Option<DataType>) -> Column {
-    let (first, rest) = path.split_first().expect("a tag path names an indicator");
-    let value = |tags: Option<&'r SharedTags>| {
-        (tags.and_then(|t| t.iter().find(|t| t.indicator == *first)))
-            .and_then(|t| rest.iter().try_fold(t, |t, m| t.meta_tag_sym(m)))
-            .map(|t| &t.value)
-    };
+    let value = |tags: Option<&'r SharedTags>| tag_down(tags, path);
     let mut validity = Bitset::new(runs.len);
     let mut spread = runs.window(0, runs.len).map(|(at, len, tags)| {
         let v = value(tags);
@@ -454,6 +451,29 @@ fn tag_column_of<'r>(runs: &'r TagRuns, path: &[Symbol], dtype: Option<DataType>
         validity,
         tags,
     }
+}
+
+/// The tag value down indicator `path` in a cell carrying `tags`.
+fn tag_down<'t>(tags: Option<&'t SharedTags>, path: &[Symbol]) -> Option<&'t Value> {
+    let (first, rest) = path.split_first()?;
+    let tag = tags?.iter().find(|t| t.indicator == *first)?;
+    rest.iter().try_fold(tag, |t, m| t.meta_tag_sym(m)).map(|t| &t.value)
+}
+
+/// `len` rows assembled from `columns`, each yielding its cells in row
+/// order.
+pub(crate) fn rows_of(
+    len: usize,
+    columns: impl ExactSizeIterator<Item = impl Iterator<Item = QualityCell>>,
+) -> Vec<TaggedRow> {
+    let mut rows: Vec<Vec<QualityCell>> =
+        (0..len).map(|_| Vec::with_capacity(columns.len())).collect();
+    for cells in columns {
+        for (row, cell) in rows.iter_mut().zip(cells) {
+            row.push(cell);
+        }
+    }
+    rows.into_iter().map(Into::into).collect()
 }
 
 /// A layout's tag columns ([`ColumnarRelation::tag_column`]): a slot per
@@ -528,7 +548,8 @@ impl ColumnarRelation {
     /// tags, and per-cell tag `Arc` identity all round-trip).
     pub fn to_tagged(&self) -> TaggedRelation {
         let _t = dq_obs::histogram!("columnar.convert_us").start();
-        let rows = (0..self.len).map(|i| self.materialize_row(i)).collect();
+        let columns = (0..self.columns.len()).map(|c| self.cells(c, None, 0..self.len));
+        let rows = rows_of(self.len, columns);
         let mut rel =
             TaggedRelation::from_parts_unchecked(self.schema.clone(), self.dict.clone(), rows);
         for t in &self.relation_tags {
@@ -599,16 +620,56 @@ impl ColumnarRelation {
 
     /// The cell at `(row, col)` (its tag `Arc` shared).
     pub fn cell(&self, col: usize, row: usize) -> QualityCell {
-        let mut cell = QualityCell::bare(self.value_at(col, row));
-        if let Some(tags) = self.columns[col].tags.get(row) {
-            cell.set_shared_tags(tags.clone());
-        }
-        cell
+        self.cells(col, None, std::iter::once(row)).next().expect("one row, one cell")
     }
 
-    /// Materializes one row as [`QualityCell`]s (tag `Arc`s shared).
-    pub fn materialize_row(&self, row: usize) -> TaggedRow {
-        (0..self.columns.len()).map(|ci| self.cell(ci, row)).collect()
+    /// Column `col`'s cells at `rows`, in that order, tag `Arc`s shared —
+    /// or, given a tag `path`, the value down it as a bare cell (NULL
+    /// where the cell lacks it), as π outputs a pseudo-column.
+    pub(crate) fn cells<'a>(
+        &'a self,
+        col: usize,
+        path: Option<&'a [Symbol]>,
+        rows: impl Iterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = QualityCell> + 'a {
+        let column = &self.columns[col];
+        column.tags.along(rows).map(move |(row, tags)| match path {
+            None => {
+                let mut cell = QualityCell::bare(column.value(row));
+                if let Some(tags) = tags {
+                    cell.set_shared_tags(tags.clone());
+                }
+                cell
+            }
+            Some(path) => QualityCell::bare(tag_down(tags, path).cloned().unwrap_or(Value::Null)),
+        })
+    }
+
+    /// Writes each cell [`ColumnarRelation::cells`] would yield as
+    /// [`QualityCell::to_paper_string`] renders it, from the typed array
+    /// and along the tag runs: no cell is built and no `Arc` is touched.
+    pub(crate) fn write_paper_cells(
+        &self,
+        col: usize,
+        path: Option<&[Symbol]>,
+        rows: impl Iterator<Item = usize>,
+        out: &mut PaperCells,
+    ) {
+        use std::fmt::Write;
+        let column = &self.columns[col];
+        for (row, tags) in column.tags.along(rows) {
+            let text = &mut out.text;
+            match path {
+                None => {
+                    column.write_value(row, text);
+                    write_paper_tags(tags.map_or(&[], |t| t.as_slice()), text);
+                }
+                Some(path) => {
+                    let _ = write!(text, "{}", tag_down(tags, path).unwrap_or(&Value::Null));
+                }
+            }
+            out.end_cell();
+        }
     }
 
     /// Builds the quality bitmap index with a per-column pass over the
@@ -649,100 +710,6 @@ impl ColumnarRelation {
                 });
                 QualityIndex::merge_word_aligned(self.len, partials)
             }
-        }
-    }
-}
-
-/// Incremental columnar output assembly: same layouts (and shared Text
-/// pools) as the source relation(s), appended run by run.
-struct ColumnarBuilder {
-    columns: Vec<Column>,
-    len: usize,
-}
-
-impl ColumnarBuilder {
-    /// Builder over the columns of `sources`, in order: one source for a
-    /// σ's output, left then right for a join's.
-    fn new(sources: &[&ColumnarRelation]) -> Self {
-        ColumnarBuilder {
-            columns: sources
-                .iter()
-                .flat_map(|src| &src.columns)
-                .map(|c| Column {
-                    data: c.data.empty_like(),
-                    validity: Bitset::new(0),
-                    tags: TagRuns::default(),
-                })
-                .collect(),
-            len: 0,
-        }
-    }
-
-    /// Appends rows `start..start + len` of `src` to every column:
-    /// `memcpy` for typed arrays, id copies for Text, `Arc` bumps per
-    /// tag-run segment.
-    fn append_range(&mut self, src: &ColumnarRelation, start: usize, len: usize) {
-        let at = self.len;
-        for (dst, s) in self.columns.iter_mut().zip(&src.columns) {
-            match (&mut dst.data, &s.data) {
-                (ColumnData::Int(d), ColumnData::Int(v)) => d.extend_from_slice(&v[start..start + len]),
-                (ColumnData::Float(d), ColumnData::Float(v)) => d.extend_from_slice(&v[start..start + len]),
-                (ColumnData::Bool(d), ColumnData::Bool(v)) => d.extend_from_slice(&v[start..start + len]),
-                (ColumnData::Date(d), ColumnData::Date(v)) => d.extend_from_slice(&v[start..start + len]),
-                (ColumnData::Text { ids: d, .. }, ColumnData::Text { ids: v, .. }) => {
-                    d.extend_from_slice(&v[start..start + len])
-                }
-                (ColumnData::Mixed(d), ColumnData::Mixed(v)) => {
-                    d.extend(v[start..start + len].iter().cloned())
-                }
-                _ => unreachable!("builder layout mismatch"),
-            }
-            let window = s.validity.extract_range(start, len);
-            for i in window.iter_ones() {
-                dst.validity.set(at + i);
-            }
-            dst.tags.append_range(&s.tags, start, len);
-        }
-        self.len += len;
-    }
-
-    /// Appends one row of `src` into columns `col_offset..` without
-    /// advancing the row counter (the join gather pushes left then right
-    /// then advances).
-    fn push_row_from(&mut self, src: &ColumnarRelation, row: usize, col_offset: usize) {
-        let at = self.len;
-        for (dst, s) in self.columns[col_offset..].iter_mut().zip(&src.columns) {
-            match (&mut dst.data, &s.data) {
-                (ColumnData::Int(d), ColumnData::Int(v)) => d.push(v[row]),
-                (ColumnData::Float(d), ColumnData::Float(v)) => d.push(v[row]),
-                (ColumnData::Bool(d), ColumnData::Bool(v)) => d.push(v[row]),
-                (ColumnData::Date(d), ColumnData::Date(v)) => d.push(v[row]),
-                (ColumnData::Text { ids: d, .. }, ColumnData::Text { ids: v, .. }) => {
-                    d.push(v[row])
-                }
-                (ColumnData::Mixed(d), ColumnData::Mixed(v)) => d.push(v[row].clone()),
-                _ => unreachable!("builder layout mismatch"),
-            }
-            if s.validity.contains(row) {
-                dst.validity.set(at);
-            }
-            dst.tags.push(s.tags.get(row));
-        }
-    }
-
-    fn finish(mut self, schema: Schema, dict: IndicatorDictionary) -> ColumnarRelation {
-        for c in &mut self.columns {
-            c.validity.grow(self.len);
-        }
-        ColumnarRelation {
-            tag_columns: TagColumns::new(self.columns.len(), &dict),
-            schema,
-            dict,
-            columns: self.columns,
-            len: self.len,
-            // Operator outputs drop relation-level tags, matching the
-            // row path's `from_parts_unchecked`.
-            relation_tags: Vec::new(),
         }
     }
 }
@@ -821,6 +788,14 @@ fn for_each_run(sel: &Bitset, mut f: impl FnMut(usize, usize)) {
     if let Some((s, e)) = run {
         f(s, e - s);
     }
+}
+
+/// Counts `sel`'s runs of consecutive rows, what a gather of them reads,
+/// as `columnar.gather_runs`.
+pub(crate) fn count_gather_runs(sel: &Bitset) {
+    let mut runs = 0;
+    for_each_run(sel, |_, _| runs += 1);
+    dq_obs::counter!("columnar.gather_runs").add(runs);
 }
 
 /// Clears selection bits whose row fails `op` against the per-row
@@ -1030,7 +1005,7 @@ fn run_selection(
 
 /// Columnar σ's selection: the rows of `crel` that satisfy `predicate`,
 /// as a bitset over its rows, not yet gathered. Gathered
-/// ([`ColumnarRelation::gather`]), it is `to_tagged()`-identical to
+/// ([`ColumnarRelation::gather`]), it is identical to
 /// [`crate::algebra::select`].
 pub fn selection_columnar(
     crel: &ColumnarRelation,
@@ -1107,21 +1082,21 @@ pub fn selection_indexed_columnar(
 /// left rows ascending, each row's matches in right-row order.
 /// [`JoinPairs::gather`] builds the rows, [`JoinPairs::aggregate`] folds
 /// them where they lie.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct JoinPairs {
-    left: Arc<ColumnarRelation>,
-    right: Arc<ColumnarRelation>,
+    pub(crate) left: Arc<ColumnarRelation>,
+    pub(crate) right: Arc<ColumnarRelation>,
     schema: Schema,
-    pairs: Vec<(u32, u32)>,
+    pub(crate) pairs: Vec<(u32, u32)>,
 }
 
 impl JoinPairs {
     /// The pair kernel, for every join: probes `index` (right key value →
     /// right rows, ascending) with the key of each row `left_sel` selects.
     /// The probe reads the key column only — batched, parallel per
-    /// [`par::plan`] over the selected rows; Text keys are memoized by
-    /// pool id, and look up as strings, so two sides' pools need not
-    /// agree. Keys match by [`Value`] equality; NULL keys never join.
+    /// [`par::plan`] over the selected rows; Text keys are memoized in a
+    /// table indexed by pool id, and look up as strings, so two sides'
+    /// pools need not agree. Keys match by [`Value`] equality; NULL keys never join.
     pub fn probe(
         left: Arc<ColumnarRelation>,
         left_sel: &Bitset,
@@ -1142,7 +1117,10 @@ impl JoinPairs {
             let mut pairs: Pairs = Vec::new();
             let mut stats = BatchStats::new(batch_size);
             let mut key = vec![Value::Null];
-            let mut memo: HashMap<u32, &[usize]> = HashMap::new();
+            let mut memo: Vec<Option<&[usize]>> = match &key_col.data {
+                ColumnData::Text { pool, .. } => vec![None; pool.len()],
+                _ => Vec::new(),
+            };
             for b in brange {
                 let start = b * batch_size;
                 let blen = batch_size.min(len - start);
@@ -1158,7 +1136,7 @@ impl JoinPairs {
                 sel.and_assign(&key_col.validity.extract_range(start, blen));
                 for row in sel.iter_ones().map(|i| start + i) {
                     let matches = match &key_col.data {
-                        ColumnData::Text { ids, pool } => *memo.entry(ids[row]).or_insert_with(|| {
+                        ColumnData::Text { ids, pool } => *memo[ids[row] as usize].get_or_insert_with(|| {
                             key[0] = Value::Text(pool.get(ids[row]).to_owned());
                             index.get(&key)
                         }),
@@ -1220,31 +1198,15 @@ impl JoinPairs {
         &self.left.dict
     }
 
-    /// Joined row `at`'s cell in column `col` of the joined schema.
-    pub fn cell(&self, at: usize, col: usize) -> QualityCell {
-        let (l, r) = self.pairs[at];
-        match col.checked_sub(self.left.columns.len()) {
-            None => self.left.cell(col, l as usize),
-            Some(rc) => self.right.cell(rc, r as usize),
-        }
-    }
-
-    /// The joined rows, built once: `to_tagged()`-identical to
-    /// [`crate::algebra::hash_join`] over the two sides' selected rows.
-    pub fn gather(&self) -> ColumnarRelation {
-        let (left, right) = (&*self.left, &*self.right);
-        let mut builder = ColumnarBuilder::new(&[left, right]);
-        for &(l, r) in &self.pairs {
-            builder.push_row_from(left, l as usize, 0);
-            builder.push_row_from(right, r as usize, left.columns.len());
-            builder.len += 1;
-        }
-        builder.finish(self.schema.clone(), left.dict.clone())
+    /// The joined rows, built once: equal to [`crate::algebra::hash_join`]
+    /// over the two sides' selected rows.
+    pub fn gather(&self) -> TaggedRelation {
+        ColumnarView::whole(ViewSource::Paired(self.clone())).gather()
     }
 
     /// γ over the joined rows, run by the γ kernel over the two sources:
     /// a left column reads the pair's left row, a right column its right
-    /// row. Equal to γ over `self.gather().to_tagged()`.
+    /// row. Equal to γ over `self.gather()`.
     pub fn aggregate(
         &self,
         group_by: &[&str],
@@ -1263,17 +1225,14 @@ impl JoinPairs {
 // ---------------------------------------------------------------------
 
 impl ColumnarRelation {
-    /// The rows `sel` selects, assembled run by run (typed-array copies,
-    /// tag-run `Arc` bumps) — a σ's output once its selection is known.
-    pub fn gather(&self, sel: &Bitset) -> ColumnarRelation {
-        let mut builder = ColumnarBuilder::new(&[self]);
-        let mut runs = 0u64;
-        for_each_run(sel, |s, l| {
-            builder.append_range(self, s, l);
-            runs += 1;
-        });
-        dq_obs::counter!("columnar.gather_runs").add(runs);
-        builder.finish(self.schema.clone(), self.dict.clone())
+    /// The rows `sel` selects, built column by column (tag `Arc`s
+    /// shared) — a σ's output once its selection is known. Its runs of
+    /// consecutive rows count as `columnar.gather_runs`.
+    pub fn gather(&self, sel: &Bitset) -> TaggedRelation {
+        count_gather_runs(sel);
+        let columns = (0..self.columns.len()).map(|c| self.cells(c, None, sel.iter_ones()));
+        let rows = rows_of(sel.count(), columns);
+        TaggedRelation::from_parts_unchecked(self.schema.clone(), self.dict.clone(), rows)
     }
 
     /// A hash index over column `key`'s values at the rows `sel` selects
@@ -1292,7 +1251,7 @@ impl ColumnarRelation {
 
     /// γ over the rows `sel` selects, run by the γ kernel straight from
     /// the typed arrays, tag runs and tag columns: no row is gathered or
-    /// materialized. Equal to γ over `self.gather(sel).to_tagged()`.
+    /// materialized. Equal to γ over `self.gather(sel)`.
     pub fn aggregate(
         &self,
         sel: &Bitset,
@@ -1319,7 +1278,7 @@ mod tests {
         batch_size: usize,
     ) -> DbResult<(TaggedRelation, BatchStats)> {
         let (sel, stats) = selection_columnar(crel, p, batch_size)?;
-        Ok((crel.gather(&sel).to_tagged(), stats))
+        Ok((crel.gather(&sel), stats))
     }
 
     /// Mixed fixture: bulk-tagged column (shared Arcs → long runs),
@@ -1477,7 +1436,7 @@ mod tests {
         let idx = QualityIndex::build(&rel);
         let indexed = |idx: &QualityIndex, p: &Expr| {
             selection_indexed_columnar(&crel, idx, p, 64)
-                .map(|(sel, path, _)| (crel.gather(&sel).to_tagged(), path))
+                .map(|(sel, path, _)| (crel.gather(&sel), path))
         };
         for p in predicates() {
             match (algebra::select(&rel, &p), indexed(&idx, &p)) {
@@ -1547,7 +1506,7 @@ mod tests {
                 let got = select(&crel, p, batch_size).map(|(r, _)| r);
                 assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
                 let got = selection_indexed_columnar(&crel, &idx, p, batch_size)
-                    .map(|(sel, ..)| crel.gather(&sel).to_tagged());
+                    .map(|(sel, ..)| crel.gather(&sel));
                 assert_eq!(got.map_err(|e| e.to_string()), want, "{p}");
             }
         }
@@ -1595,8 +1554,8 @@ mod tests {
         ] {
             let (lsel, rsel) = (picks(&left, lp), picks(&right, rp));
             let expect = algebra::hash_join(
-                &left.gather(&lsel).to_tagged(),
-                &right.gather(&rsel).to_tagged(),
+                &left.gather(&lsel),
+                &right.gather(&rsel),
                 key,
                 key,
             )
@@ -1611,7 +1570,7 @@ mod tests {
                         Arc::clone(&left), &lsel, key, Arc::clone(&right), key, index, batch_size,
                     )
                     .unwrap();
-                    assert_eq!(pairs.gather().to_tagged(), expect, "{key} batch={batch_size}");
+                    assert_eq!(pairs.gather(), expect, "{key} batch={batch_size}");
                     assert_eq!((stats.rows_in, stats.rows_out), (lsel.count(), expect.len()));
                     for group_by in [&[][..], &["r.name"], &["l.v", "k"]] {
                         let group_by = if key == "v" { group_by } else { &["r.name"] };
@@ -1785,7 +1744,7 @@ mod tests {
                 let Ok((sel, _)) = selection_columnar(&crel, p, 7) else {
                     continue;
                 };
-                let rows = crel.gather(&sel).to_tagged();
+                let rows = crel.gather(&sel);
                 for group_by in [&[][..], &["name"], &["k", "name"]] {
                     for pol in [&policies[..], &[]] {
                         let expect = longhand(&rows, group_by, &aggs, pol).unwrap();
@@ -1799,7 +1758,7 @@ mod tests {
         let crel = ColumnarRelation::from_tagged(&mixed(5));
         let sel = Bitset::full(crel.len());
         let sum_text = [AggCall::on(AggFunc::Sum, "name", "s")];
-        let rows = crel.gather(&sel).to_tagged();
+        let rows = crel.gather(&sel);
         assert_eq!(
             crel.aggregate(&sel, &[], &sum_text, &policies).unwrap_err().to_string(),
             longhand(&rows, &[], &sum_text, &policies)

@@ -445,7 +445,7 @@ fn common_tags(
 ) -> Vec<Vec<IndicatorValue>> {
     let mut common: Vec<Option<Vec<IndicatorValue>>> = vec![None; groups];
     let mut last = vec![usize::MAX; groups];
-    for (tags, &g) in runs.along(rows).zip(gids) {
+    for ((_, tags), &g) in runs.along(rows).zip(gids) {
         let g = g as usize;
         if std::mem::replace(&mut last[g], tag_id(tags)) == tag_id(tags) {
             continue;
@@ -920,7 +920,7 @@ pub(crate) mod tests {
                     sel.set(r);
                 }
             }
-            let picked = crel.gather(&sel).to_tagged();
+            let picked = crel.gather(&sel);
             for _ in 0..4 {
                 let (keys, calls, policies) = (keys(&mut g, &columns), calls(&mut g, &columns), policies(&mut g));
                 let got = crel.aggregate(&sel, &keys, &calls, &policies);
@@ -933,7 +933,7 @@ pub(crate) mod tests {
             let right = Arc::new(ColumnarRelation::from_tagged(&u));
             let index = right.key_index("kt", &Bitset::full(right.len())).unwrap();
             let (pairs, _) = JoinPairs::probe(Arc::clone(&left), &sel, "kt", right, "kt", &index, 7).unwrap();
-            let joined = pairs.gather().to_tagged();
+            let joined = pairs.gather();
             let columns = ["ki", "l.kt", "r.kt", "kf", "km", "v", "x"];
             for _ in 0..3 {
                 let (keys, calls, policies) = (keys(&mut g, &columns), calls(&mut g, &columns), policies(&mut g));

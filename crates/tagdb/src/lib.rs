@@ -39,6 +39,7 @@ pub mod predicate;
 pub mod relation;
 pub mod store;
 pub mod symbol;
+pub mod view;
 
 pub use algebra::{TagPolicy, TagRule};
 pub use bitmap::{Bitset, QualityAtom, QualityIndex};
@@ -51,6 +52,7 @@ pub use epoch::{EpochCell, Stamped};
 pub use indicator::{IndicatorDef, IndicatorDictionary, IndicatorValue};
 pub use predicate::{Predicate, ToPredicate};
 pub use symbol::Symbol;
+pub use view::{ColumnarView, ViewColumn, ViewSource};
 pub use relation::{TaggedRelation, TaggedRow, TAG_SEP};
 pub use store::{from_quality_store, to_quality_store, QualityStore, QKEY_SUFFIX};
 
@@ -715,7 +717,7 @@ mod proptests {
             let sel_v = select(&a, &vp).unwrap();
             let sel_q = select(&a, &qp).unwrap();
             let sel_t = select(&a, &tp).unwrap();
-            let gathered = |sel: Bitset| ca.gather(&sel).to_tagged();
+            let gathered = |sel: Bitset| ca.gather(&sel);
             for threads in [1usize, 2, 8] {
                 for bs in [1usize, 7, 1024] {
                     let (v, q, qi, t) = relstore::par::with_thread_count(threads, || {
@@ -818,7 +820,7 @@ mod proptests {
                     })
                     .collect();
                 let gathered = |r: relstore::DbResult<crate::Bitset>| -> Result<Vec<_>, String> {
-                    r.map(|sel| ca.gather(&sel).to_tagged().rows().to_vec())
+                    r.map(|sel| ca.gather(&sel).rows().to_vec())
                         .map_err(|err| err.to_string())
                 };
                 for threads in [1usize, 2, 8] {
@@ -902,7 +904,7 @@ mod proptests {
             } else {
                 (Bitset::full(ca.len()), Bitset::full(cb.len()))
             };
-            let (l, r) = (ca.gather(&lsel).to_tagged(), cb.gather(&rsel).to_tagged());
+            let (l, r) = (ca.gather(&lsel), cb.gather(&rsel));
             for key in ["v", "t"] {
                 let join = hash_join(&l, &r, key, key).unwrap();
                 let ri = b.schema().resolve(key).unwrap();
@@ -918,7 +920,7 @@ mod proptests {
                             )
                             .unwrap()
                         });
-                        prop_assert_eq!(&pairs.gather().to_tagged(), &join);
+                        prop_assert_eq!(&pairs.gather(), &join);
                         prop_assert_eq!(stats.rows_out, join.len());
                     }
                 }

@@ -245,65 +245,93 @@ impl TaggedRelation {
     /// `value (tag, tag)`.
     pub fn to_paper_table(&self) -> String {
         let names = self.schema.names();
-        // every cell written once into one buffer; `ends` marks where
-        // each stops, and the widths are byte lengths
-        let mut cells = String::new();
-        let mut ends = Vec::with_capacity(self.rows.len() * names.len());
-        let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
-        for row in &self.rows {
-            for (w, c) in widths.iter_mut().zip(row.iter()) {
-                let at = cells.len();
-                c.write_paper(&mut cells);
-                *w = (*w).max(cells.len() - at);
-                ends.push(cells.len());
+        write_paper_table(&names, self.rows.len(), &self.relation_tags, |c, cells| {
+            for row in &self.rows {
+                row[c].write_paper(&mut cells.text);
+                cells.end_cell();
             }
-        }
-        let mut out = String::with_capacity(cells.len() + 4 * ends.len());
-        let sep = |out: &mut String| {
+        })
+    }
+}
+
+/// The cells [`write_paper_table`] collects, column after column: their
+/// text in one buffer, where each ends, and the widest of the column
+/// being written, in bytes.
+pub(crate) struct PaperCells {
+    /// The buffer the current cell's text is appended to.
+    pub(crate) text: String,
+    ends: Vec<usize>,
+    width: usize,
+}
+
+impl PaperCells {
+    /// Closes the cell written since the last call.
+    pub(crate) fn end_cell(&mut self) {
+        let start = self.ends.last().copied().unwrap_or(0);
+        self.width = self.width.max(self.text.len() - start);
+        self.ends.push(self.text.len());
+    }
+}
+
+/// The paper's Table 2 layout of `rows` rows under `names`, one writer
+/// for every answer: `fill(c, cells)` writes column `c`'s cells in row
+/// order, each closed by [`PaperCells::end_cell`]. A column is as wide
+/// as its widest cell or name in bytes, and a cell is padded to it in
+/// chars, as `format!("{:<w$}")` pads.
+pub(crate) fn write_paper_table(
+    names: &[&str],
+    rows: usize,
+    relation_tags: &[IndicatorValue],
+    mut fill: impl FnMut(usize, &mut PaperCells),
+) -> String {
+    let ends = Vec::with_capacity(rows * names.len());
+    let mut cells = PaperCells { text: String::new(), ends, width: 0 };
+    let widths: Vec<usize> = (names.iter().enumerate())
+        .map(|(c, name)| {
+            cells.width = name.len();
+            fill(c, &mut cells);
+            debug_assert_eq!(cells.ends.len(), (c + 1) * rows, "one cell a row");
+            cells.width
+        })
+        .collect();
+    let mut out = String::with_capacity(cells.text.len() + 4 * cells.ends.len());
+    let sep = |out: &mut String| {
+        out.push('+');
+        for w in &widths {
+            out.extend(std::iter::repeat_n('-', w + 2));
             out.push('+');
-            for w in &widths {
-                out.extend(std::iter::repeat_n('-', w + 2));
-                out.push('+');
-            }
-            out.push('\n');
-        };
-        // a cell left-aligned in `w` chars, as `format!("{:<w$}")` pads
-        let pad = |out: &mut String, cell: &str, w: usize| {
-            out.push(' ');
-            out.push_str(cell);
-            let fill = w.saturating_sub(cell.chars().count());
-            out.extend(std::iter::repeat_n(' ', fill));
-            out.push_str(" |");
-        };
-        sep(&mut out);
-        out.push('|');
-        for (n, w) in names.iter().zip(&widths) {
-            pad(&mut out, n, *w);
         }
         out.push('\n');
-        sep(&mut out);
-        let (mut ends, mut at) = (ends.into_iter(), 0);
-        for _ in &self.rows {
-            out.push('|');
-            for (w, end) in widths.iter().zip(ends.by_ref()) {
-                pad(&mut out, &cells[at..end], *w);
-                at = end;
-            }
-            out.push('\n');
-        }
-        sep(&mut out);
-        if !self.relation_tags.is_empty() {
-            out.push_str("relation tags: ");
-            for (i, t) in self.relation_tags.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&t.to_string());
-            }
-            out.push('\n');
-        }
-        out
+    };
+    let pad = |out: &mut String, cell: &str, w: usize| {
+        out.push(' ');
+        out.push_str(cell);
+        let fill = w.saturating_sub(cell.chars().count());
+        out.extend(std::iter::repeat_n(' ', fill));
+        out.push_str(" |");
+    };
+    sep(&mut out);
+    out.push('|');
+    for (n, w) in names.iter().zip(&widths) {
+        pad(&mut out, n, *w);
     }
+    out.push('\n');
+    sep(&mut out);
+    for r in 0..rows {
+        out.push('|');
+        for (c, w) in widths.iter().enumerate() {
+            let at = c * rows + r;
+            let start = if at == 0 { 0 } else { cells.ends[at - 1] };
+            pad(&mut out, &cells.text[start..cells.ends[at]], *w);
+        }
+        out.push('\n');
+    }
+    sep(&mut out);
+    if !relation_tags.is_empty() {
+        let tags: Vec<String> = relation_tags.iter().map(ToString::to_string).collect();
+        out.push_str(&format!("relation tags: {}\n", tags.join(", ")));
+    }
+    out
 }
 
 impl fmt::Display for TaggedRelation {

@@ -52,6 +52,14 @@ filtered -p tagstore group_ids
 # threads and every batch size, at a higher case count.
 filtered -p tagstore tag_columns_match_the_row_verdict
 
+# An answer as a view: a σ's and a ⋈'s view, whole and under π (aliases,
+# pseudo-columns down a tag or meta-tag path, `l.`/`r.` names), over
+# empty, sparse and full selections, renders the longhand table of its
+# gathered rows (widths in bytes, padding in chars, multi-byte text), and
+# those rows are the source rows projected longhand and pass
+# `TaggedRelation::new`'s checks, at a higher case count.
+filtered -p tagstore answer_renders_as_its_rows
+
 # Shared rows: a relation's clone shares its rows, and tagging cells of
 # the clone deep-copies only the rows it tags (the original unchanged,
 # the clone equal to a longhand copy tagged cell by cell), at a higher

@@ -256,7 +256,7 @@ fn answer(result: DbResult<TaggedRelation>) -> Answer {
     result
         .map(|rel| {
             (
-                render_result(&QueryResult::Table(rel.clone())),
+                render_result(&QueryResult::Table(rel.clone().into())),
                 rel.rows().to_vec(),
             )
         })
@@ -372,7 +372,7 @@ fn entry_points_match_reference(seed: u64) {
             .collect();
         assert!(selections.windows(2).all(|w| w[0] == w[1]), "seed {seed}");
         let sel = &selections[0];
-        let gathered = crel.gather(sel).to_tagged();
+        let gathered = crel.gather(sel);
         if let Some(sql) = join_sql {
             pairs_match_reference(seed, &rel, sel, sql, &aggs, &policies, &mut rng);
         }
@@ -417,9 +417,9 @@ fn pairs_match_reference(
         })
     };
     let pairs = probe(&hashed, 1);
-    let gathered = pairs.gather().to_tagged();
+    let gathered = pairs.gather();
     for (index, threads) in [(&hashed, 2), (&hashed, 8), (&keyed, 1), (&keyed, 8)] {
-        assert_eq!(probe(index, threads).gather().to_tagged(), gathered, "seed {seed}");
+        assert_eq!(probe(index, threads).gather(), gathered, "seed {seed}");
     }
     let mut c = catalog(t.clone());
     c.register("u", u);

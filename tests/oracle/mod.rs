@@ -40,7 +40,7 @@ impl Rel {
         let columns = self.names.iter().map(|n| ColumnDef::new(n.clone(), DataType::Any));
         let schema = Schema::new(columns.collect()).expect("distinct output names");
         let rel = TaggedRelation::new(schema, self.dict.clone(), self.rows.clone());
-        render_result(&QueryResult::Table(rel.expect("declared tags")))
+        render_result(&QueryResult::Table(rel.expect("declared tags").into()))
     }
 }
 
