@@ -9,7 +9,7 @@
 
 use relstore::{Date, DbResult, Expr, Value};
 use serde::{Deserialize, Serialize};
-use tagstore::TaggedRelation;
+use tagstore::{selection_columnar, ColumnarRelation, TaggedRelation, DEFAULT_BATCH_SIZE};
 
 /// One inspection rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -217,22 +217,16 @@ impl Inspector {
                 }
             }
             InspectionRule::FrontEnd { predicate, .. } => {
-                // evaluate against the expanded pseudo-schema
-                let filtered = tagstore::algebra::select(rel, predicate)?;
-                // identify failing rows by position: a row fails if it is
-                // not among the survivors (bag semantics on identical rows
-                // handled by counting).
-                let mut surviving: Vec<&tagstore::TaggedRow> = filtered.rows().iter().collect();
-                for (i, row) in rel.iter().enumerate() {
-                    if let Some(pos) = surviving.iter().position(|s| *s == row) {
-                        surviving.remove(pos);
-                    } else {
-                        report.violations.push(Violation {
-                            row: i,
-                            rule: rule.label(),
-                            detail: "front-end predicate not satisfied".into(),
-                        });
-                    }
+                // the columnar σ's verdict per row: the violations are
+                // the rows it did not keep
+                let layout = ColumnarRelation::from_tagged(rel);
+                let (kept, _) = selection_columnar(&layout, predicate, DEFAULT_BATCH_SIZE)?;
+                for i in (0..rel.len()).filter(|&i| !kept.contains(i)) {
+                    report.violations.push(Violation {
+                        row: i,
+                        rule: rule.label(),
+                        detail: "front-end predicate not satisfied".into(),
+                    });
                 }
             }
             InspectionRule::DoubleEntry {
@@ -355,6 +349,31 @@ mod tests {
         let r = insp.inspect(&rel()).unwrap();
         // row 1 too old, row 2 untagged (NULL → violation)
         assert_eq!(r.violations.len(), 2);
+    }
+
+    /// A front-end rule's violations are the rows the predicate's
+    /// verdict drops, by position, duplicate rows included: equal rows
+    /// side by side and apart, each reported where it stands.
+    #[test]
+    fn front_end_violations_are_the_rows_the_verdict_drops() {
+        let base = rel();
+        let order = [0, 1, 0, 2, 2, 1, 0, 1, 2];
+        let rows = order.iter().map(|&i| base.rows()[i].clone()).collect();
+        let dups =
+            TaggedRelation::new(base.schema().clone(), base.dictionary().clone(), rows).unwrap();
+        let predicate = Expr::col("phone@creation_time").ge(Expr::lit(d("1-1-91")));
+        let bound = tagstore::Predicate::bind(dups.schema(), dups.dictionary(), &predicate).unwrap();
+        let verdict: Vec<usize> = (0..dups.len())
+            .filter(|&i| !bound.matches(&dups.rows()[i]).unwrap())
+            .collect();
+        let insp = Inspector::new().with_rule(InspectionRule::FrontEnd {
+            name: "recent_or_bust".into(),
+            predicate,
+        });
+        let report = insp.inspect(&dups).unwrap();
+        let rows: Vec<usize> = report.violations.iter().map(|v| v.row).collect();
+        assert_eq!(rows, verdict);
+        assert_eq!(rows, [1, 3, 4, 5, 7, 8]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Three series over the shared customer fixture:
 //!
 //! * `B10/scan_sigma/{rows}` — unindexed σ at ~50% selectivity:
-//!   row-at-a-time `select` vs. `selection_columnar` + `gather` over
-//!   contiguous column arrays (conversion outside the timed region,
-//!   modeling the catalog's cached layout).
+//!   `selection_columnar` + `gather` over contiguous column arrays
+//!   (conversion outside the timed region, modeling the catalog's cached
+//!   layout).
 //! * `B10/index_build/{rows}` — serial row-at-a-time `QualityIndex::build`
 //!   vs. the columnar run-at-a-time build (one posting probe +
 //!   `set_range` per (run, tag) instead of per (row, tag)).
@@ -13,13 +13,14 @@
 //!   (`from_tagged` / `to_tagged`), so the one-time price of entering
 //!   the columnar world is visible next to the per-query wins.
 //!
-//! Parity (`to_tagged()` equality, bit-for-bit index equality) is
-//! asserted on the actual fixture before timing anything.
+//! Parity (σ against the longhand oracle, `to_tagged()` equality,
+//! bit-for-bit index equality) is asserted on the actual fixture before
+//! timing anything.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dq_bench::{tagged_customers, today};
 use relstore::{par, Expr};
-use tagstore::algebra as ta;
+use tagstore::algebra::derive_age;
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{selection_columnar, DEFAULT_BATCH_SIZE};
@@ -35,7 +36,7 @@ fn tiers() -> Vec<usize> {
 
 fn aged(rows: usize) -> tagstore::TaggedRelation {
     let mut rel = tagged_customers(rows, 4);
-    ta::derive_age(&mut rel, "employees", today()).unwrap();
+    derive_age(&mut rel, "employees", today()).unwrap();
     rel
 }
 
@@ -52,14 +53,13 @@ fn bench_scan_sigma(c: &mut Criterion) {
         let rel = aged(rows);
         let crel = ColumnarRelation::from_tagged(&rel);
         let pred = sigma_pred();
-        let reference = ta::select(&rel, &pred).unwrap();
+        let reference = dq_oracle::filter(&rel, &pred).unwrap();
         let (sel, stats) = selection_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(reference, crel.gather(&sel), "σ parity at {rows} rows");
         assert!(stats.batches * stats.batch_size >= stats.rows_out);
         let mut g = c.benchmark_group(format!("B10/scan_sigma/{rows}"));
         g.sample_size(10);
         g.throughput(Throughput::Elements(rows as u64));
-        g.bench_function("row", |b| b.iter(|| ta::select(&rel, &pred).unwrap()));
         g.bench_function("columnar", |b| {
             b.iter(|| {
                 let (sel, _) = selection_columnar(&crel, &pred, DEFAULT_BATCH_SIZE).unwrap();

@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dq_bench::{tagged_customers, today};
 use relstore::Expr;
-use tagstore::algebra as ta;
+use tagstore::algebra::derive_age;
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::{ColumnarRelation, TagAccessPath};
 use tagstore::{
@@ -45,7 +45,7 @@ fn bench_index(c: &mut Criterion) {
     ];
     for rows in tiers() {
         let mut rel = tagged_customers(rows, 4);
-        ta::derive_age(&mut rel, "employees", today()).unwrap();
+        derive_age(&mut rel, "employees", today()).unwrap();
         let index = QualityIndex::build(&rel);
         let crel = ColumnarRelation::from_tagged(&rel);
         let gathered = |sel: Bitset| -> TaggedRelation { crel.gather(&sel) };
@@ -61,7 +61,7 @@ fn bench_index(c: &mut Criterion) {
         g.bench_function("build", |b| b.iter(|| QualityIndex::build(&rel)));
         for (label, max_age) in points {
             let pred = Expr::col("employees@age").le(Expr::lit(max_age));
-            let reference = ta::select(&rel, &pred).unwrap();
+            let reference = dq_oracle::filter(&rel, &pred).unwrap();
             let scanned = scan(&pred);
             let (via_index, path) = bitmap(&pred);
             assert_eq!(scanned, reference, "scan parity at {label}");

@@ -6,26 +6,45 @@
 //!   `QualityIndex::build` (word-aligned disjoint ranges, range-local
 //!   row ids, `or_words_at` merge). `scripts/index_build_gate.sh` reads
 //!   these records.
-//! * `B9/join/{rows}` (tiers ≤ 100k) — the row hash join
-//!   (`algebra::hash_join`, `hash_join_row`) vs. the pair kernel over
-//!   cached columnar layouts plus the gather a parent that needs rows
-//!   runs (`JoinPairs::probe` + `JoinPairs::gather`, `pairs_gather`;
-//!   what both join operators run).
+//! * `B9/join/{rows}` (tiers ≤ 100k) — the pair kernel over cached
+//!   columnar layouts through a prebuilt key index, plus the gather a
+//!   parent that needs rows runs (`JoinPairs::probe` +
+//!   `JoinPairs::gather`, `pairs_gather`; what both join operators run).
 //!
 //! Every series asserts parity on the actual fixture before timing
 //! anything, so a parity break fails the bench run rather than silently
-//! timing wrong answers. Thread counts are forced via
-//! `with_thread_count` because CI containers may report a single core.
+//! timing wrong answers: the parallel build against the serial one, and
+//! the join against the longhand oracle's nested loops, whole up to
+//! 10 000 rows and above that its first rows plus a longhand pair count.
+//! Thread counts are forced via `with_thread_count` because CI
+//! containers may report a single core.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dq_bench::{tagged_customers, tagged_join_partner, today};
 use relstore::index::HashIndex;
 use relstore::par;
-use tagstore::algebra as ta;
+use tagstore::algebra::derive_age;
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
+use std::collections::HashMap;
 use std::sync::Arc;
-use tagstore::{Bitset, JoinPairs, DEFAULT_BATCH_SIZE};
+use tagstore::{Bitset, JoinPairs, TaggedRelation, DEFAULT_BATCH_SIZE};
+
+/// Left rows up to which the join's whole answer is checked against the
+/// oracle's nested loops; above it, these first rows and the pair count.
+const FULL_PARITY_ROWS: usize = 10_000;
+
+/// The pairs an equi-join on `key` makes, counted longhand: each
+/// non-NULL left key meets every right row with an equal key.
+fn pair_count(left: &TaggedRelation, right: &TaggedRelation, key: &str) -> usize {
+    let (li, ri) = (left.schema().resolve(key).unwrap(), right.schema().resolve(key).unwrap());
+    let mut counts: HashMap<&relstore::Value, usize> = HashMap::new();
+    for row in right.rows() {
+        *counts.entry(&row[ri].value).or_default() += 1;
+    }
+    let left_keys = left.rows().iter().map(|row| &row[li].value).filter(|v| !v.is_null());
+    left_keys.map(|v| counts.get(v).copied().unwrap_or(0)).sum()
+}
 
 /// Row-count tiers, overridable for smoke runs (`DQ_BENCH_TIERS=10000`).
 fn tiers() -> Vec<usize> {
@@ -38,7 +57,7 @@ fn tiers() -> Vec<usize> {
 
 fn aged(rows: usize) -> tagstore::TaggedRelation {
     let mut rel = tagged_customers(rows, 4);
-    ta::derive_age(&mut rel, "employees", today()).unwrap();
+    derive_age(&mut rel, "employees", today()).unwrap();
     rel
 }
 
@@ -84,18 +103,23 @@ fn bench_join_probe(c: &mut Criterion) {
                     .unwrap();
             pairs.gather()
         };
-        let reference = ta::hash_join(&left, &right, "co_name", "co_name").unwrap();
-        assert_eq!(
-            reference,
-            pairs_gather(),
-            "join parity at {rows} rows"
-        );
+        let got = pairs_gather();
+        if rows <= FULL_PARITY_ROWS {
+            let reference = dq_oracle::equi_join(&left, &right, "co_name", "co_name");
+            assert_eq!(got.rows(), &reference[..], "join parity at {rows} rows");
+        } else {
+            // pairs come in left-row order: the oracle's join of the left
+            // side's first rows is the gather's first rows, and the
+            // longhand pair count catches a pair missing or added later
+            let head = left.rows()[..FULL_PARITY_ROWS].to_vec();
+            let head = TaggedRelation::new(left.schema().clone(), left.dictionary().clone(), head);
+            let reference = dq_oracle::equi_join(&head.unwrap(), &right, "co_name", "co_name");
+            assert_eq!(&got.rows()[..reference.len()], &reference[..], "join parity at {rows} rows");
+            assert_eq!(got.len(), pair_count(&left, &right, "co_name"), "join size at {rows} rows");
+        }
         let mut g = c.benchmark_group(format!("B9/join/{rows}"));
         g.sample_size(10);
         g.throughput(Throughput::Elements(rows as u64));
-        g.bench_function("hash_join_row", |b| {
-            b.iter(|| ta::hash_join(&left, &right, "co_name", "co_name").unwrap())
-        });
         g.bench_function("pairs_gather", |b| b.iter(pairs_gather));
         g.finish();
     }

@@ -22,8 +22,8 @@
 //!
 //! Correctness gate (fatal): before timing, every (budget, readahead,
 //! selectivity) cell compares the indexed result byte-for-byte against
-//! the full paged scan and against an in-memory twin of the relation;
-//! any divergence aborts the bench.
+//! the full paged scan and against the columnar σ over an in-memory twin
+//! of the relation; any divergence aborts the bench.
 //!
 //! Knobs: `DQ_BENCH_PAGED_INDEX_JSON` (output, default
 //! BENCH_paged_index.json), `DQ_PIDX_ROWS` (default 200000),
@@ -36,6 +36,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
+use tagstore::{selection_columnar, ColumnarRelation, DEFAULT_BATCH_SIZE};
 
 const PAGE_SIZE: usize = 16 * 1024;
 const RELATION: &str = "trades";
@@ -151,11 +152,13 @@ fn main() {
          {total_pages} pages ({heap_pages} heap + {dir_pages} dir)"
     );
 
+    let layout = ColumnarRelation::from_tagged(&twin);
     let sels: Vec<(usize, Expr, TaggedRelation)> = [(1usize, "s1"), (10, "s10"), (100, "s100")]
         .into_iter()
         .map(|(pm, tag)| {
             let pred = Expr::col("sym@source").eq(Expr::lit(tag));
-            let reference = tagstore::algebra::select(&twin, &pred).expect("twin select");
+            let (kept, _) = selection_columnar(&layout, &pred, DEFAULT_BATCH_SIZE).expect("twin σ");
+            let reference = layout.gather(&kept);
             (pm, pred, reference)
         })
         .collect();

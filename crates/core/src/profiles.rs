@@ -11,7 +11,8 @@
 
 use relstore::{DbResult, Expr, Value};
 use serde::{Deserialize, Serialize};
-use tagstore::{algebra, IndicatorDictionary, TaggedRelation, TAG_SEP};
+use tagstore::{selection_columnar, ColumnarRelation, IndicatorDictionary, TaggedRelation};
+use tagstore::{DEFAULT_BATCH_SIZE, TAG_SEP};
 
 /// Comparison operator of a standard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,12 +128,15 @@ impl UserProfile {
     }
 
     /// Filters a tagged relation to the rows meeting this profile's
-    /// standards. The unconstrained profile passes everything.
+    /// standards, by the columnar σ over its layout. The unconstrained
+    /// profile passes everything.
     pub fn filter(&self, rel: &TaggedRelation) -> DbResult<TaggedRelation> {
-        match self.to_predicate() {
-            None => Ok(rel.clone()),
-            Some(p) => algebra::select(rel, &p),
-        }
+        let Some(p) = self.to_predicate() else {
+            return Ok(rel.clone());
+        };
+        let layout = ColumnarRelation::from_tagged(rel);
+        let (kept, _) = selection_columnar(&layout, &p, DEFAULT_BATCH_SIZE)?;
+        Ok(layout.gather(&kept))
     }
 
     /// The profile's default `WITH QUALITY` predicate *for one table*:

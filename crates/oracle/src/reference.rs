@@ -1,14 +1,3 @@
-//! The reference evaluator: a `SELECT` as nested loops over the catalog's
-//! rows, copied out as `Vec<Vec<QualityCell>>`. It shares only the parser,
-//! `Value`'s total order and the renderer with the engine. σ runs a row's
-//! top-level conjuncts in written order and drops it at the first that is
-//! not true, reading both sides of every operator within one; 3VL and
-//! checked Int arithmetic are written out. π copies cells, tags and all,
-//! and reads `col@ind[@meta]` as a bare cell of that tag's value; ⋈ names
-//! a column both sides have `l.`/`r.`; γ and DISTINCT tag as [`aggregate`]
-//! and [`merge`] say. Anything else panics.
-#![allow(dead_code)] // each test binary reads a different part
-
 use dq_query::{default_agg_policies, parse, QueryCatalog, QueryResult, SelectItem, Statement};
 use dq_server::render_result;
 use relstore::algebra::{AggCall, AggFunc};
@@ -81,6 +70,17 @@ pub fn answer(catalog: &QueryCatalog, sql: &str) -> Answer<Rel> {
     });
     rel.rows.truncate(q.limit.unwrap_or(usize::MAX));
     Ok(rel)
+}
+
+/// σ over one relation: the rows `predicate` keeps, in order.
+pub fn filter(t: &TaggedRelation, predicate: &Expr) -> Answer<TaggedRelation> {
+    let kept = select(Rel::of(t), predicate)?.rows;
+    Ok(TaggedRelation::new(t.schema().clone(), t.dictionary().clone(), kept).expect("rows of `t`"))
+}
+
+/// ⋈ of two relations on one key each, in nested-loop order.
+pub fn equi_join(left: &TaggedRelation, right: &TaggedRelation, left_key: &str, right_key: &str) -> Vec<TaggedRow> {
+    join(Rel::of(left), Rel::of(right), left_key, right_key).rows
 }
 
 fn select(rel: Rel, predicate: &Expr) -> Answer<Rel> {

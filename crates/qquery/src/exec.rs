@@ -14,9 +14,9 @@ use tagstore::algebra::{self, TagPolicy, TagRule};
 use tagstore::bitmap::QualityIndex;
 use tagstore::columnar::ColumnarRelation;
 use tagstore::{
-    selection_columnar, selection_indexed_columnar, BatchStats, Bitset, ColumnarView,
-    IndicatorDictionary, JoinPairs, Predicate, QualityCell, TaggedRelation, TaggedRow, ViewSource,
-    DEFAULT_BATCH_SIZE,
+    selection_columnar, selection_indexed_columnar, selection_within_columnar, BatchStats, Bitset,
+    ColumnarView, IndicatorDictionary, JoinPairs, Predicate, QualityCell, TaggedRelation,
+    TaggedRow, ViewSource, DEFAULT_BATCH_SIZE,
 };
 
 /// Page-level I/O counters a [`PagedProvider`] reports for one indexed
@@ -780,15 +780,17 @@ pub fn execute_traced(catalog: &QueryCatalog, plan: &Plan) -> DbResult<(Answer, 
 }
 
 /// An operator's answer before its rows are built, where a parent reads
-/// it as it lies: σ over a resident base table ([`select_base`]) or a ⋈
-/// of two inputs. A γ folds it, π reads only its columns, a ⋈ probes
-/// it, the statement answers with it; any other parent gathers it once.
+/// it as it lies: σ over a resident base table ([`select_base`]) or over
+/// an operator's output, or a ⋈ of two inputs. A γ folds it, π reads
+/// only its columns, a ⋈ or σ runs over it, the statement answers with
+/// it; any other parent gathers it once.
 enum Selection<'c> {
     /// Rows of a table's relation: every one (a bare scan), or the
     /// positions a keyed predicate kept.
     Rows(&'c TableEntry, Option<Vec<usize>>),
-    /// The σ kernels' selection over the table's columnar layout, or a
-    /// ⋈'s matched position pairs over its two inputs' layouts.
+    /// The σ kernels' selection over a columnar layout (a table's, or
+    /// an operator's output lifted once), or a ⋈'s matched position
+    /// pairs over its two inputs' layouts.
     Columnar(ViewSource),
 }
 
@@ -845,10 +847,11 @@ impl<'c> Output<'c> {
         })
     }
 
-    /// The rows as a join or γ reads them: a columnar layout, the rows of
-    /// it selected, and whether the layout was lifted. A columnar σ is
-    /// used where it lies, a bare resident scan reads its table's cached
-    /// layout, and anything else is gathered and lifted once.
+    /// The rows as a join, γ or σ reads them: a columnar layout, the
+    /// rows of it selected, and whether the layout was lifted. A columnar
+    /// σ is used where it lies, a bare resident scan reads its table's
+    /// cached layout, and anything else (γ's rows, a join's pairs) is
+    /// gathered and lifted once.
     fn columnar(self) -> DbResult<(Arc<ColumnarRelation>, Bitset, bool)> {
         let (crel, lifted) = match self {
             Output::Selected(Selection::Columnar(ViewSource::Selected(crel, sel))) => {
@@ -1061,9 +1064,9 @@ impl Tracer for TraceTree {
 
 /// The plan walker: the only place operators meet kernels. Each arm
 /// runs its inputs, then its kernel, and reports what the kernel told
-/// it; the tracer decides whether anyone listens. A σ over a resident
-/// base table, a bare resident scan and a ⋈ hand back their
-/// [`Selection`] ungathered: a parent that needs rows gathers it.
+/// it; the tracer decides whether anyone listens. A σ over resident
+/// data, a bare resident scan and a ⋈ hand back their [`Selection`]
+/// ungathered: a parent that needs rows gathers it.
 fn walk<'c, T: Tracer>(catalog: &'c QueryCatalog, plan: &Plan) -> DbResult<(Output<'c>, T::Node)> {
     let mut since = T::now();
     let mut children = Vec::new();
@@ -1126,11 +1129,20 @@ fn walk<'c, T: Tracer>(catalog: &'c QueryCatalog, plan: &Plan) -> DbResult<(Outp
                 (out, stats)
             }
             // σ over an operator's output (`HAVING`, a join residual):
-            // the row σ, one verdict per row.
+            // the same kernels over the output's layout, within the rows
+            // it kept, answering with a view like a base-table σ.
             _ => {
-                let input_rel = run_input(input)?;
-                let rel = algebra::select(&input_rel, predicate)?;
-                (Output::Rows(rel), NodeStats::selective(input_rel.len()))
+                let input = run(input)?;
+                let rows_in = input.len();
+                let (crel, kept, _) = input.columnar()?;
+                let (sel, batch) =
+                    selection_within_columnar(&crel, &kept, predicate, DEFAULT_BATCH_SIZE)?;
+                let stats = NodeStats {
+                    batch: Some(batch),
+                    layout: Some("columnar"),
+                    ..NodeStats::selective(rows_in)
+                };
+                (Output::Selected(Selection::Columnar(ViewSource::Selected(crel, sel))), stats)
             }
         },
         Plan::Join {
@@ -2222,10 +2234,12 @@ mod paged_tests {
             Ok(self.rel.clone())
         }
         fn select(&self, predicate: &Expr) -> DbResult<TaggedRelation> {
-            algebra::select(&self.rel, predicate)
+            let crel = ColumnarRelation::from_tagged(&self.rel);
+            let (sel, _) = selection_columnar(&crel, predicate, DEFAULT_BATCH_SIZE)?;
+            Ok(crel.gather(&sel))
         }
         fn select_indexed(&self, predicate: &Expr) -> DbResult<(TaggedRelation, PagedScanStats)> {
-            Ok((algebra::select(&self.rel, predicate)?, self.stats))
+            Ok((self.select(predicate)?, self.stats))
         }
         fn access_estimate(&self, predicate: &Expr) -> Option<(Vec<String>, f64)> {
             let bound =

@@ -241,23 +241,20 @@ impl SharedCatalog {
         let result = match ws.db.clone() {
             Some(db) => {
                 // Durable path: stage the catalog apply on a scratch
-                // copy first, then WAL-log the same cell tags, so a
-                // WAL error publishes nothing.
+                // copy first, then log and commit the same cell tags
+                // before the database's relation takes them, so a WAL
+                // error publishes nothing and changes nothing.
                 let table = write.table().to_owned();
-                let tags: Vec<_> = write.tags().to_vec();
+                let mut tags: Vec<_> = write.tags().to_vec();
                 let mut next = ws.catalog.clone();
                 let staged = write.apply(&mut next);
                 let logged = staged.and_then(|res| {
                     let mut db = lock(&db)?;
+                    // Rows past the end were skipped by the catalog-side
+                    // conflict re-apply too.
                     let len = db.tagged(&table)?.len();
-                    for (row, column, tag) in tags {
-                        // Rows past the end were skipped by the
-                        // catalog-side conflict re-apply too.
-                        if row < len {
-                            db.tag_cell(&table, row, &column, tag)?;
-                        }
-                    }
-                    db.commit()?;
+                    tags.retain(|(row, ..)| *row < len);
+                    db.tag_cells(&table, &tags)?;
                     Ok(res)
                 });
                 if logged.is_ok() {
@@ -472,6 +469,55 @@ mod tests {
         fn access_estimate(&self, _: &Expr) -> Option<(Vec<String>, f64)> {
             None
         }
+    }
+
+    /// A durable `TAG` whose WAL commit fails changes nothing: right
+    /// after the failure the database's relation equals the served one,
+    /// and a later good `TAG`, a checkpoint and a crash leave the failed
+    /// cell untagged and the good one tagged.
+    #[test]
+    fn a_failed_durable_tag_stays_undone() {
+        use dq_query::prepare_write;
+        use dq_storage::{DurableOptions, MemFs};
+        use relstore::{DataType, Value};
+        use tagstore::QualityCell;
+        let fs = MemFs::new();
+        let opts = DurableOptions {
+            group_commit: true,
+            ..DurableOptions::default()
+        };
+        let (mut db, _) = DurableDb::open(Arc::new(fs.clone()), opts.clone()).unwrap();
+        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        db.create_tagged("t", schema, IndicatorDictionary::with_paper_defaults()).unwrap();
+        for k in 0..4i64 {
+            db.push("t", vec![QualityCell::bare(k), QualityCell::bare(k * 10)]).unwrap();
+        }
+        db.commit().unwrap();
+        let shared = SharedCatalog::with_db(db).unwrap();
+        let tag = |sql: &str| shared.commit_write(prepare_write(&shared.snapshot(), sql).unwrap());
+        let durable = || {
+            let ws = lock(&shared.master).unwrap();
+            let db = lock(ws.db.as_ref().unwrap()).unwrap();
+            db.tagged("t").unwrap().clone()
+        };
+
+        fs.set_write_budget(0);
+        assert!(tag("TAG t SET v@source = 'lost' WHERE k = 1").is_err());
+        fs.clear_write_budget();
+        assert_eq!(durable(), *shared.snapshot().get("t").unwrap());
+        tag("TAG t SET v@source = 'kept' WHERE k = 2").unwrap();
+        assert_eq!(durable(), *shared.snapshot().get("t").unwrap());
+        {
+            let ws = lock(&shared.master).unwrap();
+            lock(ws.db.as_ref().unwrap()).unwrap().checkpoint().unwrap();
+        }
+        drop(shared);
+        fs.crash();
+
+        let (db, _) = DurableDb::open(Arc::new(fs), opts).unwrap();
+        let t = db.tagged("t").unwrap();
+        assert_eq!(t.cell(1, "v").unwrap().tag_value("source"), Value::Null);
+        assert_eq!(t.cell(2, "v").unwrap().tag_value("source"), Value::text("kept"));
     }
 
     /// A request that panics is answered with an error and counted; the

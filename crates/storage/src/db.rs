@@ -314,6 +314,16 @@ impl Recovering {
     }
 }
 
+/// The WAL record of one cell tag.
+fn tag_record(name: &str, row: usize, column: &str, tag: &IndicatorValue) -> WalRecord {
+    WalRecord::TagCell {
+        name: name.to_owned(),
+        row: row as u64,
+        column: column.to_owned(),
+        tag: tag.clone(),
+    }
+}
+
 impl DurableDb {
     /// Opens (recovering) the database stored under `fs`.
     ///
@@ -445,7 +455,8 @@ impl DurableDb {
         })
     }
 
-    /// Tags one cell of a tagged relation.
+    /// Tags one cell of a tagged relation: checked, logged, then applied,
+    /// so an autocommit that fails leaves the relation as it was.
     pub fn tag_cell(
         &mut self,
         name: &str,
@@ -453,13 +464,38 @@ impl DurableDb {
         column: &str,
         tag: IndicatorValue,
     ) -> DbResult<()> {
-        self.tagged_mut(name)?.tag_cell(row, column, tag.clone())?;
-        self.log(WalRecord::TagCell {
-            name: name.to_owned(),
-            row: row as u64,
-            column: column.to_owned(),
-            tag,
-        })
+        self.check_tag(name, row, column, &tag)?;
+        self.log(tag_record(name, row, column, &tag))?;
+        self.tagged_mut(name)?.tag_cell(row, column, tag)
+    }
+
+    /// Tags cells of a tagged relation as one commit: every tag is
+    /// checked, logged and made durable before the relation changes, so
+    /// a commit that fails leaves the relation as it was.
+    pub fn tag_cells(
+        &mut self,
+        name: &str,
+        tags: &[(usize, String, IndicatorValue)],
+    ) -> DbResult<()> {
+        for (row, column, tag) in tags {
+            self.check_tag(name, *row, column, tag)?;
+        }
+        for (row, column, tag) in tags {
+            self.wal.append(&tag_record(name, *row, column, tag), self.epoch + 1);
+        }
+        self.commit()?;
+        let rel = self.tagged_mut(name)?;
+        for (row, column, tag) in tags {
+            rel.tag_cell(*row, column, tag.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Whether `tag` may land on cell (`row`, `column`) of `name`.
+    fn check_tag(&self, name: &str, row: usize, col: &str, tag: &IndicatorValue) -> DbResult<()> {
+        let rel = self.tagged(name)?;
+        rel.cell(row, col)?;
+        rel.dictionary().check(tag)
     }
 
     /// Removes row `row` from a tagged relation (swap-remove).
@@ -1262,7 +1298,7 @@ mod tests {
         let pred = Expr::col("sym@source").eq(Expr::lit("feed"));
         assert_eq!(
             db.paged_select("trades", &pred).unwrap(),
-            tagstore::algebra::select(&twin, &pred).unwrap()
+            dq_oracle::filter(&twin, &pred).unwrap()
         );
     }
 
@@ -1494,7 +1530,7 @@ mod tests {
             twin.push(trade_row(i)).unwrap();
         }
         fn check(db: &mut DurableDb, twin: &TaggedRelation, pred: &Expr) -> PagedReadStats {
-            let want = tagstore::algebra::select(twin, pred).unwrap();
+            let want = dq_oracle::filter(twin, pred).unwrap();
             let (got, stats) = db.paged_select_indexed("trades", pred).unwrap();
             assert_eq!(got, want, "indexed path diverged for {pred}");
             assert_eq!(stats.rows_out, want.len() as u64);

@@ -322,8 +322,8 @@ mod proptests {
         /// columnar layout rebuilt from the recovered relation must
         /// round-trip losslessly, build a bitmap index bit-for-bit
         /// identical to the row build (serial and forced-parallel), and
-        /// answer indexed quality selections identically to the
-        /// unindexed algebra at 1, 2, and 8 threads.
+        /// answer indexed quality selections identically to the oracle
+        /// at 1, 2, and 8 threads.
         #[test]
         fn crash_after_commit_loses_nothing_and_indexes_agree(
             ops in prop::collection::vec(arb_op(), 1..24),
@@ -345,7 +345,7 @@ mod proptests {
                 prop_assert!(built == index, "columnar index build diverged at {threads} threads");
             }
             let pred = Expr::col("v@source").eq(Expr::lit("a"));
-            let reference = tagstore::algebra::select(&expect.q, &pred).unwrap();
+            let reference = dq_oracle::filter(&expect.q, &pred).unwrap();
             for threads in [1usize, 2, 8] {
                 let got = relstore::par::with_thread_count(threads, || {
                     indexed_select(recovered, &index, &pred)
@@ -510,7 +510,7 @@ mod proptests {
             prop_assert_eq!(&recovered, &twin);
 
             let pred = Expr::col("v@source").eq(Expr::lit("a"));
-            let reference = tagstore::algebra::select(&twin, &pred).unwrap();
+            let reference = dq_oracle::filter(&twin, &pred).unwrap();
             prop_assert_eq!(&db.paged_select("q", &pred).unwrap(), &reference);
             let index = QualityIndex::build(&recovered);
             for threads in [1usize, 2, 8] {
@@ -549,7 +549,7 @@ mod proptests {
             ];
             let references: Vec<TaggedRelation> = preds
                 .iter()
-                .map(|p| tagstore::algebra::select(full, p).unwrap())
+                .map(|p| dq_oracle::filter(full, p).unwrap())
                 .collect();
             let memory = QualityIndex::build(full);
 
@@ -607,7 +607,7 @@ mod proptests {
             if k >= 1 {
                 let expect = &snapshots[k];
                 for pred in &preds {
-                    let reference = tagstore::algebra::select(expect, pred).unwrap();
+                    let reference = dq_oracle::filter(expect, pred).unwrap();
                     prop_assert_eq!(&db.paged_select_indexed("q", pred).unwrap().0, &reference);
                     prop_assert_eq!(&db.paged_select("q", pred).unwrap(), &reference);
                 }

@@ -707,13 +707,13 @@ mod tests {
                 row(i, "x", if i % 4 == 0 { Some("nexis") } else { Some("feed") }),
             );
         }
-        let pred = Expr::col("v@source").eq(Expr::lit("nexis"));
-        let pred = Predicate::bind(rel.schema(), rel.dictionary(), &pred).unwrap();
+        let expr = Expr::col("v@source").eq(Expr::lit("nexis"));
+        let pred = Predicate::bind(rel.schema(), rel.dictionary(), &expr).unwrap();
         let got = rel.select(&mut pool, &mut NoGate, &pred).unwrap();
         assert_eq!(got.len(), 50);
-        // parity with the in-memory algebra over the materialized twin
+        // parity with the oracle over the materialized twin
         let twin = rel.to_relation(&mut pool, &mut NoGate).unwrap();
-        let want = tagstore::algebra::select(&twin, &pred).unwrap();
+        let want = dq_oracle::filter(&twin, &expr).unwrap();
         assert_eq!(got, want);
     }
 

@@ -1,25 +1,21 @@
-//! Tag-propagating relational algebra over [`TaggedRelation`]s.
+//! The row operators over [`TaggedRelation`]s that remain, and the tag
+//! rules γ derives with. σ, π, ⋈ and γ run the columnar kernels; four
+//! row operators serve paths the columnar layout does not reach yet:
 //!
-//! The engine's relational algebra: every relation is tagged, and an
-//! untagged one is a tagged one with empty tag sets. Each operator defines
-//! how quality tags travel:
+//! * [`evaluate_mask`] and [`evaluate_at`] — `TAG`'s `WHERE` mask and
+//!   `SET` values, until every conjunct runs typed (ROADMAP item 5);
+//! * [`select_at`] — a keyed lookup's rows, until the resident table is
+//!   its columnar layout (item 3);
+//! * [`distinct_merging`] — δ, until Distinct hashes positions (item 4).
 //!
-//! * σ / π / ρ / τ — tags ride along with their cells unchanged;
-//! * ⋈ / × — each output cell keeps the tags of the input cell it came
-//!   from (cells are never synthesized, so provenance is exact);
-//! * γ — aggregate output cells get tags *derived* from the input group
-//!   under an explicit [`TagPolicy`] (e.g. a SUM's `creation_time` is the
-//!   *oldest* input creation time — conservative staleness);
-//! * predicates may reference pseudo-columns `col@indicator`, which is the
-//!   paper's query-time quality filtering.
+//! γ's output cells get tags *derived* from the input group under a
+//! [`TagPolicy`] (a SUM's `creation_time` is the *oldest* input creation
+//! time — conservative staleness); [`derive_age`] derives `age`.
 
-use crate::bitmap::Bitset;
-use crate::columnar::ColumnarRelation;
 use crate::indicator::IndicatorValue;
 use crate::predicate::ToPredicate;
 use crate::relation::{TaggedRelation, TaggedRow};
 use crate::symbol::Symbol;
-use relstore::algebra::AggCall;
 use relstore::{par, Date, DbError, DbResult, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -69,41 +65,6 @@ pub fn evaluate_mask(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbRe
     }
 }
 
-/// σ — keeps rows whose predicate holds. The predicate may mix application
-/// columns and `col@indicator` pseudo-columns; rows whose referenced tag is
-/// missing evaluate to NULL and are dropped, so *untagged data never
-/// satisfies a quality constraint*.
-///
-/// Each row gets [`crate::Predicate::matches`]'s verdict, row by row
-/// through the scalar evaluator. This is σ over an operator's output
-/// (`HAVING`, a join residual) and the reference the columnar, bitmap
-/// and paged σ are tested against. Surviving rows are shared — a
-/// refcount bump per row, not a copy of its cells. Large inputs filter
-/// in parallel chunks with input order preserved.
-pub fn select(rel: &TaggedRelation, predicate: &impl ToPredicate) -> DbResult<TaggedRelation> {
-    let bound = predicate.to_predicate(rel.schema(), rel.dictionary())?;
-    let filter_chunk = |chunk: &[TaggedRow]| -> DbResult<Vec<TaggedRow>> {
-        let mut out = Vec::new();
-        for row in chunk {
-            if bound.matches(row)? {
-                out.push(row.clone());
-            }
-        }
-        Ok(out)
-    };
-    let rows = match par::plan(rel.len()) {
-        Some(threads) => {
-            par::merge_results(par::run_chunked(rel.rows(), threads, |_, c| filter_chunk(c)))?
-        }
-        None => filter_chunk(rel.rows())?,
-    };
-    Ok(TaggedRelation::from_parts_unchecked(
-        rel.schema().clone(),
-        rel.dictionary().clone(),
-        rows,
-    ))
-}
-
 /// σ over an explicit ascending row-id list: gathers the rows at `ids`,
 /// e.g. those a keyed lookup kept. Chunks over the id list itself, so
 /// the parallel win scales with the *surviving* rows, not the relation —
@@ -122,103 +83,6 @@ pub fn select_at(rel: &TaggedRelation, ids: &[usize]) -> DbResult<TaggedRelation
     Ok(TaggedRelation::from_parts_unchecked(
         rel.schema().clone(),
         rel.dictionary().clone(),
-        rows,
-    ))
-}
-
-/// π — projects onto named columns; tags travel with cells (shared, not
-/// deep-copied). Parallel on large inputs, input order preserved.
-pub fn project(rel: &TaggedRelation, columns: &[&str]) -> DbResult<TaggedRelation> {
-    let indices: Vec<usize> = columns
-        .iter()
-        .map(|c| rel.schema().resolve(c))
-        .collect::<DbResult<_>>()?;
-    let schema = rel.schema().project(&indices)?;
-    let project_chunk = |chunk: &[TaggedRow]| -> Vec<TaggedRow> {
-        chunk
-            .iter()
-            .map(|r| indices.iter().map(|&i| r[i].clone()).collect())
-            .collect()
-    };
-    let rows = match par::plan(rel.len()) {
-        Some(threads) => par::run_chunked(rel.rows(), threads, |_, c| project_chunk(c))
-            .into_iter()
-            .flatten()
-            .collect(),
-        None => project_chunk(rel.rows()),
-    };
-    Ok(TaggedRelation::from_parts_unchecked(
-        schema,
-        rel.dictionary().clone(),
-        rows,
-    ))
-}
-
-/// ⋈ — hash equi-join on application values. Output cells keep the tags of
-/// the input cell they came from. Dictionaries must be merged by the
-/// caller if they differ; we require the left dictionary to cover both.
-pub fn hash_join(
-    left: &TaggedRelation,
-    right: &TaggedRelation,
-    left_key: &str,
-    right_key: &str,
-) -> DbResult<TaggedRelation> {
-    let li = left.schema().resolve(left_key)?;
-    let ri = right.schema().resolve(right_key)?;
-    let schema = left.schema().join(right.schema(), "l", "r")?;
-
-    fn build_chunk(chunk: &[TaggedRow], ri: usize) -> HashMap<&Value, Vec<&TaggedRow>> {
-        let mut t: HashMap<&Value, Vec<&TaggedRow>> = HashMap::with_capacity(chunk.len());
-        for rr in chunk {
-            if !rr[ri].value.is_null() {
-                t.entry(&rr[ri].value).or_default().push(rr);
-            }
-        }
-        t
-    }
-    // Parallel build merges per-chunk partial tables in chunk order, which
-    // reproduces the serial per-key insertion order exactly.
-    let table: HashMap<&Value, Vec<&TaggedRow>> = match par::plan(right.len()) {
-        Some(threads) => {
-            let mut merged: HashMap<&Value, Vec<&TaggedRow>> =
-                HashMap::with_capacity(right.len());
-            let partials = par::run_ranges(right.len(), threads, |_, r| {
-                build_chunk(&right.rows()[r], ri)
-            });
-            for partial in partials {
-                for (k, mut v) in partial {
-                    merged.entry(k).or_default().append(&mut v);
-                }
-            }
-            merged
-        }
-        None => build_chunk(right.rows(), ri),
-    };
-
-    let probe_chunk = |chunk: &[TaggedRow]| -> Vec<TaggedRow> {
-        let mut out = Vec::new();
-        for lr in chunk {
-            if lr[li].value.is_null() {
-                continue;
-            }
-            if let Some(matches) = table.get(&lr[li].value) {
-                for rr in matches {
-                    out.push(lr.iter().chain(rr.iter()).cloned().collect());
-                }
-            }
-        }
-        out
-    };
-    let rows: Vec<TaggedRow> = match par::plan(left.len()) {
-        Some(threads) => par::run_chunked(left.rows(), threads, |_, c| probe_chunk(c))
-            .into_iter()
-            .flatten()
-            .collect(),
-        None => probe_chunk(left.rows()),
-    };
-    Ok(TaggedRelation::from_parts_unchecked(
-        schema,
-        left.dictionary().clone(),
         rows,
     ))
 }
@@ -295,22 +159,6 @@ impl TagPolicy {
     }
 }
 
-/// γ — group by `group_by` application values and compute `aggs`, deriving
-/// output-cell tags per `policies`. Group-key output cells keep the tags
-/// every group member's key cell carries alike; aggregate output cells get
-/// tags derived from the aggregated column's input cells. The relation is
-/// lifted to columnar once and run by the one γ kernel
-/// ([`ColumnarRelation::aggregate`]).
-pub fn aggregate(
-    rel: &TaggedRelation,
-    group_by: &[&str],
-    aggs: &[AggCall],
-    policies: &[TagPolicy],
-) -> DbResult<TaggedRelation> {
-    let crel = ColumnarRelation::from_tagged(rel);
-    crel.aggregate(&Bitset::full(crel.len()), group_by, aggs, policies)
-}
-
 /// Derives the `age` indicator (in days) from `creation_time` for every
 /// tagged cell of `column` — the paper's Step-4 example of indicator
 /// derivability: "age can be computed given current time and creation
@@ -331,15 +179,104 @@ pub fn derive_age(rel: &mut TaggedRelation, column: &str, now: Date) -> DbResult
     Ok(derived)
 }
 
-/// Convenience re-export of aggregate call constructors.
-pub use relstore::algebra::{AggCall as Agg, AggFunc as AggF};
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! σ, π, ⋈ and γ over tagged relations as the engine runs them (the
+    //! columnar kernels, through [`sigma`], [`pi`], [`join`] and
+    //! [`gamma`]), the row operators that remain, and the longhand σ and
+    //! ⋈ ([`filtered`], [`nested_loop`]) this crate's tests compare the
+    //! kernels against.
     use super::*;
     use crate::cell::QualityCell;
+    use crate::columnar::{selection_columnar, ColumnarRelation, JoinPairs, DEFAULT_BATCH_SIZE};
     use crate::indicator::IndicatorDictionary;
+    use crate::view::{ColumnarView, ViewSource};
+    use crate::Bitset;
+    use relstore::algebra::{AggCall, AggFunc};
     use relstore::{DataType, Expr, Schema};
+
+    /// σ as a resident table runs it: the columnar kernels over its
+    /// layout, then the gather.
+    pub(crate) fn sigma(rel: &TaggedRelation, p: &Expr) -> DbResult<TaggedRelation> {
+        let crel = ColumnarRelation::from_tagged(rel);
+        let (sel, _) = selection_columnar(&crel, p, DEFAULT_BATCH_SIZE)?;
+        Ok(crel.gather(&sel))
+    }
+
+    /// π as a resident table runs it: a view of `columns`, gathered.
+    pub(crate) fn pi(rel: &TaggedRelation, columns: &[&str]) -> DbResult<TaggedRelation> {
+        let crel = Arc::new(ColumnarRelation::from_tagged(rel));
+        let all = Bitset::full(crel.len());
+        let columns: Vec<(String, String)> =
+            columns.iter().map(|c| (c.to_string(), c.to_string())).collect();
+        Ok(ColumnarView::project(ViewSource::Selected(crel, all), &columns)?.gather())
+    }
+
+    /// ⋈ as the engine runs it: the pair kernel probing the right side's
+    /// key index with the left side's keys, then the gather.
+    pub(crate) fn join(
+        left: &TaggedRelation,
+        right: &TaggedRelation,
+        left_key: &str,
+        right_key: &str,
+    ) -> DbResult<TaggedRelation> {
+        let l = Arc::new(ColumnarRelation::from_tagged(left));
+        let r = Arc::new(ColumnarRelation::from_tagged(right));
+        let index = r.key_index(right_key, &Bitset::full(r.len()))?;
+        let all = Bitset::full(l.len());
+        let (pairs, _) =
+            JoinPairs::probe(l, &all, left_key, r, right_key, &index, DEFAULT_BATCH_SIZE)?;
+        Ok(pairs.gather())
+    }
+
+    /// γ as the engine runs it over rows it lifts: the γ kernel over the
+    /// relation's layout.
+    pub(crate) fn gamma(
+        rel: &TaggedRelation,
+        group_by: &[&str],
+        aggs: &[AggCall],
+        policies: &[TagPolicy],
+    ) -> DbResult<TaggedRelation> {
+        let crel = ColumnarRelation::from_tagged(rel);
+        crel.aggregate(&Bitset::full(crel.len()), group_by, aggs, policies)
+    }
+
+    /// σ longhand: the rows [`crate::Predicate::matches`] keeps, in
+    /// order, or the first row's error.
+    pub(crate) fn filtered(
+        rel: &TaggedRelation,
+        p: &impl ToPredicate,
+    ) -> DbResult<TaggedRelation> {
+        let p = p.to_predicate(rel.schema(), rel.dictionary())?;
+        let mut rows = Vec::new();
+        for row in rel.iter() {
+            if p.matches(row)? {
+                rows.push(row.clone());
+            }
+        }
+        let (schema, dict) = (rel.schema().clone(), rel.dictionary().clone());
+        Ok(TaggedRelation::from_parts_unchecked(schema, dict, rows))
+    }
+
+    /// ⋈ longhand: each left row in turn meets every right row with an
+    /// equal key; a NULL key meets none.
+    pub(crate) fn nested_loop(
+        left: &TaggedRelation,
+        right: &TaggedRelation,
+        left_key: &str,
+        right_key: &str,
+    ) -> DbResult<TaggedRelation> {
+        let (li, ri) = (left.schema().resolve(left_key)?, right.schema().resolve(right_key)?);
+        let schema = left.schema().join(right.schema(), "l", "r")?;
+        let mut rows = Vec::new();
+        for l in left.iter().filter(|l| !l[li].value.is_null()) {
+            for r in right.iter().filter(|r| r[ri].value == l[li].value) {
+                rows.push(l.iter().chain(r.iter()).cloned().collect());
+            }
+        }
+        let dict = left.dictionary().clone();
+        Ok(TaggedRelation::from_parts_unchecked(schema, dict, rows))
+    }
 
     fn d(s: &str) -> Value {
         Value::Date(Date::parse(s).unwrap())
@@ -400,26 +337,26 @@ mod tests {
 
     #[test]
     fn select_filters() {
-        let r = select(&customers(), &Expr::col("employees").gt(Expr::lit(500i64))).unwrap();
+        let r = sigma(&customers(), &Expr::col("employees").gt(Expr::lit(500i64))).unwrap();
         assert_eq!(r.len(), 2);
         // NULL address row: predicate on address drops it (3VL)
-        let r = select(&customers(), &Expr::col("address").eq(Expr::lit("12 Jay St"))).unwrap();
+        let r = sigma(&customers(), &Expr::col("address").eq(Expr::lit("12 Jay St"))).unwrap();
         assert_eq!(r.len(), 1);
     }
 
     #[test]
     fn select_empty_result() {
-        let r = select(&customers(), &Expr::lit(false)).unwrap();
+        let r = sigma(&customers(), &Expr::lit(false)).unwrap();
         assert!(r.is_empty());
         assert_eq!(r.schema().arity(), 3);
     }
 
     #[test]
     fn project_reorders() {
-        let r = project(&customers(), &["employees", "co_name"]).unwrap();
+        let r = pi(&customers(), &["employees", "co_name"]).unwrap();
         assert_eq!(r.schema().names(), vec!["employees", "co_name"]);
         assert_eq!(r.rows()[0][0].value, Value::Int(4004));
-        assert!(project(&customers(), &["bogus"]).is_err());
+        assert!(pi(&customers(), &["bogus"]).is_err());
     }
 
     /// `trades(ticker, qty)` with a ticker no stock has and a NULL one.
@@ -439,7 +376,7 @@ mod tests {
 
     #[test]
     fn hash_join_basic() {
-        let j = hash_join(&trades(), &prices(), "ticker", "ticker").unwrap();
+        let j = join(&trades(), &prices(), "ticker", "ticker").unwrap();
         assert_eq!(j.len(), 3); // FRT×2 + NUT×1; ZZZ and NULL drop
         assert_eq!(j.schema().names(), vec!["l.ticker", "qty", "r.ticker", "price"]);
     }
@@ -448,14 +385,14 @@ mod tests {
     fn null_keys_never_match() {
         let mut stocks = prices();
         stocks.push(vec![QualityCell::bare(Value::Null), QualityCell::bare(99.0)]).unwrap();
-        let j = hash_join(&stocks, &trades(), "ticker", "ticker").unwrap();
+        let j = join(&stocks, &trades(), "ticker", "ticker").unwrap();
         assert_eq!(j.len(), 3);
         assert!(j.iter().all(|r| !r[0].value.is_null()));
     }
 
     #[test]
     fn unknown_key_errors() {
-        assert!(hash_join(&trades(), &prices(), "bogus", "ticker").is_err());
+        assert!(join(&trades(), &prices(), "bogus", "ticker").is_err());
     }
 
     #[test]
@@ -475,7 +412,7 @@ mod tests {
 
     #[test]
     fn select_on_values_preserves_tags() {
-        let r = select(&prices(), &Expr::col("price").gt(Expr::lit(15.0))).unwrap();
+        let r = sigma(&prices(), &Expr::col("price").gt(Expr::lit(15.0))).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(
             r.cell(0, "price").unwrap().tag_value("source"),
@@ -487,11 +424,11 @@ mod tests {
     fn select_on_quality_pseudo_columns() {
         // the paper's headline capability: filter by tag at query time
         let p = Expr::col("price@source").eq(Expr::lit("NYSE feed"));
-        let r = select(&prices(), &p).unwrap();
+        let r = sigma(&prices(), &p).unwrap();
         assert_eq!(r.len(), 2);
         // freshness constraint
         let p = Expr::col("price@creation_time").ge(Expr::lit(d("10-10-91")));
-        let r = select(&prices(), &p).unwrap();
+        let r = sigma(&prices(), &p).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.cell(0, "ticker").unwrap().value, Value::text("NUT"));
     }
@@ -503,11 +440,11 @@ mod tests {
         rel.push(vec![QualityCell::bare("ZZZ"), QualityCell::bare(5.0)])
             .unwrap();
         let p = Expr::col("price@source").eq(Expr::lit("NYSE feed"));
-        let r = select(&rel, &p).unwrap();
+        let r = sigma(&rel, &p).unwrap();
         assert_eq!(r.len(), 2); // untagged row dropped, not matched
                                 // negated predicate also drops it (NULL ≠ true)
         let p = Expr::col("price@source").ne(Expr::lit("NYSE feed"));
-        let r = select(&rel, &p).unwrap();
+        let r = sigma(&rel, &p).unwrap();
         assert_eq!(r.len(), 1);
     }
 
@@ -516,7 +453,7 @@ mod tests {
         let p = Expr::col("price")
             .gt(Expr::lit(5.0))
             .and(Expr::col("price@source").ne(Expr::lit("manual entry")));
-        let r = select(&prices(), &p).unwrap();
+        let r = sigma(&prices(), &p).unwrap();
         assert_eq!(r.len(), 2);
     }
 
@@ -535,25 +472,25 @@ mod tests {
         }
         // filter on the quality of the quality: sources recorded in 1991
         let p = Expr::col("price@source@creation_time").ge(Expr::lit(d("1-1-91")));
-        let r = select(&dict_rel, &p).unwrap();
+        let r = sigma(&dict_rel, &p).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.cell(0, "ticker").unwrap().value, Value::text("FRT"));
         // rows whose source tag lacks the meta tag never match
         let p = Expr::col("price@source@inspection").eq(Expr::lit("x"));
-        assert!(select(&dict_rel, &p).unwrap().is_empty());
+        assert!(sigma(&dict_rel, &p).unwrap().is_empty());
     }
 
     #[test]
     fn unknown_pseudo_column_errors() {
         let p = Expr::col("ghost@source").eq(Expr::lit("x"));
-        assert!(select(&prices(), &p).is_err());
+        assert!(sigma(&prices(), &p).is_err());
         let p = Expr::col("nosuchcolumn").eq(Expr::lit("x"));
-        assert!(select(&prices(), &p).is_err());
+        assert!(sigma(&prices(), &p).is_err());
     }
 
     #[test]
     fn project_carries_tags() {
-        let r = project(&prices(), &["price"]).unwrap();
+        let r = pi(&prices(), &["price"]).unwrap();
         assert_eq!(r.schema().names(), vec!["price"]);
         assert_eq!(
             r.cell(2, "price").unwrap().tag_value("source"),
@@ -574,7 +511,7 @@ mod tests {
             ]],
         )
         .unwrap();
-        let j = hash_join(&trades, &prices(), "ticker", "ticker").unwrap();
+        let j = join(&trades, &prices(), "ticker", "ticker").unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(
             j.cell(0, "l.ticker").unwrap().tag_value("source"),
@@ -635,10 +572,10 @@ mod tests {
 
     #[test]
     fn aggregate_derives_tags() {
-        let out = aggregate(
+        let out = gamma(
             &prices(),
             &[],
-            &[Agg::on(AggF::Sum, "price", "total")],
+            &[AggCall::on(AggFunc::Sum, "price", "total")],
             &[
                 TagPolicy::new("creation_time", TagRule::Min),
                 TagPolicy::new("source", TagRule::MergeText),
@@ -680,10 +617,10 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = aggregate(
+        let out = gamma(
             &rel,
             &["k"],
-            &[Agg::on(AggF::Sum, "v", "s")],
+            &[AggCall::on(AggFunc::Sum, "v", "s")],
             &[],
         )
         .unwrap();
@@ -711,7 +648,7 @@ mod tests {
             let rows = cells.into_iter().map(|c| vec![c]).collect();
             let rel =
                 TaggedRelation::new(schema, IndicatorDictionary::with_paper_defaults(), rows).unwrap();
-            let out = aggregate(&rel, &[], &[Agg::on(AggF::Sum, "v", "s")], &p).unwrap();
+            let out = gamma(&rel, &[], &[AggCall::on(AggFunc::Sum, "v", "s")], &p).unwrap();
             out.cell(0, "s").unwrap().tag_value("source")
         };
         assert_eq!(derived(vec![cell(1, Some("s")), cell(2, Some("s"))]), Value::text("s"));
@@ -736,7 +673,7 @@ mod tests {
         );
         // now filter by the derived indicator — the trader's ten-minute
         // analogue in days (Premise 2.2)
-        let fresh = select(&rel, &Expr::col("price@age").le(Expr::lit(10i64))).unwrap();
+        let fresh = sigma(&rel, &Expr::col("price@age").le(Expr::lit(10i64))).unwrap();
         assert_eq!(fresh.len(), 1);
     }
 }

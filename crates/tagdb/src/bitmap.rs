@@ -1076,7 +1076,7 @@ pub(crate) mod tests {
             Expr::col("v@age").le(Expr::lit(10i64)),
         ] {
             let fast = index_scan(&r, &idx, &p);
-            assert_eq!(fast, crate::algebra::select(&r, &p).unwrap(), "{p:?}");
+            assert_eq!(fast, crate::algebra::tests::filtered(&r, &p).unwrap(), "{p:?}");
         }
     }
 

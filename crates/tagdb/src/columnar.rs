@@ -7,8 +7,8 @@
 //! rules reading [`ColumnarRelation::tag_column`], one indicator's values
 //! as a column built once per layout. σ's quality conjuncts read the same
 //! tag columns, so the first σ on a snapshot builds the ones it names. σ
-//! over an operator's output is the row algebra's
-//! ([`crate::algebra::select`]).
+//! over an operator's output runs on the output's layout, within the
+//! rows it kept ([`selection_within_columnar`]).
 //!
 //! ## Layout
 //!
@@ -38,7 +38,7 @@
 //! tag allocation still share it after the round trip. Every columnar
 //! operator (σ and indexed σ with [`ColumnarRelation::gather`], the ⋈
 //! pair kernel with [`JoinPairs::gather`], index build) produces output
-//! `to_tagged()`-equal to the row-at-a-time reference; the property
+//! `to_tagged()`-equal to the operator written longhand; the property
 //! tests pin this at batch sizes 1/7/1024 and 1/2/8 threads, and the
 //! `group_ids` proptest pins γ against a γ written longhand. The σ
 //! kernels are the bound [`Predicate`]'s conjuncts,
@@ -53,7 +53,7 @@
 //! `tag_columns_match_the_row_verdict` proptest pins both paths against
 //! [`Predicate::matches`]. Conjuncts run batch-at-a-time, so
 //! when two rows would raise different runtime errors, the one reported
-//! may come from a different row than the row σ's.
+//! may come from a different row than a row-at-a-time σ's.
 
 use crate::algebra::TagPolicy;
 use crate::bitmap::{Bitset, QualityIndex};
@@ -931,21 +931,23 @@ fn publish_columnar(stats: &BatchStats) {
     dq_obs::counter!("columnar.rows_out").add(stats.rows_out as u64);
 }
 
-/// The shared columnar σ: batch windows filter to a selection —
-/// parallel per [`par::plan_index`], the whole-layout scan's cost model;
-/// batches own disjoint rows, so the workers' bitsets merge by OR. Given
-/// the index's `candidates`, the atoms it answered are not re-checked.
-/// Which rows survive, not the rows: [`ColumnarRelation::gather`]
-/// assembles them, an aggregate folds them where they lie
+/// The shared columnar σ: `conjuncts` of `pred` — every one, or those a
+/// bitmap index did not answer — run in written order over batch
+/// windows of the rows `within` selects (every row when `None`), each
+/// only on rows every earlier one kept. Parallel per
+/// [`par::plan_index`], the whole-layout scan's cost model; batches own
+/// disjoint rows, so the workers' bitsets merge by OR. Which rows
+/// survive, not the rows: [`ColumnarRelation::gather`] assembles them,
+/// an aggregate folds them where they lie
 /// ([`ColumnarRelation::aggregate`]).
-fn run_selection(
+fn run_selection<'p>(
     crel: &ColumnarRelation,
-    candidates: Option<&Bitset>,
+    within: Option<&Bitset>,
+    conjuncts: impl Iterator<Item = &'p Conjunct>,
     pred: &Predicate,
     batch_size: usize,
 ) -> DbResult<(Bitset, BatchStats)> {
-    let steps: Steps<'_> = (pred.conjuncts().iter())
-        .filter(|c| !(candidates.is_some() && c.atom))
+    let steps: Steps<'_> = conjuncts
         .map(|c| {
             let col = c.kernel.access().map(|access| match access {
                 Access::App(ci) => Cow::Borrowed(&crel.columns[*ci]),
@@ -964,7 +966,7 @@ fn run_selection(
         for b in brange {
             let start = b * batch_size;
             let blen = batch_size.min(len - start);
-            let mut sel = match candidates {
+            let mut sel = match within {
                 Some(bs) => bs.extract_range(start, blen),
                 None => Bitset::full(blen),
             };
@@ -1004,16 +1006,30 @@ fn run_selection(
 }
 
 /// Columnar σ's selection: the rows of `crel` that satisfy `predicate`,
-/// as a bitset over its rows, not yet gathered. Gathered
-/// ([`ColumnarRelation::gather`]), it is identical to
-/// [`crate::algebra::select`].
+/// as a bitset over its rows, not yet gathered. Each row gets
+/// [`Predicate::matches`]'s verdict; gathered
+/// ([`ColumnarRelation::gather`]), they are the rows it keeps, in order.
 pub fn selection_columnar(
     crel: &ColumnarRelation,
     predicate: &impl ToPredicate,
     batch_size: usize,
 ) -> DbResult<(Bitset, BatchStats)> {
     let pred = predicate.to_predicate(&crel.schema, &crel.dict)?;
-    run_selection(crel, None, &pred, batch_size)
+    run_selection(crel, None, pred.conjuncts().iter(), &pred, batch_size)
+}
+
+/// [`selection_columnar`] within a selection: the rows of `within` that
+/// satisfy `predicate`; a conjunct faulting only on rows `within`
+/// excludes never fails. σ over an operator's output (`HAVING`, a join
+/// residual) runs this on the output's layout and the rows it kept.
+pub fn selection_within_columnar(
+    crel: &ColumnarRelation,
+    within: &Bitset,
+    predicate: &impl ToPredicate,
+    batch_size: usize,
+) -> DbResult<(Bitset, BatchStats)> {
+    let pred = predicate.to_predicate(&crel.schema, &crel.dict)?;
+    run_selection(crel, Some(within), pred.conjuncts().iter(), &pred, batch_size)
 }
 
 /// How an index-assisted σ actually ran — surfaced so tests (and
@@ -1051,7 +1067,7 @@ pub fn selection_indexed_columnar(
     let _t = dq_obs::histogram!("tagstore.bitmap.select_us").start();
     let scan = || -> DbResult<(Bitset, TagAccessPath, BatchStats)> {
         dq_obs::counter!("tagstore.bitmap.scan_fallbacks").incr();
-        let (sel, stats) = run_selection(crel, None, &pred, batch_size)?;
+        let (sel, stats) = run_selection(crel, None, pred.conjuncts().iter(), &pred, batch_size)?;
         Ok((sel, TagAccessPath::Scan, stats))
     };
     let atoms = pred.atoms();
@@ -1065,7 +1081,8 @@ pub fn selection_indexed_columnar(
     // The candidates satisfy every atom, which all come before the first
     // conjunct that may fault: the residual conjuncts alone, in written
     // order, give each candidate its verdict.
-    let (sel, stats) = run_selection(crel, Some(&bs), &pred, batch_size)?;
+    let residual = pred.conjuncts().iter().filter(|c| !c.atom);
+    let (sel, stats) = run_selection(crel, Some(&bs), residual, &pred, batch_size)?;
     dq_obs::counter!("tagstore.bitmap.candidate_rows").add(stats.rows_in as u64);
     dq_obs::counter!("tagstore.bitmap.gathered_rows").add(stats.rows_out as u64);
     let path = TagAccessPath::Bitmap {
@@ -1078,8 +1095,8 @@ pub fn selection_indexed_columnar(
 
 /// A ⋈'s answer before any row is built: its two columnar sources and
 /// the `(left row, right row)` positions that matched (`u32`: resident
-/// layouts hold fewer rows), in [`crate::algebra::hash_join`]'s order —
-/// left rows ascending, each row's matches in right-row order.
+/// layouts hold fewer rows), in nested-loop order — left rows
+/// ascending, each row's matches in right-row order.
 /// [`JoinPairs::gather`] builds the rows, [`JoinPairs::aggregate`] folds
 /// them where they lie.
 #[derive(Debug, Clone)]
@@ -1198,8 +1215,8 @@ impl JoinPairs {
         &self.left.dict
     }
 
-    /// The joined rows, built once: equal to [`crate::algebra::hash_join`]
-    /// over the two sides' selected rows.
+    /// The joined rows, built once: equal to a nested-loop join of the
+    /// two sides' selected rows.
     pub fn gather(&self) -> TaggedRelation {
         ColumnarView::whole(ViewSource::Paired(self.clone())).gather()
     }
@@ -1267,7 +1284,8 @@ impl ColumnarRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra;
+    use crate::algebra::evaluate_mask;
+    use crate::algebra::tests::{filtered, nested_loop};
     use crate::fold::tests::longhand;
     use relstore::{DataType, Expr, Schema};
 
@@ -1401,7 +1419,7 @@ mod tests {
             let rel = mixed(n);
             let crel = ColumnarRelation::from_tagged(&rel);
             for p in predicates() {
-                let expect = algebra::select(&rel, &p).unwrap();
+                let expect = filtered(&rel, &p).unwrap();
                 for batch_size in [1usize, 7, 64, 1024] {
                     let (got, stats) = select(&crel, &p, batch_size).unwrap();
                     assert_eq!(got, expect, "n={n} batch={batch_size} p={p:?}");
@@ -1416,7 +1434,7 @@ mod tests {
         let rel = mixed(200);
         let crel = ColumnarRelation::from_tagged(&rel);
         for p in predicates() {
-            let expect = algebra::select(&rel, &p).unwrap();
+            let expect = filtered(&rel, &p).unwrap();
             for threads in [1usize, 2, 8] {
                 let (got, stats) =
                     par::with_thread_count(threads, || select(&crel, &p, 7).unwrap());
@@ -1439,7 +1457,7 @@ mod tests {
                 .map(|(sel, path, _)| (crel.gather(&sel), path))
         };
         for p in predicates() {
-            match (algebra::select(&rel, &p), indexed(&idx, &p)) {
+            match (filtered(&rel, &p), indexed(&idx, &p)) {
                 (Ok(want), Ok((got, _))) => assert_eq!(got, want, "p={p:?}"),
                 (Err(w), Err(g)) => assert_eq!(g.to_string(), w.to_string(), "p={p:?}"),
                 (w, g) => panic!("path divergence p={p:?}: {w:?} vs {g:?}"),
@@ -1456,14 +1474,14 @@ mod tests {
         // atom + value conjunct: bitmap candidates, then a residual pass
         let mixed_p = atom.clone().and(Expr::col("k").ge(Expr::lit(3i64)));
         let (got, path) = indexed(&idx, &mixed_p).unwrap();
-        assert_eq!(got, algebra::select(&rel, &mixed_p).unwrap());
+        assert_eq!(got, filtered(&rel, &mixed_p).unwrap());
         assert_eq!(path, bitmap(true));
         // value-only predicate → scan
         let value = Expr::col("k").ge(Expr::lit(3i64));
         assert_eq!(indexed(&idx, &value).unwrap().1, TagAccessPath::Scan);
         // stale index → scan fallback, still correct
         let (got, path) = indexed(&QualityIndex::new(), &atom).unwrap();
-        assert_eq!(got, algebra::select(&rel, &atom).unwrap());
+        assert_eq!(got, filtered(&rel, &atom).unwrap());
         assert_eq!(path, TagAccessPath::Scan);
         // a malformed predicate errors like the scan
         let bad = Expr::col("ghost@source").eq(Expr::lit("x"));
@@ -1471,8 +1489,8 @@ mod tests {
     }
 
     /// A faulting conjunct behind a typed or quality conjunct runs only
-    /// on rows every earlier conjunct kept — on the row σ, the columnar
-    /// σ, the indexed σ and `TAG`'s mask alike.
+    /// on rows every earlier conjunct kept — in σ written longhand, the
+    /// columnar σ, the indexed σ and `TAG`'s mask alike.
     #[test]
     fn guarded_faults_follow_the_one_verdict() {
         let rel = mixed(120);
@@ -1497,10 +1515,10 @@ mod tests {
         ];
         let unguarded = Expr::col("v@source").eq(Expr::lit("a")).and(fault());
         for (p, faults) in guarded.iter().map(|p| (p, false)).chain([(&unguarded, true)]) {
-            let want = algebra::select(&rel, p).map_err(|e| e.to_string());
+            let want = filtered(&rel, p).map_err(|e| e.to_string());
             assert_eq!(want.is_err(), faults, "{p}");
             assert_eq!(want.as_ref().map(|r| r.len()).unwrap_or(0), 0, "{p}");
-            let mask = algebra::evaluate_mask(&rel, p).map(|m| m.iter().filter(|b| **b).count());
+            let mask = evaluate_mask(&rel, p).map(|m| m.iter().filter(|b| **b).count());
             assert_eq!(mask.map_err(|e| e.to_string()), want.clone().map(|r| r.len()), "{p}");
             for batch_size in [1usize, 7, 1024] {
                 let got = select(&crel, p, batch_size).map(|(r, _)| r);
@@ -1512,7 +1530,47 @@ mod tests {
         }
     }
 
-    /// The pair kernel and its gather equal the row hash join over the
+    /// σ within a selection never runs outside it: a conjunct that
+    /// faults on every row the input selection excludes fails no σ, led
+    /// by it or guarded, and each kept row gets [`Predicate::matches`]'s
+    /// verdict — at 1, 2 and 8 threads and batch sizes 1, 7 and 1024.
+    #[test]
+    fn selection_within_never_runs_outside_it() {
+        let rel = mixed(150);
+        let crel = ColumnarRelation::from_tagged(&rel);
+        let mut within = Bitset::new(rel.len());
+        (0..rel.len()).filter(|k| k % 5 != 0).for_each(|k| within.set(k));
+        // 100 / (k % 5) > 30: a division by zero on exactly the rows
+        // `within` excludes
+        let fault = || {
+            let rem = Expr::Bin(Box::new(Expr::col("k")), BinOp::Mod, Box::new(Expr::lit(5i64)));
+            Expr::Bin(Box::new(Expr::lit(100i64)), BinOp::Div, Box::new(rem)).gt(Expr::lit(30i64))
+        };
+        assert!(selection_columnar(&crel, &fault(), 7).is_err(), "the fault is real");
+        let faulting = [
+            fault(),
+            Expr::col("v@source").eq(Expr::lit("a")).and(fault()),
+            fault().and(Expr::col("v@age").le(Expr::lit(15i64))),
+            Expr::col("name").ge(Expr::lit("n5")).and(fault()).and(Expr::col("v").gt(Expr::lit(20i64))),
+        ];
+        for e in faulting.into_iter().chain(predicates()) {
+            let p = Predicate::bind(rel.schema(), rel.dictionary(), &e).unwrap();
+            let verdict: Vec<usize> =
+                within.iter_ones().filter(|&i| p.matches(&rel.rows()[i]).unwrap()).collect();
+            for threads in [1usize, 2, 8] {
+                for batch_size in [1usize, 7, 1024] {
+                    let (sel, stats) = par::with_thread_count(threads, || {
+                        selection_within_columnar(&crel, &within, &p, batch_size).unwrap()
+                    });
+                    let at = format!("{e} at {threads} threads, batch {batch_size}");
+                    assert_eq!(sel.iter_ones().collect::<Vec<_>>(), verdict, "{at}");
+                    assert_eq!((stats.rows_in, stats.rows_out), (within.count(), verdict.len()));
+                }
+            }
+        }
+    }
+
+    /// The pair kernel and its gather equal the nested-loop join of the
     /// two sides' selected rows — Int keys with NULLs and duplicates on
     /// both sides, a right side hashed from its selection or probed
     /// through a prebuilt index, and Text keys whose pools differ — and
@@ -1553,7 +1611,7 @@ mod tests {
             ("name", Some(Expr::col("k").ge(Expr::lit(9i64))), None),
         ] {
             let (lsel, rsel) = (picks(&left, lp), picks(&right, rp));
-            let expect = algebra::hash_join(
+            let expect = nested_loop(
                 &left.gather(&lsel),
                 &right.gather(&rsel),
                 key,
@@ -1625,7 +1683,7 @@ mod tests {
         assert!(got.is_empty(), "NULLs never satisfy predicates");
         let p = Expr::col("b@source").eq(Expr::lit("x"));
         let (got, _) = select(&c, &p, 16).unwrap();
-        assert_eq!(got, algebra::select(&rel, &p).unwrap());
+        assert_eq!(got, filtered(&rel, &p).unwrap());
     }
 
     #[test]
@@ -1642,7 +1700,7 @@ mod tests {
             Expr::col("v").ne(Expr::lit("nope")),
             Expr::col("v@source").eq(Expr::lit(3i64)),
         ] {
-            assert!(algebra::select(&rel, &p).is_err(), "{p:?}");
+            assert!(filtered(&rel, &p).is_err(), "{p:?}");
             for batch_size in [1usize, 7, 1024] {
                 assert!(select(&crel, &p, batch_size).is_err(), "{p:?}");
             }
@@ -1667,7 +1725,7 @@ mod tests {
             (Expr::col("x").ne(Expr::lit("a")), true),
             (Expr::col("x").lt(Expr::lit(5i64)), false),
         ] {
-            let want = algebra::select(&rel, &p).map_err(|e| e.to_string());
+            let want = filtered(&rel, &p).map_err(|e| e.to_string());
             assert_eq!(want.is_ok(), answers, "{p}");
             for batch_size in [1usize, 7, 1024] {
                 let got = select(&crel, &p, batch_size).map(|(r, _)| r);

@@ -1,18 +1,19 @@
 //! `tagstore` — the attribute-based data quality model: cell-level quality
-//! indicator tagging with a tag-propagating relational algebra.
+//! indicator tagging, and the kernels that carry tags through queries.
 //!
 //! This crate implements the formal substrate the ICDE'93 paper builds on
 //! (its reference \[28\], "Toward Quality Data: An Attribute-based
 //! Approach"): every stored cell may carry *quality indicator values*
 //! describing its manufacture — source, creation time, collection method —
-//! recursively (indicators may themselves be tagged, Premise 1.4). The
-//! algebra propagates tags through σ/π/⋈/∪/γ so that query results retain
-//! the production history of each datum, and quality predicates over
-//! `column@indicator` pseudo-columns filter data by quality at query time.
+//! recursively (indicators may themselves be tagged, Premise 1.4). σ, π
+//! and ⋈ keep each cell's tags and γ derives its output's (a
+//! [`TagPolicy`]), so query results retain the production history of
+//! each datum; quality predicates over `column@indicator` pseudo-columns
+//! filter data by quality at query time.
 //!
 //! ```
 //! use tagstore::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
-//! use tagstore::algebra::select;
+//! use tagstore::{selection_columnar, ColumnarRelation, DEFAULT_BATCH_SIZE};
 //! use relstore::{Schema, DataType, Expr, Value};
 //!
 //! let schema = Schema::of(&[("address", DataType::Text)]);
@@ -22,8 +23,10 @@
 //!     .with_tag(IndicatorValue::new("source", "acct'g"))]).unwrap();
 //!
 //! // Query-time quality filtering: only accounting-sourced addresses.
-//! let trusted = select(&rel, &Expr::col("address@source").eq(Expr::lit("acct'g"))).unwrap();
-//! assert_eq!(trusted.len(), 1);
+//! let layout = ColumnarRelation::from_tagged(&rel);
+//! let acctg = Expr::col("address@source").eq(Expr::lit("acct'g"));
+//! let (kept, _) = selection_columnar(&layout, &acctg, DEFAULT_BATCH_SIZE).unwrap();
+//! assert_eq!(layout.gather(&kept).len(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,8 +47,8 @@ pub mod view;
 pub use algebra::{TagPolicy, TagRule};
 pub use bitmap::{Bitset, QualityAtom, QualityIndex};
 pub use columnar::{
-    selection_columnar, selection_indexed_columnar, BatchStats, ColumnarRelation, JoinPairs,
-    DEFAULT_BATCH_SIZE,
+    selection_columnar, selection_indexed_columnar, selection_within_columnar, BatchStats,
+    ColumnarRelation, JoinPairs, DEFAULT_BATCH_SIZE,
 };
 pub use cell::QualityCell;
 pub use epoch::{EpochCell, Stamped};
@@ -58,12 +61,15 @@ pub use store::{from_quality_store, to_quality_store, QualityStore, QKEY_SUFFIX}
 
 #[cfg(test)]
 mod proptests {
-    //! Algebra laws, over tagged relations and over relations whose cells
-    //! carry no tags.
-    use crate::algebra::*;
+    //! Algebra laws of the engine's σ, π, ⋈ and γ, over tagged relations
+    //! and over relations whose cells carry no tags; and the kernels
+    //! against σ and ⋈ written longhand.
+    use crate::algebra::tests::{filtered, gamma, join, nested_loop, pi, sigma};
+    use crate::algebra::{distinct_merging, evaluate_mask};
     use crate::bitmap::tests::{index_scan, push, retag, swap_remove};
     use crate::{IndicatorDictionary, IndicatorValue, QualityCell, TaggedRelation};
     use proptest::prelude::*;
+    use relstore::algebra::{AggCall, AggFunc};
     use relstore::{DataType, Expr, Schema, Value};
 
     /// Arbitrary tagged relation over (k:Int, v:Int) with optional
@@ -235,7 +241,7 @@ mod proptests {
         #[test]
         fn strip_commutes_with_value_select(rel in arb_tagged(), c in 0i64..20) {
             let p = Expr::col("v").lt(Expr::lit(c));
-            let lhs = select(&rel, &p).unwrap().strip().into_rows();
+            let lhs = sigma(&rel, &p).unwrap().strip().into_rows();
             let rhs: Vec<_> =
                 rel.strip().into_rows().into_iter().filter(|r| r[1] < Value::Int(c)).collect();
             prop_assert_eq!(lhs, rhs);
@@ -246,7 +252,7 @@ mod proptests {
         #[test]
         fn select_preserves_rows_exactly(rel in arb_tagged(), c in 0i64..20) {
             let p = Expr::col("k").ge(Expr::lit(c));
-            let out = select(&rel, &p).unwrap();
+            let out = sigma(&rel, &p).unwrap();
             for row in out.iter() {
                 prop_assert!(rel.iter().any(|r| r == row));
             }
@@ -257,7 +263,7 @@ mod proptests {
         #[test]
         fn quality_select_is_restriction(rel in arb_tagged(), c in 0i64..30) {
             let p = Expr::col("v@age").le(Expr::lit(c));
-            let out = select(&rel, &p).unwrap();
+            let out = sigma(&rel, &p).unwrap();
             prop_assert!(out.len() <= rel.len());
             // every surviving row really satisfies the constraint
             for row in out.iter() {
@@ -287,7 +293,7 @@ mod proptests {
         /// join of strip(R) and strip(S), row for row.
         #[test]
         fn strip_commutes_with_join(a in arb_tagged(), b in arb_tagged()) {
-            let tagged = hash_join(&a, &b, "k", "k").unwrap().strip().into_rows();
+            let tagged = join(&a, &b, "k", "k").unwrap().strip().into_rows();
             let mut plain: Vec<Vec<Value>> = Vec::new();
             for l in a.strip().rows() {
                 for r in b.strip().rows().iter().filter(|r| r[0] == l[0]) {
@@ -301,8 +307,8 @@ mod proptests {
         #[test]
         fn selection_idempotent(rel in arb_bare(), c in 0i64..50) {
             let p = Expr::col("k").lt(Expr::lit(c));
-            let once = select(&rel, &p).unwrap();
-            let twice = select(&once, &p).unwrap();
+            let once = sigma(&rel, &p).unwrap();
+            let twice = sigma(&once, &p).unwrap();
             prop_assert_eq!(once, twice);
         }
 
@@ -311,8 +317,8 @@ mod proptests {
         fn selections_commute(rel in arb_bare(), a in 0i64..50, b in 0i64..50) {
             let p = Expr::col("k").lt(Expr::lit(a));
             let q = Expr::col("v").ge(Expr::lit(b));
-            let pq = select(&select(&rel, &q).unwrap(), &p).unwrap();
-            let qp = select(&select(&rel, &p).unwrap(), &q).unwrap();
+            let pq = sigma(&sigma(&rel, &q).unwrap(), &p).unwrap();
+            let qp = sigma(&sigma(&rel, &p).unwrap(), &q).unwrap();
             prop_assert_eq!(pq, qp);
         }
 
@@ -320,8 +326,8 @@ mod proptests {
         #[test]
         fn cardinality_laws(rel in arb_bare(), c in 0i64..50) {
             let p = Expr::col("k").eq(Expr::lit(c));
-            prop_assert!(select(&rel, &p).unwrap().len() <= rel.len());
-            prop_assert_eq!(project(&rel, &["v"]).unwrap().len(), rel.len());
+            prop_assert!(sigma(&rel, &p).unwrap().len() <= rel.len());
+            prop_assert_eq!(pi(&rel, &["v"]).unwrap().len(), rel.len());
         }
 
         /// δ is idempotent and never grows the relation.
@@ -336,7 +342,7 @@ mod proptests {
         #[test]
         fn sum_distributes_over_union(a in arb_bare(), b in arb_bare()) {
             let sum = |r: &TaggedRelation| -> i64 {
-                let out = aggregate(r, &[], &[Agg::on(AggF::Sum, "v", "s")], &[]).unwrap();
+                let out = gamma(r, &[], &[AggCall::on(AggFunc::Sum, "v", "s")], &[]).unwrap();
                 match out.rows()[0][0].value {
                     Value::Int(i) => i,
                     Value::Null => 0,
@@ -358,9 +364,9 @@ mod proptests {
             let p = Expr::col("k").lt(Expr::lit(c));
             let run = || {
                 (
-                    select(&l, &p).unwrap(),
-                    project(&l, &["v", "k"]).unwrap(),
-                    hash_join(&l, &r, "k", "k").unwrap(),
+                    sigma(&l, &p).unwrap(),
+                    pi(&l, &["v", "k"]).unwrap(),
+                    join(&l, &r, "k", "k").unwrap(),
                 )
             };
             let serial = run();
@@ -382,9 +388,9 @@ mod proptests {
                 Box::new(Expr::col("k")),
             )
             .eq(Expr::lit(0i64));
-            let serial = select(&rel, &p).map_err(|e| e.to_string());
+            let serial = sigma(&rel, &p).map_err(|e| e.to_string());
             for threads in [2usize, 8] {
-                let par_out = relstore::par::with_thread_count(threads, || select(&rel, &p))
+                let par_out = relstore::par::with_thread_count(threads, || sigma(&rel, &p))
                     .map_err(|e| e.to_string());
                 prop_assert_eq!(&par_out, &serial);
             }
@@ -407,25 +413,25 @@ mod proptests {
         fn parallel_equals_serial_with_tags(a in arb_tagged(), b in arb_tagged(), c in 0i64..30) {
             let vp = Expr::col("v").lt(Expr::lit(c));
             let qp = Expr::col("v@age").le(Expr::lit(c));
-            let sel = select(&a, &vp).unwrap();
-            let qsel = select(&a, &qp).unwrap();
-            let proj = project(&a, &["v", "k"]).unwrap();
-            let join = hash_join(&a, &b, "k", "k").unwrap();
+            let sel = sigma(&a, &vp).unwrap();
+            let qsel = sigma(&a, &qp).unwrap();
+            let proj = pi(&a, &["v", "k"]).unwrap();
+            let joined = join(&a, &b, "k", "k").unwrap();
             let mask = evaluate_mask(&a, &qp).unwrap();
             for threads in [1usize, 2, 8] {
                 let (s, q, pj, j, m) = relstore::par::with_thread_count(threads, || {
                     (
-                        select(&a, &vp).unwrap(),
-                        select(&a, &qp).unwrap(),
-                        project(&a, &["v", "k"]).unwrap(),
-                        hash_join(&a, &b, "k", "k").unwrap(),
+                        sigma(&a, &vp).unwrap(),
+                        sigma(&a, &qp).unwrap(),
+                        pi(&a, &["v", "k"]).unwrap(),
+                        join(&a, &b, "k", "k").unwrap(),
                         evaluate_mask(&a, &qp).unwrap(),
                     )
                 });
                 prop_assert_eq!(&s, &sel);
                 prop_assert_eq!(&q, &qsel);
                 prop_assert_eq!(&pj, &proj);
-                prop_assert_eq!(&j, &join);
+                prop_assert_eq!(&j, &joined);
                 prop_assert_eq!(&m, &mask);
             }
         }
@@ -445,7 +451,7 @@ mod proptests {
             }
         }
 
-        /// Bitmap-indexed selection ≡ full-scan selection — identical
+        /// Bitmap-indexed selection ≡ σ written longhand — identical
         /// rows, order, and tags — across eq/ne/range/BETWEEN/mixed
         /// predicate shapes, at 1, 2, and 8 threads.
         #[test]
@@ -466,7 +472,7 @@ mod proptests {
                     .and(Expr::col("k").lt(Expr::lit(10i64))),
             ];
             for p in &preds {
-                let scan = select(&rel, p).unwrap();
+                let scan = filtered(&rel, p).unwrap();
                 for threads in [1usize, 2, 8] {
                     let fast = relstore::par::with_thread_count(threads, || {
                         index_scan(&rel, &idx, p)
@@ -503,7 +509,7 @@ mod proptests {
                 retag(&mut rel, &mut idx, row, "v", IndicatorValue::new("age", a));
             }
             let p = Expr::col("v@age").le(Expr::lit(c));
-            prop_assert_eq!(index_scan(&rel, &idx, &p), select(&rel, &p).unwrap());
+            prop_assert_eq!(index_scan(&rel, &idx, &p), filtered(&rel, &p).unwrap());
         }
 
         /// Arc-shared tags are an invisible storage optimization: a
@@ -577,7 +583,7 @@ mod proptests {
                     .and(Expr::col("k").lt(Expr::lit(10i64))),
             ];
             for p in &preds {
-                let scan = select(&rel, p).unwrap();
+                let scan = filtered(&rel, p).unwrap();
                 for threads in [1usize, 2, 8] {
                     let inc = relstore::par::with_thread_count(threads, || {
                         index_scan(&rel, &idx, p)
@@ -666,7 +672,7 @@ mod proptests {
                     let before = relstore::par::with_thread_count(threads, || {
                         index_scan(&rel, &original, p)
                     });
-                    prop_assert_eq!(&before, &select(&rel, p).unwrap());
+                    prop_assert_eq!(&before, &filtered(&rel, p).unwrap());
                 }
             }
         }
@@ -695,7 +701,7 @@ mod proptests {
 
         /// Columnar execution is invisible: σ (value, quality, and mixed
         /// predicates, indexed and unindexed) over the columnar layout
-        /// selects rows `to_tagged()`-equal to the row-at-a-time path at
+        /// selects the rows σ written longhand keeps, row at a time, at
         /// batch sizes 1, 7, and 1024 and at thread counts 1, 2, and 8 —
         /// over nullable columns.
         #[test]
@@ -714,9 +720,9 @@ mod proptests {
             let tp = Expr::col("t").ge(Expr::lit("b"));
             let idx = crate::bitmap::QualityIndex::build(&a);
             let ca = ColumnarRelation::from_tagged(&a);
-            let sel_v = select(&a, &vp).unwrap();
-            let sel_q = select(&a, &qp).unwrap();
-            let sel_t = select(&a, &tp).unwrap();
+            let sel_v = filtered(&a, &vp).unwrap();
+            let sel_q = filtered(&a, &qp).unwrap();
+            let sel_t = filtered(&a, &tp).unwrap();
             let gathered = |sel: Bitset| ca.gather(&sel);
             for threads in [1usize, 2, 8] {
                 for bs in [1usize, 7, 1024] {
@@ -746,7 +752,7 @@ mod proptests {
                 between(Expr::col("v@source"), lit(l), lit(l + 2)),
             ];
             for p in &ranges {
-                let want = select(&a, p).unwrap();
+                let want = filtered(&a, p).unwrap();
                 for threads in [1usize, 2, 8] {
                     for bs in [1usize, 7, 1024] {
                         let (scan, indexed) = relstore::par::with_thread_count(threads, || {
@@ -876,7 +882,7 @@ mod proptests {
             }
         }
 
-        /// The pair kernel plus its gather is the row hash join over the
+        /// The pair kernel plus its gather is the nested-loop join of the
         /// gathered inputs: on a nullable Int key with duplicates on both
         /// sides and on a nullable Text key whose two sides' string pools
         /// differ, each side whole or a σ's selection, the right side
@@ -906,7 +912,7 @@ mod proptests {
             };
             let (l, r) = (ca.gather(&lsel), cb.gather(&rsel));
             for key in ["v", "t"] {
-                let join = hash_join(&l, &r, key, key).unwrap();
+                let join = nested_loop(&l, &r, key, key).unwrap();
                 let ri = b.schema().resolve(key).unwrap();
                 let mut prebuilt = relstore::index::HashIndex::new(vec![0]);
                 prebuilt.rebuild(&b.iter().map(|row| vec![row[ri].value.clone()]).collect::<Vec<_>>());

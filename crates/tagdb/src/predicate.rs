@@ -456,9 +456,9 @@ impl Predicate {
     /// The verdict on one row: the top-level conjuncts run in written
     /// order through the scalar evaluator, and the first that is not
     /// true (false or NULL) drops the row, so later conjuncts never run
-    /// on it. Every σ kernel applies this verdict: the row algebra's σ,
-    /// the keyed lookup's re-check, `TAG`'s mask, and the columnar
-    /// kernels, which test conjunct by conjunct over their selection.
+    /// on it. Every σ kernel applies this verdict: the keyed lookup's
+    /// re-check, `TAG`'s mask, and the columnar kernels, which test
+    /// conjunct by conjunct over their selection.
     pub fn matches(&self, row: &[QualityCell]) -> DbResult<bool> {
         for conjunct in &self.conjuncts {
             if !self.holds(conjunct, row)? {

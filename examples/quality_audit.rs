@@ -11,7 +11,8 @@ use dq_admin::{
     PChart, Project,
 };
 use dq_workloads::{default_profiles, generate_customers, inject_errors, CustomerGenConfig};
-use relstore::{Date, Value};
+use relstore::{Date, Expr, Value};
+use tagstore::{selection_columnar, ColumnarRelation, DEFAULT_BATCH_SIZE};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let today = Date::parse("10-24-91")?;
@@ -100,12 +101,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Certification -----------------------------------------------------
     // Certify the address column once inspection is clean: re-inspect a
     // curated subset (rows that pass all rules).
-    let clean_pred = relstore::Expr::col("address@source").ne(relstore::Expr::lit(""));
-    let mut clean = tagstore::algebra::select(&rel, &clean_pred)?;
-    // drop rows older than the freshness horizon
-    let fresh_pred = relstore::Expr::col("address@creation_time")
-        .ge(relstore::Expr::lit(Value::Date(today.plus_days(-3 * 365))));
-    clean = tagstore::algebra::select(&clean, &fresh_pred)?;
+    // rows with a sourced address, created within the freshness horizon
+    let clean_pred = Expr::col("address@source")
+        .ne(Expr::lit(""))
+        .and(Expr::col("address@creation_time").ge(Expr::lit(today.plus_days(-3 * 365))));
+    let layout = ColumnarRelation::from_tagged(&rel);
+    let (kept, _) = selection_columnar(&layout, &clean_pred, DEFAULT_BATCH_SIZE)?;
+    let mut clean = layout.gather(&kept);
     let mut cert = Certification::open("customer", "address");
     let r = cert.inspect(&inspector, &clean, &mut trail, today, "quality_admin")?;
     println!("certification inspection: {} violations", r.violations.len());

@@ -27,14 +27,14 @@ filtered -p tagstore bitmap_
 filtered -p dq-query index_planner
 
 # Columnar-layout parity: row↔columnar round-trip (values, nulls,
-# per-cell tags), columnar σ vs the row-at-a-time reference
-# (`algebra::select`, one verdict per row), the pair kernel and its
-# gather and fold vs the row hash join and γ over fixed fixtures, and
-# the columnar index build vs the serial fold, at a higher case count.
+# per-cell tags), columnar σ vs σ written longhand (one verdict per
+# row), the pair kernel and its gather and fold vs a nested-loop join
+# and γ written longhand over fixed fixtures, and the columnar index
+# build vs the serial fold, at a higher case count.
 filtered -p tagstore columnar
 
-# Join parity: the pair kernel plus its gather equals `algebra::hash_join`
-# over the gathered inputs — NULL and duplicate keys, Text keys from two
+# Join parity: the pair kernel plus its gather equals a nested-loop join
+# of the gathered inputs — NULL and duplicate keys, Text keys from two
 # string pools, a hashed or prebuilt right side — at every batch size
 # and at 1/2/8 threads, at a higher case count.
 filtered -p tagstore join_pairs
@@ -82,11 +82,11 @@ PROPTEST_CASES=128 cargo test -q --offline --test aggregate_fold
 # statements a case, 5 120 at this case count.
 filtered --test plan_differential oracle
 
-# The oracle shares no kernel with the engine: it may not name the
-# tagged algebra, the columnar layout, the bound predicate or the
-# compiled expression.
-if grep -nE 'tagstore::algebra|columnar|Predicate|CompiledExpr' tests/oracle/*.rs; then
-    echo "ci: tests/oracle/ names an engine kernel" >&2
+# The oracle (the dev-only `dq-oracle` crate) shares no kernel with the
+# engine: it may not name the tagged algebra, the columnar layout, the
+# bound predicate or the compiled expression.
+if grep -rnE 'tagstore::algebra|columnar|Predicate|CompiledExpr' crates/oracle/src/; then
+    echo "ci: crates/oracle/src/ names an engine kernel" >&2
     exit 1
 fi
 
@@ -96,9 +96,9 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_index.json \
     cargo bench --offline -p dq-bench --bench index_scan >/dev/null
 
-# B9 smoke at the 10k tier: asserts parity (the row hash join vs the
-# pair kernel plus its gather, serial vs parallel index build) before
-# timing.
+# B9 smoke at the 10k tier: asserts parity (the pair kernel plus its
+# gather vs the oracle's nested loops over the left side's first rows,
+# serial vs parallel index build) before timing.
 DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_vector.json \
     cargo bench --offline -p dq-bench --bench vector >/dev/null
@@ -109,8 +109,8 @@ DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
 # version of this gate runs in scripts/bench_smoke.sh at full tiers.
 scripts/index_build_gate.sh --warn-only /tmp/ci_bench_vector.json
 
-# B10 smoke at the 10k tier: asserts columnar==row parity (σ, index
-# build, round-trip) before timing.
+# B10 smoke at the 10k tier: asserts parity (σ vs the oracle, columnar
+# vs row index build, round-trip) before timing.
 DQ_BENCH_TIERS=10000 DQ_BENCH_MS=50 DQ_BENCH_WARMUP_MS=10 \
     DQ_BENCH_JSON=/tmp/ci_bench_columnar.json \
     cargo bench --offline -p dq-bench --bench columnar >/dev/null

@@ -9,9 +9,16 @@ use dq_admin::{
 use dq_workloads::{
     default_profiles, generate_customers, inject_errors, CustomerGenConfig, MethodProfile,
 };
-use relstore::{Date, Value};
-use tagstore::algebra::select;
-use relstore::Expr;
+use relstore::{Date, DbResult, Expr, Value};
+use tagstore::{selection_columnar, ColumnarRelation, TaggedRelation, DEFAULT_BATCH_SIZE};
+
+/// The rows of `rel` that meet `predicate`, by the engine's σ over its
+/// columnar layout.
+fn select(rel: &TaggedRelation, predicate: &Expr) -> DbResult<TaggedRelation> {
+    let layout = ColumnarRelation::from_tagged(rel);
+    let (kept, _) = selection_columnar(&layout, predicate, DEFAULT_BATCH_SIZE)?;
+    Ok(layout.gather(&kept))
+}
 
 #[test]
 fn per_method_error_rates_order_as_the_paper_says() {

@@ -6,7 +6,7 @@
 //! a duplicated right key, Text keys from two string pools) — renders
 //! byte-equal (`render_result`) and
 //! carries the same cells, tags and all, as the longhand oracle's answer
-//! to the same statement (`oracle/mod.rs`: nested loops, γ deriving its
+//! to the same statement (`dq_oracle`: nested loops, γ deriving its
 //! tags under `default_agg_policies`). Inputs are seeded tagged relations
 //! with NULL keys and values, shared and per-cell tag `Arc`s and
 //! meta-tags, and Int/Text/Date/Float keys; every statement runs at 1, 2
@@ -15,9 +15,7 @@
 //! directly, with every `AggFunc` (QQL cannot spell `COUNT(DISTINCT …)`)
 //! and every `TagRule`.
 
-#[rustfmt::skip] // hand-formatted to its 300-line budget
-mod oracle;
-
+use dq_oracle as oracle;
 use dq_query::{explain_analyze, run, Planner, QueryCatalog, QueryResult};
 use dq_server::render_result;
 use proptest::prelude::*;
@@ -322,7 +320,8 @@ fn statements_match_reference(seed: u64) {
 
 /// The fold's entry points against the oracle's γ with every `AggFunc`
 /// and every `TagRule`: the columnar source over selections made at a
-/// batch width that splits even small tables, and the row source.
+/// batch width that splits even small tables, and the gathered rows
+/// lifted to a layout of their own.
 fn entry_points_match_reference(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     let rows = rows_for(&mut rng);
@@ -383,10 +382,10 @@ fn entry_points_match_reference(seed: u64) {
             let want = oracle_answer(oracle::aggregate(&input, keys, &aggs, &policies));
             let folded = answer(crel.aggregate(sel, keys, &aggs, &policies));
             assert_eq!(folded, want, "{ctx}: columnar source");
-            let rows = answer(tagstore::algebra::aggregate(
-                &gathered, keys, &aggs, &policies,
-            ));
-            assert_eq!(rows, want, "{ctx}: row source");
+            let lifted = ColumnarRelation::from_tagged(&gathered);
+            let all = Bitset::full(lifted.len());
+            let rows = answer(lifted.aggregate(&all, keys, &aggs, &policies));
+            assert_eq!(rows, want, "{ctx}: lifted source");
         }
     }
 }

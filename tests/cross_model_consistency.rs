@@ -1,17 +1,15 @@
 //! Integration: the two cell-tagging models (attribute-based tagging,
 //! polygen source sets) agree on application values with the longhand
-//! oracle (`oracle/mod.rs`) under every shared operator, and the storage
+//! oracle (`dq_oracle`) under every shared operator, and the storage
 //! layer round-trips through CSV.
 
-#[rustfmt::skip] // hand-formatted to its 300-line budget
-mod oracle;
-
-use dq_query::QueryCatalog;
+use dq_oracle as oracle;
+use dq_query::{run, QueryCatalog};
 use polygen::{PolyRelation, SourceId};
 use relstore::algebra::{AggCall, AggFunc};
 use relstore::{csv, DataType, Expr, Relation, Row, Schema, Value};
-use tagstore::algebra as ta;
-use tagstore::{IndicatorDictionary, TaggedRelation};
+use tagstore::algebra::distinct_merging;
+use tagstore::{Bitset, ColumnarRelation, IndicatorDictionary, TaggedRelation};
 
 fn base_relation(seed: u64, rows: usize) -> Relation {
     // small deterministic LCG — keeps this test free of rand
@@ -61,26 +59,27 @@ fn three_models_agree_on_select_project_join() {
     let p_right = PolyRelation::retrieve(&right, SourceId::new("B"));
     let cat = catalog(&t_left, Some(&t_right));
     let oracle = |sql: &str| values(&oracle::answer(&cat, sql).unwrap());
+    let engine = |sql: &str| run(&cat, sql).unwrap().relation().strip().into_rows();
 
     let pred = Expr::col("v").ge(Expr::lit(7i64));
 
     // select
     let r0 = oracle("SELECT * FROM l WHERE v >= 7");
-    let r1 = ta::select(&t_left, &pred).unwrap().strip().into_rows();
+    let r1 = engine("SELECT * FROM l WHERE v >= 7");
     let r2 = p_left.restrict(&pred).unwrap().strip().into_rows();
     assert_eq!(r0, r1);
     assert_eq!(r0, r2);
 
     // project
     let q0 = oracle("SELECT v FROM l");
-    let q1 = ta::project(&t_left, &["v"]).unwrap().strip().into_rows();
+    let q1 = engine("SELECT v FROM l");
     let q2 = p_left.project(&["v"]).unwrap().strip().into_rows();
     assert_eq!(q0, q1);
     assert_eq!(q0, q2);
 
     // join (sorted bags — join orders may differ)
     let j0 = sorted(oracle("SELECT * FROM l JOIN r ON k = k"));
-    let j1 = sorted(ta::hash_join(&t_left, &t_right, "k", "k").unwrap().strip().into_rows());
+    let j1 = sorted(engine("SELECT * FROM l JOIN r ON k = k"));
     let j2 = sorted(p_left.join(&p_right, "k", "k").unwrap().strip().into_rows());
     assert_eq!(j0, j1);
     assert_eq!(j0, j2);
@@ -104,7 +103,7 @@ fn tagged_distinct_matches_value_distinct() {
     let a = base_relation(5, 50);
     let dict = IndicatorDictionary::with_paper_defaults();
     let t = TaggedRelation::from_relation(&a, dict);
-    let td = ta::distinct_merging(&t).strip();
+    let td = distinct_merging(&t).strip();
     let rd = oracle::answer(&catalog(&t, None), "SELECT DISTINCT k, v FROM l").unwrap();
     assert_eq!(td.into_rows(), values(&rd));
 }
@@ -121,7 +120,9 @@ fn aggregation_consistent_between_layers() {
     ];
     let sql = "SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo FROM l GROUP BY k";
     let plain = oracle::answer(&catalog(&t, None), sql).unwrap();
-    let tagged = ta::aggregate(&t, &["k"], &aggs, &[]).unwrap().strip();
+    let layout = ColumnarRelation::from_tagged(&t);
+    let all = Bitset::full(layout.len());
+    let tagged = layout.aggregate(&all, &["k"], &aggs, &[]).unwrap().strip();
     assert_eq!(values(&plain), tagged.into_rows());
 }
 

@@ -149,7 +149,10 @@ fn consistency_defects_found_by_linkage_then_fixed_by_synthesis() {
     // detect: group by zip, cities must agree — use linkage on the
     // (zip, city) projection to spot the near-duplicate spelling
     let tagged = tagstore::TaggedRelation::from_relation(&flat, Default::default());
-    let pairs = tagstore::algebra::project(&tagged, &["zip", "city"]).unwrap().strip();
+    let mut catalog = dq_query::QueryCatalog::new();
+    catalog.register("addresses", tagged);
+    let projected = dq_query::run(&catalog, "SELECT zip, city FROM addresses").unwrap();
+    let pairs = projected.relation().strip();
     let model = dq_admin::FellegiSunter::new(
         vec![dq_admin::FieldSpec::new(
             "city",

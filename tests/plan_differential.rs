@@ -17,17 +17,15 @@
 //! Int arithmetic on extreme literals answers alike through both
 //! planners, rows or error text; and a division by zero written last,
 //! behind the statement's other conjuncts, runs only on the rows they
-//! keep — through both planners, the row algebra's σ and `TAG`'s
-//! `WHERE` alike; and one written first, that faults on some rows only,
+//! keep — through both planners, the oracle's σ and `TAG`'s `WHERE`
+//! alike; and one written first, that faults on some rows only,
 //! runs on every row, however the statement is planned: no index or key
 //! lookup narrows the rows it sees. Every `SELECT` that plans is also
-//! answered by the longhand oracle (`oracle/mod.rs`), which shares no
+//! answered by the longhand oracle (`dq_oracle`), which shares no
 //! kernel with the engine: rows byte-equal through `render_result`, or
 //! the same error text.
 
-#[rustfmt::skip] // hand-formatted to its 300-line budget
-mod oracle;
-
+use dq_oracle as oracle;
 use dq_query::{
     execute, execute_traced, parse, prepare_write, run_mut, run_with, Planner, QueryCatalog,
     QueryResult, Statement,
@@ -735,9 +733,9 @@ struct Met {
 
 /// `n` statements spoiled with `spoil`: both planners and the oracle
 /// answer each alike, rows or error text; then each statement's filter
-/// alone — `SELECT *`, the row algebra's σ over the base relation, the
-/// rows `TAG`'s `WHERE` selects and the oracle — agrees on rows or on
-/// the one error text.
+/// alone — `SELECT *`, the oracle's σ over the base relation, the rows
+/// `TAG`'s `WHERE` selects and the oracle's `SELECT *` — agrees on rows
+/// or on the one error text.
 fn spoiled_filters_agree(seed: u64, spoil: Spoil, n: usize) -> Met {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let catalog = catalog();
@@ -772,7 +770,7 @@ fn spoiled_filters_agree(seed: u64, spoil: Spoil, n: usize) -> Met {
         };
         let base = catalog.get(table).unwrap();
         let predicate = q.where_clause.as_ref().unwrap();
-        let via_algebra = tagstore::algebra::select(base, predicate).map_err(text);
+        let via_reference = oracle::filter(base, predicate);
         let target = if table == "stocks" { "price@source" } else { "qty@inspection" };
         let tag = format!("TAG {table} SET {target} = 'spoiled' WHERE {filter}");
         let via_tag = prepare_write(&catalog, &tag)
@@ -783,11 +781,11 @@ fn spoiled_filters_agree(seed: u64, spoil: Spoil, n: usize) -> Met {
             })
             .map_err(text);
         let via_oracle = oracle::answer(&catalog, &star).map(|r| r.rows);
-        assert_eq!(via_sql, via_algebra, "{ctx}");
-        assert_eq!(via_tag, via_algebra, "{ctx}");
-        let algebra_rows = via_algebra.as_ref().map(|r| r.rows().to_vec());
-        assert_eq!(via_oracle, algebra_rows.map_err(Clone::clone), "{ctx}: oracle");
-        match &via_algebra {
+        assert_eq!(via_sql, via_reference, "{ctx}");
+        assert_eq!(via_tag, via_reference, "{ctx}");
+        let reference_rows = via_reference.as_ref().map(|r| r.rows().to_vec());
+        assert_eq!(via_oracle, reference_rows.map_err(Clone::clone), "{ctx}: oracle");
+        match &via_reference {
             // the fault is the filter's: it fails the statement alike
             Err(e) => assert_eq!(Err(e), plain.as_ref(), "{ctx}"),
             Ok(rows) if filter.contains(" / 0 = 1") => {
